@@ -5,15 +5,6 @@ and executes only non-Clifford operations as native multi-qubit Pauli
 rotations on the state vector, so the cost of a Trotterized Hamiltonian step
 does not grow with the locality of its terms.
 """
-import os as _os
-
-# Thread-count override for the numeric kernels.  Must land in the
-# environment before numpy initializes its backends, i.e. before the
-# imports below.
-if "FRAMESIM_THREADS" in _os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["FRAMESIM_THREADS"])
-
 from .pauli import PauliString
 from .statevector import StateVector
 from .frame import PauliFrame, RotationStep, invert_to_rotations

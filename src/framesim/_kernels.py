@@ -1,21 +1,24 @@
-"""Compiled single-pass loops for the multi-qubit rotation kernels.
+"""The multi-qubit rotation kernels, and the choice of their implementation.
 
-The numpy implementation in ``statevector`` stages a rotation through index
-arrays and whole-array temporaries, so its cost per amplitude grows once the
-state leaves the cache.  The C loops in ``_kernels.c`` apply a rotation in
-one pass over the amplitudes (one read and one write each), walking the
-state in cache-sized tiles so that the cost depends neither on the number of
-qubits nor on how many qubits the operator touches.
+``rotation_pairs`` and ``rotation_diag`` are the two amplitude loops behind
+``StateVector.apply_pauli_rotation``.  The C loops in ``_kernels.c`` apply a
+rotation in one pass over the amplitudes (one read and one write each),
+walking the state in cache-sized tiles so that the cost depends neither on
+the number of qubits nor on how many qubits the operator touches.
+``numpy_rotation_pairs`` and ``numpy_rotation_diag`` compute the same thing
+through index arrays and whole-array temporaries, about ten times slower per
+amplitude; they are the reference the tests compare the C loops against.
 
 On first import the C source is compiled with the system C compiler (``gcc``,
 else ``cc``) into ``$XDG_CACHE_HOME/framesim`` (default ``~/.cache/framesim``),
 under a name keyed by a hash of the source and the compiler flags, and then
 loaded with ``ctypes``; later imports load the cached library without
-compiling.  ``JIT_ENABLED`` is True while the compiled tier is in use.  When
-the library cannot be built or loaded (no compiler, a build error, a cache
-directory that cannot be written) one ``RuntimeWarning`` names the reason and
-the numpy path runs instead, with identical semantics.  Setting
-``FRAMESIM_PURE_NUMPY=1`` selects the numpy path without building anything.
+compiling.  When the library loads, ``rotation_pairs``/``rotation_diag`` are
+the C loops and ``JIT_ENABLED`` is True.  When it cannot be built or loaded
+(no compiler, a build error, a cache directory that cannot be written) one
+``RuntimeWarning`` names the reason and the two names are bound to the numpy
+functions instead.  The choice is made once, here, from what the import
+observes.
 """
 import ctypes
 import hashlib
@@ -90,16 +93,14 @@ def _load():
     return lib
 
 
-_lib = None
-if not os.environ.get("FRAMESIM_PURE_NUMPY"):
-    try:
-        _lib = _load()
-    except _Unavailable as exc:
-        warnings.warn(f"framesim: compiled kernels unavailable, using the slower "
-                      f"numpy path ({exc})", RuntimeWarning, stacklevel=2)
+try:
+    _lib = _load()
+except _Unavailable as exc:
+    _lib = None
+    warnings.warn(f"framesim: compiled kernels unavailable, using the slower "
+                  f"numpy path ({exc})", RuntimeWarning, stacklevel=2)
 
-HAVE_COMPILED = _lib is not None
-JIT_ENABLED = HAVE_COMPILED
+JIT_ENABLED = _lib is not None
 
 
 def kernel_tier() -> str:
@@ -134,13 +135,8 @@ def _address(amp: np.ndarray, *masks: int) -> int:
     return addr
 
 
-def rotation_pairs(amp, x, z, pivot, c, u0, u1):
-    """amp[k0] <- c*a0 + u0*sg*a1; amp[k1] <- c*a1 + u1*sg*a0.
-
-    k0 runs over indices with the pivot bit clear (one per pair),
-    k1 = k0 ^ x is its partner and sg = (-1)**parity(k0 & z).  The pivot
-    must be a set bit of x.
-    """
+def _c_rotation_pairs(amp, x, z, pivot, c, u0, u1):
+    """``numpy_rotation_pairs`` in one tiled pass of the C loop."""
     addr = _address(amp, x, z)
     if not (x >> pivot) & 1:
         raise ValueError(f"pivot {pivot} is not a set bit of x")
@@ -148,8 +144,42 @@ def rotation_pairs(amp, x, z, pivot, c, u0, u1):
                                  u0.real, u0.imag, u1.real, u1.imag)
 
 
-def rotation_diag(amp, z, f_even, f_odd):
-    """amp[k] *= f_even or f_odd depending on parity(k & z)."""
+def _c_rotation_diag(amp, z, f_even, f_odd):
+    """``numpy_rotation_diag`` in one tiled pass of the C loop."""
     addr = _address(amp, z)
     _lib.framesim_rotation_diag(addr, amp.shape[0], z, f_even.real, f_even.imag,
                                 f_odd.real, f_odd.imag)
+
+
+def numpy_rotation_pairs(amp, x, z, pivot, c, u0, u1):
+    """amp[k0] <- c*a0 + u0*sg*a1; amp[k1] <- c*a1 + u1*sg*a0.
+
+    k0 runs over indices with the pivot bit clear (one per pair),
+    k1 = k0 ^ x is its partner and sg = (-1)**parity(k0 & z).  The pivot
+    must be a set bit of x, so exactly one member of every pair has it
+    clear: inserting a zero bit at the pivot position into 0 .. len/2 - 1
+    lists each pair once.
+    """
+    if not (x >> pivot) & 1:
+        raise ValueError(f"pivot {pivot} is not a set bit of x")
+    low = np.arange(amp.shape[0] >> 1, dtype=np.int64)
+    k0 = ((low >> pivot) << (pivot + 1)) | (low & np.int64((1 << pivot) - 1))
+    k1 = k0 ^ np.int64(x)
+    sg = 1.0 - 2.0 * (np.bitwise_count(k0 & np.int64(z)) & 1)
+    a0 = amp[k0]
+    a1 = amp[k1]
+    amp[k0] = c * a0 + u0 * (sg * a1)
+    amp[k1] = c * a1 + u1 * (sg * a0)
+
+
+def numpy_rotation_diag(amp, z, f_even, f_odd):
+    """amp[k] *= f_even or f_odd depending on parity(k & z)."""
+    k = np.arange(amp.shape[0], dtype=np.int64)
+    odd = (np.bitwise_count(k & np.int64(z)) & 1).astype(bool)
+    amp *= np.where(odd, f_odd, f_even)
+
+
+if _lib is not None:
+    rotation_pairs, rotation_diag = _c_rotation_pairs, _c_rotation_diag
+else:
+    rotation_pairs, rotation_diag = numpy_rotation_pairs, numpy_rotation_diag

@@ -16,6 +16,7 @@ Measured eigenvalue +1 is recorded as classical bit 0.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -107,10 +108,15 @@ def _fill_counts(report: RunReport, circuit: Circuit) -> None:
     report.gates_rotation = circuit.rotation_count()
 
 
+def _seeded(rng) -> tuple[int | None, np.random.Generator]:
+    """The seed to report (integral seeds only) and the generator to draw from."""
+    seed = int(rng) if isinstance(rng, numbers.Integral) else None
+    return seed, np.random.default_rng(rng)
+
+
 def run_baseline(circuit: Circuit, rng=None) -> tuple[StateVector, RunReport]:
     """Gate-by-gate fullstate execution of the circuit."""
-    seed = rng if isinstance(rng, int) else None
-    rng = np.random.default_rng(rng)
+    seed, rng = _seeded(rng)
     n = circuit.num_qubits
     state = StateVector.zero(n)
     report = RunReport("baseline", n, seed=seed)
@@ -131,59 +137,49 @@ def run_baseline(circuit: Circuit, rng=None) -> tuple[StateVector, RunReport]:
     return state, report
 
 
-def run_hybrid(circuit: Circuit, rng=None,
-               profile: bool = False) -> tuple[HybridState, RunReport]:
+def run_hybrid(circuit: Circuit, rng=None) -> tuple[HybridState, RunReport]:
     """Frame-tracked execution: Cliffords update the frame, everything else
     reaches the state vector as a multi-qubit Pauli operation.
 
-    With ``profile`` the per-phase durations (clifford/rotation/measure/prep)
-    are accumulated in ``HybridState.timing``; the default leaves the gate
-    loop free of per-gate clock reads.
+    ``HybridState.timing`` receives the seconds spent in rotations,
+    measurements and preparations; ``clifford_s`` is the rest of the gate
+    loop, so it includes the loop's own dispatch.
     """
-    seed = rng if isinstance(rng, int) else None
-    rng = np.random.default_rng(rng)
+    seed, rng = _seeded(rng)
     n = circuit.num_qubits
-    hs = HybridState(PauliFrame.origin(n), StateVector.zero(n),
-                     timing={"clifford_s": 0.0, "rotation_s": 0.0, "measure_s": 0.0,
-                             "prep_s": 0.0})
+    hs = HybridState(PauliFrame.origin(n), StateVector.zero(n))
     report = RunReport("hybrid", n, seed=seed)
     _fill_counts(report, circuit)
-    timing = hs.timing
     frame, phi = hs.frame, hs.phi
+    rotation_s = measure_s = prep_s = 0.0
     clock = time.perf_counter
     t0 = clock()
     for g in circuit.gates:
         tag = g.tag
         if tag in CLIFFORD_TAGS:
-            if profile:
-                t1 = clock()
-                frame.apply_gate(tag, g.qubits)
-                timing["clifford_s"] += clock() - t1
-            else:
-                frame.apply_gate(tag, g.qubits)
+            frame.apply_gate(tag, g.qubits)
         elif tag in ROTATION_TAGS:
-            t1 = clock() if profile else 0.0
+            t1 = clock()
             axis = frame.lookup(PauliString.single(n, g.qubits[0], _AXIS_OF[tag]))
             _rotate_signed(phi, axis, g.angle)
-            if profile:
-                timing["rotation_s"] += clock() - t1
+            rotation_s += clock() - t1
         elif tag == "MEASZ":
-            t1 = clock() if profile else 0.0
+            t1 = clock()
             outcome = phi.measure(frame.lookup(
                 PauliString.single(n, g.qubits[0], "Z")), rng)
             bit = 0 if outcome == 1 else 1
             hs.measurement_record.append(bit)
             report.measurements.append(bit)
-            if profile:
-                timing["measure_s"] += clock() - t1
+            measure_s += clock() - t1
         elif tag == "PREPZ":
-            t1 = clock() if profile else 0.0
+            t1 = clock()
             phi.prepare(frame.lookup(PauliString.single(n, g.qubits[0], "Z")),
                         frame.lookup(PauliString.single(n, g.qubits[0], "X")),
                         rng)
-            if profile:
-                timing["prep_s"] += clock() - t1
+            prep_s += clock() - t1
         else:
             raise ValueError(f"unsupported gate tag {tag!r}")
     report.t_run_s = clock() - t0
+    hs.timing.update(clifford_s=report.t_run_s - rotation_s - measure_s - prep_s,
+                     rotation_s=rotation_s, measure_s=measure_s, prep_s=prep_s)
     return hs, report

@@ -25,20 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pauli import PauliString, _swap_bits
+from .pauli import PauliString, _mul, _swap_bits
 
 _QUARTER = math.pi / 2  # R_Q(pi/2) = exp(-i pi/4 Q), a symplectic transvection
-
-
-def _mul(a, b):
-    # exact product of (x, z, phase) triples; same phase rule as PauliString
-    ax, az, ap = a
-    bx, bz, bp = b
-    x = ax ^ bx
-    z = az ^ bz
-    phase = (ap + bp + (ax & az).bit_count() + (bx & bz).bit_count()
-             - (x & z).bit_count() + 2 * (az & bx).bit_count()) & 3
-    return (x, z, phase)
 
 
 def _anti(a, b) -> int:
@@ -310,7 +299,8 @@ def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
 
     for q in range(n):
         row = next((i for i in range(n) if f.eff_z(i).letter_at(q) != "I"), None)
-        assert row is not None, "valid frames always expose each qubit in some eff_z"
+        if row is None:
+            raise RuntimeError(f"no eff_z row carries qubit {q}; a valid frame always has one")
         zi = f.eff_z(row)
         if zi.weight > 1:
             sigma = zi.letter_at(q)
@@ -355,5 +345,6 @@ def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
             qubit_of[j], pos_of[q] = q, j
             qubit_of[i], pos_of[i] = i, i
 
-    assert f.is_origin(), "frame synthesis must terminate on the origin frame"
+    if not f.is_origin():
+        raise RuntimeError("frame synthesis did not terminate on the origin frame")
     return steps

@@ -168,23 +168,13 @@ class PauliString:
                 + (self.z_bits & other.x_bits).bit_count()) & 1
 
     def __mul__(self, other: "PauliString") -> "PauliString":
-        """Exact group product, tracking the i**e phase per qubit.
-
-        Per qubit the letter form relates to the ordered form through
-        Y = i * X * Z, and moving Z past X costs a sign; summing those
-        contributions over all qubits gives the phase of the product.
-        """
+        """Exact group product, tracking the i**e phase per qubit (see ``_mul``)."""
         if not isinstance(other, PauliString):
             return NotImplemented
         self._check_size(other)
-        x = self.x_bits ^ other.x_bits
-        z = self.z_bits ^ other.z_bits
-        phase = (self.phase_exp + other.phase_exp
-                 + (self.x_bits & self.z_bits).bit_count()
-                 + (other.x_bits & other.z_bits).bit_count()
-                 - (x & z).bit_count()
-                 + 2 * (self.z_bits & other.x_bits).bit_count())
-        return PauliString(self.num_qubits, x, z, phase)
+        return PauliString(self.num_qubits,
+                           *_mul((self.x_bits, self.z_bits, self.phase_exp),
+                                 (other.x_bits, other.z_bits, other.phase_exp)))
 
     def with_phase_shift(self, delta: int) -> "PauliString":
         """Same letters multiplied by an extra i**delta."""
@@ -245,6 +235,23 @@ class PauliString:
     def _check_index(self, k: int) -> None:
         if not 0 <= k < (1 << self.num_qubits):
             raise ValueError(f"basis index {k} out of range for {self.num_qubits} qubits")
+
+
+def _mul(a, b):
+    """Exact product of two (x_bits, z_bits, phase_exp) triples.
+
+    Per qubit the letter form relates to the ordered form through
+    Y = i * X * Z, and moving Z past X costs a sign; summing those
+    contributions over all qubits gives the phase of the product.  The
+    Pauli frame multiplies its rows as plain triples through this function.
+    """
+    ax, az, ap = a
+    bx, bz, bp = b
+    x = ax ^ bx
+    z = az ^ bz
+    phase = (ap + bp + (ax & az).bit_count() + (bx & bz).bit_count()
+             - (x & z).bit_count() + 2 * (az & bx).bit_count()) & 3
+    return (x, z, phase)
 
 
 def _swap_bits(value: int, a: int, b: int) -> int:

@@ -123,16 +123,10 @@ class StateVector:
         if p.phase_exp != 0:
             raise ValueError("rotation axis must have phase_exp 0; fold signs into the angle")
         half_angle = 0.5 * theta
-        compiled = _kernels.JIT_ENABLED
         if p.x_bits == 0:
             # diagonal: e^{-i theta/2} on even |m_Z & k| parity, e^{+i theta/2} on odd
             f_even = complex(math.cos(half_angle), -math.sin(half_angle))
-            f_odd = f_even.conjugate()
-            if compiled:
-                _kernels.rotation_diag(self.amplitudes, p.z_bits, f_even, f_odd)
-            else:
-                par = (np.bitwise_count(self._indices() & np.int64(p.z_bits)) & 1)
-                self.amplitudes *= np.where(par.astype(bool), f_odd, f_even)
+            _kernels.rotation_diag(self.amplitudes, p.z_bits, f_even, f_even.conjugate())
             return
         c = math.cos(half_angle)
         n_y = p.y_mask.bit_count()
@@ -140,32 +134,8 @@ class StateVector:
         # between pair members by the parity of n_y
         u = -1j * math.sin(half_angle) * 1j ** (n_y % 4)
         ey = -1.0 if n_y & 1 else 1.0
-        if compiled:
-            pivot = (p.x_bits & -p.x_bits).bit_length() - 1
-            _kernels.rotation_pairs(self.amplitudes, p.x_bits, p.z_bits, pivot,
-                                    c, u * ey, u)
-            return
-        amp = self.amplitudes
-        k0, k1 = self._pair_indices(p.x_bits)
-        sg0 = 1.0 - 2.0 * (np.bitwise_count(k0 & np.int64(p.z_bits)) & 1)
-        a0 = amp[k0]
-        a1 = amp[k1]
-        amp[k0] = c * a0 + (u * ey) * (sg0 * a1)
-        amp[k1] = c * a1 + u * (sg0 * a0)
-
-    def _pair_indices(self, x_bits: int) -> tuple[np.ndarray, np.ndarray]:
-        """Partition basis indices into pairs {k, k ^ x_bits}, each listed once.
-
-        The pivot is the lowest set bit of x_bits: exactly one member of
-        every pair has that bit clear, so enumerating indices with a zero
-        inserted at the pivot position visits each pair exactly once.
-        """
-        if x_bits == 0:
-            raise ValueError("pair enumeration needs a non-diagonal operator")
-        b = (x_bits & -x_bits).bit_length() - 1
-        low = self._indices()[: self.dim >> 1]
-        k0 = ((low >> b) << (b + 1)) | (low & np.int64((1 << b) - 1))
-        return k0, k0 ^ np.int64(x_bits)
+        pivot = (p.x_bits & -p.x_bits).bit_length() - 1
+        _kernels.rotation_pairs(self.amplitudes, p.x_bits, p.z_bits, pivot, c, u * ey, u)
 
     # ------------------------------------------------------------------
     # observables, measurement, preparation
@@ -175,7 +145,8 @@ class StateVector:
         if not p.is_hermitian:
             raise ValueError("expectation requires a Hermitian operator")
         val = np.vdot(self.amplitudes, self._pauli_applied(p))
-        assert abs(val.imag) < max(self.norm_tolerance, 1e-9), "non-real Pauli expectation"
+        if abs(val.imag) >= max(self.norm_tolerance, 1e-9):
+            raise RuntimeError(f"non-real Pauli expectation {val}")
         return float(val.real)
 
     def measure(self, p: PauliString, rng) -> int:

@@ -218,6 +218,21 @@ def test_invert_rejects_invalid_frame():
         invert_to_rotations(PauliFrame(1, rows=[(z0, z0)]))
 
 
+def test_invert_raises_when_no_row_carries_a_qubit(monkeypatch):
+    # validate() reads the rows directly; the synthesis reads them through eff_z
+    monkeypatch.setattr(PauliFrame, "eff_z", lambda self, i: PauliString.identity(self.num_qubits))
+    with pytest.raises(RuntimeError, match="no eff_z row carries qubit 0"):
+        invert_to_rotations(PauliFrame.origin(2))
+
+
+def test_invert_raises_when_synthesis_misses_the_origin(monkeypatch):
+    monkeypatch.setattr(PauliFrame, "conjugate_rotation", lambda self, axis, angle: None)
+    f = PauliFrame.origin(1)
+    f.apply_gate("H", (0,))
+    with pytest.raises(RuntimeError, match="origin frame"):
+        invert_to_rotations(f)
+
+
 def test_dump_format():
     f = PauliFrame.origin(2)
     f.apply_gate("CX", (0, 1))

@@ -11,15 +11,31 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 HAVE_CC = shutil.which("gcc") is not None or shutil.which("cc") is not None
 PROBE = "import framesim._kernels as k; print(k.kernel_tier())"
+# the fallback tier must also compute: one paired and one diagonal rotation
+# against the dense closed form
+ROTATE_PROBE = PROBE + """
+import numpy as np
+from framesim import PauliString, StateVector
+from oracles import rotation_matrix
+rng = np.random.default_rng(0)
+for label in ("XZYIY", "ZIZZI"):
+    p = PauliString.from_label(label)
+    amp = rng.normal(size=32) + 1j * rng.normal(size=32)
+    s = StateVector(5, amp)
+    s.apply_pauli_rotation(p, 0.9)
+    if np.max(np.abs(s.amplitudes - rotation_matrix(p, 0.9) @ amp)) > 1e-12:
+        raise SystemExit(f"numpy tier disagrees with the dense oracle on {label}")
+"""
 
 
-def import_kernels(cache: Path, path: str, src: Path = SRC):
-    env = {k: v for k, v in os.environ.items() if k != "FRAMESIM_PURE_NUMPY"}
-    env.update(XDG_CACHE_HOME=str(cache), PATH=path, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", PROBE], env=env,
+def import_kernels(cache: Path, path: str, src: Path = SRC, probe: str = PROBE):
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=path,
+               PYTHONPATH=f"{src}{os.pathsep}{TESTS}")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip(), done.stderr
@@ -28,7 +44,7 @@ def import_kernels(cache: Path, path: str, src: Path = SRC):
 def test_missing_compiler_warns_and_falls_back(tmp_path):
     empty = tmp_path / "bin"
     empty.mkdir()
-    tier, err = import_kernels(tmp_path / "cache", str(empty))
+    tier, err = import_kernels(tmp_path / "cache", str(empty), probe=ROTATE_PROBE)
     assert tier == "numpy"
     assert err.count("RuntimeWarning") == 1
     assert "no C compiler" in err

@@ -9,16 +9,23 @@ from framesim import PauliString, StateVector
 from framesim import _kernels
 from oracles import pauli_matrix, random_pauli, rotation_matrix
 
-# the rotation kernel has a compiled C path and a pure-numpy path; the oracle
-# tests must hold for whichever one a deployment ends up on, and they run the
-# compiled one wherever its library loaded
-KERNEL_PATHS = [False] + ([True] if _kernels.HAVE_COMPILED else [])
+# (rotation_pairs, rotation_diag) of each implementation: the numpy reference
+# always, and the compiled C loops wherever their library loaded; the oracle
+# tests must hold for whichever one a deployment ends up on
+KERNELS = {"numpy": (_kernels.numpy_rotation_pairs, _kernels.numpy_rotation_diag)}
+if _kernels.JIT_ENABLED:
+    KERNELS["compiled"] = (_kernels.rotation_pairs, _kernels.rotation_diag)
 
 
-@pytest.fixture(params=KERNEL_PATHS, ids=lambda v: "compiled" if v else "numpy")
+def use_kernels(monkeypatch, name):
+    pairs, diag = KERNELS[name]
+    monkeypatch.setattr(_kernels, "rotation_pairs", pairs)
+    monkeypatch.setattr(_kernels, "rotation_diag", diag)
+
+
+@pytest.fixture(params=list(KERNELS))
 def kernel_path(request, monkeypatch):
-    monkeypatch.setattr(_kernels, "JIT_ENABLED", request.param)
-    return request.param
+    use_kernels(monkeypatch, request.param)
 
 
 def random_state(rng, n):
@@ -123,7 +130,7 @@ TRAVERSAL_CASES = {
 }
 
 
-@pytest.mark.skipif(not _kernels.HAVE_COMPILED, reason="compiled kernels not loaded")
+@pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="compiled kernels not loaded")
 @pytest.mark.parametrize("case", list(TRAVERSAL_CASES))
 def test_compiled_rotation_matches_numpy_reference(case, monkeypatch):
     n, x, z = TRAVERSAL_CASES[case]
@@ -131,35 +138,45 @@ def test_compiled_rotation_matches_numpy_reference(case, monkeypatch):
     p = PauliString(n, x, z)
     start = random_state(rng, n).amplitudes
     out = {}
-    for compiled in (False, True):
-        monkeypatch.setattr(_kernels, "JIT_ENABLED", compiled)
+    for name in ("numpy", "compiled"):
+        use_kernels(monkeypatch, name)
         s = StateVector(n, start)
         for theta in (0.7, -2.1):
             s.apply_pauli_rotation(p, theta)
-        out[compiled] = s.amplitudes
-    assert np.max(np.abs(out[True] - out[False])) < 1e-12
+        out[name] = s.amplitudes
+    assert np.max(np.abs(out["compiled"] - out["numpy"])) < 1e-12
 
 
-@pytest.mark.skipif(not _kernels.HAVE_COMPILED, reason="compiled kernels not loaded")
 @pytest.mark.parametrize("case", [c for c, (_, x, _) in TRAVERSAL_CASES.items() if x])
 def test_compiled_pair_loop_keeps_its_documented_semantics(case):
     # rotation_pairs takes u0 and u1 independently and any set bit of x as
-    # the pivot; apply_pauli_rotation only ever passes related values
+    # the pivot; apply_pauli_rotation only ever passes related values and the
+    # lowest set bit.  The reference below lists the pairs by filtering
+    # indices, not by the zero insertion the numpy implementation uses.
     n, x, z = TRAVERSAL_CASES[case]
     rng = np.random.default_rng(17)
     c = float(rng.normal())
     u0, u1 = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
-    for pivot in (x.bit_length() - 1, (x & -x).bit_length() - 1):
-        amp = random_state(rng, n).amplitudes
-        k = np.arange(1 << n)
-        k0 = k[(k >> pivot) & 1 == 0]
-        k1 = k0 ^ x
-        sg = 1.0 - 2.0 * (np.bitwise_count(k0 & z) & 1)
-        ref = amp.copy()
-        ref[k0] = c * amp[k0] + u0 * sg * amp[k1]
-        ref[k1] = c * amp[k1] + u1 * sg * amp[k0]
-        _kernels.rotation_pairs(amp, x, z, pivot, c, u0, u1)
-        assert np.max(np.abs(amp - ref)) < 1e-12
+    for name, (rotation_pairs, _) in KERNELS.items():
+        for pivot in (x.bit_length() - 1, (x & -x).bit_length() - 1):
+            amp = random_state(rng, n).amplitudes
+            k = np.arange(1 << n)
+            k0 = k[(k >> pivot) & 1 == 0]
+            k1 = k0 ^ x
+            sg = 1.0 - 2.0 * (np.bitwise_count(k0 & z) & 1)
+            ref = amp.copy()
+            ref[k0] = c * amp[k0] + u0 * sg * amp[k1]
+            ref[k1] = c * amp[k1] + u1 * sg * amp[k0]
+            rotation_pairs(amp, x, z, pivot, c, u0, u1)
+            assert np.max(np.abs(amp - ref)) < 1e-12, (name, pivot)
+
+
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_pair_loop_rejects_a_pivot_outside_x(name):
+    rotation_pairs, _ = KERNELS[name]
+    amp = StateVector.zero(3).amplitudes
+    with pytest.raises(ValueError, match="pivot"):
+        rotation_pairs(amp, 0b101, 0, 1, 1.0, 0j, 0j)
 
 
 def test_rotation_rejects_signed_axis():
@@ -185,20 +202,6 @@ def test_diagonal_rule_matches_scalar_formula(kernel_path):
         assert np.max(np.abs(s.amplitudes - ref)) < 1e-14
 
 
-def test_pair_indices_partition():
-    # every pair {k, k^x} is visited exactly once
-    rng = np.random.default_rng(15)
-    for n in range(1, 9):
-        s = StateVector.zero(n)
-        for _ in range(10):
-            x = int(rng.integers(1, 1 << n))
-            k0, k1 = s._pair_indices(x)
-            assert np.array_equal(k1, k0 ^ np.int64(x))
-            union = np.concatenate([k0, k1])
-            assert len(np.unique(union)) == 1 << n
-            assert np.all(k0 != k1)
-
-
 def test_expectation_examples():
     s = StateVector.zero(1)
     assert s.expectation(PauliString.from_label("Z")) == pytest.approx(1.0)
@@ -214,6 +217,14 @@ def test_expectation_examples():
 def test_expectation_includes_sign():
     s = StateVector.zero(1)
     assert s.expectation(PauliString.from_label("-Z")) == pytest.approx(-1.0)
+
+
+def test_expectation_raises_on_a_non_real_value(monkeypatch):
+    # a Hermitian P has a real expectation; a broken kernel must not be
+    # silently truncated to its real part
+    monkeypatch.setattr(StateVector, "_pauli_applied", lambda self, p: 1j * self.amplitudes)
+    with pytest.raises(RuntimeError, match="non-real"):
+        StateVector.zero(1).expectation(PauliString.from_label("Z"))
 
 
 def test_measure_deterministic():
@@ -341,7 +352,7 @@ def test_rotation_cost_flat_in_weight():
     rng = np.random.default_rng(7)
     s = random_state(rng, n)
     theta = 0.3
-    medians = {}
+    axes = {}
     for w in (1, 5, 10, 15, 20):
         support = rng.choice(n, w, replace=False)
         letters = rng.integers(0, 3, size=w)
@@ -352,13 +363,16 @@ def test_rotation_cost_flat_in_weight():
                 x |= 1 << int(q)
             if c != 0:
                 z |= 1 << int(q)
-        p = PauliString(n, x, z)
-        s.apply_pauli_rotation(p, theta)  # warmup (page faults)
-        times = []
-        for _ in range(15):
+        axes[w] = PauliString(n, x, z)
+        s.apply_pauli_rotation(axes[w], theta)  # warmup (page faults)
+    # round-robin over the weights, so that a change in machine speed during
+    # the test lands on every weight alike
+    times = {w: [] for w in axes}
+    for _ in range(15):
+        for w, p in axes.items():
             t0 = time.perf_counter()
             s.apply_pauli_rotation(p, theta)
-            times.append(time.perf_counter() - t0)
-        medians[w] = sorted(times)[len(times) // 2]
+            times[w].append(time.perf_counter() - t0)
+    medians = {w: sorted(t)[len(t) // 2] for w, t in times.items()}
     ratio = max(medians.values()) / min(medians.values())
     assert ratio < 1.5, f"rotation cost varies with weight: {medians}"
