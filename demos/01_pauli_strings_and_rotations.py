@@ -38,11 +38,12 @@ state.amplitudes /= np.linalg.norm(state.amplitudes)
 theta = 0.7
 for label in ("Z" + "I" * (n - 1), "ZXYZXIIZXY"):
     axis = PauliString.from_label(label)
-    before = state.copy()
-    state.apply_pauli_rotation(axis, theta)
+    applied = state.copy()
+    applied.apply_pauli(axis)
     # verify against the closed form cos(t/2) I - i sin(t/2) P
-    check = (np.cos(theta / 2) * before.amplitudes
-             - 1j * np.sin(theta / 2) * before._pauli_applied(axis))
+    check = (np.cos(theta / 2) * state.amplitudes
+             - 1j * np.sin(theta / 2) * applied.amplitudes)
+    state.apply_pauli_rotation(axis, theta)
     err = np.max(np.abs(state.amplitudes - check))
     print(f"R_{{{label}}}({theta}) weight {axis.weight:2d}: "
           f"closed-form error {err:.2e}")

@@ -1,10 +1,13 @@
-"""The multi-qubit rotation kernels, and the choice of their implementation.
+"""The amplitude kernels of c*I + u*P updates, and the choice of their tier.
 
 ``rotation_pairs`` and ``rotation_diag`` are the two amplitude loops behind
-``StateVector.apply_pauli_rotation``.  The C loops in ``_kernels.c`` apply a
-rotation in one pass over the amplitudes (one read and one write each),
-walking the state in cache-sized tiles so that the cost depends neither on
-the number of qubits nor on how many qubits the operator touches.
+every update ``a <- c*a + u*P*a`` of ``StateVector``: Pauli rotations, Pauli
+application, the measurement collapse and the baseline's Pauli-shaped
+1-qubit gates.  ``rotation_pairs`` serves an operator P that flips bits and
+``rotation_diag`` a diagonal one.  The C loops in ``_kernels.c`` make one
+pass over the amplitudes (one read and one write each), walking the state
+in cache-sized tiles so that the cost depends neither on the number of
+qubits nor on how many qubits the operator touches.
 ``numpy_rotation_pairs`` and ``numpy_rotation_diag`` compute the same thing
 through index arrays and whole-array temporaries, about ten times slower per
 amplitude; they are the reference the tests compare the C loops against.
@@ -154,6 +157,9 @@ def _c_rotation_diag(amp, z, f_even, f_odd):
 def numpy_rotation_pairs(amp, x, z, pivot, c, u0, u1):
     """amp[k0] <- c*a0 + u0*sg*a1; amp[k1] <- c*a1 + u1*sg*a0.
 
+    This is c*a + u*P*a for a P whose x bits are x and whose z bits are z,
+    with u0 and u1 carrying u and the phase of P (see
+    ``statevector._combine``); c is real.
     k0 runs over indices with the pivot bit clear (one per pair),
     k1 = k0 ^ x is its partner and sg = (-1)**parity(k0 & z).  The pivot
     must be a set bit of x, so exactly one member of every pair has it
@@ -173,7 +179,11 @@ def numpy_rotation_pairs(amp, x, z, pivot, c, u0, u1):
 
 
 def numpy_rotation_diag(amp, z, f_even, f_odd):
-    """amp[k] *= f_even or f_odd depending on parity(k & z)."""
+    """amp[k] *= f_even or f_odd depending on parity(k & z).
+
+    This is c*a + u*P*a for a diagonal P with z bits z, through
+    f_even = c + w and f_odd = c - w, where w is u times the phase of P.
+    """
     k = np.arange(amp.shape[0], dtype=np.int64)
     odd = (np.bitwise_count(k & np.int64(z)) & 1).astype(bool)
     amp *= np.where(odd, f_odd, f_even)

@@ -47,7 +47,6 @@ class RunReport:
     t_run_s: float = 0.0
     seed: int | None = None
     measurements: list[int] = field(default_factory=list)
-    expectations: dict[str, float] | None = None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -68,7 +67,6 @@ class HybridState:
 
     frame: PauliFrame
     phi: StateVector
-    measurement_record: list[int] = field(default_factory=list)
     timing: dict[str, float] = field(default_factory=dict)
 
     def expectation(self, p: PauliString) -> float:
@@ -88,18 +86,11 @@ class HybridState:
         t0 = time.perf_counter()
         for step in steps:
             if step.kind == "pauli_rotation":
-                _rotate_signed(self.phi, step.axis, step.angle)
+                self.phi.apply_pauli_rotation(step.axis, step.angle)
             else:
                 self.phi.swap_qubits(*step.qubits)
         self.frame = PauliFrame.origin(self.frame.num_qubits)
         self.timing["flush_s"] = self.timing.get("flush_s", 0.0) + time.perf_counter() - t0
-
-
-def _rotate_signed(phi: StateVector, axis: PauliString, theta: float) -> None:
-    # R_{-P}(theta) = R_P(-theta); the kernel itself wants a sign-free axis
-    if axis.phase_exp == 2:
-        axis, theta = axis.unsigned(), -theta
-    phi.apply_pauli_rotation(axis, theta)
 
 
 def _fill_counts(report: RunReport, circuit: Circuit) -> None:
@@ -161,15 +152,13 @@ def run_hybrid(circuit: Circuit, rng=None) -> tuple[HybridState, RunReport]:
         elif tag in ROTATION_TAGS:
             t1 = clock()
             axis = frame.lookup(PauliString.single(n, g.qubits[0], _AXIS_OF[tag]))
-            _rotate_signed(phi, axis, g.angle)
+            phi.apply_pauli_rotation(axis, g.angle)
             rotation_s += clock() - t1
         elif tag == "MEASZ":
             t1 = clock()
             outcome = phi.measure(frame.lookup(
                 PauliString.single(n, g.qubits[0], "Z")), rng)
-            bit = 0 if outcome == 1 else 1
-            hs.measurement_record.append(bit)
-            report.measurements.append(bit)
+            report.measurements.append(0 if outcome == 1 else 1)
             measure_s += clock() - t1
         elif tag == "PREPZ":
             t1 = clock()

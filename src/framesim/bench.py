@@ -105,7 +105,7 @@ def run_config(config: BenchConfig) -> list[BenchRecord]:
             f"{probe.num_qubits} qubits exceeds the memory ceiling of "
             f"{config.max_qubits} (raise max_qubits to override)")
     l_mean, l_std, l_max = probe.locality_stats()
-    seed = config.source.seed if isinstance(config.source, RandomSpec) else None
+    seed = int(config.source.seed) if isinstance(config.source, RandomSpec) else None
 
     runners = {"baseline": run_baseline, "hybrid": run_hybrid}
     timings: dict[str, tuple[float, float]] = {}
@@ -193,16 +193,20 @@ def sweep(cells, seed: int = 0, backends=BACKENDS, repetitions: int = 3,
 # ----------------------------------------------------------------------
 # record serialization
 
+def _record_values(r: BenchRecord) -> dict[str, object]:
+    return dict(zip(CSV_FIELDS, (
+        r.name, r.n_qubits, r.n_terms, r.l_mean, r.l_std, r.l_max, r.backend,
+        r.t_compile_s, r.t_run_s, r.rescaled_runtime, r.speedup_vs_baseline,
+        r.seed)))
+
+
 def _record_to_row(r: BenchRecord) -> dict[str, str]:
-    raw = (r.name, r.n_qubits, r.n_terms, r.l_mean, r.l_std, r.l_max, r.backend,
-           r.t_compile_s, r.t_run_s, r.rescaled_runtime, r.speedup_vs_baseline,
-           r.seed)
     return {key: ("" if value is None else
                   repr(value) if isinstance(value, float) else str(value))
-            for key, value in zip(CSV_FIELDS, raw)}
+            for key, value in _record_values(r).items()}
 
 
-def _row_to_record(row: dict[str, str]) -> BenchRecord:
+def _row_to_record(row: dict[str, object]) -> BenchRecord:
     def opt(text, conv):
         return None if text == "" else conv(text)
 
@@ -224,9 +228,7 @@ def write_records(records, stream, fmt: str = "csv") -> None:
             stream.flush()
     elif fmt == "jsonl":
         for r in records:
-            row = _record_to_row(r)
-            typed = {k: (None if v == "" else v) for k, v in row.items()}
-            stream.write(json.dumps(typed) + "\n")
+            stream.write(json.dumps(_record_values(r)) + "\n")
             stream.flush()
     else:
         raise BenchConfigError(f"unknown format {fmt!r}")

@@ -7,6 +7,10 @@ that is a pure bit computation, so one rotation costs a single pass over
 the amplitudes regardless of how many qubits P touches.  That flatness in
 operator weight is the whole point of the hybrid backend built on top.
 
+Every update of the form c*I + u*P -- rotations, Pauli application, the
+measurement collapse and the baseline's Pauli-shaped 1-qubit gates -- goes
+through the same two amplitude loops of ``_kernels``.
+
 Index convention: bit j of the amplitude index is the computational value
 of qubit j (qubit 0 = least significant bit).
 """
@@ -20,35 +24,57 @@ import numpy as np
 from . import _kernels
 from .pauli import PauliString
 
-# 2x2 kernels for the gate-by-gate (baseline) path
-_SQ2 = 1.0 / math.sqrt(2.0)
-_FIXED_1Q = {
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+# a measurement branch below this probability is an error, not a draw
+_NORM_TOLERANCE = 1e-10
+# largest imaginary part tolerated in the expectation of a Hermitian operator
+_IMAG_TOLERANCE = 1e-9
+
+_I_POW = (1, 1j, -1, -1j)
+
+# the baseline's 1-qubit gates of the form c*I + u*P, as (letter, c, u);
+# H is the one 1-qubit gate that is not
+_PAULI_1Q = {
+    "X": ("X", 0.0, 1.0),
+    "Y": ("Y", 0.0, 1.0),
+    "Z": ("Z", 0.0, 1.0),
+    "S": ("Z", (1 + 1j) / 2, (1 - 1j) / 2),
+    "SDG": ("Z", (1 - 1j) / 2, (1 + 1j) / 2),
 }
+_ROTATION_AXIS = {"RX": "X", "RY": "Y", "RZ": "Z"}
+_SQ2 = 1.0 / math.sqrt(2.0)
+_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
 
 
-def _rotation_1q(tag: str, theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    if tag == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if tag == "RY":
-        return np.array([[c, -s], [s, c]])
-    if tag == "RZ":
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-    raise ValueError(f"unknown rotation tag {tag!r}")
+def _combine(amp: np.ndarray, p: PauliString, c, u) -> None:
+    """amp <- c*amp + u*P*amp in place, in one pass of the amplitude loops.
+
+    P|k> = i**(phase_exp + n_y) * (-1)**parity(k & z) * |k ^ x>, so a
+    diagonal P scales each amplitude by c + w or c - w (w = u * i**phase_exp)
+    and any other P mixes the pairs {k, k ^ x}.  The pair loop takes a real
+    c; c may be complex only for a diagonal P.
+    """
+    if 1 << p.num_qubits != amp.shape[0]:
+        raise ValueError(f"operator on {p.num_qubits} qubits applied to "
+                         f"{amp.shape[0].bit_length() - 1}-qubit state")
+    if p.x_bits == 0:
+        w = u * _I_POW[p.phase_exp]
+        _kernels.rotation_diag(amp, p.z_bits, c + w, c - w)
+        return
+    n_y = p.y_mask.bit_count()
+    w = u * _I_POW[(p.phase_exp + n_y) & 3]
+    # the pair loop's sign is (-1)**parity(k0 & z), while P's image at k0
+    # carries the partner's sign, which differs by parity(x & z) = parity(n_y)
+    pivot = (p.x_bits & -p.x_bits).bit_length() - 1
+    _kernels.rotation_pairs(amp, p.x_bits, p.z_bits, pivot, c,
+                            -w if n_y & 1 else w, w)
 
 
 class StateVector:
     """Mutable register of 2**num_qubits complex double amplitudes."""
 
-    __slots__ = ("num_qubits", "amplitudes", "norm_tolerance", "_k_all")
+    __slots__ = ("num_qubits", "amplitudes")
 
-    def __init__(self, num_qubits: int, amplitudes=None, norm_tolerance: float = 1e-10):
+    def __init__(self, num_qubits: int, amplitudes=None):
         if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         self.num_qubits = num_qubits
@@ -61,8 +87,6 @@ class StateVector:
             if amp.size != dim:
                 raise ValueError(f"expected {dim} amplitudes, got {amp.size}")
         self.amplitudes = amp
-        self.norm_tolerance = norm_tolerance
-        self._k_all = None  # lazy basis-index cache for the bitwise kernels
 
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
@@ -77,65 +101,29 @@ class StateVector:
         out = StateVector.__new__(StateVector)
         out.num_qubits = self.num_qubits
         out.amplitudes = self.amplitudes.copy()
-        out.norm_tolerance = self.norm_tolerance
-        out._k_all = self._k_all
         return out
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
     # ------------------------------------------------------------------
-    # bitwise Pauli kernels
-
-    def _indices(self) -> np.ndarray:
-        if self._k_all is None:
-            self._k_all = np.arange(self.dim, dtype=np.int64)
-        return self._k_all
-
-    def _pauli_applied(self, p: PauliString) -> np.ndarray:
-        """Return P|state> as a fresh amplitude array."""
-        self._check_pauli(p)
-        k = self._indices()
-        scalar = 1j ** ((p.phase_exp + p.y_mask.bit_count()) % 4)
-        if p.x_bits:
-            src = k ^ np.int64(p.x_bits)
-            out = self.amplitudes[src]
-            par = np.bitwise_count(src & np.int64(p.z_bits)) & 1
-        else:
-            out = self.amplitudes.copy()
-            par = np.bitwise_count(k & np.int64(p.z_bits)) & 1
-        out *= scalar
-        out[par.astype(bool)] *= -1.0
-        return out
+    # multi-qubit Pauli operations
 
     def apply_pauli(self, p: PauliString) -> None:
         """In-place permutation-plus-phase update |state> <- P|state>."""
-        self.amplitudes = self._pauli_applied(p)
+        _combine(self.amplitudes, p, 0.0, 1.0)
 
     def apply_pauli_rotation(self, p: PauliString, theta: float) -> None:
         """Apply R_P(theta) = exp(-i theta P / 2) in one amplitude pass.
 
-        Requires a plain positive operator (phase_exp 0); fold a -P axis
-        into the angle as (+P, -theta) before calling.  The cost is one
-        pass over the amplitudes whatever the weight of P.
+        P may carry a sign (R_{-P}(theta) = R_P(-theta)) but must be
+        Hermitian.  The cost is one pass over the amplitudes whatever the
+        weight of P.
         """
-        self._check_pauli(p)
-        if p.phase_exp != 0:
-            raise ValueError("rotation axis must have phase_exp 0; fold signs into the angle")
+        if not p.is_hermitian:
+            raise ValueError("rotation axis must be Hermitian (phase_exp 0 or 2)")
         half_angle = 0.5 * theta
-        if p.x_bits == 0:
-            # diagonal: e^{-i theta/2} on even |m_Z & k| parity, e^{+i theta/2} on odd
-            f_even = complex(math.cos(half_angle), -math.sin(half_angle))
-            _kernels.rotation_diag(self.amplitudes, p.z_bits, f_even, f_even.conjugate())
-            return
-        c = math.cos(half_angle)
-        n_y = p.y_mask.bit_count()
-        # e^{i phi(k)} = i**n_y * (-1)^{parity(k & z)}; the parity differs
-        # between pair members by the parity of n_y
-        u = -1j * math.sin(half_angle) * 1j ** (n_y % 4)
-        ey = -1.0 if n_y & 1 else 1.0
-        pivot = (p.x_bits & -p.x_bits).bit_length() - 1
-        _kernels.rotation_pairs(self.amplitudes, p.x_bits, p.z_bits, pivot, c, u * ey, u)
+        _combine(self.amplitudes, p, math.cos(half_angle), -1j * math.sin(half_angle))
 
     # ------------------------------------------------------------------
     # observables, measurement, preparation
@@ -144,8 +132,10 @@ class StateVector:
         """Re <state|P|state> for Hermitian P (sign included)."""
         if not p.is_hermitian:
             raise ValueError("expectation requires a Hermitian operator")
-        val = np.vdot(self.amplitudes, self._pauli_applied(p))
-        if abs(val.imag) >= max(self.norm_tolerance, 1e-9):
+        applied = self.amplitudes.copy()
+        _combine(applied, p, 0.0, 1.0)
+        val = np.vdot(self.amplitudes, applied)
+        if abs(val.imag) >= _IMAG_TOLERANCE:
             raise RuntimeError(f"non-real Pauli expectation {val}")
         return float(val.real)
 
@@ -154,15 +144,14 @@ class StateVector:
         if not p.is_hermitian:
             raise ValueError("measurement requires a Hermitian operator")
         rng = np.random.default_rng(rng)
-        applied = self._pauli_applied(p)
-        exp = np.vdot(self.amplitudes, applied).real
-        p_plus = min(max((1.0 + exp) / 2.0, 0.0), 1.0)
+        p_plus = min(max((1.0 + self.expectation(p)) / 2.0, 0.0), 1.0)
         outcome = 1 if rng.random() < p_plus else -1
         p_branch = p_plus if outcome == 1 else 1.0 - p_plus
-        if p_branch < self.norm_tolerance:
+        if p_branch < _NORM_TOLERANCE:
             raise RuntimeError("measurement drew a probability-zero branch")
-        self.amplitudes += outcome * applied
-        self.amplitudes /= 2.0 * math.sqrt(p_branch)
+        # (I + outcome*P)/2 projects; 1/sqrt(p_branch) renormalizes
+        scale = 0.5 / math.sqrt(p_branch)
+        _combine(self.amplitudes, p, scale, outcome * scale)
         return outcome
 
     def prepare(self, stab: PauliString, destab: PauliString, rng) -> None:
@@ -188,12 +177,18 @@ class StateVector:
         for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range")
-        if tag in _FIXED_1Q:
-            self._apply_1q(_FIXED_1Q[tag], qubits[0])
-        elif tag in ("RX", "RY", "RZ"):
+        if tag in _PAULI_1Q:
+            letter, c, u = _PAULI_1Q[tag]
+            _combine(self.amplitudes, PauliString.single(self.num_qubits, qubits[0], letter),
+                     c, u)
+        elif tag in _ROTATION_AXIS:
             if angle is None:
                 raise ValueError(f"{tag} requires an angle")
-            self._apply_1q(_rotation_1q(tag, angle), qubits[0])
+            _combine(self.amplitudes,
+                     PauliString.single(self.num_qubits, qubits[0], _ROTATION_AXIS[tag]),
+                     math.cos(angle / 2.0), -1j * math.sin(angle / 2.0))
+        elif tag == "H":
+            self._apply_1q(_H, qubits[0])
         elif tag == "CX":
             self._apply_cx(qubits[0], qubits[1])
         elif tag == "CZ":
@@ -262,10 +257,3 @@ class StateVector:
         (n,) = struct.unpack("<Q", stream.read(8))
         data = np.frombuffer(stream.read(16 * (1 << n)), dtype="<c16")
         return cls(int(n), data)
-
-    # ------------------------------------------------------------------
-
-    def _check_pauli(self, p: PauliString) -> None:
-        if p.num_qubits != self.num_qubits:
-            raise ValueError(f"operator on {p.num_qubits} qubits applied to "
-                             f"{self.num_qubits}-qubit state")

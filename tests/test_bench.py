@@ -1,5 +1,6 @@
 """Benchmark harness: records, serialization, sweep, report, CLI."""
 import io
+import json
 
 import pytest
 
@@ -82,6 +83,12 @@ def test_jsonl_round_trip():
     write_records(records, buf, "jsonl")
     back = read_records(io.StringIO(buf.getvalue()), "jsonl")
     assert back == records
+    # numbers are written as JSON numbers, not as the CSV strings
+    row = json.loads(buf.getvalue().splitlines()[0])
+    assert type(row["n_qubits"]) is int and type(row["t_run_s"]) is float
+    # files written with string-valued numbers still read back
+    legacy = {k: (None if v is None else str(v)) for k, v in row.items()}
+    assert read_records(io.StringIO(json.dumps(legacy) + "\n"), "jsonl") == records[:1]
 
 
 def test_default_sweep_cells_grid():

@@ -1,6 +1,8 @@
 """State vector kernels against dense oracles, plus the flatness property."""
+import functools
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,12 +30,32 @@ def kernel_path(request, monkeypatch):
     use_kernels(monkeypatch, request.param)
 
 
+def on_each_kernel(test):
+    """Run ``test`` once on each implementation in KERNELS.
+
+    Unlike ``kernel_path`` this loops inside one test, so the test's id
+    stays the same whichever implementations are present.
+    """
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for name in KERNELS:
+            with pytest.MonkeyPatch.context() as mp:
+                use_kernels(mp, name)
+                try:
+                    test(*args, **kwargs)
+                except AssertionError as exc:
+                    exc.add_note(f"with the {name} kernels")
+                    raise
+    return run
+
+
 def random_state(rng, n):
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amp /= np.linalg.norm(amp)
     return StateVector(n, amp)
 
 
+@on_each_kernel
 def test_zero_state():
     s = StateVector.zero(1)
     assert np.array_equal(s.amplitudes, [1, 0])
@@ -43,6 +65,7 @@ def test_zero_state():
         assert s3.expectation(PauliString.single(3, j, "Z")) == pytest.approx(1.0)
 
 
+@on_each_kernel
 def test_apply_pauli_basics():
     s = StateVector.zero(1)
     s.apply_pauli(PauliString.from_label("X"))
@@ -52,6 +75,7 @@ def test_apply_pauli_basics():
     assert np.allclose(plus.amplitudes, np.array([1, -1]) / np.sqrt(2))
 
 
+@on_each_kernel
 def test_apply_pauli_matches_dense():
     rng = np.random.default_rng(10)
     for _ in range(50):
@@ -179,10 +203,20 @@ def test_pair_loop_rejects_a_pivot_outside_x(name):
         rotation_pairs(amp, 0b101, 0, 1, 1.0, 0j, 0j)
 
 
-def test_rotation_rejects_signed_axis():
+def test_rotation_takes_a_signed_axis_and_rejects_a_non_hermitian_one(kernel_path):
+    rng = np.random.default_rng(18)
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        p = random_pauli(rng, n).with_phase_shift(2)
+        theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+        s = random_state(rng, n)
+        ref = rotation_matrix(p, theta) @ s.amplitudes
+        s.apply_pauli_rotation(p, theta)
+        assert np.max(np.abs(s.amplitudes - ref)) < 1e-12
     s = StateVector.zero(2)
-    with pytest.raises(ValueError):
-        s.apply_pauli_rotation(PauliString.from_label("-ZZ"), 0.3)
+    for label in ("+iZX", "-iZX", "+iZI"):
+        with pytest.raises(ValueError, match="Hermitian"):
+            s.apply_pauli_rotation(PauliString.from_label(label), 0.3)
 
 
 def test_diagonal_rule_matches_scalar_formula(kernel_path):
@@ -202,6 +236,7 @@ def test_diagonal_rule_matches_scalar_formula(kernel_path):
         assert np.max(np.abs(s.amplitudes - ref)) < 1e-14
 
 
+@on_each_kernel
 def test_expectation_examples():
     s = StateVector.zero(1)
     assert s.expectation(PauliString.from_label("Z")) == pytest.approx(1.0)
@@ -214,6 +249,7 @@ def test_expectation_examples():
         bell.expectation(PauliString.from_label("+iZZ"))
 
 
+@on_each_kernel
 def test_expectation_includes_sign():
     s = StateVector.zero(1)
     assert s.expectation(PauliString.from_label("-Z")) == pytest.approx(-1.0)
@@ -221,12 +257,49 @@ def test_expectation_includes_sign():
 
 def test_expectation_raises_on_a_non_real_value(monkeypatch):
     # a Hermitian P has a real expectation; a broken kernel must not be
-    # silently truncated to its real part
-    monkeypatch.setattr(StateVector, "_pauli_applied", lambda self, p: 1j * self.amplitudes)
+    # silently truncated to its real part, in an expectation or a measurement
+    def broken_diag(amp, z, f_even, f_odd):
+        amp *= 1j
+
+    monkeypatch.setattr(_kernels, "rotation_diag", broken_diag)
     with pytest.raises(RuntimeError, match="non-real"):
         StateVector.zero(1).expectation(PauliString.from_label("Z"))
+    with pytest.raises(RuntimeError, match="non-real"):
+        StateVector.zero(1).measure(PauliString.from_label("Z"), 0)
 
 
+def extra_peak(fn) -> int:
+    """Peak bytes that fn() allocates on top of what was live before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
+                    reason="the numpy kernels use whole-array temporaries")
+def test_pauli_shaped_updates_allocate_at_most_one_state_copy():
+    n = 16
+    slack = 64 * 1024
+    state = random_state(np.random.default_rng(19), n)
+    axes = [PauliString.from_label(label) for label in
+            ("XYZI" * 4, "-" + "ZIZZ" * 4, "Y" + "I" * (n - 1))]
+    for p in axes:
+        s = state.copy()
+        assert extra_peak(lambda: s.expectation(p)) <= 16 * s.dim + slack, p
+        s = state.copy()
+        assert extra_peak(lambda: s.measure(p, 1)) <= 16 * s.dim + slack, p
+        s = state.copy()
+        assert extra_peak(lambda: s.apply_pauli(p)) <= slack, p
+    for tag in ("X", "Y", "Z", "S", "SDG", "RX", "RY", "RZ"):
+        s = state.copy()
+        angle = 0.3 if tag.startswith("R") else None
+        assert extra_peak(lambda: s.apply_gate(tag, (5,), angle)) <= slack, tag
+
+
+@on_each_kernel
 def test_measure_deterministic():
     s = StateVector.zero(1)
     rng = np.random.default_rng(0)
@@ -235,6 +308,7 @@ def test_measure_deterministic():
     assert np.allclose(s.amplitudes, [1, 0])
 
 
+@on_each_kernel
 def test_measure_collapse_branches():
     outcomes = []
     for seed in range(200):
@@ -247,6 +321,7 @@ def test_measure_collapse_branches():
     assert 60 < outcomes.count(1) < 140
 
 
+@on_each_kernel
 def test_measure_bell_stabilizer():
     bell = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
     rng = np.random.default_rng(1)
@@ -255,6 +330,7 @@ def test_measure_bell_stabilizer():
         assert bell.measure(zz, rng) == 1
 
 
+@on_each_kernel
 def test_prepare():
     rng = np.random.default_rng(2)
     s = StateVector(1, np.array([0, 1], dtype=complex))  # |1>
@@ -267,6 +343,7 @@ def test_prepare():
         s0.prepare(PauliString.from_label("Z"), PauliString.from_label("Z"), rng)
 
 
+@on_each_kernel
 def test_prepare_multiqubit_stabilizer():
     rng = np.random.default_rng(3)
     for seed in range(20):
@@ -276,6 +353,7 @@ def test_prepare_multiqubit_stabilizer():
         assert np.isclose(s.norm(), 1.0)
 
 
+@on_each_kernel
 def test_gates_match_oracle():
     from oracles import gate_unitary
     rng = np.random.default_rng(4)
