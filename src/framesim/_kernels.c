@@ -1,7 +1,9 @@
-/* Single-pass amplitude loops for framesim's multi-qubit Pauli rotations.
+/* Single-pass, in-place amplitude loops for framesim's state updates.
  *
  * The state is 2**n complex doubles stored as interleaved (re, im) pairs;
- * bit j of an index is the value of qubit j.  Both kernels walk the state
+ * bit j of an index is the value of qubit j.
+ *
+ * The two rotation kernels walk the state
  * in tiles of TILE amplitudes.  A rotation pairs index k with k ^ x: the x
  * bits inside a tile only permute positions within it, the bits above pick
  * the partner tile.  Every tile is therefore read and written once, next to
@@ -11,6 +13,12 @@
  * line per line it updates.  The sign (-1)**parity(k & z) splits the same
  * way as the index, into one sign per tile and a per-position table built
  * once per call.
+ *
+ * The two gate kernels at the end of the file serve the fixed gates that
+ * are not of the form c*I + u*P: the Hadamard gate on one qubit and a
+ * masked pair exchange (CX, CZ, SWAP and the flush's qubit relabelings).
+ * Both walk contiguous runs of amplitudes in address order and allocate
+ * nothing.
  *
  * Built by _kernels.py with the system C compiler and loaded with ctypes.
  */
@@ -220,5 +228,57 @@ void framesim_rotation_diag(double *amp_, int64_t n_amp, uint64_t z,
         const cplx *restrict ft = f[__builtin_parityll((uint64_t)t & zt)];
         for (int64_t j = 0; j < len; j++)
             tile[j] = cmul(tile[j], ft[j]);
+    }
+}
+
+/* amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)
+ *
+ * for every pair k0, k1 = k0 | 2**q with bit q of k0 clear: the Hadamard
+ * gate on qubit q.  The pairs form two runs of 2**q amplitudes per block of
+ * 2**(q+1).  H is real, so it scales the real and imaginary parts alike and
+ * the loop runs over doubles. */
+void framesim_apply_h(double *amp, int64_t n_amp, int q)
+{
+    const double r = 0.70710678118654752440; /* 1/sqrt(2) */
+    const int64_t half = (int64_t)2 << q; /* doubles per run */
+    for (int64_t blk = 0; blk < 2 * n_amp; blk += 2 * half) {
+        double *restrict lo = amp + blk;
+        double *restrict hi = lo + half;
+        for (int64_t j = 0; j < half; j++) {
+            const double a0 = lo[j], a1 = hi[j];
+            lo[j] = r * (a0 + a1);
+            hi[j] = r * (a0 - a1);
+        }
+    }
+}
+
+/* For every k with (k & mask) == val, swap amp[k] with amp[k ^ x]; when x
+ * is 0, negate amp[k] instead.  val and x must be submasks of mask, so
+ * that a partner k ^ x (x nonzero) never matches val itself and each pair
+ * is visited once, and mask must be below n_amp, a power of two.
+ *
+ * The matching indices form runs of len contiguous amplitudes, len being
+ * the lowest set bit of mask (the whole state when mask is 0), and x moves
+ * a run as a whole.  The run starts with the bits of `fixed` clear are
+ * counted in order by adding one with those bits forced set. */
+void framesim_pair_exchange(double *amp_, int64_t n_amp, uint64_t mask,
+                            uint64_t val, uint64_t x)
+{
+    cplx *amp = (cplx *)amp_;
+    const uint64_t len = mask ? mask & -mask : (uint64_t)n_amp;
+    const uint64_t fixed = mask | (len - 1);
+    for (uint64_t s = 0; s < (uint64_t)n_amp; s = ((s | fixed) + 1) & ~fixed) {
+        cplx *restrict a = amp + (s | val);
+        if (x == 0) {
+            for (uint64_t j = 0; j < len; j++)
+                a[j] = cneg(a[j]);
+            continue;
+        }
+        cplx *restrict b = amp + ((s | val) ^ x);
+        for (uint64_t j = 0; j < len; j++) {
+            const cplx t = a[j];
+            a[j] = b[j];
+            b[j] = t;
+        }
     }
 }

@@ -1,27 +1,36 @@
-"""The amplitude kernels of c*I + u*P updates, and the choice of their tier.
+"""The in-place amplitude kernels of ``StateVector``, and the choice of their tier.
 
-``rotation_pairs`` and ``rotation_diag`` are the two amplitude loops behind
-every update ``a <- c*a + u*P*a`` of ``StateVector``: Pauli rotations, Pauli
-application, the measurement collapse and the baseline's Pauli-shaped
-1-qubit gates.  ``rotation_pairs`` serves an operator P that flips bits and
-``rotation_diag`` a diagonal one.  The C loops in ``_kernels.c`` make one
-pass over the amplitudes (one read and one write each), walking the state
-in cache-sized tiles so that the cost depends neither on the number of
-qubits nor on how many qubits the operator touches.
-``numpy_rotation_pairs`` and ``numpy_rotation_diag`` compute the same thing
-through index arrays and whole-array temporaries, about ten times slower per
-amplitude; they are the reference the tests compare the C loops against.
+Four amplitude loops carry every state update:
+
+- ``rotation_pairs`` and ``rotation_diag`` compute ``a <- c*a + u*P*a`` for
+  a multi-qubit Pauli P: Pauli rotations, Pauli application, the
+  measurement collapse and the baseline's Pauli-shaped 1-qubit gates.
+  ``rotation_pairs`` serves an operator P that flips bits and
+  ``rotation_diag`` a diagonal one.
+- ``apply_h`` applies the Hadamard gate to one qubit: the baseline's H.
+- ``pair_exchange`` swaps ``a[k]`` with ``a[k ^ x]`` for every k whose bits
+  under ``mask`` equal ``val``, or negates ``a[k]`` when x is 0: the
+  baseline's CX, CZ and SWAP and the flush's qubit relabelings.
+
+The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
+(one read and one write each) and allocate nothing.  The rotation loops walk
+the state in cache-sized tiles, so that their cost depends neither on the
+number of qubits nor on how many qubits the operator touches; the gate loops
+walk contiguous runs in address order.  The ``numpy_*`` functions compute
+the same things through index arrays, tensor views and whole-array
+temporaries, several times slower per amplitude; they are the reference the
+tests compare the C loops against.
 
 On first import the C source is compiled with the system C compiler (``gcc``,
 else ``cc``) into ``$XDG_CACHE_HOME/framesim`` (default ``~/.cache/framesim``),
 under a name keyed by a hash of the source and the compiler flags, and then
 loaded with ``ctypes``; later imports load the cached library without
-compiling.  When the library loads, ``rotation_pairs``/``rotation_diag`` are
-the C loops and ``JIT_ENABLED`` is True.  When it cannot be built or loaded
-(no compiler, a build error, a cache directory that cannot be written) one
-``RuntimeWarning`` names the reason and the two names are bound to the numpy
-functions instead.  The choice is made once, here, from what the import
-observes.
+compiling.  When the library loads, the four names are the C loops and
+``JIT_ENABLED`` is True.  When it cannot be built or loaded (no compiler, a
+build error, a cache directory that cannot be written) one
+``RuntimeWarning`` names the reason and the four names are bound to the
+numpy functions instead.  The choice is made once, here, from what the
+import observes.
 """
 import ctypes
 import hashlib
@@ -34,6 +43,7 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-fPIC", "-shared")
+_SQ2 = 0.7071067811865476  # 1/sqrt(2), as in the C loop
 
 
 class _Unavailable(Exception):
@@ -93,6 +103,10 @@ def _load():
     lib.framesim_rotation_pairs.restype = None
     lib.framesim_rotation_diag.argtypes = [ptr, i64, u64, f64, f64, f64, f64]
     lib.framesim_rotation_diag.restype = None
+    lib.framesim_apply_h.argtypes = [ptr, i64, ctypes.c_int]
+    lib.framesim_apply_h.restype = None
+    lib.framesim_pair_exchange.argtypes = [ptr, i64, u64, u64, u64]
+    lib.framesim_pair_exchange.restype = None
     return lib
 
 
@@ -107,7 +121,7 @@ JIT_ENABLED = _lib is not None
 
 
 def kernel_tier() -> str:
-    """Name of the rotation-kernel tier in use: ``compiled-c`` or ``numpy``."""
+    """Name of the amplitude-kernel tier in use: ``compiled-c`` or ``numpy``."""
     return "compiled-c" if JIT_ENABLED else "numpy"
 
 
@@ -134,8 +148,13 @@ def _address(amp: np.ndarray, *masks: int) -> int:
         raise ValueError("amplitude array is read-only")
     for m in masks:
         if not 0 <= m < n:
-            raise ValueError("Pauli mask out of range for the amplitude array")
+            raise ValueError("bit mask out of range for the amplitude array")
     return addr
+
+
+def _check_exchange(mask, val, x) -> None:
+    if val & ~mask or x & ~mask:
+        raise ValueError(f"val {val:#x} and x {x:#x} must be submasks of mask {mask:#x}")
 
 
 def _c_rotation_pairs(amp, x, z, pivot, c, u0, u1):
@@ -152,6 +171,19 @@ def _c_rotation_diag(amp, z, f_even, f_odd):
     addr = _address(amp, z)
     _lib.framesim_rotation_diag(addr, amp.shape[0], z, f_even.real, f_even.imag,
                                 f_odd.real, f_odd.imag)
+
+
+def _c_apply_h(amp, q):
+    """``numpy_apply_h`` in one pass of the C loop."""
+    addr = _address(amp, 1 << q)
+    _lib.framesim_apply_h(addr, amp.shape[0], q)
+
+
+def _c_pair_exchange(amp, mask, val, x):
+    """``numpy_pair_exchange`` in one pass of the C loop."""
+    addr = _address(amp, mask)
+    _check_exchange(mask, val, x)
+    _lib.framesim_pair_exchange(addr, amp.shape[0], mask, val, x)
 
 
 def numpy_rotation_pairs(amp, x, z, pivot, c, u0, u1):
@@ -189,7 +221,48 @@ def numpy_rotation_diag(amp, z, f_even, f_odd):
     amp *= np.where(odd, f_odd, f_even)
 
 
+def _axes(n: int, bits: int, values: int) -> tuple:
+    """Index of the tensor view ``amp.reshape([2] * n)`` that fixes qubit j
+    to bit j of ``values`` for every set bit j of ``bits``."""
+    idx = [slice(None)] * n
+    for j in range(n):
+        if bits >> j & 1:
+            idx[n - 1 - j] = values >> j & 1
+    return tuple(idx)
+
+
+def numpy_apply_h(amp, q):
+    """The Hadamard gate on qubit q: for each pair k0, k1 = k0 | 2**q with
+    bit q of k0 clear, amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)."""
+    if not 0 <= q < amp.shape[0].bit_length() - 1:
+        raise ValueError(f"qubit {q} out of range for the amplitude array")
+    view = amp.reshape(-1, 2, 1 << q)
+    v0 = view[:, 0, :].copy()
+    v1 = view[:, 1, :]
+    view[:, 0, :] = (v0 + v1) * _SQ2
+    view[:, 1, :] = (v0 - v1) * _SQ2
+
+
+def numpy_pair_exchange(amp, mask, val, x):
+    """Swap amp[k] with amp[k ^ x] for every k with k & mask == val; when x
+    is 0, negate amp[k] instead.  val and x must be submasks of mask, so
+    that each pair is listed once."""
+    if not 0 <= mask < amp.shape[0]:
+        raise ValueError("bit mask out of range for the amplitude array")
+    _check_exchange(mask, val, x)
+    n = amp.shape[0].bit_length() - 1
+    view = amp.reshape([2] * n)
+    lo = _axes(n, mask, val)
+    if x == 0:
+        view[lo] *= -1.0
+        return
+    hi = _axes(n, mask, val ^ x)
+    view[lo], view[hi] = view[hi].copy(), view[lo].copy()
+
+
 if _lib is not None:
     rotation_pairs, rotation_diag = _c_rotation_pairs, _c_rotation_diag
+    apply_h, pair_exchange = _c_apply_h, _c_pair_exchange
 else:
     rotation_pairs, rotation_diag = numpy_rotation_pairs, numpy_rotation_diag
+    apply_h, pair_exchange = numpy_apply_h, numpy_pair_exchange

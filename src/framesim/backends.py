@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .circuit import CLIFFORD_TAGS, ROTATION_TAGS, Circuit
 from .frame import PauliFrame, invert_to_rotations
 from .pauli import PauliString
@@ -36,6 +37,9 @@ class RunReport:
 
     t_compile_s covers circuit construction only and is filled in by the
     caller that built the circuit; t_run_s covers gate-stream execution.
+    kernel_tier names the amplitude-kernel tier the run executed on
+    (``compiled-c``, or ``numpy`` when the compiled kernels did not load);
+    the tier is fixed at import, so it is read from ``_kernels``, not stored.
     """
 
     backend: str
@@ -48,6 +52,10 @@ class RunReport:
     seed: int | None = None
     measurements: list[int] = field(default_factory=list)
 
+    @property
+    def kernel_tier(self) -> str:
+        return _kernels.kernel_tier()
+
     def to_json(self) -> str:
         return json.dumps({
             "backend": self.backend,
@@ -58,6 +66,7 @@ class RunReport:
             "t_compile_s": self.t_compile_s,
             "t_run_s": self.t_run_s,
             "seed": self.seed,
+            "kernel_tier": self.kernel_tier,
         })
 
 
@@ -79,8 +88,12 @@ class HybridState:
         Conjugating the backward-stored frame to the origin is the same as
         sandwiching U between the step unitaries' inverses, so the steps
         applied in order implement U itself; swaps become amplitude index
-        relabelings.  The resulting amplitudes match a gate-by-gate run up
-        to one global phase, which is left unnormalized.
+        relabelings.  Every step updates the amplitudes in place, in one
+        pass of a ``_kernels`` loop: a rotation in the pair or diagonal
+        loop, a swap in the masked pair exchange, which moves only the
+        half of the amplitudes whose two qubits differ.  The resulting
+        amplitudes match a gate-by-gate run up to one global phase, which is
+        left unnormalized.
         """
         steps = invert_to_rotations(self.frame)
         t0 = time.perf_counter()

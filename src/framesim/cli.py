@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 configuration error (bad flags, missing or
 malformed input, memory ceiling), 2 runtime error (simulation failure or a
-backend cross-check mismatch).
+backend cross-check mismatch).  ``run`` and ``sweep`` name the amplitude
+kernel tier on stderr before they start, so a numpy fallback shows in every
+run's output.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from . import bench
+from . import _kernels, bench
 from .bench import BenchConfig, BenchConfigError, RandomSpec
 from .hamiltonian import HamiltonianParseError
 
@@ -82,6 +84,11 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
+def _report_tier() -> None:
+    # on stderr, so that records written to stdout stay machine-readable
+    print(f"framesim: kernel tier {_kernels.kernel_tier()}", file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     if args.random is not None:
         source = RandomSpec(*args.random)
@@ -92,6 +99,7 @@ def _cmd_run(args) -> int:
         trotter_time=args.time, trotter_steps=args.steps,
         repetitions=args.repetitions, warmups=args.warmups,
         max_qubits=args.max_qubits, verify=not args.no_verify)
+    _report_tier()
     records = bench.run_config(config)
     stream, close = _open_output(args.output)
     try:
@@ -107,6 +115,7 @@ def _cmd_sweep(args) -> int:
         qubits=_parse_range(args.qubits),
         localities=_parse_range(args.localities) if args.localities else None,
         terms=tuple(int(v) for v in args.terms.split(",")))
+    _report_tier()
     records = bench.sweep(
         cells, seed=args.seed, backends=tuple(args.backends.split(",")),
         repetitions=args.repetitions, warmups=args.warmups,

@@ -134,8 +134,8 @@ class PauliFrame:
         n = self.num_qubits
         if tag == "CX":
             c, t = qubits
-            if not (0 <= c < n and 0 <= t < n):
-                raise ValueError(f"qubit out of range in {qubits}")
+            if c == t or not (0 <= c < n and 0 <= t < n):
+                raise ValueError(f"{tag} needs two distinct qubits below {n}, got {qubits}")
             z[t] = _mul(z[c], z[t])
             x[c] = _mul(x[c], x[t])
             return
@@ -161,8 +161,8 @@ class PauliFrame:
                 x[i] = _neg(x[i])
             return
         c, t = qubits
-        if not (0 <= c < n and 0 <= t < n):
-            raise ValueError(f"qubit out of range in {qubits}")
+        if c == t or not (0 <= c < n and 0 <= t < n):
+            raise ValueError(f"{tag} needs two distinct qubits below {n}, got {qubits}")
         if tag == "CZ":
             x[c] = _mul(x[c], z[t])
             x[t] = _mul(z[c], x[t])

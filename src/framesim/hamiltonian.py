@@ -30,6 +30,14 @@ class HamiltonianParseError(ValueError):
         self.lineno = lineno
 
 
+class DuplicateTermError(ValueError):
+    """A Hamiltonian lists one Pauli twice; ``index`` is the later term's position."""
+
+    def __init__(self, index: int, label: str):
+        super().__init__(f"duplicate term {label} at index {index}")
+        self.index = index
+
+
 @dataclass(frozen=True, slots=True)
 class HamTerm:
     """One summand c * P with a real coefficient and a sign-free Pauli."""
@@ -54,12 +62,12 @@ class Hamiltonian:
             raise ValueError("num_qubits must be >= 1")
         terms = tuple(terms)
         seen = set()
-        for t in terms:
+        for index, t in enumerate(terms):
             if t.pauli.num_qubits != num_qubits:
                 raise ValueError("term qubit count mismatch")
             key = (t.pauli.x_bits, t.pauli.z_bits)
             if key in seen:
-                raise ValueError(f"duplicate term {t.pauli.to_label(signed=False)}")
+                raise DuplicateTermError(index, t.pauli.to_label(signed=False))
             seen.add(key)
         self.num_qubits = num_qubits
         self.terms = terms
@@ -99,7 +107,7 @@ def parse_hamiltonian(source, name: str = "") -> Hamiltonian:
         source = io.StringIO(source)
     num_qubits = None
     terms: list[HamTerm] = []
-    seen: set[tuple[int, int]] = set()
+    written: list[tuple[int, str]] = []  # the line and Pauli text of each term
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,14 +147,15 @@ def parse_hamiltonian(source, name: str = "") -> Hamiltonian:
             raise HamiltonianParseError(lineno, str(exc)) from None
         if num_qubits is None:
             num_qubits = pauli.num_qubits
-        key = (pauli.x_bits, pauli.z_bits)
-        if key in seen:
-            raise HamiltonianParseError(lineno, f"duplicate term {pauli_text!r}")
-        seen.add(key)
         terms.append(HamTerm(coeff, pauli))
+        written.append((lineno, pauli_text))
     if num_qubits is None:
         raise HamiltonianParseError(0, "empty input: no qubit count and no terms")
-    return Hamiltonian(num_qubits, terms, name=name)
+    try:
+        return Hamiltonian(num_qubits, terms, name=name)
+    except DuplicateTermError as exc:
+        lineno, pauli_text = written[exc.index]
+        raise HamiltonianParseError(lineno, f"duplicate term {pauli_text!r}") from None
 
 
 def candidate_count(num_qubits: int, locality: int) -> int:

@@ -7,9 +7,12 @@ that is a pure bit computation, so one rotation costs a single pass over
 the amplitudes regardless of how many qubits P touches.  That flatness in
 operator weight is the whole point of the hybrid backend built on top.
 
-Every update of the form c*I + u*P -- rotations, Pauli application, the
-measurement collapse and the baseline's Pauli-shaped 1-qubit gates -- goes
-through the same two amplitude loops of ``_kernels``.
+``StateVector`` holds no amplitude loop of its own.  Every update of the
+form c*I + u*P -- rotations, Pauli application, the measurement collapse and
+the baseline's Pauli-shaped 1-qubit gates -- goes through the two rotation
+loops of ``_kernels``; H goes through its Hadamard loop, and CX, CZ, SWAP and
+``swap_qubits`` through its masked pair exchange.  All of them update the
+amplitudes in place.
 
 Index convention: bit j of the amplitude index is the computational value
 of qubit j (qubit 0 = least significant bit).
@@ -41,8 +44,13 @@ _PAULI_1Q = {
     "SDG": ("Z", (1 - 1j) / 2, (1 + 1j) / 2),
 }
 _ROTATION_AXIS = {"RX": "X", "RY": "Y", "RZ": "Z"}
-_SQ2 = 1.0 / math.sqrt(2.0)
-_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
+# the 2-qubit gates as arguments (mask, val, x) of ``_kernels.pair_exchange``,
+# from the single-bit masks of their two qubits
+_EXCHANGE = {
+    "CX": lambda c, t: (c | t, c, t),
+    "CZ": lambda a, b: (a | b, a | b, 0),
+    "SWAP": lambda a, b: (a | b, b, a | b),
+}
 
 
 def _combine(amp: np.ndarray, p: PauliString, c, u) -> None:
@@ -188,47 +196,19 @@ class StateVector:
                      PauliString.single(self.num_qubits, qubits[0], _ROTATION_AXIS[tag]),
                      math.cos(angle / 2.0), -1j * math.sin(angle / 2.0))
         elif tag == "H":
-            self._apply_1q(_H, qubits[0])
-        elif tag == "CX":
-            self._apply_cx(qubits[0], qubits[1])
-        elif tag == "CZ":
-            self._apply_cz(qubits[0], qubits[1])
-        elif tag == "SWAP":
-            self.swap_qubits(qubits[0], qubits[1])
+            _kernels.apply_h(self.amplitudes, qubits[0])
+        elif tag in _EXCHANGE:
+            a, b = qubits
+            if a == b:
+                raise ValueError(f"{tag} needs distinct qubits, got {qubits}")
+            _kernels.pair_exchange(self.amplitudes, *_EXCHANGE[tag](1 << a, 1 << b))
         else:
             raise ValueError(f"unknown gate tag {tag!r}")
 
-    def _apply_1q(self, m: np.ndarray, q: int) -> None:
-        view = self.amplitudes.reshape(-1, 2, 1 << q)
-        v0 = view[:, 0, :].copy()
-        v1 = view[:, 1, :]
-        view[:, 0, :] = m[0, 0] * v0 + m[0, 1] * v1
-        view[:, 1, :] = m[1, 0] * v0 + m[1, 1] * v1
-
-    def _sel(self, assignments: dict[int, int]):
-        idx = [slice(None)] * self.num_qubits
-        for q, v in assignments.items():
-            idx[self.num_qubits - 1 - q] = v
-        return tuple(idx)
-
-    def _apply_cx(self, control: int, target: int) -> None:
-        view = self.amplitudes.reshape([2] * self.num_qubits)
-        lo = self._sel({control: 1, target: 0})
-        hi = self._sel({control: 1, target: 1})
-        view[lo], view[hi] = view[hi].copy(), view[lo].copy()
-
-    def _apply_cz(self, control: int, target: int) -> None:
-        view = self.amplitudes.reshape([2] * self.num_qubits)
-        view[self._sel({control: 1, target: 1})] *= -1.0
-
     def swap_qubits(self, a: int, b: int) -> None:
-        """Exchange the roles of qubits a and b by index relabeling."""
-        if a == b:
-            return
-        view = self.amplitudes.reshape([2] * self.num_qubits)
-        lo = self._sel({a: 0, b: 1})
-        hi = self._sel({a: 1, b: 0})
-        view[lo], view[hi] = view[hi].copy(), view[lo].copy()
+        """Exchange the roles of qubits a and b by index relabeling, in place."""
+        if a != b:
+            _kernels.pair_exchange(self.amplitudes, *_EXCHANGE["SWAP"](1 << a, 1 << b))
 
     # ------------------------------------------------------------------
     # readout and serialization

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from framesim import (Circuit, PauliString, StateVector, run_baseline,
+from framesim import (Circuit, PauliString, StateVector, _kernels, run_baseline,
                       run_hybrid)
 from oracles import circuit_unitary, random_mixed_circuit
 
@@ -145,13 +145,15 @@ def test_run_report_json_fields():
     _, report = run_baseline(c, rng=7)
     data = json.loads(report.to_json())
     assert list(data) == ["backend", "n_qubits", "gates_total", "gates_clifford",
-                          "gates_rotation", "t_compile_s", "t_run_s", "seed"]
+                          "gates_rotation", "t_compile_s", "t_run_s", "seed",
+                          "kernel_tier"]
     assert data["backend"] == "baseline"
     assert data["n_qubits"] == 2
     assert data["gates_total"] == 3
     assert data["gates_clifford"] == 2
     assert data["gates_rotation"] == 1
     assert data["seed"] == 7
+    assert data["kernel_tier"] == report.kernel_tier == _kernels.kernel_tier()
 
 
 def test_numpy_integer_seed_is_reported():

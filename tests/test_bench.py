@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from framesim import BenchConfig, BenchRecord, RandomSpec
+from framesim import BenchConfig, BenchRecord, RandomSpec, _kernels
 from framesim.bench import (BenchConfigError, default_sweep_cells, read_records,
                             render_report, report, run_config, sweep,
                             write_records)
@@ -156,11 +156,13 @@ def test_cli_run_stdout_jsonl(capsys):
     code = cli_main(["run", "--random", "3", "2", "4", "1", "--backends", "hybrid",
                      "--repetitions", "1", "--warmups", "0", "--format", "jsonl"])
     assert code == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    captured = capsys.readouterr()
+    lines = [l for l in captured.out.splitlines() if l.strip()]
     assert len(lines) == 1 and '"backend": "hybrid"' in lines[0]
+    assert f"framesim: kernel tier {_kernels.kernel_tier()}" in captured.err
 
 
-def test_cli_sweep(tmp_path):
+def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = cli_main(["sweep", "--qubits", "3:4:1", "--localities", "2:2:1",
                      "--terms", "4", "--repetitions", "1", "--warmups", "0",
@@ -168,6 +170,7 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     records = read_records(io.StringIO(out.read_text()), "csv")
     assert len(records) == 4
+    assert f"framesim: kernel tier {_kernels.kernel_tier()}" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -140,6 +140,16 @@ def test_apply_gate_rejects_non_clifford():
         f.apply_gate("RZ", (0,))
 
 
+@pytest.mark.parametrize("tag", ["CX", "CZ", "SWAP"])
+def test_apply_gate_rejects_a_repeated_qubit(tag):
+    # CX on (1, 1) used to multiply a row into itself and leave a frame
+    # that fails validate()
+    f = PauliFrame.origin(3)
+    with pytest.raises(ValueError, match="distinct"):
+        f.apply_gate(tag, (1, 1))
+    assert f.is_origin()
+
+
 def test_conjugate_rotation_matches_dense():
     rng = np.random.default_rng(24)
     for _ in range(20):

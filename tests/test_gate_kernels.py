@@ -1,0 +1,122 @@
+"""The baseline's H, CX, CZ and SWAP loops and ``swap_qubits``, on each
+kernel tier, against each other and against the dense oracles."""
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from framesim import StateVector
+from framesim import _kernels
+from oracles import gate_unitary
+
+# (apply_h, pair_exchange) of each implementation: the numpy reference
+# always, and the compiled C loops wherever their library loaded
+TIERS = {"numpy": (_kernels.numpy_apply_h, _kernels.numpy_pair_exchange)}
+if _kernels.JIT_ENABLED:
+    TIERS["compiled"] = (_kernels.apply_h, _kernels.pair_exchange)
+
+ARITY = {"H": 1, "CX": 2, "CZ": 2, "SWAP": 2}
+MAX_QUBITS = 10
+
+# the cases a traversal is most likely to get wrong: qubits 0 and 1, both
+# orders, adjacent qubits, the edge of the rotation loops' 256-amplitude
+# tiles (bits 7 and 8) and the top bit of a 10-qubit state
+EDGE_CASES = [("H", 10, (q,)) for q in (0, 1, 7, 8, 9)] + [
+    (tag, 10, pair) for tag in ("CX", "CZ", "SWAP")
+    for pair in ((0, 1), (1, 0), (4, 5), (5, 4), (7, 8), (8, 7), (0, 9), (9, 0),
+                 (9, 8))]
+
+
+@functools.cache
+def oracle(tag, qubits, n):
+    return gate_unitary(tag, qubits, n)
+
+
+def random_amplitudes(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+
+
+def check_gate(tag, n, qubits, seed):
+    amp = random_amplitudes(seed, n)
+    ref = oracle(tag, qubits, n) @ amp
+    out = {}
+    for name, (apply_h, pair_exchange) in TIERS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "apply_h", apply_h)
+            mp.setattr(_kernels, "pair_exchange", pair_exchange)
+            s = StateVector(n, amp)
+            s.apply_gate(tag, qubits)
+            assert np.max(np.abs(s.amplitudes - ref)) < 1e-12, (name, tag, qubits)
+            out[name] = s.amplitudes
+            if tag == "SWAP":
+                s = StateVector(n, amp)
+                s.swap_qubits(*qubits)
+                assert np.array_equal(s.amplitudes, out[name]), (name, qubits)
+    if "compiled" in out:
+        assert np.max(np.abs(out["compiled"] - out["numpy"])) < 1e-12
+
+
+@st.composite
+def gate_cases(draw):
+    tag = draw(st.sampled_from(sorted(ARITY)))
+    n = draw(st.integers(ARITY[tag], MAX_QUBITS))
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=ARITY[tag],
+                           max_size=ARITY[tag], unique=True))
+    return tag, n, tuple(qubits), draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("tag, n, qubits", EDGE_CASES)
+def test_gate_edge_cases_match_oracle(tag, n, qubits):
+    check_gate(tag, n, qubits, seed=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_cases())
+def test_gates_match_oracle_on_every_tier(case):
+    check_gate(*case)
+
+
+@st.composite
+def exchange_cases(draw):
+    n = draw(st.integers(1, MAX_QUBITS))
+    mask = draw(st.integers(0, (1 << n) - 1))
+    val = draw(st.integers(0, (1 << n) - 1)) & mask
+    x = draw(st.integers(0, (1 << n) - 1)) & mask
+    return n, mask, val, x, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exchange_cases())
+def test_pair_exchange_keeps_its_documented_semantics(case):
+    # any masks, beyond the three shapes the gates use; the reference lists
+    # the indices by filtering, not through tensor views
+    n, mask, val, x, seed = case
+    amp = random_amplitudes(seed, n)
+    k = np.arange(1 << n)
+    k = k[k & mask == val]
+    ref = amp.copy()
+    if x:
+        ref[k], ref[k ^ x] = amp[k ^ x], amp[k]
+    else:
+        ref[k] = -amp[k]
+    for name, (_, pair_exchange) in TIERS.items():
+        out = amp.copy()
+        pair_exchange(out, mask, val, x)
+        assert np.array_equal(out, ref), name
+
+
+@pytest.mark.parametrize("name", list(TIERS))
+def test_gate_kernels_reject_bad_arguments(name):
+    apply_h, pair_exchange = TIERS[name]
+    amp = StateVector.zero(3).amplitudes
+    with pytest.raises(ValueError, match="submask"):
+        pair_exchange(amp, 0b011, 0b100, 0b001)
+    with pytest.raises(ValueError, match="submask"):
+        pair_exchange(amp, 0b011, 0b001, 0b110)
+    with pytest.raises(ValueError, match="out of range"):
+        pair_exchange(amp, 0b1000, 0, 0)
+    with pytest.raises(ValueError):
+        apply_h(amp, 3)

@@ -1,4 +1,4 @@
-"""Building, caching and loading the compiled rotation kernels.
+"""Building, caching and loading the compiled amplitude kernels.
 
 Each test imports framesim in a fresh interpreter with its own cache
 directory and PATH, so the build step runs as it would on first import.
@@ -16,11 +16,12 @@ SRC = TESTS.parent / "src"
 HAVE_CC = shutil.which("gcc") is not None or shutil.which("cc") is not None
 PROBE = "import framesim._kernels as k; print(k.kernel_tier())"
 # the fallback tier must also compute: one paired and one diagonal rotation
-# against the dense closed form
+# against the dense closed form, and each gate with a loop of its own
+# against its dense matrix
 ROTATE_PROBE = PROBE + """
 import numpy as np
 from framesim import PauliString, StateVector
-from oracles import rotation_matrix
+from oracles import gate_unitary, rotation_matrix
 rng = np.random.default_rng(0)
 for label in ("XZYIY", "ZIZZI"):
     p = PauliString.from_label(label)
@@ -29,6 +30,12 @@ for label in ("XZYIY", "ZIZZI"):
     s.apply_pauli_rotation(p, 0.9)
     if np.max(np.abs(s.amplitudes - rotation_matrix(p, 0.9) @ amp)) > 1e-12:
         raise SystemExit(f"numpy tier disagrees with the dense oracle on {label}")
+for tag, qubits in (("H", (3,)), ("CX", (4, 1)), ("CZ", (0, 2)), ("SWAP", (1, 3))):
+    amp = rng.normal(size=32) + 1j * rng.normal(size=32)
+    s = StateVector(5, amp)
+    s.apply_gate(tag, qubits)
+    if np.max(np.abs(s.amplitudes - gate_unitary(tag, qubits, 5) @ amp)) > 1e-12:
+        raise SystemExit(f"numpy tier disagrees with the dense oracle on {tag}")
 """
 
 

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framesim import PauliString, StateVector
+from framesim import HybridState, PauliFrame, PauliString, StateVector
 from framesim import _kernels
-from oracles import pauli_matrix, random_pauli, rotation_matrix
+from oracles import pauli_matrix, random_clifford_circuit, random_pauli, rotation_matrix
 
 # (rotation_pairs, rotation_diag) of each implementation: the numpy reference
 # always, and the compiled C loops wherever their library loaded; the oracle
@@ -297,6 +297,34 @@ def test_pauli_shaped_updates_allocate_at_most_one_state_copy():
         s = state.copy()
         angle = 0.3 if tag.startswith("R") else None
         assert extra_peak(lambda: s.apply_gate(tag, (5,), angle)) <= slack, tag
+
+
+@pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
+                    reason="the numpy kernels use whole-array temporaries")
+def test_clifford_gates_and_flush_allocate_nothing_state_sized():
+    n = 16
+    slack = 64 * 1024
+    rng = np.random.default_rng(20)
+    state = random_state(rng, n)
+    for tag, qubits in (("H", (0,)), ("H", (9,)), ("CX", (3, 12)), ("CX", (12, 3)),
+                        ("CZ", (0, 15)), ("SWAP", (7, 8)), ("SWAP", (15, 1))):
+        s = state.copy()
+        assert extra_peak(lambda: s.apply_gate(tag, qubits)) <= slack, (tag, qubits)
+    frame = PauliFrame.origin(n)
+    for g in random_clifford_circuit(rng, n, 20).gates:
+        frame.apply_gate(g.tag, g.qubits)
+    hs = HybridState(frame, state.copy())
+    assert extra_peak(hs.flush_to_origin) <= slack
+
+
+@pytest.mark.parametrize("tag", ["CX", "CZ", "SWAP"])
+def test_two_qubit_gates_reject_a_repeated_qubit(tag):
+    # CX on (1, 1) used to do nothing and CZ on (1, 1) to apply a Z
+    s = random_state(np.random.default_rng(21), 3)
+    before = s.amplitudes.copy()
+    with pytest.raises(ValueError, match="distinct"):
+        s.apply_gate(tag, (1, 1))
+    assert np.array_equal(s.amplitudes, before)
 
 
 @on_each_kernel
