@@ -17,9 +17,9 @@ The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
 the state in cache-sized tiles, so that their cost depends neither on the
 number of qubits nor on how many qubits the operator touches; the gate loops
 walk contiguous runs in address order.  The ``numpy_*`` functions compute
-the same things through index arrays, tensor views and whole-array
-temporaries, several times slower per amplitude; they are the reference the
-tests compare the C loops against.
+the same things by filtering index arrays, with whole-array temporaries,
+several times slower per amplitude; they are the reference the tests compare
+the C loops against.
 
 On first import the C source is compiled with the system C compiler (``gcc``,
 else ``cc``) into ``$XDG_CACHE_HOME/framesim`` (default ``~/.cache/framesim``),
@@ -221,26 +221,18 @@ def numpy_rotation_diag(amp, z, f_even, f_odd):
     amp *= np.where(odd, f_odd, f_even)
 
 
-def _axes(n: int, bits: int, values: int) -> tuple:
-    """Index of the tensor view ``amp.reshape([2] * n)`` that fixes qubit j
-    to bit j of ``values`` for every set bit j of ``bits``."""
-    idx = [slice(None)] * n
-    for j in range(n):
-        if bits >> j & 1:
-            idx[n - 1 - j] = values >> j & 1
-    return tuple(idx)
-
-
 def numpy_apply_h(amp, q):
     """The Hadamard gate on qubit q: for each pair k0, k1 = k0 | 2**q with
     bit q of k0 clear, amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)."""
     if not 0 <= q < amp.shape[0].bit_length() - 1:
         raise ValueError(f"qubit {q} out of range for the amplitude array")
-    view = amp.reshape(-1, 2, 1 << q)
-    v0 = view[:, 0, :].copy()
-    v1 = view[:, 1, :]
-    view[:, 0, :] = (v0 + v1) * _SQ2
-    view[:, 1, :] = (v0 - v1) * _SQ2
+    k0 = np.arange(amp.shape[0], dtype=np.int64)
+    k0 = k0[k0 & (1 << q) == 0]
+    k1 = k0 | (1 << q)
+    a0 = amp[k0]
+    a1 = amp[k1]
+    amp[k0] = (a0 + a1) * _SQ2
+    amp[k1] = (a0 - a1) * _SQ2
 
 
 def numpy_pair_exchange(amp, mask, val, x):
@@ -250,14 +242,12 @@ def numpy_pair_exchange(amp, mask, val, x):
     if not 0 <= mask < amp.shape[0]:
         raise ValueError("bit mask out of range for the amplitude array")
     _check_exchange(mask, val, x)
-    n = amp.shape[0].bit_length() - 1
-    view = amp.reshape([2] * n)
-    lo = _axes(n, mask, val)
+    k = np.arange(amp.shape[0], dtype=np.int64)
+    k = k[k & mask == val]
     if x == 0:
-        view[lo] *= -1.0
-        return
-    hi = _axes(n, mask, val ^ x)
-    view[lo], view[hi] = view[hi].copy(), view[lo].copy()
+        amp[k] *= -1.0
+    else:
+        amp[k], amp[k ^ x] = amp[k ^ x], amp[k]
 
 
 if _lib is not None:

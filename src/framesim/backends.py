@@ -15,7 +15,6 @@ Measured eigenvalue +1 is recorded as classical bit 0.
 """
 from __future__ import annotations
 
-import json
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -23,21 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .circuit import CLIFFORD_TAGS, ROTATION_TAGS, Circuit
+from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, Circuit
 from .frame import PauliFrame, invert_to_rotations
 from .pauli import PauliString
 from .statevector import StateVector
-
-_AXIS_OF = {"RX": "X", "RY": "Y", "RZ": "Z"}
 
 
 @dataclass
 class RunReport:
     """Timing and bookkeeping for one backend execution.
 
-    t_compile_s covers circuit construction only and is filled in by the
-    caller that built the circuit; t_run_s covers gate-stream execution.
-    kernel_tier names the amplitude-kernel tier the run executed on
+    t_run_s covers gate-stream execution only; the benchmark records
+    (``bench.BenchRecord``) add the compile time of the caller that built the
+    circuit.  kernel_tier names the amplitude-kernel tier the run executed on
     (``compiled-c``, or ``numpy`` when the compiled kernels did not load);
     the tier is fixed at import, so it is read from ``_kernels``, not stored.
     """
@@ -47,7 +44,6 @@ class RunReport:
     gates_total: int = 0
     gates_clifford: int = 0
     gates_rotation: int = 0
-    t_compile_s: float = 0.0
     t_run_s: float = 0.0
     seed: int | None = None
     measurements: list[int] = field(default_factory=list)
@@ -55,19 +51,6 @@ class RunReport:
     @property
     def kernel_tier(self) -> str:
         return _kernels.kernel_tier()
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "backend": self.backend,
-            "n_qubits": self.n_qubits,
-            "gates_total": self.gates_total,
-            "gates_clifford": self.gates_clifford,
-            "gates_rotation": self.gates_rotation,
-            "t_compile_s": self.t_compile_s,
-            "t_run_s": self.t_run_s,
-            "seed": self.seed,
-            "kernel_tier": self.kernel_tier,
-        })
 
 
 @dataclass
@@ -164,7 +147,7 @@ def run_hybrid(circuit: Circuit, rng=None) -> tuple[HybridState, RunReport]:
             frame.apply_gate(tag, g.qubits)
         elif tag in ROTATION_TAGS:
             t1 = clock()
-            axis = frame.lookup(PauliString.single(n, g.qubits[0], _AXIS_OF[tag]))
+            axis = frame.lookup(PauliString.single(n, g.qubits[0], ROTATION_AXIS[tag]))
             phi.apply_pauli_rotation(axis, g.angle)
             rotation_s += clock() - t1
         elif tag == "MEASZ":

@@ -19,7 +19,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -29,10 +29,19 @@ from .hamiltonian import Hamiltonian, parse_hamiltonian, random_hamiltonian
 
 BACKENDS = ("baseline", "hybrid")
 
-# fixed CSV column order; the header is part of the interchange contract
-CSV_FIELDS = ("name", "n_qubits", "n_terms", "L_mean", "L_std", "L_max",
-              "backend", "t_compile_s", "t_run_s", "rescaled_runtime",
-              "speedup_vs_baseline", "seed")
+
+def _optional(parse):
+    return lambda text: None if text == "" else parse(text)
+
+
+# the record columns in ``BenchRecord`` field order, each with the parser of
+# its text; the CSV header is part of the interchange contract
+_COLUMNS = (("name", str), ("n_qubits", int), ("n_terms", int),
+            ("L_mean", float), ("L_std", float), ("L_max", int),
+            ("backend", str), ("t_compile_s", float), ("t_run_s", float),
+            ("rescaled_runtime", float), ("speedup_vs_baseline", _optional(float)),
+            ("seed", _optional(int)))
+CSV_FIELDS = tuple(column for column, _ in _COLUMNS)
 
 VERIFY_TOLERANCE = 1e-10
 
@@ -169,35 +178,29 @@ def default_sweep_cells(qubits=None, localities=None, terms=(50, 100)):
     return cells
 
 
-def sweep(cells, seed: int = 0, backends=BACKENDS, repetitions: int = 3,
-          warmups: int = 1, max_qubits: int = 26, trotter_time: float = 1.0,
-          trotter_steps: int = 1, verify: bool = False, log=sys.stderr):
+def sweep(cells, seed: int = 0, verify: bool = False, log=None, **settings):
     """Run a grid of cells, yielding records as they complete.
 
-    Per-cell failures are logged and skipped so long sweeps always make
-    progress; callers should write records incrementally.
+    ``settings`` are the other ``BenchConfig`` fields, passed on to every
+    cell's config.  Per-cell failures are logged to ``log`` (default: the
+    current ``sys.stderr``) and skipped so long sweeps always make progress;
+    callers should write records incrementally.
     """
     for index, (n, k, n_terms) in enumerate(cells):
-        config = BenchConfig(
-            source=RandomSpec(n, k, n_terms, seed + index),
-            backends=tuple(backends), repetitions=repetitions, warmups=warmups,
-            max_qubits=max_qubits, trotter_time=trotter_time,
-            trotter_steps=trotter_steps, verify=verify)
+        config = BenchConfig(RandomSpec(n, k, n_terms, seed + index), verify=verify,
+                             **settings)
         try:
             yield from run_config(config)
         except Exception as exc:  # noqa: BLE001 - sweeps must survive bad cells
             print(f"[sweep] cell n={n} k={k} terms={n_terms} failed: {exc}",
-                  file=log)
+                  file=log or sys.stderr)
 
 
 # ----------------------------------------------------------------------
 # record serialization
 
 def _record_values(r: BenchRecord) -> dict[str, object]:
-    return dict(zip(CSV_FIELDS, (
-        r.name, r.n_qubits, r.n_terms, r.l_mean, r.l_std, r.l_max, r.backend,
-        r.t_compile_s, r.t_run_s, r.rescaled_runtime, r.speedup_vs_baseline,
-        r.seed)))
+    return dict(zip(CSV_FIELDS, astuple(r)))
 
 
 def _record_to_row(r: BenchRecord) -> dict[str, str]:
@@ -206,17 +209,11 @@ def _record_to_row(r: BenchRecord) -> dict[str, str]:
             for key, value in _record_values(r).items()}
 
 
-def _row_to_record(row: dict[str, object]) -> BenchRecord:
-    def opt(text, conv):
-        return None if text == "" else conv(text)
-
-    return BenchRecord(
-        name=row["name"], n_qubits=int(row["n_qubits"]), n_terms=int(row["n_terms"]),
-        l_mean=float(row["L_mean"]), l_std=float(row["L_std"]), l_max=int(row["L_max"]),
-        backend=row["backend"], t_compile_s=float(row["t_compile_s"]),
-        t_run_s=float(row["t_run_s"]), rescaled_runtime=float(row["rescaled_runtime"]),
-        speedup_vs_baseline=opt(row["speedup_vs_baseline"], float),
-        seed=opt(row["seed"], int))
+def _row_to_record(row: dict[str, object], where: str) -> BenchRecord:
+    missing = [column for column in CSV_FIELDS if row.get(column) is None]
+    if missing:
+        raise BenchConfigError(f"{where}: missing column(s) {', '.join(missing)}")
+    return BenchRecord(*(parse(row[column]) for column, parse in _COLUMNS))
 
 
 def write_records(records, stream, fmt: str = "csv") -> None:
@@ -236,13 +233,17 @@ def write_records(records, stream, fmt: str = "csv") -> None:
 
 def read_records(stream, fmt: str = "csv") -> list[BenchRecord]:
     if fmt == "csv":
-        return [_row_to_record(row) for row in csv.DictReader(stream)]
+        reader = csv.DictReader(stream)
+        return [_row_to_record(row, f"line {reader.line_num}") for row in reader]
     if fmt == "jsonl":
         out = []
-        for line in stream:
+        for number, line in enumerate(stream, 1):
             if line.strip():
-                row = {k: ("" if v is None else v) for k, v in json.loads(line).items()}
-                out.append(_row_to_record(row))
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise BenchConfigError(f"line {number}: a record must be a JSON object")
+                row = {k: ("" if v is None else v) for k, v in row.items()}
+                out.append(_row_to_record(row, f"line {number}"))
         return out
     raise BenchConfigError(f"unknown format {fmt!r}")
 
@@ -278,6 +279,10 @@ def report(records) -> ReportSummary:
             raise ValueError(f"config {name!r} has records for {sorted(group)} only; "
                              "report needs a baseline/hybrid pair per config")
         base, hyb = group["baseline"], group["hybrid"]
+        for r in (base, hyb):
+            if not (r.t_compile_s > 0 and r.t_run_s > 0):
+                raise ValueError(f"config {name!r}: the {r.backend} record has a "
+                                 "non-positive t_compile_s or t_run_s")
         rows.append(ReportRow(name, n, n_terms, seed,
                               speedup=base.t_run_s / hyb.t_run_s,
                               compile_ratio=hyb.t_compile_s / base.t_compile_s))

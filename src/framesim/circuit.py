@@ -14,7 +14,9 @@ from .pauli import PauliString
 from .hamiltonian import Hamiltonian
 
 CLIFFORD_TAGS = frozenset({"H", "S", "SDG", "X", "Y", "Z", "CX", "CZ", "SWAP"})
-ROTATION_TAGS = frozenset({"RX", "RY", "RZ"})
+# each rotation tag with the single-qubit Pauli it rotates about
+ROTATION_AXIS = {"RX": "X", "RY": "Y", "RZ": "Z"}
+ROTATION_TAGS = frozenset(ROTATION_AXIS)
 _ARITY = {
     "H": 1, "S": 1, "SDG": 1, "X": 1, "Y": 1, "Z": 1,
     "CX": 2, "CZ": 2, "SWAP": 2,

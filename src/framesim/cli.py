@@ -78,35 +78,33 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1, step))
 
 
-def _open_output(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def _report_tier() -> None:
     # on stderr, so that records written to stdout stay machine-readable
     print(f"framesim: kernel tier {_kernels.kernel_tier()}", file=sys.stderr)
 
 
-def _cmd_run(args) -> int:
-    if args.random is not None:
-        source = RandomSpec(*args.random)
-    else:
-        source = args.file
-    config = BenchConfig(
-        source=source, backends=tuple(args.backends.split(",")),
-        trotter_time=args.time, trotter_steps=args.steps,
-        repetitions=args.repetitions, warmups=args.warmups,
-        max_qubits=args.max_qubits, verify=not args.no_verify)
-    _report_tier()
-    records = bench.run_config(config)
-    stream, close = _open_output(args.output)
-    try:
+def _settings(args) -> dict:
+    """The run settings that ``run`` and ``sweep`` share, as ``BenchConfig`` fields."""
+    return dict(backends=tuple(args.backends.split(",")),
+                trotter_time=args.time, trotter_steps=args.steps,
+                repetitions=args.repetitions, warmups=args.warmups,
+                max_qubits=args.max_qubits)
+
+
+def _write(records, args) -> None:
+    """Write the records to ``--output``, or to stdout without one."""
+    if args.output is None:
+        bench.write_records(records, sys.stdout, args.format)
+        return
+    with open(args.output, "w", encoding="utf-8", newline="") as stream:
         bench.write_records(records, stream, args.format)
-    finally:
-        if close:
-            stream.close()
+
+
+def _cmd_run(args) -> int:
+    source = RandomSpec(*args.random) if args.random is not None else args.file
+    config = BenchConfig(source, verify=not args.no_verify, **_settings(args))
+    _report_tier()
+    _write(bench.run_config(config), args)
     return EXIT_OK
 
 
@@ -116,17 +114,7 @@ def _cmd_sweep(args) -> int:
         localities=_parse_range(args.localities) if args.localities else None,
         terms=tuple(int(v) for v in args.terms.split(",")))
     _report_tier()
-    records = bench.sweep(
-        cells, seed=args.seed, backends=tuple(args.backends.split(",")),
-        repetitions=args.repetitions, warmups=args.warmups,
-        max_qubits=args.max_qubits, trotter_time=args.time,
-        trotter_steps=args.steps)
-    stream, close = _open_output(args.output)
-    try:
-        bench.write_records(records, stream, args.format)
-    finally:
-        if close:
-            stream.close()
+    _write(bench.sweep(cells, seed=args.seed, **_settings(args)), args)
     return EXIT_OK
 
 

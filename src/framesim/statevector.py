@@ -25,6 +25,7 @@ import struct
 import numpy as np
 
 from . import _kernels
+from .circuit import ROTATION_AXIS
 from .pauli import PauliString
 
 # a measurement branch below this probability is an error, not a draw
@@ -43,7 +44,6 @@ _PAULI_1Q = {
     "S": ("Z", (1 + 1j) / 2, (1 - 1j) / 2),
     "SDG": ("Z", (1 - 1j) / 2, (1 + 1j) / 2),
 }
-_ROTATION_AXIS = {"RX": "X", "RY": "Y", "RZ": "Z"}
 # the 2-qubit gates as arguments (mask, val, x) of ``_kernels.pair_exchange``,
 # from the single-bit masks of their two qubits
 _EXCHANGE = {
@@ -189,12 +189,11 @@ class StateVector:
             letter, c, u = _PAULI_1Q[tag]
             _combine(self.amplitudes, PauliString.single(self.num_qubits, qubits[0], letter),
                      c, u)
-        elif tag in _ROTATION_AXIS:
+        elif tag in ROTATION_AXIS:
             if angle is None:
                 raise ValueError(f"{tag} requires an angle")
-            _combine(self.amplitudes,
-                     PauliString.single(self.num_qubits, qubits[0], _ROTATION_AXIS[tag]),
-                     math.cos(angle / 2.0), -1j * math.sin(angle / 2.0))
+            self.apply_pauli_rotation(
+                PauliString.single(self.num_qubits, qubits[0], ROTATION_AXIS[tag]), angle)
         elif tag == "H":
             _kernels.apply_h(self.amplitudes, qubits[0])
         elif tag in _EXCHANGE:

@@ -173,6 +173,50 @@ def test_cli_sweep(tmp_path, capsys):
     assert f"framesim: kernel tier {_kernels.kernel_tier()}" in capsys.readouterr().err
 
 
+def test_cli_sweep_takes_the_shared_run_settings(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = cli_main(["sweep", "--qubits", "3:4:1", "--localities", "2:2:1",
+                     "--terms", "4", "--backends", "hybrid", "--max-qubits", "3",
+                     "--repetitions", "1", "--warmups", "0", "--output", str(out)])
+    assert code == 0
+    records = read_records(io.StringIO(out.read_text()), "csv")
+    assert [(r.n_qubits, r.backend) for r in records] == [(3, "hybrid")]
+    err = capsys.readouterr().err
+    assert "[sweep] cell n=4" in err and "ceiling of 3" in err
+
+
+def _pair_text(fmt, hybrid_t_run=2.0):
+    buf = io.StringIO()
+    write_records([_fake("a", 4, 10, "baseline", 1.0, 2.0),
+                   _fake("a", 4, 10, "hybrid", 1.0, hybrid_t_run)], buf, fmt)
+    return buf.getvalue()
+
+
+MALFORMED_RECORDS = {
+    # the seed column cut from the header and from every row
+    "csv_missing_column": (
+        "csv", "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in _pair_text("csv").splitlines()),
+        "line 2: missing column(s) seed"),
+    "jsonl_line_not_an_object": (
+        "jsonl", _pair_text("jsonl") + "[1, 2]\n",
+        "line 3: a record must be a JSON object"),
+    "zero_run_time": (
+        "csv", _pair_text("csv", hybrid_t_run=0.0),
+        "the hybrid record has a non-positive t_compile_s or t_run_s"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
+def test_cli_report_rejects_malformed_records(tmp_path, capsys, case):
+    fmt, text, message = MALFORMED_RECORDS[case]
+    path = tmp_path / f"records.{fmt}"
+    path.write_text(text)
+    assert cli_main(["report", str(path), "--format", fmt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("framesim: config error: ") and message in err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["run", "--file", str(tmp_path / "missing.txt")]) == 1
     bad = tmp_path / "bad.txt"

@@ -91,8 +91,8 @@ def exchange_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(exchange_cases())
 def test_pair_exchange_keeps_its_documented_semantics(case):
-    # any masks, beyond the three shapes the gates use; the reference lists
-    # the indices by filtering, not through tensor views
+    # any masks, beyond the three shapes the gates use, against the
+    # docstring's statement written out over filtered indices
     n, mask, val, x, seed = case
     amp = random_amplitudes(seed, n)
     k = np.arange(1 << n)
