@@ -1,9 +1,12 @@
 """Synthesizing a tracked Clifford back into O(n) Pauli rotations.
 
-Any valid frame can be reduced to the origin with at most two pi/2
-transvections per qubit plus single-qubit cleanups and swaps; the same
-steps, applied to a state vector, implement the Clifford the frame
-represents.  This is what lets the hybrid backend hand back amplitudes.
+Any valid frame can be reduced to the origin by one rule applied over and
+over: a pi/2 turn about i*B*A conjugates a frame entry A onto any
+anticommuting Pauli B (a pi turn when A = -B).  Per qubit, at most two such
+turns reduce a row to a single-qubit pair, at most one more per entry sends
+the pair to (+Z, +X), and swaps sort the pairs into place; the same steps,
+applied to a state vector, implement the Clifford the frame represents.
+This is what lets the hybrid backend hand back amplitudes.
 """
 import numpy as np
 

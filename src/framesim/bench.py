@@ -213,7 +213,14 @@ def _row_to_record(row: dict[str, object], where: str) -> BenchRecord:
     missing = [column for column in CSV_FIELDS if row.get(column) is None]
     if missing:
         raise BenchConfigError(f"{where}: missing column(s) {', '.join(missing)}")
-    return BenchRecord(*(parse(row[column]) for column, parse in _COLUMNS))
+    values = []
+    for column, parse in _COLUMNS:
+        try:
+            values.append(parse(row[column]))
+        except (TypeError, ValueError):
+            raise BenchConfigError(
+                f"{where}: column {column}: cannot read {row[column]!r}") from None
+    return BenchRecord(*values)
 
 
 def write_records(records, stream, fmt: str = "csv") -> None:
@@ -239,7 +246,11 @@ def read_records(stream, fmt: str = "csv") -> list[BenchRecord]:
         out = []
         for number, line in enumerate(stream, 1):
             if line.strip():
-                row = json.loads(line)
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise BenchConfigError(
+                        f"line {number}: not valid JSON ({exc.msg} at column {exc.pos + 1})") from None
                 if not isinstance(row, dict):
                     raise BenchConfigError(f"line {number}: a record must be a JSON object")
                 row = {k: ("" if v is None else v) for k, v in row.items()}

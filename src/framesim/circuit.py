@@ -30,7 +30,6 @@ class Gate:
     tag: str
     qubits: tuple[int, ...]
     angle: float | None = None
-    classical_target: int | None = None
 
 
 class Circuit:
@@ -45,11 +44,9 @@ class Circuit:
         self.gates: list[Gate] = []
         self.metadata: dict = dict(metadata) if metadata else {}
         for g in gates or ():
-            self.append(g.tag, *g.qubits, angle=g.angle,
-                        classical_target=g.classical_target)
+            self.append(g.tag, *g.qubits, angle=g.angle)
 
-    def append(self, tag: str, *qubits: int, angle: float | None = None,
-               classical_target: int | None = None) -> None:
+    def append(self, tag: str, *qubits: int, angle: float | None = None) -> None:
         if tag not in _ARITY:
             raise ValueError(f"unknown gate tag {tag!r}")
         if len(qubits) != _ARITY[tag]:
@@ -64,9 +61,7 @@ class Circuit:
                 raise ValueError(f"{tag} requires a finite angle")
         elif angle is not None:
             raise ValueError(f"{tag} does not take an angle")
-        if classical_target is not None and tag != "MEASZ":
-            raise ValueError("classical_target is only valid on MEASZ")
-        self.gates.append(Gate(tag, tuple(qubits), angle, classical_target))
+        self.gates.append(Gate(tag, tuple(qubits), angle))
 
     def extend(self, other: "Circuit") -> None:
         if other.num_qubits != self.num_qubits:

@@ -15,6 +15,9 @@ touch the 2**n amplitudes at all.
 ``invert_to_rotations`` synthesizes the accumulated Clifford back into O(n)
 Pauli rotations plus qubit relabelings, which is how the hybrid backend
 flushes the frame into the state vector when raw amplitudes are needed.
+Every rotation it emits comes from one rule: a pi/2 turn about i*B*A
+conjugates an entry A onto any anticommuting B, and a pi turn negates a
+single letter.
 
 Rows are held as plain (x_bits, z_bits, phase_exp) integer triples rather
 than PauliString objects: the frame update runs once per circuit gate and
@@ -260,24 +263,22 @@ def _clifford_angle_shift(angle: float) -> int:
     raise ValueError(f"frame conjugation needs angle in {{+-pi/2, pi}}, got {angle}")
 
 
-_OTHER_LETTERS = {
-    frozenset("XY"): "Z", frozenset("XZ"): "Y", frozenset("YZ"): "X",
-}
-
-
-def _third_letter(a: str, b: str) -> str:
-    return _OTHER_LETTERS[frozenset((a, b))]
-
-
 def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
     """Synthesize steps whose conjugation images map ``frame`` to the origin.
 
-    Per qubit q, at most two pi/2 transvections reduce the row that carries
-    q to a single-qubit pair: the first rotates eff_z[i] onto a bare letter
-    at q, the second does the same to eff_x[i].  A cleanup pass maps every
-    single-qubit pair to (+Z, +X) with at most two single-qubit rotations,
-    and qubit swaps sort the pairs into their home rows.  Applying the steps
-    in order reproduces the origin frame exactly, signs included.
+    Every rotation comes from one rule, ``send(a, b)``, which conjugates a
+    frame entry a onto a signed Pauli b (Aaronson & Gottesman, PRA 70,
+    052328 (2004)).  If a and b anticommute, the pi/2 transvection about
+    Q = i*b*a maps a to -i*Q*a = b and fixes every entry commuting with Q.
+    If they commute, a = -b is a single letter, and a pi turn about the dual
+    letter (X for Z, Z for X) negates it.  If a == b, nothing is emitted.
+
+    Per qubit q, the first row i whose eff_z carries q is reduced to a
+    single-qubit pair: a multi-qubit eff_z[i] is sent to Z_q (X_q if its
+    letter at q is Z), then a multi-qubit eff_x[i] to the third letter at q.
+    A cleanup sends each eff_z[i] to +Z_q and each eff_x[i] to +X_q, and
+    qubit swaps sort the pairs into their home rows.  Applying the steps in
+    order reproduces the origin frame exactly, signs included.
 
     Because the entries are the *backward* images U^dag sigma U, a sequence
     V whose conjugation restores every origin symbol satisfies V U^dag = I
@@ -287,63 +288,51 @@ def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
     Emits at most 2n multi-qubit rotations, 2n single-qubit rotations and
     n-1 swaps.  Does not modify the input frame.
     """
+    if frame.is_origin():
+        return []
     if not frame.validate():
         raise ValueError("cannot invert an invalid frame")
     n = frame.num_qubits
     f = frame.copy()
     steps: list[RotationStep] = []
 
-    def emit(axis: PauliString, angle: float) -> None:
-        steps.append(RotationStep.rotation(axis, angle))
-        f.conjugate_rotation(axis, angle)
+    def emit(step: RotationStep) -> None:
+        steps.append(step)
+        f.apply_step(step)
+
+    def send(a, b) -> None:
+        if a == b:
+            return
+        if _anti(a, b):
+            x, z, p = _mul(b, a)
+            emit(RotationStep.rotation(PauliString(n, x, z, p + 1), _QUARTER))
+        else:
+            emit(RotationStep.rotation(PauliString(n, b[1], b[0]), math.pi))
 
     for q in range(n):
-        row = next((i for i in range(n) if f.eff_z(i).letter_at(q) != "I"), None)
+        bit = 1 << q
+        row = next((i for i, (x, z, _) in enumerate(f._z) if (x | z) & bit), None)
         if row is None:
             raise RuntimeError(f"no eff_z row carries qubit {q}; a valid frame always has one")
-        zi = f.eff_z(row)
-        if zi.weight > 1:
-            sigma = zi.letter_at(q)
-            tilde = "Z" if sigma in ("X", "Y") else "X"
-            # Q = i * tilde_q * eff_z anticommutes with eff_z and maps it to +tilde_q
-            emit((PauliString.single(n, q, tilde) * zi).with_phase_shift(1), _QUARTER)
-        xi = f.eff_x(row)
-        if xi.weight > 1:
-            third = _third_letter(f.eff_z(row).letter_at(q), xi.letter_at(q))
-            emit((PauliString.single(n, q, third) * xi).with_phase_shift(1), _QUARTER)
+        x, z, _ = f._z[row]
+        if x | z != bit:
+            send(f._z[row], (bit, 0, 0) if z & ~x & bit else (0, bit, 0))
+        zx, zz, _ = f._z[row]
+        x, z, _ = f._x[row]
+        if x | z != bit:
+            send(f._x[row], ((zx ^ x) & bit, (zz ^ z) & bit, 0))
 
-    # every row is now a single-qubit anticommuting pair; normalize to (+Z, +X)
+    # every row is now a single-qubit anticommuting pair
     for i in range(n):
-        (q,) = f.eff_z(i).support
-        zi = f.eff_z(i)
-        if zi.letter_at(q) != "Z":
-            axis = PauliString.single(n, q, _third_letter(zi.letter_at(q), "Z"))
-            # pick the quarter-turn direction that lands exactly on +Z_q
-            angle = _QUARTER if (axis * zi).with_phase_shift(-1) == \
-                PauliString.single(n, q, "Z") else -_QUARTER
-            emit(axis, angle)
-        elif zi.phase_exp == 2:
-            emit(PauliString.single(n, q, "X"), math.pi)
-        xi = f.eff_x(i)
-        if xi.letter_at(q) == "Y":
-            axis = PauliString.single(n, q, "Z")
-            angle = _QUARTER if (axis * xi).with_phase_shift(-1) == \
-                PauliString.single(n, q, "X") else -_QUARTER
-            emit(axis, angle)
-        elif xi.phase_exp == 2:
-            emit(PauliString.single(n, q, "Z"), math.pi)
+        bit = f._z[i][0] | f._z[i][1]
+        send(f._z[i], (0, bit, 0))
+        send(f._x[i], (bit, 0, 0))
 
-    # sort the (+Z, +X) pairs into their home rows by relabeling
-    qubit_of = [f.eff_z(i).support[0] for i in range(n)]
-    pos_of = {q: i for i, q in enumerate(qubit_of)}
+    # sort the (+Z_q, +X_q) pairs into their home rows by relabeling
     for i in range(n):
-        q = qubit_of[i]
+        q = (f._z[i][0] | f._z[i][1]).bit_length() - 1
         if q != i:
-            steps.append(RotationStep.swap(i, q))
-            f.conjugate_swap(i, q)
-            j = pos_of[i]
-            qubit_of[j], pos_of[q] = q, j
-            qubit_of[i], pos_of[i] = i, i
+            emit(RotationStep.swap(i, q))
 
     if not f.is_origin():
         raise RuntimeError("frame synthesis did not terminate on the origin frame")

@@ -201,6 +201,14 @@ MALFORMED_RECORDS = {
     "jsonl_line_not_an_object": (
         "jsonl", _pair_text("jsonl") + "[1, 2]\n",
         "line 3: a record must be a JSON object"),
+    # n_qubits of the hybrid row (CSV line 3) replaced by text
+    "csv_value_does_not_parse": (
+        "csv", _pair_text("csv").replace("a,4,10,4.0,0.0,4,hybrid",
+                                         "a,abc,10,4.0,0.0,4,hybrid"),
+        "line 3: column n_qubits: cannot read 'abc'"),
+    "jsonl_line_not_json": (
+        "jsonl", _pair_text("jsonl") + '{"name": "a" "n_qubits": 4}\n',
+        "line 3: not valid JSON (Expecting ',' delimiter at column 14)"),
     "zero_run_time": (
         "csv", _pair_text("csv", hybrid_t_run=0.0),
         "the hybrid record has a non-positive t_compile_s or t_run_s"),

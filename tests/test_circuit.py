@@ -23,10 +23,6 @@ def test_append_validation():
         c.append("RZ", 0, angle=float("nan"))
     with pytest.raises(ValueError):
         c.append("H", 0, angle=0.5)
-    with pytest.raises(ValueError):
-        c.append("H", 0, classical_target=0)
-    c.append("MEASZ", 1, classical_target=3)
-    assert c.gates[0].classical_target == 3
 
 
 def test_counts():

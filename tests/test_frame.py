@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesim import Circuit, PauliFrame, PauliString, invert_to_rotations
 from oracles import (all_paulis, circuit_unitary, pauli_matrix,
@@ -195,11 +197,26 @@ def test_invert_round_trip_random():
         assert multi <= 2 * n
         singles = sum(1 for s in steps
                       if s.kind == "pauli_rotation" and s.axis.weight == 1)
-        assert singles <= 3 * n
+        assert singles <= 2 * n
         chk = f.copy()
         for s in steps:
             chk.apply_step(s)
         assert chk.is_origin()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), length=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+def test_invert_random_frames_round_trip_within_the_documented_bounds(n, length, seed):
+    f = frame_of(random_clifford_circuit(np.random.default_rng(seed), n, length))
+    steps = invert_to_rotations(f)
+    weights = [s.axis.weight for s in steps if s.kind == "pauli_rotation"]
+    assert sum(w >= 2 for w in weights) <= 2 * n
+    assert sum(w == 1 for w in weights) <= 2 * n
+    assert len(steps) - len(weights) <= n - 1
+    chk = f.copy()
+    for s in steps:
+        chk.apply_step(s)
+    assert chk == PauliFrame.origin(n)
 
 
 def test_invert_steps_compose_to_the_tracked_unitary():
@@ -229,10 +246,11 @@ def test_invert_rejects_invalid_frame():
 
 
 def test_invert_raises_when_no_row_carries_a_qubit(monkeypatch):
-    # validate() reads the rows directly; the synthesis reads them through eff_z
-    monkeypatch.setattr(PauliFrame, "eff_z", lambda self, i: PauliString.identity(self.num_qubits))
-    with pytest.raises(RuntimeError, match="no eff_z row carries qubit 0"):
-        invert_to_rotations(PauliFrame.origin(2))
+    # both rows are (Z0, X0), which validate() would reject
+    monkeypatch.setattr(PauliFrame, "validate", lambda self: True)
+    z0, x0 = PauliString.single(2, 0, "Z"), PauliString.single(2, 0, "X")
+    with pytest.raises(RuntimeError, match="no eff_z row carries qubit 1"):
+        invert_to_rotations(PauliFrame(2, rows=[(z0, x0), (z0, x0)]))
 
 
 def test_invert_raises_when_synthesis_misses_the_origin(monkeypatch):
