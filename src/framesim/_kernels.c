@@ -3,10 +3,10 @@
  * The state is 2**n complex doubles stored as interleaved (re, im) pairs;
  * bit j of an index is the value of qubit j.
  *
- * The two rotation kernels walk the state
- * in tiles of TILE amplitudes.  A rotation pairs index k with k ^ x: the x
- * bits inside a tile only permute positions within it, the bits above pick
- * the partner tile.  Every tile is therefore read and written once, next to
+ * The two rotation kernels and the Clifford loop walk the state in tiles
+ * of TILE amplitudes.  A rotation pairs index k with k ^ x: the x bits
+ * inside a tile only permute positions within it, the bits above pick the
+ * partner tile.  Every tile is therefore read and written once, next to
  * its partner, whatever the weight of the Pauli operator.  Partners are
  * visited out of address order, which the hardware prefetchers do not
  * follow, so each loop prefetches the tiles it will visit next, one cache
@@ -14,11 +14,17 @@
  * way as the index, into one sign per tile and a per-position table built
  * once per call.
  *
+ * The rotation kernels take any complex coefficients.  The Clifford loop
+ * serves the updates whose coefficients are powers of i times a real
+ * scale (Pauli operators, turns by multiples of pi/2, S and SDG), and
+ * applies each power of i as an element swap and a sign pattern instead of
+ * a complex multiply.
+ *
  * The two gate kernels at the end of the file serve the fixed gates that
  * are not of the form c*I + u*P: the Hadamard gate on one qubit and a
  * masked pair exchange (CX, CZ, SWAP and the flush's qubit relabelings).
- * Both walk contiguous runs of amplitudes in address order and allocate
- * nothing.
+ * Both walk contiguous runs of amplitudes in address order, a cache line
+ * at a time where the runs are shorter, and allocate nothing.
  *
  * Built by _kernels.py with the system C compiler and loaded with ctypes.
  */
@@ -44,7 +50,7 @@ static inline cplx cneg(cplx a)
     return r;
 }
 
-static inline void prefetch(const cplx *p)
+static inline void prefetch(const void *p)
 {
     __builtin_prefetch(p, 1, 3);
 }
@@ -231,15 +237,208 @@ void framesim_rotation_diag(double *amp_, int64_t n_amp, uint64_t z,
     }
 }
 
+
+/* The Clifford loop and the gate loops below hold each amplitude as one
+ * 16-byte vector of (re, im).  Multiplying by a power of i is then an
+ * element swap followed by a pattern of signs, with no complex multiply. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef long long v2i __attribute__((vector_size(16)));
+
+/* i**e * v = swap(v) * TURN[e] for odd e, and v * TURN[e] for even e */
+static const v2d TURN[4] = {{1, 1}, {-1, 1}, {-1, -1}, {1, -1}};
+
+/* Element order of a partner amplitude: as it is, swapped, or swapped
+ * where the lane mask `odd` of its position is set. */
+enum { KEEP, SWAP, BLEND };
+
+static inline v2d order(v2d v, int how, v2i odd)
+{
+    const v2d s = {v[1], v[0]};
+    if (how == KEEP)
+        return v;
+    if (how == SWAP)
+        return s;
+    return (v2d)(((v2i)s & odd) | ((v2i)v & ~odd));
+}
+
+/* *a <- cd*a + pa*order(b);  *b <- cd*b + pb*order(a) */
+static inline __attribute__((always_inline)) void
+turn_pair(v2d *a, v2d *b, v2d pa, v2d pb, v2i oa, v2i ob, v2d cd, int how)
+{
+    const v2d va = *a, vb = *b;
+    *a = cd * va + pa * order(vb, how, oa);
+    *b = cd * vb + pb * order(va, how, ob);
+}
+
+/* turn_pair on (t[j], u[j ^ m]) for j < len, loading, storing and
+ * prefetching as pair_blocks does. */
+static inline __attribute__((always_inline)) void
+turn_blocks(v2d *restrict t, v2d *restrict u, const v2d *pt, const v2d *pu,
+            const v2i *ot, const v2i *ou, const v2d *nt, const v2d *nu,
+            int64_t len, int64_t m, v2d cd, int how)
+{
+    int64_t j = 0;
+    for (; j + LINE <= len; j += LINE) {
+        v2d a[LINE], b[LINE];
+        prefetch(nt + j);
+        prefetch(nu + j);
+        for (int64_t i = 0; i < LINE; i++) {
+            a[i] = t[j + i];
+            b[i] = u[(j + i) ^ m];
+        }
+        for (int64_t i = 0; i < LINE; i++) {
+            const int64_t k = (j + i) ^ m;
+            t[j + i] = cd * a[i] + pt[j + i] * order(b[i], how, ot[j + i]);
+            u[k] = cd * b[i] + pu[k] * order(a[i], how, ou[k]);
+        }
+    }
+    for (; j < len; j++) /* blocks shorter than a line: a one-qubit state */
+        turn_pair(t + j, u + (j ^ m), pt[j], pu[j ^ m], ot[j], ou[j ^ m], cd, how);
+}
+
+/* The traversal of framesim_clifford for one element order `how`, which
+ * the caller passes as a constant so that each order gets a loop of its
+ * own.  pat[h][s][j] and odd[h][j] describe position j of a tile whose
+ * sign bit is s, h being the tile's bit p when p lies above the tile. */
+static inline __attribute__((always_inline)) void
+turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, int p,
+          v2d (*pat)[2][TILE], v2i (*odd)[TILE], v2d cd, int how)
+{
+    const int64_t len = (int64_t)1 << b;
+    const int64_t n_tiles = n_amp >> b;
+    const uint64_t xl = x & (uint64_t)(len - 1), xt = x >> b, zt = z >> b;
+#define H(t) (p >= b ? (int)(((t) >> (p - b)) & 1) : 0)
+#define S(t) __builtin_parityll((uint64_t)(t) & zt)
+
+    if (x == 0) {
+        for (int64_t t = 0; t < n_tiles; t++) {
+            v2d *restrict tile = amp + (t << b);
+            const v2d *pt = pat[H(t)][S(t)];
+            const v2i *ot = odd[H(t)];
+            int64_t j = 0;
+            for (; j + LINE <= len; j += LINE) {
+                v2d a[LINE];
+                for (int64_t i = 0; i < LINE; i++)
+                    a[i] = tile[j + i];
+                for (int64_t i = 0; i < LINE; i++)
+                    tile[j + i] = cd * a[i] + pt[j + i] * order(a[i], how, ot[j + i]);
+            }
+            for (; j < len; j++)
+                tile[j] = cd * tile[j] + pt[j] * order(tile[j], how, ot[j]);
+        }
+        return;
+    }
+
+    if (xt == 0) {
+        /* partners share a tile: as in framesim_rotation_pairs */
+        const int q = 63 - __builtin_clzll(xl);
+        const int64_t half = (int64_t)1 << q, m = (int64_t)(xl ^ (uint64_t)half);
+        for (int64_t t = 0; t < n_tiles; t++) {
+            v2d *tile = amp + (t << b);
+            const v2d *next = t + 1 < n_tiles ? tile + len : tile;
+            const v2d *pt = pat[H(t)][S(t)];
+            const v2i *ot = odd[H(t)];
+            if (half >= LINE || len < LINE) {
+                for (int64_t blk = 0; blk < len; blk += 2 * half)
+                    turn_blocks(tile + blk, tile + blk + half, pt + blk,
+                                pt + blk + half, ot + blk, ot + blk + half,
+                                next + blk, next + blk + half, half, m, cd, how);
+                continue;
+            }
+            /* x is 1, 2 or 3: two pairs share each cache line */
+            const int64_t j1 = half == 1 ? 2 : 1, x1 = j1 ^ (int64_t)xl;
+            for (int64_t base = 0; base < len; base += LINE) {
+                v2d *r = tile + base;
+                const v2d *pr = pt + base;
+                const v2i *orr = ot + base;
+                prefetch(next + base);
+                turn_pair(r, r + xl, pr[0], pr[xl], orr[0], orr[xl], cd, how);
+                turn_pair(r + j1, r + x1, pr[j1], pr[x1], orr[j1], orr[x1], cd, how);
+            }
+        }
+        return;
+    }
+
+    /* partner tiles differ: pair each tile t with bit tp clear with t ^ xt */
+    const int64_t tp = (int64_t)(xt & -xt);
+    for (int64_t t = 0; t < n_tiles; t++) {
+        if (t & tp)
+            continue;
+        const int64_t t2 = t ^ (int64_t)xt;
+        int64_t next = (t + 1) & tp ? t + 1 + tp : t + 1;
+        if (next >= n_tiles)
+            next = t;
+        turn_blocks(amp + (t << b), amp + (t2 << b), pat[H(t)][S(t)],
+                    pat[H(t2)][S(t2)], odd[H(t)], odd[H(t2)], amp + (next << b),
+                    amp + ((next ^ (int64_t)xt) << b), len, (int64_t)xl, cd, how);
+    }
+#undef H
+#undef S
+}
+
+/* amp[k] <- c*(d*amp[k] + i**e(k) * (-1)**parity(k & z) * amp[k ^ x])
+ *
+ * with e(k) = e0 + e1*(bit p of k): every Pauli operator, every turn of a
+ * Pauli rotation by a multiple of pi/2 (c = +-1 or +-1/sqrt(2), d = 0 or 1)
+ * and the S and SDG gates (x = z = 0, e1 = 1 or 3).  x may be 0, the
+ * diagonal case; x, z and 2**p must be below n_amp, a power of two.
+ *
+ * The traversal is that of framesim_rotation_pairs, over the pairs
+ * {k, k ^ x}; as the update of k reads only k and its partner, it needs
+ * no pivot.  The factor c * i**e(k) * (-1)**parity(k & z) splits into a
+ * tile part and a position part, like the sign, and is applied as an
+ * element order (see `order`) and a pattern of signs scaled by c.  When e1
+ * is even every amplitude has the same order, and the loop makes no
+ * choice per position. */
+void framesim_clifford(double *amp_, int64_t n_amp, uint64_t x, uint64_t z,
+                       double c, double d, int e0, int e1, int p)
+{
+    v2d *amp = (v2d *)amp_;
+    const int b = tile_bits(n_amp);
+    const int64_t len = (int64_t)1 << b;
+    const v2d cd = {c * d, c * d};
+
+    double sign[TILE];
+    v2d pat[2][2][TILE];
+    v2i odd[2][TILE];
+    sign_table(sign, len, z & (uint64_t)(len - 1));
+    for (int h = 0; h < (p < b ? 1 : 2); h++)
+        for (int64_t j = 0; j < len; j++) {
+            const int e = (e0 + e1 * (p < b ? (int)((j >> p) & 1) : h)) & 3;
+            pat[h][0][j] = TURN[e] * (c * sign[j]);
+            pat[h][1][j] = -pat[h][0][j];
+            odd[h][j] = (v2i){-(long long)(e & 1), -(long long)(e & 1)};
+        }
+
+    if (e1 & 1)
+        turn_walk(amp, n_amp, b, x, z, p, pat, odd, cd, BLEND);
+    else if (e0 & 1)
+        turn_walk(amp, n_amp, b, x, z, p, pat, odd, cd, SWAP);
+    else
+        turn_walk(amp, n_amp, b, x, z, p, pat, odd, cd, KEEP);
+}
+
 /* amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)
  *
  * for every pair k0, k1 = k0 | 2**q with bit q of k0 clear: the Hadamard
  * gate on qubit q.  The pairs form two runs of 2**q amplitudes per block of
  * 2**(q+1).  H is real, so it scales the real and imaginary parts alike and
- * the loop runs over doubles. */
+ * the loop runs over doubles; for q = 0 and 1, where each cache line holds
+ * two whole pairs, it takes a line per iteration instead. */
 void framesim_apply_h(double *amp, int64_t n_amp, int q)
 {
     const double r = 0.70710678118654752440; /* 1/sqrt(2) */
+    if (q < 2 && n_amp >= LINE) {
+        const int64_t h = (int64_t)1 << q, j1 = h == 1 ? 2 : 1;
+        for (v2d *l = (v2d *)amp; l < (v2d *)amp + n_amp; l += LINE) {
+            const v2d a0 = l[0], a1 = l[h], b0 = l[j1], b1 = l[j1 + h];
+            l[0] = r * (a0 + a1);
+            l[h] = r * (a0 - a1);
+            l[j1] = r * (b0 + b1);
+            l[j1 + h] = r * (b0 - b1);
+        }
+        return;
+    }
     const int64_t half = (int64_t)2 << q; /* doubles per run */
     for (int64_t blk = 0; blk < 2 * n_amp; blk += 2 * half) {
         double *restrict lo = amp + blk;
@@ -252,6 +451,18 @@ void framesim_apply_h(double *amp, int64_t n_amp, int q)
     }
 }
 
+/* *a <-> *b, or *a <- -*a when x is 0 (then b is a) */
+static inline void exchange(v2d *a, v2d *b, uint64_t x)
+{
+    const v2d t = *a;
+    if (x == 0) {
+        *a = -t;
+        return;
+    }
+    *a = *b;
+    *b = t;
+}
+
 /* For every k with (k & mask) == val, swap amp[k] with amp[k ^ x]; when x
  * is 0, negate amp[k] instead.  val and x must be submasks of mask, so
  * that a partner k ^ x (x nonzero) never matches val itself and each pair
@@ -260,23 +471,38 @@ void framesim_apply_h(double *amp, int64_t n_amp, int q)
  * The matching indices form runs of len contiguous amplitudes, len being
  * the lowest set bit of mask (the whole state when mask is 0), and x moves
  * a run as a whole.  The run starts with the bits of `fixed` clear are
- * counted in order by adding one with those bits forced set. */
+ * counted in order by adding one with those bits forced set.  Runs of one
+ * or two amplitudes (bit 0 or 1 of mask set) are walked a cache line at a
+ * time instead, taking the one or two matching positions of each line. */
 void framesim_pair_exchange(double *amp_, int64_t n_amp, uint64_t mask,
                             uint64_t val, uint64_t x)
 {
-    cplx *amp = (cplx *)amp_;
+    v2d *amp = (v2d *)amp_;
     const uint64_t len = mask ? mask & -mask : (uint64_t)n_amp;
+    if (len < LINE && n_amp >= LINE) {
+        /* the second matching position of a line is the first plus the
+         * low bit that mask leaves free, if it leaves one */
+        const uint64_t lo = LINE - 1, fixed = mask | lo, f = lo & ~mask;
+        for (uint64_t s = 0; s < (uint64_t)n_amp; s = ((s | fixed) + 1) & ~fixed) {
+            v2d *a = amp + (s | val);
+            v2d *b = amp + ((s | val) ^ x);
+            exchange(a, b, x);
+            if (f)
+                exchange(a + f, b + f, x);
+        }
+        return;
+    }
     const uint64_t fixed = mask | (len - 1);
     for (uint64_t s = 0; s < (uint64_t)n_amp; s = ((s | fixed) + 1) & ~fixed) {
-        cplx *restrict a = amp + (s | val);
+        v2d *restrict a = amp + (s | val);
         if (x == 0) {
             for (uint64_t j = 0; j < len; j++)
-                a[j] = cneg(a[j]);
+                a[j] = -a[j];
             continue;
         }
-        cplx *restrict b = amp + ((s | val) ^ x);
+        v2d *restrict b = amp + ((s | val) ^ x);
         for (uint64_t j = 0; j < len; j++) {
-            const cplx t = a[j];
+            const v2d t = a[j];
             a[j] = b[j];
             b[j] = t;
         }

@@ -1,34 +1,43 @@
 """The in-place amplitude kernels of ``StateVector``, and the choice of their tier.
 
-Four amplitude loops carry every state update:
+Five amplitude loops carry every state update:
 
+- ``clifford`` computes ``a[k] <- c*(d*a[k] + i**e(k) * (-1)**parity(k & z)
+  * a[k ^ x])`` with ``e(k) = e0 + e1*(bit p of k)``: every update whose
+  coefficients are powers of i times 1 or 1/sqrt(2).  That is Pauli
+  application (and with it the expectation and the prepare repair), the
+  flush's quarter and half turns, and the baseline's X, Y, Z, S and SDG.
 - ``rotation_pairs`` and ``rotation_diag`` compute ``a <- c*a + u*P*a`` for
-  a multi-qubit Pauli P: Pauli rotations, Pauli application, the
-  measurement collapse and the baseline's Pauli-shaped 1-qubit gates.
-  ``rotation_pairs`` serves an operator P that flips bits and
-  ``rotation_diag`` a diagonal one.
+  a multi-qubit Pauli P and any complex u: rotations by arbitrary angles
+  and the measurement collapse.  ``rotation_pairs`` serves an operator P
+  that flips bits and ``rotation_diag`` a diagonal one.
 - ``apply_h`` applies the Hadamard gate to one qubit: the baseline's H.
 - ``pair_exchange`` swaps ``a[k]`` with ``a[k ^ x]`` for every k whose bits
   under ``mask`` equal ``val``, or negates ``a[k]`` when x is 0: the
   baseline's CX, CZ and SWAP and the flush's qubit relabelings.
 
 The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
-(one read and one write each) and allocate nothing.  The rotation loops walk
-the state in cache-sized tiles, so that their cost depends neither on the
-number of qubits nor on how many qubits the operator touches; the gate loops
-walk contiguous runs in address order.  The ``numpy_*`` functions compute
-the same things by filtering index arrays, with whole-array temporaries,
-several times slower per amplitude; they are the reference the tests compare
-the C loops against.
+(one read and one write each) and allocate nothing.  The Clifford and
+rotation loops walk the state in cache-sized tiles, so that their cost
+depends neither on the number of qubits nor on how many qubits the operator
+touches; the gate loops walk contiguous runs in address order, a cache line
+at a time where the runs are shorter.  The Clifford loop applies a power of
+i as an element swap and a sign pattern, with no complex multiply: on a
+2-core Xeon at n = 20 it runs at 1.0-1.3 ns per amplitude (1.3-1.45 for S
+and SDG), against 1.9-2.3 for ``rotation_pairs`` and 0.7-0.85 for an
+in-place streaming pass.  The ``numpy_*`` functions compute the same things
+by filtering index arrays, with whole-array temporaries, several times
+slower per amplitude; they are the reference the tests compare the C loops
+against.
 
 On first import the C source is compiled with the system C compiler (``gcc``,
 else ``cc``) into ``$XDG_CACHE_HOME/framesim`` (default ``~/.cache/framesim``),
 under a name keyed by a hash of the source and the compiler flags, and then
 loaded with ``ctypes``; later imports load the cached library without
-compiling.  When the library loads, the four names are the C loops and
+compiling.  When the library loads, the five names are the C loops and
 ``JIT_ENABLED`` is True.  When it cannot be built or loaded (no compiler, a
 build error, a cache directory that cannot be written) one
-``RuntimeWarning`` names the reason and the four names are bound to the
+``RuntimeWarning`` names the reason and the five names are bound to the
 numpy functions instead.  The choice is made once, here, from what the
 import observes.
 """
@@ -44,6 +53,7 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-fPIC", "-shared")
 _SQ2 = 0.7071067811865476  # 1/sqrt(2), as in the C loop
+_I_POW = np.array([1, 1j, -1, -1j])
 
 
 class _Unavailable(Exception):
@@ -53,6 +63,12 @@ class _Unavailable(Exception):
 def _cache_dir() -> Path:
     root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     return Path(root) / "framesim"
+
+
+def _compiler() -> str | None:
+    """Path of the C compiler the build uses: ``gcc``, else ``cc``, else None."""
+    import shutil
+    return shutil.which("gcc") or shutil.which("cc")
 
 
 def _build() -> Path:
@@ -66,8 +82,8 @@ def _build() -> Path:
     lib = cache / f"_kernels-{key}.so"
     if lib.is_file():
         return lib
-    import shutil, subprocess, tempfile  # only a first import compiles
-    cc = shutil.which("gcc") or shutil.which("cc")
+    import subprocess, tempfile  # only a first import compiles
+    cc = _compiler()
     if cc is None:
         raise _Unavailable("no C compiler (gcc or cc) on PATH")
     try:
@@ -103,6 +119,9 @@ def _load():
     lib.framesim_rotation_pairs.restype = None
     lib.framesim_rotation_diag.argtypes = [ptr, i64, u64, f64, f64, f64, f64]
     lib.framesim_rotation_diag.restype = None
+    lib.framesim_clifford.argtypes = [ptr, i64, u64, u64, f64, f64, ctypes.c_int,
+                                      ctypes.c_int, ctypes.c_int]
+    lib.framesim_clifford.restype = None
     lib.framesim_apply_h.argtypes = [ptr, i64, ctypes.c_int]
     lib.framesim_apply_h.restype = None
     lib.framesim_pair_exchange.argtypes = [ptr, i64, u64, u64, u64]
@@ -173,6 +192,12 @@ def _c_rotation_diag(amp, z, f_even, f_odd):
                                 f_odd.real, f_odd.imag)
 
 
+def _c_clifford(amp, x, z, c, d, e0, e1, p):
+    """``numpy_clifford`` in one tiled pass of the C loop."""
+    addr = _address(amp, x, z, 1 << p)
+    _lib.framesim_clifford(addr, amp.shape[0], x, z, c, d, e0 & 3, e1 & 3, p)
+
+
 def _c_apply_h(amp, q):
     """``numpy_apply_h`` in one pass of the C loop."""
     addr = _address(amp, 1 << q)
@@ -221,6 +246,22 @@ def numpy_rotation_diag(amp, z, f_even, f_odd):
     amp *= np.where(odd, f_odd, f_even)
 
 
+def numpy_clifford(amp, x, z, c, d, e0, e1, p):
+    """amp[k] <- c*(d*amp[k] + i**e(k) * (-1)**parity(k & z) * amp[k ^ x]).
+
+    e(k) = e0 + e1*(bit p of k).  This is c*(d + i**e0 * P) for a Pauli P
+    with x bits x and z bits z (up to P's own phase, see
+    ``statevector._pauli_turn``), and with x = z = 0 and e1 = 1 or 3 the S or
+    SDG gate on qubit p.  c is real and d is 0 or 1.
+    """
+    if not 0 <= max(x, z, 1 << p) < amp.shape[0]:
+        raise ValueError("bit mask out of range for the amplitude array")
+    k = np.arange(amp.shape[0], dtype=np.int64)
+    e = (e0 + e1 * ((k >> p) & 1)) & 3
+    sg = 1.0 - 2.0 * (np.bitwise_count(k & np.int64(z)) & 1)
+    amp[:] = c * (d * amp + _I_POW[e] * sg * amp[k ^ np.int64(x)])
+
+
 def numpy_apply_h(amp, q):
     """The Hadamard gate on qubit q: for each pair k0, k1 = k0 | 2**q with
     bit q of k0 clear, amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)."""
@@ -252,7 +293,7 @@ def numpy_pair_exchange(amp, mask, val, x):
 
 if _lib is not None:
     rotation_pairs, rotation_diag = _c_rotation_pairs, _c_rotation_diag
-    apply_h, pair_exchange = _c_apply_h, _c_pair_exchange
+    clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
 else:
     rotation_pairs, rotation_diag = numpy_rotation_pairs, numpy_rotation_diag
-    apply_h, pair_exchange = numpy_apply_h, numpy_pair_exchange
+    clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange

@@ -54,6 +54,11 @@ class RotationStep:
     angle: float = 0.0
     qubits: tuple[int, int] | None = None
 
+    @property
+    def quarter_turns(self) -> int:
+        """The rotation angle in quarter turns: 1, -1 or 2."""
+        return _quarter_turns(self.angle)
+
     @classmethod
     def rotation(cls, axis: PauliString, angle: float) -> "RotationStep":
         return cls("pauli_rotation", axis=axis, angle=angle)
@@ -216,7 +221,7 @@ class PauliFrame:
         Entries commuting with the axis are untouched; anticommuting ones
         become -i*Q*E (+pi/2), +i*Q*E (-pi/2) or -E (pi).
         """
-        shift = _clifford_angle_shift(angle)
+        shift = -_quarter_turns(angle) & 3
         q = (axis.x_bits, axis.z_bits, axis.phase_exp)
         for row in (self._z, self._x):
             for i, e in enumerate(row):
@@ -255,11 +260,11 @@ class PauliFrame:
         return f"PauliFrame({self.num_qubits} qubits)\n{self.dump()}"
 
 
-def _clifford_angle_shift(angle: float) -> int:
-    """Phase shift (exponent of i) for the anticommuting conjugation branch."""
-    for target, shift in ((_QUARTER, -1), (-_QUARTER, 1), (math.pi, 2)):
+def _quarter_turns(angle: float) -> int:
+    """The angle in quarter turns: 1, -1 or 2 for pi/2, -pi/2 or pi."""
+    for target, turns in ((_QUARTER, 1), (-_QUARTER, -1), (math.pi, 2)):
         if math.isclose(angle, target, rel_tol=0.0, abs_tol=1e-12):
-            return shift
+            return turns
     raise ValueError(f"frame conjugation needs angle in {{+-pi/2, pi}}, got {angle}")
 
 

@@ -7,12 +7,16 @@ that is a pure bit computation, so one rotation costs a single pass over
 the amplitudes regardless of how many qubits P touches.  That flatness in
 operator weight is the whole point of the hybrid backend built on top.
 
-``StateVector`` holds no amplitude loop of its own.  Every update of the
-form c*I + u*P -- rotations, Pauli application, the measurement collapse and
-the baseline's Pauli-shaped 1-qubit gates -- goes through the two rotation
-loops of ``_kernels``; H goes through its Hadamard loop, and CX, CZ, SWAP and
-``swap_qubits`` through its masked pair exchange.  All of them update the
-amplitudes in place.
+``StateVector`` holds no amplitude loop of its own.  Every update whose
+coefficients are powers of i times 1 or 1/sqrt(2) -- Pauli application
+(and with it the expectation and the prepare repair), rotations by
+multiples of pi/2 (``apply_clifford_rotation``, which the flush uses) and
+the baseline's X, Y, Z, S and SDG -- goes through the Clifford loop of
+``_kernels``, which needs no complex multiply and costs about half a
+general rotation pass.  Rotations by other angles and the measurement
+collapse, of the form c*I + u*P, go through its two rotation loops; H goes
+through its Hadamard loop, and CX, CZ, SWAP and ``swap_qubits`` through its
+masked pair exchange.  All of them update the amplitudes in place.
 
 Index convention: bit j of the amplitude index is the computational value
 of qubit j (qubit 0 = least significant bit).
@@ -35,14 +39,20 @@ _IMAG_TOLERANCE = 1e-9
 
 _I_POW = (1, 1j, -1, -1j)
 
-# the baseline's 1-qubit gates of the form c*I + u*P, as (letter, c, u);
-# H is the one 1-qubit gate that is not
-_PAULI_1Q = {
-    "X": ("X", 0.0, 1.0),
-    "Y": ("Y", 0.0, 1.0),
-    "Z": ("Z", 0.0, 1.0),
-    "S": ("Z", (1 + 1j) / 2, (1 - 1j) / 2),
-    "SDG": ("Z", (1 - 1j) / 2, (1 + 1j) / 2),
+_SQ2 = 0.7071067811865476  # cos(pi/4)
+# R_P(k*pi/2) = cos(k*pi/4) - i*sin(k*pi/4)*P as c*(d + i**e * P), by k mod 8;
+# k = 0 and 4 are +I and -I
+_QUARTER_TURNS = {1: (_SQ2, 1, 3), 2: (1.0, 0, 3), 3: (-_SQ2, 1, 1),
+                  5: (-_SQ2, 1, 3), 6: (1.0, 0, 1), 7: (_SQ2, 1, 1)}
+# the baseline's 1-qubit Clifford gates other than H, as arguments
+# (x, z, e0, e1) of ``_kernels.clifford`` from the single-bit mask of their
+# qubit, with c = 1, d = 0 and p the qubit
+_CLIFFORD_1Q = {
+    "X": lambda b: (b, 0, 0, 0),
+    "Y": lambda b: (b, b, 3, 0),
+    "Z": lambda b: (0, b, 0, 0),
+    "S": lambda b: (0, 0, 0, 1),
+    "SDG": lambda b: (0, 0, 0, 3),
 }
 # the 2-qubit gates as arguments (mask, val, x) of ``_kernels.pair_exchange``,
 # from the single-bit masks of their two qubits
@@ -75,6 +85,21 @@ def _combine(amp: np.ndarray, p: PauliString, c, u) -> None:
     pivot = (p.x_bits & -p.x_bits).bit_length() - 1
     _kernels.rotation_pairs(amp, p.x_bits, p.z_bits, pivot, c,
                             -w if n_y & 1 else w, w)
+
+
+def _pauli_turn(amp: np.ndarray, p: PauliString, c: float, d: int, e: int) -> None:
+    """amp <- c*(d*amp + i**e * P*amp) in place, in one pass of the Clifford loop.
+
+    P|k> = i**(phase_exp + n_y) * (-1)**parity(k & z) * |k ^ x>, so
+    (P*amp)[k] = i**(phase_exp - n_y) * (-1)**parity(k & z) * amp[k ^ x]:
+    the partner's sign differs from k's by parity(x & z) = parity(n_y).
+    c is real and d is 0 or 1.
+    """
+    if 1 << p.num_qubits != amp.shape[0]:
+        raise ValueError(f"operator on {p.num_qubits} qubits applied to "
+                         f"{amp.shape[0].bit_length() - 1}-qubit state")
+    e0 = (e + p.phase_exp - p.y_mask.bit_count()) & 3
+    _kernels.clifford(amp, p.x_bits, p.z_bits, c, d, e0, 0, 0)
 
 
 class StateVector:
@@ -119,7 +144,7 @@ class StateVector:
 
     def apply_pauli(self, p: PauliString) -> None:
         """In-place permutation-plus-phase update |state> <- P|state>."""
-        _combine(self.amplitudes, p, 0.0, 1.0)
+        _pauli_turn(self.amplitudes, p, 1.0, 0, 0)
 
     def apply_pauli_rotation(self, p: PauliString, theta: float) -> None:
         """Apply R_P(theta) = exp(-i theta P / 2) in one amplitude pass.
@@ -133,6 +158,22 @@ class StateVector:
         half_angle = 0.5 * theta
         _combine(self.amplitudes, p, math.cos(half_angle), -1j * math.sin(half_angle))
 
+    def apply_clifford_rotation(self, p: PauliString, quarter_turns: int) -> None:
+        """Apply R_P(quarter_turns * pi/2) exactly, in one amplitude pass.
+
+        A turn by a multiple of pi/2 has coefficients that are powers of i
+        times 1 or 1/sqrt(2), so it runs on the Clifford loop, which applies
+        them without complex multiplies.  P must be Hermitian, as in
+        ``apply_pauli_rotation``; the result equals it up to rounding.
+        """
+        if not p.is_hermitian:
+            raise ValueError("rotation axis must be Hermitian (phase_exp 0 or 2)")
+        k = quarter_turns % 8
+        if k in _QUARTER_TURNS:
+            _pauli_turn(self.amplitudes, p, *_QUARTER_TURNS[k])
+        elif k == 4:
+            self.amplitudes *= -1.0
+
     # ------------------------------------------------------------------
     # observables, measurement, preparation
 
@@ -141,7 +182,7 @@ class StateVector:
         if not p.is_hermitian:
             raise ValueError("expectation requires a Hermitian operator")
         applied = self.amplitudes.copy()
-        _combine(applied, p, 0.0, 1.0)
+        _pauli_turn(applied, p, 1.0, 0, 0)
         val = np.vdot(self.amplitudes, applied)
         if abs(val.imag) >= _IMAG_TOLERANCE:
             raise RuntimeError(f"non-real Pauli expectation {val}")
@@ -185,10 +226,10 @@ class StateVector:
         for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range")
-        if tag in _PAULI_1Q:
-            letter, c, u = _PAULI_1Q[tag]
-            _combine(self.amplitudes, PauliString.single(self.num_qubits, qubits[0], letter),
-                     c, u)
+        if tag in _CLIFFORD_1Q:
+            q = qubits[0]
+            x, z, e0, e1 = _CLIFFORD_1Q[tag](1 << q)
+            _kernels.clifford(self.amplitudes, x, z, 1.0, 0, e0, e1, q)
         elif tag in ROTATION_AXIS:
             if angle is None:
                 raise ValueError(f"{tag} requires an angle")

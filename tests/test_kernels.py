@@ -16,12 +16,14 @@ SRC = TESTS.parent / "src"
 HAVE_CC = shutil.which("gcc") is not None or shutil.which("cc") is not None
 PROBE = "import framesim._kernels as k; print(k.kernel_tier())"
 # the fallback tier must also compute: one paired and one diagonal rotation
-# against the dense closed form, and each gate with a loop of its own
-# against its dense matrix
+# against the dense closed form, each gate with a loop of its own (S and Y
+# on the Clifford loop) against its dense matrix, and one flush against its
+# steps as dense rotations and swaps
 ROTATE_PROBE = PROBE + """
 import numpy as np
-from framesim import PauliString, StateVector
-from oracles import gate_unitary, rotation_matrix
+from framesim import HybridState, PauliFrame, PauliString, StateVector
+from framesim.frame import invert_to_rotations
+from oracles import gate_unitary, random_clifford_circuit, rotation_matrix
 rng = np.random.default_rng(0)
 for label in ("XZYIY", "ZIZZI"):
     p = PauliString.from_label(label)
@@ -30,12 +32,27 @@ for label in ("XZYIY", "ZIZZI"):
     s.apply_pauli_rotation(p, 0.9)
     if np.max(np.abs(s.amplitudes - rotation_matrix(p, 0.9) @ amp)) > 1e-12:
         raise SystemExit(f"numpy tier disagrees with the dense oracle on {label}")
-for tag, qubits in (("H", (3,)), ("CX", (4, 1)), ("CZ", (0, 2)), ("SWAP", (1, 3))):
+for tag, qubits in (("H", (3,)), ("CX", (4, 1)), ("CZ", (0, 2)), ("SWAP", (1, 3)),
+                    ("S", (2,)), ("Y", (4,))):
     amp = rng.normal(size=32) + 1j * rng.normal(size=32)
     s = StateVector(5, amp)
     s.apply_gate(tag, qubits)
     if np.max(np.abs(s.amplitudes - gate_unitary(tag, qubits, 5) @ amp)) > 1e-12:
         raise SystemExit(f"numpy tier disagrees with the dense oracle on {tag}")
+frame = PauliFrame.origin(5)
+for g in random_clifford_circuit(rng, 5, 40).gates:
+    frame.apply_gate(g.tag, g.qubits)
+amp = rng.normal(size=32) + 1j * rng.normal(size=32)
+ref = amp.copy()
+for step in invert_to_rotations(frame):
+    if step.kind == "pauli_rotation":
+        ref = rotation_matrix(step.axis, step.angle) @ ref
+    else:
+        ref = gate_unitary("SWAP", step.qubits, 5) @ ref
+hs = HybridState(frame, StateVector(5, amp))
+hs.flush_to_origin()
+if np.max(np.abs(hs.phi.amplitudes - ref)) > 1e-12:
+    raise SystemExit("numpy tier disagrees with the dense oracle on the flush")
 """
 
 
@@ -55,6 +72,18 @@ def test_missing_compiler_warns_and_falls_back(tmp_path):
     assert tier == "numpy"
     assert err.count("RuntimeWarning") == 1
     assert "no C compiler" in err
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler (gcc or cc) on PATH")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # the same compiler and flags as the build, with every common warning
+    # turned into an error
+    from framesim import _kernels
+    cc = _kernels._compiler()
+    done = subprocess.run([cc, *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_build_error_warns_with_compiler_output(tmp_path):

@@ -11,18 +11,21 @@ from framesim import HybridState, PauliFrame, PauliString, StateVector
 from framesim import _kernels
 from oracles import pauli_matrix, random_clifford_circuit, random_pauli, rotation_matrix
 
-# (rotation_pairs, rotation_diag) of each implementation: the numpy reference
-# always, and the compiled C loops wherever their library loaded; the oracle
-# tests must hold for whichever one a deployment ends up on
-KERNELS = {"numpy": (_kernels.numpy_rotation_pairs, _kernels.numpy_rotation_diag)}
+# (rotation_pairs, rotation_diag, clifford) of each implementation: the numpy
+# reference always, and the compiled C loops wherever their library loaded;
+# the oracle tests must hold for whichever one a deployment ends up on
+KERNELS = {"numpy": (_kernels.numpy_rotation_pairs, _kernels.numpy_rotation_diag,
+                     _kernels.numpy_clifford)}
 if _kernels.JIT_ENABLED:
-    KERNELS["compiled"] = (_kernels.rotation_pairs, _kernels.rotation_diag)
+    KERNELS["compiled"] = (_kernels.rotation_pairs, _kernels.rotation_diag,
+                           _kernels.clifford)
 
 
 def use_kernels(monkeypatch, name):
-    pairs, diag = KERNELS[name]
+    pairs, diag, clifford = KERNELS[name]
     monkeypatch.setattr(_kernels, "rotation_pairs", pairs)
     monkeypatch.setattr(_kernels, "rotation_diag", diag)
+    monkeypatch.setattr(_kernels, "clifford", clifford)
 
 
 @pytest.fixture(params=list(KERNELS))
@@ -181,7 +184,7 @@ def test_compiled_pair_loop_keeps_its_documented_semantics(case):
     rng = np.random.default_rng(17)
     c = float(rng.normal())
     u0, u1 = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
-    for name, (rotation_pairs, _) in KERNELS.items():
+    for name, (rotation_pairs, *_) in KERNELS.items():
         for pivot in (x.bit_length() - 1, (x & -x).bit_length() - 1):
             amp = random_state(rng, n).amplitudes
             k = np.arange(1 << n)
@@ -197,7 +200,7 @@ def test_compiled_pair_loop_keeps_its_documented_semantics(case):
 
 @pytest.mark.parametrize("name", list(KERNELS))
 def test_pair_loop_rejects_a_pivot_outside_x(name):
-    rotation_pairs, _ = KERNELS[name]
+    rotation_pairs, *_ = KERNELS[name]
     amp = StateVector.zero(3).amplitudes
     with pytest.raises(ValueError, match="pivot"):
         rotation_pairs(amp, 0b101, 0, 1, 1.0, 0j, 0j)
@@ -217,6 +220,22 @@ def test_rotation_takes_a_signed_axis_and_rejects_a_non_hermitian_one(kernel_pat
     for label in ("+iZX", "-iZX", "+iZI"):
         with pytest.raises(ValueError, match="Hermitian"):
             s.apply_pauli_rotation(PauliString.from_label(label), 0.3)
+
+
+def test_clifford_rotation_matches_closed_form(kernel_path):
+    # every residue of the quarter-turn count mod 8, on signed axes, with
+    # the global phase of exp(-i k pi/4 P)
+    rng = np.random.default_rng(22)
+    for turns in range(-8, 9):
+        for _ in range(4):
+            n = int(rng.integers(1, 6))
+            p = random_pauli(rng, n, signed=True)
+            s = random_state(rng, n)
+            ref = rotation_matrix(p, turns * np.pi / 2) @ s.amplitudes
+            s.apply_clifford_rotation(p, turns)
+            assert np.max(np.abs(s.amplitudes - ref)) < 1e-12, (p, turns)
+    with pytest.raises(ValueError, match="Hermitian"):
+        StateVector.zero(2).apply_clifford_rotation(PauliString.from_label("+iZX"), 1)
 
 
 def test_diagonal_rule_matches_scalar_formula(kernel_path):
@@ -258,10 +277,10 @@ def test_expectation_includes_sign():
 def test_expectation_raises_on_a_non_real_value(monkeypatch):
     # a Hermitian P has a real expectation; a broken kernel must not be
     # silently truncated to its real part, in an expectation or a measurement
-    def broken_diag(amp, z, f_even, f_odd):
+    def broken_clifford(amp, x, z, c, d, e0, e1, p):
         amp *= 1j
 
-    monkeypatch.setattr(_kernels, "rotation_diag", broken_diag)
+    monkeypatch.setattr(_kernels, "clifford", broken_clifford)
     with pytest.raises(RuntimeError, match="non-real"):
         StateVector.zero(1).expectation(PauliString.from_label("Z"))
     with pytest.raises(RuntimeError, match="non-real"):
@@ -293,10 +312,14 @@ def test_pauli_shaped_updates_allocate_at_most_one_state_copy():
         assert extra_peak(lambda: s.measure(p, 1)) <= 16 * s.dim + slack, p
         s = state.copy()
         assert extra_peak(lambda: s.apply_pauli(p)) <= slack, p
+        for turns in (1, 2, -1, 4):
+            s = state.copy()
+            assert extra_peak(lambda: s.apply_clifford_rotation(p, turns)) <= slack, (p, turns)
     for tag in ("X", "Y", "Z", "S", "SDG", "RX", "RY", "RZ"):
-        s = state.copy()
-        angle = 0.3 if tag.startswith("R") else None
-        assert extra_peak(lambda: s.apply_gate(tag, (5,), angle)) <= slack, tag
+        for q in (0, 5, 15):
+            s = state.copy()
+            angle = 0.3 if tag.startswith("R") else None
+            assert extra_peak(lambda: s.apply_gate(tag, (q,), angle)) <= slack, (tag, q)
 
 
 @pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
