@@ -16,15 +16,17 @@
  *
  * The rotation kernels take any complex coefficients.  The Clifford loop
  * serves the updates whose coefficients are powers of i times a real
- * scale (Pauli operators, turns by multiples of pi/2, S and SDG), and
- * applies each power of i as an element swap and a sign pattern instead of
- * a complex multiply.
+ * scale (Pauli operators, turns by multiples of pi/2, and a whole run of
+ * single-qubit Cliffords without a Hadamard part, whose power of i varies
+ * with the index through a phase mask m), and applies each power of i as
+ * an element swap and a sign pattern instead of a complex multiply.
  *
- * The two gate kernels at the end of the file serve the fixed gates that
- * are not of the form c*I + u*P: the Hadamard gate on one qubit and a
- * masked pair exchange (CX, CZ, SWAP and the flush's qubit relabelings).
- * Both walk contiguous runs of amplitudes in address order, a cache line
- * at a time where the runs are shorter, and allocate nothing.
+ * The two gate kernels at the end of the file serve fixed gates: the
+ * Hadamard gate on one qubit, and a masked pair exchange that swaps pairs
+ * of amplitudes (CX, SWAP and the flush's qubit relabelings) or multiplies
+ * a masked subset by a power of i (Z, S, SDG and CZ).  Both walk
+ * contiguous runs of amplitudes in address order, a cache line at a time
+ * where the runs are shorter, and allocate nothing.
  *
  * Built by _kernels.py with the system C compiler and loaded with ctypes.
  */
@@ -298,23 +300,24 @@ turn_blocks(v2d *restrict t, v2d *restrict u, const v2d *pt, const v2d *pu,
 
 /* The traversal of framesim_clifford for one element order `how`, which
  * the caller passes as a constant so that each order gets a loop of its
- * own.  pat[h][s][j] and odd[h][j] describe position j of a tile whose
- * sign bit is s, h being the tile's bit p when p lies above the tile. */
+ * own.  pat[o][j] and odd[o & 1][j] describe position j of a tile whose
+ * offset O(t) (see framesim_clifford) is o. */
 static inline __attribute__((always_inline)) void
-turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, int p,
-          v2d (*pat)[2][TILE], v2i (*odd)[TILE], v2d cd, int how)
+turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
+          v2d (*pat)[TILE], v2i (*odd)[TILE], v2d cd, int how)
 {
     const int64_t len = (int64_t)1 << b;
     const int64_t n_tiles = n_amp >> b;
-    const uint64_t xl = x & (uint64_t)(len - 1), xt = x >> b, zt = z >> b;
-#define H(t) (p >= b ? (int)(((t) >> (p - b)) & 1) : 0)
-#define S(t) __builtin_parityll((uint64_t)(t) & zt)
+    const uint64_t xl = x & (uint64_t)(len - 1), xt = x >> b, zt = z >> b, mt = m >> b;
+#define O(t) ((__builtin_popcountll((uint64_t)(t) & mt) \
+               + 2 * __builtin_parityll((uint64_t)(t) & zt)) & 3)
 
     if (x == 0) {
         for (int64_t t = 0; t < n_tiles; t++) {
             v2d *restrict tile = amp + (t << b);
-            const v2d *pt = pat[H(t)][S(t)];
-            const v2i *ot = odd[H(t)];
+            const int o = O(t);
+            const v2d *pt = pat[o];
+            const v2i *ot = odd[o & 1];
             int64_t j = 0;
             for (; j + LINE <= len; j += LINE) {
                 v2d a[LINE];
@@ -332,17 +335,18 @@ turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, int p,
     if (xt == 0) {
         /* partners share a tile: as in framesim_rotation_pairs */
         const int q = 63 - __builtin_clzll(xl);
-        const int64_t half = (int64_t)1 << q, m = (int64_t)(xl ^ (uint64_t)half);
+        const int64_t half = (int64_t)1 << q, mx = (int64_t)(xl ^ (uint64_t)half);
         for (int64_t t = 0; t < n_tiles; t++) {
             v2d *tile = amp + (t << b);
             const v2d *next = t + 1 < n_tiles ? tile + len : tile;
-            const v2d *pt = pat[H(t)][S(t)];
-            const v2i *ot = odd[H(t)];
+            const int o = O(t);
+            const v2d *pt = pat[o];
+            const v2i *ot = odd[o & 1];
             if (half >= LINE || len < LINE) {
                 for (int64_t blk = 0; blk < len; blk += 2 * half)
                     turn_blocks(tile + blk, tile + blk + half, pt + blk,
                                 pt + blk + half, ot + blk, ot + blk + half,
-                                next + blk, next + blk + half, half, m, cd, how);
+                                next + blk, next + blk + half, half, mx, cd, how);
                 continue;
             }
             /* x is 1, 2 or 3: two pairs share each cache line */
@@ -368,54 +372,58 @@ turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, int p,
         int64_t next = (t + 1) & tp ? t + 1 + tp : t + 1;
         if (next >= n_tiles)
             next = t;
-        turn_blocks(amp + (t << b), amp + (t2 << b), pat[H(t)][S(t)],
-                    pat[H(t2)][S(t2)], odd[H(t)], odd[H(t2)], amp + (next << b),
-                    amp + ((next ^ (int64_t)xt) << b), len, (int64_t)xl, cd, how);
+        const int o = O(t), o2 = O(t2);
+        turn_blocks(amp + (t << b), amp + (t2 << b), pat[o], pat[o2], odd[o & 1],
+                    odd[o2 & 1], amp + (next << b), amp + ((next ^ (int64_t)xt) << b),
+                    len, (int64_t)xl, cd, how);
     }
-#undef H
-#undef S
+#undef O
 }
 
 /* amp[k] <- c*(d*amp[k] + i**e(k) * (-1)**parity(k & z) * amp[k ^ x])
  *
- * with e(k) = e0 + e1*(bit p of k): every Pauli operator, every turn of a
- * Pauli rotation by a multiple of pi/2 (c = +-1 or +-1/sqrt(2), d = 0 or 1)
- * and the S and SDG gates (x = z = 0, e1 = 1 or 3).  x may be 0, the
- * diagonal case; x, z and 2**p must be below n_amp, a power of two.
+ * with e(k) = e0 + popcount(k & m): every Pauli operator and every turn of
+ * a Pauli rotation by a multiple of pi/2 (m = 0, c = +-1 or +-1/sqrt(2),
+ * d = 0 or 1), and, up to an eighth root of unity, any product of
+ * single-qubit Cliffords without a Hadamard part (d = 0, c = 1), which
+ * maps |k> to a power of i linear in the bits of k times |k ^ x>.  x may
+ * be 0, the diagonal case; x, z and m must be below n_amp, a power of two.
  *
  * The traversal is that of framesim_rotation_pairs, over the pairs
  * {k, k ^ x}; as the update of k reads only k and its partner, it needs
- * no pivot.  The factor c * i**e(k) * (-1)**parity(k & z) splits into a
- * tile part and a position part, like the sign, and is applied as an
- * element order (see `order`) and a pattern of signs scaled by c.  When e1
- * is even every amplitude has the same order, and the loop makes no
- * choice per position. */
+ * no pivot.  The factor c * i**e(k) * (-1)**parity(k & z) is c * i**f(k)
+ * with f(k) = e0 + popcount(k & m) + 2*parity(k & z) mod 4, which splits
+ * into a per-position part and a tile offset O(t) = popcount(t & m_hi) +
+ * 2*parity(t & z_hi), m_hi and z_hi being the bits above the tile.  It is
+ * applied as an element order (see `order`) and a pattern of signs scaled
+ * by c, from a table per offset.  When m is 0 every amplitude has the same
+ * order, and the loop makes no choice per position. */
 void framesim_clifford(double *amp_, int64_t n_amp, uint64_t x, uint64_t z,
-                       double c, double d, int e0, int e1, int p)
+                       double c, double d, int e0, uint64_t m)
 {
     v2d *amp = (v2d *)amp_;
     const int b = tile_bits(n_amp);
     const int64_t len = (int64_t)1 << b;
+    const uint64_t lo = (uint64_t)len - 1;
     const v2d cd = {c * d, c * d};
 
-    double sign[TILE];
-    v2d pat[2][2][TILE];
+    v2d pat[4][TILE];
     v2i odd[2][TILE];
-    sign_table(sign, len, z & (uint64_t)(len - 1));
-    for (int h = 0; h < (p < b ? 1 : 2); h++)
-        for (int64_t j = 0; j < len; j++) {
-            const int e = (e0 + e1 * (p < b ? (int)((j >> p) & 1) : h)) & 3;
-            pat[h][0][j] = TURN[e] * (c * sign[j]);
-            pat[h][1][j] = -pat[h][0][j];
-            odd[h][j] = (v2i){-(long long)(e & 1), -(long long)(e & 1)};
-        }
+    for (int64_t j = 0; j < len; j++) {
+        const int f = e0 + __builtin_popcountll((uint64_t)j & m & lo)
+                      + 2 * __builtin_parityll((uint64_t)j & z & lo);
+        for (int o = 0; o < 4; o++)
+            pat[o][j] = TURN[(f + o) & 3] * c;
+        for (int o = 0; o < 2; o++)
+            odd[o][j] = (v2i){-(long long)((f + o) & 1), -(long long)((f + o) & 1)};
+    }
 
-    if (e1 & 1)
-        turn_walk(amp, n_amp, b, x, z, p, pat, odd, cd, BLEND);
+    if (m)
+        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cd, BLEND);
     else if (e0 & 1)
-        turn_walk(amp, n_amp, b, x, z, p, pat, odd, cd, SWAP);
+        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cd, SWAP);
     else
-        turn_walk(amp, n_amp, b, x, z, p, pat, odd, cd, KEEP);
+        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cd, KEEP);
 }
 
 /* amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)
@@ -451,12 +459,18 @@ void framesim_apply_h(double *amp, int64_t n_amp, int q)
     }
 }
 
-/* *a <-> *b, or *a <- -*a when x is 0 (then b is a) */
-static inline void exchange(v2d *a, v2d *b, uint64_t x)
+/* i**e * v */
+static inline v2d turn(v2d v, int e)
+{
+    return (e & 1 ? (v2d){v[1], v[0]} : v) * TURN[e];
+}
+
+/* *a <-> *b, or *a <- i**e * *a when x is 0 (then b is a) */
+static inline void exchange(v2d *a, v2d *b, uint64_t x, int e)
 {
     const v2d t = *a;
     if (x == 0) {
-        *a = -t;
+        *a = turn(t, e);
         return;
     }
     *a = *b;
@@ -464,7 +478,7 @@ static inline void exchange(v2d *a, v2d *b, uint64_t x)
 }
 
 /* For every k with (k & mask) == val, swap amp[k] with amp[k ^ x]; when x
- * is 0, negate amp[k] instead.  val and x must be submasks of mask, so
+ * is 0, multiply amp[k] by i**e instead (e in 0..3).  val and x must be submasks of mask, so
  * that a partner k ^ x (x nonzero) never matches val itself and each pair
  * is visited once, and mask must be below n_amp, a power of two.
  *
@@ -475,7 +489,7 @@ static inline void exchange(v2d *a, v2d *b, uint64_t x)
  * or two amplitudes (bit 0 or 1 of mask set) are walked a cache line at a
  * time instead, taking the one or two matching positions of each line. */
 void framesim_pair_exchange(double *amp_, int64_t n_amp, uint64_t mask,
-                            uint64_t val, uint64_t x)
+                            uint64_t val, uint64_t x, int e)
 {
     v2d *amp = (v2d *)amp_;
     const uint64_t len = mask ? mask & -mask : (uint64_t)n_amp;
@@ -486,9 +500,9 @@ void framesim_pair_exchange(double *amp_, int64_t n_amp, uint64_t mask,
         for (uint64_t s = 0; s < (uint64_t)n_amp; s = ((s | fixed) + 1) & ~fixed) {
             v2d *a = amp + (s | val);
             v2d *b = amp + ((s | val) ^ x);
-            exchange(a, b, x);
+            exchange(a, b, x, e);
             if (f)
-                exchange(a + f, b + f, x);
+                exchange(a + f, b + f, x, e);
         }
         return;
     }
@@ -497,7 +511,7 @@ void framesim_pair_exchange(double *amp_, int64_t n_amp, uint64_t mask,
         v2d *restrict a = amp + (s | val);
         if (x == 0) {
             for (uint64_t j = 0; j < len; j++)
-                a[j] = -a[j];
+                a[j] = turn(a[j], e);
             continue;
         }
         v2d *restrict b = amp + ((s | val) ^ x);

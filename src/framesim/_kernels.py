@@ -3,18 +3,22 @@
 Five amplitude loops carry every state update:
 
 - ``clifford`` computes ``a[k] <- c*(d*a[k] + i**e(k) * (-1)**parity(k & z)
-  * a[k ^ x])`` with ``e(k) = e0 + e1*(bit p of k)``: every update whose
+  * a[k ^ x])`` with ``e(k) = e0 + popcount(k & m)``: every update whose
   coefficients are powers of i times 1 or 1/sqrt(2).  That is Pauli
   application (and with it the expectation and the prepare repair), the
-  flush's quarter and half turns, and the baseline's X, Y, Z, S and SDG.
+  flush's quarter and half turns, a run of the flush's single-qubit turns
+  without a Hadamard part in one pass (the phase mask m), and the
+  baseline's X and Y.
 - ``rotation_pairs`` and ``rotation_diag`` compute ``a <- c*a + u*P*a`` for
   a multi-qubit Pauli P and any complex u: rotations by arbitrary angles
   and the measurement collapse.  ``rotation_pairs`` serves an operator P
   that flips bits and ``rotation_diag`` a diagonal one.
 - ``apply_h`` applies the Hadamard gate to one qubit: the baseline's H.
 - ``pair_exchange`` swaps ``a[k]`` with ``a[k ^ x]`` for every k whose bits
-  under ``mask`` equal ``val``, or negates ``a[k]`` when x is 0: the
-  baseline's CX, CZ and SWAP and the flush's qubit relabelings.
+  under ``mask`` equal ``val``, or multiplies ``a[k]`` by ``i**e`` when x is
+  0: the baseline's CX and SWAP and the flush's qubit relabelings, and the
+  baseline's Z, S, SDG and CZ, which touch only the amplitudes whose
+  qubits are set.
 
 The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
 (one read and one write each) and allocate nothing.  The Clifford and
@@ -23,9 +27,10 @@ depends neither on the number of qubits nor on how many qubits the operator
 touches; the gate loops walk contiguous runs in address order, a cache line
 at a time where the runs are shorter.  The Clifford loop applies a power of
 i as an element swap and a sign pattern, with no complex multiply: on a
-2-core Xeon at n = 20 it runs at 1.0-1.3 ns per amplitude (1.3-1.45 for S
-and SDG), against 1.9-2.3 for ``rotation_pairs`` and 0.7-0.85 for an
-in-place streaming pass.  The ``numpy_*`` functions compute the same things
+2-core Xeon at n = 20 it runs at 1.0-1.3 ns per amplitude (1.0-1.6 with
+a phase mask, which picks the element order per amplitude), against
+1.9-2.3 for ``rotation_pairs`` and 0.7-0.85 for an in-place streaming
+pass.  The ``numpy_*`` functions compute the same things
 by filtering index arrays, with whole-array temporaries, several times
 slower per amplitude; they are the reference the tests compare the C loops
 against.
@@ -119,12 +124,11 @@ def _load():
     lib.framesim_rotation_pairs.restype = None
     lib.framesim_rotation_diag.argtypes = [ptr, i64, u64, f64, f64, f64, f64]
     lib.framesim_rotation_diag.restype = None
-    lib.framesim_clifford.argtypes = [ptr, i64, u64, u64, f64, f64, ctypes.c_int,
-                                      ctypes.c_int, ctypes.c_int]
+    lib.framesim_clifford.argtypes = [ptr, i64, u64, u64, f64, f64, ctypes.c_int, u64]
     lib.framesim_clifford.restype = None
     lib.framesim_apply_h.argtypes = [ptr, i64, ctypes.c_int]
     lib.framesim_apply_h.restype = None
-    lib.framesim_pair_exchange.argtypes = [ptr, i64, u64, u64, u64]
+    lib.framesim_pair_exchange.argtypes = [ptr, i64, u64, u64, u64, ctypes.c_int]
     lib.framesim_pair_exchange.restype = None
     return lib
 
@@ -192,10 +196,10 @@ def _c_rotation_diag(amp, z, f_even, f_odd):
                                 f_odd.real, f_odd.imag)
 
 
-def _c_clifford(amp, x, z, c, d, e0, e1, p):
+def _c_clifford(amp, x, z, c, d, e0, m):
     """``numpy_clifford`` in one tiled pass of the C loop."""
-    addr = _address(amp, x, z, 1 << p)
-    _lib.framesim_clifford(addr, amp.shape[0], x, z, c, d, e0 & 3, e1 & 3, p)
+    addr = _address(amp, x, z, m)
+    _lib.framesim_clifford(addr, amp.shape[0], x, z, c, d, e0 & 3, m)
 
 
 def _c_apply_h(amp, q):
@@ -204,11 +208,11 @@ def _c_apply_h(amp, q):
     _lib.framesim_apply_h(addr, amp.shape[0], q)
 
 
-def _c_pair_exchange(amp, mask, val, x):
+def _c_pair_exchange(amp, mask, val, x, e):
     """``numpy_pair_exchange`` in one pass of the C loop."""
     addr = _address(amp, mask)
     _check_exchange(mask, val, x)
-    _lib.framesim_pair_exchange(addr, amp.shape[0], mask, val, x)
+    _lib.framesim_pair_exchange(addr, amp.shape[0], mask, val, x, e & 3)
 
 
 def numpy_rotation_pairs(amp, x, z, pivot, c, u0, u1):
@@ -246,18 +250,21 @@ def numpy_rotation_diag(amp, z, f_even, f_odd):
     amp *= np.where(odd, f_odd, f_even)
 
 
-def numpy_clifford(amp, x, z, c, d, e0, e1, p):
+def numpy_clifford(amp, x, z, c, d, e0, m):
     """amp[k] <- c*(d*amp[k] + i**e(k) * (-1)**parity(k & z) * amp[k ^ x]).
 
-    e(k) = e0 + e1*(bit p of k).  This is c*(d + i**e0 * P) for a Pauli P
-    with x bits x and z bits z (up to P's own phase, see
-    ``statevector._pauli_turn``), and with x = z = 0 and e1 = 1 or 3 the S or
-    SDG gate on qubit p.  c is real and d is 0 or 1.
+    e(k) = e0 + popcount(k & m).  With m = 0 this is c*(d + i**e0 * P) for a
+    Pauli P with x bits x and z bits z (up to P's own phase, see
+    ``statevector._pauli_turn``).  With c = 1 and d = 0 it is any product of
+    single-qubit Cliffords without a Hadamard part, up to an eighth root of
+    unity: i**(popcount(k & m) + 2*parity(k & z)) is i raised to any
+    function of k that is linear mod 4 in its bits.  c is real and d is 0
+    or 1.
     """
-    if not 0 <= max(x, z, 1 << p) < amp.shape[0]:
+    if not 0 <= max(x, z, m) < amp.shape[0]:
         raise ValueError("bit mask out of range for the amplitude array")
     k = np.arange(amp.shape[0], dtype=np.int64)
-    e = (e0 + e1 * ((k >> p) & 1)) & 3
+    e = (e0 + np.bitwise_count(k & np.int64(m))) & 3
     sg = 1.0 - 2.0 * (np.bitwise_count(k & np.int64(z)) & 1)
     amp[:] = c * (d * amp + _I_POW[e] * sg * amp[k ^ np.int64(x)])
 
@@ -276,17 +283,17 @@ def numpy_apply_h(amp, q):
     amp[k1] = (a0 - a1) * _SQ2
 
 
-def numpy_pair_exchange(amp, mask, val, x):
+def numpy_pair_exchange(amp, mask, val, x, e):
     """Swap amp[k] with amp[k ^ x] for every k with k & mask == val; when x
-    is 0, negate amp[k] instead.  val and x must be submasks of mask, so
-    that each pair is listed once."""
+    is 0, multiply amp[k] by i**e instead.  val and x must be submasks of
+    mask, so that each pair is listed once."""
     if not 0 <= mask < amp.shape[0]:
         raise ValueError("bit mask out of range for the amplitude array")
     _check_exchange(mask, val, x)
     k = np.arange(amp.shape[0], dtype=np.int64)
     k = k[k & mask == val]
     if x == 0:
-        amp[k] *= -1.0
+        amp[k] *= _I_POW[e & 3]
     else:
         amp[k], amp[k ^ x] = amp[k ^ x], amp[k]
 

@@ -15,6 +15,7 @@ Measured eigenvalue +1 is recorded as classical bit 0.
 """
 from __future__ import annotations
 
+import itertools
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, Circuit
-from .frame import PauliFrame, invert_to_rotations
+from .frame import PauliFrame, RotationStep, invert_to_rotations
 from .pauli import PauliString
 from .statevector import StateVector
 
@@ -53,43 +54,112 @@ class RunReport:
         return _kernels.kernel_tier()
 
 
+def _is_monomial(step: RotationStep) -> bool:
+    """A single-qubit turn without a Hadamard part: about Z, or a half turn."""
+    return (step.kind == "pauli_rotation" and step.axis.weight == 1
+            and (not step.axis.x_bits or step.quarter_turns % 2 == 0))
+
+
+def _fold(run) -> tuple[int, int, int, int]:
+    """The product of single-qubit turns without a Hadamard part, applied in
+    order, as the arguments (x, z, m, eighths) of ``StateVector.apply_monomial``.
+
+    It is kept exactly, in integers: the product maps |k> to
+    w**r * i**(sum of l[q] * k_q) |k ^ x> (w = exp(i*pi/4)), with r mod 8 and
+    each qubit's l[q] mod 4.  R_P(k*pi/2) is w**-k * P**(k/2) for even k, and
+    w**-k * i**(k * k_q) about Z_q for any k.  A turn that flips bit q after
+    the product reads the product at k ^ 2**q, which turns l[q] * k_q into
+    l[q] - l[q] * k_q; Y_q adds -i * (-1)**k_q to the flip.
+    """
+    x = r = 0
+    ell: dict[int, int] = {}  # single-bit mask of a qubit -> l[q]
+    for step in run:
+        axis = step.axis
+        k = step.quarter_turns if axis.phase_exp == 0 else -step.quarter_turns
+        bit = axis.x_bits | axis.z_bits
+        r -= k
+        if not axis.x_bits:
+            ell[bit] = ell.get(bit, 0) + k
+        elif k % 4:  # a half turn about X or Y: flips the bit
+            l = ell.get(bit, 0)
+            r += 2 * l
+            ell[bit] = -l
+            x ^= bit
+            if axis.z_bits:
+                r -= 2
+                ell[bit] += 2
+    m = z = 0
+    for bit, l in ell.items():
+        m |= bit if l & 1 else 0
+        z |= bit if l & 2 else 0
+    return x, z, m, r & 7
+
+
 @dataclass
 class HybridState:
-    """Frame + state vector pair representing U|phi>."""
+    """Frame + state vector pair representing U|phi>.
+
+    ``flush_passes`` gets one entry per ``flush_to_origin`` call: the state
+    passes it made, by kind (``rotations``, ``folded_runs``,
+    ``scalar_fixes`` and ``swaps``).
+    """
 
     frame: PauliFrame
     phi: StateVector
     timing: dict[str, float] = field(default_factory=dict)
+    flush_passes: list[dict[str, int]] = field(default_factory=list)
 
     def expectation(self, p: PauliString) -> float:
         """<P> on the tracked state, via <phi| lookup(P) |phi>."""
         return self.phi.expectation(self.frame.lookup(p))
 
     def flush_to_origin(self) -> None:
-        """Fold the frame's Clifford into the amplitudes, up to global phase.
+        """Fold the frame's Clifford into the amplitudes.
 
         Conjugating the backward-stored frame to the origin is the same as
-        sandwiching U between the step unitaries' inverses, so the steps
-        applied in order implement U itself; swaps become amplitude index
-        relabelings.  Every step updates the amplitudes in place, in one
-        pass of a ``_kernels`` loop.  Each rotation is a quarter or half
-        turn, whose coefficients are powers of i times 1 or 1/sqrt(2), so
-        ``StateVector.apply_clifford_rotation`` runs it on the Clifford
-        loop, without complex multiplies, at 1.0-1.3 ns per amplitude on a
-        2-core Xeon at n = 20 (a general rotation pass takes 1.9-2.3).  A
-        swap runs in the masked pair exchange, which moves only the half of
-        the amplitudes whose two qubits differ.  The resulting amplitudes
-        match a gate-by-gate run up to one global phase, which is left
-        unnormalized, and the per-step rotation path within rounding.
+        sandwiching U between the step unitaries' inverses, so the steps of
+        ``invert_to_rotations`` applied in order implement U itself; swaps
+        become amplitude index relabelings.  Every step updates the
+        amplitudes in place, in one pass of a ``_kernels`` loop:
+
+        - Each rotation is a quarter or half turn, whose coefficients are
+          powers of i times 1 or 1/sqrt(2), so
+          ``StateVector.apply_clifford_rotation`` runs it on the Clifford
+          loop, without complex multiplies, at 1.0-1.3 ns per amplitude on a
+          2-core Xeon at n = 20 (a general rotation pass takes 1.9-2.3).
+        - A run of two or more single-qubit turns without a Hadamard part
+          (the synthesis ends with one) is composed exactly into one
+          ``StateVector.apply_monomial``: one pass of the Clifford loop with
+          a phase mask, plus a scalar multiply when its constant phase is an
+          odd power of exp(i*pi/4).
+        - A swap runs in the masked pair exchange, which moves only the
+          half of the amplitudes whose two qubits differ.
+
+        The result equals the steps applied one by one as rotations, global
+        phase included, within rounding, and so matches a gate-by-gate run
+        up to one global phase, which is left unnormalized.
         """
         steps = invert_to_rotations(self.frame)
         t0 = time.perf_counter()
-        for step in steps:
-            if step.kind == "pauli_rotation":
-                self.phi.apply_clifford_rotation(step.axis, step.quarter_turns)
-            else:
-                self.phi.swap_qubits(*step.qubits)
+        phi = self.phi
+        passes = dict.fromkeys(("rotations", "folded_runs", "scalar_fixes", "swaps"), 0)
+        for monomial, group in itertools.groupby(steps, _is_monomial):
+            group = list(group)
+            if monomial and len(group) >= 2:
+                x, z, m, eighths = _fold(group)
+                phi.apply_monomial(x, z, m, eighths)
+                passes["folded_runs"] += 1
+                passes["scalar_fixes"] += eighths & 1
+                continue
+            for step in group:
+                if step.kind == "pauli_rotation":
+                    phi.apply_clifford_rotation(step.axis, step.quarter_turns)
+                    passes["rotations"] += 1
+                else:
+                    phi.swap_qubits(*step.qubits)
+                    passes["swaps"] += 1
         self.frame = PauliFrame.origin(self.frame.num_qubits)
+        self.flush_passes.append(passes)
         self.timing["flush_s"] = self.timing.get("flush_s", 0.0) + time.perf_counter() - t0
 
 

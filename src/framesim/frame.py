@@ -278,12 +278,24 @@ def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
     If they commute, a = -b is a single letter, and a pi turn about the dual
     letter (X for Z, Z for X) negates it.  If a == b, nothing is emitted.
 
-    Per qubit q, the first row i whose eff_z carries q is reduced to a
-    single-qubit pair: a multi-qubit eff_z[i] is sent to Z_q (X_q if its
-    letter at q is Z), then a multi-qubit eff_x[i] to the third letter at q.
-    A cleanup sends each eff_z[i] to +Z_q and each eff_x[i] to +X_q, and
-    qubit swaps sort the pairs into their home rows.  Applying the steps in
-    order reproduces the origin frame exactly, signs included.
+    The qubits are reduced one at a time, each on a pivot row whose entries
+    become a single-qubit pair on it.  The next qubit is one whose home row
+    (row q for qubit q) has an X or Y letter at q in its eff_z, else the
+    lowest one left.  The pivot is a row whose eff_z has an X or Y letter
+    at q, the home row if it has one; that eff_z is sent straight to +Z_q.
+    Only if no row has one is the pivot a row whose eff_z has a Z letter at
+    q (again the home row first), sent to X_q if it is not a single letter.
+    A multi-qubit eff_x is then sent straight to +X_q when X_q anticommutes
+    with both entries, and otherwise to the third letter at q.
+
+    A cleanup then turns each eff_z to +Z_q and each eff_x to +X_q.  It
+    first emits the turns that still need a Hadamard part (an eff_z with an
+    X or Y letter), then the rest, which are all Z-axis quarter turns or
+    half turns: single-qubit Cliffords without a Hadamard part, which the
+    flush applies as one pass.  Qubit swaps finally sort the pairs into
+    their home rows; preferring the home row as pivot keeps them few.
+    Applying the steps in order reproduces the origin frame exactly, signs
+    included.
 
     Because the entries are the *backward* images U^dag sigma U, a sequence
     V whose conjugation restores every origin symbol satisfies V U^dag = I
@@ -314,22 +326,43 @@ def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
         else:
             emit(RotationStep.rotation(PauliString(n, b[1], b[0]), math.pi))
 
-    for q in range(n):
+    def pivot(q: int, wanted):
+        """Row q if wanted(its eff_z), else the first row i with wanted(eff_z[i])."""
+        if wanted(f._z[q]):
+            return q
+        return next((i for i, e in enumerate(f._z) if wanted(e)), None)
+
+    left = list(range(n))
+    while left:
+        q = next((q for q in left if f._z[q][0] >> q & 1), left[0])
+        left.remove(q)
         bit = 1 << q
-        row = next((i for i, (x, z, _) in enumerate(f._z) if (x | z) & bit), None)
-        if row is None:
-            raise RuntimeError(f"no eff_z row carries qubit {q}; a valid frame always has one")
-        x, z, _ = f._z[row]
-        if x | z != bit:
-            send(f._z[row], (bit, 0, 0) if z & ~x & bit else (0, bit, 0))
-        zx, zz, _ = f._z[row]
+        row = pivot(q, lambda e: e[0] & bit)  # an X or Y letter at q
+        if row is not None:
+            send(f._z[row], (0, bit, 0))
+        else:
+            row = pivot(q, lambda e: (e[0] | e[1]) & bit)
+            if row is None:
+                raise RuntimeError(f"no eff_z row carries qubit {q}; a valid frame always has one")
+            x, z, _ = f._z[row]
+            if x | z != bit:
+                send(f._z[row], (bit, 0, 0))
         x, z, _ = f._x[row]
         if x | z != bit:
-            send(f._x[row], ((zx ^ x) & bit, (zz ^ z) & bit, 0))
+            straight = (bit, 0, 0)
+            if _anti(straight, f._z[row]) and _anti(straight, f._x[row]):
+                send(f._x[row], straight)
+            else:
+                zx, zz, _ = f._z[row]
+                send(f._x[row], ((zx ^ x) & bit, (zz ^ z) & bit, 0))
 
-    # every row is now a single-qubit anticommuting pair
+    # every row is now a single-qubit anticommuting pair; first the turns
+    # with a Hadamard part, then the Z-axis and half turns
     for i in range(n):
-        bit = f._z[i][0] | f._z[i][1]
+        if f._z[i][0]:
+            send(f._z[i], (0, f._z[i][0], 0))
+    for i in range(n):
+        bit = f._z[i][1]
         send(f._z[i], (0, bit, 0))
         send(f._x[i], (bit, 0, 0))
 

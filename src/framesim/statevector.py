@@ -10,13 +10,16 @@ operator weight is the whole point of the hybrid backend built on top.
 ``StateVector`` holds no amplitude loop of its own.  Every update whose
 coefficients are powers of i times 1 or 1/sqrt(2) -- Pauli application
 (and with it the expectation and the prepare repair), rotations by
-multiples of pi/2 (``apply_clifford_rotation``, which the flush uses) and
-the baseline's X, Y, Z, S and SDG -- goes through the Clifford loop of
-``_kernels``, which needs no complex multiply and costs about half a
-general rotation pass.  Rotations by other angles and the measurement
+multiples of pi/2 (``apply_clifford_rotation``) and products of
+single-qubit Cliffords without a Hadamard part (``apply_monomial``), which
+the flush uses, and the baseline's X and Y -- goes through the Clifford
+loop of ``_kernels``, which needs no complex multiply and costs about half
+a general rotation pass.  Rotations by other angles and the measurement
 collapse, of the form c*I + u*P, go through its two rotation loops; H goes
-through its Hadamard loop, and CX, CZ, SWAP and ``swap_qubits`` through its
-masked pair exchange.  All of them update the amplitudes in place.
+through its Hadamard loop, and CX, SWAP and ``swap_qubits``, as well as Z,
+S, SDG and CZ, which change only the amplitudes whose qubits are set,
+through its masked pair exchange.  All of them update the amplitudes in
+place.
 
 Index convention: bit j of the amplitude index is the computational value
 of qubit j (qubit 0 = least significant bit).
@@ -40,26 +43,28 @@ _IMAG_TOLERANCE = 1e-9
 _I_POW = (1, 1j, -1, -1j)
 
 _SQ2 = 0.7071067811865476  # cos(pi/4)
+_OMEGA = complex(_SQ2, _SQ2)  # exp(i*pi/4)
 # R_P(k*pi/2) = cos(k*pi/4) - i*sin(k*pi/4)*P as c*(d + i**e * P), by k mod 8;
 # k = 0 and 4 are +I and -I
 _QUARTER_TURNS = {1: (_SQ2, 1, 3), 2: (1.0, 0, 3), 3: (-_SQ2, 1, 1),
                   5: (-_SQ2, 1, 3), 6: (1.0, 0, 1), 7: (_SQ2, 1, 1)}
-# the baseline's 1-qubit Clifford gates other than H, as arguments
-# (x, z, e0, e1) of ``_kernels.clifford`` from the single-bit mask of their
-# qubit, with c = 1, d = 0 and p the qubit
+# the baseline's X and Y, as arguments (x, z, e0) of ``_kernels.clifford``
+# from the single-bit mask of their qubit, with c = 1, d = 0 and m = 0
 _CLIFFORD_1Q = {
-    "X": lambda b: (b, 0, 0, 0),
-    "Y": lambda b: (b, b, 3, 0),
-    "Z": lambda b: (0, b, 0, 0),
-    "S": lambda b: (0, 0, 0, 1),
-    "SDG": lambda b: (0, 0, 0, 3),
+    "X": lambda b: (b, 0, 0),
+    "Y": lambda b: (b, b, 3),
 }
-# the 2-qubit gates as arguments (mask, val, x) of ``_kernels.pair_exchange``,
-# from the single-bit masks of their two qubits
+# the gates that swap or phase a masked subset of the amplitudes, as
+# arguments (mask, val, x, e) of ``_kernels.pair_exchange`` from the
+# single-bit masks of their qubits: Z, S, SDG and CZ multiply the
+# amplitudes whose qubits are all set by i**e
 _EXCHANGE = {
-    "CX": lambda c, t: (c | t, c, t),
-    "CZ": lambda a, b: (a | b, a | b, 0),
-    "SWAP": lambda a, b: (a | b, b, a | b),
+    "Z": lambda b: (b, b, 0, 2),
+    "S": lambda b: (b, b, 0, 1),
+    "SDG": lambda b: (b, b, 0, 3),
+    "CX": lambda c, t: (c | t, c, t, 0),
+    "CZ": lambda a, b: (a | b, a | b, 0, 2),
+    "SWAP": lambda a, b: (a | b, b, a | b, 0),
 }
 
 
@@ -99,7 +104,7 @@ def _pauli_turn(amp: np.ndarray, p: PauliString, c: float, d: int, e: int) -> No
         raise ValueError(f"operator on {p.num_qubits} qubits applied to "
                          f"{amp.shape[0].bit_length() - 1}-qubit state")
     e0 = (e + p.phase_exp - p.y_mask.bit_count()) & 3
-    _kernels.clifford(amp, p.x_bits, p.z_bits, c, d, e0, 0, 0)
+    _kernels.clifford(amp, p.x_bits, p.z_bits, c, d, e0, 0)
 
 
 class StateVector:
@@ -174,6 +179,21 @@ class StateVector:
         elif k == 4:
             self.amplitudes *= -1.0
 
+    def apply_monomial(self, x: int, z: int, m: int, eighths: int) -> None:
+        """amp[k] <- w**eighths * i**popcount(k & m) * (-1)**parity(k & z) * amp[k ^ x].
+
+        w = exp(i*pi/4).  This monomial map (one nonzero entry per row and
+        column) is the general product of single-qubit Cliffords without a
+        Hadamard part: each qubit's part flips its bit or not, and
+        multiplies by a power of i that depends on the bit.  It
+        runs in one pass of the Clifford loop, with i**(eighths // 2) in
+        its constant phase; an odd ``eighths`` adds one in-place multiply
+        by w.
+        """
+        _kernels.clifford(self.amplitudes, x, z, 1.0, 0, eighths >> 1, m)
+        if eighths & 1:
+            self.amplitudes *= _OMEGA
+
     # ------------------------------------------------------------------
     # observables, measurement, preparation
 
@@ -227,9 +247,8 @@ class StateVector:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range")
         if tag in _CLIFFORD_1Q:
-            q = qubits[0]
-            x, z, e0, e1 = _CLIFFORD_1Q[tag](1 << q)
-            _kernels.clifford(self.amplitudes, x, z, 1.0, 0, e0, e1, q)
+            x, z, e0 = _CLIFFORD_1Q[tag](1 << qubits[0])
+            _kernels.clifford(self.amplitudes, x, z, 1.0, 0, e0, 0)
         elif tag in ROTATION_AXIS:
             if angle is None:
                 raise ValueError(f"{tag} requires an angle")
@@ -238,10 +257,9 @@ class StateVector:
         elif tag == "H":
             _kernels.apply_h(self.amplitudes, qubits[0])
         elif tag in _EXCHANGE:
-            a, b = qubits
-            if a == b:
+            if len(set(qubits)) != len(qubits):
                 raise ValueError(f"{tag} needs distinct qubits, got {qubits}")
-            _kernels.pair_exchange(self.amplitudes, *_EXCHANGE[tag](1 << a, 1 << b))
+            _kernels.pair_exchange(self.amplitudes, *_EXCHANGE[tag](*[1 << q for q in qubits]))
         else:
             raise ValueError(f"unknown gate tag {tag!r}")
 

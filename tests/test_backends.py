@@ -100,6 +100,27 @@ def test_flush_single_h():
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
+def test_flush_counts_its_state_passes():
+    # one entry per flush; the synthesis' closing run of single-qubit turns
+    # without a Hadamard part runs as one folded pass
+    from framesim.frame import invert_to_rotations
+    from oracles import random_clifford_circuit
+    rng = np.random.default_rng(57)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        hs, _ = run_hybrid(random_clifford_circuit(rng, n, 10 * n))
+        steps = invert_to_rotations(hs.frame)
+        hs.flush_to_origin()
+        hs.flush_to_origin()  # the origin frame: no pass
+        first, second = hs.flush_passes
+        assert second == dict(rotations=0, folded_runs=0, scalar_fixes=0, swaps=0)
+        swaps = sum(s.kind == "qubit_swap" for s in steps)
+        assert first["swaps"] == swaps
+        assert first["folded_runs"] <= 1
+        assert first["scalar_fixes"] <= first["folded_runs"]
+        assert first["rotations"] + first["folded_runs"] <= len(steps) - swaps
+
+
 def test_flush_probabilities_match_baseline():
     rng = np.random.default_rng(53)
     for trial in range(40):

@@ -219,6 +219,43 @@ def test_invert_random_frames_round_trip_within_the_documented_bounds(n, length,
     assert chk == PauliFrame.origin(n)
 
 
+def needs_hadamard(step) -> bool:
+    """A quarter turn about an axis with an X or Y letter mixes basis states."""
+    return (step.kind == "pauli_rotation" and step.axis.x_bits != 0
+            and step.quarter_turns % 2 != 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), length=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+def test_invert_ends_with_one_run_of_single_qubit_turns_without_a_hadamard_part(n, length,
+                                                                               seed):
+    # the cleanup emits its turns with a Hadamard part first, so that the
+    # rest form one run the flush can fold into a single pass
+    f = frame_of(random_clifford_circuit(np.random.default_rng(seed), n, length))
+    steps = invert_to_rotations(f)
+    first_monomial = next((i for i, s in enumerate(steps)
+                           if s.kind == "pauli_rotation" and s.axis.weight == 1
+                           and not needs_hadamard(s)), len(steps))
+    assert not any(needs_hadamard(s) for s in steps[first_monomial:])
+    assert all(s.kind == "qubit_swap" or s.axis.weight == 1
+               for s in steps[first_monomial:])
+    weights = [s.axis.weight for s in steps if s.kind == "pauli_rotation"]
+    assert sum(w >= 2 for w in weights) <= 2 * n
+    assert sum(w == 1 for w in weights) <= 2 * n
+    assert len(steps) - len(weights) <= n - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), length=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+       x=st.integers(0, 31), z=st.integers(0, 31), sign=st.sampled_from([0, 2]))
+def test_lookup_matches_dense_conjugation_on_random_circuits(n, length, seed, x, z, sign):
+    circ = random_clifford_circuit(np.random.default_rng(seed), n, length)
+    u = circuit_unitary(circ)
+    p = PauliString(n, x, z, sign)
+    mapped = frame_of(circ).lookup(p)
+    assert np.allclose(pauli_matrix(mapped), u.conj().T @ pauli_matrix(p) @ u, atol=1e-12)
+
+
 def test_invert_steps_compose_to_the_tracked_unitary():
     # dense check that the steps, in order, implement U up to global phase
     rng = np.random.default_rng(26)

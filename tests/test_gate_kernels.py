@@ -1,5 +1,5 @@
-"""The baseline's H, CX, CZ and SWAP loops and ``swap_qubits``, on each
-kernel tier, against each other and against the dense oracles."""
+"""The baseline's H, CX, CZ, SWAP, Z, S and SDG loops and ``swap_qubits``,
+on each kernel tier, against each other and against the dense oracles."""
 import functools
 
 import numpy as np
@@ -17,7 +17,7 @@ TIERS = {"numpy": (_kernels.numpy_apply_h, _kernels.numpy_pair_exchange)}
 if _kernels.JIT_ENABLED:
     TIERS["compiled"] = (_kernels.apply_h, _kernels.pair_exchange)
 
-ARITY = {"H": 1, "CX": 2, "CZ": 2, "SWAP": 2}
+ARITY = {"H": 1, "Z": 1, "S": 1, "SDG": 1, "CX": 2, "CZ": 2, "SWAP": 2}
 MAX_QUBITS = 10
 
 # the cases a traversal is most likely to get wrong: qubits 0 and 1, both
@@ -26,7 +26,8 @@ MAX_QUBITS = 10
 EDGE_CASES = [("H", 10, (q,)) for q in (0, 1, 7, 8, 9)] + [
     (tag, 10, pair) for tag in ("CX", "CZ", "SWAP")
     for pair in ((0, 1), (1, 0), (4, 5), (5, 4), (7, 8), (8, 7), (0, 9), (9, 0),
-                 (9, 8))]
+                 (9, 8))] + [
+    (tag, 10, (q,)) for tag in ("Z", "S", "SDG") for q in (0, 1, 7, 8, 9)]
 
 
 @functools.cache
@@ -85,7 +86,7 @@ def exchange_cases(draw):
     mask = draw(st.integers(0, (1 << n) - 1))
     val = draw(st.integers(0, (1 << n) - 1)) & mask
     x = draw(st.integers(0, (1 << n) - 1)) & mask
-    return n, mask, val, x, draw(st.integers(0, 2**32 - 1))
+    return n, mask, val, x, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -93,7 +94,7 @@ def exchange_cases(draw):
 def test_pair_exchange_keeps_its_documented_semantics(case):
     # any masks, beyond the three shapes the gates use, against the
     # docstring's statement written out over filtered indices
-    n, mask, val, x, seed = case
+    n, mask, val, x, e, seed = case
     amp = random_amplitudes(seed, n)
     k = np.arange(1 << n)
     k = k[k & mask == val]
@@ -101,10 +102,10 @@ def test_pair_exchange_keeps_its_documented_semantics(case):
     if x:
         ref[k], ref[k ^ x] = amp[k ^ x], amp[k]
     else:
-        ref[k] = -amp[k]
+        ref[k] = 1j ** e * amp[k]
     for name, (_, pair_exchange) in TIERS.items():
         out = amp.copy()
-        pair_exchange(out, mask, val, x)
+        pair_exchange(out, mask, val, x, e)
         assert np.array_equal(out, ref), name
 
 
@@ -113,10 +114,10 @@ def test_gate_kernels_reject_bad_arguments(name):
     apply_h, pair_exchange = TIERS[name]
     amp = StateVector.zero(3).amplitudes
     with pytest.raises(ValueError, match="submask"):
-        pair_exchange(amp, 0b011, 0b100, 0b001)
+        pair_exchange(amp, 0b011, 0b100, 0b001, 0)
     with pytest.raises(ValueError, match="submask"):
-        pair_exchange(amp, 0b011, 0b001, 0b110)
+        pair_exchange(amp, 0b011, 0b001, 0b110, 0)
     with pytest.raises(ValueError, match="out of range"):
-        pair_exchange(amp, 0b1000, 0, 0)
+        pair_exchange(amp, 0b1000, 0, 0, 2)
     with pytest.raises(ValueError):
         apply_h(amp, 3)

@@ -1,14 +1,15 @@
 """The amplitude loops of ``_kernels`` over random arguments: the compiled C
 loop against the numpy reference against a dense matrix built from
-``oracles``, and the flush against its per-step rotation path."""
+``oracles``, and the flush and its folded runs against the per-step
+rotation path."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framesim import HybridState, PauliFrame, PauliString, StateVector, _kernels
-from framesim.frame import invert_to_rotations
-from oracles import embed_1q, pauli_matrix, random_clifford_circuit
+from framesim.frame import RotationStep, invert_to_rotations
+from oracles import S, embed_1q, pauli_matrix, random_clifford_circuit
 
 # the numpy reference always, and the compiled C loops wherever they loaded
 TIERS = {"numpy": (_kernels.numpy_clifford, _kernels.numpy_rotation_pairs,
@@ -40,9 +41,10 @@ def x_bits(n):
 def clifford_cases(draw):
     n = draw(st.integers(1, MAX_QUBITS))
     x = draw(st.one_of(st.just(0), x_bits(n)))
+    m = draw(st.one_of(st.just(0), st.integers(1, (1 << n) - 1)))
     return (n, x, draw(st.integers(0, (1 << n) - 1)), draw(COEFFICIENTS),
-            draw(st.integers(0, 1)), draw(st.integers(0, 3)), draw(st.integers(0, 3)),
-            draw(st.integers(0, n - 1)), draw(st.integers(0, 2**32 - 1)))
+            draw(st.integers(0, 1)), draw(st.integers(0, 3)), m,
+            draw(st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -77,19 +79,23 @@ def check_tiers(amp, ref, run):
 
 @settings(max_examples=150, deadline=None)
 @given(clifford_cases())
-@example((1, 1, 1, SQ2, 1, 3, 0, 0, 1))        # a one-qubit state
-@example((2, 3, 2, 1.0, 0, 1, 0, 1, 2))        # two pairs per cache line
-@example((5, 0, 0, 1.0, 0, 0, 1, 3, 3))        # S on a state below one tile
-@example((9, 0x100, 0x1ff, -SQ2, 1, 1, 3, 8, 4))  # x and p at the tile edge
-@example((10, 0x2c5, 0x3a1, SQ2, 1, 2, 1, 1, 5))  # x inside and above a tile
-@example((10, 0x300, 0x0f0, 1.0, 0, 3, 2, 9, 6))  # x above a tile only
+@example((1, 1, 1, SQ2, 1, 3, 0, 1))          # a one-qubit state
+@example((2, 3, 2, 1.0, 0, 1, 0, 2))          # two pairs per cache line
+@example((5, 0, 0, 1.0, 0, 0, 0b1000, 3))     # S on a state below one tile
+@example((9, 0x100, 0x1ff, -SQ2, 1, 1, 0x100, 4))  # x and m at the tile edge
+@example((10, 0x2c5, 0x3a1, SQ2, 1, 2, 0x3c3, 5))  # x and m inside and above a tile
+@example((10, 0x300, 0x0f0, 1.0, 0, 3, 0x200, 6))  # x and m above a tile only
+@example((10, 0x0a4, 0x300, 1.0, 0, 0, 0x0f0, 7))  # m inside a tile, z above it
 def test_clifford_loop_matches_reference_and_oracle(case):
-    n, x, z, c, d, e0, e1, p, seed = case
-    phase = embed_1q(np.diag([1, 1j ** e1]), p, n)
+    n, x, z, c, d, e0, m, seed = case
+    phase = np.eye(1 << n)
+    for q in range(n):
+        if m >> q & 1:
+            phase = phase @ embed_1q(S, q, n)
     ref_matrix = c * (d * np.eye(1 << n) + 1j ** e0 * phase @ xz_matrix(n, x, z))
     amp = random_amplitudes(seed, n)
     check_tiers(amp, ref_matrix @ amp,
-                lambda k, out: k[0](out, x, z, c, d, e0, e1, p))
+                lambda k, out: k[0](out, x, z, c, d, e0, m))
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,10 +148,43 @@ def test_flush_matches_the_per_step_rotation_path(n, length, seed):
     assert np.max(np.abs(hs.phi.amplitudes - ref.amplitudes)) < 1e-12
 
 
+@st.composite
+def monomial_runs(draw):
+    """A run of single-qubit Z-axis turns and half turns on n <= 8 qubits,
+    qubits repeated, with odd and even quarter-turn counts and signed axes."""
+    n = draw(st.integers(1, 8))
+    run = []
+    for _ in range(draw(st.integers(0, 12))):
+        letter = draw(st.sampled_from("XYZ"))
+        turns = draw(st.sampled_from([-1, 1, 2] if letter == "Z" else [2]))
+        sign = draw(st.sampled_from([0, 2]))
+        axis = PauliString.single(n, draw(st.integers(0, n - 1)), letter, sign)
+        run.append(RotationStep.rotation(axis, turns * np.pi / 2))
+    return n, run, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_runs())
+def test_folded_run_matches_its_turns_one_by_one(case):
+    # the flush's fold of a monomial run into one pass, global phase included
+    from framesim.backends import _fold
+    n, run, seed = case
+    amp = random_amplitudes(seed, n)
+    ref = StateVector(n, amp)
+    for step in run:
+        ref.apply_clifford_rotation(step.axis, step.quarter_turns)
+    for name, kernels in TIERS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "clifford", kernels[0])
+            out = StateVector(n, amp)
+            out.apply_monomial(*_fold(run))
+        assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-12, name
+
+
 @pytest.mark.parametrize("name", list(TIERS))
 def test_clifford_loop_rejects_masks_outside_the_state(name):
     clifford = TIERS[name][0]
     amp = StateVector.zero(3).amplitudes
-    for x, z, p in ((8, 0, 0), (0, 8, 0), (0, 0, 3)):
+    for x, z, m in ((8, 0, 0), (0, 8, 0), (0, 0, 8)):
         with pytest.raises(ValueError, match="out of range"):
-            clifford(amp, x, z, 1.0, 0, 0, 1, p)
+            clifford(amp, x, z, 1.0, 0, 0, m)

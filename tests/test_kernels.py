@@ -16,9 +16,11 @@ SRC = TESTS.parent / "src"
 HAVE_CC = shutil.which("gcc") is not None or shutil.which("cc") is not None
 PROBE = "import framesim._kernels as k; print(k.kernel_tier())"
 # the fallback tier must also compute: one paired and one diagonal rotation
-# against the dense closed form, each gate with a loop of its own (S and Y
-# on the Clifford loop) against its dense matrix, and one flush against its
-# steps as dense rotations and swaps
+# against the dense closed form, each gate with a loop of its own (S on the
+# pair exchange, Y on the Clifford loop) against its dense matrix, one
+# folded run of single-qubit turns (a phase mask, bit flips and an odd
+# eighth root) against its dense rotations, and one flush against its steps
+# as dense rotations and swaps
 ROTATE_PROBE = PROBE + """
 import numpy as np
 from framesim import HybridState, PauliFrame, PauliString, StateVector
@@ -39,6 +41,18 @@ for tag, qubits in (("H", (3,)), ("CX", (4, 1)), ("CZ", (0, 2)), ("SWAP", (1, 3)
     s.apply_gate(tag, qubits)
     if np.max(np.abs(s.amplitudes - gate_unitary(tag, qubits, 5) @ amp)) > 1e-12:
         raise SystemExit(f"numpy tier disagrees with the dense oracle on {tag}")
+from framesim.backends import _fold
+from framesim.frame import RotationStep
+run = [RotationStep.rotation(PauliString.from_label(label), turns * np.pi / 2)
+       for label, turns in (("IIZII", 1), ("XIIII", 2), ("-IIIIZ", 2), ("IYIII", 2))]
+amp = rng.normal(size=32) + 1j * rng.normal(size=32)
+ref = amp.copy()
+for step in run:
+    ref = rotation_matrix(step.axis, step.angle) @ ref
+s = StateVector(5, amp)
+s.apply_monomial(*_fold(run))
+if np.max(np.abs(s.amplitudes - ref)) > 1e-12:
+    raise SystemExit("numpy tier disagrees with the dense oracle on a folded run")
 frame = PauliFrame.origin(5)
 for g in random_clifford_circuit(rng, 5, 40).gates:
     frame.apply_gate(g.tag, g.qubits)

@@ -277,7 +277,7 @@ def test_expectation_includes_sign():
 def test_expectation_raises_on_a_non_real_value(monkeypatch):
     # a Hermitian P has a real expectation; a broken kernel must not be
     # silently truncated to its real part, in an expectation or a measurement
-    def broken_clifford(amp, x, z, c, d, e0, e1, p):
+    def broken_clifford(amp, x, z, c, d, e0, m):
         amp *= 1j
 
     monkeypatch.setattr(_kernels, "clifford", broken_clifford)
@@ -338,6 +338,14 @@ def test_clifford_gates_and_flush_allocate_nothing_state_sized():
         frame.apply_gate(g.tag, g.qubits)
     hs = HybridState(frame, state.copy())
     assert extra_peak(hs.flush_to_origin) <= slack
+    # a flush whose folded run has an odd eighth root: an S-type quarter
+    # turn left in the frame ends it with a Z-axis quarter turn
+    frame = PauliFrame.origin(n)
+    for tag, qubits in (("S", (3,)), ("X", (9,)), ("SDG", (15,)), ("S", (0,)), ("Y", (2,))):
+        frame.apply_gate(tag, qubits)
+    hs = HybridState(frame, state.copy())
+    assert extra_peak(hs.flush_to_origin) <= slack
+    assert hs.flush_passes == [dict(rotations=0, folded_runs=1, scalar_fixes=1, swaps=0)]
 
 
 @pytest.mark.parametrize("tag", ["CX", "CZ", "SWAP"])
