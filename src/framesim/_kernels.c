@@ -1,76 +1,50 @@
-/* Single-pass, in-place amplitude loops for framesim's state updates.
+/* Single-pass, in-place amplitude loops for framesim's state updates, and
+ * the hybrid backend's gate loop over a packed Pauli frame.
  *
  * The state is 2**n complex doubles stored as interleaved (re, im) pairs;
  * bit j of an index is the value of qubit j.
  *
- * The two rotation kernels and the Clifford loop walk the state in tiles
- * of TILE amplitudes.  A rotation pairs index k with k ^ x: the x bits
- * inside a tile only permute positions within it, the bits above pick the
- * partner tile.  Every tile is therefore read and written once, next to
- * its partner, whatever the weight of the Pauli operator.  Partners are
+ * The Clifford loop computes every update of the form ca*I + cb*i**e*P
+ * for a multi-qubit Pauli P and real ca and cb: rotations by any angle,
+ * cos(t/2)*I - i*sin(t/2)*P, the measurement collapse (I +- P)/2, Pauli
+ * operators, and a whole run of single-qubit Cliffords without a Hadamard
+ * part, whose power of i varies with the index through a phase mask m.
+ * It applies each power of i as an element swap and a sign pattern
+ * instead of a complex multiply, and walks the state in tiles of TILE
+ * amplitudes.  The update pairs index k with k ^ x: the x bits inside a
+ * tile only permute positions within it, the bits above pick the partner
+ * tile.  Every tile is therefore read and written once, next to its
+ * partner, whatever the weight of the Pauli operator.  Partners are
  * visited out of address order, which the hardware prefetchers do not
- * follow, so each loop prefetches the tiles it will visit next, one cache
+ * follow, so the loop prefetches the tiles it will visit next, one cache
  * line per line it updates.  The sign (-1)**parity(k & z) splits the same
  * way as the index, into one sign per tile and a per-position table built
  * once per call.
  *
- * The rotation kernels take any complex coefficients.  The Clifford loop
- * serves the updates whose coefficients are powers of i times a real
- * scale (Pauli operators, turns by multiples of pi/2, and a whole run of
- * single-qubit Cliffords without a Hadamard part, whose power of i varies
- * with the index through a phase mask m), and applies each power of i as
- * an element swap and a sign pattern instead of a complex multiply.
+ * The two gate kernels after it serve fixed gates: the Hadamard gate on
+ * one qubit, and a masked pair exchange that swaps pairs of amplitudes
+ * (CX, SWAP and the flush's qubit relabelings) or multiplies a masked
+ * subset by a power of i (Z, S, SDG and CZ).  Both walk contiguous runs of
+ * amplitudes in address order, a cache line at a time where the runs are
+ * shorter, and allocate nothing.
  *
- * The two gate kernels at the end of the file serve fixed gates: the
- * Hadamard gate on one qubit, and a masked pair exchange that swaps pairs
- * of amplitudes (CX, SWAP and the flush's qubit relabelings) or multiplies
- * a masked subset by a power of i (Z, S, SDG and CZ).  Both walk
- * contiguous runs of amplitudes in address order, a cache line at a time
- * where the runs are shorter, and allocate nothing.
+ * The gate loop at the end runs a circuit's lowered gate stream on the
+ * hybrid backend: Clifford gates update a bit-packed Pauli frame, and each
+ * rotation looks up its axis in the frame and calls the Clifford loop.
  *
  * Built by _kernels.py with the system C compiler and loaded with ctypes.
  */
+#include <math.h>
 #include <stdint.h>
+#include <time.h>
 
 #define TILE_BITS 8
 #define TILE (1 << TILE_BITS)
 #define LINE 4 /* amplitudes per 64-byte cache line */
 
-typedef struct {
-    double re, im;
-} cplx;
-
-static inline cplx cmul(cplx a, cplx b)
-{
-    cplx r = {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
-    return r;
-}
-
-static inline cplx cneg(cplx a)
-{
-    cplx r = {-a.re, -a.im};
-    return r;
-}
-
 static inline void prefetch(const void *p)
 {
     __builtin_prefetch(p, 1, 3);
-}
-
-/* c*a + w*b */
-static inline cplx mix(double c, cplx a, cplx w, cplx b)
-{
-    cplx wb = cmul(w, b);
-    cplx r = {c * a.re + wb.re, c * a.im + wb.im};
-    return r;
-}
-
-/* *a <- c*a + wa*b;  *b <- c*b + wb*a */
-static inline void update(cplx *a, cplx *b, cplx wa, cplx wb, double c)
-{
-    cplx va = *a, vb = *b;
-    *a = mix(c, va, wa, vb);
-    *b = mix(c, vb, wb, va);
 }
 
 /* Tile size for a state of n_amp amplitudes: TILE, or the whole state. */
@@ -82,166 +56,8 @@ static inline int tile_bits(int64_t n_amp)
     return b;
 }
 
-/* sign[j] = (-1)**parity(j & z) for j < len, built by doubling. */
-static void sign_table(double *sign, int64_t len, uint64_t z)
-{
-    sign[0] = 1.0;
-    for (int64_t m = 1; m < len; m <<= 1)
-        for (int64_t j = 0; j < m; j++)
-            sign[m + j] = (z & (uint64_t)m) ? -sign[j] : sign[j];
-}
-
-/* Update the pairs (t[j], u[j ^ m]) for j < len, for two disjoint blocks t
- * and u, and prefetch the blocks nt and nu visited next.  A line of t and
- * its partner amplitudes in u are all loaded before any is stored: t and u
- * often sit a multiple of 4 KiB apart, and a load that follows a store to
- * the same address modulo 4 KiB waits for that store. */
-static void pair_blocks(cplx *restrict t, cplx *restrict u,
-                        const cplx *wt, const cplx *wu,
-                        const cplx *nt, const cplx *nu,
-                        int64_t len, int64_t m, double c)
-{
-    int64_t j = 0;
-    for (; j + LINE <= len; j += LINE) {
-        cplx a[LINE], b[LINE];
-        prefetch(nt + j);
-        prefetch(nu + j);
-        for (int64_t i = 0; i < LINE; i++) {
-            a[i] = t[j + i];
-            b[i] = u[(j + i) ^ m];
-        }
-        for (int64_t i = 0; i < LINE; i++) {
-            t[j + i] = mix(c, a[i], wt[j + i], b[i]);
-            u[(j + i) ^ m] = mix(c, b[i], wu[(j + i) ^ m], a[i]);
-        }
-    }
-    for (; j < len; j++) /* blocks shorter than a line: a one-qubit state */
-        update(t + j, u + (j ^ m), wt[j], wu[j ^ m], c);
-}
-
-/* amp[k0] <- c*a0 + u0*sg*a1;  amp[k1] <- c*a1 + u1*sg*a0
- *
- * for every pair k0, k1 = k0 ^ x with bit `pivot` of k0 clear, where
- * sg = (-1)**parity(k0 & z).  `pivot` must be a set bit of x and x must
- * be nonzero and below n_amp, a power of two.
- *
- * Written per index k, the update is new[k] = c*a[k] + w(k)*a[k ^ x] with
- * w(k) = (-1)**parity(k & z) * (u0 if bit pivot of k is clear else
- * u1*(-1)**parity(x & z)), since parity(k1 & z) = parity(k0 & z) ^
- * parity(x & z).  The table w below holds w(k) split into tile and position.
- */
-void framesim_rotation_pairs(double *amp_, int64_t n_amp, uint64_t x,
-                             uint64_t z, int pivot, double c,
-                             double u0_re, double u0_im,
-                             double u1_re, double u1_im)
-{
-    cplx *amp = (cplx *)amp_;
-    const int b = tile_bits(n_amp);
-    const int64_t len = (int64_t)1 << b;
-    const int64_t n_tiles = n_amp >> b;
-    const uint64_t lo = (uint64_t)len - 1;
-    const uint64_t xl = x & lo, xt = x >> b, zt = z >> b;
-    const cplx u0 = {u0_re, u0_im};
-    cplx u1 = {u1_re, u1_im};
-    if (__builtin_parityll(x & z))
-        u1 = cneg(u1);
-
-    /* w[h][s][j] = w(k) for position j of a tile whose sign bit
-     * parity(t & zt) is s, where h is the pivot bit if it lies above the
-     * tile; only h = 0 is used otherwise */
-    double sign[TILE];
-    cplx w[2][2][TILE];
-    sign_table(sign, len, z & lo);
-    for (int h = 0; h < (pivot < b ? 1 : 2); h++)
-        for (int64_t j = 0; j < len; j++) {
-            int set = pivot < b ? (int)((j >> pivot) & 1) : h;
-            cplx base = set ? u1 : u0;
-            base.re *= sign[j];
-            base.im *= sign[j];
-            w[h][0][j] = base;
-            w[h][1][j] = cneg(base);
-        }
-
-    if (xt == 0) {
-        /* partners share a tile.  With q the highest bit of xl, the blocks
-         * of 2**q positions with bit q clear pair with the blocks right
-         * above them through j -> j ^ m. */
-        const int q = 63 - __builtin_clzll(xl);
-        const int64_t half = (int64_t)1 << q, m = (int64_t)(xl ^ (uint64_t)half);
-        for (int64_t t = 0; t < n_tiles; t++) {
-            cplx *tile = amp + (t << b);
-            const cplx *next = t + 1 < n_tiles ? tile + len : tile;
-            const cplx *wt = w[0][__builtin_parityll((uint64_t)t & zt)];
-            if (half >= LINE || len < LINE) {
-                for (int64_t blk = 0; blk < len; blk += 2 * half)
-                    pair_blocks(tile + blk, tile + blk + half, wt + blk,
-                                wt + blk + half, next + blk, next + blk + half,
-                                half, m, c);
-                continue;
-            }
-            /* x is 1, 2 or 3: two pairs share each cache line */
-            const int64_t j1 = half == 1 ? 2 : 1;
-            for (int64_t base = 0; base < len; base += LINE) {
-                cplx *p = tile + base;
-                const cplx *wp = wt + base;
-                prefetch(next + base);
-                update(p, p + (int64_t)xl, wp[0], wp[xl], c);
-                update(p + j1, p + (j1 ^ (int64_t)xl), wp[j1], wp[j1 ^ (int64_t)xl], c);
-            }
-        }
-        return;
-    }
-
-    /* partner tiles differ: pair each tile t with bit tp clear with t ^ xt */
-    const int64_t tp = (int64_t)(xt & -xt);
-    for (int64_t t = 0; t < n_tiles; t++) {
-        if (t & tp)
-            continue;
-        const int64_t t2 = t ^ (int64_t)xt;
-        int64_t next = (t + 1) & tp ? t + 1 + tp : t + 1;
-        if (next >= n_tiles)
-            next = t;
-        const int h1 = pivot >= b ? (int)((t >> (pivot - b)) & 1) : 0;
-        const int h2 = pivot >= b ? (int)((t2 >> (pivot - b)) & 1) : 0;
-        pair_blocks(amp + (t << b), amp + (t2 << b),
-                    w[h1][__builtin_parityll((uint64_t)t & zt)],
-                    w[h2][__builtin_parityll((uint64_t)t2 & zt)],
-                    amp + (next << b), amp + ((next ^ (int64_t)xt) << b),
-                    len, (int64_t)xl, c);
-    }
-}
-
-/* amp[k] *= f_even or f_odd depending on parity(k & z). */
-void framesim_rotation_diag(double *amp_, int64_t n_amp, uint64_t z,
-                            double fe_re, double fe_im,
-                            double fo_re, double fo_im)
-{
-    cplx *amp = (cplx *)amp_;
-    const int b = tile_bits(n_amp);
-    const int64_t len = (int64_t)1 << b;
-    const int64_t n_tiles = n_amp >> b;
-    const uint64_t lo = (uint64_t)len - 1;
-    const uint64_t zt = z >> b;
-    const cplx fe = {fe_re, fe_im}, fo = {fo_re, fo_im};
-
-    double sign[TILE];
-    cplx f[2][TILE];
-    sign_table(sign, len, z & lo);
-    for (int64_t j = 0; j < len; j++) {
-        f[0][j] = sign[j] > 0 ? fe : fo;
-        f[1][j] = sign[j] > 0 ? fo : fe;
-    }
-    for (int64_t t = 0; t < n_tiles; t++) {
-        cplx *restrict tile = amp + (t << b);
-        const cplx *restrict ft = f[__builtin_parityll((uint64_t)t & zt)];
-        for (int64_t j = 0; j < len; j++)
-            tile[j] = cmul(tile[j], ft[j]);
-    }
-}
-
-
-/* The Clifford loop and the gate loops below hold each amplitude as one
- * 16-byte vector of (re, im).  Multiplying by a power of i is then an
+/* The amplitude loops hold each amplitude as one 16-byte vector of
+ * (re, im).  Multiplying by a power of i is then an
  * element swap followed by a pattern of signs, with no complex multiply. */
 typedef double v2d __attribute__((vector_size(16)));
 typedef long long v2i __attribute__((vector_size(16)));
@@ -263,21 +79,24 @@ static inline v2d order(v2d v, int how, v2i odd)
     return (v2d)(((v2i)s & odd) | ((v2i)v & ~odd));
 }
 
-/* *a <- cd*a + pa*order(b);  *b <- cd*b + pb*order(a) */
+/* *a <- ca*a + pa*order(b);  *b <- ca*b + pb*order(a) */
 static inline __attribute__((always_inline)) void
-turn_pair(v2d *a, v2d *b, v2d pa, v2d pb, v2i oa, v2i ob, v2d cd, int how)
+turn_pair(v2d *a, v2d *b, v2d pa, v2d pb, v2i oa, v2i ob, v2d ca, int how)
 {
     const v2d va = *a, vb = *b;
-    *a = cd * va + pa * order(vb, how, oa);
-    *b = cd * vb + pb * order(va, how, ob);
+    *a = ca * va + pa * order(vb, how, oa);
+    *b = ca * vb + pb * order(va, how, ob);
 }
 
-/* turn_pair on (t[j], u[j ^ m]) for j < len, loading, storing and
- * prefetching as pair_blocks does. */
+/* turn_pair on (t[j], u[j ^ m]) for j < len, for two disjoint blocks t and
+ * u, prefetching the blocks nt and nu visited next.  A line of t and its
+ * partner amplitudes in u are all loaded before any is stored: t and u
+ * often sit a multiple of 4 KiB apart, and a load that follows a store to
+ * the same address modulo 4 KiB waits for that store. */
 static inline __attribute__((always_inline)) void
 turn_blocks(v2d *restrict t, v2d *restrict u, const v2d *pt, const v2d *pu,
             const v2i *ot, const v2i *ou, const v2d *nt, const v2d *nu,
-            int64_t len, int64_t m, v2d cd, int how)
+            int64_t len, int64_t m, v2d ca, int how)
 {
     int64_t j = 0;
     for (; j + LINE <= len; j += LINE) {
@@ -290,12 +109,12 @@ turn_blocks(v2d *restrict t, v2d *restrict u, const v2d *pt, const v2d *pu,
         }
         for (int64_t i = 0; i < LINE; i++) {
             const int64_t k = (j + i) ^ m;
-            t[j + i] = cd * a[i] + pt[j + i] * order(b[i], how, ot[j + i]);
-            u[k] = cd * b[i] + pu[k] * order(a[i], how, ou[k]);
+            t[j + i] = ca * a[i] + pt[j + i] * order(b[i], how, ot[j + i]);
+            u[k] = ca * b[i] + pu[k] * order(a[i], how, ou[k]);
         }
     }
     for (; j < len; j++) /* blocks shorter than a line: a one-qubit state */
-        turn_pair(t + j, u + (j ^ m), pt[j], pu[j ^ m], ot[j], ou[j ^ m], cd, how);
+        turn_pair(t + j, u + (j ^ m), pt[j], pu[j ^ m], ot[j], ou[j ^ m], ca, how);
 }
 
 /* The traversal of framesim_clifford for one element order `how`, which
@@ -304,7 +123,7 @@ turn_blocks(v2d *restrict t, v2d *restrict u, const v2d *pt, const v2d *pu,
  * offset O(t) (see framesim_clifford) is o. */
 static inline __attribute__((always_inline)) void
 turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
-          v2d (*pat)[TILE], v2i (*odd)[TILE], v2d cd, int how)
+          v2d (*pat)[TILE], v2i (*odd)[TILE], v2d ca, int how)
 {
     const int64_t len = (int64_t)1 << b;
     const int64_t n_tiles = n_amp >> b;
@@ -324,16 +143,18 @@ turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
                 for (int64_t i = 0; i < LINE; i++)
                     a[i] = tile[j + i];
                 for (int64_t i = 0; i < LINE; i++)
-                    tile[j + i] = cd * a[i] + pt[j + i] * order(a[i], how, ot[j + i]);
+                    tile[j + i] = ca * a[i] + pt[j + i] * order(a[i], how, ot[j + i]);
             }
             for (; j < len; j++)
-                tile[j] = cd * tile[j] + pt[j] * order(tile[j], how, ot[j]);
+                tile[j] = ca * tile[j] + pt[j] * order(tile[j], how, ot[j]);
         }
         return;
     }
 
     if (xt == 0) {
-        /* partners share a tile: as in framesim_rotation_pairs */
+        /* partners share a tile.  With q the highest bit of xl, the blocks
+         * of 2**q positions with bit q clear pair with the blocks right
+         * above them through j -> j ^ mx. */
         const int q = 63 - __builtin_clzll(xl);
         const int64_t half = (int64_t)1 << q, mx = (int64_t)(xl ^ (uint64_t)half);
         for (int64_t t = 0; t < n_tiles; t++) {
@@ -346,7 +167,7 @@ turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
                 for (int64_t blk = 0; blk < len; blk += 2 * half)
                     turn_blocks(tile + blk, tile + blk + half, pt + blk,
                                 pt + blk + half, ot + blk, ot + blk + half,
-                                next + blk, next + blk + half, half, mx, cd, how);
+                                next + blk, next + blk + half, half, mx, ca, how);
                 continue;
             }
             /* x is 1, 2 or 3: two pairs share each cache line */
@@ -356,8 +177,8 @@ turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
                 const v2d *pr = pt + base;
                 const v2i *orr = ot + base;
                 prefetch(next + base);
-                turn_pair(r, r + xl, pr[0], pr[xl], orr[0], orr[xl], cd, how);
-                turn_pair(r + j1, r + x1, pr[j1], pr[x1], orr[j1], orr[x1], cd, how);
+                turn_pair(r, r + xl, pr[0], pr[xl], orr[0], orr[xl], ca, how);
+                turn_pair(r + j1, r + x1, pr[j1], pr[x1], orr[j1], orr[x1], ca, how);
             }
         }
         return;
@@ -375,55 +196,67 @@ turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
         const int o = O(t), o2 = O(t2);
         turn_blocks(amp + (t << b), amp + (t2 << b), pat[o], pat[o2], odd[o & 1],
                     odd[o2 & 1], amp + (next << b), amp + ((next ^ (int64_t)xt) << b),
-                    len, (int64_t)xl, cd, how);
+                    len, (int64_t)xl, ca, how);
     }
 #undef O
 }
 
-/* amp[k] <- c*(d*amp[k] + i**e(k) * (-1)**parity(k & z) * amp[k ^ x])
+/* amp[k] <- ca*amp[k] + cb * i**e(k) * (-1)**parity(k & z) * amp[k ^ x]
  *
- * with e(k) = e0 + popcount(k & m): every Pauli operator and every turn of
- * a Pauli rotation by a multiple of pi/2 (m = 0, c = +-1 or +-1/sqrt(2),
- * d = 0 or 1), and, up to an eighth root of unity, any product of
- * single-qubit Cliffords without a Hadamard part (d = 0, c = 1), which
- * maps |k> to a power of i linear in the bits of k times |k ^ x>.  x may
- * be 0, the diagonal case; x, z and m must be below n_amp, a power of two.
+ * with e(k) = e0 + popcount(k & m) and real ca and cb: with m = 0, ca*I +
+ * cb*i**e0*P for every Pauli operator P (rotations by any angle, turns by
+ * multiples of pi/2, the measurement collapse and P itself, ca = 0), and,
+ * up to an eighth root of unity, any product of single-qubit Cliffords
+ * without a Hadamard part (ca = 0, cb = 1), which maps |k> to a power of i
+ * linear in the bits of k times |k ^ x>.  x may be 0, the diagonal case;
+ * x, z and m must be below n_amp, a power of two.
  *
- * The traversal is that of framesim_rotation_pairs, over the pairs
- * {k, k ^ x}; as the update of k reads only k and its partner, it needs
- * no pivot.  The factor c * i**e(k) * (-1)**parity(k & z) is c * i**f(k)
- * with f(k) = e0 + popcount(k & m) + 2*parity(k & z) mod 4, which splits
- * into a per-position part and a tile offset O(t) = popcount(t & m_hi) +
- * 2*parity(t & z_hi), m_hi and z_hi being the bits above the tile.  It is
- * applied as an element order (see `order`) and a pattern of signs scaled
- * by c, from a table per offset.  When m is 0 every amplitude has the same
- * order, and the loop makes no choice per position. */
+ * The traversal visits each pair {k, k ^ x} once.  The factor cb * i**e(k) *
+ * (-1)**parity(k & z) is cb * i**f(k) with f(k) = e0 + popcount(k & m) +
+ * 2*parity(k & z) mod 4, which splits into a per-position part and a tile
+ * offset O(t) = popcount(t & m_hi) + 2*parity(t & z_hi), m_hi and z_hi
+ * being the bits above the tile.  It is applied as an element order (see
+ * `order`) and a pattern of signs scaled by cb, from a table per offset.
+ * When m is 0 every amplitude has the same order, and the loop makes no
+ * choice per position. */
 void framesim_clifford(double *amp_, int64_t n_amp, uint64_t x, uint64_t z,
-                       double c, double d, int e0, uint64_t m)
+                       double ca, double cb, int e0, uint64_t m)
 {
     v2d *amp = (v2d *)amp_;
     const int b = tile_bits(n_amp);
     const int64_t len = (int64_t)1 << b;
     const uint64_t lo = (uint64_t)len - 1;
-    const v2d cd = {c * d, c * d};
+    const v2d cav = {ca, ca};
 
     v2d pat[4][TILE];
     v2i odd[2][TILE];
-    for (int64_t j = 0; j < len; j++) {
-        const int f = e0 + __builtin_popcountll((uint64_t)j & m & lo)
-                      + 2 * __builtin_parityll((uint64_t)j & z & lo);
-        for (int o = 0; o < 4; o++)
-            pat[o][j] = TURN[(f + o) & 3] * c;
-        for (int o = 0; o < 2; o++)
-            odd[o][j] = (v2i){-(long long)((f + o) & 1), -(long long)((f + o) & 1)};
+    if (m) {
+        for (int64_t j = 0; j < len; j++) {
+            const int f = e0 + __builtin_popcountll((uint64_t)j & m & lo)
+                          + 2 * __builtin_parityll((uint64_t)j & z & lo);
+            for (int o = 0; o < 4; o++)
+                pat[o][j] = TURN[(f + o) & 3] * cb;
+            for (int o = 0; o < 2; o++)
+                odd[o][j] = (v2i){-(long long)((f + o) & 1), -(long long)((f + o) & 1)};
+        }
+        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cav, BLEND);
+        return;
     }
-
-    if (m)
-        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cd, BLEND);
-    else if (e0 & 1)
-        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cd, SWAP);
+    /* m = 0: the offsets are 0 and 2, the order is the same everywhere and
+     * pat[0][j] = cb * TURN[e0] * (-1)**parity(j & z), built by doubling;
+     * pat[2] = -pat[0], and pat[1], pat[3] and odd are not read */
+    pat[0][0] = TURN[e0 & 3] * cb;
+    for (int64_t h = 1; h < len; h <<= 1) {
+        const double s = (z & (uint64_t)h) ? -1.0 : 1.0;
+        for (int64_t j = 0; j < h; j++)
+            pat[0][h + j] = pat[0][j] * s;
+    }
+    for (int64_t j = 0; j < len; j++)
+        pat[2][j] = -pat[0][j];
+    if (e0 & 1)
+        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cav, SWAP);
     else
-        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cd, KEEP);
+        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cav, KEEP);
 }
 
 /* amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)
@@ -521,4 +354,146 @@ void framesim_pair_exchange(double *amp_, int64_t n_amp, uint64_t mask,
             b[j] = t;
         }
     }
+}
+
+
+/* The gate codes of a lowered circuit, in the order of circuit.TAGS. */
+enum { G_H, G_S, G_SDG, G_X, G_Y, G_Z, G_CX, G_CZ, G_SWAP, G_RX, G_RY, G_RZ,
+       G_MEASZ, G_PREPZ };
+
+/* A signed Pauli operator i**p * X**x Z**z, with Y stored letter-exactly
+ * as in pauli.py, and the frame rows it is read from: rows 0..n-1 hold
+ * eff_z, rows n..2n-1 eff_x. */
+typedef struct {
+    uint64_t x, z;
+    unsigned p;
+} pauli;
+
+typedef struct {
+    uint64_t *x, *z;
+    uint8_t *p;
+} frame;
+
+static inline pauli row(frame f, int i)
+{
+    return (pauli){f.x[i], f.z[i], f.p[i]};
+}
+
+static inline void set_row(frame f, int i, pauli a)
+{
+    f.x[i] = a.x;
+    f.z[i] = a.z;
+    f.p[i] = (uint8_t)(a.p & 3);
+}
+
+static inline unsigned popcount(uint64_t v)
+{
+    return (unsigned)__builtin_popcountll(v);
+}
+
+/* i**shift * a * b: pauli._mul, in unsigned arithmetic mod 4 */
+static inline pauli mul(pauli a, pauli b, unsigned shift)
+{
+    const pauli r = {a.x ^ b.x, a.z ^ b.z, 0};
+    return (pauli){r.x, r.z,
+                   (a.p + b.p + shift + popcount(a.x & a.z) + popcount(b.x & b.z)
+                    - popcount(r.x & r.z) + 2 * popcount(a.z & b.x)) & 3};
+}
+
+static inline void negate(frame f, int i)
+{
+    f.p[i] = (uint8_t)((f.p[i] + 2) & 3);
+}
+
+static inline void swap_rows(frame f, int i, int j)
+{
+    const pauli a = row(f, i);
+    set_row(f, i, row(f, j));
+    set_row(f, j, a);
+}
+
+static inline double seconds(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+/* Run gates start, start+1, ... of a lowered circuit on the hybrid
+ * backend, up to the first MEASZ or PREPZ or to stop, and return the index
+ * of the first gate not run.  Gate k is ops[3k] (its code), ops[3k+1] and
+ * ops[3k+2] (its qubits; the second is 0 for one-qubit gates) and angles[k].
+ *
+ * A Clifford gate rewrites at most two rows of the frame (fx, fz, fp, 2n
+ * rows of n <= 64 qubits) as in PauliFrame.apply_gate.  A rotation looks up
+ * its axis as PauliFrame.lookup does, eff_x[q] for RX, eff_z[q] for RZ and
+ * i*eff_x[q]*eff_z[q] for RY, and applies R_P(t) = cos(t/2)*I -
+ * i*sin(t/2)*P in one pass of framesim_clifford, with the arguments of
+ * statevector._pauli_update.  The seconds spent in rotations are added to
+ * *rotation_s.  The codes and qubits are trusted: Circuit.append checks
+ * them. */
+int64_t framesim_run_gates(double *amp, int64_t n_amp, int n, uint64_t *fx,
+                           uint64_t *fz, uint8_t *fp, const int32_t *ops,
+                           const double *angles, int64_t start, int64_t stop,
+                           double *rotation_s)
+{
+    const frame f = {fx, fz, fp};
+    double spent = 0.0;
+    int64_t k = start;
+    for (; k < stop; k++) {
+        const int32_t *g = ops + 3 * k;
+        const int a = g[1], b = g[2], za = a, xa = n + a, zb = b, xb = n + b;
+        pauli axis;
+        switch (g[0]) {
+        case G_H:
+            swap_rows(f, za, xa);
+            continue;
+        case G_S:
+            set_row(f, xa, mul(row(f, za), row(f, xa), 1));
+            continue;
+        case G_SDG:
+            set_row(f, xa, mul(row(f, za), row(f, xa), 3));
+            continue;
+        case G_X:
+            negate(f, za);
+            continue;
+        case G_Y:
+            negate(f, za);
+            negate(f, xa);
+            continue;
+        case G_Z:
+            negate(f, xa);
+            continue;
+        case G_CX:
+            set_row(f, zb, mul(row(f, za), row(f, zb), 0));
+            set_row(f, xa, mul(row(f, xa), row(f, xb), 0));
+            continue;
+        case G_CZ:
+            set_row(f, xa, mul(row(f, xa), row(f, zb), 0));
+            set_row(f, xb, mul(row(f, za), row(f, xb), 0));
+            continue;
+        case G_SWAP:
+            swap_rows(f, za, zb);
+            swap_rows(f, xa, xb);
+            continue;
+        case G_RX:
+            axis = row(f, xa);
+            break;
+        case G_RY:
+            axis = mul(row(f, xa), row(f, za), 1);
+            break;
+        case G_RZ:
+            axis = row(f, za);
+            break;
+        default: /* MEASZ, PREPZ: the caller draws the outcome */
+            goto out;
+        }
+        const double t0 = seconds(), h = 0.5 * angles[k];
+        framesim_clifford(amp, n_amp, axis.x, axis.z, cos(h), sin(h),
+                          (int)((3 + axis.p - popcount(axis.x & axis.z)) & 3), 0);
+        spent += seconds() - t0;
+    }
+out:
+    *rotation_s += spent;
+    return k;
 }

@@ -1,18 +1,16 @@
-"""The in-place amplitude kernels of ``StateVector``, and the choice of their tier.
+"""The in-place amplitude kernels of ``StateVector``, the hybrid backend's
+compiled gate loop, and the choice of their tier.
 
-Five amplitude loops carry every state update:
+Three amplitude loops carry every state update:
 
-- ``clifford`` computes ``a[k] <- c*(d*a[k] + i**e(k) * (-1)**parity(k & z)
-  * a[k ^ x])`` with ``e(k) = e0 + popcount(k & m)``: every update whose
-  coefficients are powers of i times 1 or 1/sqrt(2).  That is Pauli
-  application (and with it the expectation and the prepare repair), the
-  flush's quarter and half turns, a run of the flush's single-qubit turns
-  without a Hadamard part in one pass (the phase mask m), and the
-  baseline's X and Y.
-- ``rotation_pairs`` and ``rotation_diag`` compute ``a <- c*a + u*P*a`` for
-  a multi-qubit Pauli P and any complex u: rotations by arbitrary angles
-  and the measurement collapse.  ``rotation_pairs`` serves an operator P
-  that flips bits and ``rotation_diag`` a diagonal one.
+- ``clifford`` computes ``a[k] <- ca*a[k] + cb * i**e(k) * (-1)**parity(k & z)
+  * a[k ^ x]`` with ``e(k) = e0 + popcount(k & m)`` and real ca and cb: every
+  update of the form ``ca*I + cb*i**e0*P`` for a multi-qubit Pauli P.  That
+  is rotations by any angle, Pauli application (and with it the expectation
+  and the prepare repair), the measurement collapse, the flush's quarter
+  and half turns, a run of the flush's single-qubit turns without a
+  Hadamard part in one pass (the phase mask m), and the baseline's X, Y,
+  RX, RY and RZ.
 - ``apply_h`` applies the Hadamard gate to one qubit: the baseline's H.
 - ``pair_exchange`` swaps ``a[k]`` with ``a[k ^ x]`` for every k whose bits
   under ``mask`` equal ``val``, or multiplies ``a[k]`` by ``i**e`` when x is
@@ -21,30 +19,38 @@ Five amplitude loops carry every state update:
   qubits are set.
 
 The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
-(one read and one write each) and allocate nothing.  The Clifford and
-rotation loops walk the state in cache-sized tiles, so that their cost
-depends neither on the number of qubits nor on how many qubits the operator
-touches; the gate loops walk contiguous runs in address order, a cache line
-at a time where the runs are shorter.  The Clifford loop applies a power of
-i as an element swap and a sign pattern, with no complex multiply: on a
-2-core Xeon at n = 20 it runs at 1.0-1.3 ns per amplitude (1.0-1.6 with
-a phase mask, which picks the element order per amplitude), against
-1.9-2.3 for ``rotation_pairs`` and 0.7-0.85 for an in-place streaming
-pass.  The ``numpy_*`` functions compute the same things
-by filtering index arrays, with whole-array temporaries, several times
-slower per amplitude; they are the reference the tests compare the C loops
-against.
+(one read and one write each) and allocate nothing.  The Clifford loop
+walks the state in cache-sized tiles, so that its cost depends neither on
+the number of qubits nor on how many qubits the operator touches; the gate
+loops walk contiguous runs in address order, a cache line at a time where
+the runs are shorter.  The Clifford loop applies a power of i as an element
+swap and a sign pattern, with no complex multiply: on a 2-core Xeon at
+n = 18-20 a rotation runs at 0.8-1.35 ns per amplitude, depending on the
+load of the machine (1.0-1.6 with a phase mask, which picks the element
+order per amplitude), against 0.7-0.85 for an in-place streaming pass.  The ``numpy_*`` functions compute the same
+things by filtering index arrays, with whole-array temporaries, several
+times slower per amplitude; they are the reference the tests compare the C
+loops against.
+
+``run_gates`` is the hybrid backend's gate loop in C: it runs a circuit's
+lowered gate stream (``Circuit.lowered``) on a bit-packed Pauli frame (see
+``PauliFrame.packed``) and the amplitudes, up to the next measurement or
+preparation, calling the Clifford loop for each rotation.  It has no numpy
+counterpart: without the compiled library it is None, and
+``backends.run_hybrid`` runs its Python gate loop over ``PauliFrame``,
+which is also the loop's reference in the tests.
 
 On first import the C source is compiled with the system C compiler (``gcc``,
 else ``cc``) into ``$XDG_CACHE_HOME/framesim`` (default ``~/.cache/framesim``),
-under a name keyed by a hash of the source and the compiler flags, and then
+under a name keyed by a hash of the source and the compiler flags, linked
+with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
-compiling.  When the library loads, the five names are the C loops and
-``JIT_ENABLED`` is True.  When it cannot be built or loaded (no compiler, a
-build error, a cache directory that cannot be written) one
-``RuntimeWarning`` names the reason and the five names are bound to the
-numpy functions instead.  The choice is made once, here, from what the
-import observes.
+compiling.  When the library loads, the three loop names are the C loops,
+``run_gates`` is set and ``JIT_ENABLED`` is True.  When it cannot be built
+or loaded (no compiler, a build error, a cache directory that cannot be
+written) one ``RuntimeWarning`` names the reason, the three names are bound
+to the numpy functions instead and ``run_gates`` is None.  The choice is
+made once, here, from what the import observes.
 """
 import ctypes
 import hashlib
@@ -57,6 +63,7 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-fPIC", "-shared")
+_LIBS = ("-lm",)  # after the source, so that the linker keeps it
 _SQ2 = 0.7071067811865476  # 1/sqrt(2), as in the C loop
 _I_POW = np.array([1, 1j, -1, -1j])
 
@@ -82,7 +89,7 @@ def _build() -> Path:
         source = _SOURCE.read_bytes()
     except OSError as exc:
         raise _Unavailable(f"kernel source missing: {exc}") from None
-    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    key = hashlib.sha256(source + " ".join(_CFLAGS + _LIBS).encode()).hexdigest()[:16]
     cache = _cache_dir()
     lib = cache / f"_kernels-{key}.so"
     if lib.is_file():
@@ -98,7 +105,7 @@ def _build() -> Path:
         raise _Unavailable(f"cache directory {cache} is not writable: {exc}") from None
     os.close(fd)
     try:
-        done = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+        done = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE), *_LIBS],
                               capture_output=True, text=True)
         if done.returncode != 0:
             raise _Unavailable(f"{cc} failed to build {_SOURCE.name}: "
@@ -119,17 +126,15 @@ def _load():
     except OSError as exc:
         raise _Unavailable(f"could not load the compiled kernels: {exc}") from None
     ptr, i64, u64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
-    lib.framesim_rotation_pairs.argtypes = [ptr, i64, u64, u64, ctypes.c_int, f64,
-                                            f64, f64, f64, f64]
-    lib.framesim_rotation_pairs.restype = None
-    lib.framesim_rotation_diag.argtypes = [ptr, i64, u64, f64, f64, f64, f64]
-    lib.framesim_rotation_diag.restype = None
     lib.framesim_clifford.argtypes = [ptr, i64, u64, u64, f64, f64, ctypes.c_int, u64]
     lib.framesim_clifford.restype = None
     lib.framesim_apply_h.argtypes = [ptr, i64, ctypes.c_int]
     lib.framesim_apply_h.restype = None
     lib.framesim_pair_exchange.argtypes = [ptr, i64, u64, u64, u64, ctypes.c_int]
     lib.framesim_pair_exchange.restype = None
+    lib.framesim_run_gates.argtypes = [ptr, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr,
+                                       i64, i64, ctypes.POINTER(f64)]
+    lib.framesim_run_gates.restype = i64
     return lib
 
 
@@ -180,26 +185,10 @@ def _check_exchange(mask, val, x) -> None:
         raise ValueError(f"val {val:#x} and x {x:#x} must be submasks of mask {mask:#x}")
 
 
-def _c_rotation_pairs(amp, x, z, pivot, c, u0, u1):
-    """``numpy_rotation_pairs`` in one tiled pass of the C loop."""
-    addr = _address(amp, x, z)
-    if not (x >> pivot) & 1:
-        raise ValueError(f"pivot {pivot} is not a set bit of x")
-    _lib.framesim_rotation_pairs(addr, amp.shape[0], x, z, pivot, c,
-                                 u0.real, u0.imag, u1.real, u1.imag)
-
-
-def _c_rotation_diag(amp, z, f_even, f_odd):
-    """``numpy_rotation_diag`` in one tiled pass of the C loop."""
-    addr = _address(amp, z)
-    _lib.framesim_rotation_diag(addr, amp.shape[0], z, f_even.real, f_even.imag,
-                                f_odd.real, f_odd.imag)
-
-
-def _c_clifford(amp, x, z, c, d, e0, m):
+def _c_clifford(amp, x, z, ca, cb, e0, m):
     """``numpy_clifford`` in one tiled pass of the C loop."""
     addr = _address(amp, x, z, m)
-    _lib.framesim_clifford(addr, amp.shape[0], x, z, c, d, e0 & 3, m)
+    _lib.framesim_clifford(addr, amp.shape[0], x, z, ca, cb, e0 & 3, m)
 
 
 def _c_apply_h(amp, q):
@@ -215,58 +204,52 @@ def _c_pair_exchange(amp, mask, val, x, e):
     _lib.framesim_pair_exchange(addr, amp.shape[0], mask, val, x, e & 3)
 
 
-def numpy_rotation_pairs(amp, x, z, pivot, c, u0, u1):
-    """amp[k0] <- c*a0 + u0*sg*a1; amp[k1] <- c*a1 + u1*sg*a0.
+def _c_run_gates(amp, xs, zs, ps, ops, angles, start):
+    """Run a lowered gate stream from gate ``start`` on the hybrid backend, in
+    one call of the C gate loop; return the index of the first gate not run
+    (the next MEASZ or PREPZ, or the gate count) and the seconds spent in
+    rotations.
 
-    This is c*a + u*P*a for a P whose x bits are x and whose z bits are z,
-    with u0 and u1 carrying u and the phase of P (see
-    ``statevector._combine``); c is real.
-    k0 runs over indices with the pivot bit clear (one per pair),
-    k1 = k0 ^ x is its partner and sg = (-1)**parity(k0 & z).  The pivot
-    must be a set bit of x, so exactly one member of every pair has it
-    clear: inserting a zero bit at the pivot position into 0 .. len/2 - 1
-    lists each pair once.
+    xs, zs and ps are the packed frame of ``PauliFrame.packed``, updated in
+    place, and ops and angles the arrays of ``Circuit.lowered``, on the
+    same n qubits as amp; the gate codes and qubits are not checked again.
     """
-    if not (x >> pivot) & 1:
-        raise ValueError(f"pivot {pivot} is not a set bit of x")
-    low = np.arange(amp.shape[0] >> 1, dtype=np.int64)
-    k0 = ((low >> pivot) << (pivot + 1)) | (low & np.int64((1 << pivot) - 1))
-    k1 = k0 ^ np.int64(x)
-    sg = 1.0 - 2.0 * (np.bitwise_count(k0 & np.int64(z)) & 1)
-    a0 = amp[k0]
-    a1 = amp[k1]
-    amp[k0] = c * a0 + u0 * (sg * a1)
-    amp[k1] = c * a1 + u1 * (sg * a0)
+    n = xs.shape[0] // 2
+    addr = _address(amp)
+    if amp.shape[0] != 1 << n:
+        raise ValueError(f"frame on {n} qubits applied to "
+                         f"{amp.shape[0].bit_length() - 1}-qubit state")
+    for words, dtype in ((xs, np.uint64), (zs, np.uint64), (ps, np.uint8)):
+        if words.dtype != dtype or words.shape != (2 * n,) or not words.flags.c_contiguous:
+            raise ValueError("packed frame must be contiguous uint64, uint64 and "
+                             "uint8 arrays of 2n rows")
+    count = len(angles)
+    if len(ops) != 3 * count or not 0 <= start <= count:
+        raise ValueError("lowered gate arrays do not match, or start is out of range")
+    spent = ctypes.c_double(0.0)
+    stop = _lib.framesim_run_gates(addr, amp.shape[0], n, xs.ctypes.data, zs.ctypes.data,
+                                   ps.ctypes.data, ops.buffer_info()[0],
+                                   angles.buffer_info()[0], start, count,
+                                   ctypes.byref(spent))
+    return stop, spent.value
 
 
-def numpy_rotation_diag(amp, z, f_even, f_odd):
-    """amp[k] *= f_even or f_odd depending on parity(k & z).
+def numpy_clifford(amp, x, z, ca, cb, e0, m):
+    """amp[k] <- ca*amp[k] + cb * i**e(k) * (-1)**parity(k & z) * amp[k ^ x].
 
-    This is c*a + u*P*a for a diagonal P with z bits z, through
-    f_even = c + w and f_odd = c - w, where w is u times the phase of P.
-    """
-    k = np.arange(amp.shape[0], dtype=np.int64)
-    odd = (np.bitwise_count(k & np.int64(z)) & 1).astype(bool)
-    amp *= np.where(odd, f_odd, f_even)
-
-
-def numpy_clifford(amp, x, z, c, d, e0, m):
-    """amp[k] <- c*(d*amp[k] + i**e(k) * (-1)**parity(k & z) * amp[k ^ x]).
-
-    e(k) = e0 + popcount(k & m).  With m = 0 this is c*(d + i**e0 * P) for a
-    Pauli P with x bits x and z bits z (up to P's own phase, see
-    ``statevector._pauli_turn``).  With c = 1 and d = 0 it is any product of
-    single-qubit Cliffords without a Hadamard part, up to an eighth root of
-    unity: i**(popcount(k & m) + 2*parity(k & z)) is i raised to any
-    function of k that is linear mod 4 in its bits.  c is real and d is 0
-    or 1.
+    e(k) = e0 + popcount(k & m), and ca and cb are real.  With m = 0 this is
+    ca + cb * i**e0 * P for a Pauli P with x bits x and z bits z (up to P's
+    own phase, see ``statevector._pauli_update``).  With ca = 0 and cb = 1
+    it is any product of single-qubit Cliffords without a Hadamard part, up
+    to an eighth root of unity: i**(popcount(k & m) + 2*parity(k & z)) is i
+    raised to any function of k that is linear mod 4 in its bits.
     """
     if not 0 <= max(x, z, m) < amp.shape[0]:
         raise ValueError("bit mask out of range for the amplitude array")
     k = np.arange(amp.shape[0], dtype=np.int64)
     e = (e0 + np.bitwise_count(k & np.int64(m))) & 3
     sg = 1.0 - 2.0 * (np.bitwise_count(k & np.int64(z)) & 1)
-    amp[:] = c * (d * amp + _I_POW[e] * sg * amp[k ^ np.int64(x)])
+    amp[:] = ca * amp + cb * _I_POW[e] * sg * amp[k ^ np.int64(x)]
 
 
 def numpy_apply_h(amp, q):
@@ -299,8 +282,8 @@ def numpy_pair_exchange(amp, mask, val, x, e):
 
 
 if _lib is not None:
-    rotation_pairs, rotation_diag = _c_rotation_pairs, _c_rotation_diag
     clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
+    run_gates = _c_run_gates
 else:
-    rotation_pairs, rotation_diag = numpy_rotation_pairs, numpy_rotation_diag
     clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
+    run_gates = None

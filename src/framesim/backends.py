@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, Circuit
+from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, TAGS, Circuit
 from .frame import PauliFrame, RotationStep, invert_to_rotations
 from .pauli import PauliString
 from .statevector import StateVector
@@ -101,7 +101,8 @@ class HybridState:
 
     ``flush_passes`` gets one entry per ``flush_to_origin`` call: the state
     passes it made, by kind (``rotations``, ``folded_runs``,
-    ``scalar_fixes`` and ``swaps``).
+    ``scalar_fixes`` and ``swaps``), and ``timing["flush_s"]`` adds up the
+    seconds of the flushes, the synthesis of their steps included.
     """
 
     frame: PauliFrame
@@ -123,10 +124,9 @@ class HybridState:
         amplitudes in place, in one pass of a ``_kernels`` loop:
 
         - Each rotation is a quarter or half turn, whose coefficients are
-          powers of i times 1 or 1/sqrt(2), so
+          0, +-1 or +-1/sqrt(2) times a power of i, so
           ``StateVector.apply_clifford_rotation`` runs it on the Clifford
-          loop, without complex multiplies, at 1.0-1.3 ns per amplitude on a
-          2-core Xeon at n = 20 (a general rotation pass takes 1.9-2.3).
+          loop with coefficients from a table.
         - A run of two or more single-qubit turns without a Hadamard part
           (the synthesis ends with one) is composed exactly into one
           ``StateVector.apply_monomial``: one pass of the Clifford loop with
@@ -139,8 +139,8 @@ class HybridState:
         phase included, within rounding, and so matches a gate-by-gate run
         up to one global phase, which is left unnormalized.
         """
-        steps = invert_to_rotations(self.frame)
         t0 = time.perf_counter()
+        steps = invert_to_rotations(self.frame)
         phi = self.phi
         passes = dict.fromkeys(("rotations", "folded_runs", "scalar_fixes", "swaps"), 0)
         for monomial, group in itertools.groupby(steps, _is_monomial):
@@ -183,7 +183,7 @@ def run_baseline(circuit: Circuit, rng=None) -> tuple[StateVector, RunReport]:
     report = RunReport("baseline", n, seed=seed)
     _fill_counts(report, circuit)
     t0 = time.perf_counter()
-    for g in circuit.gates:
+    for g in circuit:
         if g.tag in CLIFFORD_TAGS or g.tag in ROTATION_TAGS:
             state.apply_gate(g.tag, g.qubits, g.angle)
         elif g.tag == "MEASZ":
@@ -204,18 +204,70 @@ def run_hybrid(circuit: Circuit, rng=None) -> tuple[HybridState, RunReport]:
 
     ``HybridState.timing`` receives the seconds spent in rotations,
     measurements and preparations; ``clifford_s`` is the rest of the gate
-    loop, so it includes the loop's own dispatch.
+    loop, so it includes the loop's own dispatch.  The gate loop is the
+    compiled one when ``_kernels`` loaded its C library, else the Python
+    one; both draw the same outcomes from ``rng`` and leave the same frame
+    and, within rounding, the same amplitudes.
     """
     seed, rng = _seeded(rng)
     n = circuit.num_qubits
     hs = HybridState(PauliFrame.origin(n), StateVector.zero(n))
     report = RunReport("hybrid", n, seed=seed)
     _fill_counts(report, circuit)
+    gate_loop = _python_gates if _kernels.run_gates is None else _compiled_gates
+    t0 = time.perf_counter()
+    rotation_s, measure_s, prep_s = gate_loop(hs, circuit, rng, report.measurements)
+    report.t_run_s = time.perf_counter() - t0
+    hs.timing.update(clifford_s=report.t_run_s - rotation_s - measure_s - prep_s,
+                     rotation_s=rotation_s, measure_s=measure_s, prep_s=prep_s)
+    return hs, report
+
+
+_MEASZ = TAGS.index("MEASZ")
+
+
+def _compiled_gates(hs: HybridState, circuit: Circuit, rng,
+                    measurements: list[int]) -> tuple[float, float, float]:
+    """The hybrid's gate loop on ``_kernels.run_gates``: the circuit's lowered
+    stream runs in C on the packed frame up to each MEASZ or PREPZ, which
+    Python performs on the rows read back from the packed words; the frame
+    is unpacked once, at the end.  Returns the seconds spent in rotations,
+    measurements and preparations."""
+    xs, zs, ps = hs.frame.packed()
+    ops, angles = circuit.lowered()
+    phi = hs.phi
+    rotation_s = measure_s = prep_s = 0.0
+    clock = time.perf_counter
+    i = 0
+    while True:
+        i, spent = _kernels.run_gates(phi.amplitudes, xs, zs, ps, ops, angles, i)
+        rotation_s += spent
+        if i == len(angles):
+            break
+        t1 = clock()
+        stab, destab = PauliFrame.packed_pair(xs, zs, ps, ops[3 * i + 1])
+        if ops[3 * i] == _MEASZ:
+            outcome = phi.measure(stab, rng)
+            measurements.append(0 if outcome == 1 else 1)
+            measure_s += clock() - t1
+        else:
+            phi.prepare(stab, destab, rng)
+            prep_s += clock() - t1
+        i += 1
+    hs.frame = PauliFrame.from_packed(xs, zs, ps)
+    return rotation_s, measure_s, prep_s
+
+
+def _python_gates(hs: HybridState, circuit: Circuit, rng,
+                  measurements: list[int]) -> tuple[float, float, float]:
+    """The hybrid's gate loop in Python, one ``PauliFrame`` update or lookup
+    per gate.  Returns the seconds spent in rotations, measurements and
+    preparations."""
+    n = circuit.num_qubits
     frame, phi = hs.frame, hs.phi
     rotation_s = measure_s = prep_s = 0.0
     clock = time.perf_counter
-    t0 = clock()
-    for g in circuit.gates:
+    for g in circuit:
         tag = g.tag
         if tag in CLIFFORD_TAGS:
             frame.apply_gate(tag, g.qubits)
@@ -228,7 +280,7 @@ def run_hybrid(circuit: Circuit, rng=None) -> tuple[HybridState, RunReport]:
             t1 = clock()
             outcome = phi.measure(frame.lookup(
                 PauliString.single(n, g.qubits[0], "Z")), rng)
-            report.measurements.append(0 if outcome == 1 else 1)
+            measurements.append(0 if outcome == 1 else 1)
             measure_s += clock() - t1
         elif tag == "PREPZ":
             t1 = clock()
@@ -238,7 +290,4 @@ def run_hybrid(circuit: Circuit, rng=None) -> tuple[HybridState, RunReport]:
             prep_s += clock() - t1
         else:
             raise ValueError(f"unsupported gate tag {tag!r}")
-    report.t_run_s = clock() - t0
-    hs.timing.update(clifford_s=report.t_run_s - rotation_s - measure_s - prep_s,
-                     rotation_s=rotation_s, measure_s=measure_s, prep_s=prep_s)
-    return hs, report
+    return rotation_s, measure_s, prep_s

@@ -5,9 +5,16 @@ the first list element is applied first.  The Clifford subset is exactly
 {H, S, SDG, X, Y, Z, CX, CZ, SWAP}; RX/RY/RZ carry an angle in the
 R_A(theta) = exp(-i theta A / 2) convention, and PREPZ/MEASZ are the
 computational-basis preparation and measurement.
+
+Besides its ``Gate`` records, a circuit keeps the gate stream in a lowered
+form, built as the gates are appended: per gate a code (its index in
+``TAGS``), two qubits (the second 0 for one-qubit gates) and an angle (0.0
+when it has none), in two flat arrays.  The hybrid backend's compiled gate
+loop reads that form without touching a Python object per gate.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .pauli import PauliString
@@ -17,6 +24,10 @@ CLIFFORD_TAGS = frozenset({"H", "S", "SDG", "X", "Y", "Z", "CX", "CZ", "SWAP"})
 # each rotation tag with the single-qubit Pauli it rotates about
 ROTATION_AXIS = {"RX": "X", "RY": "Y", "RZ": "Z"}
 ROTATION_TAGS = frozenset(ROTATION_AXIS)
+# the gate code of each tag is its index here; _kernels.c lists the same order
+TAGS = ("H", "S", "SDG", "X", "Y", "Z", "CX", "CZ", "SWAP", "RX", "RY", "RZ",
+        "MEASZ", "PREPZ")
+_CODE = {tag: code for code, tag in enumerate(TAGS)}
 _ARITY = {
     "H": 1, "S": 1, "SDG": 1, "X": 1, "Y": 1, "Z": 1,
     "CX": 2, "CZ": 2, "SWAP": 2,
@@ -33,18 +44,36 @@ class Gate:
 
 
 class Circuit:
-    """An ordered gate list on a fixed qubit count, plus free-form metadata."""
+    """An ordered gate list on a fixed qubit count, plus free-form metadata.
 
-    __slots__ = ("num_qubits", "gates", "metadata")
+    Gates are added only through ``append`` and ``extend``, which keep the
+    ``Gate`` records and the lowered arrays (see ``lowered``) in step;
+    ``gates`` is a read-only copy, and iterating over the circuit walks the
+    gates without one.
+    """
+
+    __slots__ = ("num_qubits", "_gates", "_ops", "_angles", "metadata")
 
     def __init__(self, num_qubits: int, gates=None, metadata=None):
         if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         self.num_qubits = num_qubits
-        self.gates: list[Gate] = []
+        self._gates: list[Gate] = []
+        self._ops = array("i")  # code, q0, q1 per gate
+        self._angles = array("d")
         self.metadata: dict = dict(metadata) if metadata else {}
         for g in gates or ():
             self.append(g.tag, *g.qubits, angle=g.angle)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(self._gates)
+
+    def lowered(self) -> tuple[array, array]:
+        """The gate stream as flat arrays: ``ops`` holds the code (index in
+        ``TAGS``) and two qubits of each gate, int32, and ``angles`` its angle,
+        float64.  The arrays are the circuit's own; do not modify them."""
+        return self._ops, self._angles
 
     def append(self, tag: str, *qubits: int, angle: float | None = None) -> None:
         if tag not in _ARITY:
@@ -61,26 +90,34 @@ class Circuit:
                 raise ValueError(f"{tag} requires a finite angle")
         elif angle is not None:
             raise ValueError(f"{tag} does not take an angle")
-        self.gates.append(Gate(tag, tuple(qubits), angle))
+        self._gates.append(Gate(tag, tuple(qubits), angle))
+        self._ops.extend((_CODE[tag], qubits[0], qubits[-1] if len(qubits) > 1 else 0))
+        self._angles.append(0.0 if angle is None else angle)
 
     def extend(self, other: "Circuit") -> None:
         if other.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
-        self.gates.extend(other.gates)
+        self._gates.extend(other._gates)
+        self._ops.extend(other._ops)
+        self._angles.extend(other._angles)
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self._gates)
+
+    def __iter__(self):
+        """The gates in order, without the copy that ``gates`` makes."""
+        return iter(self._gates)
 
     def clifford_count(self) -> int:
-        return sum(1 for g in self.gates if g.tag in CLIFFORD_TAGS)
+        return sum(1 for g in self._gates if g.tag in CLIFFORD_TAGS)
 
     def rotation_count(self) -> int:
-        return sum(1 for g in self.gates if g.tag in ROTATION_TAGS)
+        return sum(1 for g in self._gates if g.tag in ROTATION_TAGS)
 
     def dump_text(self) -> str:
         """One gate per line: ``TAG q[,q2][,angle]``."""
         lines = []
-        for g in self.gates:
+        for g in self._gates:
             parts = [str(q) for q in g.qubits]
             if g.angle is not None:
                 parts.append(repr(g.angle))
@@ -88,7 +125,7 @@ class Circuit:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"Circuit(num_qubits={self.num_qubits}, gates={len(self.gates)}, "
+        return (f"Circuit(num_qubits={self.num_qubits}, gates={len(self._gates)}, "
                 f"cliffords={self.clifford_count()}, rotations={self.rotation_count()})")
 
 

@@ -21,12 +21,16 @@ single letter.
 
 Rows are held as plain (x_bits, z_bits, phase_exp) integer triples rather
 than PauliString objects: the frame update runs once per circuit gate and
-object construction would dominate it.
+object construction would dominate it.  For the hybrid backend's compiled
+gate loop the same rows are packed into machine words (``packed``), for up
+to 64 qubits, and read back once the loop is done (``from_packed``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .pauli import PauliString, _mul, _swap_bits
 
@@ -100,6 +104,36 @@ class PauliFrame:
         out._z = list(self._z)
         out._x = list(self._x)
         return out
+
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows as bit-packed words: the x bits and z bits (uint64) and the
+        phase exponent (uint8) of eff_z[0..n-1], then of eff_x[0..n-1].
+
+        This is the frame of ``_kernels.run_gates``; it holds at most 64
+        qubits, and a larger frame raises ValueError.
+        """
+        if self.num_qubits > 64:
+            raise ValueError(f"a packed frame holds at most 64 qubits, not {self.num_qubits}")
+        rows = self._z + self._x
+        return (np.array([r[0] for r in rows], dtype=np.uint64),
+                np.array([r[1] for r in rows], dtype=np.uint64),
+                np.array([r[2] for r in rows], dtype=np.uint8))
+
+    @classmethod
+    def from_packed(cls, xs, zs, ps) -> "PauliFrame":
+        """The frame whose ``packed`` words are xs, zs and ps."""
+        n = len(xs) // 2
+        rows = list(zip(xs.tolist(), zs.tolist(), ps.tolist()))
+        out = cls.__new__(cls)
+        out.num_qubits = n
+        out._z, out._x = rows[:n], rows[n:]
+        return out
+
+    @staticmethod
+    def packed_pair(xs, zs, ps, q: int) -> tuple[PauliString, PauliString]:
+        """(eff_z[q], eff_x[q]) read from the ``packed`` words xs, zs and ps."""
+        n = len(xs) // 2
+        return tuple(PauliString(n, int(xs[i]), int(zs[i]), int(ps[i])) for i in (q, n + q))
 
     def eff_z(self, i: int) -> PauliString:
         return PauliString(self.num_qubits, *self._z[i])

@@ -7,19 +7,18 @@ that is a pure bit computation, so one rotation costs a single pass over
 the amplitudes regardless of how many qubits P touches.  That flatness in
 operator weight is the whole point of the hybrid backend built on top.
 
-``StateVector`` holds no amplitude loop of its own.  Every update whose
-coefficients are powers of i times 1 or 1/sqrt(2) -- Pauli application
-(and with it the expectation and the prepare repair), rotations by
-multiples of pi/2 (``apply_clifford_rotation``) and products of
-single-qubit Cliffords without a Hadamard part (``apply_monomial``), which
-the flush uses, and the baseline's X and Y -- goes through the Clifford
-loop of ``_kernels``, which needs no complex multiply and costs about half
-a general rotation pass.  Rotations by other angles and the measurement
-collapse, of the form c*I + u*P, go through its two rotation loops; H goes
-through its Hadamard loop, and CX, SWAP and ``swap_qubits``, as well as Z,
-S, SDG and CZ, which change only the amplitudes whose qubits are set,
-through its masked pair exchange.  All of them update the amplitudes in
-place.
+``StateVector`` holds no amplitude loop of its own.  Every update of the
+form ca*I + cb*i**e*P with real ca and cb -- rotations by any angle and
+by multiples of pi/2 (``apply_clifford_rotation``, which the flush uses),
+Pauli application (and with it the expectation and the prepare repair),
+the measurement collapse, and the baseline's X, Y, RX, RY and RZ -- and
+every product of single-qubit Cliffords without a Hadamard part
+(``apply_monomial``, the flush's folded run) goes through the Clifford
+loop of ``_kernels``, which applies each power of i without a complex
+multiply.  H goes through its Hadamard loop, and CX, SWAP and
+``swap_qubits``, as well as Z, S, SDG and CZ, which change only the
+amplitudes whose qubits are set, through its masked pair exchange.  All of
+them update the amplitudes in place.
 
 Index convention: bit j of the amplitude index is the computational value
 of qubit j (qubit 0 = least significant bit).
@@ -40,16 +39,14 @@ _NORM_TOLERANCE = 1e-10
 # largest imaginary part tolerated in the expectation of a Hermitian operator
 _IMAG_TOLERANCE = 1e-9
 
-_I_POW = (1, 1j, -1, -1j)
-
 _SQ2 = 0.7071067811865476  # cos(pi/4)
 _OMEGA = complex(_SQ2, _SQ2)  # exp(i*pi/4)
-# R_P(k*pi/2) = cos(k*pi/4) - i*sin(k*pi/4)*P as c*(d + i**e * P), by k mod 8;
-# k = 0 and 4 are +I and -I
-_QUARTER_TURNS = {1: (_SQ2, 1, 3), 2: (1.0, 0, 3), 3: (-_SQ2, 1, 1),
-                  5: (-_SQ2, 1, 3), 6: (1.0, 0, 1), 7: (_SQ2, 1, 1)}
+# R_P(k*pi/2) = cos(k*pi/4) - i*sin(k*pi/4)*P as ca + cb * i**e * P, by k
+# mod 8; k = 0 and 4 are +I and -I
+_QUARTER_TURNS = {1: (_SQ2, _SQ2, 3), 2: (0.0, 1.0, 3), 3: (-_SQ2, -_SQ2, 1),
+                  5: (-_SQ2, -_SQ2, 3), 6: (0.0, 1.0, 1), 7: (_SQ2, _SQ2, 1)}
 # the baseline's X and Y, as arguments (x, z, e0) of ``_kernels.clifford``
-# from the single-bit mask of their qubit, with c = 1, d = 0 and m = 0
+# from the single-bit mask of their qubit, with ca = 0, cb = 1 and m = 0
 _CLIFFORD_1Q = {
     "X": lambda b: (b, 0, 0),
     "Y": lambda b: (b, b, 3),
@@ -68,43 +65,19 @@ _EXCHANGE = {
 }
 
 
-def _combine(amp: np.ndarray, p: PauliString, c, u) -> None:
-    """amp <- c*amp + u*P*amp in place, in one pass of the amplitude loops.
-
-    P|k> = i**(phase_exp + n_y) * (-1)**parity(k & z) * |k ^ x>, so a
-    diagonal P scales each amplitude by c + w or c - w (w = u * i**phase_exp)
-    and any other P mixes the pairs {k, k ^ x}.  The pair loop takes a real
-    c; c may be complex only for a diagonal P.
-    """
-    if 1 << p.num_qubits != amp.shape[0]:
-        raise ValueError(f"operator on {p.num_qubits} qubits applied to "
-                         f"{amp.shape[0].bit_length() - 1}-qubit state")
-    if p.x_bits == 0:
-        w = u * _I_POW[p.phase_exp]
-        _kernels.rotation_diag(amp, p.z_bits, c + w, c - w)
-        return
-    n_y = p.y_mask.bit_count()
-    w = u * _I_POW[(p.phase_exp + n_y) & 3]
-    # the pair loop's sign is (-1)**parity(k0 & z), while P's image at k0
-    # carries the partner's sign, which differs by parity(x & z) = parity(n_y)
-    pivot = (p.x_bits & -p.x_bits).bit_length() - 1
-    _kernels.rotation_pairs(amp, p.x_bits, p.z_bits, pivot, c,
-                            -w if n_y & 1 else w, w)
-
-
-def _pauli_turn(amp: np.ndarray, p: PauliString, c: float, d: int, e: int) -> None:
-    """amp <- c*(d*amp + i**e * P*amp) in place, in one pass of the Clifford loop.
+def _pauli_update(amp: np.ndarray, p: PauliString, ca: float, cb: float, e: int) -> None:
+    """amp <- ca*amp + cb * i**e * P*amp in place, in one pass of the Clifford loop.
 
     P|k> = i**(phase_exp + n_y) * (-1)**parity(k & z) * |k ^ x>, so
     (P*amp)[k] = i**(phase_exp - n_y) * (-1)**parity(k & z) * amp[k ^ x]:
     the partner's sign differs from k's by parity(x & z) = parity(n_y).
-    c is real and d is 0 or 1.
+    ca and cb are real.
     """
     if 1 << p.num_qubits != amp.shape[0]:
         raise ValueError(f"operator on {p.num_qubits} qubits applied to "
                          f"{amp.shape[0].bit_length() - 1}-qubit state")
     e0 = (e + p.phase_exp - p.y_mask.bit_count()) & 3
-    _kernels.clifford(amp, p.x_bits, p.z_bits, c, d, e0, 0)
+    _kernels.clifford(amp, p.x_bits, p.z_bits, ca, cb, e0, 0)
 
 
 class StateVector:
@@ -149,7 +122,7 @@ class StateVector:
 
     def apply_pauli(self, p: PauliString) -> None:
         """In-place permutation-plus-phase update |state> <- P|state>."""
-        _pauli_turn(self.amplitudes, p, 1.0, 0, 0)
+        _pauli_update(self.amplitudes, p, 0.0, 1.0, 0)
 
     def apply_pauli_rotation(self, p: PauliString, theta: float) -> None:
         """Apply R_P(theta) = exp(-i theta P / 2) in one amplitude pass.
@@ -161,21 +134,21 @@ class StateVector:
         if not p.is_hermitian:
             raise ValueError("rotation axis must be Hermitian (phase_exp 0 or 2)")
         half_angle = 0.5 * theta
-        _combine(self.amplitudes, p, math.cos(half_angle), -1j * math.sin(half_angle))
+        _pauli_update(self.amplitudes, p, math.cos(half_angle), math.sin(half_angle), 3)
 
     def apply_clifford_rotation(self, p: PauliString, quarter_turns: int) -> None:
         """Apply R_P(quarter_turns * pi/2) exactly, in one amplitude pass.
 
-        A turn by a multiple of pi/2 has coefficients that are powers of i
-        times 1 or 1/sqrt(2), so it runs on the Clifford loop, which applies
-        them without complex multiplies.  P must be Hermitian, as in
+        A turn by a multiple of pi/2 has coefficients that are 0, +-1 or
+        +-1/sqrt(2) times a power of i, so it takes them from a table instead
+        of computing a cosine and a sine.  P must be Hermitian, as in
         ``apply_pauli_rotation``; the result equals it up to rounding.
         """
         if not p.is_hermitian:
             raise ValueError("rotation axis must be Hermitian (phase_exp 0 or 2)")
         k = quarter_turns % 8
         if k in _QUARTER_TURNS:
-            _pauli_turn(self.amplitudes, p, *_QUARTER_TURNS[k])
+            _pauli_update(self.amplitudes, p, *_QUARTER_TURNS[k])
         elif k == 4:
             self.amplitudes *= -1.0
 
@@ -190,7 +163,7 @@ class StateVector:
         its constant phase; an odd ``eighths`` adds one in-place multiply
         by w.
         """
-        _kernels.clifford(self.amplitudes, x, z, 1.0, 0, eighths >> 1, m)
+        _kernels.clifford(self.amplitudes, x, z, 0.0, 1.0, eighths >> 1, m)
         if eighths & 1:
             self.amplitudes *= _OMEGA
 
@@ -202,7 +175,7 @@ class StateVector:
         if not p.is_hermitian:
             raise ValueError("expectation requires a Hermitian operator")
         applied = self.amplitudes.copy()
-        _pauli_turn(applied, p, 1.0, 0, 0)
+        _pauli_update(applied, p, 0.0, 1.0, 0)
         val = np.vdot(self.amplitudes, applied)
         if abs(val.imag) >= _IMAG_TOLERANCE:
             raise RuntimeError(f"non-real Pauli expectation {val}")
@@ -220,7 +193,7 @@ class StateVector:
             raise RuntimeError("measurement drew a probability-zero branch")
         # (I + outcome*P)/2 projects; 1/sqrt(p_branch) renormalizes
         scale = 0.5 / math.sqrt(p_branch)
-        _combine(self.amplitudes, p, scale, outcome * scale)
+        _pauli_update(self.amplitudes, p, scale, outcome * scale, 0)
         return outcome
 
     def prepare(self, stab: PauliString, destab: PauliString, rng) -> None:
@@ -248,7 +221,7 @@ class StateVector:
                 raise ValueError(f"qubit {q} out of range")
         if tag in _CLIFFORD_1Q:
             x, z, e0 = _CLIFFORD_1Q[tag](1 << qubits[0])
-            _kernels.clifford(self.amplitudes, x, z, 1.0, 0, e0, 0)
+            _kernels.clifford(self.amplitudes, x, z, 0.0, 1.0, e0, 0)
         elif tag in ROTATION_AXIS:
             if angle is None:
                 raise ValueError(f"{tag} requires an angle")

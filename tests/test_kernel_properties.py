@@ -1,4 +1,4 @@
-"""The amplitude loops of ``_kernels`` over random arguments: the compiled C
+"""The Clifford loop of ``_kernels`` over random arguments: the compiled C
 loop against the numpy reference against a dense matrix built from
 ``oracles``, and the flush and its folded runs against the per-step
 rotation path."""
@@ -11,19 +11,17 @@ from framesim import HybridState, PauliFrame, PauliString, StateVector, _kernels
 from framesim.frame import RotationStep, invert_to_rotations
 from oracles import S, embed_1q, pauli_matrix, random_clifford_circuit
 
-# the numpy reference always, and the compiled C loops wherever they loaded
-TIERS = {"numpy": (_kernels.numpy_clifford, _kernels.numpy_rotation_pairs,
-                   _kernels.numpy_rotation_diag)}
+# the Clifford loop of the numpy reference always, and the compiled C loop
+# wherever it loaded
+TIERS = {"numpy": _kernels.numpy_clifford}
 if _kernels.JIT_ENABLED:
-    TIERS["compiled"] = (_kernels.clifford, _kernels.rotation_pairs,
-                         _kernels.rotation_diag)
+    TIERS["compiled"] = _kernels.clifford
 
 MAX_QUBITS = 10
 TILE = 256  # amplitudes per tile of the compiled loops
 SQ2 = 0.7071067811865476
-COEFFICIENTS = st.one_of(st.sampled_from([1.0, -1.0, SQ2, -SQ2]),
+COEFFICIENTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, SQ2, -SQ2]),
                          st.floats(-2.0, 2.0, allow_nan=False))
-COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
 def x_bits(n):
@@ -43,17 +41,8 @@ def clifford_cases(draw):
     x = draw(st.one_of(st.just(0), x_bits(n)))
     m = draw(st.one_of(st.just(0), st.integers(1, (1 << n) - 1)))
     return (n, x, draw(st.integers(0, (1 << n) - 1)), draw(COEFFICIENTS),
-            draw(st.integers(0, 1)), draw(st.integers(0, 3)), m,
+            draw(COEFFICIENTS), draw(st.integers(0, 3)), m,
             draw(st.integers(0, 2**32 - 1)))
-
-
-@st.composite
-def pair_cases(draw):
-    n = draw(st.integers(1, MAX_QUBITS))
-    x = draw(x_bits(n))
-    pivot = draw(st.sampled_from([q for q in range(n) if x >> q & 1]))
-    return (n, x, draw(st.integers(0, (1 << n) - 1)), pivot, draw(COEFFICIENTS),
-            draw(COMPLEX), draw(COMPLEX), draw(st.integers(0, 2**32 - 1)))
 
 
 def random_amplitudes(seed, n):
@@ -67,11 +56,11 @@ def xz_matrix(n, x, z):
 
 
 def check_tiers(amp, ref, run):
-    """run(kernels, out) on a copy of amp per tier; each must equal ref."""
+    """run(clifford, out) on a copy of amp per tier; each must equal ref."""
     out = {}
-    for name, kernels in TIERS.items():
+    for name, clifford in TIERS.items():
         out[name] = amp.copy()
-        run(kernels, out[name])
+        run(clifford, out[name])
         assert np.max(np.abs(out[name] - ref)) < 1e-12, name
     if "compiled" in out:
         assert np.max(np.abs(out["compiled"] - out["numpy"])) < 1e-12
@@ -79,50 +68,26 @@ def check_tiers(amp, ref, run):
 
 @settings(max_examples=150, deadline=None)
 @given(clifford_cases())
-@example((1, 1, 1, SQ2, 1, 3, 0, 1))          # a one-qubit state
-@example((2, 3, 2, 1.0, 0, 1, 0, 2))          # two pairs per cache line
-@example((5, 0, 0, 1.0, 0, 0, 0b1000, 3))     # S on a state below one tile
-@example((9, 0x100, 0x1ff, -SQ2, 1, 1, 0x100, 4))  # x and m at the tile edge
-@example((10, 0x2c5, 0x3a1, SQ2, 1, 2, 0x3c3, 5))  # x and m inside and above a tile
-@example((10, 0x300, 0x0f0, 1.0, 0, 3, 0x200, 6))  # x and m above a tile only
-@example((10, 0x0a4, 0x300, 1.0, 0, 0, 0x0f0, 7))  # m inside a tile, z above it
+@example((1, 1, 1, SQ2, SQ2, 3, 0, 1))        # a one-qubit state
+@example((2, 3, 2, 0.0, 1.0, 1, 0, 2))        # two pairs per cache line
+@example((5, 0, 0, 0.0, 1.0, 0, 0b1000, 3))   # S on a state below one tile
+@example((9, 0x100, 0x1ff, -SQ2, -SQ2, 1, 0x100, 4))  # x and m at the tile edge
+@example((10, 0x2c5, 0x3a1, 0.3, -1.7, 2, 0x3c3, 5))  # x and m inside and above a tile
+@example((10, 0x300, 0x0f0, 0.0, 1.0, 3, 0x200, 6))   # x and m above a tile only
+@example((10, 0x0a4, 0x300, 0.9, 0.4, 0, 0x0f0, 7))   # m inside a tile, z above it
+@example((10, 0, 0x2c1, 0.6, -0.8, 3, 0, 8))          # a diagonal rotation
 def test_clifford_loop_matches_reference_and_oracle(case):
-    n, x, z, c, d, e0, m, seed = case
+    # ca*I + cb * i**e0 * diag(i**popcount(k & m)) * Z**z X**x, for any real
+    # ca and cb: a rotation by any angle has ca = cos, cb = sin and e0 odd
+    n, x, z, ca, cb, e0, m, seed = case
     phase = np.eye(1 << n)
     for q in range(n):
         if m >> q & 1:
             phase = phase @ embed_1q(S, q, n)
-    ref_matrix = c * (d * np.eye(1 << n) + 1j ** e0 * phase @ xz_matrix(n, x, z))
+    ref_matrix = ca * np.eye(1 << n) + cb * 1j ** e0 * phase @ xz_matrix(n, x, z)
     amp = random_amplitudes(seed, n)
     check_tiers(amp, ref_matrix @ amp,
-                lambda k, out: k[0](out, x, z, c, d, e0, m))
-
-
-@settings(max_examples=100, deadline=None)
-@given(pair_cases())
-@example((1, 1, 0, 0, 0.5, 1j, -1j, 1))
-@example((10, 0x2c5, 0x3a1, 9, 0.3, 0.2 + 1j, -0.7j, 2))
-def test_rotation_pair_loop_matches_reference_and_oracle(case):
-    # new[k] = c*a[k] + w(k)*a[k ^ x], w(k) = (-1)**parity(k & z) times u0
-    # where the pivot bit of k is clear, u1*(-1)**parity(x & z) where it is set
-    n, x, z, pivot, c, u0, u1, seed = case
-    u1k = -u1 if (x & z).bit_count() & 1 else u1
-    w = embed_1q(np.diag([u0, u1k]), pivot, n)
-    ref_matrix = c * np.eye(1 << n) + w @ xz_matrix(n, x, z)
-    amp = random_amplitudes(seed, n)
-    check_tiers(amp, ref_matrix @ amp,
-                lambda k, out: k[1](out, x, z, pivot, c, u0, u1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, MAX_QUBITS), data=st.data(), f_even=COMPLEX, f_odd=COMPLEX,
-       seed=st.integers(0, 2**32 - 1))
-def test_rotation_diag_loop_matches_reference_and_oracle(n, data, f_even, f_odd, seed):
-    z = data.draw(st.integers(0, (1 << n) - 1))
-    zm = pauli_matrix(PauliString(n, 0, z))
-    ref_matrix = (f_even + f_odd) / 2 * np.eye(1 << n) + (f_even - f_odd) / 2 * zm
-    amp = random_amplitudes(seed, n)
-    check_tiers(amp, ref_matrix @ amp, lambda k, out: k[2](out, z, f_even, f_odd))
+                lambda clifford, out: clifford(out, x, z, ca, cb, e0, m))
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,9 +138,9 @@ def test_folded_run_matches_its_turns_one_by_one(case):
     ref = StateVector(n, amp)
     for step in run:
         ref.apply_clifford_rotation(step.axis, step.quarter_turns)
-    for name, kernels in TIERS.items():
+    for name, clifford in TIERS.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "clifford", kernels[0])
+            mp.setattr(_kernels, "clifford", clifford)
             out = StateVector(n, amp)
             out.apply_monomial(*_fold(run))
         assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-12, name
@@ -183,8 +148,8 @@ def test_folded_run_matches_its_turns_one_by_one(case):
 
 @pytest.mark.parametrize("name", list(TIERS))
 def test_clifford_loop_rejects_masks_outside_the_state(name):
-    clifford = TIERS[name][0]
+    clifford = TIERS[name]
     amp = StateVector.zero(3).amplitudes
     for x, z, m in ((8, 0, 0), (0, 8, 0), (0, 0, 8)):
         with pytest.raises(ValueError, match="out of range"):
-            clifford(amp, x, z, 1.0, 0, 0, m)
+            clifford(amp, x, z, 0.0, 1.0, 0, m)

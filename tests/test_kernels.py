@@ -19,8 +19,9 @@ PROBE = "import framesim._kernels as k; print(k.kernel_tier())"
 # against the dense closed form, each gate with a loop of its own (S on the
 # pair exchange, Y on the Clifford loop) against its dense matrix, one
 # folded run of single-qubit turns (a phase mask, bit flips and an odd
-# eighth root) against its dense rotations, and one flush against its steps
-# as dense rotations and swaps
+# eighth root) against its dense rotations, one flush against its steps as
+# dense rotations and swaps, and the hybrid's Python gate loop, with a
+# MEASZ and a PREPZ, against the baseline
 ROTATE_PROBE = PROBE + """
 import numpy as np
 from framesim import HybridState, PauliFrame, PauliString, StateVector
@@ -67,6 +68,20 @@ hs = HybridState(frame, StateVector(5, amp))
 hs.flush_to_origin()
 if np.max(np.abs(hs.phi.amplitudes - ref)) > 1e-12:
     raise SystemExit("numpy tier disagrees with the dense oracle on the flush")
+from framesim import Circuit, _kernels, run_baseline, run_hybrid
+if _kernels.run_gates is not None:
+    raise SystemExit("numpy tier bound the compiled gate loop")
+circ = Circuit(5)
+for tag, qubits, angle in (("H", (0,), None), ("CX", (0, 4), None), ("RY", (4,), 0.8),
+                           ("S", (2,), None), ("MEASZ", (4,), None), ("H", (4,), None),
+                           ("PREPZ", (0,), None), ("RX", (0,), -1.3), ("MEASZ", (0,), None)):
+    circ.append(tag, *qubits, angle=angle)
+state, rb = run_baseline(circ, 3)
+hs, rh = run_hybrid(circ, 3)
+hs.flush_to_origin()
+if rb.measurements != rh.measurements or np.max(np.abs(
+        state.probabilities() - hs.phi.probabilities())) > 1e-12:
+    raise SystemExit("numpy tier's hybrid gate loop disagrees with the baseline")
 """
 
 

@@ -11,21 +11,17 @@ from framesim import HybridState, PauliFrame, PauliString, StateVector
 from framesim import _kernels
 from oracles import pauli_matrix, random_clifford_circuit, random_pauli, rotation_matrix
 
-# (rotation_pairs, rotation_diag, clifford) of each implementation: the numpy
-# reference always, and the compiled C loops wherever their library loaded;
-# the oracle tests must hold for whichever one a deployment ends up on
-KERNELS = {"numpy": (_kernels.numpy_rotation_pairs, _kernels.numpy_rotation_diag,
-                     _kernels.numpy_clifford)}
+# the Clifford loop of each implementation, which carries every Pauli-shaped
+# update: the numpy reference always, and the compiled C loop wherever its
+# library loaded; the oracle tests must hold for whichever one a deployment
+# ends up on
+KERNELS = {"numpy": _kernels.numpy_clifford}
 if _kernels.JIT_ENABLED:
-    KERNELS["compiled"] = (_kernels.rotation_pairs, _kernels.rotation_diag,
-                           _kernels.clifford)
+    KERNELS["compiled"] = _kernels.clifford
 
 
 def use_kernels(monkeypatch, name):
-    pairs, diag, clifford = KERNELS[name]
-    monkeypatch.setattr(_kernels, "rotation_pairs", pairs)
-    monkeypatch.setattr(_kernels, "rotation_diag", diag)
-    monkeypatch.setattr(_kernels, "clifford", clifford)
+    monkeypatch.setattr(_kernels, "clifford", KERNELS[name])
 
 
 @pytest.fixture(params=list(KERNELS))
@@ -136,9 +132,10 @@ def test_rotation_inverse_composes_to_identity(kernel_path):
         assert np.max(np.abs(s.amplitudes - before)) < 1e-12
 
 
-# (n, x, z) cases that reach each traversal branch of the compiled loops,
-# whose tiles span the low 8 index bits; the dense-oracle tests above stop at
-# n = 6, where the whole state is one tile
+# (n, x, z) cases that reach each traversal branch of the compiled Clifford
+# loop, whose tiles span the low 8 index bits; the dense-oracle tests above
+# stop at n = 6, where the whole state is one tile.  A case's "pivot" is the
+# lowest set bit of x.
 TRAVERSAL_CASES = {
     "x-low-pivot-0": (12, 0x001, 0x6c3),
     "x-low-pivot-1": (12, 0x002, 0x0f0),
@@ -176,34 +173,22 @@ def test_compiled_rotation_matches_numpy_reference(case, monkeypatch):
 
 @pytest.mark.parametrize("case", [c for c, (_, x, _) in TRAVERSAL_CASES.items() if x])
 def test_compiled_pair_loop_keeps_its_documented_semantics(case):
-    # rotation_pairs takes u0 and u1 independently and any set bit of x as
-    # the pivot; apply_pauli_rotation only ever passes related values and the
-    # lowest set bit.  The reference below lists the pairs by filtering
-    # indices, not by the zero insertion the numpy implementation uses.
+    # the Clifford loop walks the pairs {k, k ^ x} for any real ca and cb,
+    # any e0 and a phase mask m; apply_pauli_rotation only ever passes m = 0.
+    # The reference below is the docstring's statement over index arrays,
+    # not the numpy implementation.
     n, x, z = TRAVERSAL_CASES[case]
     rng = np.random.default_rng(17)
-    c = float(rng.normal())
-    u0, u1 = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
-    for name, (rotation_pairs, *_) in KERNELS.items():
-        for pivot in (x.bit_length() - 1, (x & -x).bit_length() - 1):
+    ca, cb = (float(v) for v in rng.normal(size=2))
+    k = np.arange(1 << n)
+    for name, clifford in KERNELS.items():
+        for e0, m in ((1, 0), (2, 0), (3, x | 0x81), (0, z ^ 0x5)):
             amp = random_state(rng, n).amplitudes
-            k = np.arange(1 << n)
-            k0 = k[(k >> pivot) & 1 == 0]
-            k1 = k0 ^ x
-            sg = 1.0 - 2.0 * (np.bitwise_count(k0 & z) & 1)
-            ref = amp.copy()
-            ref[k0] = c * amp[k0] + u0 * sg * amp[k1]
-            ref[k1] = c * amp[k1] + u1 * sg * amp[k0]
-            rotation_pairs(amp, x, z, pivot, c, u0, u1)
-            assert np.max(np.abs(amp - ref)) < 1e-12, (name, pivot)
-
-
-@pytest.mark.parametrize("name", list(KERNELS))
-def test_pair_loop_rejects_a_pivot_outside_x(name):
-    rotation_pairs, *_ = KERNELS[name]
-    amp = StateVector.zero(3).amplitudes
-    with pytest.raises(ValueError, match="pivot"):
-        rotation_pairs(amp, 0b101, 0, 1, 1.0, 0j, 0j)
+            e = (e0 + np.bitwise_count(k & m)) % 4
+            sg = 1.0 - 2.0 * (np.bitwise_count(k & z) & 1)
+            ref = ca * amp + cb * 1j ** e * sg * amp[k ^ x]
+            clifford(amp, x, z, ca, cb, e0, m)
+            assert np.max(np.abs(amp - ref)) < 1e-12, (name, e0, m)
 
 
 def test_rotation_takes_a_signed_axis_and_rejects_a_non_hermitian_one(kernel_path):
@@ -277,7 +262,7 @@ def test_expectation_includes_sign():
 def test_expectation_raises_on_a_non_real_value(monkeypatch):
     # a Hermitian P has a real expectation; a broken kernel must not be
     # silently truncated to its real part, in an expectation or a measurement
-    def broken_clifford(amp, x, z, c, d, e0, m):
+    def broken_clifford(amp, x, z, ca, cb, e0, m):
         amp *= 1j
 
     monkeypatch.setattr(_kernels, "clifford", broken_clifford)
