@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from framesim import HybridState, PauliFrame, PauliString, StateVector, _kernels
 from framesim.frame import RotationStep, invert_to_rotations
-from oracles import S, embed_1q, pauli_matrix, random_clifford_circuit
+from oracles import S, embed_1q, pauli_matrix, random_clifford_circuit, rotation_matrix
 
 # the Clifford loop of the numpy reference always, and the compiled C loop
 # wherever it loaded
@@ -88,6 +88,41 @@ def test_clifford_loop_matches_reference_and_oracle(case):
     amp = random_amplitudes(seed, n)
     check_tiers(amp, ref_matrix @ amp,
                 lambda clifford, out: clifford(out, x, z, ca, cb, e0, m))
+
+
+ANGLES = st.floats(-7.0, 7.0, allow_nan=False)
+
+
+def check_rotation_tiers(n, axis, theta, seed):
+    """StateVector.apply_pauli_rotation on each tier's Clifford loop against
+    exp(-i theta P / 2) from ``oracles``."""
+    amp = random_amplitudes(seed, n)
+    ref = rotation_matrix(axis, theta) @ amp
+    for name, clifford in TIERS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "clifford", clifford)
+            out = StateVector(n, amp)
+            out.apply_pauli_rotation(axis, theta)
+        assert np.max(np.abs(out.amplitudes - ref)) < 1e-12, name
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, MAX_QUBITS), data=st.data(), theta=ANGLES,
+       sign=st.sampled_from([0, 2]), seed=st.integers(0, 2**32 - 1))
+def test_rotation_pair_loop_matches_reference_and_oracle(n, data, theta, sign, seed):
+    # a rotation whose axis flips bits (x != 0) pairs amplitude k with k ^ x
+    x = data.draw(x_bits(n))
+    z = data.draw(st.integers(0, (1 << n) - 1))
+    check_rotation_tiers(n, PauliString(n, x, z, sign), theta, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, MAX_QUBITS), data=st.data(), theta=ANGLES,
+       sign=st.sampled_from([0, 2]), seed=st.integers(0, 2**32 - 1))
+def test_rotation_diag_loop_matches_reference_and_oracle(n, data, theta, sign, seed):
+    # a rotation whose axis is all Z and I (x = 0) scales each amplitude alone
+    z = data.draw(st.integers(0, (1 << n) - 1))
+    check_rotation_tiers(n, PauliString(n, 0, z, sign), theta, seed)
 
 
 @settings(max_examples=60, deadline=None)
