@@ -19,7 +19,10 @@
  * follow, so the loop prefetches the tiles it will visit next, one cache
  * line per line it updates.  The sign (-1)**parity(k & z) splits the same
  * way as the index, into one sign per tile and a per-position table built
- * once per call.
+ * once per call.  The loop holds two amplitudes per 32-byte vector, so the
+ * partner of an amplitude is the same position of another vector, or for
+ * odd x the other position; an exchange of the two halves of a vector
+ * covers the second case.
  *
  * The two gate kernels after it serve fixed gates: the Hadamard gate on
  * one qubit, and a masked pair exchange that swaps pairs of amplitudes
@@ -27,6 +30,13 @@
  * subset by a power of i (Z, S, SDG and CZ).  Both walk contiguous runs of
  * amplitudes in address order, a cache line at a time where the runs are
  * shorter, and allocate nothing.
+ *
+ * The Clifford loop and the Hadamard loop are each compiled twice from one
+ * body: a generic clone for any CPU, and on x86-64 a clone for AVX2 with
+ * FMA, which holds a 32-byte vector in one register.  The library picks one
+ * when it loads, from what the CPU reports, so one build runs on any
+ * x86-64 and the build flags name no CPU.  The pair exchange only moves
+ * amplitudes and gains nothing from a wider clone.
  *
  * The gate loop at the end runs a circuit's lowered gate stream on the
  * hybrid backend: Clifford gates update a bit-packed Pauli frame, and each
@@ -56,129 +66,158 @@ static inline int tile_bits(int64_t n_amp)
     return b;
 }
 
-/* The amplitude loops hold each amplitude as one 16-byte vector of
- * (re, im).  Multiplying by a power of i is then an
- * element swap followed by a pattern of signs, with no complex multiply. */
+/* The gate loops hold each amplitude as one 16-byte vector of (re, im),
+ * as the generic clone of the Clifford loop does with each half of its
+ * vectors.  Multiplying by a power of i is then an element swap followed
+ * by a pattern of signs, with no complex multiply. */
 typedef double v2d __attribute__((vector_size(16)));
 typedef long long v2i __attribute__((vector_size(16)));
 
 /* i**e * v = swap(v) * TURN[e] for odd e, and v * TURN[e] for even e */
 static const v2d TURN[4] = {{1, 1}, {-1, 1}, {-1, -1}, {1, -1}};
 
-/* Element order of a partner amplitude: as it is, swapped, or swapped
- * where the lane mask `odd` of its position is set. */
+/* The Clifford loop holds two amplitudes, (re0, im0, re1, im1), in one
+ * 32-byte vector.  numpy aligns arrays to 16 bytes only, so the type
+ * promises no more.  No function takes or returns one by value, as the
+ * calling convention for it differs between the clones (GCC warns): the
+ * helpers are macros or take pointers. */
+typedef double v4d __attribute__((vector_size(32), aligned(16)));
+typedef long long v4i __attribute__((vector_size(32), aligned(16)));
+#define LINE2 (LINE / 2) /* vectors per 64 bytes */
+
+/* Element order of a partner amplitude b: as it is, swapped (s, b with re
+ * and im swapped), or swapped where the lane mask `odd` of its position is
+ * set; V and I are the vector and lane-mask types. */
 enum { KEEP, SWAP, BLEND };
 
-static inline v2d order(v2d v, int how, v2i odd)
+#define ORDER(V, I, b, s, how, odd)                                           \
+    ((how) == KEEP ? (b)                                                      \
+     : (how) == SWAP ? (s)                                                    \
+                     : (V)(((I)(s) & (odd)) | ((I)(b) & ~(odd))))
+
+/* *d <- ca*a + *p * order(part(b)) for vectors a and b, with *p and *o the
+ * pattern and lane mask of position d; part(b) is b with its two amplitudes
+ * exchanged if flip is set.  A clone with 32-byte registers (wide) computes
+ * it in one piece; the generic clone computes each 16-byte half on its own,
+ * as GCC would otherwise assemble every 32-byte value in a stack slot. */
+#define UPDATE(d, a, b, p, o, ca, flip, how, wide)                            \
+    do {                                                                      \
+        if (wide) {                                                           \
+            const v4d b_ = (flip) ? (v4d){(b)[2], (b)[3], (b)[0], (b)[1]}     \
+                                  : (b),                                      \
+                      s_ = {b_[1], b_[0], b_[3], b_[2]};                      \
+            *(d) = (ca) * (a) + *(p) * ORDER(v4d, v4i, b_, s_, how, *(o));    \
+        } else {                                                              \
+            v2d *d_ = (v2d *)(d);                                             \
+            const v2d *p_ = (const v2d *)(p);                                 \
+            const v2i *o_ = (const v2i *)(o);                                 \
+            for (int h_ = 0; h_ < 2; h_++) {                                  \
+                const int g_ = 2 * (h_ ^ (flip));                             \
+                const v2d a_ = {(a)[2 * h_], (a)[2 * h_ + 1]},                \
+                          b_ = {(b)[g_], (b)[g_ + 1]}, s_ = {b_[1], b_[0]};   \
+                d_[h_] = (ca) * a_                                            \
+                         + p_[h_] * ORDER(v2d, v2i, b_, s_, how, o_[h_]);     \
+            }                                                                 \
+        }                                                                     \
+    } while (0)
+
+/* *a <- ca*a + *pa * order(part(b));  *b <- ca*b + *pb * order(part(a)) */
+static inline __attribute__((always_inline)) void
+turn_pair(v4d *a, v4d *b, const v4d *pa, const v4d *pb, const v4i *oa,
+          const v4i *ob, double ca, int flip, int how, int wide)
 {
-    const v2d s = {v[1], v[0]};
-    if (how == KEEP)
-        return v;
-    if (how == SWAP)
-        return s;
-    return (v2d)(((v2i)s & odd) | ((v2i)v & ~odd));
+    const v4d va = *a, vb = *b;
+    UPDATE(a, va, vb, pa, oa, ca, flip, how, wide);
+    UPDATE(b, vb, va, pb, ob, ca, flip, how, wide);
 }
 
-/* *a <- ca*a + pa*order(b);  *b <- ca*b + pb*order(a) */
+/* turn_pair on (t[j], u[j ^ m]) for j < len, a multiple of LINE2, for two
+ * disjoint blocks t and u, prefetching the blocks nt and nu visited next.
+ * The vectors of 64 bytes of t and their partners in u are all loaded
+ * before any is stored: t and u often sit a multiple of 4 KiB apart, and a
+ * load that follows a store to the same address modulo 4 KiB waits for
+ * that store. */
 static inline __attribute__((always_inline)) void
-turn_pair(v2d *a, v2d *b, v2d pa, v2d pb, v2i oa, v2i ob, v2d ca, int how)
+turn_blocks(v4d *restrict t, v4d *restrict u, const v4d *pt, const v4d *pu,
+            const v4i *ot, const v4i *ou, const v4d *nt, const v4d *nu,
+            int64_t len, int64_t m, double ca, int flip, int how, int wide)
 {
-    const v2d va = *a, vb = *b;
-    *a = ca * va + pa * order(vb, how, oa);
-    *b = ca * vb + pb * order(va, how, ob);
-}
-
-/* turn_pair on (t[j], u[j ^ m]) for j < len, for two disjoint blocks t and
- * u, prefetching the blocks nt and nu visited next.  A line of t and its
- * partner amplitudes in u are all loaded before any is stored: t and u
- * often sit a multiple of 4 KiB apart, and a load that follows a store to
- * the same address modulo 4 KiB waits for that store. */
-static inline __attribute__((always_inline)) void
-turn_blocks(v2d *restrict t, v2d *restrict u, const v2d *pt, const v2d *pu,
-            const v2i *ot, const v2i *ou, const v2d *nt, const v2d *nu,
-            int64_t len, int64_t m, v2d ca, int how)
-{
-    int64_t j = 0;
-    for (; j + LINE <= len; j += LINE) {
-        v2d a[LINE], b[LINE];
+    for (int64_t j = 0; j < len; j += LINE2) {
+        v4d a[LINE2], b[LINE2];
         prefetch(nt + j);
         prefetch(nu + j);
-        for (int64_t i = 0; i < LINE; i++) {
+        for (int64_t i = 0; i < LINE2; i++) {
             a[i] = t[j + i];
             b[i] = u[(j + i) ^ m];
         }
-        for (int64_t i = 0; i < LINE; i++) {
+        for (int64_t i = 0; i < LINE2; i++) {
             const int64_t k = (j + i) ^ m;
-            t[j + i] = ca * a[i] + pt[j + i] * order(b[i], how, ot[j + i]);
-            u[k] = ca * b[i] + pu[k] * order(a[i], how, ou[k]);
+            UPDATE(t + j + i, a[i], b[i], pt + j + i, ot + j + i, ca, flip, how, wide);
+            UPDATE(u + k, b[i], a[i], pu + k, ou + k, ca, flip, how, wide);
         }
     }
-    for (; j < len; j++) /* blocks shorter than a line: a one-qubit state */
-        turn_pair(t + j, u + (j ^ m), pt[j], pu[j ^ m], ot[j], ou[j ^ m], ca, how);
 }
 
-/* The traversal of framesim_clifford for one element order `how`, which
- * the caller passes as a constant so that each order gets a loop of its
- * own.  pat[o][j] and odd[o & 1][j] describe position j of a tile whose
- * offset O(t) (see framesim_clifford) is o. */
+/* The traversal of framesim_clifford for one element order `how` and
+ * flip = x & 1, which the caller passes as constants so that each
+ * combination gets a loop of its own, as each clone passes its `wide`.
+ * Amplitude k sits in vector k >> 1, and its partner k ^ x in vector
+ * (k >> 1) ^ (x >> 1), at the other position of it if x is odd.
+ * pat[o][v] and odd[o & 1][v] describe vector v of a tile whose offset
+ * O(t) (see framesim_clifford) is o. */
 static inline __attribute__((always_inline)) void
-turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
-          v2d (*pat)[TILE], v2i (*odd)[TILE], v2d ca, int how)
+turn_walk(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
+          v4d (*pat)[TILE / 2], v4i (*odd)[TILE / 2], double ca, int flip, int how,
+          int wide)
 {
-    const int64_t len = (int64_t)1 << b;
+    const int64_t len = (int64_t)1 << (b - 1); /* vectors per tile */
     const int64_t n_tiles = n_amp >> b;
-    const uint64_t xl = x & (uint64_t)(len - 1), xt = x >> b, zt = z >> b, mt = m >> b;
+    const uint64_t xv = (x & (((uint64_t)1 << b) - 1)) >> 1;
+    const uint64_t xt = x >> b, zt = z >> b, mt = m >> b;
 #define O(t) ((__builtin_popcountll((uint64_t)(t) & mt) \
                + 2 * __builtin_parityll((uint64_t)(t) & zt)) & 3)
 
-    if (x == 0) {
+    if (x < 2) {
+        /* x = 0 pairs each amplitude with itself, x = 1 with the other
+         * one of its vector */
         for (int64_t t = 0; t < n_tiles; t++) {
-            v2d *restrict tile = amp + (t << b);
+            v4d *restrict r = amp + t * len;
             const int o = O(t);
-            const v2d *pt = pat[o];
-            const v2i *ot = odd[o & 1];
-            int64_t j = 0;
-            for (; j + LINE <= len; j += LINE) {
-                v2d a[LINE];
-                for (int64_t i = 0; i < LINE; i++)
-                    a[i] = tile[j + i];
-                for (int64_t i = 0; i < LINE; i++)
-                    tile[j + i] = ca * a[i] + pt[j + i] * order(a[i], how, ot[j + i]);
+            const v4d *pt = pat[o];
+            const v4i *ot = odd[o & 1];
+            for (int64_t j = 0; j < len; j++) {
+                const v4d a = r[j];
+                UPDATE(r + j, a, a, pt + j, ot + j, ca, flip, how, wide);
             }
-            for (; j < len; j++)
-                tile[j] = ca * tile[j] + pt[j] * order(tile[j], how, ot[j]);
         }
         return;
     }
 
     if (xt == 0) {
-        /* partners share a tile.  With q the highest bit of xl, the blocks
-         * of 2**q positions with bit q clear pair with the blocks right
+        /* partners share a tile.  With q the highest bit of xv, the blocks
+         * of 2**q vectors with bit q clear pair with the blocks right
          * above them through j -> j ^ mx. */
-        const int q = 63 - __builtin_clzll(xl);
-        const int64_t half = (int64_t)1 << q, mx = (int64_t)(xl ^ (uint64_t)half);
+        const int q = 63 - __builtin_clzll(xv);
+        const int64_t half = (int64_t)1 << q, mx = (int64_t)(xv ^ (uint64_t)half);
         for (int64_t t = 0; t < n_tiles; t++) {
-            v2d *tile = amp + (t << b);
-            const v2d *next = t + 1 < n_tiles ? tile + len : tile;
+            v4d *tile = amp + t * len;
+            const v4d *next = t + 1 < n_tiles ? tile + len : tile;
             const int o = O(t);
-            const v2d *pt = pat[o];
-            const v2i *ot = odd[o & 1];
-            if (half >= LINE || len < LINE) {
+            const v4d *pt = pat[o];
+            const v4i *ot = odd[o & 1];
+            if (half >= LINE2) {
                 for (int64_t blk = 0; blk < len; blk += 2 * half)
                     turn_blocks(tile + blk, tile + blk + half, pt + blk,
                                 pt + blk + half, ot + blk, ot + blk + half,
-                                next + blk, next + blk + half, half, mx, ca, how);
+                                next + blk, next + blk + half, half, mx, ca, flip,
+                                how, wide);
                 continue;
             }
-            /* x is 1, 2 or 3: two pairs share each cache line */
-            const int64_t j1 = half == 1 ? 2 : 1, x1 = j1 ^ (int64_t)xl;
-            for (int64_t base = 0; base < len; base += LINE) {
-                v2d *r = tile + base;
-                const v2d *pr = pt + base;
-                const v2i *orr = ot + base;
-                prefetch(next + base);
-                turn_pair(r, r + xl, pr[0], pr[xl], orr[0], orr[xl], ca, how);
-                turn_pair(r + j1, r + x1, pr[j1], pr[x1], orr[j1], orr[x1], ca, how);
+            /* x is 2 or 3: vector 2i pairs with vector 2i + 1 */
+            for (int64_t j = 0; j < len; j += 2) {
+                prefetch(next + j);
+                turn_pair(tile + j, tile + j + 1, pt + j, pt + j + 1, ot + j,
+                          ot + j + 1, ca, flip, how, wide);
             }
         }
         return;
@@ -194,79 +233,75 @@ turn_walk(v2d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
         if (next >= n_tiles)
             next = t;
         const int o = O(t), o2 = O(t2);
-        turn_blocks(amp + (t << b), amp + (t2 << b), pat[o], pat[o2], odd[o & 1],
-                    odd[o2 & 1], amp + (next << b), amp + ((next ^ (int64_t)xt) << b),
-                    len, (int64_t)xl, ca, how);
+        turn_blocks(amp + t * len, amp + t2 * len, pat[o], pat[o2], odd[o & 1],
+                    odd[o2 & 1], amp + next * len, amp + (next ^ (int64_t)xt) * len,
+                    len, (int64_t)xv, ca, flip, how, wide);
     }
 #undef O
 }
 
-/* amp[k] <- ca*amp[k] + cb * i**e(k) * (-1)**parity(k & z) * amp[k ^ x]
- *
- * with e(k) = e0 + popcount(k & m) and real ca and cb: with m = 0, ca*I +
- * cb*i**e0*P for every Pauli operator P (rotations by any angle, turns by
- * multiples of pi/2, the measurement collapse and P itself, ca = 0), and,
- * up to an eighth root of unity, any product of single-qubit Cliffords
- * without a Hadamard part (ca = 0, cb = 1), which maps |k> to a power of i
- * linear in the bits of k times |k ^ x>.  x may be 0, the diagonal case;
- * x, z and m must be below n_amp, a power of two.
- *
- * The traversal visits each pair {k, k ^ x} once.  The factor cb * i**e(k) *
- * (-1)**parity(k & z) is cb * i**f(k) with f(k) = e0 + popcount(k & m) +
- * 2*parity(k & z) mod 4, which splits into a per-position part and a tile
- * offset O(t) = popcount(t & m_hi) + 2*parity(t & z_hi), m_hi and z_hi
- * being the bits above the tile.  It is applied as an element order (see
- * `order`) and a pattern of signs scaled by cb, from a table per offset.
- * When m is 0 every amplitude has the same order, and the loop makes no
- * choice per position. */
-void framesim_clifford(double *amp_, int64_t n_amp, uint64_t x, uint64_t z,
-                       double ca, double cb, int e0, uint64_t m)
+/* turn_walk for the flip of x */
+static inline __attribute__((always_inline)) void
+turn_walk_x(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
+            v4d (*pat)[TILE / 2], v4i (*odd)[TILE / 2], double ca, int how,
+            int wide)
 {
-    v2d *amp = (v2d *)amp_;
-    const int b = tile_bits(n_amp);
-    const int64_t len = (int64_t)1 << b;
-    const uint64_t lo = (uint64_t)len - 1;
-    const v2d cav = {ca, ca};
+    if (x & 1)
+        turn_walk(amp, n_amp, b, x, z, m, pat, odd, ca, 1, how, wide);
+    else
+        turn_walk(amp, n_amp, b, x, z, m, pat, odd, ca, 0, how, wide);
+}
 
-    v2d pat[4][TILE];
-    v2i odd[2][TILE];
+/* The body of framesim_clifford, compiled once per clone; wide is set in
+ * the clone with 32-byte registers */
+static inline __attribute__((always_inline)) void
+clifford(double *amp_, int64_t n_amp, uint64_t x, uint64_t z, double ca,
+         double cb, int e0, uint64_t m, int wide)
+{
+    v4d *amp = (v4d *)amp_;
+    const int b = tile_bits(n_amp);
+    const int64_t len = (int64_t)1 << b, lv = len >> 1;
+    const uint64_t lo = (uint64_t)len - 1;
+
+    v4d pat[4][TILE / 2];
+    v4i odd[2][TILE / 2];
     if (m) {
         for (int64_t j = 0; j < len; j++) {
             const int f = e0 + __builtin_popcountll((uint64_t)j & m & lo)
                           + 2 * __builtin_parityll((uint64_t)j & z & lo);
-            for (int o = 0; o < 4; o++)
-                pat[o][j] = TURN[(f + o) & 3] * cb;
+            const int64_t v = j >> 1, h = 2 * (j & 1);
+            for (int o = 0; o < 4; o++) {
+                pat[o][v][h] = TURN[(f + o) & 3][0] * cb;
+                pat[o][v][h + 1] = TURN[(f + o) & 3][1] * cb;
+            }
             for (int o = 0; o < 2; o++)
-                odd[o][j] = (v2i){-(long long)((f + o) & 1), -(long long)((f + o) & 1)};
+                odd[o][v][h] = odd[o][v][h + 1] = -(long long)((f + o) & 1);
         }
-        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cav, BLEND);
+        turn_walk_x(amp, n_amp, b, x, z, m, pat, odd, ca, BLEND, wide);
         return;
     }
     /* m = 0: the offsets are 0 and 2, the order is the same everywhere and
-     * pat[0][j] = cb * TURN[e0] * (-1)**parity(j & z), built by doubling;
-     * pat[2] = -pat[0], and pat[1], pat[3] and odd are not read */
-    pat[0][0] = TURN[e0 & 3] * cb;
-    for (int64_t h = 1; h < len; h <<= 1) {
-        const double s = (z & (uint64_t)h) ? -1.0 : 1.0;
+     * pat[0] holds cb * TURN[e0] * (-1)**parity(k & z) for the amplitudes
+     * k of a tile, built by doubling; pat[2] = -pat[0], and pat[1],
+     * pat[3] and odd are not read */
+    const v2d c = TURN[e0 & 3] * cb, c1 = z & 1 ? -c : c;
+    pat[0][0] = (v4d){c[0], c[1], c1[0], c1[1]};
+    for (int64_t h = 1; h < lv; h <<= 1) {
+        const double s = (z & (uint64_t)(2 * h)) ? -1.0 : 1.0;
         for (int64_t j = 0; j < h; j++)
             pat[0][h + j] = pat[0][j] * s;
     }
-    for (int64_t j = 0; j < len; j++)
+    for (int64_t j = 0; j < lv; j++)
         pat[2][j] = -pat[0][j];
     if (e0 & 1)
-        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cav, SWAP);
+        turn_walk_x(amp, n_amp, b, x, z, m, pat, odd, ca, SWAP, wide);
     else
-        turn_walk(amp, n_amp, b, x, z, m, pat, odd, cav, KEEP);
+        turn_walk_x(amp, n_amp, b, x, z, m, pat, odd, ca, KEEP, wide);
 }
 
-/* amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)
- *
- * for every pair k0, k1 = k0 | 2**q with bit q of k0 clear: the Hadamard
- * gate on qubit q.  The pairs form two runs of 2**q amplitudes per block of
- * 2**(q+1).  H is real, so it scales the real and imaginary parts alike and
- * the loop runs over doubles; for q = 0 and 1, where each cache line holds
- * two whole pairs, it takes a line per iteration instead. */
-void framesim_apply_h(double *amp, int64_t n_amp, int q)
+/* The body of framesim_apply_h, compiled once per clone */
+static inline __attribute__((always_inline)) void
+apply_h(double *amp, int64_t n_amp, int q)
 {
     const double r = 0.70710678118654752440; /* 1/sqrt(2) */
     if (q < 2 && n_amp >= LINE) {
@@ -290,6 +325,105 @@ void framesim_apply_h(double *amp, int64_t n_amp, int q)
             hi[j] = r * (a0 - a1);
         }
     }
+}
+
+/* The two clones of the Clifford and Hadamard loops (see the head of this
+ * file) */
+static void clifford_generic(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
+                             double ca, double cb, int e0, uint64_t m)
+{
+    clifford(amp, n_amp, x, z, ca, cb, e0, m, 0);
+}
+
+static void apply_h_generic(double *amp, int64_t n_amp, int q)
+{
+    apply_h(amp, n_amp, q);
+}
+
+static int use_avx2; /* the clone in use: 1 for AVX2, 0 for generic */
+
+#if defined(__x86_64__)
+__attribute__((target("avx2,fma"))) static void
+clifford_avx2(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
+              double cb, int e0, uint64_t m)
+{
+    clifford(amp, n_amp, x, z, ca, cb, e0, m, 1);
+}
+
+__attribute__((target("avx2,fma"))) static void
+apply_h_avx2(double *amp, int64_t n_amp, int q)
+{
+    apply_h(amp, n_amp, q);
+}
+#endif
+
+__attribute__((constructor)) static void pick_clone(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    use_avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#endif
+}
+
+/* Select a clone for the tests: the generic one for avx2 = 0, the AVX2 one
+ * for avx2 = 1 if the CPU has it; avx2 < 0 keeps the clone in use.  Returns
+ * 1 if the AVX2 clone is in use after the call, else 0. */
+int framesim_use_avx2(int avx2)
+{
+    if (avx2 >= 0) {
+        pick_clone();
+        use_avx2 = use_avx2 && avx2;
+    }
+    return use_avx2;
+}
+
+/* amp[k] <- ca*amp[k] + cb * i**e(k) * (-1)**parity(k & z) * amp[k ^ x]
+ *
+ * with e(k) = e0 + popcount(k & m) and real ca and cb: with m = 0, ca*I +
+ * cb*i**e0*P for every Pauli operator P (rotations by any angle, turns by
+ * multiples of pi/2, the measurement collapse and P itself, ca = 0), and,
+ * up to an eighth root of unity, any product of single-qubit Cliffords
+ * without a Hadamard part (ca = 0, cb = 1), which maps |k> to a power of i
+ * linear in the bits of k times |k ^ x>.  x may be 0, the diagonal case;
+ * x, z and m must be below n_amp, a power of two >= 2, and amp must be
+ * aligned to 16 bytes.
+ *
+ * The traversal visits each pair {k, k ^ x} once.  The factor cb * i**e(k) *
+ * (-1)**parity(k & z) is cb * i**f(k) with f(k) = e0 + popcount(k & m) +
+ * 2*parity(k & z) mod 4, which splits into a per-position part and a tile
+ * offset O(t) = popcount(t & m_hi) + 2*parity(t & z_hi), m_hi and z_hi
+ * being the bits above the tile.  It is applied as an element order (see
+ * `ORDER`) and a pattern of signs scaled by cb, from a table per offset.
+ * When m is 0 every amplitude has the same order, and the loop makes no
+ * choice per position. */
+void framesim_clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
+                       double ca, double cb, int e0, uint64_t m)
+{
+#if defined(__x86_64__)
+    if (use_avx2) {
+        clifford_avx2(amp, n_amp, x, z, ca, cb, e0, m);
+        return;
+    }
+#endif
+    clifford_generic(amp, n_amp, x, z, ca, cb, e0, m);
+}
+
+/* amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)
+ *
+ * for every pair k0, k1 = k0 | 2**q with bit q of k0 clear: the Hadamard
+ * gate on qubit q.  The pairs form two runs of 2**q amplitudes per block of
+ * 2**(q+1).  H is real, so it scales the real and imaginary parts alike and
+ * the loop runs over doubles; for q = 0 and 1, where each cache line holds
+ * two whole pairs, it takes a line per iteration instead. */
+void framesim_apply_h(double *amp, int64_t n_amp, int q)
+{
+#if defined(__x86_64__)
+    if (use_avx2) {
+        apply_h_avx2(amp, n_amp, q);
+        return;
+    }
+#endif
+    apply_h_generic(amp, n_amp, q);
 }
 
 /* i**e * v */

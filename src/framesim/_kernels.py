@@ -23,14 +23,22 @@ The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
 walks the state in cache-sized tiles, so that its cost depends neither on
 the number of qubits nor on how many qubits the operator touches; the gate
 loops walk contiguous runs in address order, a cache line at a time where
-the runs are shorter.  The Clifford loop applies a power of i as an element
-swap and a sign pattern, with no complex multiply: on a 2-core Xeon at
-n = 18-20 a rotation runs at 0.8-1.35 ns per amplitude, depending on the
-load of the machine (1.0-1.6 with a phase mask, which picks the element
-order per amplitude), against 0.7-0.85 for an in-place streaming pass.  The ``numpy_*`` functions compute the same
+the runs are shorter.  The Clifford loop holds two amplitudes per 32-byte
+vector and applies a power of i as an element swap and a sign pattern,
+with no complex multiply.  It and the Hadamard loop are compiled twice
+from one body, a generic clone and one for AVX2 with FMA, and the library
+picks one when it loads, from what the CPU reports; ``simd_clone`` names
+it.  On a 2-core Xeon with AVX2, on a state that starts on a cache line
+(as ``StateVector`` allocates it), a rotation runs at 0.54-0.71 ns per
+amplitude at n = 16, 0.77-0.82 at n = 18 and 0.75-0.83 at n = 20 on the
+AVX2 clone (0.80-1.03 with a phase mask, which picks the element order
+per amplitude), against 0.38-0.49, 0.70-0.78 and 0.75-0.78 for an in-place
+negation of the same amplitudes; the generic clone runs at 0.85-1.13,
+0.85-1.00 and 0.88-1.04.  The ``numpy_*`` functions compute the same
 things by filtering index arrays, with whole-array temporaries, several
 times slower per amplitude; they are the reference the tests compare the C
-loops against.
+loops against.  The C loops take a contiguous complex128 state aligned to
+16 bytes, and their wrappers raise ValueError for any other.
 
 ``run_gates`` is the hybrid backend's gate loop in C: it runs a circuit's
 lowered gate stream (``Circuit.lowered``) on a bit-packed Pauli frame (see
@@ -45,7 +53,8 @@ else ``cc``) into ``$XDG_CACHE_HOME/framesim`` (default ``~/.cache/framesim``),
 under a name keyed by a hash of the source and the compiler flags, linked
 with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
-compiling.  When the library loads, the three loop names are the C loops,
+compiling.  The build names no CPU, so a cached library runs on any
+x86-64.  When the library loads, the three loop names are the C loops,
 ``run_gates`` is set and ``JIT_ENABLED`` is True.  When it cannot be built
 or loaded (no compiler, a build error, a cache directory that cannot be
 written) one ``RuntimeWarning`` names the reason, the three names are bound
@@ -135,6 +144,8 @@ def _load():
     lib.framesim_run_gates.argtypes = [ptr, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr,
                                        i64, i64, ctypes.POINTER(f64)]
     lib.framesim_run_gates.restype = i64
+    lib.framesim_use_avx2.argtypes = [ctypes.c_int]
+    lib.framesim_use_avx2.restype = ctypes.c_int
     return lib
 
 
@@ -151,6 +162,29 @@ JIT_ENABLED = _lib is not None
 def kernel_tier() -> str:
     """Name of the amplitude-kernel tier in use: ``compiled-c`` or ``numpy``."""
     return "compiled-c" if JIT_ENABLED else "numpy"
+
+
+# the clones of the Clifford and Hadamard loops that this CPU runs, indexed
+# by the value framesim_use_avx2 returns
+_CLONES = (() if _lib is None else
+           ("generic", "avx2") if _lib.framesim_use_avx2(-1) else ("generic",))
+
+
+def simd_clone() -> str | None:
+    """Name of the compiled clone the Clifford and Hadamard loops run:
+    ``avx2`` or ``generic``; None on the numpy tier."""
+    return None if _lib is None else _CLONES[_lib.framesim_use_avx2(-1)]
+
+
+def _use_clone(name: str) -> str:
+    """Run the Clifford and Hadamard loops on clone ``name``, one of those
+    this CPU runs, and return the name of the clone used before.  For the
+    tests, which check every clone; a run keeps the clone picked at load."""
+    if name not in _CLONES:
+        raise ValueError(f"clone {name!r} does not run here (runs: {_CLONES})")
+    before = simd_clone()
+    _lib.framesim_use_avx2(_CLONES.index(name))
+    return before
 
 
 # weak reference to the last amplitude array passed in, with its data address
@@ -171,6 +205,8 @@ def _address(amp: np.ndarray, *masks: int) -> int:
         if n < 2 or n & (n - 1):
             raise ValueError(f"amplitude count {n} is not a power of two >= 2")
         addr = amp.ctypes.data
+        if addr % 16:
+            raise ValueError("amplitude array is not aligned to 16 bytes")
         _last = (weakref.ref(amp), addr, n)
     if not amp.flags.writeable:
         raise ValueError("amplitude array is read-only")

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 configuration error (bad flags, missing or
 malformed input, memory ceiling), 2 runtime error (simulation failure or a
 backend cross-check mismatch).  ``run`` and ``sweep`` name the amplitude
-kernel tier on stderr before they start, so a numpy fallback shows in every
-run's output.
+kernel tier on stderr before they start, with the compiled clone in use
+(``avx2`` or ``generic``), so a numpy fallback or a generic build on an
+AVX2 host shows in every run's output.
 """
 from __future__ import annotations
 
@@ -80,7 +81,9 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 def _report_tier() -> None:
     # on stderr, so that records written to stdout stay machine-readable
-    print(f"framesim: kernel tier {_kernels.kernel_tier()}", file=sys.stderr)
+    clone = _kernels.simd_clone()
+    print(f"framesim: kernel tier {_kernels.kernel_tier()}"
+          + (f" ({clone})" if clone else ""), file=sys.stderr)
 
 
 def _settings(args) -> dict:

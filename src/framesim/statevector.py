@@ -38,7 +38,8 @@ from .pauli import PauliString
 _NORM_TOLERANCE = 1e-10
 # largest imaginary part tolerated in the expectation of a Hermitian operator
 _IMAG_TOLERANCE = 1e-9
-
+# bytes of a cache line, the alignment of the amplitudes a state allocates
+_LINE_BYTES = 64
 _SQ2 = 0.7071067811865476  # cos(pi/4)
 _OMEGA = complex(_SQ2, _SQ2)  # exp(i*pi/4)
 # R_P(k*pi/2) = cos(k*pi/4) - i*sin(k*pi/4)*P as ca + cb * i**e * P, by k
@@ -63,6 +64,22 @@ _EXCHANGE = {
     "CZ": lambda a, b: (a | b, a | b, 0, 2),
     "SWAP": lambda a, b: (a | b, b, a | b, 0),
 }
+
+
+def _aligned_zeros(dim: int) -> np.ndarray:
+    """dim complex128 zeros starting on a cache line.  numpy aligns a large
+    array to 16 bytes only, and then every other 32-byte vector of the
+    compiled loops straddles two cache lines."""
+    raw = np.zeros(dim + _LINE_BYTES // 16, dtype=np.complex128)
+    skip = (-raw.ctypes.data % _LINE_BYTES) // 16
+    return raw[skip:skip + dim]
+
+
+def _aligned_copy(amp: np.ndarray) -> np.ndarray:
+    """A copy of the amplitudes amp, starting on a cache line."""
+    out = _aligned_zeros(amp.shape[0])
+    out[:] = amp
+    return out
 
 
 def _pauli_update(amp: np.ndarray, p: PauliString, ca: float, cb: float, e: int) -> None:
@@ -91,12 +108,13 @@ class StateVector:
         self.num_qubits = num_qubits
         dim = 1 << num_qubits
         if amplitudes is None:
-            amp = np.zeros(dim, dtype=np.complex128)
+            amp = _aligned_zeros(dim)
             amp[0] = 1.0
         else:
-            amp = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+            amp = np.asarray(amplitudes).reshape(-1)
             if amp.size != dim:
                 raise ValueError(f"expected {dim} amplitudes, got {amp.size}")
+            amp = _aligned_copy(amp)
         self.amplitudes = amp
 
     @classmethod
@@ -111,7 +129,7 @@ class StateVector:
     def copy(self) -> "StateVector":
         out = StateVector.__new__(StateVector)
         out.num_qubits = self.num_qubits
-        out.amplitudes = self.amplitudes.copy()
+        out.amplitudes = _aligned_copy(self.amplitudes)
         return out
 
     def norm(self) -> float:
@@ -174,7 +192,7 @@ class StateVector:
         """Re <state|P|state> for Hermitian P (sign included)."""
         if not p.is_hermitian:
             raise ValueError("expectation requires a Hermitian operator")
-        applied = self.amplitudes.copy()
+        applied = _aligned_copy(self.amplitudes)
         _pauli_update(applied, p, 0.0, 1.0, 0)
         val = np.vdot(self.amplitudes, applied)
         if abs(val.imag) >= _IMAG_TOLERANCE:

@@ -6,7 +6,7 @@ package's bitwise arithmetic is a genuine cross-check.
 """
 import numpy as np
 
-from framesim import Circuit, PauliString
+from framesim import Circuit, PauliString, _kernels
 
 I2 = np.eye(2, dtype=complex)
 LETTER = {
@@ -139,3 +139,25 @@ def random_mixed_circuit(rng, num_qubits, length, p_rotation=0.25,
         else:
             append_random_clifford(circ, rng)
     return circ
+
+
+def on_clone(clone, fn):
+    """fn, run with the compiled loops switched to clone ``clone``."""
+    def run(*args):
+        before = _kernels._use_clone(clone)
+        try:
+            return fn(*args)
+        finally:
+            _kernels._use_clone(before)
+    return run
+
+
+def compiled_clones(fn) -> dict:
+    """The compiled loop fn on every clone this CPU runs: ``compiled`` on
+    the clone the library picked at load, ``compiled-<clone>`` on each
+    other one.  Empty on the numpy tier."""
+    if not _kernels.JIT_ENABLED:
+        return {}
+    picked = _kernels.simd_clone()
+    return {("compiled" if clone == picked else f"compiled-{clone}"): on_clone(clone, fn)
+            for clone in sorted(_kernels._CLONES, key=lambda c: c != picked)}

@@ -159,7 +159,8 @@ def test_cli_run_stdout_jsonl(capsys):
     captured = capsys.readouterr()
     lines = [l for l in captured.out.splitlines() if l.strip()]
     assert len(lines) == 1 and '"backend": "hybrid"' in lines[0]
-    assert f"framesim: kernel tier {_kernels.kernel_tier()}" in captured.err
+    clone = f" ({_kernels.simd_clone()})" if _kernels.JIT_ENABLED else ""
+    assert f"framesim: kernel tier {_kernels.kernel_tier()}{clone}\n" in captured.err
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from framesim import StateVector
 from framesim import _kernels
-from oracles import gate_unitary
+from oracles import compiled_clones, gate_unitary
 
 # (apply_h, pair_exchange) of each implementation: the numpy reference
-# always, and the compiled C loops wherever their library loaded
-TIERS = {"numpy": (_kernels.numpy_apply_h, _kernels.numpy_pair_exchange)}
-if _kernels.JIT_ENABLED:
-    TIERS["compiled"] = (_kernels.apply_h, _kernels.pair_exchange)
+# always, and the compiled C loops wherever their library loaded, the
+# Hadamard loop on each of its clones that this CPU runs (the pair exchange
+# has one build)
+TIERS = {"numpy": (_kernels.numpy_apply_h, _kernels.numpy_pair_exchange),
+         **{name: (apply_h, _kernels.pair_exchange)
+            for name, apply_h in compiled_clones(_kernels.apply_h).items()}}
 
 ARITY = {"H": 1, "Z": 1, "S": 1, "SDG": 1, "CX": 2, "CZ": 2, "SWAP": 2}
 MAX_QUBITS = 10
@@ -56,8 +58,7 @@ def check_gate(tag, n, qubits, seed):
                 s = StateVector(n, amp)
                 s.swap_qubits(*qubits)
                 assert np.array_equal(s.amplitudes, out[name]), (name, qubits)
-    if "compiled" in out:
-        assert np.max(np.abs(out["compiled"] - out["numpy"])) < 1e-12
+        assert np.max(np.abs(out[name] - out["numpy"])) < 1e-12, name
 
 
 @st.composite

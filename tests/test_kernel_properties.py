@@ -7,15 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framesim import HybridState, PauliFrame, PauliString, StateVector, _kernels
+from framesim import Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels
 from framesim.frame import RotationStep, invert_to_rotations
-from oracles import S, embed_1q, pauli_matrix, random_clifford_circuit, rotation_matrix
+from oracles import (S, compiled_clones, embed_1q, pauli_matrix, random_clifford_circuit,
+                     rotation_matrix)
 
 # the Clifford loop of the numpy reference always, and the compiled C loop
-# wherever it loaded
-TIERS = {"numpy": _kernels.numpy_clifford}
-if _kernels.JIT_ENABLED:
-    TIERS["compiled"] = _kernels.clifford
+# wherever it loaded, on each of its clones that this CPU runs
+TIERS = {"numpy": _kernels.numpy_clifford, **compiled_clones(_kernels.clifford)}
 
 MAX_QUBITS = 10
 TILE = 256  # amplitudes per tile of the compiled loops
@@ -62,8 +61,7 @@ def check_tiers(amp, ref, run):
         out[name] = amp.copy()
         run(clifford, out[name])
         assert np.max(np.abs(out[name] - ref)) < 1e-12, name
-    if "compiled" in out:
-        assert np.max(np.abs(out["compiled"] - out["numpy"])) < 1e-12
+        assert np.max(np.abs(out[name] - out["numpy"])) < 1e-12, name
 
 
 @settings(max_examples=150, deadline=None)
@@ -188,3 +186,43 @@ def test_clifford_loop_rejects_masks_outside_the_state(name):
     for x, z, m in ((8, 0, 0), (0, 8, 0), (0, 0, 8)):
         with pytest.raises(ValueError, match="out of range"):
             clifford(amp, x, z, 0.0, 1.0, 0, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clifford_cases())
+@example((1, 1, 1, SQ2, SQ2, 3, 0, 1))       # a one-qubit state: one vector
+@example((1, 0, 1, SQ2, SQ2, 3, 1, 2))
+@example((2, 2, 3, 0.0, 1.0, 1, 0, 3))       # x = 2: one pair of vectors
+def test_clifford_loop_writes_only_its_state(case):
+    # the state as a view into a larger array: the elements on either side
+    # must keep their values on every tier
+    n, x, z, ca, cb, e0, m, seed = case
+    amp = random_amplitudes(seed, n)
+    ref = amp.copy()
+    _kernels.numpy_clifford(ref, x, z, ca, cb, e0, m)
+    for name, clifford in TIERS.items():
+        guarded = np.full(amp.size + 8, 7.0 - 7.0j)
+        state = guarded[4:-4]
+        state[:] = amp
+        clifford(state, x, z, ca, cb, e0, m)
+        assert np.all(guarded[:4] == 7.0 - 7.0j) and np.all(guarded[-4:] == 7.0 - 7.0j), name
+        assert np.max(np.abs(state - ref)) < 1e-12, name
+
+
+@pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="compiled kernels not loaded")
+def test_compiled_loops_reject_a_misaligned_state():
+    # a complex128 array at 8 mod 16 bytes, which numpy flags as aligned
+    amp = np.zeros(2 * 1024 + 1)[1:].view(np.complex128)
+    assert amp.ctypes.data % 16 == 8 and amp.flags.aligned
+    circ = Circuit(10)
+    circ.append("RX", 3, angle=0.5)
+    ops, angles = circ.lowered()
+    calls = {"clifford": lambda: _kernels.clifford(amp, 1, 0, 0.0, 1.0, 0, 0),
+             "apply_h": lambda: _kernels.apply_h(amp, 0),
+             "pair_exchange": lambda: _kernels.pair_exchange(amp, 3, 1, 2, 0),
+             "run_gates": lambda: _kernels.run_gates(amp, *PauliFrame.origin(10).packed(),
+                                                     ops, angles, 0)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="aligned to 16 bytes"):
+            call()
+        assert not amp.any(), name

@@ -159,3 +159,29 @@ def test_second_import_loads_the_cache_without_compiling(tmp_path):
     tier, err = import_kernels(cache, str(empty))  # no compiler reachable now
     assert (tier, err) == ("compiled-c", "")
     assert sorted((cache / "framesim").iterdir()) == built
+
+
+def cpu_flags() -> set[str]:
+    """The CPU feature flags the operating system lists in /proc/cpuinfo;
+    empty where it has no such file."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler (gcc or cc) on PATH")
+def test_an_avx2_host_runs_the_avx2_clone(tmp_path):
+    # the library picks its clone from what the CPU reports; a host whose
+    # operating system lists AVX2 and FMA must not end up on the generic one
+    probe = "import framesim._kernels as k; print(k.simd_clone())"
+    clone, err = import_kernels(tmp_path / "cache", os.environ["PATH"], probe=probe)
+    assert err == ""
+    if {"avx2", "fma"} <= cpu_flags():
+        assert clone == "avx2"
+    else:
+        assert clone == "generic"

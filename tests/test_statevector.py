@@ -9,15 +9,14 @@ import pytest
 
 from framesim import HybridState, PauliFrame, PauliString, StateVector
 from framesim import _kernels
-from oracles import pauli_matrix, random_clifford_circuit, random_pauli, rotation_matrix
+from oracles import (compiled_clones, pauli_matrix, random_clifford_circuit, random_pauli,
+                     rotation_matrix)
 
 # the Clifford loop of each implementation, which carries every Pauli-shaped
 # update: the numpy reference always, and the compiled C loop wherever its
-# library loaded; the oracle tests must hold for whichever one a deployment
-# ends up on
-KERNELS = {"numpy": _kernels.numpy_clifford}
-if _kernels.JIT_ENABLED:
-    KERNELS["compiled"] = _kernels.clifford
+# library loaded, on each of its clones that this CPU runs; the oracle tests
+# must hold for whichever one a deployment ends up on
+KERNELS = {"numpy": _kernels.numpy_clifford, **compiled_clones(_kernels.clifford)}
 
 
 def use_kernels(monkeypatch, name):
@@ -162,13 +161,13 @@ def test_compiled_rotation_matches_numpy_reference(case, monkeypatch):
     p = PauliString(n, x, z)
     start = random_state(rng, n).amplitudes
     out = {}
-    for name in ("numpy", "compiled"):
+    for name in KERNELS:
         use_kernels(monkeypatch, name)
         s = StateVector(n, start)
         for theta in (0.7, -2.1):
             s.apply_pauli_rotation(p, theta)
         out[name] = s.amplitudes
-    assert np.max(np.abs(out["compiled"] - out["numpy"])) < 1e-12
+        assert np.max(np.abs(out[name] - out["numpy"])) < 1e-12, name
 
 
 @pytest.mark.parametrize("case", [c for c, (_, x, _) in TRAVERSAL_CASES.items() if x])
