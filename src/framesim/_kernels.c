@@ -38,6 +38,17 @@
  * x86-64 and the build flags name no CPU.  The pair exchange only moves
  * amplitudes and gains nothing from a wider clone.
  *
+ * Two passes then apply the part of a flush without a Hadamard part, which
+ * maps each index k to A k ^ b, A an invertible GF(2) matrix, with a
+ * quadratic phase (see framesim_affine).  The affine pass takes a matrix
+ * that moves whole tiles: it relabels the tiles by following the cycles of
+ * the tile map, with one tile of scratch, and permutes and phases each tile
+ * inside the L1 cache.  The shear pass adds to the tile index a linear
+ * function of the position in the tile, pair by pair, in place, one coset
+ * of at most 2**TILE_BITS tiles at a time, and then to each position a
+ * linear function of the tile index.  The flush splits A into one affine
+ * pass followed by one shear pass.
+ *
  * The gate loop at the end runs a circuit's lowered gate stream on the
  * hybrid backend: Clifford gates update a bit-packed Pauli frame, and each
  * rotation looks up its axis in the frame and calls the Clifford loop.
@@ -490,6 +501,305 @@ void framesim_pair_exchange(double *amp_, int64_t n_amp, uint64_t mask,
     }
 }
 
+
+/* The two passes of the flush's Hadamard-free remainder.  An index k
+ * splits into its tile t = k >> b and its position l = k & (2**b - 1) in
+ * the tile, b being tile_bits. */
+
+static inline int top_bit(uint64_t v)
+{
+    return 63 - __builtin_clzll(v);
+}
+
+/* The XOR of cols[j] over the set bits j of u: the image of u under the
+ * GF(2) matrix with columns cols. */
+static inline uint64_t xor_cols(const uint64_t *cols, uint64_t u)
+{
+    uint64_t r = 0;
+    for (; u; u &= u - 1)
+        r ^= cols[__builtin_ctzll(u)];
+    return r;
+}
+
+/* inv <- the columns of the inverse of the GF(2) matrix with the nb
+ * columns cols, each below 2**nb; returns 0 if that matrix is singular. */
+static int invert_cols(const uint64_t *cols, int nb, uint64_t *inv)
+{
+    uint64_t pv[64], pt[64], have = 0; /* basis vector and its sum of columns, by top bit */
+    for (int j = 0; j < nb; j++) {
+        uint64_t v = cols[j], t = (uint64_t)1 << j;
+        while (v && have >> top_bit(v) & 1) {
+            const int p = top_bit(v);
+            v ^= pv[p];
+            t ^= pt[p];
+        }
+        if (!v || v >> nb)
+            return 0;
+        pv[top_bit(v)] = v;
+        pt[top_bit(v)] = t;
+        have |= (uint64_t)1 << top_bit(v);
+    }
+    for (int i = 0; i < nb; i++) {
+        uint64_t v = (uint64_t)1 << i, t = 0;
+        for (; v; v ^= pv[top_bit(v)])
+            t ^= pt[top_bit(v)];
+        inv[i] = t;
+    }
+    return 1;
+}
+
+/* 2 * parity(v) for v < 256, built when the library loads: a lookup is
+ * cheaper than __builtin_parity where the build names no CPU with popcnt */
+static uint8_t PARITY2[256];
+
+__attribute__((constructor)) static void fill_parity(void)
+{
+    for (int v = 1; v < 256; v++)
+        PARITY2[v] = (uint8_t)(PARITY2[v >> 1] ^ (2 * (v & 1)));
+}
+
+/* The per-tile-bit parts of an affine pass (see framesim_affine): for tile
+ * bit j, the image tile fwd and its inverse inv, the in-tile offset off it
+ * adds, the in-tile mask xc of its phase pairs, its tile mask quad of
+ * them, and its phase lin. */
+typedef struct {
+    uint64_t fwd[64], inv[64], off[64], xc[64], quad[64];
+    unsigned lin[64];
+} tile_parts;
+
+/* dst[perm[l] ^ off(u)] <- c * i**e(u, l) * src[l] for the positions l of
+ * tile u, with e(u, l) = lin(u) + ql[l] + 2*parity(xc(u) & l); cr[e] and
+ * ci[e] hold c * i**e as the factors of a and of a with re and im swapped. */
+static void map_tile(v2d *restrict dst, const v2d *restrict src, const v2d *next,
+                     int64_t len, const uint8_t *perm, const uint8_t *ql,
+                     const tile_parts *tp, uint64_t u, const v2d *cr, const v2d *ci)
+{
+    uint64_t o = 0, y = 0;
+    unsigned c = 0;
+    for (uint64_t r = u; r; r &= r - 1) {
+        const int j = __builtin_ctzll(r);
+        o ^= tp->off[j];
+        y ^= tp->xc[j];
+        c += tp->lin[j] + (unsigned)__builtin_popcountll(tp->quad[j] & u);
+    }
+    for (int64_t l = 0; l < len; l++) {
+        if (l % LINE == 0)
+            prefetch(next + l);
+        const unsigned e = (c + ql[l] + PARITY2[y & (uint64_t)l]) & 3;
+        const v2d a = src[l];
+        dst[perm[l] ^ o] = cr[e] * a + ci[e] * (v2d){a[1], a[0]};
+    }
+}
+
+enum { AFFINE_OK, AFFINE_SINGULAR, AFFINE_ASYMMETRIC };
+
+/* amp[G k ^ offset] <- (cre + i*cim) * i**q(k) * amp[k] for every index k
+ *
+ * with q(k) = sum over the set bits i of k of diag[i] + popcount(cross[i] &
+ * k), mod 4.  G is the GF(2) matrix whose column i, the image of bit i, is
+ * cols[i]; it must be invertible and map positions to positions (cols[i]
+ * below 2**b for i < b), so that it moves whole tiles: tile t goes to tile
+ * G_tt t ^ (offset >> b), with its positions permuted by the low part of G
+ * and shifted by an offset that depends on t.  cross must be symmetric with
+ * a clear diagonal.  n_amp is a power of two 2**n, the masks are below it,
+ * and seen is a zeroed scratch of one bit per tile.
+ *
+ * The tiles are relabeled by following the cycles of the tile map
+ * backwards: the first tile of a cycle is copied aside, then each tile of
+ * the cycle receives its preimage, permuted and phased, and the tile whose
+ * preimage is the first one receives the copy.  Each tile is read and
+ * written once, permuted inside the L1 cache, and the loop prefetches the
+ * tile it reads next.  Returns AFFINE_SINGULAR or AFFINE_ASYMMETRIC, leaving amp
+ * as it was, if G or cross is not as required, else AFFINE_OK. */
+int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t offset,
+                    const uint8_t *diag, const uint64_t *cross, double cre, double cim,
+                    uint8_t *seen)
+{
+    v2d *amp = (v2d *)amp_;
+    const int n = top_bit((uint64_t)n_amp), b = tile_bits(n_amp), nb = n - b;
+    const int64_t len = (int64_t)1 << b;
+    const uint64_t lo = (uint64_t)len - 1, n_tiles = (uint64_t)n_amp >> b;
+
+    for (int i = 0; i < n; i++) {
+        if (cross[i] >> i & 1)
+            return AFFINE_ASYMMETRIC;
+        for (int j = 0; j < i; j++)
+            if (((cross[i] >> j) ^ (cross[j] >> i)) & 1)
+                return AFFINE_ASYMMETRIC;
+    }
+    /* the permutation and phase of the positions, built by doubling */
+    uint8_t perm[TILE], ql[TILE];
+    uint64_t hit[TILE / 64] = {0};
+    perm[0] = (uint8_t)(offset & lo);
+    ql[0] = 0;
+    for (int i = 0; i < b; i++) {
+        if (cols[i] & ~lo)
+            return AFFINE_SINGULAR;
+        const int64_t h = (int64_t)1 << i;
+        for (int64_t l = 0; l < h; l++) {
+            perm[h + l] = (uint8_t)(perm[l] ^ cols[i]);
+            ql[h + l] = (uint8_t)((ql[l] + diag[i]
+                                   + 2 * __builtin_parityll(cross[i] & (uint64_t)l)) & 3);
+        }
+    }
+    for (int64_t l = 0; l < len; l++) {
+        if (hit[perm[l] >> 6] >> (perm[l] & 63) & 1)
+            return AFFINE_SINGULAR;
+        hit[perm[l] >> 6] |= (uint64_t)1 << (perm[l] & 63);
+    }
+    tile_parts tp;
+    for (int j = 0; j < nb; j++) {
+        tp.fwd[j] = cols[b + j] >> b;
+        tp.off[j] = cols[b + j] & lo;
+        tp.xc[j] = cross[b + j] & lo;
+        tp.quad[j] = cross[b + j] >> b;
+        tp.lin[j] = diag[b + j] & 3u;
+    }
+    if (!invert_cols(tp.fwd, nb, tp.inv))
+        return AFFINE_SINGULAR;
+
+    v2d cr[4], ci[4];
+    for (int e = 0; e < 4; e++) {
+        const v2d c = turn((v2d){cre, cim}, e);
+        cr[e] = (v2d){c[0], c[0]};
+        ci[e] = (v2d){-c[1], c[1]};
+    }
+    const uint64_t t0 = offset >> b;
+    v2d first[TILE];
+    for (uint64_t s = 0; s < n_tiles; s++) {
+        if (seen[s >> 3] >> (s & 7) & 1)
+            continue;
+        for (int64_t l = 0; l < len; l++)
+            first[l] = amp[s * (uint64_t)len + (uint64_t)l];
+        for (uint64_t cur = s;;) {
+            seen[cur >> 3] |= (uint8_t)(1u << (cur & 7));
+            const uint64_t u = xor_cols(tp.inv, cur ^ t0); /* the tile mapped to cur */
+            const uint64_t v = u == s ? s + 1 : xor_cols(tp.inv, u ^ t0); /* read next */
+            map_tile(amp + cur * (uint64_t)len, u == s ? first : amp + u * (uint64_t)len,
+                     amp + (v < n_tiles ? v : s) * (uint64_t)len, len, perm, ql, &tp, u,
+                     cr, ci);
+            if (u == s)
+                break;
+            cur = u;
+        }
+    }
+    return AFFINE_OK;
+}
+
+/* amp[(t ^ B l, l ^ M (t ^ B l))] <- amp[(t, l)] for every index k = (t, l)
+ *
+ * with B l the XOR of up[i] >> b over the set bits i of the position l,
+ * and M t the XOR of down[j] over the set bits j of the tile index t: the
+ * upper shear t ^= B l followed by the lower shear l ^= M t.  The b masks
+ * up (b = tile_bits) must have no bit below b and lie below n_amp, a power
+ * of two, and the n - b masks down must lie below 2**b; returns 1, leaving
+ * amp as it was, if one does not, else 0.
+ *
+ * The upper shear is its own inverse and maps each coset t ^ V of the span
+ * V of B (at most 2**b tiles: 1 MiB, inside the L2 cache) to itself, so
+ * the loop walks the state coset by coset.  Inside one, it swaps the
+ * positions l of tile t with those of tile t ^ B l, for each pair once,
+ * the positions being grouped by their value of B l.  It then permutes
+ * the positions of each tile of the coset by its offset M t, pair by pair,
+ * while the coset is still in the cache. */
+int framesim_shear(double *amp_, int64_t n_amp, const uint64_t *up, const uint64_t *down)
+{
+    v2d *amp = (v2d *)amp_;
+    const int b = tile_bits(n_amp), nb = top_bit((uint64_t)n_amp) - b;
+    const int64_t len = (int64_t)1 << b;
+    const uint64_t lo = (uint64_t)len - 1, n_tiles = (uint64_t)n_amp >> b;
+    for (int j = 0; j < nb; j++)
+        if (down[j] & ~lo)
+            return 1;
+
+    /* a reduced echelon basis of V, sorted by pivot (top) bit: every pivot
+     * bit is set in its own basis vector only, so a vector of V is the sum
+     * of the basis vectors whose pivot bits it has */
+    uint64_t basis[TILE_BITS], pivots = 0;
+    int r = 0;
+    for (int i = 0; i < b; i++) {
+        if (up[i] & lo)
+            return 1;
+        uint64_t v = up[i] >> b;
+        for (int k = 0; k < r; k++)
+            if (v >> top_bit(basis[k]) & 1)
+                v ^= basis[k];
+        if (!v)
+            continue;
+        for (int k = 0; k < r; k++)
+            if (basis[k] >> top_bit(v) & 1)
+                basis[k] ^= v;
+        int k = r++;
+        for (; k > 0 && basis[k - 1] > v; k--)
+            basis[k] = basis[k - 1];
+        basis[k] = v;
+        pivots |= (uint64_t)1 << top_bit(v);
+    }
+    uint64_t tag[TILE_BITS]; /* column i as the sum of the basis vectors in tag[i] */
+    for (int i = 0; i < b; i++) {
+        tag[i] = 0;
+        for (int k = 0; k < r; k++)
+            tag[i] |= (uint64_t)(up[i] >> b >> top_bit(basis[k]) & 1) << k;
+    }
+    /* span[g] is the sum of the basis vectors in g; the positions pos[k]
+     * for start[g] <= k < start[g + 1] are those with B l = span[g] */
+    const int size = 1 << r;
+    uint64_t span[TILE];
+    uint8_t group[TILE], pos[TILE];
+    int start[TILE + 1] = {0}, fill[TILE];
+    span[0] = 0;
+    for (int k = 0; k < r; k++)
+        for (int g = 0; g < 1 << k; g++)
+            span[(1 << k) + g] = span[g] ^ basis[k];
+    group[0] = 0;
+    for (int i = 0; i < b; i++)
+        for (int64_t l = 0; l < (int64_t)1 << i; l++)
+            group[((int64_t)1 << i) + l] = (uint8_t)(group[l] ^ tag[i]);
+    for (int64_t l = 0; l < len; l++)
+        start[group[l] + 1]++;
+    for (int g = 0; g < size; g++) {
+        start[g + 1] += start[g];
+        fill[g] = start[g];
+    }
+    for (int64_t l = 0; l < len; l++)
+        pos[fill[group[l]]++] = (uint8_t)l;
+
+    /* one tile of each coset has every pivot bit clear.  The positions of
+     * group g of tile rep ^ span[i] pair with those of tile rep ^ span[i ^
+     * g].  As the basis is reduced and sorted, bit k of i is the pivot bit
+     * of basis vector k in span[i], so the groups g whose top bit k is
+     * clear in i list each pair of tiles once.  A tile's partners get
+     * distinct positions, so they fall in distinct sets of the L1 cache. */
+    for (uint64_t rep = 0; rep < n_tiles; rep = ((rep | pivots) + 1) & ~pivots) {
+        for (int i = 0; i < size; i++) {
+            v2d *restrict a = amp + (rep ^ span[i]) * (uint64_t)len;
+            for (int k = 0; k < r; k++) {
+                if (i >> k & 1)
+                    continue;
+                for (int g = 1 << k; g < 2 << k; g++) {
+                    v2d *restrict c = amp + (rep ^ span[i ^ g]) * (uint64_t)len;
+                    for (int j = start[g]; j < start[g + 1]; j++) {
+                        const v2d x = a[pos[j]];
+                        a[pos[j]] = c[pos[j]];
+                        c[pos[j]] = x;
+                    }
+                }
+            }
+            /* the partners of tile i are all above it in this order, so
+             * the tile is done, and still in the cache */
+            const uint64_t o = xor_cols(down, rep ^ span[i]);
+            if (!o)
+                continue;
+            const int64_t skip = (int64_t)1 << top_bit(o);
+            for (int64_t l = 0; l < len; l = ((l | skip) + 1) & ~skip) {
+                const v2d x = a[l];
+                a[l] = a[l ^ (int64_t)o];
+                a[l ^ (int64_t)o] = x;
+            }
+        }
+    }
+    return 0;
+}
 
 /* The gate codes of a lowered circuit, in the order of circuit.TAGS. */
 enum { G_H, G_S, G_SDG, G_X, G_Y, G_Z, G_CX, G_CZ, G_SWAP, G_RX, G_RY, G_RZ,

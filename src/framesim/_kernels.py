@@ -1,29 +1,35 @@
 """The in-place amplitude kernels of ``StateVector``, the hybrid backend's
 compiled gate loop, and the choice of their tier.
 
-Three amplitude loops carry every state update:
+Five amplitude loops carry every state update:
 
 - ``clifford`` computes ``a[k] <- ca*a[k] + cb * i**e(k) * (-1)**parity(k & z)
   * a[k ^ x]`` with ``e(k) = e0 + popcount(k & m)`` and real ca and cb: every
   update of the form ``ca*I + cb*i**e0*P`` for a multi-qubit Pauli P.  That
   is rotations by any angle, Pauli application (and with it the expectation
   and the prepare repair), the measurement collapse, the flush's quarter
-  and half turns, a run of the flush's single-qubit turns without a
-  Hadamard part in one pass (the phase mask m), and the baseline's X, Y,
-  RX, RY and RZ.
+  turns, and the baseline's X, Y, RX, RY and RZ.
 - ``apply_h`` applies the Hadamard gate to one qubit: the baseline's H.
 - ``pair_exchange`` swaps ``a[k]`` with ``a[k ^ x]`` for every k whose bits
   under ``mask`` equal ``val``, or multiplies ``a[k]`` by ``i**e`` when x is
-  0: the baseline's CX and SWAP and the flush's qubit relabelings, and the
-  baseline's Z, S, SDG and CZ, which touch only the amplitudes whose
-  qubits are set.
+  0: the baseline's CX and SWAP, and the baseline's Z, S, SDG and CZ, which
+  touch only the amplitudes whose qubits are set.
+- ``affine`` computes ``a[G k ^ offset] <- c * i**q(k) * a[k]`` for an
+  invertible GF(2) matrix G that maps tiles of ``2**tile_bits`` amplitudes
+  onto tiles and a quadratic form q, and ``shear`` moves ``a[k]`` to the
+  index that two shears make of k = (t, l): one adds a linear function of
+  the position l in the tile to the tile index t, the next a linear
+  function of the new tile index to l.  One affine pass and one shear
+  apply the part of a flush without a Hadamard part
+  (``StateVector.apply_hadamard_free``).
 
 The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
-(one read and one write each) and allocate nothing.  The Clifford loop
-walks the state in cache-sized tiles, so that its cost depends neither on
-the number of qubits nor on how many qubits the operator touches; the gate
-loops walk contiguous runs in address order, a cache line at a time where
-the runs are shorter.  The Clifford loop holds two amplitudes per 32-byte
+(one read and one write each) and allocate nothing; the affine pass takes
+from its wrapper a bitmap of one bit per tile, 1/32768 of the state.  The
+Clifford loop walks the state in cache-sized tiles, so that its cost
+depends neither on the number of qubits nor on how many qubits the
+operator touches; the gate loops walk contiguous runs in address order, a
+cache line at a time where the runs are shorter.  The Clifford loop holds two amplitudes per 32-byte
 vector and applies a power of i as an element swap and a sign pattern,
 with no complex multiply.  It and the Hadamard loop are compiled twice
 from one body, a generic clone and one for AVX2 with FMA, and the library
@@ -54,10 +60,10 @@ under a name keyed by a hash of the source and the compiler flags, linked
 with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
 compiling.  The build names no CPU, so a cached library runs on any
-x86-64.  When the library loads, the three loop names are the C loops,
+x86-64.  When the library loads, the five loop names are the C loops,
 ``run_gates`` is set and ``JIT_ENABLED`` is True.  When it cannot be built
 or loaded (no compiler, a build error, a cache directory that cannot be
-written) one ``RuntimeWarning`` names the reason, the three names are bound
+written) one ``RuntimeWarning`` names the reason, the five names are bound
 to the numpy functions instead and ``run_gates`` is None.  The choice is
 made once, here, from what the import observes.
 """
@@ -75,6 +81,7 @@ _CFLAGS = ("-O3", "-fPIC", "-shared")
 _LIBS = ("-lm",)  # after the source, so that the linker keeps it
 _SQ2 = 0.7071067811865476  # 1/sqrt(2), as in the C loop
 _I_POW = np.array([1, 1j, -1, -1j])
+TILE_BITS = 8  # a tile of the C loops holds 2**TILE_BITS amplitudes
 
 
 class _Unavailable(Exception):
@@ -144,6 +151,10 @@ def _load():
     lib.framesim_run_gates.argtypes = [ptr, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr,
                                        i64, i64, ctypes.POINTER(f64)]
     lib.framesim_run_gates.restype = i64
+    lib.framesim_affine.argtypes = [ptr, i64, ptr, u64, ptr, ptr, f64, f64, ptr]
+    lib.framesim_affine.restype = ctypes.c_int
+    lib.framesim_shear.argtypes = [ptr, i64, ptr, ptr]
+    lib.framesim_shear.restype = ctypes.c_int
     lib.framesim_use_avx2.argtypes = [ctypes.c_int]
     lib.framesim_use_avx2.restype = ctypes.c_int
     return lib
@@ -240,6 +251,54 @@ def _c_pair_exchange(amp, mask, val, x, e):
     _lib.framesim_pair_exchange(addr, amp.shape[0], mask, val, x, e & 3)
 
 
+def tile_bits(num_qubits: int) -> int:
+    """b, for the tiles of 2**b amplitudes that the affine and shear passes
+    of a num_qubits-qubit state work in: TILE_BITS, or the whole state."""
+    return min(num_qubits, TILE_BITS)
+
+
+_AFFINE_ERRORS = {1: "the affine map is singular or moves positions across tiles",
+                  2: "the phase's cross masks are not symmetric with a clear diagonal"}
+
+
+def _check_affine(amp, cols, diag, cross) -> int:
+    n = amp.shape[0].bit_length() - 1
+    if not len(cols) == len(diag) == len(cross) == n:
+        raise ValueError(f"need one column, diag and cross entry per qubit ({n})")
+    return n
+
+
+def _c_affine(amp, cols, offset, diag, cross, c):
+    """``numpy_affine`` in one tiled pass of the C loop."""
+    addr = _address(amp, offset, *cols, *cross)
+    _check_affine(amp, cols, diag, cross)
+    seen = np.zeros(((amp.shape[0] >> tile_bits(len(cols))) + 7) >> 3, dtype=np.uint8)
+    cols, cross = np.array(cols, dtype=np.uint64), np.array(cross, dtype=np.uint64)
+    err = _lib.framesim_affine(addr, amp.shape[0], cols.ctypes.data, offset,
+                               bytes(d & 3 for d in diag), cross.ctypes.data,
+                               c.real, c.imag, seen.ctypes.data)
+    if err:
+        raise ValueError(_AFFINE_ERRORS[err])
+
+
+def _c_shear(amp, up, down):
+    """``numpy_shear`` in one pass of the C loop, coset by coset."""
+    addr = _address(amp, *up)
+    _check_shear(amp, up, down)
+    up, down = np.array(up, dtype=np.uint64), np.array(down, dtype=np.uint64)
+    _lib.framesim_shear(addr, amp.shape[0], up.ctypes.data, down.ctypes.data)
+
+
+def _check_shear(amp, up, down) -> int:
+    n = amp.shape[0].bit_length() - 1
+    b = tile_bits(n)
+    if len(up) != b or any(c & ((1 << b) - 1) for c in up):
+        raise ValueError(f"need {b} upper shear columns above the {b} position bits")
+    if len(down) != n - b or any(c >> b for c in down):
+        raise ValueError(f"need {n - b} lower shear columns below bit {b}")
+    return b
+
+
 def _c_run_gates(amp, xs, zs, ps, ops, angles, start):
     """Run a lowered gate stream from gate ``start`` on the hybrid backend, in
     one call of the C gate loop; return the index of the first gate not run
@@ -317,9 +376,66 @@ def numpy_pair_exchange(amp, mask, val, x, e):
         amp[k], amp[k ^ x] = amp[k ^ x], amp[k]
 
 
+def numpy_affine(amp, cols, offset, diag, cross, c):
+    """amp[G k ^ offset] <- c * i**q(k) * amp[k] for every index k.
+
+    G is the GF(2) matrix with columns ``cols`` (column i is the image of
+    bit i), q(k) = sum over the set bits i of k of diag[i] +
+    popcount(cross[i] & k), mod 4, and c is a complex constant.  G must be
+    invertible and map each tile of 2**b amplitudes (b = ``tile_bits``) onto
+    a tile: cols[i] < 2**b for i < b.  cross must be symmetric with a clear
+    diagonal, so that q is the quadratic form of a Clifford without a
+    Hadamard part.  Raises ValueError otherwise.
+    """
+    n = _check_affine(amp, cols, diag, cross)
+    if not 0 <= max([offset, *cols, *cross]) < amp.shape[0]:
+        raise ValueError("bit mask out of range for the amplitude array")
+    if any(cross[i] >> j & 1 != (i != j and cross[j] >> i & 1)
+           for i in range(n) for j in range(i + 1)):
+        raise ValueError(_AFFINE_ERRORS[2])
+    b = tile_bits(n)
+    k = np.arange(amp.shape[0], dtype=np.int64)
+    dest = np.full(amp.shape[0], offset, dtype=np.int64)
+    q = np.zeros(amp.shape[0], dtype=np.int64)
+    for i in range(n):
+        bit = k >> i & 1
+        dest ^= bit * cols[i]
+        q += bit * (diag[i] + np.bitwise_count(k & np.int64(cross[i])))
+    if (any(cols[i] >> b for i in range(b))
+            or np.any(np.bincount(dest, minlength=amp.shape[0]) != 1)):
+        raise ValueError(_AFFINE_ERRORS[1])
+    out = np.empty_like(amp)
+    out[dest] = c * _I_POW[q & 3] * amp
+    amp[:] = out
+
+
+def numpy_shear(amp, up, down):
+    """The upper shear t ^= B l, then the lower shear l ^= M t, of every
+    index k = (t, l), t being its tile and l its position in the tile
+    (b = ``tile_bits``): amp[(t ^ B l, l ^ M (t ^ B l))] <- amp[(t, l)].
+
+    B l is the XOR of up[i] over the set bits i of l, the b masks up having
+    no bit below b; M t is the XOR of down[j] over the set bits j of t, the
+    n - b masks down being below 2**b.
+    """
+    b = _check_shear(amp, up, down)
+    if not 0 <= max(up, default=0) < amp.shape[0]:
+        raise ValueError("bit mask out of range for the amplitude array")
+    k = np.arange(amp.shape[0], dtype=np.int64)
+    for i, col in enumerate(up):
+        k ^= (k >> i & 1) * col
+    for j, col in enumerate(down):
+        k ^= (k >> (b + j) & 1) * col
+    out = np.empty_like(amp)
+    out[k] = amp
+    amp[:] = out
+
+
 if _lib is not None:
     clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
+    affine, shear = _c_affine, _c_shear
     run_gates = _c_run_gates
 else:
     clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
+    affine, shear = numpy_affine, numpy_shear
     run_gates = None

@@ -15,7 +15,6 @@ Measured eigenvalue +1 is recorded as classical bit 0.
 """
 from __future__ import annotations
 
-import itertools
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, TAGS, Circuit
-from .frame import PauliFrame, RotationStep, invert_to_rotations
+from .frame import PauliFrame, invert_to_rotations, split_clifford
 from .pauli import PauliString
 from .statevector import StateVector
 
@@ -54,55 +53,15 @@ class RunReport:
         return _kernels.kernel_tier()
 
 
-def _is_monomial(step: RotationStep) -> bool:
-    """A single-qubit turn without a Hadamard part: about Z, or a half turn."""
-    return (step.kind == "pauli_rotation" and step.axis.weight == 1
-            and (not step.axis.x_bits or step.quarter_turns % 2 == 0))
-
-
-def _fold(run) -> tuple[int, int, int, int]:
-    """The product of single-qubit turns without a Hadamard part, applied in
-    order, as the arguments (x, z, m, eighths) of ``StateVector.apply_monomial``.
-
-    It is kept exactly, in integers: the product maps |k> to
-    w**r * i**(sum of l[q] * k_q) |k ^ x> (w = exp(i*pi/4)), with r mod 8 and
-    each qubit's l[q] mod 4.  R_P(k*pi/2) is w**-k * P**(k/2) for even k, and
-    w**-k * i**(k * k_q) about Z_q for any k.  A turn that flips bit q after
-    the product reads the product at k ^ 2**q, which turns l[q] * k_q into
-    l[q] - l[q] * k_q; Y_q adds -i * (-1)**k_q to the flip.
-    """
-    x = r = 0
-    ell: dict[int, int] = {}  # single-bit mask of a qubit -> l[q]
-    for step in run:
-        axis = step.axis
-        k = step.quarter_turns if axis.phase_exp == 0 else -step.quarter_turns
-        bit = axis.x_bits | axis.z_bits
-        r -= k
-        if not axis.x_bits:
-            ell[bit] = ell.get(bit, 0) + k
-        elif k % 4:  # a half turn about X or Y: flips the bit
-            l = ell.get(bit, 0)
-            r += 2 * l
-            ell[bit] = -l
-            x ^= bit
-            if axis.z_bits:
-                r -= 2
-                ell[bit] += 2
-    m = z = 0
-    for bit, l in ell.items():
-        m |= bit if l & 1 else 0
-        z |= bit if l & 2 else 0
-    return x, z, m, r & 7
-
-
 @dataclass
 class HybridState:
     """Frame + state vector pair representing U|phi>.
 
     ``flush_passes`` gets one entry per ``flush_to_origin`` call: the state
-    passes it made, by kind (``rotations``, ``folded_runs``,
-    ``scalar_fixes`` and ``swaps``), and ``timing["flush_s"]`` adds up the
-    seconds of the flushes, the synthesis of their steps included.
+    passes it made, by kind (``quarter_turns``, ``affine`` and ``shears``),
+    and ``h``, the size of the Hadamard layer of the Clifford it flushed.
+    ``timing["flush_s"]`` adds up the seconds of the flushes, their
+    synthesis included.
     """
 
     frame: PauliFrame
@@ -115,50 +74,32 @@ class HybridState:
         return self.phi.expectation(self.frame.lookup(p))
 
     def flush_to_origin(self) -> None:
-        """Fold the frame's Clifford into the amplitudes.
+        """Fold the frame's Clifford U into the amplitudes, in h + 2 state
+        passes at most, h being the size of U's Hadamard layer.
 
-        Conjugating the backward-stored frame to the origin is the same as
-        sandwiching U between the step unitaries' inverses, so the steps of
-        ``invert_to_rotations`` applied in order implement U itself; swaps
-        become amplitude index relabelings.  Every step updates the
-        amplitudes in place, in one pass of a ``_kernels`` loop:
-
-        - Each rotation is a quarter or half turn, whose coefficients are
-          0, +-1 or +-1/sqrt(2) times a power of i, so
-          ``StateVector.apply_clifford_rotation`` runs it on the Clifford
-          loop with coefficients from a table.
-        - A run of two or more single-qubit turns without a Hadamard part
-          (the synthesis ends with one) is composed exactly into one
-          ``StateVector.apply_monomial``: one pass of the Clifford loop with
-          a phase mask, plus a scalar multiply when its constant phase is an
-          odd power of exp(i*pi/4).
-        - A swap runs in the masked pair exchange, which moves only the
-          half of the amplitudes whose two qubits differ.
-
-        The result equals the steps applied one by one as rotations, global
-        phase included, within rounding, and so matches a gate-by-gate run
-        up to one global phase, which is left unnormalized.
+        ``split_clifford`` writes U as h quarter turns followed by one
+        Clifford F without a Hadamard part, which maps each basis state to
+        one basis state times a phase.  Each turn runs in one pass of the
+        Clifford loop (``StateVector.apply_pauli_rotation``), and F in an
+        affine pass and a shear pass (``StateVector.apply_hadamard_free``); the
+        qubit relabelings and single-qubit turns of the synthesis all
+        become part of F.  The frame fixes U only up to a global phase: the
+        flush takes it from the product of the steps of
+        ``invert_to_rotations``, so the result equals those steps applied
+        one by one as rotations and swaps, global phase included, within
+        rounding.  It matches a gate-by-gate run up to one global phase,
+        which is left unnormalized.  The origin frame makes no pass and no
+        synthesis.
         """
         t0 = time.perf_counter()
-        steps = invert_to_rotations(self.frame)
-        phi = self.phi
-        passes = dict.fromkeys(("rotations", "folded_runs", "scalar_fixes", "swaps"), 0)
-        for monomial, group in itertools.groupby(steps, _is_monomial):
-            group = list(group)
-            if monomial and len(group) >= 2:
-                x, z, m, eighths = _fold(group)
-                phi.apply_monomial(x, z, m, eighths)
-                passes["folded_runs"] += 1
-                passes["scalar_fixes"] += eighths & 1
-                continue
-            for step in group:
-                if step.kind == "pauli_rotation":
-                    phi.apply_clifford_rotation(step.axis, step.quarter_turns)
-                    passes["rotations"] += 1
-                else:
-                    phi.swap_qubits(*step.qubits)
-                    passes["swaps"] += 1
-        self.frame = PauliFrame.origin(self.frame.num_qubits)
+        passes = dict.fromkeys(("quarter_turns", "affine", "shears", "h"), 0)
+        if not self.frame.is_origin():
+            turns, rest = split_clifford(self.frame, invert_to_rotations(self.frame))
+            for turn in turns:
+                self.phi.apply_pauli_rotation(turn.axis, turn.angle)
+            passes["affine"], passes["shears"] = self.phi.apply_hadamard_free(rest)
+            passes["quarter_turns"] = passes["h"] = len(turns)
+            self.frame = PauliFrame.origin(self.frame.num_qubits)
         self.flush_passes.append(passes)
         self.timing["flush_s"] = self.timing.get("flush_s", 0.0) + time.perf_counter() - t0
 

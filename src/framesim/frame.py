@@ -13,11 +13,16 @@ multi-qubit axis U^dag A_i U = lookup(A_i), so Clifford gates never have to
 touch the 2**n amplitudes at all.
 
 ``invert_to_rotations`` synthesizes the accumulated Clifford back into O(n)
-Pauli rotations plus qubit relabelings, which is how the hybrid backend
-flushes the frame into the state vector when raw amplitudes are needed.
-Every rotation it emits comes from one rule: a pi/2 turn about i*B*A
-conjugates an entry A onto any anticommuting B, and a pi turn negates a
-single letter.
+Pauli rotations plus qubit relabelings.  Every rotation it emits comes from
+one rule: a pi/2 turn about i*B*A conjugates an entry A onto any
+anticommuting B, and a pi turn negates a single letter.  Its product fixes
+the global phase of a flush.
+
+``split_clifford`` is how the hybrid backend flushes the frame into the
+state vector when raw amplitudes are needed: the Clifford as h quarter
+turns, h being the size of its Hadamard layer, followed by one
+Hadamard-free Clifford (``HadamardFree``), which maps each basis state to
+one basis state times a power of exp(i*pi/4).
 
 Rows are held as plain (x_bits, z_bits, phase_exp) integer triples rather
 than PauliString objects: the frame update runs once per circuit gate and
@@ -29,9 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import gf2
 from .pauli import PauliString, _mul, _swap_bits
 
 _QUARTER = math.pi / 2  # R_Q(pi/2) = exp(-i pi/4 Q), a symplectic transvection
@@ -255,16 +262,10 @@ class PauliFrame:
         Entries commuting with the axis are untouched; anticommuting ones
         become -i*Q*E (+pi/2), +i*Q*E (-pi/2) or -E (pi).
         """
-        shift = -_quarter_turns(angle) & 3
         q = (axis.x_bits, axis.z_bits, axis.phase_exp)
-        for row in (self._z, self._x):
-            for i, e in enumerate(row):
-                if _anti(e, q):
-                    if shift == 2:
-                        row[i] = _neg(e)
-                    else:
-                        ex, ez, ep = _mul(q, e)
-                        row[i] = (ex, ez, (ep + shift) & 3)
+        turns = _quarter_turns(angle)
+        _conjugate(self._z, q, turns)
+        _conjugate(self._x, q, turns)
 
     def conjugate_swap(self, a: int, b: int) -> None:
         """Conjugate every entry by SWAP(a, b), i.e. relabel the two qubits."""
@@ -292,6 +293,19 @@ class PauliFrame:
 
     def __repr__(self) -> str:
         return f"PauliFrame({self.num_qubits} qubits)\n{self.dump()}"
+
+
+def _conjugate(rows: list, q, turns: int) -> None:
+    """Conjugate the triples in ``rows`` by R_q(turns * pi/2), in place."""
+    shift = -turns & 3
+    qx, qz, _ = q
+    for i, e in enumerate(rows):
+        if ((e[0] & qz) ^ (e[1] & qx)).bit_count() & 1:  # _anti(e, q), inlined
+            if shift == 2:
+                rows[i] = _neg(e)
+            else:
+                ex, ez, ep = _mul(q, e)
+                rows[i] = (ex, ez, (ep + shift) & 3)
 
 
 def _quarter_turns(angle: float) -> int:
@@ -325,8 +339,8 @@ def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
     A cleanup then turns each eff_z to +Z_q and each eff_x to +X_q.  It
     first emits the turns that still need a Hadamard part (an eff_z with an
     X or Y letter), then the rest, which are all Z-axis quarter turns or
-    half turns: single-qubit Cliffords without a Hadamard part, which the
-    flush applies as one pass.  Qubit swaps finally sort the pairs into
+    half turns: single-qubit Cliffords without a Hadamard part.  Qubit
+    swaps finally sort the pairs into
     their home rows; preferring the home row as pivot keeps them few.
     Applying the steps in order reproduces the origin frame exactly, signs
     included.
@@ -409,3 +423,203 @@ def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
     if not f.is_origin():
         raise RuntimeError("frame synthesis did not terminate on the origin frame")
     return steps
+
+
+# ----------------------------------------------------------------------
+# the flush's canonical form: h quarter turns and one Hadamard-free part
+
+
+class HadamardFree(NamedTuple):
+    """The Clifford |k> -> w**eighths * i**q(k) |A k ^ offset>, w = exp(i*pi/4).
+
+    ``rows`` holds the row masks of the invertible GF(2) matrix A, (A k)_i =
+    parity(rows[i] & k), as in ``gf2``.  The phase is quadratic:
+    q(k) = sum over the set bits i of k of diag[i] + popcount(cross[i] & k),
+    mod 4.  So diag[i] (0..3) is q at the unit vector e_i, and the masks
+    ``cross`` are symmetric (bit j of cross[i] is bit i of cross[j], and bit
+    i of cross[i] is clear): each pair of set bits they link adds 2.
+    Every Clifford without a Hadamard part (X, CX, SWAP, S, CZ) has this
+    form, and only those have it.
+    """
+
+    rows: tuple[int, ...]
+    offset: int
+    diag: tuple[int, ...]
+    cross: tuple[int, ...]
+    eighths: int = 0
+
+    def image(self, k: int) -> int:
+        """A k ^ offset, the basis state that |k> is mapped to."""
+        return gf2.apply(self.rows, k) ^ self.offset
+
+    def phase(self, k: int) -> int:
+        """q(k) mod 4."""
+        q = 0
+        bits = k
+        while bits:
+            low = bits & -bits
+            i = low.bit_length() - 1
+            q += self.diag[i] + (self.cross[i] & k).bit_count()
+            bits ^= low
+        return q & 3
+
+    def is_identity(self) -> bool:
+        """True if this maps every |k> to itself."""
+        return (self.offset == 0 and self.eighths & 7 == 0
+                and all(r == 1 << i for i, r in enumerate(self.rows))
+                and not any(self.diag) and not any(self.cross))
+
+
+def _exp_at(p, k: int) -> int:
+    """e with P|k> = i**e |k ^ x> for the triple P = (x, z, phase_exp)."""
+    x, z, ph = p
+    return (ph + (x & z).bit_count() + 2 * (z & k).bit_count()) & 3
+
+
+def _sum_eighths(a: int, b: int) -> int | None:
+    """The phase of w**a + w**b in eighths of a turn, or None if it is 0; a
+    and b differ by a multiple of 2, as two amplitudes of one stabilizer
+    state (or of its sum with a Pauli image of it) do."""
+    d = (b - a) & 7
+    if d & 1:
+        raise RuntimeError("amplitudes of a stabilizer state differ by an odd power of w")
+    return None if d == 4 else (a + (0, 1, 0, -1)[d >> 1]) & 7
+
+
+class _Tracker:
+    """The state V|0> for a product V of quarter and half turns and qubit
+    swaps, as its n stabilizer generators plus the phase, in eighths of a
+    turn, of one nonzero amplitude.  All nonzero amplitudes of a stabilizer
+    state have the same magnitude, so these fix the state exactly, global
+    phase included (Aaronson & Gottesman, PRA 70, 052328 (2004))."""
+
+    __slots__ = ("stabs", "index", "eighths")
+
+    def __init__(self, n: int):
+        self.stabs = [(0, 1 << j, 0) for j in range(n)]
+        self.index = 0
+        self.eighths = 0
+
+    def eighths_at(self, k: int) -> int | None:
+        """The phase of the amplitude at k, or None if it is 0.  The
+        generators whose x parts sum to k ^ index form a stabilizer S with
+        S|index> proportional to |k>, so <k|psi> = <k|S|index> <index|psi>."""
+        target = k ^ self.index
+        if target:
+            span = gf2.Echelon()
+            for i, s in enumerate(self.stabs):
+                if s[0]:
+                    span.add(s[0], 1 << i)
+            rest, pick = span.reduce(target)
+            if rest:
+                return None
+        else:
+            pick = 0
+        s = (0, 0, 0)
+        while pick:
+            low = pick & -pick
+            s = _mul(s, self.stabs[low.bit_length() - 1])
+            pick ^= low
+        return (self.eighths + 2 * _exp_at(s, self.index)) & 7
+
+    def apply(self, step: RotationStep) -> None:
+        if step.kind == "qubit_swap":
+            a, b = step.qubits
+            self.index = _swap_bits(self.index, a, b)
+            self.stabs = [(_swap_bits(x, a, b), _swap_bits(z, a, b), p)
+                          for x, z, p in self.stabs]
+            return
+        axis = step.axis
+        p = (axis.x_bits, axis.z_bits, axis.phase_exp)
+        turns = step.quarter_turns
+        a, x = self.index, axis.x_bits
+        if turns == 2:
+            # R_P(pi) = -i P
+            self.index = a ^ x
+            self.eighths = (self.eighths + 2 * _exp_at(p, a) - 2) & 7
+        else:
+            # R_P(s pi/2) = (I - i s P)/sqrt(2); -i s = w**(-2 s)
+            partner = self.eighths_at(a ^ x)
+            if partner is not None:
+                here = _sum_eighths(self.eighths, partner + 2 * _exp_at(p, a ^ x) - 2 * turns)
+                if here is None:
+                    here = _sum_eighths(partner, self.eighths + 2 * _exp_at(p, a) - 2 * turns)
+                    self.index = a ^ x
+                self.eighths = here
+        _conjugate(self.stabs, p, turns)
+
+
+def split_clifford(frame: PauliFrame, reference: list[RotationStep]
+                   ) -> tuple[list[RotationStep], HadamardFree]:
+    """The tracked Clifford U as h quarter turns followed by one Clifford
+    without a Hadamard part: U = F * T_h ... T_1, global phase included.
+
+    ``reference`` is ``invert_to_rotations(frame)``, whose product is U with
+    the global phase that a flush keeps; the result matches it exactly.
+
+    Each turn T = R_Q(pi/2) lowers the GF(2) rank of the x parts of the
+    eff_z rows by one, so h is that rank (the size of U's Hadamard layer in
+    the canonical form F1 H P F2 of Bravyi & Maslov, arXiv:2003.09412).
+    Q = X**v Z**z takes for v the x part of an eff_z row, with top bit t,
+    and for z a solution of parity(z & x_i) = x_i[t] ^ parity(v & z_i) over
+    the rows (x_i, z_i): then exactly the rows with bit t set anticommute
+    with Q, and conjugation adds v to their x parts, which clears bit t in
+    all of them.  Once every eff_z row is Z-type, F maps basis states to
+    basis states, and F, as ``HadamardFree``, is read off the rows:
+
+    - eff_z[j] = F^dag Z_j F = (-1)**b_j Z**a_j: row j of A is a_j, and
+      b_j is bit j of the offset.
+    - eff_x[j] = F^dag X_j F maps |k> to phi(k)/phi(k ^ d_j) |k ^ d_j>, for
+      F|k> = phi(k)|A k ^ b> and d_j = A^-1 e_j.  Its phase at k is
+      i**(s_j + 2 parity(w_j & k)), w_j being its z part and s_j its phase
+      exponent plus its count of Y letters.  So Gamma A^-1 = W, W having
+      the columns w_j, for the symmetric matrix Gamma with the parities of
+      diag on its diagonal and cross off it; and q(d_j) = -s_j fixes the
+      high bits of diag.
+
+    The constant phase comes from two ``_Tracker`` runs from |0>: one over
+    ``reference``, one over the turns, after which F adds i**q(k).  The
+    two states agree up to the phase, which is read at one index.
+    """
+    n = frame.num_qubits
+    f = frame.copy()
+    turns: list[RotationStep] = []
+    while True:
+        v = next((e[0] for e in f._z if e[0]), 0)
+        if not v:
+            break
+        top = 1 << (v.bit_length() - 1)
+        z = gf2.solve((x, (x & top != 0) ^ gf2.parity(v & zb)) for x, zb, _ in f._z)
+        turn = RotationStep.rotation(PauliString(n, v, z), _QUARTER)
+        turns.append(turn)
+        f.apply_step(turn)
+
+    rows = tuple(z for _, z, _ in f._z)
+    offset = sum((p >> 1) << j for j, (_, _, p) in enumerate(f._z))
+    gamma = [0] * n  # row i of Gamma = W A
+    for j, (_, w, _) in enumerate(f._x):
+        while w:
+            low = w & -w
+            gamma[low.bit_length() - 1] ^= rows[j]
+            w ^= low
+    low = HadamardFree(rows, offset, tuple(g >> i & 1 for i, g in enumerate(gamma)),
+                       tuple(g & ~(1 << i) for i, g in enumerate(gamma)))
+    high = 0  # the rows of A whose sum is the mask of the high bits of diag
+    for j, (d, w, s) in enumerate(f._x):
+        miss = (-(s + (d & w).bit_count()) - low.phase(d)) & 3
+        if miss & 1:
+            raise RuntimeError("the frame's eff_x rows fit no quadratic phase")
+        if miss:
+            high ^= rows[j]
+    rest = low._replace(diag=tuple(d + 2 * (high >> i & 1) for i, d in enumerate(low.diag)))
+
+    ref = _Tracker(n)
+    for step in reference:
+        ref.apply(step)
+    ours = _Tracker(n)
+    for step in turns:
+        ours.apply(step)
+    at = ref.eighths_at(rest.image(ours.index))
+    if at is None:
+        raise RuntimeError("the flush's factors and the reference steps build different states")
+    return turns, rest._replace(eighths=(at - ours.eighths - 2 * rest.phase(ours.index)) & 7)

@@ -1,4 +1,4 @@
-"""Dense 2**n-amplitude state vector with three update families.
+"""Dense 2**n-amplitude state vector with four update families.
 
 Besides the usual per-gate kernels of a fullstate simulator, the state
 supports *native* multi-qubit Pauli rotations R_P(theta) = exp(-i theta P/2).
@@ -8,16 +8,16 @@ the amplitudes regardless of how many qubits P touches.  That flatness in
 operator weight is the whole point of the hybrid backend built on top.
 
 ``StateVector`` holds no amplitude loop of its own.  Every update of the
-form ca*I + cb*i**e*P with real ca and cb -- rotations by any angle and
-by multiples of pi/2 (``apply_clifford_rotation``, which the flush uses),
-Pauli application (and with it the expectation and the prepare repair),
-the measurement collapse, and the baseline's X, Y, RX, RY and RZ -- and
-every product of single-qubit Cliffords without a Hadamard part
-(``apply_monomial``, the flush's folded run) goes through the Clifford
-loop of ``_kernels``, which applies each power of i without a complex
-multiply.  H goes through its Hadamard loop, and CX, SWAP and
-``swap_qubits``, as well as Z, S, SDG and CZ, which change only the
-amplitudes whose qubits are set, through its masked pair exchange.  All of
+form ca*I + cb*i**e*P with real ca and cb -- rotations by any angle (the
+flush's quarter turns among them), Pauli application (and with it the
+expectation and the prepare repair), the measurement collapse, and the
+baseline's X, Y, RX, RY and RZ -- goes through the Clifford loop of
+``_kernels``, which applies each power of i without a complex multiply.
+H goes through its Hadamard loop, and CX, SWAP and ``swap_qubits``, as
+well as Z, S, SDG and CZ, which change only the amplitudes whose qubits
+are set, through its masked pair exchange.  A whole Clifford without a
+Hadamard part (``apply_hadamard_free``, the rest of a flush) goes through
+its affine and shear passes, which move whole tiles of amplitudes.  All of
 them update the amplitudes in place.
 
 Index convention: bit j of the amplitude index is the computational value
@@ -30,8 +30,9 @@ import struct
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, gf2
 from .circuit import ROTATION_AXIS
+from .frame import HadamardFree
 from .pauli import PauliString
 
 # a measurement branch below this probability is an error, not a draw
@@ -40,12 +41,10 @@ _NORM_TOLERANCE = 1e-10
 _IMAG_TOLERANCE = 1e-9
 # bytes of a cache line, the alignment of the amplitudes a state allocates
 _LINE_BYTES = 64
+# exp(i*pi/4) to the power 0..7, with the exact values where they exist
 _SQ2 = 0.7071067811865476  # cos(pi/4)
-_OMEGA = complex(_SQ2, _SQ2)  # exp(i*pi/4)
-# R_P(k*pi/2) = cos(k*pi/4) - i*sin(k*pi/4)*P as ca + cb * i**e * P, by k
-# mod 8; k = 0 and 4 are +I and -I
-_QUARTER_TURNS = {1: (_SQ2, _SQ2, 3), 2: (0.0, 1.0, 3), 3: (-_SQ2, -_SQ2, 1),
-                  5: (-_SQ2, -_SQ2, 3), 6: (0.0, 1.0, 1), 7: (_SQ2, _SQ2, 1)}
+_OMEGA = (1.0, complex(_SQ2, _SQ2), 1j, complex(-_SQ2, _SQ2),
+          -1.0, complex(-_SQ2, -_SQ2), -1j, complex(_SQ2, -_SQ2))
 # the baseline's X and Y, as arguments (x, z, e0) of ``_kernels.clifford``
 # from the single-bit mask of their qubit, with ca = 0, cb = 1 and m = 0
 _CLIFFORD_1Q = {
@@ -80,6 +79,65 @@ def _aligned_copy(amp: np.ndarray) -> np.ndarray:
     out = _aligned_zeros(amp.shape[0])
     out[:] = amp
     return out
+
+
+def tile_factors(rows, b: int) -> tuple[list[int], list[int], list[int]]:
+    """Split the invertible GF(2) matrix A (row masks ``rows``) as A = L U G
+    for tiles of 2**b amplitudes.  Returns the rows of G, the b columns of
+    U - I and the n - b columns of L - I, as ``_kernels.shear`` takes them.
+
+    An index k splits into its tile bits t (bits b and up) and position
+    bits l (below b).  G maps tiles onto tiles: the tile of G k depends on
+    t only.  U is the upper shear t ^= B l, and L the lower shear l ^= M t.
+    rank B is the rank of the block of A from position bits to tile bits,
+    the least it can be, and U = I when that block is 0.  This is a
+    parabolic Bruhat decomposition of A:
+
+    1. Choose M so that L A has an invertible position block: row by row, a
+       position row of A whose low part depends on the rows already kept
+       gets a tile row added whose low part does not.  One exists, because
+       the columns of A below b are independent.
+    2. B expresses the low part of each tile row of L A in the low parts of
+       its position rows; G = U L A then has tile rows without low bits.
+    """
+    n = len(rows)
+    lo = (1 << b) - 1
+    a = list(rows)
+    down = [0] * (n - b)
+    kept = gf2.Echelon()
+    for i in range(b):
+        if not kept.reduce(a[i] & lo)[0]:
+            j = next((j for j in range(b, n) if kept.reduce(a[j] & lo)[0]), None)
+            if j is None:
+                raise ValueError("matrix is singular")
+            a[i] ^= a[j]
+            down[j - b] |= 1 << i
+        kept.add(a[i] & lo)
+    low = gf2.Echelon()
+    for i in range(b):
+        if low.add(a[i] & lo, 1 << i)[0] == 0:
+            raise ValueError("matrix is singular")
+    up = [0] * b
+    for j in range(b, n):
+        bits = low.reduce(a[j] & lo)[1]
+        while bits:
+            lowbit = bits & -bits
+            i = lowbit.bit_length() - 1
+            a[j] ^= a[i]
+            up[i] |= 1 << j
+            bits ^= lowbit
+    return a, up, down
+
+
+def _shear(up, down, b: int, k: int) -> int:
+    """The index L U k, for the columns of ``tile_factors``."""
+    for i, col in enumerate(up):
+        if k >> i & 1:
+            k ^= col
+    for j, col in enumerate(down):
+        if k >> (b + j) & 1:
+            k ^= col
+    return k
 
 
 def _pauli_update(amp: np.ndarray, p: PauliString, ca: float, cb: float, e: int) -> None:
@@ -154,36 +212,31 @@ class StateVector:
         half_angle = 0.5 * theta
         _pauli_update(self.amplitudes, p, math.cos(half_angle), math.sin(half_angle), 3)
 
-    def apply_clifford_rotation(self, p: PauliString, quarter_turns: int) -> None:
-        """Apply R_P(quarter_turns * pi/2) exactly, in one amplitude pass.
+    def apply_hadamard_free(self, form: HadamardFree) -> tuple[int, int]:
+        """Apply the Clifford without a Hadamard part that ``form`` describes,
+        |k> -> w**eighths * i**q(k) |A k ^ b> (w = exp(i*pi/4)), in place.
 
-        A turn by a multiple of pi/2 has coefficients that are 0, +-1 or
-        +-1/sqrt(2) times a power of i, so it takes them from a table instead
-        of computing a cosine and a sine.  P must be Hermitian, as in
-        ``apply_pauli_rotation``; the result equals it up to rounding.
+        ``tile_factors`` splits A into L U G for the tiles of the kernels,
+        so this is at most two passes: ``_kernels.affine`` for G with the
+        offset and the phase, and ``_kernels.shear`` for the shears U and L
+        unless both are I.  The identity makes no pass.  Returns the number
+        of affine passes and of shear passes.
         """
-        if not p.is_hermitian:
-            raise ValueError("rotation axis must be Hermitian (phase_exp 0 or 2)")
-        k = quarter_turns % 8
-        if k in _QUARTER_TURNS:
-            _pauli_update(self.amplitudes, p, *_QUARTER_TURNS[k])
-        elif k == 4:
-            self.amplitudes *= -1.0
-
-    def apply_monomial(self, x: int, z: int, m: int, eighths: int) -> None:
-        """amp[k] <- w**eighths * i**popcount(k & m) * (-1)**parity(k & z) * amp[k ^ x].
-
-        w = exp(i*pi/4).  This monomial map (one nonzero entry per row and
-        column) is the general product of single-qubit Cliffords without a
-        Hadamard part: each qubit's part flips its bit or not, and
-        multiplies by a power of i that depends on the bit.  It
-        runs in one pass of the Clifford loop, with i**(eighths // 2) in
-        its constant phase; an odd ``eighths`` adds one in-place multiply
-        by w.
-        """
-        _kernels.clifford(self.amplitudes, x, z, 0.0, 1.0, eighths >> 1, m)
-        if eighths & 1:
-            self.amplitudes *= _OMEGA
+        n = self.num_qubits
+        if len(form.rows) != n:
+            raise ValueError(f"{len(form.rows)}-qubit Clifford applied to {n}-qubit state")
+        if form.is_identity():
+            return 0, 0
+        b = _kernels.tile_bits(n)
+        g, up, down = tile_factors(form.rows, b)
+        # A k ^ c = L U (G k ^ U L c): the shears are their own inverses
+        offset = _shear(up, [], b, _shear([], down, b, form.offset))
+        _kernels.affine(self.amplitudes, gf2.columns(g, n), offset, form.diag, form.cross,
+                        _OMEGA[form.eighths & 7])
+        if not any(up) and not any(down):
+            return 1, 0
+        _kernels.shear(self.amplitudes, up, down)
+        return 1, 1
 
     # ------------------------------------------------------------------
     # observables, measurement, preparation

@@ -84,6 +84,18 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
     return u
 
 
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of integer bit vectors, by elimination on the lowest
+    set bit (the package's ``gf2`` eliminates on the highest)."""
+    rank, rows = 0, [v for v in vectors if v]
+    while rows:
+        pivot = rows.pop()
+        low = pivot & -pivot
+        rows = [r for r in (r ^ pivot if r & low else r for r in rows) if r]
+        rank += 1
+    return rank
+
+
 # ----------------------------------------------------------------------
 # random generators shared by the test modules
 

@@ -100,25 +100,29 @@ def test_flush_single_h():
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
-def test_flush_counts_its_state_passes():
-    # one entry per flush; the synthesis' closing run of single-qubit turns
-    # without a Hadamard part runs as one folded pass
-    from framesim.frame import invert_to_rotations
-    from oracles import random_clifford_circuit
+def test_flush_counts_its_state_passes(monkeypatch):
+    # one entry per flush: h quarter turns, h being the GF(2) rank of the x
+    # parts of the eff_z rows, then at most one affine pass and one shear
+    # for the rest, and a state of one tile (n <= 8) takes no shear; the
+    # origin frame makes no pass and runs no synthesis
+    from framesim import backends
+    from oracles import gf2_rank, random_clifford_circuit
     rng = np.random.default_rng(57)
     for _ in range(20):
-        n = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 13))
         hs, _ = run_hybrid(random_clifford_circuit(rng, n, 10 * n))
-        steps = invert_to_rotations(hs.frame)
+        h = gf2_rank(hs.frame.eff_z(i).x_bits for i in range(n))
         hs.flush_to_origin()
-        hs.flush_to_origin()  # the origin frame: no pass
+        with monkeypatch.context() as mp:
+            for name in ("invert_to_rotations", "split_clifford"):
+                mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
+            hs.flush_to_origin()
         first, second = hs.flush_passes
-        assert second == dict(rotations=0, folded_runs=0, scalar_fixes=0, swaps=0)
-        swaps = sum(s.kind == "qubit_swap" for s in steps)
-        assert first["swaps"] == swaps
-        assert first["folded_runs"] <= 1
-        assert first["scalar_fixes"] <= first["folded_runs"]
-        assert first["rotations"] + first["folded_runs"] <= len(steps) - swaps
+        assert second == dict(quarter_turns=0, affine=0, shears=0, h=0)
+        assert first["quarter_turns"] == first["h"] == h
+        assert first["affine"] <= 1
+        assert first["shears"] <= (1 if n > 8 else 0)
+        assert sum(first[kind] for kind in ("quarter_turns", "affine", "shears")) <= h + 2
 
 
 def test_flush_probabilities_match_baseline():

@@ -1,20 +1,27 @@
-"""The Clifford loop of ``_kernels`` over random arguments: the compiled C
-loop against the numpy reference against a dense matrix built from
-``oracles``, and the flush and its folded runs against the per-step
-rotation path."""
+"""The loops of ``_kernels`` over random arguments: the compiled C loops
+against the numpy references against dense matrices built from
+``oracles`` or index maps computed here, the factorization that feeds the
+affine and shear passes, and the flush and its remainder pass against the
+per-step rotation path."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framesim import Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels
-from framesim.frame import RotationStep, invert_to_rotations
-from oracles import (S, compiled_clones, embed_1q, pauli_matrix, random_clifford_circuit,
-                     rotation_matrix)
+from framesim.frame import RotationStep, invert_to_rotations, split_clifford
+from framesim.statevector import tile_factors
+from oracles import (S, compiled_clones, embed_1q, gf2_rank, pauli_matrix,
+                     random_clifford_circuit, rotation_matrix)
 
 # the Clifford loop of the numpy reference always, and the compiled C loop
 # wherever it loaded, on each of its clones that this CPU runs
 TIERS = {"numpy": _kernels.numpy_clifford, **compiled_clones(_kernels.clifford)}
+# the affine and shear passes of the numpy reference always, and of the C
+# loops wherever they loaded; they are not cloned per SIMD width
+PASSES = {"numpy": (_kernels.numpy_affine, _kernels.numpy_shear)}
+if _kernels.JIT_ENABLED:
+    PASSES["compiled"] = (_kernels.affine, _kernels.shear)
 
 MAX_QUBITS = 10
 TILE = 256  # amplitudes per tile of the compiled loops
@@ -161,22 +168,222 @@ def monomial_runs(draw):
     return n, run, draw(st.integers(0, 2**32 - 1))
 
 
+def frame_of_steps(n, steps) -> PauliFrame:
+    """The frame whose Clifford is the product of ``steps`` applied in order:
+    the origin conjugated by their inverses, last step first."""
+    frame = PauliFrame.origin(n)
+    for step in reversed(steps):
+        frame.conjugate_rotation(step.axis, step.angle if step.quarter_turns == 2
+                                 else -step.angle)
+    return frame
+
+
 @settings(max_examples=150, deadline=None)
 @given(monomial_runs())
 def test_folded_run_matches_its_turns_one_by_one(case):
-    # the flush's fold of a monomial run into one pass, global phase included
-    from framesim.backends import _fold
+    # a run of turns without a Hadamard part, folded into the flush's
+    # remainder pass, against the turns applied one by one, global phase
+    # included
     n, run, seed = case
     amp = random_amplitudes(seed, n)
     ref = StateVector(n, amp)
     for step in run:
-        ref.apply_clifford_rotation(step.axis, step.quarter_turns)
-    for name, clifford in TIERS.items():
+        ref.apply_pauli_rotation(step.axis, step.angle)
+    turns, rest = split_clifford(frame_of_steps(n, run), run)
+    assert turns == []
+    for name, (affine, shear) in PASSES.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "clifford", clifford)
+            mp.setattr(_kernels, "affine", affine)
+            mp.setattr(_kernels, "shear", shear)
             out = StateVector(n, amp)
-            out.apply_monomial(*_fold(run))
+            out.apply_hadamard_free(rest)
         assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-12, name
+
+
+def random_invertible(rng, m) -> list[int]:
+    """Row masks of a uniformly drawn invertible m x m matrix over GF(2)."""
+    while True:
+        rows = [int(rng.integers(0, 1 << m)) for _ in range(m)]
+        if gf2_rank(rows) == m:
+            return rows
+
+
+def mat_vec(rows, k) -> int:
+    return sum((bin(r & k).count("1") & 1) << i for i, r in enumerate(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_tile_factors_reproduce_a_random_invertible_matrix_for_every_tile_split(n, seed):
+    rows = random_invertible(np.random.default_rng(seed), n)
+    for b in range(n + 1):
+        g, up, down = tile_factors(rows, b)
+        lo = (1 << b) - 1
+        for k in (1 << i for i in range(n)):  # all maps here are linear
+            assert shears_oracle_index(up, down, b, mat_vec(g, k)) == mat_vec(rows, k), (b, k)
+        # G moves whole tiles: the tile bits of G k come from those of k
+        assert all(r & lo == 0 for r in g[b:]) and gf2_rank(g) == n
+        # the upper shear adds tile bits, the lower one position bits
+        assert len(up) == b and all(c & lo == 0 for c in up)
+        assert len(down) == n - b and all(c >> b == 0 for c in down)
+        # rank B is the rank of the block of A from position to tile bits
+        assert gf2_rank(up) == gf2_rank(r & lo for r in rows[b:])
+
+
+def shears_oracle_index(up, down, b, k) -> int:
+    """(t, l) -> (t ^ B l, l ^ M (t ^ B l)), from the bits of k one by one."""
+    for i in range(b):
+        if k >> i & 1:
+            k ^= up[i]
+    for j in range(len(down)):
+        if k >> (b + j) & 1:
+            k ^= down[j]
+    return k
+
+
+def random_affine(rng, n, phased=True):
+    """Arguments (cols, offset, diag, cross, c) of an affine pass on n
+    qubits: a random invertible map of tiles onto tiles, a random offset
+    and, if phased, a random quadratic phase and constant."""
+    b = _kernels.tile_bits(n)
+    low, high = random_invertible(rng, b), random_invertible(rng, n - b)
+    rows = low + [(r << b) for r in high]
+    for i in range(b):  # positions may take any tile bits
+        rows[i] |= int(rng.integers(0, 1 << n)) & ~((1 << b) - 1)
+    cols = [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(n)]
+    diag, cross = [0] * n, [0] * n
+    c = 1.0
+    if phased:
+        diag = [int(d) for d in rng.integers(0, 4, n)]
+        for i in range(n):
+            for j in range(i):
+                if rng.random() < 0.5:
+                    cross[i] |= 1 << j
+                    cross[j] |= 1 << i
+        c = complex(np.exp(1j * np.pi / 4 * rng.integers(8)))
+    return cols, int(rng.integers(0, 1 << n)), diag, cross, c
+
+
+def affine_oracle(amp, cols, offset, diag, cross, c):
+    """The affine pass index by index: out[G k ^ offset] = c * i**q(k) * amp[k]."""
+    n = len(cols)
+    out = np.empty_like(amp)
+    for k in range(1 << n):
+        bits = [i for i in range(n) if k >> i & 1]
+        image, q = offset, 0
+        for i in bits:
+            image ^= cols[i]
+            q += diag[i] + 2 * sum(cross[i] >> j & 1 for j in bits if j > i)
+        out[image] = c * 1j ** (q % 4) * amp[k]
+    return out
+
+
+def shear_oracle(amp, up, down):
+    """The shear pass index by index: out[L U k] = amp[k]."""
+    b = len(up)
+    out = np.empty_like(amp)
+    for k in range(amp.size):
+        out[shears_oracle_index(up, down, b, k)] = amp[k]
+    return out
+
+
+def random_shear(rng, n):
+    """Columns (up, down) of random upper and lower shears on n qubits."""
+    b = _kernels.tile_bits(n)
+    return ([int(rng.integers(0, 1 << (n - b))) << b for _ in range(b)],
+            [int(rng.integers(0, 1 << b)) for _ in range(n - b)])
+
+
+def check_passes(n, seed, run, oracle):
+    amp = random_amplitudes(seed, n)
+    ref = oracle(amp)
+    for name, passes in PASSES.items():
+        out = amp.copy()
+        run(passes, out)
+        assert np.max(np.abs(out - ref)) < 1e-12, name
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, MAX_QUBITS), seed=st.integers(0, 2**32 - 1),
+       phased=st.booleans())
+def test_affine_pass_matches_reference_and_oracle(n, seed, phased):
+    args = random_affine(np.random.default_rng(seed), n, phased)
+    check_passes(n, seed, lambda passes, out: passes[0](out, *args),
+                 lambda amp: affine_oracle(amp, *args))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, MAX_QUBITS), seed=st.integers(0, 2**32 - 1))
+def test_shear_pass_matches_reference_and_oracle(n, seed):
+    up, down = random_shear(np.random.default_rng(seed), n)
+    check_passes(n, seed, lambda passes, out: passes[1](out, up, down),
+                 lambda amp: shear_oracle(amp, up, down))
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_affine_and_shear_passes_move_tiles_on_larger_states(n):
+    # 16 to 64 tiles, with shears of rank 2 and up that pair tiles across
+    # cosets of several tiles
+    rng = np.random.default_rng(n)
+    args = random_affine(rng, n)
+    check_passes(n, n, lambda passes, out: passes[0](out, *args),
+                 lambda amp: affine_oracle(amp, *args))
+    for r in (2, n - 8):
+        basis = random_invertible(rng, n - 8)[:r]
+        cols = [v << 8 for v in basis]
+        while len(cols) < 8:  # sums of basis vectors
+            cols.append(0)
+            for v in basis:
+                if rng.random() < 0.5:
+                    cols[-1] ^= v << 8
+        assert gf2_rank(cols) == r
+        down = random_shear(rng, n)[1]
+        check_passes(n, r, lambda passes, out: passes[1](out, cols, down),
+                     lambda amp: shear_oracle(amp, cols, down))
+
+
+@pytest.mark.parametrize("name", list(PASSES))
+def test_affine_and_shear_passes_write_only_their_state(name):
+    # the state as a view into a larger array: the elements on either side
+    # must keep their values
+    affine, shear = PASSES[name]
+    rng = np.random.default_rng(31)
+    for n in (1, 3, 8, 9, 11):
+        args, cols = random_affine(rng, n), random_shear(rng, n)
+        amp = random_amplitudes(n, n)
+        for run, oracle in ((lambda s: affine(s, *args), affine_oracle(amp, *args)),
+                            (lambda s: shear(s, *cols), shear_oracle(amp, *cols))):
+            guarded = np.full(amp.size + 8, 7.0 - 7.0j)
+            state = guarded[4:-4]
+            state[:] = amp
+            run(state)
+            assert np.all(guarded[:4] == 7.0 - 7.0j) and np.all(guarded[-4:] == 7.0 - 7.0j)
+            assert np.max(np.abs(state - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("name", list(PASSES))
+def test_affine_and_shear_passes_reject_maps_they_cannot_apply(name):
+    # and leave the state as it was
+    affine, shear = PASSES[name]
+    n = 10
+    amp = random_amplitudes(3, n)
+    unit = [1 << i for i in range(n)]
+    zeros = [0] * n
+    bad = {"singular": (unit[:9] + [1 << 8], zeros, "singular"),
+           "a position moved to another tile": ([1 << 8] + unit[1:8] + [1, 1 << 9], zeros,
+                                                 "singular"),
+           "asymmetric cross": (unit, [2] + zeros[1:], "symmetric")}
+    for case, (cols, cross, match) in bad.items():
+        state = amp.copy()
+        with pytest.raises(ValueError, match=match):
+            affine(state, cols, 0, zeros, cross, 1.0)
+        assert np.array_equal(state, amp), case
+    state = amp.copy()
+    for up, down in (([1 << 9] + [0] * 6 + [1], [0, 0]), ([1 << 9] * 7, [0, 0]),
+                     ([1 << 9] * 8, [0, 1 << 8]), ([1 << 9] * 8, [0])):
+        with pytest.raises(ValueError, match="shear columns"):
+            shear(state, up, down)
+    assert np.array_equal(state, amp)
 
 
 @pytest.mark.parametrize("name", list(TIERS))
@@ -221,7 +428,10 @@ def test_compiled_loops_reject_a_misaligned_state():
              "apply_h": lambda: _kernels.apply_h(amp, 0),
              "pair_exchange": lambda: _kernels.pair_exchange(amp, 3, 1, 2, 0),
              "run_gates": lambda: _kernels.run_gates(amp, *PauliFrame.origin(10).packed(),
-                                                     ops, angles, 0)}
+                                                     ops, angles, 0),
+             "affine": lambda: _kernels.affine(amp, [1 << i for i in range(10)], 0,
+                                               [0] * 10, [0] * 10, 1.0),
+             "shear": lambda: _kernels.shear(amp, [1 << 9] * 8, [0, 1])}
     for name, call in calls.items():
         with pytest.raises(ValueError, match="aligned to 16 bytes"):
             call()

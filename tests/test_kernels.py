@@ -18,9 +18,10 @@ PROBE = "import framesim._kernels as k; print(k.kernel_tier())"
 # the fallback tier must also compute: one paired and one diagonal rotation
 # against the dense closed form, each gate with a loop of its own (S on the
 # pair exchange, Y on the Clifford loop) against its dense matrix, one
-# folded run of single-qubit turns (a phase mask, bit flips and an odd
-# eighth root) against its dense rotations, one flush against its steps as
-# dense rotations and swaps, and the hybrid's Python gate loop, with a
+# run of single-qubit turns without a Hadamard part (phases, bit flips and
+# an odd eighth root) in the flush's remainder pass against its dense
+# rotations, one flush against its steps as dense rotations and swaps, on
+# a state of several tiles, and the hybrid's Python gate loop, with a
 # MEASZ and a PREPZ, against the baseline
 ROTATE_PROBE = PROBE + """
 import numpy as np
@@ -42,31 +43,35 @@ for tag, qubits in (("H", (3,)), ("CX", (4, 1)), ("CZ", (0, 2)), ("SWAP", (1, 3)
     s.apply_gate(tag, qubits)
     if np.max(np.abs(s.amplitudes - gate_unitary(tag, qubits, 5) @ amp)) > 1e-12:
         raise SystemExit(f"numpy tier disagrees with the dense oracle on {tag}")
-from framesim.backends import _fold
-from framesim.frame import RotationStep
+from framesim.frame import RotationStep, split_clifford
 run = [RotationStep.rotation(PauliString.from_label(label), turns * np.pi / 2)
        for label, turns in (("IIZII", 1), ("XIIII", 2), ("-IIIIZ", 2), ("IYIII", 2))]
 amp = rng.normal(size=32) + 1j * rng.normal(size=32)
 ref = amp.copy()
 for step in run:
     ref = rotation_matrix(step.axis, step.angle) @ ref
-s = StateVector(5, amp)
-s.apply_monomial(*_fold(run))
-if np.max(np.abs(s.amplitudes - ref)) > 1e-12:
-    raise SystemExit("numpy tier disagrees with the dense oracle on a folded run")
 frame = PauliFrame.origin(5)
-for g in random_clifford_circuit(rng, 5, 40).gates:
+for step in reversed(run):
+    frame.conjugate_rotation(step.axis, step.angle if step.quarter_turns == 2 else -step.angle)
+turns, rest = split_clifford(frame, run)
+s = StateVector(5, amp)
+s.apply_hadamard_free(rest)
+if turns or np.max(np.abs(s.amplitudes - ref)) > 1e-12:
+    raise SystemExit("numpy tier disagrees with the dense oracle on a remainder pass")
+n = 10
+frame = PauliFrame.origin(n)
+for g in random_clifford_circuit(rng, n, 200).gates:
     frame.apply_gate(g.tag, g.qubits)
-amp = rng.normal(size=32) + 1j * rng.normal(size=32)
+amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
 ref = amp.copy()
 for step in invert_to_rotations(frame):
     if step.kind == "pauli_rotation":
         ref = rotation_matrix(step.axis, step.angle) @ ref
     else:
-        ref = gate_unitary("SWAP", step.qubits, 5) @ ref
-hs = HybridState(frame, StateVector(5, amp))
+        ref = gate_unitary("SWAP", step.qubits, n) @ ref
+hs = HybridState(frame, StateVector(n, amp))
 hs.flush_to_origin()
-if np.max(np.abs(hs.phi.amplitudes - ref)) > 1e-12:
+if np.max(np.abs(hs.phi.amplitudes - ref)) > 1e-12 or not hs.flush_passes[0]["shears"]:
     raise SystemExit("numpy tier disagrees with the dense oracle on the flush")
 from framesim import Circuit, _kernels, run_baseline, run_hybrid
 if _kernels.run_gates is not None:

@@ -208,7 +208,7 @@ def test_rotation_takes_a_signed_axis_and_rejects_a_non_hermitian_one(kernel_pat
 
 def test_clifford_rotation_matches_closed_form(kernel_path):
     # every residue of the quarter-turn count mod 8, on signed axes, with
-    # the global phase of exp(-i k pi/4 P)
+    # the global phase of exp(-i k pi/4 P): the flush's quarter turns
     rng = np.random.default_rng(22)
     for turns in range(-8, 9):
         for _ in range(4):
@@ -216,10 +216,10 @@ def test_clifford_rotation_matches_closed_form(kernel_path):
             p = random_pauli(rng, n, signed=True)
             s = random_state(rng, n)
             ref = rotation_matrix(p, turns * np.pi / 2) @ s.amplitudes
-            s.apply_clifford_rotation(p, turns)
+            s.apply_pauli_rotation(p, turns * np.pi / 2)
             assert np.max(np.abs(s.amplitudes - ref)) < 1e-12, (p, turns)
     with pytest.raises(ValueError, match="Hermitian"):
-        StateVector.zero(2).apply_clifford_rotation(PauliString.from_label("+iZX"), 1)
+        StateVector.zero(2).apply_pauli_rotation(PauliString.from_label("+iZX"), np.pi / 2)
 
 
 def test_diagonal_rule_matches_scalar_formula(kernel_path):
@@ -298,7 +298,8 @@ def test_pauli_shaped_updates_allocate_at_most_one_state_copy():
         assert extra_peak(lambda: s.apply_pauli(p)) <= slack, p
         for turns in (1, 2, -1, 4):
             s = state.copy()
-            assert extra_peak(lambda: s.apply_clifford_rotation(p, turns)) <= slack, (p, turns)
+            assert extra_peak(lambda: s.apply_pauli_rotation(p, turns * np.pi / 2)) <= slack, \
+                (p, turns)
     for tag in ("X", "Y", "Z", "S", "SDG", "RX", "RY", "RZ"):
         for q in (0, 5, 15):
             s = state.copy()
@@ -317,19 +318,23 @@ def test_clifford_gates_and_flush_allocate_nothing_state_sized():
                         ("CZ", (0, 15)), ("SWAP", (7, 8)), ("SWAP", (15, 1))):
         s = state.copy()
         assert extra_peak(lambda: s.apply_gate(tag, qubits)) <= slack, (tag, qubits)
-    frame = PauliFrame.origin(n)
-    for g in random_clifford_circuit(rng, n, 20).gates:
-        frame.apply_gate(g.tag, g.qubits)
-    hs = HybridState(frame, state.copy())
-    assert extra_peak(hs.flush_to_origin) <= slack
-    # a flush whose folded run has an odd eighth root: an S-type quarter
-    # turn left in the frame ends it with a Z-axis quarter turn
+    # a sparse frame, and a dense one whose remainder takes both of its
+    # passes, an affine one and a shear
+    for length in (20, 400):
+        frame = PauliFrame.origin(n)
+        for g in random_clifford_circuit(rng, n, length).gates:
+            frame.apply_gate(g.tag, g.qubits)
+        hs = HybridState(frame, state.copy())
+        assert extra_peak(hs.flush_to_origin) <= slack, length
+    assert hs.flush_passes[0]["affine"] == 1 and hs.flush_passes[0]["shears"] == 1
+    # a frame without a Hadamard part whose constant phase is an odd power
+    # of exp(i*pi/4): one affine pass and no turn
     frame = PauliFrame.origin(n)
     for tag, qubits in (("S", (3,)), ("X", (9,)), ("SDG", (15,)), ("S", (0,)), ("Y", (2,))):
         frame.apply_gate(tag, qubits)
     hs = HybridState(frame, state.copy())
     assert extra_peak(hs.flush_to_origin) <= slack
-    assert hs.flush_passes == [dict(rotations=0, folded_runs=1, scalar_fixes=1, swaps=0)]
+    assert hs.flush_passes == [dict(quarter_turns=0, affine=1, shears=0, h=0)]
 
 
 @pytest.mark.parametrize("tag", ["CX", "CZ", "SWAP"])
