@@ -6,10 +6,8 @@
  *
  * The Clifford loop computes every update of the form ca*I + cb*i**e*P
  * for a multi-qubit Pauli P and real ca and cb: rotations by any angle,
- * cos(t/2)*I - i*sin(t/2)*P, the measurement collapse (I +- P)/2, Pauli
- * operators, and a whole run of single-qubit Cliffords without a Hadamard
- * part, whose power of i varies with the index through a phase mask m.
- * It applies each power of i as an element swap and a sign pattern
+ * cos(t/2)*I - i*sin(t/2)*P, the measurement collapse (I +- P)/2 and Pauli
+ * operators.  It applies each power of i as an element swap and a sign pattern
  * instead of a complex multiply, and walks the state in tiles of TILE
  * amplitudes.  The update pairs index k with k ^ x: the x bits inside a
  * tile only permute positions within it, the bits above pick the partner
@@ -51,7 +49,17 @@
  *
  * The gate loop at the end runs a circuit's lowered gate stream on the
  * hybrid backend: Clifford gates update a bit-packed Pauli frame, and each
- * rotation looks up its axis in the frame and calls the Clifford loop.
+ * rotation looks up its axis in the frame and calls the Clifford loop on
+ * the hybrid's register.  The hybrid tracks U P_A |phi>, U the frame's
+ * Clifford and P_A |k> = |A k> an index map, A an invertible GF(2)
+ * matrix, and phi is zero beyond its first 2**d amplitudes: the register
+ * of d active qubits.  A frame image P acts on phi as P_A^dag P P_A, whose
+ * Z letters at or above d act as +1 and are dropped.  If its X part has
+ * bits at or above d, one qubit is activated first: CX gates from the
+ * lowest such bit j clear the others and SWAP(j, d) moves j to bit d.
+ * These gates act on qubits that are |0> in phi, so they change only A,
+ * and d grows by one.  Each rotation then makes one pass over 2**max(d, 1)
+ * amplitudes instead of 2**n (see reg_map).
  *
  * Built by _kernels.py with the system C compiler and loaded with ctypes.
  */
@@ -82,7 +90,6 @@ static inline int tile_bits(int64_t n_amp)
  * vectors.  Multiplying by a power of i is then an element swap followed
  * by a pattern of signs, with no complex multiply. */
 typedef double v2d __attribute__((vector_size(16)));
-typedef long long v2i __attribute__((vector_size(16)));
 
 /* i**e * v = swap(v) * TURN[e] for odd e, and v * TURN[e] for even e */
 static const v2d TURN[4] = {{1, 1}, {-1, 1}, {-1, -1}, {1, -1}};
@@ -93,53 +100,46 @@ static const v2d TURN[4] = {{1, 1}, {-1, 1}, {-1, -1}, {1, -1}};
  * calling convention for it differs between the clones (GCC warns): the
  * helpers are macros or take pointers. */
 typedef double v4d __attribute__((vector_size(32), aligned(16)));
-typedef long long v4i __attribute__((vector_size(32), aligned(16)));
 #define LINE2 (LINE / 2) /* vectors per 64 bytes */
 
-/* Element order of a partner amplitude b: as it is, swapped (s, b with re
- * and im swapped), or swapped where the lane mask `odd` of its position is
- * set; V and I are the vector and lane-mask types. */
-enum { KEEP, SWAP, BLEND };
+/* Element order of a partner amplitude b: as it is, or swapped (s, b with
+ * re and im swapped). */
+enum { KEEP, SWAP };
 
-#define ORDER(V, I, b, s, how, odd)                                           \
-    ((how) == KEEP ? (b)                                                      \
-     : (how) == SWAP ? (s)                                                    \
-                     : (V)(((I)(s) & (odd)) | ((I)(b) & ~(odd))))
+#define ORDER(b, s, how) ((how) == KEEP ? (b) : (s))
 
-/* *d <- ca*a + *p * order(part(b)) for vectors a and b, with *p and *o the
- * pattern and lane mask of position d; part(b) is b with its two amplitudes
- * exchanged if flip is set.  A clone with 32-byte registers (wide) computes
- * it in one piece; the generic clone computes each 16-byte half on its own,
- * as GCC would otherwise assemble every 32-byte value in a stack slot. */
-#define UPDATE(d, a, b, p, o, ca, flip, how, wide)                            \
+/* *d <- ca*a + *p * order(part(b)) for vectors a and b, with *p the pattern
+ * of position d; part(b) is b with its two amplitudes exchanged if flip is
+ * set.  A clone with 32-byte registers (wide) computes it in one piece; the
+ * generic clone computes each 16-byte half on its own, as GCC would
+ * otherwise assemble every 32-byte value in a stack slot. */
+#define UPDATE(d, a, b, p, ca, flip, how, wide)                               \
     do {                                                                      \
         if (wide) {                                                           \
             const v4d b_ = (flip) ? (v4d){(b)[2], (b)[3], (b)[0], (b)[1]}     \
                                   : (b),                                      \
                       s_ = {b_[1], b_[0], b_[3], b_[2]};                      \
-            *(d) = (ca) * (a) + *(p) * ORDER(v4d, v4i, b_, s_, how, *(o));    \
+            *(d) = (ca) * (a) + *(p) * ORDER(b_, s_, how);                    \
         } else {                                                              \
             v2d *d_ = (v2d *)(d);                                             \
             const v2d *p_ = (const v2d *)(p);                                 \
-            const v2i *o_ = (const v2i *)(o);                                 \
             for (int h_ = 0; h_ < 2; h_++) {                                  \
                 const int g_ = 2 * (h_ ^ (flip));                             \
                 const v2d a_ = {(a)[2 * h_], (a)[2 * h_ + 1]},                \
                           b_ = {(b)[g_], (b)[g_ + 1]}, s_ = {b_[1], b_[0]};   \
-                d_[h_] = (ca) * a_                                            \
-                         + p_[h_] * ORDER(v2d, v2i, b_, s_, how, o_[h_]);     \
+                d_[h_] = (ca) * a_ + p_[h_] * ORDER(b_, s_, how);             \
             }                                                                 \
         }                                                                     \
     } while (0)
 
 /* *a <- ca*a + *pa * order(part(b));  *b <- ca*b + *pb * order(part(a)) */
 static inline __attribute__((always_inline)) void
-turn_pair(v4d *a, v4d *b, const v4d *pa, const v4d *pb, const v4i *oa,
-          const v4i *ob, double ca, int flip, int how, int wide)
+turn_pair(v4d *a, v4d *b, const v4d *pa, const v4d *pb, double ca, int flip,
+          int how, int wide)
 {
     const v4d va = *a, vb = *b;
-    UPDATE(a, va, vb, pa, oa, ca, flip, how, wide);
-    UPDATE(b, vb, va, pb, ob, ca, flip, how, wide);
+    UPDATE(a, va, vb, pa, ca, flip, how, wide);
+    UPDATE(b, vb, va, pb, ca, flip, how, wide);
 }
 
 /* turn_pair on (t[j], u[j ^ m]) for j < len, a multiple of LINE2, for two
@@ -150,8 +150,8 @@ turn_pair(v4d *a, v4d *b, const v4d *pa, const v4d *pb, const v4i *oa,
  * that store. */
 static inline __attribute__((always_inline)) void
 turn_blocks(v4d *restrict t, v4d *restrict u, const v4d *pt, const v4d *pu,
-            const v4i *ot, const v4i *ou, const v4d *nt, const v4d *nu,
-            int64_t len, int64_t m, double ca, int flip, int how, int wide)
+            const v4d *nt, const v4d *nu, int64_t len, int64_t m, double ca,
+            int flip, int how, int wide)
 {
     for (int64_t j = 0; j < len; j += LINE2) {
         v4d a[LINE2], b[LINE2];
@@ -163,8 +163,8 @@ turn_blocks(v4d *restrict t, v4d *restrict u, const v4d *pt, const v4d *pu,
         }
         for (int64_t i = 0; i < LINE2; i++) {
             const int64_t k = (j + i) ^ m;
-            UPDATE(t + j + i, a[i], b[i], pt + j + i, ot + j + i, ca, flip, how, wide);
-            UPDATE(u + k, b[i], a[i], pu + k, ou + k, ca, flip, how, wide);
+            UPDATE(t + j + i, a[i], b[i], pt + j + i, ca, flip, how, wide);
+            UPDATE(u + k, b[i], a[i], pu + k, ca, flip, how, wide);
         }
     }
 }
@@ -174,31 +174,27 @@ turn_blocks(v4d *restrict t, v4d *restrict u, const v4d *pt, const v4d *pu,
  * combination gets a loop of its own, as each clone passes its `wide`.
  * Amplitude k sits in vector k >> 1, and its partner k ^ x in vector
  * (k >> 1) ^ (x >> 1), at the other position of it if x is odd.
- * pat[o][v] and odd[o & 1][v] describe vector v of a tile whose offset
- * O(t) (see framesim_clifford) is o. */
+ * pat[o][v] is the pattern of vector v of a tile whose sign O(t) (see
+ * framesim_clifford) is (-1)**o. */
 static inline __attribute__((always_inline)) void
-turn_walk(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
-          v4d (*pat)[TILE / 2], v4i (*odd)[TILE / 2], double ca, int flip, int how,
-          int wide)
+turn_walk(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z,
+          v4d (*pat)[TILE / 2], double ca, int flip, int how, int wide)
 {
     const int64_t len = (int64_t)1 << (b - 1); /* vectors per tile */
     const int64_t n_tiles = n_amp >> b;
     const uint64_t xv = (x & (((uint64_t)1 << b) - 1)) >> 1;
-    const uint64_t xt = x >> b, zt = z >> b, mt = m >> b;
-#define O(t) ((__builtin_popcountll((uint64_t)(t) & mt) \
-               + 2 * __builtin_parityll((uint64_t)(t) & zt)) & 3)
+    const uint64_t xt = x >> b, zt = z >> b;
+#define O(t) __builtin_parityll((uint64_t)(t) & zt)
 
     if (x < 2) {
         /* x = 0 pairs each amplitude with itself, x = 1 with the other
          * one of its vector */
         for (int64_t t = 0; t < n_tiles; t++) {
             v4d *restrict r = amp + t * len;
-            const int o = O(t);
-            const v4d *pt = pat[o];
-            const v4i *ot = odd[o & 1];
+            const v4d *pt = pat[O(t)];
             for (int64_t j = 0; j < len; j++) {
                 const v4d a = r[j];
-                UPDATE(r + j, a, a, pt + j, ot + j, ca, flip, how, wide);
+                UPDATE(r + j, a, a, pt + j, ca, flip, how, wide);
             }
         }
         return;
@@ -213,22 +209,19 @@ turn_walk(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
         for (int64_t t = 0; t < n_tiles; t++) {
             v4d *tile = amp + t * len;
             const v4d *next = t + 1 < n_tiles ? tile + len : tile;
-            const int o = O(t);
-            const v4d *pt = pat[o];
-            const v4i *ot = odd[o & 1];
+            const v4d *pt = pat[O(t)];
             if (half >= LINE2) {
                 for (int64_t blk = 0; blk < len; blk += 2 * half)
                     turn_blocks(tile + blk, tile + blk + half, pt + blk,
-                                pt + blk + half, ot + blk, ot + blk + half,
-                                next + blk, next + blk + half, half, mx, ca, flip,
-                                how, wide);
+                                pt + blk + half, next + blk, next + blk + half,
+                                half, mx, ca, flip, how, wide);
                 continue;
             }
             /* x is 2 or 3: vector 2i pairs with vector 2i + 1 */
             for (int64_t j = 0; j < len; j += 2) {
                 prefetch(next + j);
-                turn_pair(tile + j, tile + j + 1, pt + j, pt + j + 1, ot + j,
-                          ot + j + 1, ca, flip, how, wide);
+                turn_pair(tile + j, tile + j + 1, pt + j, pt + j + 1, ca, flip, how,
+                          wide);
             }
         }
         return;
@@ -243,58 +236,38 @@ turn_walk(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
         int64_t next = (t + 1) & tp ? t + 1 + tp : t + 1;
         if (next >= n_tiles)
             next = t;
-        const int o = O(t), o2 = O(t2);
-        turn_blocks(amp + t * len, amp + t2 * len, pat[o], pat[o2], odd[o & 1],
-                    odd[o2 & 1], amp + next * len, amp + (next ^ (int64_t)xt) * len,
-                    len, (int64_t)xv, ca, flip, how, wide);
+        turn_blocks(amp + t * len, amp + t2 * len, pat[O(t)], pat[O(t2)],
+                    amp + next * len, amp + (next ^ (int64_t)xt) * len, len,
+                    (int64_t)xv, ca, flip, how, wide);
     }
 #undef O
 }
 
 /* turn_walk for the flip of x */
 static inline __attribute__((always_inline)) void
-turn_walk_x(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z, uint64_t m,
-            v4d (*pat)[TILE / 2], v4i (*odd)[TILE / 2], double ca, int how,
-            int wide)
+turn_walk_x(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z,
+            v4d (*pat)[TILE / 2], double ca, int how, int wide)
 {
     if (x & 1)
-        turn_walk(amp, n_amp, b, x, z, m, pat, odd, ca, 1, how, wide);
+        turn_walk(amp, n_amp, b, x, z, pat, ca, 1, how, wide);
     else
-        turn_walk(amp, n_amp, b, x, z, m, pat, odd, ca, 0, how, wide);
+        turn_walk(amp, n_amp, b, x, z, pat, ca, 0, how, wide);
 }
 
 /* The body of framesim_clifford, compiled once per clone; wide is set in
  * the clone with 32-byte registers */
 static inline __attribute__((always_inline)) void
 clifford(double *amp_, int64_t n_amp, uint64_t x, uint64_t z, double ca,
-         double cb, int e0, uint64_t m, int wide)
+         double cb, int e0, int wide)
 {
     v4d *amp = (v4d *)amp_;
     const int b = tile_bits(n_amp);
-    const int64_t len = (int64_t)1 << b, lv = len >> 1;
-    const uint64_t lo = (uint64_t)len - 1;
+    const int64_t lv = (int64_t)1 << (b - 1);
 
-    v4d pat[4][TILE / 2];
-    v4i odd[2][TILE / 2];
-    if (m) {
-        for (int64_t j = 0; j < len; j++) {
-            const int f = e0 + __builtin_popcountll((uint64_t)j & m & lo)
-                          + 2 * __builtin_parityll((uint64_t)j & z & lo);
-            const int64_t v = j >> 1, h = 2 * (j & 1);
-            for (int o = 0; o < 4; o++) {
-                pat[o][v][h] = TURN[(f + o) & 3][0] * cb;
-                pat[o][v][h + 1] = TURN[(f + o) & 3][1] * cb;
-            }
-            for (int o = 0; o < 2; o++)
-                odd[o][v][h] = odd[o][v][h + 1] = -(long long)((f + o) & 1);
-        }
-        turn_walk_x(amp, n_amp, b, x, z, m, pat, odd, ca, BLEND, wide);
-        return;
-    }
-    /* m = 0: the offsets are 0 and 2, the order is the same everywhere and
-     * pat[0] holds cb * TURN[e0] * (-1)**parity(k & z) for the amplitudes
-     * k of a tile, built by doubling; pat[2] = -pat[0], and pat[1],
-     * pat[3] and odd are not read */
+    /* the order is the same everywhere, and pat[0] holds cb * TURN[e0] *
+     * (-1)**parity(k & z) for the amplitudes k of a tile, built by
+     * doubling; pat[1] = -pat[0] serves the tiles of odd sign */
+    v4d pat[2][TILE / 2];
     const v2d c = TURN[e0 & 3] * cb, c1 = z & 1 ? -c : c;
     pat[0][0] = (v4d){c[0], c[1], c1[0], c1[1]};
     for (int64_t h = 1; h < lv; h <<= 1) {
@@ -303,11 +276,11 @@ clifford(double *amp_, int64_t n_amp, uint64_t x, uint64_t z, double ca,
             pat[0][h + j] = pat[0][j] * s;
     }
     for (int64_t j = 0; j < lv; j++)
-        pat[2][j] = -pat[0][j];
+        pat[1][j] = -pat[0][j];
     if (e0 & 1)
-        turn_walk_x(amp, n_amp, b, x, z, m, pat, odd, ca, SWAP, wide);
+        turn_walk_x(amp, n_amp, b, x, z, pat, ca, SWAP, wide);
     else
-        turn_walk_x(amp, n_amp, b, x, z, m, pat, odd, ca, KEEP, wide);
+        turn_walk_x(amp, n_amp, b, x, z, pat, ca, KEEP, wide);
 }
 
 /* The body of framesim_apply_h, compiled once per clone */
@@ -341,9 +314,9 @@ apply_h(double *amp, int64_t n_amp, int q)
 /* The two clones of the Clifford and Hadamard loops (see the head of this
  * file) */
 static void clifford_generic(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
-                             double ca, double cb, int e0, uint64_t m)
+                             double ca, double cb, int e0)
 {
-    clifford(amp, n_amp, x, z, ca, cb, e0, m, 0);
+    clifford(amp, n_amp, x, z, ca, cb, e0, 0);
 }
 
 static void apply_h_generic(double *amp, int64_t n_amp, int q)
@@ -356,9 +329,9 @@ static int use_avx2; /* the clone in use: 1 for AVX2, 0 for generic */
 #if defined(__x86_64__)
 __attribute__((target("avx2,fma"))) static void
 clifford_avx2(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
-              double cb, int e0, uint64_t m)
+              double cb, int e0)
 {
-    clifford(amp, n_amp, x, z, ca, cb, e0, m, 1);
+    clifford(amp, n_amp, x, z, ca, cb, e0, 1);
 }
 
 __attribute__((target("avx2,fma"))) static void
@@ -388,35 +361,30 @@ int framesim_use_avx2(int avx2)
     return use_avx2;
 }
 
-/* amp[k] <- ca*amp[k] + cb * i**e(k) * (-1)**parity(k & z) * amp[k ^ x]
+/* amp[k] <- ca*amp[k] + cb * i**e0 * (-1)**parity(k & z) * amp[k ^ x]
  *
- * with e(k) = e0 + popcount(k & m) and real ca and cb: with m = 0, ca*I +
- * cb*i**e0*P for every Pauli operator P (rotations by any angle, turns by
- * multiples of pi/2, the measurement collapse and P itself, ca = 0), and,
- * up to an eighth root of unity, any product of single-qubit Cliffords
- * without a Hadamard part (ca = 0, cb = 1), which maps |k> to a power of i
- * linear in the bits of k times |k ^ x>.  x may be 0, the diagonal case;
- * x, z and m must be below n_amp, a power of two >= 2, and amp must be
- * aligned to 16 bytes.
+ * with real ca and cb: ca*I + cb*i**e0*P for every Pauli operator P
+ * (rotations by any angle, turns by multiples of pi/2, the measurement
+ * collapse and P itself, ca = 0).  x may be 0, the diagonal case; x and z
+ * must be below n_amp, a power of two >= 2, and amp must be aligned to 16
+ * bytes.
  *
- * The traversal visits each pair {k, k ^ x} once.  The factor cb * i**e(k) *
- * (-1)**parity(k & z) is cb * i**f(k) with f(k) = e0 + popcount(k & m) +
- * 2*parity(k & z) mod 4, which splits into a per-position part and a tile
- * offset O(t) = popcount(t & m_hi) + 2*parity(t & z_hi), m_hi and z_hi
- * being the bits above the tile.  It is applied as an element order (see
- * `ORDER`) and a pattern of signs scaled by cb, from a table per offset.
- * When m is 0 every amplitude has the same order, and the loop makes no
- * choice per position. */
+ * The traversal visits each pair {k, k ^ x} once.  The factor cb * i**e0 *
+ * (-1)**parity(k & z) splits into a per-position part and a tile sign
+ * (-1)**O(t), O(t) = parity(t & z_hi), z_hi being the bits of z above the
+ * tile.  The power of i is applied as an element order (see `ORDER`), the
+ * same for every amplitude, and a pattern of signs scaled by cb, from a
+ * table per tile sign. */
 void framesim_clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
-                       double ca, double cb, int e0, uint64_t m)
+                       double ca, double cb, int e0)
 {
 #if defined(__x86_64__)
     if (use_avx2) {
-        clifford_avx2(amp, n_amp, x, z, ca, cb, e0, m);
+        clifford_avx2(amp, n_amp, x, z, ca, cb, e0);
         return;
     }
 #endif
-    clifford_generic(amp, n_amp, x, z, ca, cb, e0, m);
+    clifford_generic(amp, n_amp, x, z, ca, cb, e0);
 }
 
 /* amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)
@@ -533,7 +501,7 @@ static int invert_cols(const uint64_t *cols, int nb, uint64_t *inv)
             v ^= pv[p];
             t ^= pt[p];
         }
-        if (!v || v >> nb)
+        if (!v || (nb < 64 && v >> nb))
             return 0;
         pv[top_bit(v)] = v;
         pt[top_bit(v)] = t;
@@ -856,6 +824,97 @@ static inline void swap_rows(frame f, int i, int j)
     set_row(f, j, a);
 }
 
+static inline uint64_t swap_bits(uint64_t v, int a, int b)
+{
+    const uint64_t t = ((v >> a) ^ (v >> b)) & 1;
+    return v ^ t << a ^ t << b;
+}
+
+/* The bits below d of a mask (d <= 64). */
+static inline uint64_t below(int64_t d)
+{
+    return d >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << d) - 1;
+}
+
+/* The hybrid's register.  The tracked state is U P_A |phi>, U the frame's
+ * Clifford and P_A the index map |k> -> |A k>, and phi is zero beyond its
+ * first 2**d amplitudes.  A is an invertible GF(2) matrix held as its n
+ * row masks, (A k)_i = parity(rows[i] & k), and as the columns inv[i] =
+ * A^-1 e_i of its inverse. */
+typedef struct {
+    uint64_t *rows, inv[64];
+    int n;
+    int64_t d;
+} reg;
+
+/* Open the register of the n row masks rows and the active count d; 0 if
+ * the rows are not those of an invertible n x n matrix, else 1. */
+static int reg_open(reg *r, uint64_t *rows, int n, int64_t d)
+{
+    uint64_t cols[64] = {0};
+    for (int i = 0; i < n; i++) {
+        if (n < 64 && rows[i] >> n)
+            return 0;
+        for (uint64_t v = rows[i]; v; v &= v - 1)
+            cols[__builtin_ctzll(v)] |= (uint64_t)1 << i;
+    }
+    r->rows = rows;
+    r->n = n;
+    r->d = d;
+    return invert_cols(cols, n, r->inv);
+}
+
+/* Map the operator *a, a frame image, onto the register: P_A^dag a P_A =
+ * X**(A^-1 x) Z**(A^T z) up to a's phase, which is kept in that X-then-Z
+ * form and stored letter-exactly again.  If A^-1 x has bits at or above d
+ * and `activate` is clear, return 0 and leave *a as it is.  If it is set,
+ * take the lowest such bit j: CX(j -> t) clears each other one, t, and
+ * SWAP(j, d) moves j to d.  These gates act on qubits that are |0> in
+ * phi, so they leave phi as it is and fold into A (A <- A CX.. SWAP), and
+ * d grows by one.  The z bits at or above d are then dropped, as Z acts
+ * as +1 on a qubit that is |0>.  Returns 1 with *a mapped. */
+static int reg_map(reg *r, pauli *a, int activate)
+{
+    const unsigned e = a->p + popcount(a->x & a->z); /* a = i**e X**x Z**z */
+    uint64_t x = xor_cols(r->inv, a->x);
+    const uint64_t hi = x & ~below(r->d);
+    if (hi) {
+        if (!activate)
+            return 0;
+        const uint64_t t = hi & (hi - 1);
+        const int j = __builtin_ctzll(hi), d = (int)r->d;
+        for (int i = 0; i < r->n; i++) {
+            const uint64_t row = r->rows[i] ^ (uint64_t)__builtin_parityll(r->rows[i] & t) << j;
+            r->rows[i] = swap_bits(row, j, d);
+            r->inv[i] = swap_bits(r->inv[i] >> j & 1 ? r->inv[i] ^ t : r->inv[i], j, d);
+        }
+        x = swap_bits(x ^ t, j, d);
+        r->d++;
+    }
+    const uint64_t z = xor_cols(r->rows, a->z) & below(r->d);
+    *a = (pauli){x, z, (e - popcount(x & z)) & 3};
+    return 1;
+}
+
+/* *op = {x, z, p}, a signed Pauli operator on n qubits, mapped onto the
+ * register of the n row masks rows and the active count d as reg_map does,
+ * activating a qubit if `activate` is set.  Returns the active count after
+ * the call; -1, leaving *op as it was, if the mapped operator leaves the
+ * register and activate is clear; -2 if the rows are not invertible. */
+int64_t framesim_register_map(uint64_t *rows, int n, int64_t d, uint64_t *op, int activate)
+{
+    reg r;
+    if (!reg_open(&r, rows, n, d))
+        return -2;
+    pauli a = {op[0], op[1], (unsigned)op[2]};
+    if (!reg_map(&r, &a, activate))
+        return -1;
+    op[0] = a.x;
+    op[1] = a.z;
+    op[2] = a.p;
+    return r.d;
+}
+
 static inline double seconds(void)
 {
     struct timespec t;
@@ -865,23 +924,29 @@ static inline double seconds(void)
 
 /* Run gates start, start+1, ... of a lowered circuit on the hybrid
  * backend, up to the first MEASZ or PREPZ or to stop, and return the index
- * of the first gate not run.  Gate k is ops[3k] (its code), ops[3k+1] and
- * ops[3k+2] (its qubits; the second is 0 for one-qubit gates) and angles[k].
+ * of the first gate not run, or -1 if the index map is not invertible.
+ * Gate k is ops[3k] (its code), ops[3k+1] and ops[3k+2] (its qubits; the
+ * second is 0 for one-qubit gates) and angles[k].
  *
  * A Clifford gate rewrites at most two rows of the frame (fx, fz, fp, 2n
  * rows of n <= 64 qubits) as in PauliFrame.apply_gate.  A rotation looks up
  * its axis as PauliFrame.lookup does, eff_x[q] for RX, eff_z[q] for RZ and
- * i*eff_x[q]*eff_z[q] for RY, and applies R_P(t) = cos(t/2)*I -
- * i*sin(t/2)*P in one pass of framesim_clifford, with the arguments of
- * statevector._pauli_update.  The seconds spent in rotations are added to
- * *rotation_s.  The codes and qubits are trusted: Circuit.append checks
- * them. */
-int64_t framesim_run_gates(double *amp, int64_t n_amp, int n, uint64_t *fx,
-                           uint64_t *fz, uint8_t *fp, const int32_t *ops,
+ * i*eff_x[q]*eff_z[q] for RY, maps it onto the register (the n row masks
+ * a_rows and the active count *active, both updated in place), activating
+ * a qubit if it must, and applies R_P(t) = cos(t/2)*I - i*sin(t/2)*P in one
+ * pass of framesim_clifford over the register's 2**max(d, 1) amplitudes,
+ * with the arguments of statevector._pauli_update.  The seconds spent in
+ * those passes are added to *rotation_s.  The codes and qubits are
+ * trusted: Circuit.append checks them. */
+int64_t framesim_run_gates(double *amp, int n, uint64_t *fx, uint64_t *fz, uint8_t *fp,
+                           uint64_t *a_rows, int64_t *active, const int32_t *ops,
                            const double *angles, int64_t start, int64_t stop,
                            double *rotation_s)
 {
     const frame f = {fx, fz, fp};
+    reg r;
+    if (!reg_open(&r, a_rows, n, *active))
+        return -1;
     double spent = 0.0;
     int64_t k = start;
     for (; k < stop; k++) {
@@ -932,12 +997,14 @@ int64_t framesim_run_gates(double *amp, int64_t n_amp, int n, uint64_t *fx,
         default: /* MEASZ, PREPZ: the caller draws the outcome */
             goto out;
         }
+        reg_map(&r, &axis, 1);
         const double t0 = seconds(), h = 0.5 * angles[k];
-        framesim_clifford(amp, n_amp, axis.x, axis.z, cos(h), sin(h),
-                          (int)((3 + axis.p - popcount(axis.x & axis.z)) & 3), 0);
+        framesim_clifford(amp, (int64_t)1 << (r.d > 1 ? r.d : 1), axis.x, axis.z,
+                          cos(h), sin(h), (int)((3 + axis.p - popcount(axis.x & axis.z)) & 3));
         spent += seconds() - t0;
     }
 out:
+    *active = r.d;
     *rotation_s += spent;
     return k;
 }

@@ -3,9 +3,9 @@ compiled gate loop, and the choice of their tier.
 
 Five amplitude loops carry every state update:
 
-- ``clifford`` computes ``a[k] <- ca*a[k] + cb * i**e(k) * (-1)**parity(k & z)
-  * a[k ^ x]`` with ``e(k) = e0 + popcount(k & m)`` and real ca and cb: every
-  update of the form ``ca*I + cb*i**e0*P`` for a multi-qubit Pauli P.  That
+- ``clifford`` computes ``a[k] <- ca*a[k] + cb * i**e0 * (-1)**parity(k & z)
+  * a[k ^ x]`` with real ca and cb: every update of the form
+  ``ca*I + cb*i**e0*P`` for a multi-qubit Pauli P.  That
   is rotations by any angle, Pauli application (and with it the expectation
   and the prepare repair), the measurement collapse, the flush's quarter
   turns, and the baseline's X, Y, RX, RY and RZ.
@@ -37,8 +37,7 @@ picks one when it loads, from what the CPU reports; ``simd_clone`` names
 it.  On a 2-core Xeon with AVX2, on a state that starts on a cache line
 (as ``StateVector`` allocates it), a rotation runs at 0.54-0.71 ns per
 amplitude at n = 16, 0.77-0.82 at n = 18 and 0.75-0.83 at n = 20 on the
-AVX2 clone (0.80-1.03 with a phase mask, which picks the element order
-per amplitude), against 0.38-0.49, 0.70-0.78 and 0.75-0.78 for an in-place
+AVX2 clone, against 0.38-0.49, 0.70-0.78 and 0.75-0.78 for an in-place
 negation of the same amplitudes; the generic clone runs at 0.85-1.13,
 0.85-1.00 and 0.88-1.04.  The ``numpy_*`` functions compute the same
 things by filtering index arrays, with whole-array temporaries, several
@@ -49,10 +48,14 @@ loops against.  The C loops take a contiguous complex128 state aligned to
 ``run_gates`` is the hybrid backend's gate loop in C: it runs a circuit's
 lowered gate stream (``Circuit.lowered``) on a bit-packed Pauli frame (see
 ``PauliFrame.packed``) and the amplitudes, up to the next measurement or
-preparation, calling the Clifford loop for each rotation.  It has no numpy
-counterpart: without the compiled library it is None, and
+preparation, calling the Clifford loop for each rotation on the hybrid's
+register of 2**d amplitudes.  ``register_map`` maps one operator onto that
+register, activating a qubit when it must, as the loop does for each
+rotation; the hybrid's measurements, preparations, expectations and flush
+turns go through it (see ``backends.HybridState``).  Neither has a numpy
+counterpart: without the compiled library both are None, and
 ``backends.run_hybrid`` runs its Python gate loop over ``PauliFrame``,
-which is also the loop's reference in the tests.
+which keeps the register dense and is the loop's reference in the tests.
 
 On first import the C source is compiled with the system C compiler (``gcc``,
 else ``cc``) into ``$XDG_CACHE_HOME/framesim`` (default ``~/.cache/framesim``),
@@ -61,10 +64,11 @@ with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
 compiling.  The build names no CPU, so a cached library runs on any
 x86-64.  When the library loads, the five loop names are the C loops,
-``run_gates`` is set and ``JIT_ENABLED`` is True.  When it cannot be built
-or loaded (no compiler, a build error, a cache directory that cannot be
-written) one ``RuntimeWarning`` names the reason, the five names are bound
-to the numpy functions instead and ``run_gates`` is None.  The choice is
+``run_gates`` and ``register_map`` are set and ``JIT_ENABLED`` is True.
+When it cannot be built or loaded (no compiler, a build error, a cache
+directory that cannot be written) one ``RuntimeWarning`` names the reason,
+the five names are bound to the numpy functions instead and ``run_gates``
+and ``register_map`` are None.  The choice is
 made once, here, from what the import observes.
 """
 import ctypes
@@ -99,15 +103,21 @@ def _compiler() -> str | None:
     return shutil.which("gcc") or shutil.which("cc")
 
 
+def _library(source: bytes) -> Path:
+    """Where the library built from ``source`` is cached: a name keyed by a
+    hash of the source and the build flags, in ``_cache_dir``."""
+    key = hashlib.sha256(source + " ".join(_CFLAGS + _LIBS).encode()).hexdigest()[:16]
+    return _cache_dir() / f"_kernels-{key}.so"
+
+
 def _build() -> Path:
     """Return the path of the compiled library, compiling it if not cached."""
     try:
         source = _SOURCE.read_bytes()
     except OSError as exc:
         raise _Unavailable(f"kernel source missing: {exc}") from None
-    key = hashlib.sha256(source + " ".join(_CFLAGS + _LIBS).encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    lib = cache / f"_kernels-{key}.so"
+    lib = _library(source)
+    cache = lib.parent
     if lib.is_file():
         return lib
     import subprocess, tempfile  # only a first import compiles
@@ -142,15 +152,18 @@ def _load():
     except OSError as exc:
         raise _Unavailable(f"could not load the compiled kernels: {exc}") from None
     ptr, i64, u64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
-    lib.framesim_clifford.argtypes = [ptr, i64, u64, u64, f64, f64, ctypes.c_int, u64]
+    lib.framesim_clifford.argtypes = [ptr, i64, u64, u64, f64, f64, ctypes.c_int]
     lib.framesim_clifford.restype = None
     lib.framesim_apply_h.argtypes = [ptr, i64, ctypes.c_int]
     lib.framesim_apply_h.restype = None
     lib.framesim_pair_exchange.argtypes = [ptr, i64, u64, u64, u64, ctypes.c_int]
     lib.framesim_pair_exchange.restype = None
-    lib.framesim_run_gates.argtypes = [ptr, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr,
-                                       i64, i64, ctypes.POINTER(f64)]
+    lib.framesim_run_gates.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr,
+                                       ctypes.POINTER(i64), ptr, ptr, i64, i64,
+                                       ctypes.POINTER(f64)]
     lib.framesim_run_gates.restype = i64
+    lib.framesim_register_map.argtypes = [ptr, ctypes.c_int, i64, ptr, ctypes.c_int]
+    lib.framesim_register_map.restype = i64
     lib.framesim_affine.argtypes = [ptr, i64, ptr, u64, ptr, ptr, f64, f64, ptr]
     lib.framesim_affine.restype = ctypes.c_int
     lib.framesim_shear.argtypes = [ptr, i64, ptr, ptr]
@@ -232,10 +245,10 @@ def _check_exchange(mask, val, x) -> None:
         raise ValueError(f"val {val:#x} and x {x:#x} must be submasks of mask {mask:#x}")
 
 
-def _c_clifford(amp, x, z, ca, cb, e0, m):
+def _c_clifford(amp, x, z, ca, cb, e0):
     """``numpy_clifford`` in one tiled pass of the C loop."""
-    addr = _address(amp, x, z, m)
-    _lib.framesim_clifford(addr, amp.shape[0], x, z, ca, cb, e0 & 3, m)
+    addr = _address(amp, x, z)
+    _lib.framesim_clifford(addr, amp.shape[0], x, z, ca, cb, e0 & 3)
 
 
 def _c_apply_h(amp, q):
@@ -299,15 +312,31 @@ def _check_shear(amp, up, down) -> int:
     return b
 
 
-def _c_run_gates(amp, xs, zs, ps, ops, angles, start):
+def _check_register(index_map, active) -> int:
+    n = index_map.shape[0] if isinstance(index_map, np.ndarray) else -1
+    if (n < 1 or index_map.dtype != np.uint64 or index_map.ndim != 1
+            or not index_map.flags.c_contiguous or not index_map.flags.writeable):
+        raise ValueError("index map must be a writeable contiguous uint64 array of n rows")
+    if not 0 <= active <= n:
+        raise ValueError(f"active count {active} out of range for {n} qubits")
+    return n
+
+
+_SINGULAR_MAP = "index map is not an invertible matrix on the register's qubits"
+
+
+def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start):
     """Run a lowered gate stream from gate ``start`` on the hybrid backend, in
     one call of the C gate loop; return the index of the first gate not run
-    (the next MEASZ or PREPZ, or the gate count) and the seconds spent in
-    rotations.
+    (the next MEASZ or PREPZ, or the gate count), the seconds spent in
+    rotations and the active count after the call.
 
-    xs, zs and ps are the packed frame of ``PauliFrame.packed``, updated in
-    place, and ops and angles the arrays of ``Circuit.lowered``, on the
-    same n qubits as amp; the gate codes and qubits are not checked again.
+    xs, zs and ps are the packed frame of ``PauliFrame.packed`` and
+    index_map the n row masks of the register's index map (see
+    ``register_map``), all updated in place; active is the register's
+    active count d.  ops and angles are the arrays of ``Circuit.lowered``,
+    on the same n qubits as amp; the gate codes and qubits are not checked
+    again.  Each rotation runs on the first 2**max(d, 1) amplitudes.
     """
     n = xs.shape[0] // 2
     addr = _address(amp)
@@ -318,33 +347,61 @@ def _c_run_gates(amp, xs, zs, ps, ops, angles, start):
         if words.dtype != dtype or words.shape != (2 * n,) or not words.flags.c_contiguous:
             raise ValueError("packed frame must be contiguous uint64, uint64 and "
                              "uint8 arrays of 2n rows")
+    if _check_register(index_map, active) != n:
+        raise ValueError(f"index map of {index_map.shape[0]} rows for a {n}-qubit frame")
     count = len(angles)
     if len(ops) != 3 * count or not 0 <= start <= count:
         raise ValueError("lowered gate arrays do not match, or start is out of range")
     spent = ctypes.c_double(0.0)
-    stop = _lib.framesim_run_gates(addr, amp.shape[0], n, xs.ctypes.data, zs.ctypes.data,
-                                   ps.ctypes.data, ops.buffer_info()[0],
-                                   angles.buffer_info()[0], start, count,
-                                   ctypes.byref(spent))
-    return stop, spent.value
+    d = ctypes.c_int64(active)
+    stop = _lib.framesim_run_gates(addr, n, xs.ctypes.data, zs.ctypes.data, ps.ctypes.data,
+                                   index_map.ctypes.data, ctypes.byref(d),
+                                   ops.buffer_info()[0], angles.buffer_info()[0], start,
+                                   count, ctypes.byref(spent))
+    if stop < 0:
+        raise ValueError(_SINGULAR_MAP)
+    return stop, spent.value, d.value
 
 
-def numpy_clifford(amp, x, z, ca, cb, e0, m):
-    """amp[k] <- ca*amp[k] + cb * i**e(k) * (-1)**parity(k & z) * amp[k ^ x].
+def _c_register_map(index_map, active, x, z, phase, activate):
+    """The signed Pauli operator i**phase * (letters x, z), a frame image on
+    n qubits, mapped onto the hybrid's register: P_A^dag P P_A, for the
+    index map P_A|k> = |A k> of the invertible GF(2) matrix A whose n row
+    masks index_map holds, (A k)_i = parity(index_map[i] & k), with its Z
+    letters at or above the active count d dropped.
 
-    e(k) = e0 + popcount(k & m), and ca and cb are real.  With m = 0 this is
-    ca + cb * i**e0 * P for a Pauli P with x bits x and z bits z (up to P's
-    own phase, see ``statevector._pauli_update``).  With ca = 0 and cb = 1
-    it is any product of single-qubit Cliffords without a Hadamard part, up
-    to an eighth root of unity: i**(popcount(k & m) + 2*parity(k & z)) is i
-    raised to any function of k that is linear mod 4 in its bits.
+    Returns (x, z, phase, d) of the result, x and z below 2**d.  If its X
+    part leaves the register (A^-1 x has a bit at or above d), returns None
+    when ``activate`` is false, and otherwise first activates one qubit: it
+    folds into A the CX and SWAP gates that gather those bits at bit d, on
+    qubits that the register holds at |0>, and d grows by one.  index_map
+    is updated in place.
     """
-    if not 0 <= max(x, z, m) < amp.shape[0]:
+    n = _check_register(index_map, active)
+    if not 0 <= max(x, z) < 1 << n:
+        raise ValueError(f"operator masks out of range for {n} qubits")
+    op = np.array([x, z, phase & 3], dtype=np.uint64)
+    d = _lib.framesim_register_map(index_map.ctypes.data, n, active, op.ctypes.data,
+                                   int(activate))
+    if d == -2:
+        raise ValueError(_SINGULAR_MAP)
+    if d == -1:
+        return None
+    return int(op[0]), int(op[1]), int(op[2]), d
+
+
+def numpy_clifford(amp, x, z, ca, cb, e0):
+    """amp[k] <- ca*amp[k] + cb * i**e0 * (-1)**parity(k & z) * amp[k ^ x].
+
+    ca and cb are real.  This is ca + cb * i**e0 * P for a Pauli P with x
+    bits x and z bits z (up to P's own phase, see
+    ``statevector._pauli_update``).
+    """
+    if not 0 <= max(x, z) < amp.shape[0]:
         raise ValueError("bit mask out of range for the amplitude array")
     k = np.arange(amp.shape[0], dtype=np.int64)
-    e = (e0 + np.bitwise_count(k & np.int64(m))) & 3
     sg = 1.0 - 2.0 * (np.bitwise_count(k & np.int64(z)) & 1)
-    amp[:] = ca * amp + cb * _I_POW[e] * sg * amp[k ^ np.int64(x)]
+    amp[:] = ca * amp + cb * _I_POW[e0 & 3] * sg * amp[k ^ np.int64(x)]
 
 
 def numpy_apply_h(amp, q):
@@ -434,8 +491,8 @@ def numpy_shear(amp, up, down):
 if _lib is not None:
     clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
     affine, shear = _c_affine, _c_shear
-    run_gates = _c_run_gates
+    run_gates, register_map = _c_run_gates, _c_register_map
 else:
     clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
     affine, shear = numpy_affine, numpy_shear
-    run_gates = None
+    run_gates = register_map = None

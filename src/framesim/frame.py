@@ -448,6 +448,29 @@ class HadamardFree(NamedTuple):
     cross: tuple[int, ...]
     eighths: int = 0
 
+    @classmethod
+    def identity(cls, n: int) -> "HadamardFree":
+        """The identity on n qubits."""
+        return cls(tuple(1 << i for i in range(n)), 0, (0,) * n, (0,) * n)
+
+    def after(self, rows) -> "HadamardFree":
+        """F P_A, for this Clifford F and the index map P_A|k> = |A k> of the
+        invertible GF(2) matrix A with row masks ``rows``:
+        |k> -> w**eighths * i**q(A k) |R A k ^ offset>, R being F's matrix.
+
+        q(A k) is quadratic in k again.  q(u ^ v) = q(u) + q(v) + 2 u.Gamma v
+        mod 4, Gamma being the symmetric matrix with the parities of diag on
+        its diagonal and cross off it; so q(A k) has diag q(A e_i) and, off
+        the diagonal, the cross masks of A^T Gamma A.
+        """
+        n = len(rows)
+        cols = gf2.columns(rows, n)  # A e_i, and the rows of A^T
+        gamma = [c | (d & 1) << i for i, (d, c) in enumerate(zip(self.diag, self.cross))]
+        quad = gf2.product(cols, gf2.product(gamma, rows))
+        return self._replace(rows=tuple(gf2.product(self.rows, rows)),
+                             diag=tuple(self.phase(c) for c in cols),
+                             cross=tuple(q & ~(1 << i) for i, q in enumerate(quad)))
+
     def image(self, k: int) -> int:
         """A k ^ offset, the basis state that |k> is mapped to."""
         return gf2.apply(self.rows, k) ^ self.offset

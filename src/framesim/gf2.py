@@ -20,6 +20,20 @@ def apply(rows, k: int) -> int:
     return out
 
 
+def product(rows, other) -> list[int]:
+    """The row masks of M N, for M and N with row masks ``rows`` and ``other``:
+    row i is the XOR of the rows of N that row i of M selects."""
+    out = []
+    for r in rows:
+        acc = 0
+        while r:
+            low = r & -r
+            acc ^= other[low.bit_length() - 1]
+            r ^= low
+        out.append(acc)
+    return out
+
+
 def columns(rows, n: int) -> list[int]:
     """The n columns of the matrix with row masks ``rows``: column c is M e_c."""
     cols = [0] * n

@@ -46,7 +46,7 @@ _SQ2 = 0.7071067811865476  # cos(pi/4)
 _OMEGA = (1.0, complex(_SQ2, _SQ2), 1j, complex(-_SQ2, _SQ2),
           -1.0, complex(-_SQ2, -_SQ2), -1j, complex(_SQ2, -_SQ2))
 # the baseline's X and Y, as arguments (x, z, e0) of ``_kernels.clifford``
-# from the single-bit mask of their qubit, with ca = 0, cb = 1 and m = 0
+# from the single-bit mask of their qubit, with ca = 0 and cb = 1
 _CLIFFORD_1Q = {
     "X": lambda b: (b, 0, 0),
     "Y": lambda b: (b, b, 3),
@@ -152,7 +152,7 @@ def _pauli_update(amp: np.ndarray, p: PauliString, ca: float, cb: float, e: int)
         raise ValueError(f"operator on {p.num_qubits} qubits applied to "
                          f"{amp.shape[0].bit_length() - 1}-qubit state")
     e0 = (e + p.phase_exp - p.y_mask.bit_count()) & 3
-    _kernels.clifford(amp, p.x_bits, p.z_bits, ca, cb, e0, 0)
+    _kernels.clifford(amp, p.x_bits, p.z_bits, ca, cb, e0)
 
 
 class StateVector:
@@ -183,6 +183,18 @@ class StateVector:
     @property
     def dim(self) -> int:
         return 1 << self.num_qubits
+
+    def prefix(self, num_qubits: int) -> "StateVector":
+        """The first 2**num_qubits amplitudes as a state of their own, which
+        shares them: an update of it updates this state.  The hybrid's
+        register runs its operations on it (``backends.HybridState``)."""
+        if not 1 <= num_qubits <= self.num_qubits:
+            raise ValueError(f"prefix of {num_qubits} qubits of a "
+                             f"{self.num_qubits}-qubit state")
+        out = StateVector.__new__(StateVector)
+        out.num_qubits = num_qubits
+        out.amplitudes = self.amplitudes[:1 << num_qubits]
+        return out
 
     def copy(self) -> "StateVector":
         out = StateVector.__new__(StateVector)
@@ -292,7 +304,7 @@ class StateVector:
                 raise ValueError(f"qubit {q} out of range")
         if tag in _CLIFFORD_1Q:
             x, z, e0 = _CLIFFORD_1Q[tag](1 << qubits[0])
-            _kernels.clifford(self.amplitudes, x, z, 0.0, 1.0, e0, 0)
+            _kernels.clifford(self.amplitudes, x, z, 0.0, 1.0, e0)
         elif tag in ROTATION_AXIS:
             if angle is None:
                 raise ValueError(f"{tag} requires an angle")

@@ -96,6 +96,19 @@ def gf2_rank(vectors) -> int:
     return rank
 
 
+def index_mapped(amplitudes, rows) -> np.ndarray:
+    """P_A applied to the amplitudes, P_A|k> = |A k> for the GF(2) matrix
+    with row masks ``rows``, (A k)_i = parity(rows[i] & k): the hybrid's
+    register as the plain state it stands for."""
+    k = np.arange(len(amplitudes), dtype=np.int64)
+    image = np.zeros_like(k)
+    for i, r in enumerate(rows):
+        image |= (np.bitwise_count(k & np.int64(r)).astype(np.int64) & 1) << i
+    out = np.zeros_like(amplitudes)
+    out[image] = amplitudes
+    return out
+
+
 # ----------------------------------------------------------------------
 # random generators shared by the test modules
 

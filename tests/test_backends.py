@@ -83,6 +83,32 @@ def test_expectations_match_baseline():
             assert hs.expectation(p) == pytest.approx(state.expectation(p), abs=1e-10)
 
 
+@pytest.mark.skipif(_kernels.run_gates is None, reason="compiled kernels not loaded")
+def test_expectation_is_exactly_zero_outside_the_register():
+    # an operator whose mapped X part leaves the register has expectation
+    # exactly 0.0; any other matches the baseline; neither activates a qubit
+    rng = np.random.default_rng(58)
+    outside = inside = 0
+    for trial in range(30):
+        n = int(rng.integers(1, 7))
+        circ = random_mixed_circuit(rng, n, 30, p_rotation=0.1)
+        state, _ = run_baseline(circ, rng=trial)
+        hs, _ = run_hybrid(circ, rng=trial)
+        before = hs.active, hs.index_map.tolist()
+        for _ in range(8):
+            p = PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
+            value = hs.expectation(p)
+            if hs._register(hs.frame.lookup(p), activate=False) is None:
+                assert value == 0.0 and type(value) is float
+                assert state.expectation(p) == pytest.approx(0.0, abs=1e-10)
+                outside += 1
+            else:
+                assert value == pytest.approx(state.expectation(p), abs=1e-10)
+                inside += 1
+        assert (hs.active, hs.index_map.tolist()) == before
+    assert outside and inside
+
+
 def test_flush_fresh_state_is_noop():
     hs, _ = run_hybrid(Circuit(2))
     hs.flush_to_origin()
@@ -104,7 +130,9 @@ def test_flush_counts_its_state_passes(monkeypatch):
     # one entry per flush: h quarter turns, h being the GF(2) rank of the x
     # parts of the eff_z rows, then at most one affine pass and one shear
     # for the rest, and a state of one tile (n <= 8) takes no shear; the
-    # origin frame makes no pass and runs no synthesis
+    # origin frame with the identity index map, as a flush leaves it, makes
+    # no pass and runs no synthesis; each entry records the active count
+    # the flush began with
     from framesim import backends
     from oracles import gf2_rank, random_clifford_circuit
     rng = np.random.default_rng(57)
@@ -112,13 +140,15 @@ def test_flush_counts_its_state_passes(monkeypatch):
         n = int(rng.integers(1, 13))
         hs, _ = run_hybrid(random_clifford_circuit(rng, n, 10 * n))
         h = gf2_rank(hs.frame.eff_z(i).x_bits for i in range(n))
+        active = hs.active
         hs.flush_to_origin()
         with monkeypatch.context() as mp:
             for name in ("invert_to_rotations", "split_clifford"):
                 mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
             hs.flush_to_origin()
         first, second = hs.flush_passes
-        assert second == dict(quarter_turns=0, affine=0, shears=0, h=0)
+        assert second == dict(quarter_turns=0, affine=0, shears=0, h=0, active=n)
+        assert first["active"] == active
         assert first["quarter_turns"] == first["h"] == h
         assert first["affine"] <= 1
         assert first["shears"] <= (1 if n > 8 else 0)

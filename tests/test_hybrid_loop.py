@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framesim import (Circuit, PauliFrame, _kernels, random_hamiltonian, run_hybrid,
-                      trotterize)
+from framesim import (Circuit, PauliFrame, StateVector, _kernels, backends,
+                      random_hamiltonian, run_hybrid, trotterize)
 from framesim.circuit import TAGS
-from oracles import random_clifford_circuit
+from oracles import gf2_rank, index_mapped, random_clifford_circuit
 
 ARITY = {tag: 2 if tag in ("CX", "CZ", "SWAP") else 1 for tag in TAGS}
 MAX_QUBITS = 10
@@ -55,7 +55,8 @@ def build(n, gates) -> Circuit:
               ("RX", (0,), 2.0), ("MEASZ", (0,), None)], 6))
 def test_compiled_gate_loop_matches_the_python_loop(case):
     # identical records and frame rows, and the same amplitudes, global
-    # phase included
+    # phase included: the compiled loop's register P_A|phi> is the state
+    # that the dense Python loop holds as phi
     n, gates, seed = case
     circ = build(n, gates)
     hs, report = run_hybrid(circ, seed)
@@ -64,6 +65,72 @@ def test_compiled_gate_loop_matches_the_python_loop(case):
         ref, ref_report = run_hybrid(circ, seed)
     assert report.measurements == ref_report.measurements
     assert hs.frame == ref.frame
+    assert (ref.active, ref.index_map.tolist()) == (n, [1 << i for i in range(n)])
+    dense = index_mapped(hs.phi.amplitudes, hs.index_map)
+    assert np.max(np.abs(dense - ref.phi.amplitudes)) < 1e-12
+
+
+@st.composite
+def register_cases(draw):
+    """mixed_circuits, half of them without MEASZ and PREPZ."""
+    n, gates, seed = draw(mixed_circuits())
+    if draw(st.booleans()):
+        gates = [g for g in gates if g[0] not in ("MEASZ", "PREPZ")]
+    return n, gates, seed
+
+
+def python_loop_axes(circ: Circuit, seed):
+    """The dense Python loop's run of circ, and the x masks of the rotation
+    axes it applied."""
+    axes = []
+    rotate = StateVector.apply_pauli_rotation
+
+    def recorded(state, p, theta):
+        axes.append(p.x_bits)
+        rotate(state, p, theta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "run_gates", None)
+        mp.setattr(StateVector, "apply_pauli_rotation", recorded)
+        ref, _ = run_hybrid(circ, seed)
+    return ref, axes
+
+
+@compiled_only
+@settings(max_examples=100, deadline=None)
+@given(register_cases())
+@example((4, [("RZ", (0,), 0.3), ("CX", (0, 1), None), ("RZ", (1,), -1.2),
+              ("CZ", (1, 3), None), ("S", (2,), None), ("RZ", (2,), 2.5)], 1))  # diagonal only
+@example((1, [("RZ", (0,), 0.4), ("H", (0,), None), ("RZ", (0,), 1.9),
+              ("S", (0,), None), ("RX", (0,), -0.6)], 2))  # one qubit
+@example((8, [("RX", (0,), 0.5), ("CX", (3, 5), None), ("CX", (3, 7), None),
+              ("RX", (3,), 1.3), ("RY", (6,), -0.8)], 3))  # pivot 3 above d = 1: two CX, a SWAP
+@example((5, [("RX", (0,), 0.9), ("MEASZ", (3,), None), ("X", (2,), None),
+              ("PREPZ", (2,), None), ("MEASZ", (4,), None), ("RY", (1,), 0.2)], 4))  # inactive qubits
+@example((3, [("CX", (0, 2), None), ("RX", (0,), 0.7), ("H", (1,), None),
+              ("CX", (1, 2), None), ("RZ", (2,), 1.1), ("CX", (1, 2), None),
+              ("H", (1,), None), ("CX", (0, 2), None)], 5))  # origin frame, A != I
+def test_register_holds_the_state_in_its_active_prefix(case):
+    # after the compiled loop phi is exactly 0 beyond 2**active; without
+    # MEASZ and PREPZ, active is the GF(2) rank of the x parts of the axes
+    # the dense loop applied; and the flushes agree, global phase included.
+    # A frame at the origin is flushed as P_A alone, with no synthesis.
+    n, gates, seed = case
+    circ = build(n, gates)
+    hs, _ = run_hybrid(circ, seed)
+    ref, axes = python_loop_axes(circ, seed)
+    assert 0 <= hs.active <= n and not hs.phi.amplitudes[1 << hs.active:].any()
+    if not any(g[0] in ("MEASZ", "PREPZ") for g in gates):
+        assert hs.active == gf2_rank(axes)
+    active, at_origin = hs.active, hs.frame.is_origin()
+    with pytest.MonkeyPatch.context() as mp:
+        if at_origin:
+            for name in ("invert_to_rotations", "split_clifford"):
+                mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
+        hs.flush_to_origin()
+    ref.flush_to_origin()
+    assert hs.flush_passes[0]["active"] == active
+    assert (hs.active, hs.index_map.tolist()) == (n, [1 << i for i in range(n)])
     assert np.max(np.abs(hs.phi.amplitudes - ref.phi.amplitudes)) < 1e-12
 
 
@@ -131,14 +198,15 @@ def test_gate_loop_stops_at_each_measurement_and_preparation():
         circ.append(tag, *qubits)
     frame = PauliFrame.origin(3)
     words = frame.packed()
+    index_map = np.array([1, 2, 4], dtype=np.uint64)
     amp = np.zeros(8, dtype=complex)
     amp[0] = 1.0
     ops, angles = circ.lowered()
     stops = []
     i = 0
     while i < len(circ):
-        i, spent = _kernels.run_gates(amp, *words, ops, angles, i)
-        assert spent == 0.0  # no rotation ran
+        i, spent, active = _kernels.run_gates(amp, *words, index_map, 0, ops, angles, i)
+        assert spent == 0.0 and active == 0  # no rotation ran
         stops.append(i)
         i += 1
     assert stops == [1, 3, 5]
@@ -147,6 +215,11 @@ def test_gate_loop_stops_at_each_measurement_and_preparation():
             frame.apply_gate(g.tag, g.qubits)
     assert PauliFrame.from_packed(*words) == frame
     with pytest.raises(ValueError, match="2-qubit state"):
-        _kernels.run_gates(amp[:4], *words, ops, angles, 0)
+        _kernels.run_gates(amp[:4], *words, index_map, 0, ops, angles, 0)
     with pytest.raises(ValueError, match="out of range"):
-        _kernels.run_gates(amp, *words, ops, angles, len(circ) + 1)
+        _kernels.run_gates(amp, *words, index_map, 0, ops, angles, len(circ) + 1)
+    with pytest.raises(ValueError, match="out of range"):
+        _kernels.run_gates(amp, *words, index_map, 4, ops, angles, 0)
+    with pytest.raises(ValueError, match="invertible"):
+        _kernels.run_gates(amp, *words, np.array([1, 2, 2], dtype=np.uint64), 0, ops,
+                           angles, 0)

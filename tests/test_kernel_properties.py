@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framesim import Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels
-from framesim.frame import RotationStep, invert_to_rotations, split_clifford
+from framesim.frame import HadamardFree, RotationStep, invert_to_rotations, split_clifford
 from framesim.statevector import tile_factors
-from oracles import (S, compiled_clones, embed_1q, gf2_rank, pauli_matrix,
+from oracles import (compiled_clones, gf2_rank, pauli_matrix,
                      random_clifford_circuit, rotation_matrix)
 
 # the Clifford loop of the numpy reference always, and the compiled C loop
@@ -45,10 +45,8 @@ def x_bits(n):
 def clifford_cases(draw):
     n = draw(st.integers(1, MAX_QUBITS))
     x = draw(st.one_of(st.just(0), x_bits(n)))
-    m = draw(st.one_of(st.just(0), st.integers(1, (1 << n) - 1)))
     return (n, x, draw(st.integers(0, (1 << n) - 1)), draw(COEFFICIENTS),
-            draw(COEFFICIENTS), draw(st.integers(0, 3)), m,
-            draw(st.integers(0, 2**32 - 1)))
+            draw(COEFFICIENTS), draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1)))
 
 
 def random_amplitudes(seed, n):
@@ -73,26 +71,21 @@ def check_tiers(amp, ref, run):
 
 @settings(max_examples=150, deadline=None)
 @given(clifford_cases())
-@example((1, 1, 1, SQ2, SQ2, 3, 0, 1))        # a one-qubit state
-@example((2, 3, 2, 0.0, 1.0, 1, 0, 2))        # two pairs per cache line
-@example((5, 0, 0, 0.0, 1.0, 0, 0b1000, 3))   # S on a state below one tile
-@example((9, 0x100, 0x1ff, -SQ2, -SQ2, 1, 0x100, 4))  # x and m at the tile edge
-@example((10, 0x2c5, 0x3a1, 0.3, -1.7, 2, 0x3c3, 5))  # x and m inside and above a tile
-@example((10, 0x300, 0x0f0, 0.0, 1.0, 3, 0x200, 6))   # x and m above a tile only
-@example((10, 0x0a4, 0x300, 0.9, 0.4, 0, 0x0f0, 7))   # m inside a tile, z above it
-@example((10, 0, 0x2c1, 0.6, -0.8, 3, 0, 8))          # a diagonal rotation
+@example((1, 1, 1, SQ2, SQ2, 3, 1))        # a one-qubit state
+@example((2, 3, 2, 0.0, 1.0, 1, 2))        # two pairs per cache line
+@example((9, 0x100, 0x1ff, -SQ2, -SQ2, 1, 4))  # x at the tile edge
+@example((10, 0x2c5, 0x3a1, 0.3, -1.7, 2, 5))  # x inside and above a tile
+@example((10, 0x300, 0x0f0, 0.0, 1.0, 3, 6))   # x above a tile only
+@example((10, 0x0a4, 0x300, 0.9, 0.4, 0, 7))   # x inside a tile, z above it
+@example((10, 0, 0x2c1, 0.6, -0.8, 3, 8))      # a diagonal rotation
 def test_clifford_loop_matches_reference_and_oracle(case):
-    # ca*I + cb * i**e0 * diag(i**popcount(k & m)) * Z**z X**x, for any real
-    # ca and cb: a rotation by any angle has ca = cos, cb = sin and e0 odd
-    n, x, z, ca, cb, e0, m, seed = case
-    phase = np.eye(1 << n)
-    for q in range(n):
-        if m >> q & 1:
-            phase = phase @ embed_1q(S, q, n)
-    ref_matrix = ca * np.eye(1 << n) + cb * 1j ** e0 * phase @ xz_matrix(n, x, z)
+    # ca*I + cb * i**e0 * Z**z X**x, for any real ca and cb: a rotation by
+    # any angle has ca = cos, cb = sin and e0 odd
+    n, x, z, ca, cb, e0, seed = case
+    ref_matrix = ca * np.eye(1 << n) + cb * 1j ** e0 * xz_matrix(n, x, z)
     amp = random_amplitudes(seed, n)
     check_tiers(amp, ref_matrix @ amp,
-                lambda clifford, out: clifford(out, x, z, ca, cb, e0, m))
+                lambda clifford, out: clifford(out, x, z, ca, cb, e0))
 
 
 ANGLES = st.floats(-7.0, 7.0, allow_nan=False)
@@ -228,6 +221,45 @@ def test_tile_factors_reproduce_a_random_invertible_matrix_for_every_tile_split(
         assert len(down) == n - b and all(c >> b == 0 for c in down)
         # rank B is the rank of the block of A from position to tile bits
         assert gf2_rank(up) == gf2_rank(r & lo for r in rows[b:])
+
+
+def hadamard_free_matrix(form: HadamardFree) -> np.ndarray:
+    """The dense matrix of form, |k> -> w**eighths * i**q(k) |A k ^ offset>,
+    with q(k) summed over the pairs of set bits of k as the docstring states."""
+    n = len(form.rows)
+    m = np.zeros((1 << n, 1 << n), dtype=complex)
+    for k in range(1 << n):
+        bits = [i for i in range(n) if k >> i & 1]
+        q = sum(form.diag[i] for i in bits) + 2 * sum(
+            form.cross[i] >> j & 1 for a, i in enumerate(bits) for j in bits[:a])
+        m[mat_vec(form.rows, k) ^ form.offset, k] = (
+            np.exp(1j * np.pi / 4 * form.eighths) * 1j ** (q % 4))
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_hadamard_free_after_an_index_map_is_their_product(n, seed):
+    # F P_A, for a random F without a Hadamard part and a random invertible
+    # A, maps |k> to F|A k>, index by index and phase included
+    rng = np.random.default_rng(seed)
+    cross = [0] * n
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.5:
+                cross[i] |= 1 << j
+                cross[j] |= 1 << i
+    form = HadamardFree(tuple(random_invertible(rng, n)), int(rng.integers(0, 1 << n)),
+                        tuple(int(d) for d in rng.integers(0, 4, n)), tuple(cross),
+                        int(rng.integers(0, 8)))
+    a = random_invertible(rng, n)
+    index_map = np.zeros((1 << n, 1 << n))
+    for k in range(1 << n):
+        index_map[mat_vec(a, k), k] = 1.0
+    composed = form.after(a)
+    assert np.array_equal(hadamard_free_matrix(composed),
+                          hadamard_free_matrix(form) @ index_map)
+    assert composed.after([1 << i for i in range(n)]) == composed
 
 
 def shears_oracle_index(up, down, b, k) -> int:
@@ -390,28 +422,28 @@ def test_affine_and_shear_passes_reject_maps_they_cannot_apply(name):
 def test_clifford_loop_rejects_masks_outside_the_state(name):
     clifford = TIERS[name]
     amp = StateVector.zero(3).amplitudes
-    for x, z, m in ((8, 0, 0), (0, 8, 0), (0, 0, 8)):
+    for x, z in ((8, 0), (0, 8)):
         with pytest.raises(ValueError, match="out of range"):
-            clifford(amp, x, z, 0.0, 1.0, 0, m)
+            clifford(amp, x, z, 0.0, 1.0, 0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(clifford_cases())
-@example((1, 1, 1, SQ2, SQ2, 3, 0, 1))       # a one-qubit state: one vector
-@example((1, 0, 1, SQ2, SQ2, 3, 1, 2))
-@example((2, 2, 3, 0.0, 1.0, 1, 0, 3))       # x = 2: one pair of vectors
+@example((1, 1, 1, SQ2, SQ2, 3, 1))       # a one-qubit state: one vector
+@example((1, 0, 1, SQ2, SQ2, 3, 2))
+@example((2, 2, 3, 0.0, 1.0, 1, 3))       # x = 2: one pair of vectors
 def test_clifford_loop_writes_only_its_state(case):
     # the state as a view into a larger array: the elements on either side
     # must keep their values on every tier
-    n, x, z, ca, cb, e0, m, seed = case
+    n, x, z, ca, cb, e0, seed = case
     amp = random_amplitudes(seed, n)
     ref = amp.copy()
-    _kernels.numpy_clifford(ref, x, z, ca, cb, e0, m)
+    _kernels.numpy_clifford(ref, x, z, ca, cb, e0)
     for name, clifford in TIERS.items():
         guarded = np.full(amp.size + 8, 7.0 - 7.0j)
         state = guarded[4:-4]
         state[:] = amp
-        clifford(state, x, z, ca, cb, e0, m)
+        clifford(state, x, z, ca, cb, e0)
         assert np.all(guarded[:4] == 7.0 - 7.0j) and np.all(guarded[-4:] == 7.0 - 7.0j), name
         assert np.max(np.abs(state - ref)) < 1e-12, name
 
@@ -424,10 +456,12 @@ def test_compiled_loops_reject_a_misaligned_state():
     circ = Circuit(10)
     circ.append("RX", 3, angle=0.5)
     ops, angles = circ.lowered()
-    calls = {"clifford": lambda: _kernels.clifford(amp, 1, 0, 0.0, 1.0, 0, 0),
+    calls = {"clifford": lambda: _kernels.clifford(amp, 1, 0, 0.0, 1.0, 0),
              "apply_h": lambda: _kernels.apply_h(amp, 0),
              "pair_exchange": lambda: _kernels.pair_exchange(amp, 3, 1, 2, 0),
              "run_gates": lambda: _kernels.run_gates(amp, *PauliFrame.origin(10).packed(),
+                                                     np.array([1 << i for i in range(10)],
+                                                              dtype=np.uint64), 10,
                                                      ops, angles, 0),
              "affine": lambda: _kernels.affine(amp, [1 << i for i in range(10)], 0,
                                                [0] * 10, [0] * 10, 1.0),

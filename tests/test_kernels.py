@@ -111,13 +111,94 @@ def test_missing_compiler_warns_and_falls_back(tmp_path):
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (gcc or cc) on PATH")
 def test_kernel_source_compiles_without_warnings(tmp_path):
     # the same compiler and flags as the build, with every common warning
-    # turned into an error
+    # and every departure from ISO C turned into an error
     from framesim import _kernels
     cc = _kernels._compiler()
-    done = subprocess.run([cc, *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
+    done = subprocess.run([cc, *_kernels._CFLAGS, "-Wall", "-Wextra", "-Wpedantic",
+                           "-Werror", "-o", str(tmp_path / "kernels.so"),
+                           str(_kernels._SOURCE)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def libasan() -> str | None:
+    """Path of gcc's AddressSanitizer runtime, or None without gcc or it."""
+    if shutil.which("gcc") is None:
+        return None
+    done = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True,
+                          text=True, timeout=60)
+    path = done.stdout.strip()
+    return path if done.returncode == 0 and os.path.isabs(path) and os.path.exists(path) \
+        else None
+
+
+# the compiled loops at every size the hybrid's register takes: the Clifford
+# loop on states of exactly 2 to 2**10 amplitudes on each clone, a
+# circuit at n = 10 that activates the register one qubit at a time
+# (prefixes of 2 to 2**10 amplitudes) around a MEASZ and a PREPZ, and
+# its flush, with the affine and shear passes
+SANITIZED_PROBE = """
+import numpy as np
+from framesim import Circuit, _kernels, run_hybrid
+if _kernels.kernel_tier() != "compiled-c":
+    raise SystemExit("the sanitized library did not load")
+rng = np.random.default_rng(0)
+for clone in _kernels._CLONES:
+    _kernels._use_clone(clone)
+    for m in range(1, 11):
+        amp = np.zeros(1 << m, dtype=complex)
+        if amp.ctypes.data % 16:
+            raise SystemExit("numpy returned a state below 16-byte alignment")
+        for x in {0, 1, (1 << m) - 1, 1 << (m - 1)}:
+            _kernels.clifford(amp, x, int(rng.integers(1 << m)), 0.6, 0.8, 3)
+n = 10
+circ = Circuit(n)
+for q in range(n):
+    circ.append("CX", q, (q + 3) % n)
+    circ.append(("RX", "RY")[q % 2], q, angle=0.3 + q)
+    if q == 4:
+        circ.append("MEASZ", 2)
+        circ.append("PREPZ", 8)
+hs, _ = run_hybrid(circ, 1)
+if hs.active != n:
+    raise SystemExit(f"the register holds {hs.active} qubits, not {n}")
+hs.flush_to_origin()
+if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
+    raise SystemExit("the flushed state lost its norm")
+"""
+# a write past the end of a 4-amplitude state, which the sanitizer must stop
+OVERRUN_PROBE = """
+import numpy as np
+from framesim import _kernels
+amp = np.zeros(4, dtype=complex)
+_kernels._lib.framesim_pair_exchange(amp.ctypes.data, 8, 0, 0, 0, 2)
+"""
+
+
+@pytest.mark.skipif(libasan() is None, reason="gcc or its libasan missing")
+def test_kernels_run_clean_under_address_and_undefined_behaviour_sanitizers(
+        tmp_path, monkeypatch):
+    # build the library with the sanitizers into the cache an import reads,
+    # under the name the build would give it, and run the probe on it
+    from framesim import _kernels
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    lib = _kernels._library(_kernels._SOURCE.read_bytes())
+    lib.parent.mkdir(parents=True)
+    done = subprocess.run(["gcc", *_kernels._CFLAGS, "-fsanitize=address,undefined",
+                           "-fno-sanitize-recover=all", "-o", str(lib),
+                           str(_kernels._SOURCE), *_kernels._LIBS],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), LD_PRELOAD=libasan(),
+               ASAN_OPTIONS="detect_leaks=0", PYTHONPATH=f"{SRC}{os.pathsep}{TESTS}")
+    runs = {name: subprocess.run([sys.executable, "-c", probe], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            for name, probe in (("probe", SANITIZED_PROBE), ("overrun", OVERRUN_PROBE))}
+    assert runs["probe"].returncode == 0, runs["probe"].stderr[-4000:]
+    assert "runtime error" not in runs["probe"].stderr, runs["probe"].stderr[-4000:]
+    # the sanitizer is live: the same setup stops a deliberate overrun
+    assert runs["overrun"].returncode != 0
+    assert "heap-buffer-overflow" in runs["overrun"].stderr
 
 
 def test_build_error_warns_with_compiler_output(tmp_path):

@@ -172,22 +172,20 @@ def test_compiled_rotation_matches_numpy_reference(case, monkeypatch):
 
 @pytest.mark.parametrize("case", [c for c, (_, x, _) in TRAVERSAL_CASES.items() if x])
 def test_compiled_pair_loop_keeps_its_documented_semantics(case):
-    # the Clifford loop walks the pairs {k, k ^ x} for any real ca and cb,
-    # any e0 and a phase mask m; apply_pauli_rotation only ever passes m = 0.
-    # The reference below is the docstring's statement over index arrays,
-    # not the numpy implementation.
+    # the Clifford loop walks the pairs {k, k ^ x} for any real ca and cb
+    # and any e0.  The reference below is the docstring's statement over
+    # index arrays, not the numpy implementation.
     n, x, z = TRAVERSAL_CASES[case]
     rng = np.random.default_rng(17)
     ca, cb = (float(v) for v in rng.normal(size=2))
     k = np.arange(1 << n)
     for name, clifford in KERNELS.items():
-        for e0, m in ((1, 0), (2, 0), (3, x | 0x81), (0, z ^ 0x5)):
+        for e0 in range(4):
             amp = random_state(rng, n).amplitudes
-            e = (e0 + np.bitwise_count(k & m)) % 4
             sg = 1.0 - 2.0 * (np.bitwise_count(k & z) & 1)
-            ref = ca * amp + cb * 1j ** e * sg * amp[k ^ x]
-            clifford(amp, x, z, ca, cb, e0, m)
-            assert np.max(np.abs(amp - ref)) < 1e-12, (name, e0, m)
+            ref = ca * amp + cb * 1j ** e0 * sg * amp[k ^ x]
+            clifford(amp, x, z, ca, cb, e0)
+            assert np.max(np.abs(amp - ref)) < 1e-12, (name, e0)
 
 
 def test_rotation_takes_a_signed_axis_and_rejects_a_non_hermitian_one(kernel_path):
@@ -261,7 +259,7 @@ def test_expectation_includes_sign():
 def test_expectation_raises_on_a_non_real_value(monkeypatch):
     # a Hermitian P has a real expectation; a broken kernel must not be
     # silently truncated to its real part, in an expectation or a measurement
-    def broken_clifford(amp, x, z, ca, cb, e0, m):
+    def broken_clifford(amp, x, z, ca, cb, e0):
         amp *= 1j
 
     monkeypatch.setattr(_kernels, "clifford", broken_clifford)
@@ -334,7 +332,7 @@ def test_clifford_gates_and_flush_allocate_nothing_state_sized():
         frame.apply_gate(tag, qubits)
     hs = HybridState(frame, state.copy())
     assert extra_peak(hs.flush_to_origin) <= slack
-    assert hs.flush_passes == [dict(quarter_turns=0, affine=1, shears=0, h=0)]
+    assert hs.flush_passes == [dict(quarter_turns=0, affine=1, shears=0, h=0, active=n)]
 
 
 @pytest.mark.parametrize("tag", ["CX", "CZ", "SWAP"])
