@@ -535,12 +535,16 @@ typedef struct {
     unsigned lin[64];
 } tile_parts;
 
-/* dst[perm[l] ^ off(u)] <- c * i**e(u, l) * src[l] for the positions l of
- * tile u, with e(u, l) = lin(u) + ql[l] + 2*parity(xc(u) & l); cr[e] and
- * ci[e] hold c * i**e as the factors of a and of a with re and im swapped. */
+/* i**e * a = TURN_RE[e] * a + TURN_IM[e] * (a with re and im swapped),
+ * which, unlike turn(), takes no branch on e */
+static const v2d TURN_RE[4] = {{1, 1}, {0, 0}, {-1, -1}, {0, 0}};
+static const v2d TURN_IM[4] = {{0, 0}, {-1, 1}, {0, 0}, {1, -1}};
+
+/* dst[perm[l] ^ off(u)] <- i**e(u, l) * src[l] for the positions l of
+ * tile u, with e(u, l) = lin(u) + ql[l] + 2*parity(xc(u) & l). */
 static void map_tile(v2d *restrict dst, const v2d *restrict src, const v2d *next,
                      int64_t len, const uint8_t *perm, const uint8_t *ql,
-                     const tile_parts *tp, uint64_t u, const v2d *cr, const v2d *ci)
+                     const tile_parts *tp, uint64_t u)
 {
     uint64_t o = 0, y = 0;
     unsigned c = 0;
@@ -555,13 +559,13 @@ static void map_tile(v2d *restrict dst, const v2d *restrict src, const v2d *next
             prefetch(next + l);
         const unsigned e = (c + ql[l] + PARITY2[y & (uint64_t)l]) & 3;
         const v2d a = src[l];
-        dst[perm[l] ^ o] = cr[e] * a + ci[e] * (v2d){a[1], a[0]};
+        dst[perm[l] ^ o] = TURN_RE[e] * a + TURN_IM[e] * (v2d){a[1], a[0]};
     }
 }
 
 enum { AFFINE_OK, AFFINE_SINGULAR, AFFINE_ASYMMETRIC };
 
-/* amp[G k ^ offset] <- (cre + i*cim) * i**q(k) * amp[k] for every index k
+/* amp[G k ^ offset] <- i**q(k) * amp[k] for every index k
  *
  * with q(k) = sum over the set bits i of k of diag[i] + popcount(cross[i] &
  * k), mod 4.  G is the GF(2) matrix whose column i, the image of bit i, is
@@ -580,8 +584,7 @@ enum { AFFINE_OK, AFFINE_SINGULAR, AFFINE_ASYMMETRIC };
  * tile it reads next.  Returns AFFINE_SINGULAR or AFFINE_ASYMMETRIC, leaving amp
  * as it was, if G or cross is not as required, else AFFINE_OK. */
 int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t offset,
-                    const uint8_t *diag, const uint64_t *cross, double cre, double cim,
-                    uint8_t *seen)
+                    const uint8_t *diag, const uint64_t *cross, uint8_t *seen)
 {
     v2d *amp = (v2d *)amp_;
     const int n = top_bit((uint64_t)n_amp), b = tile_bits(n_amp), nb = n - b;
@@ -626,12 +629,6 @@ int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t 
     if (!invert_cols(tp.fwd, nb, tp.inv))
         return AFFINE_SINGULAR;
 
-    v2d cr[4], ci[4];
-    for (int e = 0; e < 4; e++) {
-        const v2d c = turn((v2d){cre, cim}, e);
-        cr[e] = (v2d){c[0], c[0]};
-        ci[e] = (v2d){-c[1], c[1]};
-    }
     const uint64_t t0 = offset >> b;
     v2d first[TILE];
     for (uint64_t s = 0; s < n_tiles; s++) {
@@ -644,8 +641,7 @@ int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t 
             const uint64_t u = xor_cols(tp.inv, cur ^ t0); /* the tile mapped to cur */
             const uint64_t v = u == s ? s + 1 : xor_cols(tp.inv, u ^ t0); /* read next */
             map_tile(amp + cur * (uint64_t)len, u == s ? first : amp + u * (uint64_t)len,
-                     amp + (v < n_tiles ? v : s) * (uint64_t)len, len, perm, ql, &tp, u,
-                     cr, ci);
+                     amp + (v < n_tiles ? v : s) * (uint64_t)len, len, perm, ql, &tp, u);
             if (u == s)
                 break;
             cur = u;

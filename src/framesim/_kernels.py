@@ -14,7 +14,7 @@ Five amplitude loops carry every state update:
   under ``mask`` equal ``val``, or multiplies ``a[k]`` by ``i**e`` when x is
   0: the baseline's CX and SWAP, and the baseline's Z, S, SDG and CZ, which
   touch only the amplitudes whose qubits are set.
-- ``affine`` computes ``a[G k ^ offset] <- c * i**q(k) * a[k]`` for an
+- ``affine`` computes ``a[G k ^ offset] <- i**q(k) * a[k]`` for an
   invertible GF(2) matrix G that maps tiles of ``2**tile_bits`` amplitudes
   onto tiles and a quadratic form q, and ``shear`` moves ``a[k]`` to the
   index that two shears make of k = (t, l): one adds a linear function of
@@ -164,7 +164,7 @@ def _load():
     lib.framesim_run_gates.restype = i64
     lib.framesim_register_map.argtypes = [ptr, ctypes.c_int, i64, ptr, ctypes.c_int]
     lib.framesim_register_map.restype = i64
-    lib.framesim_affine.argtypes = [ptr, i64, ptr, u64, ptr, ptr, f64, f64, ptr]
+    lib.framesim_affine.argtypes = [ptr, i64, ptr, u64, ptr, ptr, ptr]
     lib.framesim_affine.restype = ctypes.c_int
     lib.framesim_shear.argtypes = [ptr, i64, ptr, ptr]
     lib.framesim_shear.restype = ctypes.c_int
@@ -281,7 +281,7 @@ def _check_affine(amp, cols, diag, cross) -> int:
     return n
 
 
-def _c_affine(amp, cols, offset, diag, cross, c):
+def _c_affine(amp, cols, offset, diag, cross):
     """``numpy_affine`` in one tiled pass of the C loop."""
     addr = _address(amp, offset, *cols, *cross)
     _check_affine(amp, cols, diag, cross)
@@ -289,7 +289,7 @@ def _c_affine(amp, cols, offset, diag, cross, c):
     cols, cross = np.array(cols, dtype=np.uint64), np.array(cross, dtype=np.uint64)
     err = _lib.framesim_affine(addr, amp.shape[0], cols.ctypes.data, offset,
                                bytes(d & 3 for d in diag), cross.ctypes.data,
-                               c.real, c.imag, seen.ctypes.data)
+                               seen.ctypes.data)
     if err:
         raise ValueError(_AFFINE_ERRORS[err])
 
@@ -433,16 +433,16 @@ def numpy_pair_exchange(amp, mask, val, x, e):
         amp[k], amp[k ^ x] = amp[k ^ x], amp[k]
 
 
-def numpy_affine(amp, cols, offset, diag, cross, c):
-    """amp[G k ^ offset] <- c * i**q(k) * amp[k] for every index k.
+def numpy_affine(amp, cols, offset, diag, cross):
+    """amp[G k ^ offset] <- i**q(k) * amp[k] for every index k.
 
     G is the GF(2) matrix with columns ``cols`` (column i is the image of
-    bit i), q(k) = sum over the set bits i of k of diag[i] +
-    popcount(cross[i] & k), mod 4, and c is a complex constant.  G must be
-    invertible and map each tile of 2**b amplitudes (b = ``tile_bits``) onto
-    a tile: cols[i] < 2**b for i < b.  cross must be symmetric with a clear
-    diagonal, so that q is the quadratic form of a Clifford without a
-    Hadamard part.  Raises ValueError otherwise.
+    bit i), and q(k) = sum over the set bits i of k of diag[i] +
+    popcount(cross[i] & k), mod 4.  G must be invertible and map each tile
+    of 2**b amplitudes (b = ``tile_bits``) onto a tile: cols[i] < 2**b for
+    i < b.  cross must be symmetric with a clear diagonal, so that q is the
+    quadratic form of a Clifford without a Hadamard part.  Raises
+    ValueError otherwise.
     """
     n = _check_affine(amp, cols, diag, cross)
     if not 0 <= max([offset, *cols, *cross]) < amp.shape[0]:
@@ -462,7 +462,7 @@ def numpy_affine(amp, cols, offset, diag, cross, c):
             or np.any(np.bincount(dest, minlength=amp.shape[0]) != 1)):
         raise ValueError(_AFFINE_ERRORS[1])
     out = np.empty_like(amp)
-    out[dest] = c * _I_POW[q & 3] * amp
+    out[dest] = _I_POW[q & 3] * amp
     amp[:] = out
 
 

@@ -29,7 +29,9 @@ import numpy as np
 
 from . import _kernels
 from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, TAGS, Circuit
-from .frame import HadamardFree, PauliFrame, invert_to_rotations, split_clifford
+from .frame import HadamardFree, PauliFrame, split_clifford
+# perfbench/spans.py wraps this name; without it --trace 1 raises AttributeError
+from .frame import invert_to_rotations  # noqa: F401
 from .pauli import PauliString
 from .statevector import StateVector
 
@@ -83,7 +85,7 @@ class HybridState:
     passes it made, by kind (``quarter_turns``, ``affine`` and ``shears``),
     ``h``, the size of the Hadamard layer of the Clifford it flushed, and
     ``active``, d when the flush began.  ``timing["flush_s"]`` adds up the
-    seconds of the flushes, their synthesis and the pass of P_A included.
+    seconds of the flushes, their split of U and the pass of P_A included.
     """
 
     frame: PauliFrame
@@ -134,15 +136,15 @@ class HybridState:
         any rotation does, in one pass of the Clifford loop over 2**d
         amplitudes (``StateVector.apply_pauli_rotation``), and F P_A
         (``HadamardFree.after``) in an affine pass and a shear pass over the
-        whole state (``StateVector.apply_hadamard_free``); the qubit
-        relabelings and single-qubit turns of the synthesis all become part
-        of F.  The frame fixes U only up to a global phase: the flush takes
-        it from the product of the steps of ``invert_to_rotations``, so the
-        result equals those steps applied one by one as rotations and swaps
-        to P_A|phi>, global phase included, within rounding.  It matches a
-        gate-by-gate run up to one global phase, which is left
-        unnormalized.  At the origin frame P_A alone is applied, with no
-        synthesis, and with A = I too no pass is made.
+        whole state (``StateVector.apply_hadamard_free``).  The frame fixes
+        U only up to a global phase, and the flush applies U = F T_h ... T_1
+        with F free of a constant factor, as ``split_clifford`` returns it.
+        So the result equals the steps of ``invert_to_rotations`` applied
+        one by one to P_A|phi> times a power of exp(i*pi/4), and a
+        gate-by-gate run times some global phase, which is left
+        unnormalized.  An invalid frame raises ValueError before any pass.
+        At the origin frame P_A alone is applied, with no split, and with
+        A = I too no pass is made.
         """
         t0 = time.perf_counter()
         n = self.frame.num_qubits
@@ -150,7 +152,7 @@ class HybridState:
         passes["active"] = self.active
         rest = HadamardFree.identity(n)
         if not self.frame.is_origin():
-            turns, rest = split_clifford(self.frame, invert_to_rotations(self.frame))
+            turns, rest = split_clifford(self.frame)
             for turn in turns:
                 state, axis = self._register(turn.axis)
                 state.apply_pauli_rotation(axis, turn.angle)

@@ -15,14 +15,15 @@ touch the 2**n amplitudes at all.
 ``invert_to_rotations`` synthesizes the accumulated Clifford back into O(n)
 Pauli rotations plus qubit relabelings.  Every rotation it emits comes from
 one rule: a pi/2 turn about i*B*A conjugates an entry A onto any
-anticommuting B, and a pi turn negates a single letter.  Its product fixes
-the global phase of a flush.
+anticommuting B, and a pi turn negates a single letter.
 
 ``split_clifford`` is how the hybrid backend flushes the frame into the
 state vector when raw amplitudes are needed: the Clifford as h quarter
 turns, h being the size of its Hadamard layer, followed by one
 Hadamard-free Clifford (``HadamardFree``), which maps each basis state to
-one basis state times a power of exp(i*pi/4).
+one basis state times a power of i.  The frame leaves the global phase
+open, and the split fixes it: the Hadamard-free part has no constant
+factor.
 
 Rows are held as plain (x_bits, z_bits, phase_exp) integer triples rather
 than PauliString objects: the frame update runs once per circuit gate and
@@ -430,7 +431,7 @@ def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
 
 
 class HadamardFree(NamedTuple):
-    """The Clifford |k> -> w**eighths * i**q(k) |A k ^ offset>, w = exp(i*pi/4).
+    """The Clifford |k> -> i**q(k) |A k ^ offset>, with no constant factor.
 
     ``rows`` holds the row masks of the invertible GF(2) matrix A, (A k)_i =
     parity(rows[i] & k), as in ``gf2``.  The phase is quadratic:
@@ -439,14 +440,13 @@ class HadamardFree(NamedTuple):
     ``cross`` are symmetric (bit j of cross[i] is bit i of cross[j], and bit
     i of cross[i] is clear): each pair of set bits they link adds 2.
     Every Clifford without a Hadamard part (X, CX, SWAP, S, CZ) has this
-    form, and only those have it.
+    form up to a global phase, and only those have it.
     """
 
     rows: tuple[int, ...]
     offset: int
     diag: tuple[int, ...]
     cross: tuple[int, ...]
-    eighths: int = 0
 
     @classmethod
     def identity(cls, n: int) -> "HadamardFree":
@@ -456,7 +456,7 @@ class HadamardFree(NamedTuple):
     def after(self, rows) -> "HadamardFree":
         """F P_A, for this Clifford F and the index map P_A|k> = |A k> of the
         invertible GF(2) matrix A with row masks ``rows``:
-        |k> -> w**eighths * i**q(A k) |R A k ^ offset>, R being F's matrix.
+        |k> -> i**q(A k) |R A k ^ offset>, R being F's matrix.
 
         q(A k) is quadratic in k again.  q(u ^ v) = q(u) + q(v) + 2 u.Gamma v
         mod 4, Gamma being the symmetric matrix with the parities of diag on
@@ -488,107 +488,31 @@ class HadamardFree(NamedTuple):
 
     def is_identity(self) -> bool:
         """True if this maps every |k> to itself."""
-        return (self.offset == 0 and self.eighths & 7 == 0
+        return (self.offset == 0
                 and all(r == 1 << i for i, r in enumerate(self.rows))
                 and not any(self.diag) and not any(self.cross))
 
 
-def _exp_at(p, k: int) -> int:
-    """e with P|k> = i**e |k ^ x> for the triple P = (x, z, phase_exp)."""
-    x, z, ph = p
-    return (ph + (x & z).bit_count() + 2 * (z & k).bit_count()) & 3
-
-
-def _sum_eighths(a: int, b: int) -> int | None:
-    """The phase of w**a + w**b in eighths of a turn, or None if it is 0; a
-    and b differ by a multiple of 2, as two amplitudes of one stabilizer
-    state (or of its sum with a Pauli image of it) do."""
-    d = (b - a) & 7
-    if d & 1:
-        raise RuntimeError("amplitudes of a stabilizer state differ by an odd power of w")
-    return None if d == 4 else (a + (0, 1, 0, -1)[d >> 1]) & 7
-
-
-class _Tracker:
-    """The state V|0> for a product V of quarter and half turns and qubit
-    swaps, as its n stabilizer generators plus the phase, in eighths of a
-    turn, of one nonzero amplitude.  All nonzero amplitudes of a stabilizer
-    state have the same magnitude, so these fix the state exactly, global
-    phase included (Aaronson & Gottesman, PRA 70, 052328 (2004))."""
-
-    __slots__ = ("stabs", "index", "eighths")
-
-    def __init__(self, n: int):
-        self.stabs = [(0, 1 << j, 0) for j in range(n)]
-        self.index = 0
-        self.eighths = 0
-
-    def eighths_at(self, k: int) -> int | None:
-        """The phase of the amplitude at k, or None if it is 0.  The
-        generators whose x parts sum to k ^ index form a stabilizer S with
-        S|index> proportional to |k>, so <k|psi> = <k|S|index> <index|psi>."""
-        target = k ^ self.index
-        if target:
-            span = gf2.Echelon()
-            for i, s in enumerate(self.stabs):
-                if s[0]:
-                    span.add(s[0], 1 << i)
-            rest, pick = span.reduce(target)
-            if rest:
-                return None
-        else:
-            pick = 0
-        s = (0, 0, 0)
-        while pick:
-            low = pick & -pick
-            s = _mul(s, self.stabs[low.bit_length() - 1])
-            pick ^= low
-        return (self.eighths + 2 * _exp_at(s, self.index)) & 7
-
-    def apply(self, step: RotationStep) -> None:
-        if step.kind == "qubit_swap":
-            a, b = step.qubits
-            self.index = _swap_bits(self.index, a, b)
-            self.stabs = [(_swap_bits(x, a, b), _swap_bits(z, a, b), p)
-                          for x, z, p in self.stabs]
-            return
-        axis = step.axis
-        p = (axis.x_bits, axis.z_bits, axis.phase_exp)
-        turns = step.quarter_turns
-        a, x = self.index, axis.x_bits
-        if turns == 2:
-            # R_P(pi) = -i P
-            self.index = a ^ x
-            self.eighths = (self.eighths + 2 * _exp_at(p, a) - 2) & 7
-        else:
-            # R_P(s pi/2) = (I - i s P)/sqrt(2); -i s = w**(-2 s)
-            partner = self.eighths_at(a ^ x)
-            if partner is not None:
-                here = _sum_eighths(self.eighths, partner + 2 * _exp_at(p, a ^ x) - 2 * turns)
-                if here is None:
-                    here = _sum_eighths(partner, self.eighths + 2 * _exp_at(p, a) - 2 * turns)
-                    self.index = a ^ x
-                self.eighths = here
-        _conjugate(self.stabs, p, turns)
-
-
-def split_clifford(frame: PauliFrame, reference: list[RotationStep]
-                   ) -> tuple[list[RotationStep], HadamardFree]:
+def split_clifford(frame: PauliFrame) -> tuple[list[RotationStep], HadamardFree]:
     """The tracked Clifford U as h quarter turns followed by one Clifford
-    without a Hadamard part: U = F * T_h ... T_1, global phase included.
+    without a Hadamard part: U = F * T_h ... T_1.
 
-    ``reference`` is ``invert_to_rotations(frame)``, whose product is U with
-    the global phase that a flush keeps; the result matches it exactly.
+    The frame fixes U only up to a global phase; this is the phase the
+    split gives it: the turns T = R_Q(pi/2) carry their own, and F has no
+    constant factor (F|k> = i**q(k) |A k ^ b>, and q(0) = 0).  The steps of
+    ``invert_to_rotations`` multiply to the same U times w**r for one
+    integer r, w = exp(i*pi/4).  Raises ValueError, before any other work,
+    if the frame is not valid.
 
-    Each turn T = R_Q(pi/2) lowers the GF(2) rank of the x parts of the
-    eff_z rows by one, so h is that rank (the size of U's Hadamard layer in
-    the canonical form F1 H P F2 of Bravyi & Maslov, arXiv:2003.09412).
-    Q = X**v Z**z takes for v the x part of an eff_z row, with top bit t,
-    and for z a solution of parity(z & x_i) = x_i[t] ^ parity(v & z_i) over
-    the rows (x_i, z_i): then exactly the rows with bit t set anticommute
-    with Q, and conjugation adds v to their x parts, which clears bit t in
-    all of them.  Once every eff_z row is Z-type, F maps basis states to
-    basis states, and F, as ``HadamardFree``, is read off the rows:
+    Each turn lowers the GF(2) rank of the x parts of the eff_z rows by one,
+    so h is that rank (the size of U's Hadamard layer in the canonical form
+    F1 H P F2 of Bravyi & Maslov, arXiv:2003.09412).  Q = X**v Z**z takes
+    for v the x part of an eff_z row, with top bit t, and for z a solution
+    of parity(z & x_i) = x_i[t] ^ parity(v & z_i) over the rows (x_i, z_i):
+    then exactly the rows with bit t set anticommute with Q, and
+    conjugation adds v to their x parts, which clears bit t in all of them.
+    Once every eff_z row is Z-type, F maps basis states to basis states,
+    and F, as ``HadamardFree``, is read off the rows:
 
     - eff_z[j] = F^dag Z_j F = (-1)**b_j Z**a_j: row j of A is a_j, and
       b_j is bit j of the offset.
@@ -599,11 +523,9 @@ def split_clifford(frame: PauliFrame, reference: list[RotationStep]
       the columns w_j, for the symmetric matrix Gamma with the parities of
       diag on its diagonal and cross off it; and q(d_j) = -s_j fixes the
       high bits of diag.
-
-    The constant phase comes from two ``_Tracker`` runs from |0>: one over
-    ``reference``, one over the turns, after which F adds i**q(k).  The
-    two states agree up to the phase, which is read at one index.
     """
+    if not frame.validate():
+        raise ValueError("cannot split an invalid frame")
     n = frame.num_qubits
     f = frame.copy()
     turns: list[RotationStep] = []
@@ -634,15 +556,5 @@ def split_clifford(frame: PauliFrame, reference: list[RotationStep]
             raise RuntimeError("the frame's eff_x rows fit no quadratic phase")
         if miss:
             high ^= rows[j]
-    rest = low._replace(diag=tuple(d + 2 * (high >> i & 1) for i, d in enumerate(low.diag)))
-
-    ref = _Tracker(n)
-    for step in reference:
-        ref.apply(step)
-    ours = _Tracker(n)
-    for step in turns:
-        ours.apply(step)
-    at = ref.eighths_at(rest.image(ours.index))
-    if at is None:
-        raise RuntimeError("the flush's factors and the reference steps build different states")
-    return turns, rest._replace(eighths=(at - ours.eighths - 2 * rest.phase(ours.index)) & 7)
+    return turns, low._replace(diag=tuple(d + 2 * (high >> i & 1)
+                                          for i, d in enumerate(low.diag)))

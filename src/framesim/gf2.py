@@ -71,15 +71,9 @@ class Echelon:
     def add(self, v: int, tag: int = 0) -> tuple[int, int]:
         """Insert v with its tag; returns the reduction of v before the
         insertion, which is (0, t) if v was in the span already."""
-        pivots = self.pivots
-        while v:  # self.reduce, inlined: the flush's tracker calls this most
-            top = v.bit_length() - 1
-            hit = pivots.get(top)
-            if hit is None:
-                pivots[top] = (v, tag)
-                break
-            v ^= hit[0]
-            tag ^= hit[1]
+        v, tag = self.reduce(v, tag)
+        if v:
+            self.pivots[v.bit_length() - 1] = (v, tag)
         return v, tag
 
 

@@ -41,10 +41,6 @@ _NORM_TOLERANCE = 1e-10
 _IMAG_TOLERANCE = 1e-9
 # bytes of a cache line, the alignment of the amplitudes a state allocates
 _LINE_BYTES = 64
-# exp(i*pi/4) to the power 0..7, with the exact values where they exist
-_SQ2 = 0.7071067811865476  # cos(pi/4)
-_OMEGA = (1.0, complex(_SQ2, _SQ2), 1j, complex(-_SQ2, _SQ2),
-          -1.0, complex(-_SQ2, -_SQ2), -1j, complex(_SQ2, -_SQ2))
 # the baseline's X and Y, as arguments (x, z, e0) of ``_kernels.clifford``
 # from the single-bit mask of their qubit, with ca = 0 and cb = 1
 _CLIFFORD_1Q = {
@@ -226,7 +222,7 @@ class StateVector:
 
     def apply_hadamard_free(self, form: HadamardFree) -> tuple[int, int]:
         """Apply the Clifford without a Hadamard part that ``form`` describes,
-        |k> -> w**eighths * i**q(k) |A k ^ b> (w = exp(i*pi/4)), in place.
+        |k> -> i**q(k) |A k ^ b>, in place.
 
         ``tile_factors`` splits A into L U G for the tiles of the kernels,
         so this is at most two passes: ``_kernels.affine`` for G with the
@@ -243,8 +239,7 @@ class StateVector:
         g, up, down = tile_factors(form.rows, b)
         # A k ^ c = L U (G k ^ U L c): the shears are their own inverses
         offset = _shear(up, [], b, _shear([], down, b, form.offset))
-        _kernels.affine(self.amplitudes, gf2.columns(g, n), offset, form.diag, form.cross,
-                        _OMEGA[form.eighths & 7])
+        _kernels.affine(self.amplitudes, gf2.columns(g, n), offset, form.diag, form.cross)
         if not any(up) and not any(down):
             return 1, 0
         _kernels.shear(self.amplitudes, up, down)

@@ -109,6 +109,15 @@ def index_mapped(amplitudes, rows) -> np.ndarray:
     return out
 
 
+def up_to_omega(out, ref) -> np.ndarray:
+    """ref times the power w**r, w = exp(i*pi/4), that brings its largest
+    entry nearest to out's entry there.  out equals it within rounding only
+    if out is ref times w**r for one integer r."""
+    k = np.argmax(np.abs(ref))
+    r = round(float(np.angle(out.flat[k] / ref.flat[k])) / (np.pi / 4))
+    return ref * np.exp(1j * np.pi / 4 * r)
+
+
 # ----------------------------------------------------------------------
 # random generators shared by the test modules
 

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from framesim import (Circuit, PauliString, StateVector, _kernels, run_baseline,
-                      run_hybrid)
+from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels,
+                      run_baseline, run_hybrid)
 from oracles import circuit_unitary, random_mixed_circuit
 
 
@@ -132,8 +132,8 @@ def test_flush_counts_its_state_passes(monkeypatch):
     # for the rest, and a state of one tile (n <= 8) takes no shear; the
     # origin frame with the identity index map, as a flush leaves it, makes
     # no pass and runs no synthesis; each entry records the active count
-    # the flush began with
-    from framesim import backends
+    # the flush began with.  No flush runs invert_to_rotations.
+    from framesim import backends, frame
     from oracles import gf2_rank, random_clifford_circuit
     rng = np.random.default_rng(57)
     for _ in range(20):
@@ -141,7 +141,11 @@ def test_flush_counts_its_state_passes(monkeypatch):
         hs, _ = run_hybrid(random_clifford_circuit(rng, n, 10 * n))
         h = gf2_rank(hs.frame.eff_z(i).x_bits for i in range(n))
         active = hs.active
-        hs.flush_to_origin()
+        with monkeypatch.context() as mp:
+            for module in (backends, frame):
+                mp.setattr(module, "invert_to_rotations",
+                           lambda *args: pytest.fail("synthesis ran"))
+            hs.flush_to_origin()
         with monkeypatch.context() as mp:
             for name in ("invert_to_rotations", "split_clifford"):
                 mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
@@ -153,6 +157,19 @@ def test_flush_counts_its_state_passes(monkeypatch):
         assert first["affine"] <= 1
         assert first["shears"] <= (1 if n > 8 else 0)
         assert sum(first[kind] for kind in ("quarter_turns", "affine", "shears")) <= h + 2
+
+
+def test_flush_rejects_an_invalid_frame_before_any_pass():
+    # both rows are (Z0, X0): validate() rejects the frame, and the flush
+    # raises with the amplitudes and its pass record as they were
+    z0, x0 = PauliString.single(2, 0, "Z"), PauliString.single(2, 0, "X")
+    amp = np.array([0.5, 0.5j, -0.5, 0.5])
+    hs = HybridState(PauliFrame(2, rows=[(z0, x0), (z0, x0)]), StateVector(2, amp),
+                     index_map=np.array([3, 2], dtype=np.uint64))
+    with pytest.raises(ValueError, match="invalid frame"):
+        hs.flush_to_origin()
+    assert np.array_equal(hs.phi.amplitudes, amp)
+    assert hs.flush_passes == []
 
 
 def test_flush_probabilities_match_baseline():

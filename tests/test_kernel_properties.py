@@ -1,8 +1,9 @@
 """The loops of ``_kernels`` over random arguments: the compiled C loops
 against the numpy references against dense matrices built from
 ``oracles`` or index maps computed here, the factorization that feeds the
-affine and shear passes, and the flush and its remainder pass against the
-per-step rotation path."""
+affine and shear passes, the flush against its dense split, and the flush
+and its remainder pass against the per-step rotation path up to a power of
+exp(i*pi/4)."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from framesim import Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels
 from framesim.frame import HadamardFree, RotationStep, invert_to_rotations, split_clifford
 from framesim.statevector import tile_factors
-from oracles import (compiled_clones, gf2_rank, pauli_matrix,
-                     random_clifford_circuit, rotation_matrix)
+from oracles import (circuit_unitary, compiled_clones, gf2_rank, index_mapped, pauli_matrix,
+                     random_clifford_circuit, rotation_matrix, up_to_omega)
 
 # the Clifford loop of the numpy reference always, and the compiled C loop
 # wherever it loaded, on each of its clones that this CPU runs
@@ -127,8 +128,9 @@ def test_rotation_diag_loop_matches_reference_and_oracle(n, data, theta, sign, s
 @given(n=st.integers(1, MAX_QUBITS), length=st.integers(0, 120),
        seed=st.integers(0, 2**32 - 1))
 def test_flush_matches_the_per_step_rotation_path(n, length, seed):
-    # the flush's quarter and half turns on the Clifford loop against the
-    # same steps applied as general rotations, global phase included
+    # the flush against the steps of invert_to_rotations applied as general
+    # rotations and swaps, up to a power of w = exp(i*pi/4): one for the
+    # whole state
     rng = np.random.default_rng(seed)
     frame = PauliFrame.origin(n)
     for g in random_clifford_circuit(rng, n, length).gates:
@@ -143,7 +145,33 @@ def test_flush_matches_the_per_step_rotation_path(n, length, seed):
     hs = HybridState(frame, StateVector(n, amp))
     hs.flush_to_origin()
     assert hs.frame.is_origin()
-    assert np.max(np.abs(hs.phi.amplitudes - ref.amplitudes)) < 1e-12
+    out = hs.phi.amplitudes
+    assert np.max(np.abs(out - up_to_omega(out, ref.amplitudes))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), length=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+def test_flush_is_the_dense_split_after_the_index_map(n, length, seed):
+    # the flush of U P_A|phi> applies F T_h ... T_1 P_A, F and the turns
+    # being split_clifford's, global phase included: F has no constant
+    # factor.  Their product is U up to a power of w.
+    rng = np.random.default_rng(seed)
+    circ = random_clifford_circuit(rng, n, length)
+    frame = PauliFrame.origin(n)
+    for g in circ.gates:
+        frame.apply_gate(g.tag, g.qubits)
+    turns, rest = split_clifford(frame)
+    split = hadamard_free_matrix(rest)
+    for turn in reversed(turns):  # T_1 acts first
+        split = split @ rotation_matrix(turn.axis, turn.angle)
+    u = circuit_unitary(circ)
+    assert np.max(np.abs(split - up_to_omega(split, u))) < 1e-12
+    a = random_invertible(rng, n)
+    amp = random_amplitudes(seed, n)
+    hs = HybridState(frame, StateVector(n, amp),
+                     index_map=np.array(a, dtype=np.uint64))
+    hs.flush_to_origin()
+    assert np.max(np.abs(hs.phi.amplitudes - split @ index_mapped(amp, a))) < 1e-12
 
 
 @st.composite
@@ -175,14 +203,14 @@ def frame_of_steps(n, steps) -> PauliFrame:
 @given(monomial_runs())
 def test_folded_run_matches_its_turns_one_by_one(case):
     # a run of turns without a Hadamard part, folded into the flush's
-    # remainder pass, against the turns applied one by one, global phase
-    # included
+    # remainder pass, against the turns applied one by one, up to a power
+    # of w
     n, run, seed = case
     amp = random_amplitudes(seed, n)
     ref = StateVector(n, amp)
     for step in run:
         ref.apply_pauli_rotation(step.axis, step.angle)
-    turns, rest = split_clifford(frame_of_steps(n, run), run)
+    turns, rest = split_clifford(frame_of_steps(n, run))
     assert turns == []
     for name, (affine, shear) in PASSES.items():
         with pytest.MonkeyPatch.context() as mp:
@@ -190,7 +218,8 @@ def test_folded_run_matches_its_turns_one_by_one(case):
             mp.setattr(_kernels, "shear", shear)
             out = StateVector(n, amp)
             out.apply_hadamard_free(rest)
-        assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-12, name
+        assert np.max(np.abs(out.amplitudes - up_to_omega(out.amplitudes, ref.amplitudes))
+                      ) < 1e-12, name
 
 
 def random_invertible(rng, m) -> list[int]:
@@ -224,7 +253,7 @@ def test_tile_factors_reproduce_a_random_invertible_matrix_for_every_tile_split(
 
 
 def hadamard_free_matrix(form: HadamardFree) -> np.ndarray:
-    """The dense matrix of form, |k> -> w**eighths * i**q(k) |A k ^ offset>,
+    """The dense matrix of form, |k> -> i**q(k) |A k ^ offset>,
     with q(k) summed over the pairs of set bits of k as the docstring states."""
     n = len(form.rows)
     m = np.zeros((1 << n, 1 << n), dtype=complex)
@@ -232,8 +261,7 @@ def hadamard_free_matrix(form: HadamardFree) -> np.ndarray:
         bits = [i for i in range(n) if k >> i & 1]
         q = sum(form.diag[i] for i in bits) + 2 * sum(
             form.cross[i] >> j & 1 for a, i in enumerate(bits) for j in bits[:a])
-        m[mat_vec(form.rows, k) ^ form.offset, k] = (
-            np.exp(1j * np.pi / 4 * form.eighths) * 1j ** (q % 4))
+        m[mat_vec(form.rows, k) ^ form.offset, k] = 1j ** (q % 4)
     return m
 
 
@@ -250,8 +278,7 @@ def test_hadamard_free_after_an_index_map_is_their_product(n, seed):
                 cross[i] |= 1 << j
                 cross[j] |= 1 << i
     form = HadamardFree(tuple(random_invertible(rng, n)), int(rng.integers(0, 1 << n)),
-                        tuple(int(d) for d in rng.integers(0, 4, n)), tuple(cross),
-                        int(rng.integers(0, 8)))
+                        tuple(int(d) for d in rng.integers(0, 4, n)), tuple(cross))
     a = random_invertible(rng, n)
     index_map = np.zeros((1 << n, 1 << n))
     for k in range(1 << n):
@@ -274,9 +301,9 @@ def shears_oracle_index(up, down, b, k) -> int:
 
 
 def random_affine(rng, n, phased=True):
-    """Arguments (cols, offset, diag, cross, c) of an affine pass on n
-    qubits: a random invertible map of tiles onto tiles, a random offset
-    and, if phased, a random quadratic phase and constant."""
+    """Arguments (cols, offset, diag, cross) of an affine pass on n qubits:
+    a random invertible map of tiles onto tiles, a random offset and, if
+    phased, a random quadratic phase."""
     b = _kernels.tile_bits(n)
     low, high = random_invertible(rng, b), random_invertible(rng, n - b)
     rows = low + [(r << b) for r in high]
@@ -284,7 +311,6 @@ def random_affine(rng, n, phased=True):
         rows[i] |= int(rng.integers(0, 1 << n)) & ~((1 << b) - 1)
     cols = [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(n)]
     diag, cross = [0] * n, [0] * n
-    c = 1.0
     if phased:
         diag = [int(d) for d in rng.integers(0, 4, n)]
         for i in range(n):
@@ -292,12 +318,11 @@ def random_affine(rng, n, phased=True):
                 if rng.random() < 0.5:
                     cross[i] |= 1 << j
                     cross[j] |= 1 << i
-        c = complex(np.exp(1j * np.pi / 4 * rng.integers(8)))
-    return cols, int(rng.integers(0, 1 << n)), diag, cross, c
+    return cols, int(rng.integers(0, 1 << n)), diag, cross
 
 
-def affine_oracle(amp, cols, offset, diag, cross, c):
-    """The affine pass index by index: out[G k ^ offset] = c * i**q(k) * amp[k]."""
+def affine_oracle(amp, cols, offset, diag, cross):
+    """The affine pass index by index: out[G k ^ offset] = i**q(k) * amp[k]."""
     n = len(cols)
     out = np.empty_like(amp)
     for k in range(1 << n):
@@ -306,7 +331,7 @@ def affine_oracle(amp, cols, offset, diag, cross, c):
         for i in bits:
             image ^= cols[i]
             q += diag[i] + 2 * sum(cross[i] >> j & 1 for j in bits if j > i)
-        out[image] = c * 1j ** (q % 4) * amp[k]
+        out[image] = 1j ** (q % 4) * amp[k]
     return out
 
 
@@ -408,7 +433,7 @@ def test_affine_and_shear_passes_reject_maps_they_cannot_apply(name):
     for case, (cols, cross, match) in bad.items():
         state = amp.copy()
         with pytest.raises(ValueError, match=match):
-            affine(state, cols, 0, zeros, cross, 1.0)
+            affine(state, cols, 0, zeros, cross)
         assert np.array_equal(state, amp), case
     state = amp.copy()
     for up, down in (([1 << 9] + [0] * 6 + [1], [0, 0]), ([1 << 9] * 7, [0, 0]),
@@ -464,7 +489,7 @@ def test_compiled_loops_reject_a_misaligned_state():
                                                               dtype=np.uint64), 10,
                                                      ops, angles, 0),
              "affine": lambda: _kernels.affine(amp, [1 << i for i in range(10)], 0,
-                                               [0] * 10, [0] * 10, 1.0),
+                                               [0] * 10, [0] * 10),
              "shear": lambda: _kernels.shear(amp, [1 << 9] * 8, [0, 1])}
     for name, call in calls.items():
         with pytest.raises(ValueError, match="aligned to 16 bytes"):
