@@ -45,7 +45,10 @@
  * function of the position in the tile, pair by pair, in place, one coset
  * of at most 2**TILE_BITS tiles at a time, and then to each position a
  * linear function of the tile index.  The flush splits A into one affine
- * pass followed by one shear pass.
+ * pass followed by one shear pass.  When the state is zero beyond its
+ * first 2**d amplitudes, the flush runs those two passes on that prefix
+ * alone, and a scatter then moves each of its amplitudes k to E k ^ b, E
+ * an injective GF(2) map in echelon form, in place (see framesim_embed).
  *
  * The gate loop at the end runs a circuit's lowered gate stream on the
  * hybrid backend: Clifford gates update a bit-packed Pauli frame, and each
@@ -763,6 +766,40 @@ int framesim_shear(double *amp_, int64_t n_amp, const uint64_t *up, const uint64
         }
     }
     return 0;
+}
+
+/* amp[E k ^ off] <- amp[k] for k < 2**d, the other amplitudes below 2**d
+ * set to 0, those at or above it kept where no k lands, in place
+ *
+ * with E k the XOR of cols[i] over the set bits i of k.  The caller passes
+ * columns in echelon form: the top bit p_i of cols[i] rises with i, and
+ * cols[i] has no other column's top bit; off has no top bit of any
+ * column; and d is below n, the masks below 2**n.  The flush then scatters
+ * the register of a state zero beyond 2**d into the whole state.
+ *
+ * E k ^ off >= k for every k < 2**d, so a walk from k = 2**d - 1 down reads
+ * each amplitude before a write reaches it, and E being one to one, no
+ * two writes meet.  Bit p_i of E k ^ off is bit i of k, as E is the
+ * identity on the pivot bits and off has none.  For k > 0 with top bit t,
+ * bit p_t of E k ^ off is set, so if p_t > t, E k ^ off >= 2**p_t > k.
+ * Else p_i = i for every i <= t, as the p_i rise, so bits 0..t of
+ * E k ^ off are those of k.  E k steps down with one XOR:
+ * k - 1 = k ^ (2**(c+1) - 1), c the count of trailing zeros of k, so
+ * E (k - 1) = E k ^ cols[0] ^ ... ^ cols[c]. */
+void framesim_embed(double *amp_, int d, const uint64_t *cols, uint64_t off)
+{
+    v2d *amp = (v2d *)amp_;
+    uint64_t sum[64], e = 0; /* sum[c] = cols[0] ^ ... ^ cols[c] */
+    for (int i = 0; i < d; i++)
+        sum[i] = e ^= cols[i];
+    for (uint64_t k = ((uint64_t)1 << d) - 1;; k--) {
+        const v2d v = amp[k];
+        amp[k] = (v2d){0, 0};
+        amp[e ^ off] = v;
+        if (!k)
+            break;
+        e ^= sum[__builtin_ctzll(k)];
+    }
 }
 
 /* The gate codes of a lowered circuit, in the order of circuit.TAGS. */

@@ -1,7 +1,7 @@
 """The in-place amplitude kernels of ``StateVector``, the hybrid backend's
 compiled gate loop, and the choice of their tier.
 
-Five amplitude loops carry every state update:
+Six amplitude loops carry every state update:
 
 - ``clifford`` computes ``a[k] <- ca*a[k] + cb * i**e0 * (-1)**parity(k & z)
   * a[k ^ x]`` with real ca and cb: every update of the form
@@ -22,6 +22,12 @@ Five amplitude loops carry every state update:
   function of the new tile index to l.  One affine pass and one shear
   apply the part of a flush without a Hadamard part
   (``StateVector.apply_hadamard_free``).
+- ``embed`` moves ``a[k]`` to ``a[E k ^ offset]`` for the first 2**d
+  amplitudes, E an injective GF(2) map in echelon form, and zeroes the
+  ones it leaves: on a state that is zero beyond 2**d, the affine and
+  shear passes of a flush run on those 2**d amplitudes alone, and this
+  scatter then puts them in place, instead of two passes over the whole
+  state.
 
 The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
 (one read and one write each) and allocate nothing; the affine pass takes
@@ -63,11 +69,12 @@ under a name keyed by a hash of the source and the compiler flags, linked
 with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
 compiling.  The build names no CPU, so a cached library runs on any
-x86-64.  When the library loads, the five loop names are the C loops,
-``run_gates`` and ``register_map`` are set and ``JIT_ENABLED`` is True.
+x86-64.  When the library loads, the six loop names are the C loops,
+``run_gates`` and ``register_map`` are set and ``kernel_tier()`` returns
+``compiled-c``.
 When it cannot be built or loaded (no compiler, a build error, a cache
 directory that cannot be written) one ``RuntimeWarning`` names the reason,
-the five names are bound to the numpy functions instead and ``run_gates``
+the six names are bound to the numpy functions instead and ``run_gates``
 and ``register_map`` are None.  The choice is
 made once, here, from what the import observes.
 """
@@ -168,6 +175,8 @@ def _load():
     lib.framesim_affine.restype = ctypes.c_int
     lib.framesim_shear.argtypes = [ptr, i64, ptr, ptr]
     lib.framesim_shear.restype = ctypes.c_int
+    lib.framesim_embed.argtypes = [ptr, ctypes.c_int, ptr, u64]
+    lib.framesim_embed.restype = None
     lib.framesim_use_avx2.argtypes = [ctypes.c_int]
     lib.framesim_use_avx2.restype = ctypes.c_int
     return lib
@@ -180,12 +189,14 @@ except _Unavailable as exc:
     warnings.warn(f"framesim: compiled kernels unavailable, using the slower "
                   f"numpy path ({exc})", RuntimeWarning, stacklevel=2)
 
+# a numba-era alias of kernel_tier() == "compiled-c"; perfbench/run.py
+# reads it, and nothing else should
 JIT_ENABLED = _lib is not None
 
 
 def kernel_tier() -> str:
     """Name of the amplitude-kernel tier in use: ``compiled-c`` or ``numpy``."""
-    return "compiled-c" if JIT_ENABLED else "numpy"
+    return "numpy" if _lib is None else "compiled-c"
 
 
 # the clones of the Clifford and Hadamard loops that this CPU runs, indexed
@@ -310,6 +321,33 @@ def _check_shear(amp, up, down) -> int:
     if len(down) != n - b or any(c >> b for c in down):
         raise ValueError(f"need {n - b} lower shear columns below bit {b}")
     return b
+
+
+def _check_embed(amp, cols, offset) -> None:
+    """Raise ValueError unless the columns cols of E and the offset are as
+    ``numpy_embed`` needs them: E in echelon form, an offset without a
+    pivot bit, fewer columns than the state has qubits."""
+    n = amp.shape[0].bit_length() - 1
+    if len(cols) >= n:
+        raise ValueError(f"an embedding of {len(cols)} qubits into {n} qubits")
+    if not (0 <= min([offset, *cols]) and max([offset, *cols]) < amp.shape[0]):
+        raise ValueError("bit mask out of range for the amplitude array")
+    pivots = 0
+    for c in cols:
+        top = 1 << c.bit_length() >> 1
+        if top <= pivots or c & pivots:
+            raise ValueError("the embedding's columns are not in echelon form")
+        pivots |= top
+    if offset & pivots:
+        raise ValueError("the embedding's offset has a pivot bit")
+
+
+def _c_embed(amp, cols, offset):
+    """``numpy_embed`` in one pass of the C loop over 2**len(cols) amplitudes."""
+    addr = _address(amp)
+    _check_embed(amp, cols, offset)
+    cols = np.array(cols, dtype=np.uint64)
+    _lib.framesim_embed(addr, len(cols), cols.ctypes.data, offset)
 
 
 def _check_register(index_map, active) -> int:
@@ -488,11 +526,31 @@ def numpy_shear(amp, up, down):
     amp[:] = out
 
 
+def numpy_embed(amp, cols, offset):
+    """amp[E k ^ offset] <- amp[k] for every k < 2**d, d = len(cols), and
+    the other amplitudes below 2**d set to 0.
+
+    E k is the XOR of cols[i] over the set bits i of k.  E must be in
+    echelon form: the top bit of cols[i] rises with i, and no column has
+    another's top bit.  offset must have no top bit of a column, and d must
+    be below the qubit count.  Raises ValueError otherwise.  Then E k ^
+    offset >= k, which lets the C loop run in place (see ``_kernels.c``).
+    """
+    _check_embed(amp, cols, offset)
+    k = np.arange(1 << len(cols), dtype=np.int64)
+    dest = np.full(k.size, offset, dtype=np.int64)
+    for i, c in enumerate(cols):
+        dest ^= (k >> i & 1) * c
+    moved = amp[:k.size].copy()
+    amp[:k.size] = 0
+    amp[dest] = moved
+
+
 if _lib is not None:
     clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
-    affine, shear = _c_affine, _c_shear
+    affine, shear, embed = _c_affine, _c_shear, _c_embed
     run_gates, register_map = _c_run_gates, _c_register_map
 else:
     clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
-    affine, shear = numpy_affine, numpy_shear
+    affine, shear, embed = numpy_affine, numpy_shear, numpy_embed
     run_gates = register_map = None

@@ -82,10 +82,13 @@ class HybridState:
     is the plain U|phi>.
 
     ``flush_passes`` gets one entry per ``flush_to_origin`` call: the state
-    passes it made, by kind (``quarter_turns``, ``affine`` and ``shears``),
-    ``h``, the size of the Hadamard layer of the Clifford it flushed, and
-    ``active``, d when the flush began.  ``timing["flush_s"]`` adds up the
-    seconds of the flushes, their split of U and the pass of P_A included.
+    passes it made, by kind (``quarter_turns``, ``affine``, ``shears`` and
+    ``embed``, the scatter of the register into the whole state), ``h``,
+    the size of the Hadamard layer of the Clifford it flushed, ``active``,
+    d when the flush began, and ``register``, max(d, 1) after its quarter
+    turns: the qubits its affine and shear passes ran on.
+    ``timing["flush_s"]`` adds up the seconds of the flushes, their split
+    of U and the pass of P_A included.
     """
 
     frame: PauliFrame
@@ -127,8 +130,9 @@ class HybridState:
 
     def flush_to_origin(self) -> None:
         """Fold the frame's Clifford U and the index map P_A into the
-        amplitudes, in h + 2 state passes at most, h being the size of U's
-        Hadamard layer; afterwards A = I and d = n.
+        amplitudes, in h + 2 passes at most over 2**d amplitudes, h being
+        the size of U's Hadamard layer, and one scatter into the whole
+        state; afterwards A = I and d = n.
 
         ``split_clifford`` writes U as h quarter turns followed by one
         Clifford F without a Hadamard part, which maps each basis state to
@@ -136,9 +140,12 @@ class HybridState:
         any rotation does, in one pass of the Clifford loop over 2**d
         amplitudes (``StateVector.apply_pauli_rotation``), and F P_A
         (``HadamardFree.after``) in an affine pass and a shear pass over the
-        whole state (``StateVector.apply_hadamard_free``).  The frame fixes
-        U only up to a global phase, and the flush applies U = F T_h ... T_1
-        with F free of a constant factor, as ``split_clifford`` returns it.
+        register, d as the turns leave it, followed by one scatter of its
+        amplitudes into place; with d = n the two passes run on the whole
+        state and no scatter is made (``StateVector.apply_hadamard_free``).
+        The frame fixes U only up to a global phase, and the flush applies
+        U = F T_h ... T_1 with F free of a constant factor, as
+        ``split_clifford`` returns it.
         So the result equals the steps of ``invert_to_rotations`` applied
         one by one to P_A|phi> times a power of exp(i*pi/4), and a
         gate-by-gate run times some global phase, which is left
@@ -148,7 +155,7 @@ class HybridState:
         """
         t0 = time.perf_counter()
         n = self.frame.num_qubits
-        passes = dict.fromkeys(("quarter_turns", "affine", "shears", "h"), 0)
+        passes = dict.fromkeys(("quarter_turns", "affine", "shears", "embed", "h"), 0)
         passes["active"] = self.active
         rest = HadamardFree.identity(n)
         if not self.frame.is_origin():
@@ -158,8 +165,9 @@ class HybridState:
                 state.apply_pauli_rotation(axis, turn.angle)
             passes["quarter_turns"] = passes["h"] = len(turns)
             self.frame = PauliFrame.origin(n)
-        passes["affine"], passes["shears"] = self.phi.apply_hadamard_free(
-            rest.after(self.index_map.tolist()))
+        passes["register"] = max(self.active, 1)
+        passes["affine"], passes["shears"], passes["embed"] = self.phi.apply_hadamard_free(
+            rest.after(self.index_map.tolist()), passes["register"])
         self.index_map, self.active = _identity_map(n), n
         self.flush_passes.append(passes)
         self.timing["flush_s"] = self.timing.get("flush_s", 0.0) + time.perf_counter() - t0

@@ -17,8 +17,10 @@ H goes through its Hadamard loop, and CX, SWAP and ``swap_qubits``, as
 well as Z, S, SDG and CZ, which change only the amplitudes whose qubits
 are set, through its masked pair exchange.  A whole Clifford without a
 Hadamard part (``apply_hadamard_free``, the rest of a flush) goes through
-its affine and shear passes, which move whole tiles of amplitudes.  All of
-them update the amplitudes in place.
+its affine and shear passes, which move whole tiles of amplitudes, and on
+a state that is zero beyond its first 2**d amplitudes it runs them on
+those alone and scatters them into place.  All of them update the
+amplitudes in place.
 
 Index convention: bit j of the amplitude index is the computational value
 of qubit j (qubit 0 = least significant bit).
@@ -220,30 +222,47 @@ class StateVector:
         half_angle = 0.5 * theta
         _pauli_update(self.amplitudes, p, math.cos(half_angle), math.sin(half_angle), 3)
 
-    def apply_hadamard_free(self, form: HadamardFree) -> tuple[int, int]:
+    def apply_hadamard_free(self, form: HadamardFree, register: int | None = None
+                            ) -> tuple[int, int, int]:
         """Apply the Clifford without a Hadamard part that ``form`` describes,
         |k> -> i**q(k) |A k ^ b>, in place.
 
         ``tile_factors`` splits A into L U G for the tiles of the kernels,
         so this is at most two passes: ``_kernels.affine`` for G with the
         offset and the phase, and ``_kernels.shear`` for the shears U and L
-        unless both are I.  The identity makes no pass.  Returns the number
-        of affine passes and of shear passes.
+        unless both are I.  The identity makes no pass.
+
+        A ``register`` d below the qubit count says that the state is zero
+        beyond its first 2**d amplitudes, which the caller guarantees.  Then
+        ``HadamardFree.on_register`` writes the form on those as a d-qubit
+        form followed by an embedding k -> E k ^ b'; the passes apply the
+        d-qubit form to ``prefix(d)``, and one scatter, ``_kernels.embed``,
+        moves each of its amplitudes to its place, unless the embedding is
+        k -> k.  Phases and moves are the same as on the whole state, so the
+        amplitudes are too, bit for bit.  Returns the number of affine
+        passes, shear passes and scatters.
         """
         n = self.num_qubits
         if len(form.rows) != n:
             raise ValueError(f"{len(form.rows)}-qubit Clifford applied to {n}-qubit state")
+        if register is not None and register < n:
+            head, cols, offset = form.on_register(register)
+            affine, shears, _ = self.prefix(register).apply_hadamard_free(head)
+            if offset == 0 and cols == [1 << i for i in range(register)]:
+                return affine, shears, 0
+            _kernels.embed(self.amplitudes, cols, offset)
+            return affine, shears, 1
         if form.is_identity():
-            return 0, 0
+            return 0, 0, 0
         b = _kernels.tile_bits(n)
         g, up, down = tile_factors(form.rows, b)
         # A k ^ c = L U (G k ^ U L c): the shears are their own inverses
         offset = _shear(up, [], b, _shear([], down, b, form.offset))
         _kernels.affine(self.amplitudes, gf2.columns(g, n), offset, form.diag, form.cross)
         if not any(up) and not any(down):
-            return 1, 0
+            return 1, 0, 0
         _kernels.shear(self.amplitudes, up, down)
-        return 1, 1
+        return 1, 1, 0
 
     # ------------------------------------------------------------------
     # observables, measurement, preparation

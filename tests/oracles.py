@@ -96,6 +96,20 @@ def gf2_rank(vectors) -> int:
     return rank
 
 
+def frame_is_valid(frame) -> bool:
+    """``PauliFrame.validate`` pair by pair: every phase even, every pair of
+    eff_z rows and every pair of eff_x rows commuting, and eff_z[i]
+    anticommuting with eff_x[j] exactly when i == j."""
+    n = frame.num_qubits
+    zs = [frame.eff_z(i) for i in range(n)]
+    xs = [frame.eff_x(i) for i in range(n)]
+    if any(p.phase_exp % 2 for p in zs + xs):
+        return False
+    return all(zs[i].anticommutes(zs[j]) == 0 and xs[i].anticommutes(xs[j]) == 0
+               and zs[i].anticommutes(xs[j]) == (i == j)
+               for i in range(n) for j in range(n))
+
+
 def index_mapped(amplitudes, rows) -> np.ndarray:
     """P_A applied to the amplitudes, P_A|k> = |A k> for the GF(2) matrix
     with row masks ``rows``, (A k)_i = parity(rows[i] & k): the hybrid's
@@ -190,7 +204,7 @@ def compiled_clones(fn) -> dict:
     """The compiled loop fn on every clone this CPU runs: ``compiled`` on
     the clone the library picked at load, ``compiled-<clone>`` on each
     other one.  Empty on the numpy tier."""
-    if not _kernels.JIT_ENABLED:
+    if _kernels.kernel_tier() != "compiled-c":
         return {}
     picked = _kernels.simd_clone()
     return {("compiled" if clone == picked else f"compiled-{clone}"): on_clone(clone, fn)

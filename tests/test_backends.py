@@ -129,10 +129,12 @@ def test_flush_single_h():
 def test_flush_counts_its_state_passes(monkeypatch):
     # one entry per flush: h quarter turns, h being the GF(2) rank of the x
     # parts of the eff_z rows, then at most one affine pass and one shear
-    # for the rest, and a state of one tile (n <= 8) takes no shear; the
+    # for the rest, and a state of one tile (n <= 8) takes no shear, then
+    # at most one scatter, none when the rest ran on the whole state; the
     # origin frame with the identity index map, as a flush leaves it, makes
     # no pass and runs no synthesis; each entry records the active count
-    # the flush began with.  No flush runs invert_to_rotations.
+    # the flush began with and the register its rest ran on, at least the
+    # active count.  No flush runs invert_to_rotations.
     from framesim import backends, frame
     from oracles import gf2_rank, random_clifford_circuit
     rng = np.random.default_rng(57)
@@ -151,11 +153,14 @@ def test_flush_counts_its_state_passes(monkeypatch):
                 mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
             hs.flush_to_origin()
         first, second = hs.flush_passes
-        assert second == dict(quarter_turns=0, affine=0, shears=0, h=0, active=n)
+        assert second == dict(quarter_turns=0, affine=0, shears=0, embed=0, h=0, active=n,
+                              register=n)
         assert first["active"] == active
+        assert max(active, 1) <= first["register"] <= n
         assert first["quarter_turns"] == first["h"] == h
         assert first["affine"] <= 1
         assert first["shears"] <= (1 if n > 8 else 0)
+        assert first["embed"] <= (0 if first["register"] == n else 1)
         assert sum(first[kind] for kind in ("quarter_turns", "affine", "shears")) <= h + 2
 
 

@@ -159,7 +159,7 @@ def test_cli_run_stdout_jsonl(capsys):
     captured = capsys.readouterr()
     lines = [l for l in captured.out.splitlines() if l.strip()]
     assert len(lines) == 1 and '"backend": "hybrid"' in lines[0]
-    clone = f" ({_kernels.simd_clone()})" if _kernels.JIT_ENABLED else ""
+    clone = f" ({_kernels.simd_clone()})" if _kernels.kernel_tier() == "compiled-c" else ""
     assert f"framesim: kernel tier {_kernels.kernel_tier()}{clone}\n" in captured.err
 
 

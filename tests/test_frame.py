@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framesim import Circuit, PauliFrame, PauliString, invert_to_rotations
-from oracles import (all_paulis, circuit_unitary, gf2_rank, pauli_matrix,
+from oracles import (all_paulis, circuit_unitary, frame_is_valid, gf2_rank, pauli_matrix,
                      random_clifford_circuit, rotation_matrix, up_to_omega)
 
 
@@ -42,6 +42,34 @@ def test_validate_survives_random_circuits():
         n = int(rng.integers(1, 7))
         f = frame_of(random_clifford_circuit(rng, n, 100))
         assert f.validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10), length=st.integers(0, 80), seed=st.integers(0, 2**32 - 1),
+       corrupt=st.sampled_from(["none", "bit", "phase"]), row=st.integers(0, 19),
+       part=st.sampled_from(["x", "z"]), bit=st.integers(0, 9), shift=st.integers(1, 3))
+def test_validate_agrees_with_the_pairwise_check(n, length, seed, corrupt, row, part,
+                                                 bit, shift):
+    # on a valid frame, and on one with a single x or z bit flipped or a
+    # single phase shifted in one of its 2n rows
+    f = frame_of(random_clifford_circuit(np.random.default_rng(seed), n, length))
+    rows = [[z, x] for z, x in f.rows()]
+    side, i = divmod(row % (2 * n), n)  # side 0 is eff_z, 1 is eff_x
+    p = rows[i][side]
+    if corrupt == "bit":
+        flip = 1 << bit % n
+        p = PauliString(n, p.x_bits ^ flip * (part == "x"), p.z_bits ^ flip * (part == "z"),
+                        p.phase_exp)
+    elif corrupt == "phase":
+        p = p.with_phase_shift(shift)
+    rows[i][side] = p
+    broken = PauliFrame(n, rows=[tuple(r) for r in rows])
+    verdict = broken.validate()
+    assert verdict == frame_is_valid(broken)
+    # a flipped bit may leave a valid frame (Z_0 -> Y_0 next to X_0); a
+    # phase shift breaks it exactly when it is odd
+    if corrupt != "bit":
+        assert verdict == (corrupt == "none" or shift == 2)
 
 
 def test_cx_update_example():

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framesim import Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels
+from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels,
+                      run_hybrid)
 from framesim.frame import HadamardFree, RotationStep, invert_to_rotations, split_clifford
 from framesim.statevector import tile_factors
 from oracles import (circuit_unitary, compiled_clones, gf2_rank, index_mapped, pauli_matrix,
-                     random_clifford_circuit, rotation_matrix, up_to_omega)
+                     random_clifford_circuit, random_mixed_circuit, rotation_matrix,
+                     up_to_omega)
 
 # the Clifford loop of the numpy reference always, and the compiled C loop
 # wherever it loaded, on each of its clones that this CPU runs
@@ -21,8 +23,11 @@ TIERS = {"numpy": _kernels.numpy_clifford, **compiled_clones(_kernels.clifford)}
 # the affine and shear passes of the numpy reference always, and of the C
 # loops wherever they loaded; they are not cloned per SIMD width
 PASSES = {"numpy": (_kernels.numpy_affine, _kernels.numpy_shear)}
-if _kernels.JIT_ENABLED:
+# the scatter of a register into the whole state, likewise
+EMBEDS = {"numpy": _kernels.numpy_embed}
+if _kernels.kernel_tier() == "compiled-c":
     PASSES["compiled"] = (_kernels.affine, _kernels.shear)
+    EMBEDS["compiled"] = _kernels.embed
 
 MAX_QUBITS = 10
 TILE = 256  # amplitudes per tile of the compiled loops
@@ -443,6 +448,93 @@ def test_affine_and_shear_passes_reject_maps_they_cannot_apply(name):
     assert np.array_equal(state, amp)
 
 
+def random_embedding(rng, n, d):
+    """Columns and offset of a random embedding of d qubits into n, in the
+    echelon form ``_kernels.embed`` takes: pivots p_0 < ... < p_(d-1),
+    column i with its top bit at p_i and random bits below it off the
+    pivots, and a random offset off the pivots."""
+    pivots = sorted(int(p) for p in rng.choice(n, d, replace=False))
+    free = ((1 << n) - 1) & ~sum(1 << p for p in pivots)
+    cols = [1 << p | int(rng.integers(0, 1 << p)) & free for p in pivots]
+    return cols, int(rng.integers(0, 1 << n)) & free
+
+
+def embed_oracle(amp, cols, offset):
+    """The scatter index by index: out[E k ^ offset] = amp[k] for k < 2**d,
+    the other amplitudes below 2**d zero and those above kept."""
+    out = amp.copy()
+    out[:1 << len(cols)] = 0
+    for k in range(1 << len(cols)):
+        dest = offset
+        for i, col in enumerate(cols):
+            if k >> i & 1:
+                dest ^= col
+        out[dest] = amp[k]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, MAX_QUBITS), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_embed_matches_reference_and_oracle(n, data, seed):
+    # amplitudes above 2**d are nonzero here: the scatter overwrites only
+    # its destinations
+    d = data.draw(st.integers(1, n - 1), label="d")
+    cols, offset = random_embedding(np.random.default_rng(seed), n, d)
+    amp = random_amplitudes(seed, n)
+    ref = embed_oracle(amp, cols, offset)
+    for name, embed in EMBEDS.items():
+        out = amp.copy()
+        embed(out, cols, offset)
+        assert np.array_equal(out, ref), name
+
+
+@pytest.mark.parametrize("name", list(EMBEDS))
+def test_embed_rejects_what_it_cannot_scatter_in_place(name):
+    # and leaves the state as it was
+    embed = EMBEDS[name]
+    n = 6
+    amp = random_amplitudes(5, n)
+    bad = {"falling pivots": ([1 << 4, 1 << 2], 0, "echelon"),
+           "a column with another's pivot": ([1 << 2, 1 << 4 | 1 << 2], 0, "echelon"),
+           "a zero column": ([1, 0], 0, "echelon"),
+           "an offset with a pivot bit": ([1 << 1, 1 << 3 | 1], 1 << 3, "pivot bit"),
+           "as many columns as qubits": ([1 << i for i in range(n)], 0, "embedding of"),
+           "more columns than qubits": ([1 << i for i in range(n)] + [1 << n], 0,
+                                        "embedding of"),
+           "a column beyond the state": ([1 << n], 0, "out of range"),
+           "an offset beyond the state": ([1], 1 << n, "out of range")}
+    for case, (cols, offset, match) in bad.items():
+        state = amp.copy()
+        with pytest.raises(ValueError, match=match):
+            embed(state, cols, offset)
+        assert np.array_equal(state, amp), case
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, MAX_QUBITS), length=st.integers(0, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_register_flush_equals_the_whole_state_passes_bit_for_bit(n, length, seed):
+    # the flush of a hybrid run, whose rest runs on a register of fewer
+    # than n qubits where it can, against the same rest applied by the
+    # affine and shear passes to the whole state that the turns left
+    rng = np.random.default_rng(seed)
+    hs, _ = run_hybrid(random_mixed_circuit(rng, n, length, p_measure=0.03, p_prep=0.02),
+                       seed)
+    calls = []
+    whole = StateVector.apply_hadamard_free
+
+    def spy(state, form, register=None):
+        calls.append((state.copy(), form))
+        return whole(state, form, register)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StateVector, "apply_hadamard_free", spy)
+        hs.flush_to_origin()
+    before, form = calls[0]
+    whole(before, form)
+    assert np.array_equal(hs.phi.amplitudes, before.amplitudes)
+
+
 @pytest.mark.parametrize("name", list(TIERS))
 def test_clifford_loop_rejects_masks_outside_the_state(name):
     clifford = TIERS[name]
@@ -473,7 +565,8 @@ def test_clifford_loop_writes_only_its_state(case):
         assert np.max(np.abs(state - ref)) < 1e-12, name
 
 
-@pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="compiled kernels not loaded")
+@pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
+                    reason="compiled kernels not loaded")
 def test_compiled_loops_reject_a_misaligned_state():
     # a complex128 array at 8 mod 16 bytes, which numpy flags as aligned
     amp = np.zeros(2 * 1024 + 1)[1:].view(np.complex128)
@@ -490,7 +583,8 @@ def test_compiled_loops_reject_a_misaligned_state():
                                                      ops, angles, 0),
              "affine": lambda: _kernels.affine(amp, [1 << i for i in range(10)], 0,
                                                [0] * 10, [0] * 10),
-             "shear": lambda: _kernels.shear(amp, [1 << 9] * 8, [0, 1])}
+             "shear": lambda: _kernels.shear(amp, [1 << 9] * 8, [0, 1]),
+             "embed": lambda: _kernels.embed(amp, [1 << 9], 0)}
     for name, call in calls.items():
         with pytest.raises(ValueError, match="aligned to 16 bytes"):
             call()

@@ -138,7 +138,9 @@ def libasan() -> str | None:
 # loop on states of exactly 2 to 2**10 amplitudes on each clone, a
 # circuit at n = 10 that activates the register one qubit at a time
 # (prefixes of 2 to 2**10 amplitudes) around a MEASZ and a PREPZ, and
-# its flush, with the affine and shear passes
+# its flush, with the affine and shear passes; the scatter of a register
+# of 1 and of n - 1 qubits onto the last amplitude, and a flush whose
+# rest runs on a register of 7 of 10 qubits and is scattered into place
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -167,6 +169,25 @@ if hs.active != n:
 hs.flush_to_origin()
 if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
     raise SystemExit("the flushed state lost its norm")
+for cols, offset, last in (([(1 << n) - 1], 0, 1),
+                           ([1 << (i + 1) for i in range(n - 1)], 1, (1 << (n - 1)) - 1)):
+    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    moved = amp[last]
+    _kernels.embed(amp, cols, offset)
+    if amp[-1] != moved:
+        raise SystemExit(f"the scatter of {len(cols)} qubits missed the last amplitude")
+circ = Circuit(n)
+for q in range(7):
+    circ.append("RY", q, angle=0.4 + q)
+for q in range(n):
+    circ.append("CX", q, (q + 3) % n)
+    circ.append("CZ", q, (q + 6) % n)
+hs, _ = run_hybrid(circ, 1)
+hs.flush_to_origin()
+if hs.flush_passes[0]["register"] != 7 or hs.flush_passes[0]["embed"] != 1:
+    raise SystemExit(f"the flush did not scatter a register of 7: {hs.flush_passes}")
+if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
+    raise SystemExit("the scattered state lost its norm")
 """
 # a write past the end of a 4-amplitude state, which the sanitizer must stop
 OVERRUN_PROBE = """

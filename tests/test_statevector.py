@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framesim import HybridState, PauliFrame, PauliString, StateVector
+from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector,
+                      run_hybrid)
 from framesim import _kernels
 from oracles import (compiled_clones, pauli_matrix, random_clifford_circuit, random_pauli,
                      rotation_matrix)
@@ -153,7 +154,8 @@ TRAVERSAL_CASES = {
 }
 
 
-@pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="compiled kernels not loaded")
+@pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
+                    reason="compiled kernels not loaded")
 @pytest.mark.parametrize("case", list(TRAVERSAL_CASES))
 def test_compiled_rotation_matches_numpy_reference(case, monkeypatch):
     n, x, z = TRAVERSAL_CASES[case]
@@ -332,7 +334,22 @@ def test_clifford_gates_and_flush_allocate_nothing_state_sized():
         frame.apply_gate(tag, qubits)
     hs = HybridState(frame, state.copy())
     assert extra_peak(hs.flush_to_origin) <= slack
-    assert hs.flush_passes == [dict(quarter_turns=0, affine=1, shears=0, h=0, active=n)]
+    assert hs.flush_passes == [dict(quarter_turns=0, affine=1, shears=0, embed=0, h=0,
+                                    active=n, register=n)]
+    # a hybrid run whose register holds 10 of the 16 qubits, followed by
+    # Cliffords without a Hadamard part: the rest runs on 2**10 amplitudes
+    # and one scatter puts them in place
+    circ = Circuit(n)
+    for q in range(10):
+        circ.append("RX", q, angle=0.3 + q)
+    for q in range(n):
+        circ.append("CX", q, (q + 5) % n)
+        circ.append(("S", "X")[q % 2], (3 * q) % n)
+        circ.append("CZ", q, (q + 7) % n)
+    hs, _ = run_hybrid(circ, 1)
+    assert hs.active == 10
+    assert extra_peak(hs.flush_to_origin) <= slack
+    assert hs.flush_passes[0]["embed"] == 1 and hs.flush_passes[0]["register"] < n
 
 
 @pytest.mark.parametrize("tag", ["CX", "CZ", "SWAP"])
