@@ -41,10 +41,14 @@
  * quadratic phase (see framesim_affine).  The affine pass takes a matrix
  * that moves whole tiles: it relabels the tiles by following the cycles of
  * the tile map, with one tile of scratch, and permutes and phases each tile
- * inside the L1 cache.  The shear pass adds to the tile index a linear
- * function of the position in the tile, pair by pair, in place, one coset
- * of at most 2**TILE_BITS tiles at a time, and then to each position a
- * linear function of the tile index.  The flush splits A into one affine
+ * inside the L1 cache; without a phase, as for the index map of a flush at
+ * the origin frame, it only moves the amplitudes.  The shear pass adds to
+ * the tile index a linear function of the position in the tile, in place,
+ * moving whole cache lines: the tiles fall into groups of up to 4 that the
+ * two lowest position bits reach, and the block of one line of each tile
+ * of a group swaps with that of another group, permuted in registers.  It
+ * then adds to each position a linear function of the tile index, group by
+ * group, while the group is in the L1 cache.  The flush splits A into one affine
  * pass followed by one shear pass.  When the state is zero beyond its
  * first 2**d amplitudes, the flush runs those two passes on that prefix
  * alone, and a scatter then moves each of its amplitudes k to E k ^ b, E
@@ -492,30 +496,53 @@ static inline uint64_t xor_cols(const uint64_t *cols, uint64_t u)
     return r;
 }
 
+/* A basis of a span of GF(2) vectors in echelon form: for each set bit p of
+ * top, vec[p] is the basis vector whose top bit is p, and sum[p] the set of
+ * the vectors added so far, numbered in the order of their addition, whose
+ * XOR it is. */
+typedef struct {
+    uint64_t vec[64], sum[64], top;
+    int dim;
+} echelon;
+
+/* v reduced by the basis e; *sum is the set of added vectors whose XOR was
+ * taken off, so that v is that XOR when the result is 0 */
+static uint64_t reduce(const echelon *e, uint64_t v, uint64_t *sum)
+{
+    uint64_t s = 0;
+    while (v && e->top >> top_bit(v) & 1) {
+        const int p = top_bit(v);
+        v ^= e->vec[p];
+        s ^= e->sum[p];
+    }
+    *sum = s;
+    return v;
+}
+
+/* Add v to the basis e as vector number e->dim; returns 0, adding nothing,
+ * if v is in the span already. */
+static int add_vector(echelon *e, uint64_t v)
+{
+    uint64_t s;
+    v = reduce(e, v, &s);
+    if (!v)
+        return 0;
+    e->vec[top_bit(v)] = v;
+    e->sum[top_bit(v)] = s ^ (uint64_t)1 << e->dim++;
+    e->top |= (uint64_t)1 << top_bit(v);
+    return 1;
+}
+
 /* inv <- the columns of the inverse of the GF(2) matrix with the nb
  * columns cols, each below 2**nb; returns 0 if that matrix is singular. */
 static int invert_cols(const uint64_t *cols, int nb, uint64_t *inv)
 {
-    uint64_t pv[64], pt[64], have = 0; /* basis vector and its sum of columns, by top bit */
-    for (int j = 0; j < nb; j++) {
-        uint64_t v = cols[j], t = (uint64_t)1 << j;
-        while (v && have >> top_bit(v) & 1) {
-            const int p = top_bit(v);
-            v ^= pv[p];
-            t ^= pt[p];
-        }
-        if (!v || (nb < 64 && v >> nb))
+    echelon e = {.dim = 0};
+    for (int j = 0; j < nb; j++)
+        if ((nb < 64 && cols[j] >> nb) || !add_vector(&e, cols[j]))
             return 0;
-        pv[top_bit(v)] = v;
-        pt[top_bit(v)] = t;
-        have |= (uint64_t)1 << top_bit(v);
-    }
-    for (int i = 0; i < nb; i++) {
-        uint64_t v = (uint64_t)1 << i, t = 0;
-        for (; v; v ^= pv[top_bit(v)])
-            t ^= pt[top_bit(v)];
-        inv[i] = t;
-    }
+    for (int i = 0; i < nb; i++)
+        reduce(&e, (uint64_t)1 << i, inv + i);
     return 1;
 }
 
@@ -544,10 +571,12 @@ static const v2d TURN_RE[4] = {{1, 1}, {0, 0}, {-1, -1}, {0, 0}};
 static const v2d TURN_IM[4] = {{0, 0}, {-1, 1}, {0, 0}, {1, -1}};
 
 /* dst[perm[l] ^ off(u)] <- i**e(u, l) * src[l] for the positions l of
- * tile u, with e(u, l) = lin(u) + ql[l] + 2*parity(xc(u) & l). */
+ * tile u, with e(u, l) = lin(u) + ql[l] + 2*parity(xc(u) & l).  Without a
+ * phase (phased clear, every e(u, l) being 0) it only moves them, except
+ * in a tile of fewer than two cache lines. */
 static void map_tile(v2d *restrict dst, const v2d *restrict src, const v2d *next,
                      int64_t len, const uint8_t *perm, const uint8_t *ql,
-                     const tile_parts *tp, uint64_t u)
+                     const tile_parts *tp, uint64_t u, int phased)
 {
     uint64_t o = 0, y = 0;
     unsigned c = 0;
@@ -556,6 +585,20 @@ static void map_tile(v2d *restrict dst, const v2d *restrict src, const v2d *next
         o ^= tp->off[j];
         y ^= tp->xc[j];
         c += tp->lin[j] + (unsigned)__builtin_popcountll(tp->quad[j] & u);
+    }
+    if (!phased && len >= 2 * LINE) {
+        /* two lines of src are loaded before any is stored, as in
+         * turn_blocks; a smaller tile takes the loop below */
+        for (int64_t l = 0; l < len; l += 2 * LINE) {
+            v2d a[2 * LINE];
+            prefetch(next + l);
+            prefetch(next + l + LINE);
+            for (int j = 0; j < 2 * LINE; j++)
+                a[j] = src[l + j];
+            for (int j = 0; j < 2 * LINE; j++)
+                dst[perm[l + j] ^ o] = a[j];
+        }
+        return;
     }
     for (int64_t l = 0; l < len; l++) {
         if (l % LINE == 0)
@@ -584,8 +627,11 @@ enum { AFFINE_OK, AFFINE_SINGULAR, AFFINE_ASYMMETRIC };
  * the cycle receives its preimage, permuted and phased, and the tile whose
  * preimage is the first one receives the copy.  Each tile is read and
  * written once, permuted inside the L1 cache, and the loop prefetches the
- * tile it reads next.  Returns AFFINE_SINGULAR or AFFINE_ASYMMETRIC, leaving amp
- * as it was, if G or cross is not as required, else AFFINE_OK. */
+ * tile it reads next.  When every diag and cross entry is 0, q is 0 and the
+ * tiles are only moved, with no lookup of a power of i and no multiply, as
+ * the index map of a flush at the origin frame is.  Returns AFFINE_SINGULAR
+ * or AFFINE_ASYMMETRIC, leaving amp as it was, if G or cross is not as
+ * required, else AFFINE_OK. */
 int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t offset,
                     const uint8_t *diag, const uint64_t *cross, uint8_t *seen)
 {
@@ -594,7 +640,9 @@ int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t 
     const int64_t len = (int64_t)1 << b;
     const uint64_t lo = (uint64_t)len - 1, n_tiles = (uint64_t)n_amp >> b;
 
+    int phased = 0;
     for (int i = 0; i < n; i++) {
+        phased |= (diag[i] & 3) || cross[i];
         if (cross[i] >> i & 1)
             return AFFINE_ASYMMETRIC;
         for (int j = 0; j < i; j++)
@@ -644,13 +692,130 @@ int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t 
             const uint64_t u = xor_cols(tp.inv, cur ^ t0); /* the tile mapped to cur */
             const uint64_t v = u == s ? s + 1 : xor_cols(tp.inv, u ^ t0); /* read next */
             map_tile(amp + cur * (uint64_t)len, u == s ? first : amp + u * (uint64_t)len,
-                     amp + (v < n_tiles ? v : s) * (uint64_t)len, len, perm, ql, &tp, u);
+                     amp + (v < n_tiles ? v : s) * (uint64_t)len, len, perm, ql, &tp, u, phased);
             if (u == s)
                 break;
             cur = u;
         }
     }
     return AFFINE_OK;
+}
+
+/* The line blocks of the shear pass (see framesim_shear): a block is the
+ * cache line at position `at` of each of the nw tiles t[x] of a group.
+ * Every amplitude at tile x, position at + j of the block of the tiles t
+ * goes to tile x ^ y[j] ^ s, position at + j, of the block of the tiles u,
+ * and the other way round; t and u may be the same block.  Each position j
+ * is loaded from every tile before it is stored to any, which holds at
+ * most eight amplitudes in registers. */
+static inline __attribute__((always_inline)) void
+swap_blocks(v2d *const *t, v2d *const *u, int64_t at, const unsigned *y, unsigned s,
+            int nw)
+{
+    for (int j = 0; j < LINE; j++) {
+        v2d a[4], c[4];
+        const unsigned k = y[j] ^ s;
+        for (int x = 0; x < nw; x++) {
+            a[x] = t[x][at + j];
+            c[x] = u[x][at + j];
+        }
+        for (int x = 0; x < nw; x++) {
+            t[x ^ k][at + j] = c[x];
+            u[x ^ k][at + j] = a[x];
+        }
+    }
+}
+
+#define LINES (TILE / LINE) /* cache lines per tile */
+
+/* The tables of a shear pass on tiles of TILE amplitudes (see
+ * framesim_shear).  V, the span of the columns B e_i, has a basis whose
+ * first dw vectors span W = span(B e0, B e1), the tile offsets within a
+ * line; the groups are the cosets of W.  Tile rep ^ qspan[i] ^ wspan[x]
+ * is tile x of group i of the coset rep ^ V, rep having none of the bits
+ * `pivots`.  Line l of group i pairs with line l of group i ^ g[l], with
+ * the offset s[l]: B (LINE l) = qspan[g[l]] ^ wspan[s[l]], and B j =
+ * wspan[y[j]] for the positions j < LINE in a line. */
+typedef struct {
+    uint64_t pivots, wspan[4], qspan[LINES], nq;
+    unsigned y[LINE], s[LINES], g[LINES], gtop[LINES];
+} shear_plan;
+
+/* Tile x of group i of the coset rep ^ V (see shear_plan). */
+static inline uint64_t group_tile(const shear_plan *p, uint64_t rep, uint64_t i, int x)
+{
+    return rep ^ p->qspan[i] ^ p->wspan[x];
+}
+
+/* a[l] <-> a[l ^ o] for the positions l of a tile, o nonzero: the lower
+ * shear of one tile, a cache line or a pair of lines at a time. */
+static void lower_shear(v2d *a, uint64_t o)
+{
+    const int64_t ol = (int64_t)(o & ~(uint64_t)(LINE - 1)), oj = (int64_t)(o & (LINE - 1));
+    if (!ol) {
+        for (int64_t l = 0; l < TILE; l += LINE) {
+            v2d c[LINE];
+            for (int j = 0; j < LINE; j++)
+                c[j] = a[l + j];
+            for (int j = 0; j < LINE; j++)
+                a[l + (j ^ oj)] = c[j];
+        }
+        return;
+    }
+    /* the lines l with bit `skip` clear, counted by adding LINE with that
+     * bit forced set */
+    const int64_t skip = (int64_t)1 << top_bit((uint64_t)ol);
+    for (int64_t l = 0; l < TILE; l = ((l | skip) + LINE) & ~skip) {
+        v2d c[LINE], d[LINE];
+        for (int j = 0; j < LINE; j++) {
+            c[j] = a[l + j];
+            d[j] = a[(l ^ ol) + j];
+        }
+        for (int j = 0; j < LINE; j++) {
+            a[l + (j ^ oj)] = d[j];
+            a[(l ^ ol) + (j ^ oj)] = c[j];
+        }
+    }
+}
+
+/* The walk of framesim_shear for groups of nw tiles, which the caller
+ * passes as a constant.  Line l of group i pairs with line l of group
+ * i ^ g[l], and the pair is moved once, at the lower of the two groups:
+ * at group i when the top bit of g[l] is clear in i.  The partners come
+ * out of address order, so the loop prefetches those of the line AHEAD
+ * lines on. */
+#define AHEAD 2
+
+static inline __attribute__((always_inline)) void
+shear_walk(v2d *amp, uint64_t n_tiles, const uint64_t *down, const shear_plan *p, int nw)
+{
+    for (uint64_t rep = 0; rep < n_tiles; rep = ((rep | p->pivots) + 1) & ~p->pivots)
+        for (uint64_t i = 0; i < p->nq; i++) {
+            v2d *t[4];
+            for (int x = 0; x < nw; x++)
+                t[x] = amp + group_tile(p, rep, i, x) * TILE;
+            for (int l = 0; l < LINES; l++) {
+                const int la = l + AHEAD < LINES ? l + AHEAD : l;
+                if (p->g[la] && !(i & p->gtop[la]))
+                    for (int x = 0; x < nw; x++)
+                        prefetch(amp + group_tile(p, rep, i ^ p->g[la], x) * TILE + la * LINE);
+                const unsigned g = p->g[l];
+                if (i & p->gtop[l])
+                    continue; /* done with group i ^ g, which came first */
+                if (!g && nw == 1)
+                    continue; /* the block maps onto itself as it is */
+                v2d *u[4];
+                for (int x = 0; x < nw; x++)
+                    u[x] = amp + group_tile(p, rep, i ^ g, x) * TILE;
+                swap_blocks(t, u, l * LINE, p->y, p->s[l], nw);
+            }
+            /* every line of the group is done: the lower shear */
+            for (int x = 0; x < nw; x++) {
+                const uint64_t o = xor_cols(down, group_tile(p, rep, i, x));
+                if (o)
+                    lower_shear(t[x], o);
+            }
+        }
 }
 
 /* amp[(t ^ B l, l ^ M (t ^ B l))] <- amp[(t, l)] for every index k = (t, l)
@@ -662,109 +827,81 @@ int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t 
  * of two, and the n - b masks down must lie below 2**b; returns 1, leaving
  * amp as it was, if one does not, else 0.
  *
- * The upper shear is its own inverse and maps each coset t ^ V of the span
- * V of B (at most 2**b tiles: 1 MiB, inside the L2 cache) to itself, so
- * the loop walks the state coset by coset.  Inside one, it swaps the
- * positions l of tile t with those of tile t ^ B l, for each pair once,
- * the positions being grouped by their value of B l.  It then permutes
- * the positions of each tile of the coset by its offset M t, pair by pair,
- * while the coset is still in the cache. */
+ * The upper shear moves whole cache lines between tiles.  Position
+ * LINE l + j, the amplitude j of line l, adds B j, in W = span(B e0, B e1),
+ * to its tile, and B (LINE l) as well.  So the loop groups the tiles into
+ * the cosets of W, of 4 tiles, or 2 or 1 when W is smaller, and the block
+ * of line l of a group, one line of each of its tiles, goes to the block
+ * of line l of one group: amplitude j of its tile x to tile x ^ y_j ^ s,
+ * y_j standing for B j and s for the part of B (LINE l) in W.  The upper
+ * shear being its own inverse, two such blocks swap, or one maps onto
+ * itself; either way in registers, each line read and written whole.  The
+ * loop walks the groups of a coset of V, the span of B (at most 2**b
+ * tiles: 1 MiB, inside the L2 cache), in an order in which each pair of
+ * blocks comes up once.  Once a group has all its lines, the lower shear
+ * permutes the positions of its tiles, a line or a pair of lines at a
+ * time, while the lines the group has just moved are still in the L1
+ * cache. */
 int framesim_shear(double *amp_, int64_t n_amp, const uint64_t *up, const uint64_t *down)
 {
     v2d *amp = (v2d *)amp_;
     const int b = tile_bits(n_amp), nb = top_bit((uint64_t)n_amp) - b;
-    const int64_t len = (int64_t)1 << b;
-    const uint64_t lo = (uint64_t)len - 1, n_tiles = (uint64_t)n_amp >> b;
+    const uint64_t lo = ((uint64_t)1 << b) - 1, n_tiles = (uint64_t)n_amp >> b;
     for (int j = 0; j < nb; j++)
         if (down[j] & ~lo)
             return 1;
-
-    /* a reduced echelon basis of V, sorted by pivot (top) bit: every pivot
-     * bit is set in its own basis vector only, so a vector of V is the sum
-     * of the basis vectors whose pivot bits it has */
-    uint64_t basis[TILE_BITS], pivots = 0;
-    int r = 0;
-    for (int i = 0; i < b; i++) {
+    for (int i = 0; i < b; i++)
         if (up[i] & lo)
             return 1;
-        uint64_t v = up[i] >> b;
-        for (int k = 0; k < r; k++)
-            if (v >> top_bit(basis[k]) & 1)
-                v ^= basis[k];
-        if (!v)
-            continue;
-        for (int k = 0; k < r; k++)
-            if (basis[k] >> top_bit(v) & 1)
-                basis[k] ^= v;
-        int k = r++;
-        for (; k > 0 && basis[k - 1] > v; k--)
-            basis[k] = basis[k - 1];
-        basis[k] = v;
-        pivots |= (uint64_t)1 << top_bit(v);
-    }
-    uint64_t tag[TILE_BITS]; /* column i as the sum of the basis vectors in tag[i] */
-    for (int i = 0; i < b; i++) {
-        tag[i] = 0;
-        for (int k = 0; k < r; k++)
-            tag[i] |= (uint64_t)(up[i] >> b >> top_bit(basis[k]) & 1) << k;
-    }
-    /* span[g] is the sum of the basis vectors in g; the positions pos[k]
-     * for start[g] <= k < start[g + 1] are those with B l = span[g] */
-    const int size = 1 << r;
-    uint64_t span[TILE];
-    uint8_t group[TILE], pos[TILE];
-    int start[TILE + 1] = {0}, fill[TILE];
-    span[0] = 0;
-    for (int k = 0; k < r; k++)
-        for (int g = 0; g < 1 << k; g++)
-            span[(1 << k) + g] = span[g] ^ basis[k];
-    group[0] = 0;
-    for (int i = 0; i < b; i++)
-        for (int64_t l = 0; l < (int64_t)1 << i; l++)
-            group[((int64_t)1 << i) + l] = (uint8_t)(group[l] ^ tag[i]);
-    for (int64_t l = 0; l < len; l++)
-        start[group[l] + 1]++;
-    for (int g = 0; g < size; g++) {
-        start[g + 1] += start[g];
-        fill[g] = start[g];
-    }
-    for (int64_t l = 0; l < len; l++)
-        pos[fill[group[l]]++] = (uint8_t)l;
+    if (!nb)
+        return 0; /* one tile, which neither shear moves */
 
-    /* one tile of each coset has every pivot bit clear.  The positions of
-     * group g of tile rep ^ span[i] pair with those of tile rep ^ span[i ^
-     * g].  As the basis is reduced and sorted, bit k of i is the pivot bit
-     * of basis vector k in span[i], so the groups g whose top bit k is
-     * clear in i list each pair of tiles once.  A tile's partners get
-     * distinct positions, so they fall in distinct sets of the L1 cache. */
-    for (uint64_t rep = 0; rep < n_tiles; rep = ((rep | pivots) + 1) & ~pivots) {
-        for (int i = 0; i < size; i++) {
-            v2d *restrict a = amp + (rep ^ span[i]) * (uint64_t)len;
-            for (int k = 0; k < r; k++) {
-                if (i >> k & 1)
-                    continue;
-                for (int g = 1 << k; g < 2 << k; g++) {
-                    v2d *restrict c = amp + (rep ^ span[i ^ g]) * (uint64_t)len;
-                    for (int j = start[g]; j < start[g + 1]; j++) {
-                        const v2d x = a[pos[j]];
-                        a[pos[j]] = c[pos[j]];
-                        c[pos[j]] = x;
-                    }
-                }
-            }
-            /* the partners of tile i are all above it in this order, so
-             * the tile is done, and still in the cache */
-            const uint64_t o = xor_cols(down, rep ^ span[i]);
-            if (!o)
-                continue;
-            const int64_t skip = (int64_t)1 << top_bit(o);
-            for (int64_t l = 0; l < len; l = ((l | skip) + 1) & ~skip) {
-                const v2d x = a[l];
-                a[l] = a[l ^ (int64_t)o];
-                a[l ^ (int64_t)o] = x;
-            }
-        }
+    /* a basis of V from the columns of B, in their order: the first dw
+     * vectors added span W, and each column has its coordinates coord[i]
+     * in it, those below dw in W */
+    echelon e = {.dim = 0};
+    uint64_t added[TILE_BITS], coord[TILE_BITS];
+    int dw = 0;
+    for (int i = 0; i < TILE_BITS; i++) {
+        if (add_vector(&e, up[i] >> b))
+            added[e.dim - 1] = up[i] >> b;
+        if (i == 1)
+            dw = e.dim;
     }
+    for (int i = 0; i < TILE_BITS; i++)
+        reduce(&e, up[i] >> b, coord + i);
+
+    shear_plan p;
+    const int nw = 1 << dw;
+    p.pivots = e.top;
+    p.nq = (uint64_t)1 << (e.dim - dw);
+    p.wspan[0] = p.qspan[0] = 0;
+    for (int k = 0; k < dw; k++)
+        for (int x = 0; x < 1 << k; x++)
+            p.wspan[(1 << k) + x] = p.wspan[x] ^ added[k];
+    for (int k = 0; k < e.dim - dw; k++)
+        for (int i = 0; i < 1 << k; i++)
+            p.qspan[(1 << k) + i] = p.qspan[i] ^ added[dw + k];
+    for (int j = 0; j < LINE; j++)
+        p.y[j] = (unsigned)((j & 1 ? coord[0] : 0) ^ (j & 2 ? coord[1] : 0));
+    /* the coordinates of B (LINE l): position bits 0 and 1 pick the place
+     * in a line of LINE = 4, bits 2 and up the line */
+    uint64_t c[LINES];
+    c[0] = 0;
+    for (int k = 0; k < TILE_BITS - 2; k++)
+        for (int l = 0; l < 1 << k; l++)
+            c[(1 << k) + l] = c[l] ^ coord[2 + k];
+    for (int l = 0; l < LINES; l++) {
+        p.s[l] = (unsigned)(c[l] & (uint64_t)(nw - 1));
+        p.g[l] = (unsigned)(c[l] >> dw);
+        p.gtop[l] = p.g[l] ? 1u << top_bit(p.g[l]) : 0;
+    }
+    if (dw == 2)
+        shear_walk(amp, n_tiles, down, &p, 4);
+    else if (dw == 1)
+        shear_walk(amp, n_tiles, down, &p, 2);
+    else
+        shear_walk(amp, n_tiles, down, &p, 1);
     return 0;
 }
 

@@ -21,7 +21,9 @@ Six amplitude loops carry every state update:
   the position l in the tile to the tile index t, the next a linear
   function of the new tile index to l.  One affine pass and one shear
   apply the part of a flush without a Hadamard part
-  (``StateVector.apply_hadamard_free``).
+  (``StateVector.apply_hadamard_free``).  Without a phase, as for the
+  index map alone, the affine pass only moves amplitudes; the shear moves
+  whole cache lines between the tiles.
 - ``embed`` moves ``a[k]`` to ``a[E k ^ offset]`` for the first 2**d
   amplitudes, E an injective GF(2) map in echelon form, and zeroes the
   ones it leaves: on a state that is zero beyond 2**d, the affine and
@@ -45,7 +47,12 @@ it.  On a 2-core Xeon with AVX2, on a state that starts on a cache line
 amplitude at n = 16, 0.77-0.82 at n = 18 and 0.75-0.83 at n = 20 on the
 AVX2 clone, against 0.38-0.49, 0.70-0.78 and 0.75-0.78 for an in-place
 negation of the same amplitudes; the generic clone runs at 0.85-1.13,
-0.85-1.00 and 0.88-1.04.  The ``numpy_*`` functions compute the same
+0.85-1.00 and 0.88-1.04.  On the index map of the flushes of the
+benchmark's 18-qubit Trotter circuits (seed 1, the first six), a
+phase-free affine pass runs at 0.86-1.22 ns per amplitude and the shear at
+1.10-1.80, against 0.62-0.70 for the negation (3.1-4.5 times it
+together), where a lookup and a multiply per amplitude and a shear pair by
+pair ran at 2.6-4.0 and 2.7-3.5.  The ``numpy_*`` functions compute the same
 things by filtering index arrays, with whole-array temporaries, several
 times slower per amplitude; they are the reference the tests compare the C
 loops against.  The C loops take a contiguous complex128 state aligned to

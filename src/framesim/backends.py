@@ -150,24 +150,27 @@ class HybridState:
         one by one to P_A|phi> times a power of exp(i*pi/4), and a
         gate-by-gate run times some global phase, which is left
         unnormalized.  An invalid frame raises ValueError before any pass.
-        At the origin frame P_A alone is applied, with no split, and with
-        A = I too no pass is made.
+        At the origin frame P_A alone is applied, with no split: its form
+        is A's rows with no offset and no phase, which the affine pass only
+        moves; with A = I too no pass is made.
         """
         t0 = time.perf_counter()
         n = self.frame.num_qubits
         passes = dict.fromkeys(("quarter_turns", "affine", "shears", "embed", "h"), 0)
         passes["active"] = self.active
-        rest = HadamardFree.identity(n)
-        if not self.frame.is_origin():
+        if self.frame.is_origin():
+            form = HadamardFree(tuple(self.index_map.tolist()), 0, (0,) * n, (0,) * n)
+        else:
             turns, rest = split_clifford(self.frame)
             for turn in turns:
                 state, axis = self._register(turn.axis)
                 state.apply_pauli_rotation(axis, turn.angle)
             passes["quarter_turns"] = passes["h"] = len(turns)
             self.frame = PauliFrame.origin(n)
+            form = rest.after(self.index_map.tolist())  # A as the turns left it
         passes["register"] = max(self.active, 1)
         passes["affine"], passes["shears"], passes["embed"] = self.phi.apply_hadamard_free(
-            rest.after(self.index_map.tolist()), passes["register"])
+            form, passes["register"])
         self.index_map, self.active = _identity_map(n), n
         self.flush_passes.append(passes)
         self.timing["flush_s"] = self.timing.get("flush_s", 0.0) + time.perf_counter() - t0

@@ -47,12 +47,13 @@ class Circuit:
     """An ordered gate list on a fixed qubit count, plus free-form metadata.
 
     Gates are added only through ``append`` and ``extend``, which keep the
-    ``Gate`` records and the lowered arrays (see ``lowered``) in step;
-    ``gates`` is a read-only copy, and iterating over the circuit walks the
-    gates without one.
+    ``Gate`` records, the lowered arrays (see ``lowered``) and the Clifford
+    and rotation tallies in step; ``gates`` is a read-only copy, and
+    iterating over the circuit walks the gates without one.
     """
 
-    __slots__ = ("num_qubits", "_gates", "_ops", "_angles", "metadata")
+    __slots__ = ("num_qubits", "_gates", "_ops", "_angles", "_cliffords", "_rotations",
+                 "metadata")
 
     def __init__(self, num_qubits: int, gates=None, metadata=None):
         if num_qubits < 1:
@@ -61,6 +62,7 @@ class Circuit:
         self._gates: list[Gate] = []
         self._ops = array("i")  # code, q0, q1 per gate
         self._angles = array("d")
+        self._cliffords = self._rotations = 0
         self.metadata: dict = dict(metadata) if metadata else {}
         for g in gates or ():
             self.append(g.tag, *g.qubits, angle=g.angle)
@@ -90,6 +92,8 @@ class Circuit:
                 raise ValueError(f"{tag} requires a finite angle")
         elif angle is not None:
             raise ValueError(f"{tag} does not take an angle")
+        self._cliffords += tag in CLIFFORD_TAGS
+        self._rotations += tag in ROTATION_TAGS
         self._gates.append(Gate(tag, tuple(qubits), angle))
         self._ops.extend((_CODE[tag], qubits[0], qubits[-1] if len(qubits) > 1 else 0))
         self._angles.append(0.0 if angle is None else angle)
@@ -100,6 +104,8 @@ class Circuit:
         self._gates.extend(other._gates)
         self._ops.extend(other._ops)
         self._angles.extend(other._angles)
+        self._cliffords += other._cliffords
+        self._rotations += other._rotations
 
     def __len__(self) -> int:
         return len(self._gates)
@@ -109,10 +115,10 @@ class Circuit:
         return iter(self._gates)
 
     def clifford_count(self) -> int:
-        return sum(1 for g in self._gates if g.tag in CLIFFORD_TAGS)
+        return self._cliffords
 
     def rotation_count(self) -> int:
-        return sum(1 for g in self._gates if g.tag in ROTATION_TAGS)
+        return self._rotations
 
     def dump_text(self) -> str:
         """One gate per line: ``TAG q[,q2][,angle]``."""

@@ -4,7 +4,8 @@ import pytest
 
 from framesim import (Circuit, HamTerm, Hamiltonian, PauliString,
                       compile_pauli_rotation, trotterize)
-from oracles import circuit_unitary, rotation_matrix
+from framesim.circuit import CLIFFORD_TAGS, ROTATION_TAGS
+from oracles import circuit_unitary, random_mixed_circuit, rotation_matrix
 
 
 def test_append_validation():
@@ -35,6 +36,23 @@ def test_counts():
     assert c.clifford_count() == 2
     assert c.rotation_count() == 1
     assert len(c) == 4
+
+
+def test_counts_kept_at_append_time_equal_a_recount():
+    # a circuit built by append, by extend (of itself too) and from gates=
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        parts = [random_mixed_circuit(rng, n, int(rng.integers(0, 40))) for _ in range(3)]
+        joined = Circuit(n)
+        for part in parts:
+            joined.extend(part)
+        joined.extend(joined)
+        rebuilt = Circuit(n, gates=joined.gates)
+        for c in (*parts, joined, rebuilt):
+            assert c.clifford_count() == sum(g.tag in CLIFFORD_TAGS for g in c.gates)
+            assert c.rotation_count() == sum(g.tag in ROTATION_TAGS for g in c.gates)
+        assert rebuilt.lowered() == joined.lowered()
 
 
 def test_dump_text():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels,
-                      run_hybrid)
+                      random_hamiltonian, run_hybrid, trotterize)
 from framesim.frame import HadamardFree, RotationStep, invert_to_rotations, split_clifford
 from framesim.statevector import tile_factors
 from oracles import (circuit_unitary, compiled_clones, gf2_rank, index_mapped, pauli_matrix,
@@ -177,6 +177,30 @@ def test_flush_is_the_dense_split_after_the_index_map(n, length, seed):
                      index_map=np.array(a, dtype=np.uint64))
     hs.flush_to_origin()
     assert np.max(np.abs(hs.phi.amplitudes - split @ index_mapped(amp, a))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, MAX_QUBITS), seed=st.integers(0, 2**32 - 1))
+def test_origin_flush_applies_the_index_map_in_the_form_of_its_product(n, seed):
+    # at the origin frame the flush writes P_A's form directly; it must be
+    # the form HadamardFree.after gives, and the flush must apply P_A
+    rng = np.random.default_rng(seed)
+    a = random_invertible(rng, n)
+    amp = random_amplitudes(seed, n)
+    hs = HybridState(PauliFrame.origin(n), StateVector(n, amp),
+                     index_map=np.array(a, dtype=np.uint64))
+    forms = []
+    whole = StateVector.apply_hadamard_free
+
+    def spy(state, form, register=None):
+        forms.append(form)
+        return whole(state, form, register)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StateVector, "apply_hadamard_free", spy)
+        hs.flush_to_origin()
+    assert forms == [HadamardFree.identity(n).after(a)]
+    assert np.array_equal(hs.phi.amplitudes, index_mapped(amp, a))
 
 
 @st.composite
@@ -357,12 +381,14 @@ def random_shear(rng, n):
 
 
 def check_passes(n, seed, run, oracle):
+    # the passes only move amplitudes and multiply them by powers of i, so
+    # every tier must give the oracle's amplitudes exactly
     amp = random_amplitudes(seed, n)
     ref = oracle(amp)
     for name, passes in PASSES.items():
         out = amp.copy()
         run(passes, out)
-        assert np.max(np.abs(out - ref)) < 1e-12, name
+        assert np.array_equal(out, ref), name
 
 
 @settings(max_examples=100, deadline=None)
@@ -404,6 +430,99 @@ def test_affine_and_shear_passes_move_tiles_on_larger_states(n):
                      lambda amp: shear_oracle(amp, cols, down))
 
 
+def shear_columns(rng, n, rank, shape) -> list[int]:
+    """Columns up of an upper shear on n qubits whose B has the given rank,
+    with W = span(B e0, B e1), the tile offsets within a cache line, of
+    the given shape: "zero" (dim 0), "e0 zero", "e1 zero" or "equal" (dim
+    1, the last with B e0 = B e1) or "free" (dim 2).  The other columns
+    take the rest of the rank, in random places, and random sums."""
+    v = random_invertible(rng, n - 8)[:rank]
+    v0, v1 = (v + [0, 0])[:2]
+    w = {"zero": [0, 0], "e0 zero": [0, v0], "e1 zero": [v0, 0], "equal": [v0, v0],
+         "free": [v0, v1]}[shape]
+    dim = {"zero": 0, "free": 2}.get(shape, 1)
+    rest = [0] * 6
+    for slot, vec in zip(rng.permutation(6), v[dim:]):
+        rest[slot] = vec
+    for slot in range(6):
+        if not rest[slot]:
+            for vec in v:
+                if rng.random() < 0.5:
+                    rest[slot] ^= vec
+    cols = [c << 8 for c in w + rest]
+    assert gf2_rank(cols) == rank and gf2_rank(cols[:2]) == dim
+    return cols
+
+
+def shear_cases():
+    """(n, rank, shape, with_down) for every rank B can have at n = 9..14
+    and each shape of W that rank allows, with and without a lower shear;
+    and n = 18 once, at rank 8 and at rank 7 with B e0 = B e1."""
+    cases = []
+    for n in range(9, 15):
+        for rank in range(min(n - 8, 6) + 1):
+            shapes = [s for s, dim in (("zero", 0), ("e0 zero", 1), ("e1 zero", 1),
+                                       ("equal", 1), ("free", 2))
+                      if dim <= rank and rank - dim <= 6]
+            cases += [(n, rank, shape, down) for shape in shapes for down in (False, True)]
+    return cases + [(18, 8, "free", True), (18, 7, "equal", True)]
+
+
+@pytest.mark.skipif("compiled" not in PASSES, reason="the compiled passes did not load")
+@pytest.mark.parametrize("n, rank, shape, with_down", shear_cases())
+def test_shear_pass_moves_every_rank_and_line_group_exactly(n, rank, shape, with_down):
+    # the C pass on a view into a guarded array, one amplitude or one
+    # cache line into it, against numpy_shear on the same amplitudes
+    rng = np.random.default_rng([n, rank, len(shape), with_down])
+    up = shear_columns(rng, n, rank, shape)
+    down = random_shear(rng, n)[1] if with_down else [0] * (n - 8)
+    amp = random_amplitudes(rank, n)
+    ref = amp.copy()
+    _kernels.numpy_shear(ref, up, down)
+    skip = 1 + 3 * (n % 2)
+    guarded = np.full(amp.size + 2 * skip, 7.0 - 7.0j)
+    state = guarded[skip:-skip]
+    state[:] = amp
+    _kernels.shear(state, up, down)
+    assert np.all(guarded[:skip] == 7.0 - 7.0j) and np.all(guarded[-skip:] == 7.0 - 7.0j)
+    assert np.array_equal(state, ref)
+
+
+@pytest.mark.skipif("compiled" not in PASSES, reason="the compiled passes did not load")
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 12])
+def test_phase_free_affine_pass_only_moves_amplitudes(n):
+    # without a phase the C pass takes its moving loop: zeros, and diag
+    # entries of 4, which are 0 mod 4, must give numpy_affine's amplitudes
+    rng = np.random.default_rng(n)
+    cols, offset, _, _ = random_affine(rng, n, phased=False)
+    amp = random_amplitudes(n, n)
+    for diag, cross in (((0,) * n, (0,) * n), ([4] * n, [0] * n)):
+        ref, out = amp.copy(), amp.copy()
+        _kernels.numpy_affine(ref, cols, offset, diag, cross)
+        _kernels.affine(out, cols, offset, diag, cross)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(ref, affine_oracle(amp, cols, offset, [0] * n, [0] * n))
+
+
+@pytest.mark.skipif("compiled" not in PASSES, reason="the compiled passes did not load")
+def test_trotter_flush_equals_the_numpy_passes_bit_for_bit():
+    # the paper's case at full size, 25 weight-18 terms on 18 qubits: the
+    # flush applies P_A alone, a phase-free affine pass and a shear whose B
+    # has rank 8, and must give the numpy passes' amplitudes exactly
+    n = 18
+    hs, _ = run_hybrid(trotterize(random_hamiltonian(n, n, 25, [1, 0])), 1)
+    form = HadamardFree.identity(n).after(hs.index_map.tolist())
+    assert gf2_rank(tile_factors(form.rows, 8)[1]) == 8
+    state = hs.phi.copy()
+    hs.flush_to_origin()
+    assert hs.flush_passes[0]["affine"] == hs.flush_passes[0]["shears"] == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "affine", _kernels.numpy_affine)
+        mp.setattr(_kernels, "shear", _kernels.numpy_shear)
+        state.apply_hadamard_free(form)
+    assert np.array_equal(hs.phi.amplitudes, state.amplitudes)
+
+
 @pytest.mark.parametrize("name", list(PASSES))
 def test_affine_and_shear_passes_write_only_their_state(name):
     # the state as a view into a larger array: the elements on either side
@@ -420,7 +539,7 @@ def test_affine_and_shear_passes_write_only_their_state(name):
             state[:] = amp
             run(state)
             assert np.all(guarded[:4] == 7.0 - 7.0j) and np.all(guarded[-4:] == 7.0 - 7.0j)
-            assert np.max(np.abs(state - oracle)) < 1e-12
+            assert np.array_equal(state, oracle)
 
 
 @pytest.mark.parametrize("name", list(PASSES))

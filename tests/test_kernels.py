@@ -138,9 +138,10 @@ def libasan() -> str | None:
 # loop on states of exactly 2 to 2**10 amplitudes on each clone, a
 # circuit at n = 10 that activates the register one qubit at a time
 # (prefixes of 2 to 2**10 amplitudes) around a MEASZ and a PREPZ, and
-# its flush, with the affine and shear passes; the scatter of a register
-# of 1 and of n - 1 qubits onto the last amplitude, and a flush whose
-# rest runs on a register of 7 of 10 qubits and is scattered into place
+# its flush, with the affine and shear passes; the shear pass on groups of
+# 1, 2 and 4 tiles with a lower shear; the scatter of a register of 1 and
+# of n - 1 qubits onto the last amplitude, and a flush whose rest runs on
+# a register of 7 of 10 qubits and is scattered into place
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -169,6 +170,9 @@ if hs.active != n:
 hs.flush_to_origin()
 if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
     raise SystemExit("the flushed state lost its norm")
+for up in ([0] * 8, [0, 1 << 8] + [1 << 9] * 6, [1 << 8, 1 << 9, 1 << 10] + [0] * 5):
+    amp = rng.normal(size=1 << 11) + 1j * rng.normal(size=1 << 11)
+    _kernels.shear(amp, up, [3, 1 << 6, 0])
 for cols, offset, last in (([(1 << n) - 1], 0, 1),
                            ([1 << (i + 1) for i in range(n - 1)], 1, (1 << (n - 1)) - 1)):
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
