@@ -24,7 +24,7 @@
  *
  * The two gate kernels after it serve fixed gates: the Hadamard gate on
  * one qubit, and a masked pair exchange that swaps pairs of amplitudes
- * (CX, SWAP and the flush's qubit relabelings) or multiplies a masked
+ * (CX and SWAP) or multiplies a masked
  * subset by a power of i (Z, S, SDG and CZ).  Both walk contiguous runs of
  * amplitudes in address order, a cache line at a time where the runs are
  * shorter, and allocate nothing.
@@ -50,9 +50,9 @@
  * then adds to each position a linear function of the tile index, group by
  * group, while the group is in the L1 cache.  The flush splits A into one affine
  * pass followed by one shear pass.  When the state is zero beyond its
- * first 2**d amplitudes, the flush runs those two passes on that prefix
- * alone, and a scatter then moves each of its amplitudes k to E k ^ b, E
- * an injective GF(2) map in echelon form, in place (see framesim_embed).
+ * first 2**d amplitudes, only the first d columns of A and the phase on
+ * those amplitudes matter, and one phased scatter from a copy of them
+ * writes each to its place instead (see framesim_scatter).
  *
  * The gate loop at the end runs a circuit's lowered gate stream on the
  * hybrid backend: Clifford gates update a bit-packed Pauli frame, and each
@@ -72,6 +72,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 #include <time.h>
 
 #define TILE_BITS 8
@@ -611,6 +612,20 @@ static void map_tile(v2d *restrict dst, const v2d *restrict src, const v2d *next
 
 enum { AFFINE_OK, AFFINE_SINGULAR, AFFINE_ASYMMETRIC };
 
+/* 1 unless the n masks cross are symmetric with a clear diagonal, as the
+ * quadratic phase of the affine pass and the scatter needs them */
+static int asymmetric(const uint64_t *cross, int n)
+{
+    for (int i = 0; i < n; i++) {
+        if (cross[i] >> i & 1)
+            return 1;
+        for (int j = 0; j < i; j++)
+            if (((cross[i] >> j) ^ (cross[j] >> i)) & 1)
+                return 1;
+    }
+    return 0;
+}
+
 /* amp[G k ^ offset] <- i**q(k) * amp[k] for every index k
  *
  * with q(k) = sum over the set bits i of k of diag[i] + popcount(cross[i] &
@@ -640,15 +655,11 @@ int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t 
     const int64_t len = (int64_t)1 << b;
     const uint64_t lo = (uint64_t)len - 1, n_tiles = (uint64_t)n_amp >> b;
 
+    if (asymmetric(cross, n))
+        return AFFINE_ASYMMETRIC;
     int phased = 0;
-    for (int i = 0; i < n; i++) {
+    for (int i = 0; i < n; i++)
         phased |= (diag[i] & 3) || cross[i];
-        if (cross[i] >> i & 1)
-            return AFFINE_ASYMMETRIC;
-        for (int j = 0; j < i; j++)
-            if (((cross[i] >> j) ^ (cross[j] >> i)) & 1)
-                return AFFINE_ASYMMETRIC;
-    }
     /* the permutation and phase of the positions, built by doubling */
     uint8_t perm[TILE], ql[TILE];
     uint64_t hit[TILE / 64] = {0};
@@ -905,38 +916,53 @@ int framesim_shear(double *amp_, int64_t n_amp, const uint64_t *up, const uint64
     return 0;
 }
 
-/* amp[E k ^ off] <- amp[k] for k < 2**d, the other amplitudes below 2**d
- * set to 0, those at or above it kept where no k lands, in place
+/* amp[C k ^ off] <- i**q(k) * src[k] for k < 2**d, the other amplitudes
+ * below 2**d set to 0, C k being the XOR of cols[i] over the set bits i of
+ * k and q as in framesim_affine.  The caller passes src, 2**d amplitudes
+ * apart from amp, d below the qubit count, cols and off below 2**n and
+ * cross below 2**d.  Returns AFFINE_SINGULAR for dependent columns or
+ * AFFINE_ASYMMETRIC, before amp is touched, else AFFINE_OK.
  *
- * with E k the XOR of cols[i] over the set bits i of k.  The caller passes
- * columns in echelon form: the top bit p_i of cols[i] rises with i, and
- * cols[i] has no other column's top bit; off has no top bit of any
- * column; and d is below n, the masks below 2**n.  The flush then scatters
- * the register of a state zero beyond 2**d into the whole state.
- *
- * E k ^ off >= k for every k < 2**d, so a walk from k = 2**d - 1 down reads
- * each amplitude before a write reaches it, and E being one to one, no
- * two writes meet.  Bit p_i of E k ^ off is bit i of k, as E is the
- * identity on the pivot bits and off has none.  For k > 0 with top bit t,
- * bit p_t of E k ^ off is set, so if p_t > t, E k ^ off >= 2**p_t > k.
- * Else p_i = i for every i <= t, as the p_i rise, so bits 0..t of
- * E k ^ off are those of k.  E k steps down with one XOR:
- * k - 1 = k ^ (2**(c+1) - 1), c the count of trailing zeros of k, so
- * E (k - 1) = E k ^ cols[0] ^ ... ^ cols[c]. */
-void framesim_embed(double *amp_, int d, const uint64_t *cols, uint64_t off)
+ * k walks upward: k + 1 = k ^ m_c, m_c = 2**(c+1) - 1, c the count of
+ * trailing ones of k, so the destination steps by C m_c, and the phase by
+ * q(m_c) + 2 parity(k & Gamma m_c), as q(u ^ v) = q(u) + q(v) +
+ * 2 parity(u & Gamma v) mod 4 for the symmetric matrix Gamma with the
+ * parities of diag on its diagonal and cross off it. */
+int framesim_scatter(double *amp_, const double *src_, int d, const uint64_t *cols,
+                     uint64_t off, const uint8_t *diag, const uint64_t *cross)
 {
     v2d *amp = (v2d *)amp_;
-    uint64_t sum[64], e = 0; /* sum[c] = cols[0] ^ ... ^ cols[c] */
+    const v2d *src = (const v2d *)src_;
+    echelon e = {.dim = 0};
     for (int i = 0; i < d; i++)
-        sum[i] = e ^= cols[i];
-    for (uint64_t k = ((uint64_t)1 << d) - 1;; k--) {
-        const v2d v = amp[k];
-        amp[k] = (v2d){0, 0};
-        amp[e ^ off] = v;
-        if (!k)
-            break;
-        e ^= sum[__builtin_ctzll(k)];
+        if (!add_vector(&e, cols[i]))
+            return AFFINE_SINGULAR;
+    if (asymmetric(cross, d))
+        return AFFINE_ASYMMETRIC;
+    /* C m_c, Gamma m_c and q(m_c), with m_c = m_(c-1) ^ e_c: q(m_c) =
+     * q(m_(c-1)) + diag[c] + 2 parity(e_c & Gamma m_(c-1)) */
+    uint64_t cm[64], gm[64], csum = 0, gsum = 0;
+    unsigned qm[64], q = 0;
+    for (int c = 0; c < d; c++) {
+        q += diag[c] + 2u * (unsigned)(gsum >> c & 1);
+        cm[c] = csum ^= cols[c];
+        gm[c] = gsum ^= cross[c] | (uint64_t)(diag[c] & 1) << c;
+        qm[c] = q & 3;
     }
+    const uint64_t last = ((uint64_t)1 << d) - 1;
+    memset(amp, 0, (last + 1) * sizeof *amp);
+    uint64_t at = off;
+    unsigned ph = 0;
+    for (uint64_t k = 0;; k++) {
+        const v2d a = src[k];
+        amp[at] = TURN_RE[ph] * a + TURN_IM[ph] * (v2d){a[1], a[0]};
+        if (k == last)
+            break;
+        const int c = __builtin_ctzll(~k);
+        ph = (ph + qm[c] + 2u * (unsigned)__builtin_parityll(k & gm[c])) & 3;
+        at ^= cm[c];
+    }
+    return AFFINE_OK;
 }
 
 /* The gate codes of a lowered circuit, in the order of circuit.TAGS. */

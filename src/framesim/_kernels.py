@@ -20,20 +20,20 @@ Six amplitude loops carry every state update:
   index that two shears make of k = (t, l): one adds a linear function of
   the position l in the tile to the tile index t, the next a linear
   function of the new tile index to l.  One affine pass and one shear
-  apply the part of a flush without a Hadamard part
+  apply the part of a flush without a Hadamard part to a whole state
   (``StateVector.apply_hadamard_free``).  Without a phase, as for the
   index map alone, the affine pass only moves amplitudes; the shear moves
   whole cache lines between the tiles.
-- ``embed`` moves ``a[k]`` to ``a[E k ^ offset]`` for the first 2**d
-  amplitudes, E an injective GF(2) map in echelon form, and zeroes the
-  ones it leaves: on a state that is zero beyond 2**d, the affine and
-  shear passes of a flush run on those 2**d amplitudes alone, and this
-  scatter then puts them in place, instead of two passes over the whole
-  state.
+- ``scatter`` computes ``a[C k ^ offset] <- i**q(k) * src[k]`` for the 2**d
+  amplitudes of ``src``, C an injective GF(2) map from d bits, and sets
+  every other amplitude below 2**d to 0: on a state that is zero beyond
+  2**d, whose first 2**d amplitudes ``src`` copies, it applies the part of
+  a flush without a Hadamard part in one pass over those amplitudes.
 
 The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
 (one read and one write each) and allocate nothing; the affine pass takes
-from its wrapper a bitmap of one bit per tile, 1/32768 of the state.  The
+from its wrapper a bitmap of one bit per tile, 1/32768 of the state, and
+the scatter reads the copy of the register that its caller makes.  The
 Clifford loop walks the state in cache-sized tiles, so that its cost
 depends neither on the number of qubits nor on how many qubits the
 operator touches; the gate loops walk contiguous runs in address order, a
@@ -182,8 +182,8 @@ def _load():
     lib.framesim_affine.restype = ctypes.c_int
     lib.framesim_shear.argtypes = [ptr, i64, ptr, ptr]
     lib.framesim_shear.restype = ctypes.c_int
-    lib.framesim_embed.argtypes = [ptr, ctypes.c_int, ptr, u64]
-    lib.framesim_embed.restype = None
+    lib.framesim_scatter.argtypes = [ptr, ptr, ctypes.c_int, ptr, u64, ptr, ptr]
+    lib.framesim_scatter.restype = ctypes.c_int
     lib.framesim_use_avx2.argtypes = [ctypes.c_int]
     lib.framesim_use_avx2.restype = ctypes.c_int
     return lib
@@ -288,7 +288,7 @@ def tile_bits(num_qubits: int) -> int:
     return min(num_qubits, TILE_BITS)
 
 
-_AFFINE_ERRORS = {1: "the affine map is singular or moves positions across tiles",
+_AFFINE_ERRORS = {1: "the map is singular, or moves positions across tiles",
                   2: "the phase's cross masks are not symmetric with a clear diagonal"}
 
 
@@ -297,6 +297,14 @@ def _check_affine(amp, cols, diag, cross) -> int:
     if not len(cols) == len(diag) == len(cross) == n:
         raise ValueError(f"need one column, diag and cross entry per qubit ({n})")
     return n
+
+
+def _check_cross(cross) -> None:
+    """Raise ValueError unless cross is symmetric with a clear diagonal."""
+    n = len(cross)
+    if any(cross[i] >> j & 1 != (i != j and cross[j] >> i & 1)
+           for i in range(n) for j in range(i + 1)):
+        raise ValueError(_AFFINE_ERRORS[2])
 
 
 def _c_affine(amp, cols, offset, diag, cross):
@@ -330,31 +338,31 @@ def _check_shear(amp, up, down) -> int:
     return b
 
 
-def _check_embed(amp, cols, offset) -> None:
-    """Raise ValueError unless the columns cols of E and the offset are as
-    ``numpy_embed`` needs them: E in echelon form, an offset without a
-    pivot bit, fewer columns than the state has qubits."""
-    n = amp.shape[0].bit_length() - 1
-    if len(cols) >= n:
-        raise ValueError(f"an embedding of {len(cols)} qubits into {n} qubits")
-    if not (0 <= min([offset, *cols]) and max([offset, *cols]) < amp.shape[0]):
-        raise ValueError("bit mask out of range for the amplitude array")
-    pivots = 0
-    for c in cols:
-        top = 1 << c.bit_length() >> 1
-        if top <= pivots or c & pivots:
-            raise ValueError("the embedding's columns are not in echelon form")
-        pivots |= top
-    if offset & pivots:
-        raise ValueError("the embedding's offset has a pivot bit")
+def _check_scatter(amp, src, cols, offset, diag, cross) -> None:
+    """Raise ValueError unless src is 2**d amplitudes apart from amp and
+    fewer, d = len(cols), with a diag and a cross entry per column and
+    every mask in range."""
+    d = len(cols)
+    if not (isinstance(src, np.ndarray) and src.ndim == 1 and src.shape[0] == 1 << d
+            < amp.shape[0]) or np.may_share_memory(src, amp):
+        raise ValueError(f"the register must be 2**{d} amplitudes apart from the "
+                         f"state's {amp.shape[0]}, and fewer")
+    if not len(diag) == len(cross) == d:
+        raise ValueError(f"need one diag and cross entry per column ({d})")
+    if not (0 <= min([offset, *cols, *cross]) and max([offset, *cols]) < amp.shape[0]
+            and max(cross, default=0) < src.shape[0]):
+        raise ValueError("bit mask out of range for the amplitude array or the register")
 
 
-def _c_embed(amp, cols, offset):
-    """``numpy_embed`` in one pass of the C loop over 2**len(cols) amplitudes."""
-    addr = _address(amp)
-    _check_embed(amp, cols, offset)
-    cols = np.array(cols, dtype=np.uint64)
-    _lib.framesim_embed(addr, len(cols), cols.ctypes.data, offset)
+def _c_scatter(amp, src, cols, offset, diag, cross):
+    """``numpy_scatter`` in one pass of the C loop over the 2**d amplitudes of src."""
+    src_addr, addr = _address(src), _address(amp)
+    _check_scatter(amp, src, cols, offset, diag, cross)
+    cols, cross = np.array(cols, dtype=np.uint64), np.array(cross, dtype=np.uint64)
+    err = _lib.framesim_scatter(addr, src_addr, len(cols), cols.ctypes.data, offset,
+                                bytes(x & 3 for x in diag), cross.ctypes.data)
+    if err:
+        raise ValueError(_AFFINE_ERRORS[err])
 
 
 def _check_register(index_map, active) -> int:
@@ -478,6 +486,19 @@ def numpy_pair_exchange(amp, mask, val, x, e):
         amp[k], amp[k ^ x] = amp[k ^ x], amp[k]
 
 
+def _images(cols, offset, diag, cross):
+    """C k ^ offset and q(k) mod 4 for every k < 2**len(cols), C having the
+    columns cols and q being as in ``numpy_affine``."""
+    k = np.arange(1 << len(cols), dtype=np.int64)
+    dest = np.full(k.size, offset, dtype=np.int64)
+    q = np.zeros(k.size, dtype=np.int64)
+    for i, col in enumerate(cols):
+        bit = k >> i & 1
+        dest ^= bit * col
+        q += bit * (diag[i] + np.bitwise_count(k & np.int64(cross[i])))
+    return dest, q & 3
+
+
 def numpy_affine(amp, cols, offset, diag, cross):
     """amp[G k ^ offset] <- i**q(k) * amp[k] for every index k.
 
@@ -492,22 +513,14 @@ def numpy_affine(amp, cols, offset, diag, cross):
     n = _check_affine(amp, cols, diag, cross)
     if not 0 <= max([offset, *cols, *cross]) < amp.shape[0]:
         raise ValueError("bit mask out of range for the amplitude array")
-    if any(cross[i] >> j & 1 != (i != j and cross[j] >> i & 1)
-           for i in range(n) for j in range(i + 1)):
-        raise ValueError(_AFFINE_ERRORS[2])
+    _check_cross(cross)
     b = tile_bits(n)
-    k = np.arange(amp.shape[0], dtype=np.int64)
-    dest = np.full(amp.shape[0], offset, dtype=np.int64)
-    q = np.zeros(amp.shape[0], dtype=np.int64)
-    for i in range(n):
-        bit = k >> i & 1
-        dest ^= bit * cols[i]
-        q += bit * (diag[i] + np.bitwise_count(k & np.int64(cross[i])))
+    dest, q = _images(cols, offset, diag, cross)
     if (any(cols[i] >> b for i in range(b))
             or np.any(np.bincount(dest, minlength=amp.shape[0]) != 1)):
         raise ValueError(_AFFINE_ERRORS[1])
     out = np.empty_like(amp)
-    out[dest] = _I_POW[q & 3] * amp
+    out[dest] = _I_POW[q] * amp
     amp[:] = out
 
 
@@ -533,31 +546,30 @@ def numpy_shear(amp, up, down):
     amp[:] = out
 
 
-def numpy_embed(amp, cols, offset):
-    """amp[E k ^ offset] <- amp[k] for every k < 2**d, d = len(cols), and
-    the other amplitudes below 2**d set to 0.
+def numpy_scatter(amp, src, cols, offset, diag, cross):
+    """amp[C k ^ offset] <- i**q(k) * src[k] for every k < 2**d, d = len(cols),
+    and the other amplitudes below 2**d set to 0.
 
-    E k is the XOR of cols[i] over the set bits i of k.  E must be in
-    echelon form: the top bit of cols[i] rises with i, and no column has
-    another's top bit.  offset must have no top bit of a column, and d must
-    be below the qubit count.  Raises ValueError otherwise.  Then E k ^
-    offset >= k, which lets the C loop run in place (see ``_kernels.c``).
+    C k is the XOR of cols[i] over the set bits i of k, and q is as in
+    ``numpy_affine``.  src holds 2**d amplitudes, fewer than amp and apart
+    from it; the columns must be independent and the cross masks below
+    2**d.  Raises ValueError otherwise.
     """
-    _check_embed(amp, cols, offset)
-    k = np.arange(1 << len(cols), dtype=np.int64)
-    dest = np.full(k.size, offset, dtype=np.int64)
-    for i, c in enumerate(cols):
-        dest ^= (k >> i & 1) * c
-    moved = amp[:k.size].copy()
-    amp[:k.size] = 0
+    _check_scatter(amp, src, cols, offset, diag, cross)
+    _check_cross(cross)
+    dest, q = _images(cols, offset, diag, cross)
+    if np.unique(dest).size != dest.size:
+        raise ValueError(_AFFINE_ERRORS[1])
+    moved = _I_POW[q] * src
+    amp[:dest.size] = 0
     amp[dest] = moved
 
 
 if _lib is not None:
     clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
-    affine, shear, embed = _c_affine, _c_shear, _c_embed
+    affine, shear, scatter = _c_affine, _c_shear, _c_scatter
     run_gates, register_map = _c_run_gates, _c_register_map
 else:
     clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
-    affine, shear, embed = numpy_affine, numpy_shear, numpy_embed
+    affine, shear, scatter = numpy_affine, numpy_shear, numpy_scatter
     run_gates = register_map = None

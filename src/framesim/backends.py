@@ -83,10 +83,10 @@ class HybridState:
 
     ``flush_passes`` gets one entry per ``flush_to_origin`` call: the state
     passes it made, by kind (``quarter_turns``, ``affine``, ``shears`` and
-    ``embed``, the scatter of the register into the whole state), ``h``,
-    the size of the Hadamard layer of the Clifford it flushed, ``active``,
-    d when the flush began, and ``register``, max(d, 1) after its quarter
-    turns: the qubits its affine and shear passes ran on.
+    ``embed``, the phased scatter of a register into the whole state),
+    ``h``, the size of the Hadamard layer of the Clifford it flushed,
+    ``active``, d when the flush began, and ``register``, max(d, 1) after
+    its quarter turns: the qubits its rest ran on, n for the passes.
     ``timing["flush_s"]`` adds up the seconds of the flushes, their split
     of U and the pass of P_A included.
     """
@@ -130,19 +130,19 @@ class HybridState:
 
     def flush_to_origin(self) -> None:
         """Fold the frame's Clifford U and the index map P_A into the
-        amplitudes, in h + 2 passes at most over 2**d amplitudes, h being
-        the size of U's Hadamard layer, and one scatter into the whole
-        state; afterwards A = I and d = n.
+        amplitudes, in h passes over 2**d amplitudes, h being the size of
+        U's Hadamard layer, and one scatter into the whole state (h + 2
+        passes at most if d = n); afterwards A = I and d = n.
 
         ``split_clifford`` writes U as h quarter turns followed by one
         Clifford F without a Hadamard part, which maps each basis state to
         one basis state times a phase.  Each turn runs on the register as
         any rotation does, in one pass of the Clifford loop over 2**d
         amplitudes (``StateVector.apply_pauli_rotation``), and F P_A
-        (``HadamardFree.after``) in an affine pass and a shear pass over the
-        register, d as the turns leave it, followed by one scatter of its
-        amplitudes into place; with d = n the two passes run on the whole
-        state and no scatter is made (``StateVector.apply_hadamard_free``).
+        (``HadamardFree.after``) in one scatter that writes each amplitude
+        of the register, d as the turns leave it, phased, to its place;
+        with d = n it runs in an affine pass and a shear pass over the
+        whole state instead (``StateVector.apply_hadamard_free``).
         The frame fixes U only up to a global phase, and the flush applies
         U = F T_h ... T_1 with F free of a constant factor, as
         ``split_clifford`` returns it.
@@ -151,8 +151,8 @@ class HybridState:
         gate-by-gate run times some global phase, which is left
         unnormalized.  An invalid frame raises ValueError before any pass.
         At the origin frame P_A alone is applied, with no split: its form
-        is A's rows with no offset and no phase, which the affine pass only
-        moves; with A = I too no pass is made.
+        is A's rows with no offset and no phase; with A = I too no pass is
+        made.
         """
         t0 = time.perf_counter()
         n = self.frame.num_qubits

@@ -488,39 +488,6 @@ class HadamardFree(NamedTuple):
                              diag=tuple(self.phase(c) for c in cols),
                              cross=tuple(q & ~(1 << i) for i, q in enumerate(quad)))
 
-    def on_register(self, d: int) -> tuple["HadamardFree", list[int], int]:
-        """This Clifford on the basis states below 2**d, as a d-qubit
-        Clifford F' without a Hadamard part followed by an embedding k ->
-        E k ^ b' into n qubits: returns F', the d columns of E and b'.
-
-        Below 2**d, A k ^ b = C k ^ b for C, the first d columns of A, and
-        the phase q(k) needs only diag and cross on the first d bits.  The
-        pivot rows p_0 < ... < p_(d-1) of C are taken from row n - 1 down,
-        each row whose d bits are independent of those already taken; R,
-        the d x d matrix of those rows, is invertible, and every other row
-        is a sum of pivot rows above it.  So E = C R^-1 is the identity on
-        the pivot rows, and the top bit of its column i is p_i.  F' is
-        |k> -> i**q(k) |R k ^ beta>, beta_i = b_(p_i), and b' = b ^ E beta
-        has no pivot bit: E (R k ^ beta) ^ b' = C k ^ b.  That is the
-        echelon form ``_kernels.embed`` takes.
-        """
-        n = len(self.rows)
-        low = (1 << d) - 1
-        kept = gf2.Echelon()  # tagged by the pivot rows each vector sums
-        pivots = [p for p in reversed(range(n)) if kept.add(self.rows[p] & low, 1 << p)[0]]
-        pivots.reverse()
-        by_pivot = gf2.columns([kept.reduce(r & low)[1] for r in self.rows], n)
-        cols = [by_pivot[p] for p in pivots]
-        beta = [self.offset >> p & 1 for p in pivots]
-        offset = self.offset
-        for col, bit in zip(cols, beta):
-            if bit:
-                offset ^= col
-        return (HadamardFree(tuple(self.rows[p] & low for p in pivots),
-                             sum(bit << i for i, bit in enumerate(beta)),
-                             self.diag[:d], tuple(c & low for c in self.cross[:d])),
-                cols, offset)
-
     def image(self, k: int) -> int:
         """A k ^ offset, the basis state that |k> is mapped to."""
         return gf2.apply(self.rows, k) ^ self.offset

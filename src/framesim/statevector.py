@@ -17,10 +17,10 @@ H goes through its Hadamard loop, and CX, SWAP and ``swap_qubits``, as
 well as Z, S, SDG and CZ, which change only the amplitudes whose qubits
 are set, through its masked pair exchange.  A whole Clifford without a
 Hadamard part (``apply_hadamard_free``, the rest of a flush) goes through
-its affine and shear passes, which move whole tiles of amplitudes, and on
-a state that is zero beyond its first 2**d amplitudes it runs them on
-those alone and scatters them into place.  All of them update the
-amplitudes in place.
+its affine and shear passes, which move whole tiles of amplitudes in
+place; on a state that is zero beyond its first 2**d amplitudes it goes
+through one phased scatter of those amplitudes from a copy of them
+instead.  All the others update the amplitudes in place.
 
 Index convention: bit j of the amplitude index is the computational value
 of qubit j (qubit 0 = least significant bit).
@@ -233,25 +233,27 @@ class StateVector:
         unless both are I.  The identity makes no pass.
 
         A ``register`` d below the qubit count says that the state is zero
-        beyond its first 2**d amplitudes, which the caller guarantees.  Then
-        ``HadamardFree.on_register`` writes the form on those as a d-qubit
-        form followed by an embedding k -> E k ^ b'; the passes apply the
-        d-qubit form to ``prefix(d)``, and one scatter, ``_kernels.embed``,
-        moves each of its amplitudes to its place, unless the embedding is
-        k -> k.  Phases and moves are the same as on the whole state, so the
-        amplitudes are too, bit for bit.  Returns the number of affine
-        passes, shear passes and scatters.
+        beyond its first 2**d amplitudes, which the caller guarantees.
+        There only the first d columns of A and of the phase matter, and
+        one scatter, ``_kernels.scatter``, writes each of those amplitudes,
+        phased, to its place from a copy of them, unless the form is the
+        identity on them.  The amplitudes are those of the two passes, bit
+        for bit.  Returns the number of affine passes, shear passes and
+        scatters.
         """
         n = self.num_qubits
         if len(form.rows) != n:
             raise ValueError(f"{len(form.rows)}-qubit Clifford applied to {n}-qubit state")
         if register is not None and register < n:
-            head, cols, offset = form.on_register(register)
-            affine, shears, _ = self.prefix(register).apply_hadamard_free(head)
-            if offset == 0 and cols == [1 << i for i in range(register)]:
-                return affine, shears, 0
-            _kernels.embed(self.amplitudes, cols, offset)
-            return affine, shears, 1
+            low = (1 << register) - 1
+            cols = gf2.columns(form.rows, n)[:register]
+            diag, cross = form.diag[:register], [c & low for c in form.cross[:register]]
+            if (form.offset == 0 and cols == [1 << i for i in range(register)]
+                    and not any(d & 3 for d in diag) and not any(cross)):
+                return 0, 0, 0
+            _kernels.scatter(self.amplitudes, _aligned_copy(self.amplitudes[:low + 1]),
+                             cols, form.offset, diag, cross)
+            return 0, 0, 1
         if form.is_identity():
             return 0, 0, 0
         b = _kernels.tile_bits(n)
@@ -362,6 +364,16 @@ class StateVector:
 
     @classmethod
     def read_binary(cls, stream) -> "StateVector":
+        """Read a ``write_binary`` dump.  Raises ValueError, before allocating
+        the state, for a qubit count outside 1 to 64 or a short payload."""
         (n,) = struct.unpack("<Q", stream.read(8))
-        data = np.frombuffer(stream.read(16 * (1 << n)), dtype="<c16")
-        return cls(int(n), data)
+        if not 1 <= n <= 64:
+            raise ValueError(f"state dump of {n} qubits, not 1 to 64")
+        data = bytearray()
+        while len(data) < 16 << n:  # in chunks: a file read allocates all it is asked for
+            chunk = stream.read(min((16 << n) - len(data), 1 << 20))
+            if not chunk:
+                raise ValueError(f"state dump of {n} qubits ends after {len(data)} of "
+                                 f"its {16 << n} payload bytes")
+            data += chunk
+        return cls(n, np.frombuffer(data, dtype="<c16"))

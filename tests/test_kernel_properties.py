@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels,
+                      gf2,
                       random_hamiltonian, run_hybrid, trotterize)
 from framesim.frame import HadamardFree, RotationStep, invert_to_rotations, split_clifford
 from framesim.statevector import tile_factors
@@ -23,11 +24,11 @@ TIERS = {"numpy": _kernels.numpy_clifford, **compiled_clones(_kernels.clifford)}
 # the affine and shear passes of the numpy reference always, and of the C
 # loops wherever they loaded; they are not cloned per SIMD width
 PASSES = {"numpy": (_kernels.numpy_affine, _kernels.numpy_shear)}
-# the scatter of a register into the whole state, likewise
-EMBEDS = {"numpy": _kernels.numpy_embed}
+# the phased scatter of a register into the whole state, likewise
+SCATTERS = {"numpy": _kernels.numpy_scatter}
 if _kernels.kernel_tier() == "compiled-c":
     PASSES["compiled"] = (_kernels.affine, _kernels.shear)
-    EMBEDS["compiled"] = _kernels.embed
+    SCATTERS["compiled"] = _kernels.scatter
 
 MAX_QUBITS = 10
 TILE = 256  # amplitudes per tile of the compiled loops
@@ -294,20 +295,26 @@ def hadamard_free_matrix(form: HadamardFree) -> np.ndarray:
     return m
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_hadamard_free_after_an_index_map_is_their_product(n, seed):
-    # F P_A, for a random F without a Hadamard part and a random invertible
-    # A, maps |k> to F|A k>, index by index and phase included
-    rng = np.random.default_rng(seed)
+def random_form(rng, n) -> HadamardFree:
+    """A random Clifford without a Hadamard part on n qubits: a random
+    invertible matrix, offset, diag and symmetric cross."""
     cross = [0] * n
     for i in range(n):
         for j in range(i):
             if rng.random() < 0.5:
                 cross[i] |= 1 << j
                 cross[j] |= 1 << i
-    form = HadamardFree(tuple(random_invertible(rng, n)), int(rng.integers(0, 1 << n)),
+    return HadamardFree(tuple(random_invertible(rng, n)), int(rng.integers(0, 1 << n)),
                         tuple(int(d) for d in rng.integers(0, 4, n)), tuple(cross))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_hadamard_free_after_an_index_map_is_their_product(n, seed):
+    # F P_A, for a random F without a Hadamard part and a random invertible
+    # A, maps |k> to F|A k>, index by index and phase included
+    rng = np.random.default_rng(seed)
+    form = random_form(rng, n)
     a = random_invertible(rng, n)
     index_map = np.zeros((1 << n, 1 << n))
     for k in range(1 << n):
@@ -567,65 +574,137 @@ def test_affine_and_shear_passes_reject_maps_they_cannot_apply(name):
     assert np.array_equal(state, amp)
 
 
-def random_embedding(rng, n, d):
-    """Columns and offset of a random embedding of d qubits into n, in the
-    echelon form ``_kernels.embed`` takes: pivots p_0 < ... < p_(d-1),
-    column i with its top bit at p_i and random bits below it off the
-    pivots, and a random offset off the pivots."""
-    pivots = sorted(int(p) for p in rng.choice(n, d, replace=False))
-    free = ((1 << n) - 1) & ~sum(1 << p for p in pivots)
-    cols = [1 << p | int(rng.integers(0, 1 << p)) & free for p in pivots]
-    return cols, int(rng.integers(0, 1 << n)) & free
+def register_state(seed, n, d):
+    """Random amplitudes below 2**d, zeros from there on: a state whose
+    register holds d of its n qubits."""
+    amp = np.zeros(1 << n, dtype=complex)
+    amp[:1 << d] = random_amplitudes(seed, d)
+    return amp
 
 
-def embed_oracle(amp, cols, offset):
-    """The scatter index by index: out[E k ^ offset] = amp[k] for k < 2**d,
-    the other amplitudes below 2**d zero and those above kept."""
-    out = amp.copy()
-    out[:1 << len(cols)] = 0
-    for k in range(1 << len(cols)):
-        dest = offset
-        for i, col in enumerate(cols):
-            if k >> i & 1:
-                dest ^= col
-        out[dest] = amp[k]
-    return out
+def scatter_args(form, d):
+    """Arguments (cols, offset, diag, cross) of ``_kernels.scatter`` for form
+    on a register of d qubits, as ``StateVector.apply_hadamard_free`` makes
+    them."""
+    low = (1 << d) - 1
+    return (gf2.columns(form.rows, len(form.rows))[:d], form.offset, form.diag[:d],
+            [c & low for c in form.cross[:d]])
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(2, MAX_QUBITS), data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_embed_matches_reference_and_oracle(n, data, seed):
-    # amplitudes above 2**d are nonzero here: the scatter overwrites only
-    # its destinations
+@given(n=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_scatter_matches_reference_and_oracle(n, data, seed):
+    # a random form, offset, diag and cross nonzero, on a state zero beyond
+    # 2**d: numpy_scatter against the form's dense matrix, and every tier
+    # against numpy_scatter bit for bit, as the scatter only moves
+    # amplitudes and multiplies them by powers of i
     d = data.draw(st.integers(1, n - 1), label="d")
-    cols, offset = random_embedding(np.random.default_rng(seed), n, d)
-    amp = random_amplitudes(seed, n)
-    ref = embed_oracle(amp, cols, offset)
-    for name, embed in EMBEDS.items():
+    rng = np.random.default_rng(seed)
+    form = random_form(rng, n)
+    form = form._replace(offset=form.offset or 1 << int(rng.integers(n)))
+    amp = register_state(seed, n, d)
+    args = scatter_args(form, d)
+    ref = amp.copy()
+    _kernels.numpy_scatter(ref, amp[:1 << d].copy(), *args)
+    assert np.max(np.abs(ref - hadamard_free_matrix(form) @ amp)) < 1e-12
+    for name, scatter in SCATTERS.items():
         out = amp.copy()
-        embed(out, cols, offset)
+        scatter(out, amp[:1 << d].copy(), *args)
         assert np.array_equal(out, ref), name
 
 
-@pytest.mark.parametrize("name", list(EMBEDS))
-def test_embed_rejects_what_it_cannot_scatter_in_place(name):
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, MAX_QUBITS), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_register_rest_equals_the_numpy_passes_bit_for_bit(n, data, seed):
+    # apply_hadamard_free on a register of d < n qubits makes no affine or
+    # shear pass, and gives the amplitudes of numpy_affine and numpy_shear
+    # over the whole state exactly
+    d = data.draw(st.integers(1, n - 1), label="d")
+    form = random_form(np.random.default_rng(seed), n)
+    amp = register_state(seed, n, d)
+    out = StateVector(n, amp)
+    assert out.apply_hadamard_free(form, d)[:2] == (0, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "affine", _kernels.numpy_affine)
+        mp.setattr(_kernels, "shear", _kernels.numpy_shear)
+        ref = StateVector(n, amp)
+        ref.apply_hadamard_free(form)
+    assert np.array_equal(out.amplitudes, ref.amplitudes)
+
+
+def test_register_rest_makes_no_pass_only_where_it_is_the_identity():
+    # A's first d columns are unit vectors and the phase has no term on the
+    # first d bits; what A, diag and cross do above them changes nothing
+    n, d = 6, 3
+    amp = register_state(4, n, d)
+    rows = (1 | 0b101000, 1 << 1, 1 << 2 | 0b010000, 0b011000, 0b110000, 0b100000)
+    cross = (1 << 5, 0, 0, 1 << 4, 1 << 3, 1)
+    out = StateVector(n, amp)
+    assert out.apply_hadamard_free(HadamardFree(rows, 0, (0, 0, 0, 1, 2, 3), cross),
+                                   d) == (0, 0, 0)
+    assert np.array_equal(out.amplitudes, amp)
+    # a phase on the register's bits, i**k_1 or (-1)**(k_0 k_2), takes the
+    # scatter
+    k = np.arange(1 << n)
+    for diag, pair, phase in (((0, 1, 0), (1 << 5, 0, 0), 1j ** (k >> 1 & 1)),
+                              ((0, 0, 0), (1 << 5 | 1 << 2, 0, 1), (-1) ** (k & k >> 2 & 1))):
+        out = StateVector(n, amp)
+        assert out.apply_hadamard_free(HadamardFree(rows, 0, diag + (1, 2, 3),
+                                                    pair + cross[3:]), d) == (0, 0, 1)
+        assert np.array_equal(out.amplitudes, amp * phase)
+
+
+@pytest.mark.parametrize("name", list(SCATTERS))
+def test_scatter_writes_only_its_state(name):
+    # the state and the register as views into larger arrays: the elements
+    # on either side of both, and the register itself, keep their values
+    scatter = SCATTERS[name]
+    rng = np.random.default_rng(32)
+    for n in (2, 3, 8, 9, 11):
+        for d in (1, n - 1):
+            form = random_form(rng, n)
+            amp = register_state(n + d, n, d)
+            ref = amp.copy()
+            _kernels.numpy_scatter(ref, amp[:1 << d].copy(), *scatter_args(form, d))
+            guarded = np.full(amp.size + 8, 7.0 - 7.0j)
+            state = guarded[4:-4]
+            state[:] = amp
+            held = np.full((1 << d) + 8, 7.0 - 7.0j)
+            src = held[4:-4]
+            src[:] = amp[:1 << d]
+            scatter(state, src, *scatter_args(form, d))
+            assert np.all(guarded[:4] == 7.0 - 7.0j) and np.all(guarded[-4:] == 7.0 - 7.0j)
+            assert np.all(held[:4] == 7.0 - 7.0j) and np.all(held[-4:] == 7.0 - 7.0j)
+            assert np.array_equal(src, amp[:1 << d])
+            assert np.array_equal(state, ref), (n, d)
+
+
+@pytest.mark.parametrize("name", list(SCATTERS))
+def test_scatter_rejects_what_it_cannot_apply(name):
     # and leaves the state as it was
-    embed = EMBEDS[name]
+    scatter = SCATTERS[name]
     n = 6
     amp = random_amplitudes(5, n)
-    bad = {"falling pivots": ([1 << 4, 1 << 2], 0, "echelon"),
-           "a column with another's pivot": ([1 << 2, 1 << 4 | 1 << 2], 0, "echelon"),
-           "a zero column": ([1, 0], 0, "echelon"),
-           "an offset with a pivot bit": ([1 << 1, 1 << 3 | 1], 1 << 3, "pivot bit"),
-           "as many columns as qubits": ([1 << i for i in range(n)], 0, "embedding of"),
-           "more columns than qubits": ([1 << i for i in range(n)] + [1 << n], 0,
-                                        "embedding of"),
-           "a column beyond the state": ([1 << n], 0, "out of range"),
-           "an offset beyond the state": ([1], 1 << n, "out of range")}
-    for case, (cols, offset, match) in bad.items():
+    src = random_amplitudes(6, 2)
+    zeros = [0, 0]
+    bad = {"dependent columns": (src, [3, 3], 0, zeros, zeros, "singular"),
+           "a zero column": (src, [1, 0], 0, zeros, zeros, "singular"),
+           "asymmetric cross": (src, [1, 2], 0, zeros, [2, 0], "symmetric"),
+           "a column beyond the state": (src, [1, 1 << n], 0, zeros, zeros, "out of range"),
+           "an offset beyond the state": (src, [1, 2], 1 << n, zeros, zeros, "out of range"),
+           "a cross mask beyond the register": (src, [1, 2], 0, zeros, [4, 0],
+                                                "out of range"),
+           "a register of the wrong size": (random_amplitudes(7, 3), [1, 2], 0, zeros, zeros,
+                                            r"2\*\*2 amplitudes"),
+           "a register as large as the state": (random_amplitudes(8, n),
+                                                [1 << i for i in range(n)], 0, [0] * n,
+                                                [0] * n, "amplitudes"),
+           "too few diag entries": (src, [1, 2], 0, [0], zeros, "diag"),
+           "a register inside the state": (None, [1, 2], 0, zeros, zeros, "apart")}
+    for case, (reg, cols, offset, diag, cross, match) in bad.items():
         state = amp.copy()
         with pytest.raises(ValueError, match=match):
-            embed(state, cols, offset)
+            scatter(state, state[:4] if reg is None else reg, cols, offset, diag, cross)
         assert np.array_equal(state, amp), case
 
 
@@ -635,7 +714,7 @@ def test_embed_rejects_what_it_cannot_scatter_in_place(name):
 def test_register_flush_equals_the_whole_state_passes_bit_for_bit(n, length, seed):
     # the flush of a hybrid run, whose rest runs on a register of fewer
     # than n qubits where it can, against the same rest applied by the
-    # affine and shear passes to the whole state that the turns left
+    # numpy affine and shear passes to the whole state that the turns left
     rng = np.random.default_rng(seed)
     hs, _ = run_hybrid(random_mixed_circuit(rng, n, length, p_measure=0.03, p_prep=0.02),
                        seed)
@@ -650,7 +729,10 @@ def test_register_flush_equals_the_whole_state_passes_bit_for_bit(n, length, see
         mp.setattr(StateVector, "apply_hadamard_free", spy)
         hs.flush_to_origin()
     before, form = calls[0]
-    whole(before, form)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "affine", _kernels.numpy_affine)
+        mp.setattr(_kernels, "shear", _kernels.numpy_shear)
+        whole(before, form)
     assert np.array_equal(hs.phi.amplitudes, before.amplitudes)
 
 
@@ -703,7 +785,10 @@ def test_compiled_loops_reject_a_misaligned_state():
              "affine": lambda: _kernels.affine(amp, [1 << i for i in range(10)], 0,
                                                [0] * 10, [0] * 10),
              "shear": lambda: _kernels.shear(amp, [1 << 9] * 8, [0, 1]),
-             "embed": lambda: _kernels.embed(amp, [1 << 9], 0)}
+             "scatter": lambda: _kernels.scatter(amp, np.zeros(2, dtype=complex), [1 << 9], 0,
+                                                 [0], [0]),
+             "scatter from a misaligned register": lambda: _kernels.scatter(
+                 np.zeros(1 << 10, dtype=complex), amp[:2], [1 << 9], 0, [0], [0])}
     for name, call in calls.items():
         with pytest.raises(ValueError, match="aligned to 16 bytes"):
             call()

@@ -22,8 +22,9 @@ PROBE = "import framesim._kernels as k; print(k.kernel_tier())"
 # an odd eighth root) in the flush's remainder pass against its dense
 # rotations, one flush against its steps as dense rotations and swaps, on
 # a state of several tiles, both up to a power of exp(i*pi/4) for the
-# whole state, and the hybrid's Python gate loop, with a
-# MEASZ and a PREPZ, against the baseline
+# whole state, the scatter of that flush's rest from registers of 1 and
+# n - 1 qubits against its passes over the whole state, and the hybrid's
+# Python gate loop, with a MEASZ and a PREPZ, against the baseline
 ROTATE_PROBE = PROBE + """
 import numpy as np
 from framesim import HybridState, PauliFrame, PauliString, StateVector
@@ -75,6 +76,16 @@ hs.flush_to_origin()
 if (np.max(np.abs(hs.phi.amplitudes - up_to_omega(hs.phi.amplitudes, ref))) > 1e-12
         or not hs.flush_passes[0]["shears"]):
     raise SystemExit("numpy tier disagrees with the dense oracle on the flush")
+turns, rest = split_clifford(frame)
+for d in (1, n - 1):
+    amp = np.zeros(1 << n, dtype=complex)
+    amp[:1 << d] = rng.normal(size=1 << d) + 1j * rng.normal(size=1 << d)
+    s, ref = StateVector(n, amp), StateVector(n, amp)
+    if s.apply_hadamard_free(rest, d) != (0, 0, 1):
+        raise SystemExit(f"numpy tier made no scatter of a register of {d}")
+    ref.apply_hadamard_free(rest)
+    if not np.array_equal(s.amplitudes, ref.amplitudes):
+        raise SystemExit(f"numpy tier's scatter of {d} qubits disagrees with its passes")
 from framesim import Circuit, _kernels, run_baseline, run_hybrid
 if _kernels.run_gates is not None:
     raise SystemExit("numpy tier bound the compiled gate loop")
@@ -139,9 +150,10 @@ def libasan() -> str | None:
 # circuit at n = 10 that activates the register one qubit at a time
 # (prefixes of 2 to 2**10 amplitudes) around a MEASZ and a PREPZ, and
 # its flush, with the affine and shear passes; the shear pass on groups of
-# 1, 2 and 4 tiles with a lower shear; the scatter of a register of 1 and
-# of n - 1 qubits onto the last amplitude, and a flush whose rest runs on
-# a register of 7 of 10 qubits and is scattered into place
+# 1, 2 and 4 tiles with a lower shear; the phased scatter of a register of
+# 1 and of n - 1 qubits, reaching the last amplitude, against numpy's, and
+# a flush whose rest runs on a register of 7 of 10 qubits and is scattered
+# into place
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -173,13 +185,17 @@ if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
 for up in ([0] * 8, [0, 1 << 8] + [1 << 9] * 6, [1 << 8, 1 << 9, 1 << 10] + [0] * 5):
     amp = rng.normal(size=1 << 11) + 1j * rng.normal(size=1 << 11)
     _kernels.shear(amp, up, [3, 1 << 6, 0])
-for cols, offset, last in (([(1 << n) - 1], 0, 1),
-                           ([1 << (i + 1) for i in range(n - 1)], 1, (1 << (n - 1)) - 1)):
-    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    moved = amp[last]
-    _kernels.embed(amp, cols, offset)
-    if amp[-1] != moved:
-        raise SystemExit(f"the scatter of {len(cols)} qubits missed the last amplitude")
+for cols, offset, diag, cross in (([(1 << n) - 1], 0, [1], [0]),
+                                  ([1 << (i + 1) for i in range(n - 1)], 1, [3] * (n - 1),
+                                   [2, 1] + [0] * (n - 3))):
+    d = len(cols)
+    amp = np.zeros(1 << n, dtype=complex)
+    amp[:1 << d] = rng.normal(size=1 << d) + 1j * rng.normal(size=1 << d)
+    ref = amp.copy()
+    _kernels.numpy_scatter(ref, amp[:1 << d].copy(), cols, offset, diag, cross)
+    _kernels.scatter(amp, amp[:1 << d].copy(), cols, offset, diag, cross)
+    if not np.array_equal(amp, ref) or amp[-1] == 0:
+        raise SystemExit(f"the scatter of {d} qubits disagrees with numpy's")
 circ = Circuit(n)
 for q in range(7):
     circ.append("RY", q, angle=0.4 + q)

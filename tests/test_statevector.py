@@ -1,6 +1,7 @@
 """State vector kernels against dense oracles, plus the flatness property."""
 import functools
 import io
+import struct
 import time
 import tracemalloc
 
@@ -352,6 +353,27 @@ def test_clifford_gates_and_flush_allocate_nothing_state_sized():
     assert hs.flush_passes[0]["embed"] == 1 and hs.flush_passes[0]["register"] < n
 
 
+@pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
+                    reason="the numpy kernels use whole-array temporaries")
+def test_register_flush_allocates_at_most_the_register_copy():
+    # the rest of a flush on a register of 14 of 16 qubits makes one copy
+    # of its 2**14 amplitudes, a quarter of the state, and nothing more
+    n, d = 16, 14
+    slack = 64 * 1024
+    circ = Circuit(n)
+    for q in range(d):
+        circ.append("RY", q, angle=0.2 + q)
+    for q in range(n):
+        circ.append("CX", q, (q + 5) % n)
+        circ.append(("S", "X")[q % 2], (3 * q) % n)
+        circ.append("CZ", q, (q + 7) % n)
+    hs, _ = run_hybrid(circ, 1)
+    assert hs.active == d
+    assert extra_peak(hs.flush_to_origin) <= 16 * (1 << d) + slack
+    assert hs.flush_passes[0]["embed"] == 1 and hs.flush_passes[0]["register"] == d
+    assert hs.flush_passes[0]["affine"] == hs.flush_passes[0]["shears"] == 0
+
+
 @pytest.mark.parametrize("tag", ["CX", "CZ", "SWAP"])
 def test_two_qubit_gates_reject_a_repeated_qubit(tag):
     # CX on (1, 1) used to do nothing and CZ on (1, 1) to apply a Z
@@ -479,6 +501,21 @@ def test_binary_round_trip():
     back = StateVector.read_binary(buf)
     assert back.num_qubits == 4
     assert np.array_equal(back.amplitudes, s.amplitudes)
+
+
+def test_read_binary_rejects_a_corrupt_dump_before_allocating(tmp_path):
+    # a header naming 44 qubits asks for 256 TiB; from a file, read_binary
+    # must raise ValueError having read only what the file holds
+    for n, payload, match in ((0, b"", "0 qubits"), (65, b"", "65 qubits"),
+                              (44, bytes(96), "ends after 96 of"),
+                              (4, bytes(16 * 16 - 1), "ends after 255 of")):
+        path = tmp_path / f"dump{n}"
+        path.write_bytes(struct.pack("<Q", n) + payload)
+        with open(path, "rb") as stream:
+            def read():
+                with pytest.raises(ValueError, match=match):
+                    StateVector.read_binary(stream)
+            assert extra_peak(read) <= 4 << 20, n
 
 
 def test_top_amplitudes():
