@@ -59,8 +59,8 @@ loops against.  The C loops take a contiguous complex128 state aligned to
 16 bytes, and their wrappers raise ValueError for any other.
 
 ``run_gates`` is the hybrid backend's gate loop in C: it runs a circuit's
-lowered gate stream (``Circuit.lowered``) on a bit-packed Pauli frame (see
-``PauliFrame.packed``) and the amplitudes, up to the next measurement or
+lowered gate stream (``Circuit.lowered``) on the amplitudes and, in place,
+on the words of a ``PauliFrame``, up to the next measurement or
 preparation, calling the Clifford loop for each rotation on the hybrid's
 register of 2**d amplitudes.  ``register_map`` maps one operator onto that
 register, activating a qubit when it must, as the loop does for each
@@ -90,6 +90,7 @@ import hashlib
 import os
 import warnings
 import weakref
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -378,36 +379,44 @@ def _check_register(index_map, active) -> int:
 _SINGULAR_MAP = "index map is not an invertible matrix on the register's qubits"
 
 
+def _is_array(a, code: str, size: int) -> bool:
+    """True if a is a stdlib ``array`` of typecode ``code`` and ``size``-byte items."""
+    return isinstance(a, array) and a.typecode == code and a.itemsize == size
+
+
 def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start):
     """Run a lowered gate stream from gate ``start`` on the hybrid backend, in
     one call of the C gate loop; return the index of the first gate not run
     (the next MEASZ or PREPZ, or the gate count), the seconds spent in
     rotations and the active count after the call.
 
-    xs, zs and ps are the packed frame of ``PauliFrame.packed`` and
-    index_map the n row masks of the register's index map (see
-    ``register_map``), all updated in place; active is the register's
-    active count d.  ops and angles are the arrays of ``Circuit.lowered``,
-    on the same n qubits as amp; the gate codes and qubits are not checked
-    again.  Each rotation runs on the first 2**max(d, 1) amplitudes.
+    xs, zs and ps are the words of a ``PauliFrame`` (``array`` of typecode
+    'Q', 'Q' and 'B', 2n rows each) and index_map the n row masks of the
+    register's index map (see ``register_map``), all updated in place;
+    active is the register's active count d.  ops and angles are the arrays
+    of ``Circuit.lowered``, on the same n qubits as amp; the gate codes and
+    qubits are not checked again.  Each rotation runs on the first
+    2**max(d, 1) amplitudes.
     """
-    n = xs.shape[0] // 2
+    n = len(xs) // 2
     addr = _address(amp)
     if amp.shape[0] != 1 << n:
         raise ValueError(f"frame on {n} qubits applied to "
                          f"{amp.shape[0].bit_length() - 1}-qubit state")
-    for words, dtype in ((xs, np.uint64), (zs, np.uint64), (ps, np.uint8)):
-        if words.dtype != dtype or words.shape != (2 * n,) or not words.flags.c_contiguous:
-            raise ValueError("packed frame must be contiguous uint64, uint64 and "
-                             "uint8 arrays of 2n rows")
+    if not (_is_array(xs, "Q", 8) and _is_array(zs, "Q", 8) and _is_array(ps, "B", 1)
+            and len(xs) == len(zs) == len(ps) == 2 * n):
+        raise ValueError("the frame must be arrays of typecode 'Q', 'Q' and 'B', "
+                         "of 2n rows each")
     if _check_register(index_map, active) != n:
         raise ValueError(f"index map of {index_map.shape[0]} rows for a {n}-qubit frame")
     count = len(angles)
-    if len(ops) != 3 * count or not 0 <= start <= count:
+    if not (_is_array(ops, "i", 4) and _is_array(angles, "d", 8)
+            and len(ops) == 3 * count and 0 <= start <= count):
         raise ValueError("lowered gate arrays do not match, or start is out of range")
     spent = ctypes.c_double(0.0)
     d = ctypes.c_int64(active)
-    stop = _lib.framesim_run_gates(addr, n, xs.ctypes.data, zs.ctypes.data, ps.ctypes.data,
+    stop = _lib.framesim_run_gates(addr, n, xs.buffer_info()[0], zs.buffer_info()[0],
+                                   ps.buffer_info()[0],
                                    index_map.ctypes.data, ctypes.byref(d),
                                    ops.buffer_info()[0], angles.buffer_info()[0], start,
                                    count, ctypes.byref(spent))

@@ -82,9 +82,9 @@ class HybridState:
     is the plain U|phi>.
 
     ``flush_passes`` gets one entry per ``flush_to_origin`` call: the state
-    passes it made, by kind (``quarter_turns``, ``affine``, ``shears`` and
-    ``embed``, the phased scatter of a register into the whole state),
-    ``h``, the size of the Hadamard layer of the Clifford it flushed,
+    passes it made, by kind (``quarter_turns``, one per qubit of the
+    Hadamard layer of the Clifford it flushed, ``affine``, ``shears`` and
+    ``scatter``, the phased scatter of a register into the whole state),
     ``active``, d when the flush began, and ``register``, max(d, 1) after
     its quarter turns: the qubits its rest ran on, n for the passes.
     ``timing["flush_s"]`` adds up the seconds of the flushes, their split
@@ -156,7 +156,7 @@ class HybridState:
         """
         t0 = time.perf_counter()
         n = self.frame.num_qubits
-        passes = dict.fromkeys(("quarter_turns", "affine", "shears", "embed", "h"), 0)
+        passes = dict.fromkeys(("quarter_turns", "affine", "shears", "scatter"), 0)
         passes["active"] = self.active
         if self.frame.is_origin():
             form = HadamardFree(tuple(self.index_map.tolist()), 0, (0,) * n, (0,) * n)
@@ -165,11 +165,11 @@ class HybridState:
             for turn in turns:
                 state, axis = self._register(turn.axis)
                 state.apply_pauli_rotation(axis, turn.angle)
-            passes["quarter_turns"] = passes["h"] = len(turns)
+            passes["quarter_turns"] = len(turns)
             self.frame = PauliFrame.origin(n)
             form = rest.after(self.index_map.tolist())  # A as the turns left it
         passes["register"] = max(self.active, 1)
-        passes["affine"], passes["shears"], passes["embed"] = self.phi.apply_hadamard_free(
+        passes["affine"], passes["shears"], passes["scatter"] = self.phi.apply_hadamard_free(
             form, passes["register"])
         self.index_map, self.active = _identity_map(n), n
         self.flush_passes.append(passes)
@@ -251,25 +251,25 @@ _MEASZ = TAGS.index("MEASZ")
 def _compiled_gates(hs: HybridState, circuit: Circuit, rng,
                     measurements: list[int]) -> tuple[float, float, float]:
     """The hybrid's gate loop on ``_kernels.run_gates``: the circuit's lowered
-    stream runs in C on the packed frame and the register up to each MEASZ
-    or PREPZ, which Python performs on the register with the rows read back
-    from the packed words; the frame is unpacked once, at the end.  Returns
-    the seconds spent in rotations, measurements and preparations."""
-    xs, zs, ps = hs.frame.packed()
+    stream runs in C on the frame's own words and the register, up to each
+    MEASZ or PREPZ, which Python performs on the register with the frame's
+    rows.  Returns the seconds spent in rotations, measurements and
+    preparations."""
+    frame = hs.frame
     ops, angles = circuit.lowered()
     amplitudes = hs.phi.amplitudes
     rotation_s = measure_s = prep_s = 0.0
     clock = time.perf_counter
     i = 0
     while True:
-        i, spent, hs.active = _kernels.run_gates(amplitudes, xs, zs, ps, hs.index_map,
-                                                 hs.active, ops, angles, i)
+        i, spent, hs.active = _kernels.run_gates(amplitudes, frame.xs, frame.zs, frame.ps,
+                                                 hs.index_map, hs.active, ops, angles, i)
         rotation_s += spent
         if i == len(angles):
             break
         t1 = clock()
-        stab, destab = PauliFrame.packed_pair(xs, zs, ps, ops[3 * i + 1])
-        state, stab = hs._register(stab)
+        q = ops[3 * i + 1]
+        state, stab = hs._register(frame.eff_z(q))
         outcome = state.measure(stab, rng)
         if ops[3 * i] == _MEASZ:
             measurements.append(0 if outcome == 1 else 1)
@@ -278,11 +278,10 @@ def _compiled_gates(hs: HybridState, circuit: Circuit, rng,
             # PREPZ: a -1 outcome is repaired by the anticommuting destab,
             # as StateVector.prepare does
             if outcome == -1:
-                state, destab = hs._register(destab)
+                state, destab = hs._register(frame.eff_x(q))
                 state.apply_pauli(destab)
             prep_s += clock() - t1
         i += 1
-    hs.frame = PauliFrame.from_packed(xs, zs, ps)
     return rotation_s, measure_s, prep_s
 
 

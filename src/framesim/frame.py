@@ -25,15 +25,19 @@ one basis state times a power of i.  The frame leaves the global phase
 open, and the split fixes it: the Hadamard-free part has no constant
 factor.
 
-Rows are held as plain (x_bits, z_bits, phase_exp) integer triples rather
-than PauliString objects: the frame update runs once per circuit gate and
-object construction would dominate it.  For the hybrid backend's compiled
-gate loop the same rows are packed into machine words (``packed``), for up
-to 64 qubits, and read back once the loop is done (``from_packed``).
+The 2n rows are held as machine words rather than PauliString objects, for
+up to 64 qubits: ``xs`` and ``zs`` hold the x and z bits of eff_z[0..n-1]
+and then of eff_x[0..n-1] (``array`` of typecode 'Q'), and ``ps`` their
+phase exponents (typecode 'B').  The hybrid backend's compiled gate loop
+(``_kernels.run_gates``) updates these arrays in place; the Python methods
+read and write them as (x_bits, z_bits, phase_exp) integer triples, since
+the frame update runs once per circuit gate and object construction would
+dominate it.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,17 +53,12 @@ def _anti(a, b) -> int:
     return ((a[0] & b[1]).bit_count() + (a[1] & b[0]).bit_count()) & 1
 
 
-def _neg(a):
-    return (a[0], a[1], (a[2] + 2) & 3)
-
-
-def _bit_matrix(masks, n: int) -> np.ndarray:
-    """The 0/1 matrix whose row i holds bits 0..n-1 of masks[i], in floats:
+def _bit_matrix(words: array, n: int) -> np.ndarray:
+    """The 0/1 matrix whose row i holds bits 0..n-1 of words[i], in floats:
     numpy multiplies float matrices much faster than integer ones, and
     exactly while the sums stay below 2**24."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    bits = np.unpackbits(raw, bitorder="little").reshape(len(masks), 8 * width)
+    raw = np.frombuffer(words, np.uint64).astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(raw, bitorder="little").reshape(len(words), 64)
     return bits[:, :n].astype(np.float32)
 
 
@@ -91,25 +90,31 @@ class RotationStep:
 
 
 class PauliFrame:
-    """n rows of (eff_z, eff_x) signed Pauli pairs; mutable, single-owner."""
+    """n rows of (eff_z, eff_x) signed Pauli pairs; mutable, single-owner.
 
-    __slots__ = ("num_qubits", "_z", "_x")
+    Holds at most 64 qubits, one word per row mask; a larger frame raises
+    ValueError.
+    """
+
+    __slots__ = ("num_qubits", "xs", "zs", "ps")
 
     def __init__(self, num_qubits: int, rows=None):
-        if num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
-        self.num_qubits = num_qubits
+        if not 1 <= num_qubits <= 64:
+            raise ValueError(f"a frame holds 1 to 64 qubits, not {num_qubits}")
+        self.num_qubits = n = num_qubits
         if rows is None:
-            self._z = [(0, 1 << j, 0) for j in range(num_qubits)]
-            self._x = [(1 << j, 0, 0) for j in range(num_qubits)]
-        else:
-            if len(rows) != num_qubits:
-                raise ValueError("need one (eff_z, eff_x) row per qubit")
-            for z, x in rows:
-                if z.num_qubits != num_qubits or x.num_qubits != num_qubits:
-                    raise ValueError("row operator qubit count mismatch")
-            self._z = [(z.x_bits, z.z_bits, z.phase_exp) for z, _ in rows]
-            self._x = [(x.x_bits, x.z_bits, x.phase_exp) for _, x in rows]
+            units = [1 << j for j in range(n)]
+            self.xs, self.zs = array("Q", [0] * n + units), array("Q", units + [0] * n)
+            self.ps = array("B", bytes(2 * n))
+            return
+        if len(rows) != n:
+            raise ValueError("need one (eff_z, eff_x) row per qubit")
+        if any(e.num_qubits != n for row in rows for e in row):
+            raise ValueError("row operator qubit count mismatch")
+        entries = [z for z, _ in rows] + [x for _, x in rows]
+        self.xs = array("Q", [e.x_bits for e in entries])
+        self.zs = array("Q", [e.z_bits for e in entries])
+        self.ps = array("B", [e.phase_exp for e in entries])
 
     @classmethod
     def origin(cls, num_qubits: int) -> "PauliFrame":
@@ -119,45 +124,25 @@ class PauliFrame:
     def copy(self) -> "PauliFrame":
         out = PauliFrame.__new__(PauliFrame)
         out.num_qubits = self.num_qubits
-        out._z = list(self._z)
-        out._x = list(self._x)
+        out.xs, out.zs, out.ps = self.xs[:], self.zs[:], self.ps[:]
         return out
 
-    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows as bit-packed words: the x bits and z bits (uint64) and the
-        phase exponent (uint8) of eff_z[0..n-1], then of eff_x[0..n-1].
+    def _row(self, i: int) -> tuple[int, int, int]:
+        """Word row i as a triple: eff_z[i] for i < n, eff_x[i - n] above."""
+        return self.xs[i], self.zs[i], self.ps[i]
 
-        This is the frame of ``_kernels.run_gates``; it holds at most 64
-        qubits, and a larger frame raises ValueError.
-        """
-        if self.num_qubits > 64:
-            raise ValueError(f"a packed frame holds at most 64 qubits, not {self.num_qubits}")
-        rows = self._z + self._x
-        return (np.array([r[0] for r in rows], dtype=np.uint64),
-                np.array([r[1] for r in rows], dtype=np.uint64),
-                np.array([r[2] for r in rows], dtype=np.uint8))
-
-    @classmethod
-    def from_packed(cls, xs, zs, ps) -> "PauliFrame":
-        """The frame whose ``packed`` words are xs, zs and ps."""
-        n = len(xs) // 2
-        rows = list(zip(xs.tolist(), zs.tolist(), ps.tolist()))
-        out = cls.__new__(cls)
-        out.num_qubits = n
-        out._z, out._x = rows[:n], rows[n:]
-        return out
-
-    @staticmethod
-    def packed_pair(xs, zs, ps, q: int) -> tuple[PauliString, PauliString]:
-        """(eff_z[q], eff_x[q]) read from the ``packed`` words xs, zs and ps."""
-        n = len(xs) // 2
-        return tuple(PauliString(n, int(xs[i]), int(zs[i]), int(ps[i])) for i in (q, n + q))
+    def _put(self, i: int, row) -> None:
+        self.xs[i], self.zs[i], self.ps[i] = row
 
     def eff_z(self, i: int) -> PauliString:
-        return PauliString(self.num_qubits, *self._z[i])
+        if not 0 <= i < self.num_qubits:
+            raise IndexError(f"qubit {i} out of range")
+        return PauliString(self.num_qubits, *self._row(i))
 
     def eff_x(self, i: int) -> PauliString:
-        return PauliString(self.num_qubits, *self._x[i])
+        if not 0 <= i < self.num_qubits:
+            raise IndexError(f"qubit {i} out of range")
+        return PauliString(self.num_qubits, *self._row(self.num_qubits + i))
 
     def rows(self) -> list[tuple[PauliString, PauliString]]:
         return [(self.eff_z(i), self.eff_x(i)) for i in range(self.num_qubits)]
@@ -165,8 +150,7 @@ class PauliFrame:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliFrame):
             return NotImplemented
-        return (self.num_qubits == other.num_qubits
-                and self._z == other._z and self._x == other._x)
+        return self.xs == other.xs and self.zs == other.zs and self.ps == other.ps
 
     def is_origin(self) -> bool:
         return self == PauliFrame.origin(self.num_qubits)
@@ -182,11 +166,9 @@ class PauliFrame:
         matrix product in place of 3n**2 pairwise parities (``_anti``).
         """
         n = self.num_qubits
-        rows = self._z + self._x
-        if any(p & 1 or (x | z) >> n for x, z, p in rows):
+        if any(p & 1 for p in self.ps) or any((x | z) >> n for x, z in zip(self.xs, self.zs)):
             return False
-        zx = _bit_matrix([z | x << n for x, z, _ in rows], 2 * n)  # [Z | X]
-        half = zx[:, :n] @ zx[:, n:].T
+        half = _bit_matrix(self.zs, n) @ _bit_matrix(self.xs, n).T
         products = (half + half.T).astype(np.uint8) & 1
         pairs = np.eye(2 * n, k=n, dtype=np.uint8) | np.eye(2 * n, k=-n, dtype=np.uint8)
         return np.array_equal(products, pairs)
@@ -197,45 +179,44 @@ class PauliFrame:
     def apply_gate(self, tag: str, qubits) -> None:
         """Append Clifford gate g: affected rows become the frame expansion
         of g^dag sigma g, a product of at most two current entries."""
-        z, x = self._z, self._x
+        row, put = self._row, self._put
         n = self.num_qubits
         if tag == "CX":
             c, t = qubits
             if c == t or not (0 <= c < n and 0 <= t < n):
                 raise ValueError(f"{tag} needs two distinct qubits below {n}, got {qubits}")
-            z[t] = _mul(z[c], z[t])
-            x[c] = _mul(x[c], x[t])
+            put(t, _mul(row(c), row(t)))
+            put(n + c, _mul(row(n + c), row(n + t)))
             return
         if tag in ("H", "S", "SDG", "X", "Y", "Z"):
             (i,) = qubits
             if not 0 <= i < n:
                 raise ValueError(f"qubit {i} out of range")
             if tag == "H":
-                z[i], x[i] = x[i], z[i]
-            elif tag == "S":
+                z = row(i)
+                put(i, row(n + i))
+                put(n + i, z)
+            elif tag in ("S", "SDG"):
                 # S^dag X S = -Y, and -Y maps to +i * eff_z * eff_x
-                xi, zi, p = _mul(z[i], x[i])
-                x[i] = (xi, zi, (p + 1) & 3)
-            elif tag == "SDG":
-                xi, zi, p = _mul(z[i], x[i])
-                x[i] = (xi, zi, (p - 1) & 3)
-            elif tag == "X":
-                z[i] = _neg(z[i])
-            elif tag == "Y":
-                z[i] = _neg(z[i])
-                x[i] = _neg(x[i])
-            else:
-                x[i] = _neg(x[i])
+                xi, zi, p = _mul(row(i), row(n + i))
+                put(n + i, (xi, zi, (p + (1 if tag == "S" else -1)) & 3))
+            else:  # X negates eff_z, Z negates eff_x, and Y both
+                if tag != "Z":
+                    self.ps[i] ^= 2
+                if tag != "X":
+                    self.ps[n + i] ^= 2
             return
         c, t = qubits
         if c == t or not (0 <= c < n and 0 <= t < n):
             raise ValueError(f"{tag} needs two distinct qubits below {n}, got {qubits}")
         if tag == "CZ":
-            x[c] = _mul(x[c], z[t])
-            x[t] = _mul(z[c], x[t])
+            put(n + c, _mul(row(n + c), row(t)))
+            put(n + t, _mul(row(c), row(n + t)))
         elif tag == "SWAP":
-            z[c], z[t] = z[t], z[c]
-            x[c], x[t] = x[t], x[c]
+            for a, b in ((c, t), (n + c, n + t)):
+                ra = row(a)
+                put(a, row(b))
+                put(b, ra)
         else:
             raise ValueError(f"{tag!r} is not a Clifford gate tag")
 
@@ -254,6 +235,7 @@ class PauliFrame:
             raise ValueError("qubit count mismatch")
         if not p.is_hermitian:
             raise ValueError("lookup requires a Hermitian operator")
+        n = self.num_qubits
         acc = (0, 0, p.phase_exp)
         px, pz = p.x_bits, p.z_bits
         support = px | pz
@@ -261,15 +243,15 @@ class PauliFrame:
             low = support & -support
             j = low.bit_length() - 1
             if not pz & low:
-                img = self._x[j]
+                img = self._row(n + j)
             elif not px & low:
-                img = self._z[j]
+                img = self._row(j)
             else:
-                ix, iz, ip = _mul(self._x[j], self._z[j])
+                ix, iz, ip = _mul(self._row(n + j), self._row(j))
                 img = (ix, iz, (ip + 1) & 3)
             acc = _mul(acc, img)
             support ^= low
-        return PauliString(self.num_qubits, *acc)
+        return PauliString(n, *acc)
 
     # ------------------------------------------------------------------
     # entry-wise conjugation (used by the synthesis algorithm)
@@ -280,17 +262,22 @@ class PauliFrame:
         Entries commuting with the axis are untouched; anticommuting ones
         become -i*Q*E (+pi/2), +i*Q*E (-pi/2) or -E (pi).
         """
-        q = (axis.x_bits, axis.z_bits, axis.phase_exp)
-        turns = _quarter_turns(angle)
-        _conjugate(self._z, q, turns)
-        _conjugate(self._x, q, turns)
+        q = qx, qz, _ = axis.x_bits, axis.z_bits, axis.phase_exp
+        shift = -_quarter_turns(angle) & 3
+        ps = self.ps
+        for i, (ex, ez) in enumerate(zip(self.xs, self.zs)):
+            if ((ex & qz) ^ (ez & qx)).bit_count() & 1:  # _anti(row i, q), inlined
+                if shift == 2:
+                    ps[i] ^= 2
+                else:
+                    ex, ez, ep = _mul(q, (ex, ez, ps[i]))
+                    self._put(i, (ex, ez, (ep + shift) & 3))
 
     def conjugate_swap(self, a: int, b: int) -> None:
         """Conjugate every entry by SWAP(a, b), i.e. relabel the two qubits."""
-        self._z = [(_swap_bits(ex, a, b), _swap_bits(ez, a, b), ep)
-                   for ex, ez, ep in self._z]
-        self._x = [(_swap_bits(ex, a, b), _swap_bits(ez, a, b), ep)
-                   for ex, ez, ep in self._x]
+        for words in (self.xs, self.zs):
+            for i, w in enumerate(words):
+                words[i] = _swap_bits(w, a, b)
 
     def apply_step(self, step: RotationStep) -> None:
         if step.kind == "pauli_rotation":
@@ -311,19 +298,6 @@ class PauliFrame:
 
     def __repr__(self) -> str:
         return f"PauliFrame({self.num_qubits} qubits)\n{self.dump()}"
-
-
-def _conjugate(rows: list, q, turns: int) -> None:
-    """Conjugate the triples in ``rows`` by R_q(turns * pi/2), in place."""
-    shift = -turns & 3
-    qx, qz, _ = q
-    for i, e in enumerate(rows):
-        if ((e[0] & qz) ^ (e[1] & qx)).bit_count() & 1:  # _anti(e, q), inlined
-            if shift == 2:
-                rows[i] = _neg(e)
-            else:
-                ex, ez, ep = _mul(q, e)
-                rows[i] = (ex, ez, (ep + shift) & 3)
 
 
 def _quarter_turns(angle: float) -> int:
@@ -393,48 +367,47 @@ def invert_to_rotations(frame: PauliFrame) -> list[RotationStep]:
             emit(RotationStep.rotation(PauliString(n, b[1], b[0]), math.pi))
 
     def pivot(q: int, wanted):
-        """Row q if wanted(its eff_z), else the first row i with wanted(eff_z[i])."""
-        if wanted(f._z[q]):
+        """Row q if wanted(the masks of its eff_z), else the first row i with
+        wanted(the masks of eff_z[i])."""
+        if wanted(f.xs[q], f.zs[q]):
             return q
-        return next((i for i, e in enumerate(f._z) if wanted(e)), None)
+        return next((i for i in range(n) if wanted(f.xs[i], f.zs[i])), None)
 
     left = list(range(n))
     while left:
-        q = next((q for q in left if f._z[q][0] >> q & 1), left[0])
+        q = next((q for q in left if f.xs[q] >> q & 1), left[0])
         left.remove(q)
         bit = 1 << q
-        row = pivot(q, lambda e: e[0] & bit)  # an X or Y letter at q
+        row = pivot(q, lambda x, z: x & bit)  # an X or Y letter at q
         if row is not None:
-            send(f._z[row], (0, bit, 0))
+            send(f._row(row), (0, bit, 0))
         else:
-            row = pivot(q, lambda e: (e[0] | e[1]) & bit)
+            row = pivot(q, lambda x, z: (x | z) & bit)
             if row is None:
                 raise RuntimeError(f"no eff_z row carries qubit {q}; a valid frame always has one")
-            x, z, _ = f._z[row]
-            if x | z != bit:
-                send(f._z[row], (bit, 0, 0))
-        x, z, _ = f._x[row]
+            if f.xs[row] | f.zs[row] != bit:
+                send(f._row(row), (bit, 0, 0))
+        x, z, _ = ex = f._row(n + row)
         if x | z != bit:
             straight = (bit, 0, 0)
-            if _anti(straight, f._z[row]) and _anti(straight, f._x[row]):
-                send(f._x[row], straight)
+            if _anti(straight, f._row(row)) and _anti(straight, ex):
+                send(ex, straight)
             else:
-                zx, zz, _ = f._z[row]
-                send(f._x[row], ((zx ^ x) & bit, (zz ^ z) & bit, 0))
+                send(ex, ((f.xs[row] ^ x) & bit, (f.zs[row] ^ z) & bit, 0))
 
     # every row is now a single-qubit anticommuting pair; first the turns
     # with a Hadamard part, then the Z-axis and half turns
     for i in range(n):
-        if f._z[i][0]:
-            send(f._z[i], (0, f._z[i][0], 0))
+        if f.xs[i]:
+            send(f._row(i), (0, f.xs[i], 0))
     for i in range(n):
-        bit = f._z[i][1]
-        send(f._z[i], (0, bit, 0))
-        send(f._x[i], (bit, 0, 0))
+        bit = f.zs[i]
+        send(f._row(i), (0, bit, 0))
+        send(f._row(n + i), (bit, 0, 0))
 
     # sort the (+Z_q, +X_q) pairs into their home rows by relabeling
     for i in range(n):
-        q = (f._z[i][0] | f._z[i][1]).bit_length() - 1
+        q = (f.xs[i] | f.zs[i]).bit_length() - 1
         if q != i:
             emit(RotationStep.swap(i, q))
 
@@ -547,19 +520,20 @@ def split_clifford(frame: PauliFrame) -> tuple[list[RotationStep], HadamardFree]
     f = frame.copy()
     turns: list[RotationStep] = []
     while True:
-        v = next((e[0] for e in f._z if e[0]), 0)
+        v = next((x for x in f.xs[:n] if x), 0)
         if not v:
             break
         top = 1 << (v.bit_length() - 1)
-        z = gf2.solve((x, (x & top != 0) ^ gf2.parity(v & zb)) for x, zb, _ in f._z)
+        z = gf2.solve((x, (x & top != 0) ^ gf2.parity(v & zb))
+                      for x, zb in zip(f.xs[:n], f.zs[:n]))
         turn = RotationStep.rotation(PauliString(n, v, z), _QUARTER)
         turns.append(turn)
         f.apply_step(turn)
 
-    rows = tuple(z for _, z, _ in f._z)
-    offset = sum((p >> 1) << j for j, (_, _, p) in enumerate(f._z))
+    rows = tuple(f.zs[:n])
+    offset = sum((p >> 1) << j for j, p in enumerate(f.ps[:n]))
     gamma = [0] * n  # row i of Gamma = W A
-    for j, (_, w, _) in enumerate(f._x):
+    for j, w in enumerate(f.zs[n:]):
         while w:
             low = w & -w
             gamma[low.bit_length() - 1] ^= rows[j]
@@ -567,7 +541,7 @@ def split_clifford(frame: PauliFrame) -> tuple[list[RotationStep], HadamardFree]
     low = HadamardFree(rows, offset, tuple(g >> i & 1 for i, g in enumerate(gamma)),
                        tuple(g & ~(1 << i) for i, g in enumerate(gamma)))
     high = 0  # the rows of A whose sum is the mask of the high bits of diag
-    for j, (d, w, s) in enumerate(f._x):
+    for j, (d, w, s) in enumerate(zip(f.xs[n:], f.zs[n:], f.ps[n:])):
         miss = (-(s + (d & w).bit_count()) - low.phase(d)) & 3
         if miss & 1:
             raise RuntimeError("the frame's eff_x rows fit no quadratic phase")

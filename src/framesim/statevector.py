@@ -365,8 +365,12 @@ class StateVector:
     @classmethod
     def read_binary(cls, stream) -> "StateVector":
         """Read a ``write_binary`` dump.  Raises ValueError, before allocating
-        the state, for a qubit count outside 1 to 64 or a short payload."""
-        (n,) = struct.unpack("<Q", stream.read(8))
+        the state, for a short header, a qubit count outside 1 to 64 or a
+        short payload."""
+        header = stream.read(8)
+        if len(header) != 8:
+            raise ValueError(f"state dump header of {len(header)} bytes, not 8")
+        (n,) = struct.unpack("<Q", header)
         if not 1 <= n <= 64:
             raise ValueError(f"state dump of {n} qubits, not 1 to 64")
         data = bytearray()

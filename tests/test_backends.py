@@ -153,14 +153,14 @@ def test_flush_counts_its_state_passes(monkeypatch):
                 mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
             hs.flush_to_origin()
         first, second = hs.flush_passes
-        assert second == dict(quarter_turns=0, affine=0, shears=0, embed=0, h=0, active=n,
+        assert second == dict(quarter_turns=0, affine=0, shears=0, scatter=0, active=n,
                               register=n)
         assert first["active"] == active
         assert max(active, 1) <= first["register"] <= n
-        assert first["quarter_turns"] == first["h"] == h
+        assert first["quarter_turns"] == h
         assert first["affine"] <= 1
         assert first["shears"] <= (1 if n > 8 else 0)
-        assert first["embed"] <= (0 if first["register"] == n else 1)
+        assert first["scatter"] <= (0 if first["register"] == n else 1)
         assert sum(first[kind] for kind in ("quarter_turns", "affine", "shears")) <= h + 2
 
 

@@ -1,6 +1,7 @@
 """The hybrid backend's compiled gate loop against its Python reference, and
-the two forms it reads: a circuit's lowered arrays and the packed frame."""
+the two forms it reads: a circuit's lowered arrays and the frame's words."""
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -175,19 +176,26 @@ def test_gates_is_a_read_only_view():
     assert len(circ) == len(circ.lowered()[1]) == 1
 
 
-def test_packed_frame_round_trips_and_holds_at_most_64_qubits():
+def test_frame_words_hold_its_rows_and_at_most_64_qubits():
     rng = np.random.default_rng(71)
     for n in (1, 7, 64):
         frame = PauliFrame.origin(n)
         for g in random_clifford_circuit(rng, n, 5 * n).gates:
             frame.apply_gate(g.tag, g.qubits)
-        xs, zs, ps = frame.packed()
-        assert xs.dtype == zs.dtype == np.uint64 and ps.dtype == np.uint8
-        assert PauliFrame.from_packed(xs, zs, ps) == frame
-        for q in (0, n - 1):
-            assert PauliFrame.packed_pair(xs, zs, ps, q) == (frame.eff_z(q), frame.eff_x(q))
+        assert frame.validate()
+        assert [w.typecode for w in (frame.xs, frame.zs, frame.ps)] == ["Q", "Q", "B"]
+        for q in range(n):
+            for row, e in ((q, frame.eff_z(q)), (n + q, frame.eff_x(q))):
+                assert (frame.xs[row], frame.zs[row], frame.ps[row]) == (
+                    e.x_bits, e.z_bits, e.phase_exp)
+        # the eff_x rows follow the eff_z rows in the same words, so a qubit
+        # out of range must not read a row of the other kind
+        for read in (frame.eff_z, frame.eff_x):
+            for q in (-1, n):
+                with pytest.raises(IndexError):
+                    read(q)
     with pytest.raises(ValueError, match="64 qubits"):
-        PauliFrame.origin(65).packed()
+        PauliFrame.origin(65)
 
 
 @compiled_only
@@ -197,7 +205,7 @@ def test_gate_loop_stops_at_each_measurement_and_preparation():
                         ("S", (1,))):
         circ.append(tag, *qubits)
     frame = PauliFrame.origin(3)
-    words = frame.packed()
+    words = frame.xs, frame.zs, frame.ps
     index_map = np.array([1, 2, 4], dtype=np.uint64)
     amp = np.zeros(8, dtype=complex)
     amp[0] = 1.0
@@ -210,16 +218,53 @@ def test_gate_loop_stops_at_each_measurement_and_preparation():
         stops.append(i)
         i += 1
     assert stops == [1, 3, 5]
+    expected = PauliFrame.origin(3)
     for g in circ.gates:
         if g.tag not in ("MEASZ", "PREPZ"):
-            frame.apply_gate(g.tag, g.qubits)
-    assert PauliFrame.from_packed(*words) == frame
+            expected.apply_gate(g.tag, g.qubits)
+    assert frame == expected
     with pytest.raises(ValueError, match="2-qubit state"):
         _kernels.run_gates(amp[:4], *words, index_map, 0, ops, angles, 0)
     with pytest.raises(ValueError, match="out of range"):
         _kernels.run_gates(amp, *words, index_map, 0, ops, angles, len(circ) + 1)
     with pytest.raises(ValueError, match="out of range"):
         _kernels.run_gates(amp, *words, index_map, 4, ops, angles, 0)
+    # int64 codes would be read as pairs of int32 ones, and float32 angles
+    # as halves of doubles
+    for wrong in ((array("q", ops), angles), (ops, array("f", angles)),
+                  (np.array(ops, dtype=np.int32), angles)):
+        with pytest.raises(ValueError, match="do not match"):
+            _kernels.run_gates(amp, *words, index_map, 0, *wrong, 0)
     with pytest.raises(ValueError, match="invertible"):
         _kernels.run_gates(amp, *words, np.array([1, 2, 2], dtype=np.uint64), 0, ops,
                            angles, 0)
+
+
+@compiled_only
+def test_gate_loop_rejects_frame_words_of_another_type_or_length():
+    circ = Circuit(2)
+    circ.append("H", 0)
+    circ.append("CX", 0, 1)
+    circ.append("RX", 1, angle=0.3)
+    ops, angles = circ.lowered()
+    frame = PauliFrame.origin(2)
+    amp = np.zeros(4, dtype=complex)
+    amp[0] = 1.0
+    index_map = np.array([1, 2], dtype=np.uint64)
+    good = {"xs": frame.xs, "zs": frame.zs, "ps": frame.ps}
+    # a narrower word, a signed one of the same width, numpy arrays, and
+    # one row too many or too few
+    bad = [("xs", array("I", frame.xs)), ("zs", array("q", frame.zs)),
+           ("ps", array("b", frame.ps)), ("xs", np.array(frame.xs, dtype=np.uint64)),
+           ("ps", np.array(frame.ps, dtype=np.uint8)), ("xs", frame.xs + array("Q", [0])),
+           ("zs", frame.zs[:-1]), ("ps", frame.ps + array("B", [0, 0]))]
+    for name, words in bad:
+        with pytest.raises(ValueError):
+            _kernels.run_gates(amp, **{**good, name: words}, index_map=index_map,
+                               active=0, ops=ops, angles=angles, start=0)
+        assert frame == PauliFrame.origin(2)
+        assert amp[0] == 1.0 and not amp[1:].any()
+        assert index_map.tolist() == [1, 2]
+    assert _kernels.run_gates(amp, **good, index_map=index_map, active=0, ops=ops,
+                              angles=angles, start=0)[0] == 3
+    assert frame != PauliFrame.origin(2) and amp[1:].any()

@@ -775,10 +775,11 @@ def test_compiled_loops_reject_a_misaligned_state():
     circ = Circuit(10)
     circ.append("RX", 3, angle=0.5)
     ops, angles = circ.lowered()
+    frame = PauliFrame.origin(10)
     calls = {"clifford": lambda: _kernels.clifford(amp, 1, 0, 0.0, 1.0, 0),
              "apply_h": lambda: _kernels.apply_h(amp, 0),
              "pair_exchange": lambda: _kernels.pair_exchange(amp, 3, 1, 2, 0),
-             "run_gates": lambda: _kernels.run_gates(amp, *PauliFrame.origin(10).packed(),
+             "run_gates": lambda: _kernels.run_gates(amp, frame.xs, frame.zs, frame.ps,
                                                      np.array([1 << i for i in range(10)],
                                                               dtype=np.uint64), 10,
                                                      ops, angles, 0),

@@ -204,7 +204,7 @@ for q in range(n):
     circ.append("CZ", q, (q + 6) % n)
 hs, _ = run_hybrid(circ, 1)
 hs.flush_to_origin()
-if hs.flush_passes[0]["register"] != 7 or hs.flush_passes[0]["embed"] != 1:
+if hs.flush_passes[0]["register"] != 7 or hs.flush_passes[0]["scatter"] != 1:
     raise SystemExit(f"the flush did not scatter a register of 7: {hs.flush_passes}")
 if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
     raise SystemExit("the scattered state lost its norm")

@@ -335,7 +335,7 @@ def test_clifford_gates_and_flush_allocate_nothing_state_sized():
         frame.apply_gate(tag, qubits)
     hs = HybridState(frame, state.copy())
     assert extra_peak(hs.flush_to_origin) <= slack
-    assert hs.flush_passes == [dict(quarter_turns=0, affine=1, shears=0, embed=0, h=0,
+    assert hs.flush_passes == [dict(quarter_turns=0, affine=1, shears=0, scatter=0,
                                     active=n, register=n)]
     # a hybrid run whose register holds 10 of the 16 qubits, followed by
     # Cliffords without a Hadamard part: the rest runs on 2**10 amplitudes
@@ -350,7 +350,7 @@ def test_clifford_gates_and_flush_allocate_nothing_state_sized():
     hs, _ = run_hybrid(circ, 1)
     assert hs.active == 10
     assert extra_peak(hs.flush_to_origin) <= slack
-    assert hs.flush_passes[0]["embed"] == 1 and hs.flush_passes[0]["register"] < n
+    assert hs.flush_passes[0]["scatter"] == 1 and hs.flush_passes[0]["register"] < n
 
 
 @pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
@@ -370,7 +370,7 @@ def test_register_flush_allocates_at_most_the_register_copy():
     hs, _ = run_hybrid(circ, 1)
     assert hs.active == d
     assert extra_peak(hs.flush_to_origin) <= 16 * (1 << d) + slack
-    assert hs.flush_passes[0]["embed"] == 1 and hs.flush_passes[0]["register"] == d
+    assert hs.flush_passes[0]["scatter"] == 1 and hs.flush_passes[0]["register"] == d
     assert hs.flush_passes[0]["affine"] == hs.flush_passes[0]["shears"] == 0
 
 
@@ -506,16 +506,18 @@ def test_binary_round_trip():
 def test_read_binary_rejects_a_corrupt_dump_before_allocating(tmp_path):
     # a header naming 44 qubits asks for 256 TiB; from a file, read_binary
     # must raise ValueError having read only what the file holds
-    for n, payload, match in ((0, b"", "0 qubits"), (65, b"", "65 qubits"),
-                              (44, bytes(96), "ends after 96 of"),
-                              (4, bytes(16 * 16 - 1), "ends after 255 of")):
-        path = tmp_path / f"dump{n}"
-        path.write_bytes(struct.pack("<Q", n) + payload)
+    header = struct.Struct("<Q").pack
+    for i, (dump, match) in enumerate(((header(0), "0 qubits"), (header(65), "65 qubits"),
+                                       (header(44) + bytes(96), "ends after 96 of"),
+                                       (header(4) + bytes(16 * 16 - 1), "ends after 255 of"),
+                                       (b"\x04\x00", "header of 2 bytes"))):
+        path = tmp_path / f"dump{i}"
+        path.write_bytes(dump)
         with open(path, "rb") as stream:
             def read():
                 with pytest.raises(ValueError, match=match):
                     StateVector.read_binary(stream)
-            assert extra_peak(read) <= 4 << 20, n
+            assert extra_peak(read) <= 4 << 20, match
 
 
 def test_top_amplitudes():
