@@ -68,6 +68,15 @@
  * and d grows by one.  Each rotation then makes one pass over 2**max(d, 1)
  * amplitudes instead of 2**n (see reg_map).
  *
+ * The flush at the end folds the frame and the index map back into the
+ * register in one call.  It checks the frame, then splits its Clifford U
+ * into h quarter turns followed by one Clifford F without a Hadamard part,
+ * word for word as frame.split_clifford does: each turn conjugates the 2n
+ * rows, a parity and a product of words per row (Aaronson & Gottesman,
+ * PRA 70, 052328).  It applies each turn to the register as the gate loop
+ * applies a rotation, and composes F with P_A; the caller applies F P_A in
+ * the scatter or the affine and shear passes above.
+ *
  * Built by _kernels.py with the system C compiler and loaded with ctypes.
  */
 #include <math.h>
@@ -1203,4 +1212,230 @@ out:
     *active = r.d;
     *rotation_s += spent;
     return k;
+}
+
+/* The flush: the frame's Clifford U written as h quarter turns followed by
+ * one Clifford F without a Hadamard part, U = F T_h ... T_1, as
+ * frame.split_clifford writes it, word for word, and applied to the
+ * register.  A form F|k> = i**q(k) |R k ^ b> is held in 3n + 1 words: the
+ * row masks of R, the cross masks of q, the diag entries of q (0..3) and
+ * the offset b (see frame.HadamardFree). */
+
+enum { SPLIT_INVALID = -1, SPLIT_SINGULAR = -2, SPLIT_INCONSISTENT = -3, SPLIT_NO_PHASE = -4 };
+
+/* 1 if a and b anticommute */
+static inline unsigned anti(pauli a, pauli b)
+{
+    return popcount((a.x & b.z) ^ (a.z & b.x)) & 1;
+}
+
+/* 1 if the 2n rows of f are a frame (PauliFrame.validate): every phase 0
+ * or 2, every mask below 2**n, and eff_z[i] anticommuting with eff_x[i]
+ * alone of the other rows, and eff_x[i] with eff_z[i] alone. */
+static int valid_frame(frame f, int n)
+{
+    for (int i = 0; i < 2 * n; i++)
+        if ((f.p[i] & ~2u) || ((f.x[i] | f.z[i]) & ~below(n)))
+            return 0;
+    for (int i = 1; i < 2 * n; i++)
+        for (int j = 0; j < i; j++)
+            if (anti(row(f, i), row(f, j)) != (unsigned)(i - j == n))
+                return 0;
+    return 1;
+}
+
+/* q(k) mod 4 for the form's diag and cross masks (HadamardFree.phase) */
+static unsigned form_phase(const uint64_t *diag, const uint64_t *cross, uint64_t k)
+{
+    unsigned q = 0;
+    for (uint64_t u = k; u; u &= u - 1) {
+        const int i = __builtin_ctzll(u);
+        q += (unsigned)diag[i] + popcount(cross[i] & k);
+    }
+    return q & 3;
+}
+
+/* z with parity(z & a[i]) = c[i] for i < n, as gf2.solve picks it: the
+ * equations go into an echelon basis in order, each reduced vector
+ * carrying the XOR of the right-hand sides it was reduced from, and the
+ * pivots are then taken in ascending order, each setting its bit of z if
+ * its equation is not yet met; free coordinates are 0.  Returns 0 if the
+ * system has no solution. */
+static int solve(const uint64_t *a, const unsigned *c, int n, uint64_t *z)
+{
+    echelon e = {.dim = 0};
+    for (int i = 0; i < n; i++) {
+        uint64_t s;
+        const uint64_t v = reduce(&e, a[i], &s);
+        s = (s ^ c[i]) & 1;
+        if (!v) {
+            if (s)
+                return 0;
+            continue;
+        }
+        e.vec[top_bit(v)] = v;
+        e.sum[top_bit(v)] = s;
+        e.top |= (uint64_t)1 << top_bit(v);
+    }
+    uint64_t r = 0;
+    for (uint64_t t = e.top; t; t &= t - 1) {
+        const int p = __builtin_ctzll(t);
+        if ((unsigned)__builtin_parityll(r & e.vec[p]) != e.sum[p])
+            r |= (uint64_t)1 << p;
+    }
+    *z = r;
+    return 1;
+}
+
+/* Split the valid frame f of n qubits, which it rewrites, as
+ * split_clifford does: while an eff_z row has an x part, take the first,
+ * v, with top bit t, solve parity(z & x_i) = x_i[t] ^ parity(v & z_i) over
+ * the eff_z rows (x_i, z_i), and conjugate every row by the quarter turn
+ * about Q = X**v Z**z, which clears bit t of the x parts of the eff_z
+ * rows; axes[k] is Q of turn k.  The rest is then read off the rows into
+ * form.  Returns h, or SPLIT_INCONSISTENT or SPLIT_NO_PHASE, which a valid
+ * frame never gives. */
+static int split(frame f, int n, pauli *axes, uint64_t *form)
+{
+    int h = 0;
+    for (;;) {
+        int r = 0;
+        while (r < n && !f.x[r])
+            r++;
+        if (r == n)
+            break;
+        const uint64_t v = f.x[r], t = (uint64_t)1 << top_bit(v);
+        unsigned c[64];
+        for (int i = 0; i < n; i++)
+            c[i] = (unsigned)((f.x[i] & t) != 0) ^ (unsigned)__builtin_parityll(v & f.z[i]);
+        uint64_t z;
+        if (!solve(f.x, c, n, &z))
+            return SPLIT_INCONSISTENT;
+        const pauli q = {v, z, 0};
+        axes[h++] = q;
+        for (int i = 0; i < 2 * n; i++)
+            if (anti(q, row(f, i)))
+                set_row(f, i, mul(q, row(f, i), 3)); /* -i Q E */
+    }
+    /* eff_z[j] = (-1)**b_j Z**a_j gives row j and offset bit j; Gamma = W A
+     * for the z parts w_j of the eff_x rows gives the low bit of diag and
+     * cross, and q(d_j) = -s_j the high bits of diag */
+    uint64_t *rows = form, *cross = form + n, *diag = form + 2 * n, gamma[64] = {0};
+    form[3 * n] = 0;
+    for (int j = 0; j < n; j++) {
+        rows[j] = f.z[j];
+        form[3 * n] |= (uint64_t)(f.p[j] >> 1) << j;
+        for (uint64_t w = f.z[n + j]; w; w &= w - 1)
+            gamma[__builtin_ctzll(w)] ^= f.z[j];
+    }
+    for (int i = 0; i < n; i++) {
+        diag[i] = gamma[i] >> i & 1;
+        cross[i] = gamma[i] & ~((uint64_t)1 << i);
+    }
+    uint64_t high = 0;
+    for (int j = 0; j < n; j++) {
+        const pauli e = row(f, n + j);
+        const unsigned miss = (0u - e.p - popcount(e.x & e.z) - form_phase(diag, cross, e.x)) & 3;
+        if (miss & 1)
+            return SPLIT_NO_PHASE;
+        if (miss)
+            high ^= rows[j];
+    }
+    for (int i = 0; i < n; i++)
+        diag[i] += 2 * (high >> i & 1);
+    return h;
+}
+
+/* Copy the 2n rows fx, fz, fp into the scratch frame f; 1 if they are a
+ * valid frame (see valid_frame). */
+static int load_frame(frame f, const uint64_t *fx, const uint64_t *fz, const uint8_t *fp,
+                      int n)
+{
+    memcpy(f.x, fx, 2 * (size_t)n * sizeof *f.x);
+    memcpy(f.z, fz, 2 * (size_t)n * sizeof *f.z);
+    memcpy(f.p, fp, 2 * (size_t)n);
+    return valid_frame(f, n);
+}
+
+/* frame.split_clifford on the 2n rows fx, fz, fp of a PauliFrame of n <= 64
+ * qubits, which it leaves as they are: axes[2k] and axes[2k + 1] receive
+ * the x and z masks of the axis of turn k, each turn being R_Q(pi/2) with
+ * Q of phase 0, and form the Hadamard-free rest in 3n + 1 words.  Returns
+ * h, or SPLIT_INVALID for an invalid frame (see valid_frame),
+ * SPLIT_INCONSISTENT or SPLIT_NO_PHASE. */
+int framesim_split(int n, const uint64_t *fx, const uint64_t *fz, const uint8_t *fp,
+                   uint64_t *axes, uint64_t *form)
+{
+    uint64_t x[128], z[128];
+    uint8_t p[128];
+    const frame f = {x, z, p};
+    if (!load_frame(f, fx, fz, fp, n))
+        return SPLIT_INVALID;
+    pauli q[64];
+    const int h = split(f, n, q, form);
+    for (int k = 0; k < h; k++) {
+        axes[2 * k] = q[k].x;
+        axes[2 * k + 1] = q[k].z;
+    }
+    return h;
+}
+
+/* Fold the frame's Clifford U and the index map P_A into the register, as
+ * HybridState.flush_to_origin does on the words: split U (framesim_split),
+ * apply each turn R_Q(pi/2) as framesim_run_gates applies a rotation (Q
+ * mapped onto the register by reg_map, activating a qubit if it must, and
+ * one pass of framesim_clifford over 2**max(d, 1) amplitudes), and write
+ * F P_A, F the rest and A as the turns leave it (HadamardFree.after), into
+ * form.  a_rows and *active are the register's index map and active count,
+ * updated in place; the frame's rows fx, fz, fp are left as they are, and
+ * the seconds spent in the turn passes are added to *turn_s.  Returns h,
+ * or, before anything is written, SPLIT_INVALID for an invalid frame,
+ * SPLIT_SINGULAR if the index map is not invertible, SPLIT_INCONSISTENT or
+ * SPLIT_NO_PHASE. */
+int framesim_flush(double *amp, int n, const uint64_t *fx, const uint64_t *fz,
+                   const uint8_t *fp, uint64_t *a_rows, int64_t *active, uint64_t *form,
+                   double *turn_s)
+{
+    uint64_t x[128], z[128], rest[3 * 64 + 1];
+    uint8_t p[128];
+    const frame f = {x, z, p};
+    reg r;
+    if (!load_frame(f, fx, fz, fp, n))
+        return SPLIT_INVALID;
+    if (!reg_open(&r, a_rows, n, *active))
+        return SPLIT_SINGULAR;
+    pauli axes[64];
+    const int h = split(f, n, axes, rest);
+    if (h < 0)
+        return h;
+
+    const double half = 0.5 * 1.57079632679489661923, ca = cos(half), cb = sin(half);
+    double spent = 0.0;
+    for (int k = 0; k < h; k++) {
+        pauli a = axes[k];
+        reg_map(&r, &a, 1);
+        const double t0 = seconds();
+        framesim_clifford(amp, (int64_t)1 << (r.d > 1 ? r.d : 1), a.x, a.z, ca, cb,
+                          (int)((3 + a.p - popcount(a.x & a.z)) & 3));
+        spent += seconds() - t0;
+    }
+
+    /* F P_A: rows R A, diag q(A e_i), cross the off-diagonal part of
+     * A^T Gamma A, Gamma having diag's parities on its diagonal */
+    const uint64_t *rows = rest, *cross = rest + n, *diag = rest + 2 * n;
+    uint64_t cols[64] = {0}, ga[64];
+    for (int i = 0; i < n; i++) {
+        for (uint64_t v = r.rows[i]; v; v &= v - 1)
+            cols[__builtin_ctzll(v)] |= (uint64_t)1 << i;
+        ga[i] = xor_cols(r.rows, cross[i] | (diag[i] & 1) << i); /* Gamma A */
+    }
+    for (int i = 0; i < n; i++) {
+        form[i] = xor_cols(r.rows, rows[i]);
+        form[n + i] = xor_cols(ga, cols[i]) & ~((uint64_t)1 << i);
+        form[2 * n + i] = form_phase(diag, cross, cols[i]);
+    }
+    form[3 * n] = rest[3 * n];
+    *active = r.d;
+    *turn_s += spent;
+    return h;
 }

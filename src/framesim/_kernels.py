@@ -64,11 +64,17 @@ on the words of a ``PauliFrame``, up to the next measurement or
 preparation, calling the Clifford loop for each rotation on the hybrid's
 register of 2**d amplitudes.  ``register_map`` maps one operator onto that
 register, activating a qubit when it must, as the loop does for each
-rotation; the hybrid's measurements, preparations, expectations and flush
-turns go through it (see ``backends.HybridState``).  Neither has a numpy
-counterpart: without the compiled library both are None, and
+rotation; the hybrid's measurements, preparations and expectations go
+through it (see ``backends.HybridState``).  ``split`` is
+``frame.split_clifford`` in C on the frame's words, with the same turns
+and rest word for word, and ``flush`` the hybrid's flush of a frame that
+is not at the origin in one call: the split, its quarter turns on the
+register, and the rest composed with the index map, which
+``StateVector.apply_hadamard_free`` then applies.  None of the four has a
+numpy counterpart: without the compiled library all are None,
 ``backends.run_hybrid`` runs its Python gate loop over ``PauliFrame``,
-which keeps the register dense and is the loop's reference in the tests.
+which keeps the register dense, and the flush runs ``split_clifford`` and
+its turns one by one; these are the references of the tests.
 
 On first import the C source is compiled with the system C compiler (``gcc``,
 else ``cc``) into ``$XDG_CACHE_HOME/framesim`` (default ``~/.cache/framesim``),
@@ -77,12 +83,12 @@ with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
 compiling.  The build names no CPU, so a cached library runs on any
 x86-64.  When the library loads, the six loop names are the C loops,
-``run_gates`` and ``register_map`` are set and ``kernel_tier()`` returns
-``compiled-c``.
+``run_gates``, ``register_map``, ``split`` and ``flush`` are set and
+``kernel_tier()`` returns ``compiled-c``.
 When it cannot be built or loaded (no compiler, a build error, a cache
 directory that cannot be written) one ``RuntimeWarning`` names the reason,
-the six names are bound to the numpy functions instead and ``run_gates``
-and ``register_map`` are None.  The choice is
+the six names are bound to the numpy functions instead and the other four
+are None.  The choice is
 made once, here, from what the import observes.
 """
 import ctypes
@@ -179,6 +185,11 @@ def _load():
     lib.framesim_run_gates.restype = i64
     lib.framesim_register_map.argtypes = [ptr, ctypes.c_int, i64, ptr, ctypes.c_int]
     lib.framesim_register_map.restype = i64
+    lib.framesim_split.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, ptr]
+    lib.framesim_split.restype = ctypes.c_int
+    lib.framesim_flush.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr, ctypes.POINTER(i64),
+                                   ptr, ctypes.POINTER(f64)]
+    lib.framesim_flush.restype = ctypes.c_int
     lib.framesim_affine.argtypes = [ptr, i64, ptr, u64, ptr, ptr, ptr]
     lib.framesim_affine.restype = ctypes.c_int
     lib.framesim_shear.argtypes = [ptr, i64, ptr, ptr]
@@ -384,6 +395,31 @@ def _is_array(a, code: str, size: int) -> bool:
     return isinstance(a, array) and a.typecode == code and a.itemsize == size
 
 
+def _check_frame(xs, zs, ps) -> int:
+    """Raise ValueError unless xs, zs and ps are the words of a ``PauliFrame``
+    (``array`` of typecode 'Q', 'Q' and 'B', 2n rows each, 1 <= n <= 64);
+    return n."""
+    n = len(xs) // 2
+    if not (_is_array(xs, "Q", 8) and _is_array(zs, "Q", 8) and _is_array(ps, "B", 1)
+            and len(xs) == len(zs) == len(ps) == 2 * n and 1 <= n <= 64):
+        raise ValueError("the frame must be arrays of typecode 'Q', 'Q' and 'B', "
+                         "of 2n rows each")
+    return n
+
+
+def _check_hybrid(amp, xs, zs, ps, index_map, active) -> tuple[int, int]:
+    """Validate a hybrid's state, frame words and register for the C loops;
+    return the qubit count n and the state's address."""
+    n = _check_frame(xs, zs, ps)
+    addr = _address(amp)
+    if amp.shape[0] != 1 << n:
+        raise ValueError(f"frame on {n} qubits applied to "
+                         f"{amp.shape[0].bit_length() - 1}-qubit state")
+    if _check_register(index_map, active) != n:
+        raise ValueError(f"index map of {index_map.shape[0]} rows for a {n}-qubit frame")
+    return n, addr
+
+
 def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start):
     """Run a lowered gate stream from gate ``start`` on the hybrid backend, in
     one call of the C gate loop; return the index of the first gate not run
@@ -398,17 +434,7 @@ def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start):
     qubits are not checked again.  Each rotation runs on the first
     2**max(d, 1) amplitudes.
     """
-    n = len(xs) // 2
-    addr = _address(amp)
-    if amp.shape[0] != 1 << n:
-        raise ValueError(f"frame on {n} qubits applied to "
-                         f"{amp.shape[0].bit_length() - 1}-qubit state")
-    if not (_is_array(xs, "Q", 8) and _is_array(zs, "Q", 8) and _is_array(ps, "B", 1)
-            and len(xs) == len(zs) == len(ps) == 2 * n):
-        raise ValueError("the frame must be arrays of typecode 'Q', 'Q' and 'B', "
-                         "of 2n rows each")
-    if _check_register(index_map, active) != n:
-        raise ValueError(f"index map of {index_map.shape[0]} rows for a {n}-qubit frame")
+    n, addr = _check_hybrid(amp, xs, zs, ps, index_map, active)
     count = len(angles)
     if not (_is_array(ops, "i", 4) and _is_array(angles, "d", 8)
             and len(ops) == 3 * count and 0 <= start <= count):
@@ -423,6 +449,66 @@ def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start):
     if stop < 0:
         raise ValueError(_SINGULAR_MAP)
     return stop, spent.value, d.value
+
+
+# the errors of framesim_split and framesim_flush, by return code; the last
+# two are those of gf2.solve and split_clifford, which no valid frame raises
+_SPLIT_ERRORS = {-1: (ValueError, "cannot split an invalid frame"),
+                 -2: (ValueError, _SINGULAR_MAP),
+                 -3: (ValueError, "inconsistent GF(2) system"),
+                 -4: (RuntimeError, "the frame's eff_x rows fit no quadratic phase")}
+
+
+def _split_result(h: int, form: np.ndarray, n: int):
+    """The form in the 3n + 1 words the C split writes, as the fields
+    (rows, offset, diag, cross) of a ``frame.HadamardFree``; raises the
+    error of a negative h."""
+    if h < 0:
+        kind, message = _SPLIT_ERRORS[h]
+        raise kind(message)
+    w = form.tolist()
+    return tuple(w[:n]), w[3 * n], tuple(w[2 * n:3 * n]), tuple(w[n:2 * n])
+
+
+def _c_split(xs, zs, ps):
+    """``frame.split_clifford`` on the words xs, zs, ps of a ``PauliFrame``,
+    in C, which leaves them as they are.  Returns the (x, z) masks of the
+    axes of its h quarter turns R_Q(pi/2), Q of phase 0, and the fields
+    (rows, offset, diag, cross) of its ``HadamardFree`` rest, word for word
+    those of ``split_clifford``.  Raises its ValueError for an invalid
+    frame."""
+    n = _check_frame(xs, zs, ps)
+    axes = np.empty(2 * n, dtype=np.uint64)
+    form = np.empty(3 * n + 1, dtype=np.uint64)
+    h = _lib.framesim_split(n, xs.buffer_info()[0], zs.buffer_info()[0], ps.buffer_info()[0],
+                            axes.ctypes.data, form.ctypes.data)
+    rest = _split_result(h, form, n)
+    pairs = axes[:2 * h].tolist()
+    return list(zip(pairs[::2], pairs[1::2])), rest
+
+
+def _c_flush(amp, xs, zs, ps, index_map, active):
+    """The hybrid's flush of the frame words xs, zs, ps into the register, in
+    one C call: the split of ``split`` and its h quarter turns, each mapped
+    onto the register (activating a qubit if it must, see ``register_map``)
+    and run in one pass of the Clifford loop over 2**max(d, 1) amplitudes,
+    then the rest F composed with the index map P_A as
+    ``HadamardFree.after`` composes them.  index_map and the amplitudes are
+    updated in place, the frame words are not.
+
+    Returns h, the active count d after the turns, the fields (rows,
+    offset, diag, cross) of F P_A and the seconds spent in the turn passes.
+    Raises before any write: ValueError for an invalid frame or index map,
+    as ``split_clifford`` and ``register_map`` do.
+    """
+    n, addr = _check_hybrid(amp, xs, zs, ps, index_map, active)
+    form = np.empty(3 * n + 1, dtype=np.uint64)
+    spent = ctypes.c_double(0.0)
+    d = ctypes.c_int64(active)
+    h = _lib.framesim_flush(addr, n, xs.buffer_info()[0], zs.buffer_info()[0],
+                            ps.buffer_info()[0], index_map.ctypes.data, ctypes.byref(d),
+                            form.ctypes.data, ctypes.byref(spent))
+    return h, d.value, _split_result(h, form, n), spent.value
 
 
 def _c_register_map(index_map, active, x, z, phase, activate):
@@ -578,7 +664,8 @@ if _lib is not None:
     clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
     affine, shear, scatter = _c_affine, _c_shear, _c_scatter
     run_gates, register_map = _c_run_gates, _c_register_map
+    split, flush = _c_split, _c_flush
 else:
     clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
     affine, shear, scatter = numpy_affine, numpy_shear, numpy_scatter
-    run_gates = register_map = None
+    run_gates = register_map = split = flush = None

@@ -88,7 +88,10 @@ class HybridState:
     ``active``, d when the flush began, and ``register``, max(d, 1) after
     its quarter turns: the qubits its rest ran on, n for the passes.
     ``timing["flush_s"]`` adds up the seconds of the flushes, their split
-    of U and the pass of P_A included.
+    of U and the pass of P_A included, and ``timing["flush_turns_s"]`` the
+    seconds of their quarter-turn passes alone: timed inside the C flush,
+    as the gate loop times ``rotation_s``, or around each turn on the
+    numpy tier.
     """
 
     frame: PauliFrame
@@ -138,11 +141,16 @@ class HybridState:
         Clifford F without a Hadamard part, which maps each basis state to
         one basis state times a phase.  Each turn runs on the register as
         any rotation does, in one pass of the Clifford loop over 2**d
-        amplitudes (``StateVector.apply_pauli_rotation``), and F P_A
-        (``HadamardFree.after``) in one scatter that writes each amplitude
-        of the register, d as the turns leave it, phased, to its place;
-        with d = n it runs in an affine pass and a shear pass over the
-        whole state instead (``StateVector.apply_hadamard_free``).
+        amplitudes, and F P_A (``HadamardFree.after``) in one scatter that
+        writes each amplitude of the register, d as the turns leave it,
+        phased, to its place; with d = n it runs in an affine pass and a
+        shear pass over the whole state instead
+        (``StateVector.apply_hadamard_free``).  On the compiled tier one
+        call, ``_kernels.flush``, checks the frame, splits it, runs the
+        turns and composes F P_A, on the frame's words; on the numpy tier
+        ``split_clifford``, ``StateVector.apply_pauli_rotation`` and
+        ``HadamardFree.after`` do, with the same turns, amplitudes and
+        form, bit for bit.
         The frame fixes U only up to a global phase, and the flush applies
         U = F T_h ... T_1 with F free of a constant factor, as
         ``split_clifford`` returns it.
@@ -158,21 +166,30 @@ class HybridState:
         n = self.frame.num_qubits
         passes = dict.fromkeys(("quarter_turns", "affine", "shears", "scatter"), 0)
         passes["active"] = self.active
+        turn_s = 0.0
         if self.frame.is_origin():
             form = HadamardFree(tuple(self.index_map.tolist()), 0, (0,) * n, (0,) * n)
+        elif _kernels.flush is not None:
+            f = self.frame
+            passes["quarter_turns"], self.active, fields, turn_s = _kernels.flush(
+                self.phi.amplitudes, f.xs, f.zs, f.ps, self.index_map, self.active)
+            form = HadamardFree(*fields)
         else:
             turns, rest = split_clifford(self.frame)
             for turn in turns:
                 state, axis = self._register(turn.axis)
+                t1 = time.perf_counter()
                 state.apply_pauli_rotation(axis, turn.angle)
+                turn_s += time.perf_counter() - t1
             passes["quarter_turns"] = len(turns)
-            self.frame = PauliFrame.origin(n)
             form = rest.after(self.index_map.tolist())  # A as the turns left it
+        self.frame = PauliFrame.origin(n)
         passes["register"] = max(self.active, 1)
         passes["affine"], passes["shears"], passes["scatter"] = self.phi.apply_hadamard_free(
             form, passes["register"])
         self.index_map, self.active = _identity_map(n), n
         self.flush_passes.append(passes)
+        self.timing["flush_turns_s"] = self.timing.get("flush_turns_s", 0.0) + turn_s
         self.timing["flush_s"] = self.timing.get("flush_s", 0.0) + time.perf_counter() - t0
 
 

@@ -18,12 +18,12 @@ one rule: a pi/2 turn about i*B*A conjugates an entry A onto any
 anticommuting B, and a pi turn negates a single letter.
 
 ``split_clifford`` is how the hybrid backend flushes the frame into the
-state vector when raw amplitudes are needed: the Clifford as h quarter
-turns, h being the size of its Hadamard layer, followed by one
-Hadamard-free Clifford (``HadamardFree``), which maps each basis state to
-one basis state times a power of i.  The frame leaves the global phase
-open, and the split fixes it: the Hadamard-free part has no constant
-factor.
+state vector when raw amplitudes are needed (in C, on the same words, when
+the compiled kernels load): the Clifford as h quarter turns, h being the
+size of its Hadamard layer, followed by one Hadamard-free Clifford
+(``HadamardFree``), which maps each basis state to one basis state times a
+power of i.  The frame leaves the global phase open, and the split fixes
+it: the Hadamard-free part has no constant factor.
 
 The 2n rows are held as machine words rather than PauliString objects, for
 up to 64 qubits: ``xs`` and ``zs`` hold the x and z bits of eff_z[0..n-1]
@@ -157,7 +157,7 @@ class PauliFrame:
 
     def validate(self) -> bool:
         """Check the symplectic pairing and sign conventions of every row:
-        each phase is even and each mask below 2**n, and of the 2n rows,
+        each phase exponent is 0 or 2 and each mask below 2**n, and of the 2n rows,
         eff_z[i] anticommutes with eff_x[i] alone, and eff_x[i] with eff_z[i]
         alone.
 
@@ -166,7 +166,7 @@ class PauliFrame:
         matrix product in place of 3n**2 pairwise parities (``_anti``).
         """
         n = self.num_qubits
-        if any(p & 1 for p in self.ps) or any((x | z) >> n for x, z in zip(self.xs, self.zs)):
+        if any(p & ~2 for p in self.ps) or any((x | z) >> n for x, z in zip(self.xs, self.zs)):
             return False
         half = _bit_matrix(self.zs, n) @ _bit_matrix(self.xs, n).T
         products = (half + half.T).astype(np.uint8) & 1
@@ -486,6 +486,10 @@ class HadamardFree(NamedTuple):
 def split_clifford(frame: PauliFrame) -> tuple[list[RotationStep], HadamardFree]:
     """The tracked Clifford U as h quarter turns followed by one Clifford
     without a Hadamard part: U = F * T_h ... T_1.
+
+    This is the flush's split on the numpy tier, and the reference of the
+    compiled one (``_kernels.split`` and ``_kernels.flush``), which returns
+    the same turns and rest word for word.
 
     The frame fixes U only up to a global phase; this is the phase the
     split gives it: the turns T = R_Q(pi/2) carry their own, and F has no

@@ -134,7 +134,8 @@ def test_flush_counts_its_state_passes(monkeypatch):
     # origin frame with the identity index map, as a flush leaves it, makes
     # no pass and runs no synthesis; each entry records the active count
     # the flush began with and the register its rest ran on, at least the
-    # active count.  No flush runs invert_to_rotations.
+    # active count.  No flush runs invert_to_rotations, and on the compiled
+    # tier the split runs in C (_kernels.flush), never at the origin.
     from framesim import backends, frame
     from oracles import gf2_rank, random_clifford_circuit
     rng = np.random.default_rng(57)
@@ -142,15 +143,20 @@ def test_flush_counts_its_state_passes(monkeypatch):
         n = int(rng.integers(1, 13))
         hs, _ = run_hybrid(random_clifford_circuit(rng, n, 10 * n))
         h = gf2_rank(hs.frame.eff_z(i).x_bits for i in range(n))
-        active = hs.active
+        active, origin = hs.active, hs.frame.is_origin()
+        compiled = _kernels.flush
+        splits = []
         with monkeypatch.context() as mp:
             for module in (backends, frame):
                 mp.setattr(module, "invert_to_rotations",
                            lambda *args: pytest.fail("synthesis ran"))
+            if compiled is not None:
+                mp.setattr(_kernels, "flush", lambda *args: splits.append(1) or compiled(*args))
             hs.flush_to_origin()
         with monkeypatch.context() as mp:
             for name in ("invert_to_rotations", "split_clifford"):
                 mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
+            mp.setattr(_kernels, "flush", lambda *args: pytest.fail("synthesis ran"))
             hs.flush_to_origin()
         first, second = hs.flush_passes
         assert second == dict(quarter_turns=0, affine=0, shears=0, scatter=0, active=n,
@@ -158,23 +164,46 @@ def test_flush_counts_its_state_passes(monkeypatch):
         assert first["active"] == active
         assert max(active, 1) <= first["register"] <= n
         assert first["quarter_turns"] == h
+        # the compiled tier splits in C, once per flush away from the origin
+        assert len(splits) == (0 if compiled is None or origin else 1)
         assert first["affine"] <= 1
         assert first["shears"] <= (1 if n > 8 else 0)
         assert first["scatter"] <= (0 if first["register"] == n else 1)
         assert sum(first[kind] for kind in ("quarter_turns", "affine", "shears")) <= h + 2
 
 
-def test_flush_rejects_an_invalid_frame_before_any_pass():
-    # both rows are (Z0, X0): validate() rejects the frame, and the flush
-    # raises with the amplitudes and its pass record as they were
+def invalid_frames():
+    """2-qubit frames that validate() rejects, each for one broken invariant."""
     z0, x0 = PauliString.single(2, 0, "Z"), PauliString.single(2, 0, "X")
-    amp = np.array([0.5, 0.5j, -0.5, 0.5])
-    hs = HybridState(PauliFrame(2, rows=[(z0, x0), (z0, x0)]), StateVector(2, amp),
-                     index_map=np.array([3, 2], dtype=np.uint64))
-    with pytest.raises(ValueError, match="invalid frame"):
-        hs.flush_to_origin()
-    assert np.array_equal(hs.phi.amplitudes, amp)
-    assert hs.flush_passes == []
+    shared = PauliFrame(2, rows=[(z0, x0), (z0, x0)])  # both rows are (Z0, X0)
+    odd = PauliFrame.origin(2)
+    odd.ps[1] = 1  # eff_z[1] = i Z1
+    high = PauliFrame.origin(2)
+    high.zs[0] |= 1 << 2  # a mask at bit n
+    commuting = PauliFrame.origin(2)
+    commuting.xs[3], commuting.zs[3] = 0, 2  # eff_x[1] = Z1, which commutes with eff_z[1]
+    return {"shared": shared, "odd phase": odd, "mask at bit n": high,
+            "commuting pair": commuting}
+
+
+def test_flush_rejects_an_invalid_frame_before_any_pass(monkeypatch):
+    # the flush raises with the amplitudes, the register and its pass
+    # record as they were, on the C flush and on the split in Python
+    paths = ["python"] + (["compiled"] if _kernels.flush is not None else [])
+    for path in paths:
+        for broken, frame in invalid_frames().items():
+            assert not frame.validate(), broken
+            amp = np.array([0.6, 0.8j, 0, 0])
+            hs = HybridState(frame, StateVector(2, amp), active=1,
+                             index_map=np.array([3, 2], dtype=np.uint64))
+            with monkeypatch.context() as mp:
+                if path == "python":
+                    mp.setattr(_kernels, "flush", None)
+                with pytest.raises(ValueError, match="invalid frame"):
+                    hs.flush_to_origin()
+            assert np.array_equal(hs.phi.amplitudes, amp), (path, broken)
+            assert (hs.index_map.tolist(), hs.active) == ([3, 2], 1), (path, broken)
+            assert hs.frame is frame and hs.flush_passes == [], (path, broken)
 
 
 def test_flush_probabilities_match_baseline():

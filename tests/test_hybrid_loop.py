@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framesim import (Circuit, PauliFrame, StateVector, _kernels, backends,
+from framesim import (Circuit, HybridState, PauliFrame, StateVector, _kernels, backends,
                       random_hamiltonian, run_hybrid, trotterize)
 from framesim.circuit import TAGS
+from framesim.frame import HadamardFree, split_clifford
 from oracles import gf2_rank, index_mapped, random_clifford_circuit
 
 ARITY = {tag: 2 if tag in ("CX", "CZ", "SWAP") else 1 for tag in TAGS}
@@ -115,7 +116,8 @@ def test_register_holds_the_state_in_its_active_prefix(case):
     # after the compiled loop phi is exactly 0 beyond 2**active; without
     # MEASZ and PREPZ, active is the GF(2) rank of the x parts of the axes
     # the dense loop applied; and the flushes agree, global phase included.
-    # A frame at the origin is flushed as P_A alone, with no synthesis.
+    # A frame at the origin is flushed as P_A alone, with no synthesis, in
+    # Python or in C; any other makes h quarter turns on either path.
     n, gates, seed = case
     circ = build(n, gates)
     hs, _ = run_hybrid(circ, seed)
@@ -124,13 +126,16 @@ def test_register_holds_the_state_in_its_active_prefix(case):
     if not any(g[0] in ("MEASZ", "PREPZ") for g in gates):
         assert hs.active == gf2_rank(axes)
     active, at_origin = hs.active, hs.frame.is_origin()
+    h = gf2_rank(hs.frame.eff_z(i).x_bits for i in range(n))
     with pytest.MonkeyPatch.context() as mp:
         if at_origin:
             for name in ("invert_to_rotations", "split_clifford"):
                 mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
+            mp.setattr(_kernels, "flush", lambda *args: pytest.fail("synthesis ran"))
         hs.flush_to_origin()
     ref.flush_to_origin()
     assert hs.flush_passes[0]["active"] == active
+    assert hs.flush_passes[0]["quarter_turns"] == ref.flush_passes[0]["quarter_turns"] == h
     assert (hs.active, hs.index_map.tolist()) == (n, [1 << i for i in range(n)])
     assert np.max(np.abs(hs.phi.amplitudes - ref.phi.amplitudes)) < 1e-12
 
@@ -262,9 +267,90 @@ def test_gate_loop_rejects_frame_words_of_another_type_or_length():
         with pytest.raises(ValueError):
             _kernels.run_gates(amp, **{**good, name: words}, index_map=index_map,
                                active=0, ops=ops, angles=angles, start=0)
+        with pytest.raises(ValueError):
+            _kernels.flush(amp, **{**good, name: words}, index_map=index_map, active=0)
+        with pytest.raises(ValueError):
+            _kernels.split(**{**good, name: words})
         assert frame == PauliFrame.origin(2)
         assert amp[0] == 1.0 and not amp[1:].any()
         assert index_map.tolist() == [1, 2]
     assert _kernels.run_gates(amp, **good, index_map=index_map, active=0, ops=ops,
                               angles=angles, start=0)[0] == 3
     assert frame != PauliFrame.origin(2) and amp[1:].any()
+
+
+def random_frame(rng, n, length) -> PauliFrame:
+    frame = PauliFrame.origin(n)
+    for g in random_clifford_circuit(rng, n, length).gates:
+        frame.apply_gate(g.tag, g.qubits)
+    return frame
+
+
+@compiled_only
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 64), length=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
+@example(n=64, length=640, seed=1)
+@example(n=64, length=0, seed=2)  # the origin frame
+@example(n=1, length=3, seed=3)
+def test_compiled_split_is_split_clifford_word_for_word(n, length, seed):
+    # the same turn axes, in order, and the same rest, and the frame words
+    # as they were
+    frame = random_frame(np.random.default_rng(seed), n, length)
+    words = frame.copy()
+    turns, rest = split_clifford(frame)
+    axes, fields = _kernels.split(frame.xs, frame.zs, frame.ps)
+    assert axes == [(t.axis.x_bits, t.axis.z_bits) for t in turns]
+    assert all(t.axis.phase_exp == 0 and t.quarter_turns == 1 for t in turns)
+    assert HadamardFree(*fields) == rest
+    assert frame == words
+
+
+def random_invertible(rng, n) -> np.ndarray:
+    while True:
+        rows = [int(r) for r in rng.integers(0, 1 << n, size=n)]
+        if gf2_rank(rows) == n:
+            return np.array(rows, dtype=np.uint64)
+
+
+@compiled_only
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, MAX_QUBITS), length=st.integers(0, 120),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=10, length=0, seed=1)  # the origin frame: P_A alone
+def test_compiled_flush_is_the_python_split_flush_bit_for_bit(n, length, seed):
+    # for every active count d, a register of random amplitudes below 2**d
+    # and a random invertible index map: the same amplitudes, pass record,
+    # index map and frame after the flush as with the split in Python
+    rng = np.random.default_rng(seed)
+    frame = random_frame(rng, n, length)
+    h = gf2_rank(frame.eff_z(i).x_bits for i in range(n))
+    for d in range(n + 1):
+        amp = np.zeros(1 << n, dtype=complex)
+        amp[:1 << d] = rng.normal(size=1 << d) + 1j * rng.normal(size=1 << d)
+        index_map = random_invertible(rng, n)
+        states = [HybridState(frame.copy(), StateVector(n, amp), index_map=index_map.copy(),
+                              active=d) for _ in range(2)]
+        states[0].flush_to_origin()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "flush", None)
+            states[1].flush_to_origin()
+        compiled, python = states
+        assert np.array_equal(compiled.phi.amplitudes, python.phi.amplitudes)
+        assert compiled.flush_passes == python.flush_passes
+        assert compiled.flush_passes[0]["quarter_turns"] == (0 if frame.is_origin() else h)
+        assert compiled.frame.is_origin() and python.frame.is_origin()
+        assert compiled.index_map.tolist() == python.index_map.tolist()
+        assert compiled.timing["flush_turns_s"] <= compiled.timing["flush_s"]
+
+
+@compiled_only
+def test_compiled_split_errors_are_those_of_split_clifford():
+    # the codes that no valid frame gives raise what gf2.solve and
+    # split_clifford raise, not an assertion
+    form = np.zeros(4, dtype=np.uint64)
+    with pytest.raises(RuntimeError, match="fit no quadratic phase"):
+        _kernels._split_result(-4, form, 1)
+    with pytest.raises(ValueError, match="inconsistent"):
+        _kernels._split_result(-3, form, 1)
+    with pytest.raises(ValueError, match="invalid frame"):
+        _kernels.split(array("Q", [0, 0]), array("Q", [1, 1]), array("B", [0, 0]))

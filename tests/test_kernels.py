@@ -153,7 +153,9 @@ def libasan() -> str | None:
 # 1, 2 and 4 tiles with a lower shear; the phased scatter of a register of
 # 1 and of n - 1 qubits, reaching the last amplitude, against numpy's, and
 # a flush whose rest runs on a register of 7 of 10 qubits and is scattered
-# into place
+# into place; the split of a 64-qubit frame, whose masks reach bit 63,
+# against split_clifford, and a flush whose 10 quarter turns activate the
+# register from 0 qubits up to all 10
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -208,6 +210,27 @@ if hs.flush_passes[0]["register"] != 7 or hs.flush_passes[0]["scatter"] != 1:
     raise SystemExit(f"the flush did not scatter a register of 7: {hs.flush_passes}")
 if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
     raise SystemExit("the scattered state lost its norm")
+from framesim import HybridState, PauliFrame, StateVector
+from framesim.frame import split_clifford
+frame = PauliFrame.origin(64)
+for q in range(64):
+    frame.apply_gate("H", (q,))
+    frame.apply_gate("CX", (q, (q + 1) % 64))
+    frame.apply_gate("S", ((7 * q) % 64,))
+turns, rest = split_clifford(frame)
+axes, fields = _kernels.split(frame.xs, frame.zs, frame.ps)
+if axes != [(t.axis.x_bits, t.axis.z_bits) for t in turns] or fields != tuple(rest):
+    raise SystemExit("the split of a 64-qubit frame disagrees with split_clifford")
+frame = PauliFrame.origin(n)
+for q in range(n):
+    frame.apply_gate("H", (q,))
+    frame.apply_gate("CZ", (q, (q + 4) % n))
+hs = HybridState(frame, StateVector.zero(n), active=0)
+hs.flush_to_origin()
+if (hs.flush_passes[0]["quarter_turns"], hs.flush_passes[0]["register"]) != (n, n):
+    raise SystemExit(f"the flush's turns did not activate all {n} qubits: {hs.flush_passes}")
+if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
+    raise SystemExit("the flushed register lost its norm")
 """
 # a write past the end of a 4-amplitude state, which the sanitizer must stop
 OVERRUN_PROBE = """
