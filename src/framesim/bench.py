@@ -44,6 +44,16 @@ _COLUMNS = (("name", str), ("n_qubits", int), ("n_terms", int),
 CSV_FIELDS = tuple(column for column, _ in _COLUMNS)
 
 VERIFY_TOLERANCE = 1e-10
+# bytes of one complex128 amplitude
+AMPLITUDE_BYTES = 16
+# where the memory left to a run is read, read-only: the kernel's estimate
+# of what can be allocated without swapping, the process's cgroups, and the
+# mount under which their memory limits are found
+MEMINFO = "/proc/meminfo"
+PROC_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
+# a cgroup limit at or above this sets none (version 1 writes 2**63 less a page)
+_NO_LIMIT = 1 << 62
 
 
 class BenchConfigError(ValueError):
@@ -106,13 +116,104 @@ def _load_hamiltonian(config: BenchConfig) -> Hamiltonian:
         return parse_hamiltonian(fh, name=name)
 
 
+def memory_limits() -> tuple[int | None, int | None]:
+    """MemAvailable and the cgroup's memory limit, in bytes; None for one
+    that cannot be read or, for the cgroup, that sets no limit."""
+    available = None
+    try:
+        with open(MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    available = int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    limits = []
+    for path in _cgroup_limit_files():
+        try:
+            with open(path, encoding="ascii") as fh:
+                text = fh.read().strip()
+        except OSError:
+            continue
+        if text.isdigit() and int(text) < _NO_LIMIT:
+            limits.append(int(text))
+    return available, min(limits, default=None)
+
+
+def _cgroup_limit_files() -> list[str]:
+    """The memory-limit files of the process's cgroup and of each of its
+    ancestors, whose limits bind it too: version 2's ``memory.max`` and
+    version 1's ``memory.limit_in_bytes`` under the memory controller's
+    mount.  Without a readable PROC_CGROUP, those of the root."""
+    unified = controller = "/"
+    try:
+        with open(PROC_CGROUP, encoding="ascii") as fh:
+            for line in fh:
+                _, controllers, path = line.rstrip("\n").split(":", 2)
+                if controllers == "":
+                    unified = path
+                elif "memory" in controllers.split(","):
+                    controller = path
+    except (OSError, ValueError):
+        pass
+    return ([f"{CGROUP_ROOT}{cgroup}/memory.max" for cgroup in _lineage(unified)]
+            + [f"{CGROUP_ROOT}/memory{cgroup}/memory.limit_in_bytes"
+               for cgroup in _lineage(controller)])
+
+
+def _lineage(path: str) -> list[str]:
+    """A cgroup's path and its ancestors' up to the root, which is ""."""
+    parts = [part for part in path.split("/") if part]
+    return ["".join(f"/{part}" for part in parts[:depth])
+            for depth in range(len(parts), -1, -1)]
+
+
+def memory_need(config: BenchConfig, num_qubits: int) -> int:
+    """The bytes of state that a run of config on num_qubits holds at once.
+
+    A backend's repetition holds the state of the repetition before while
+    it fills its own, beside the last state of each backend run before it:
+    one state more than the backends.  The cross-check holds the two last
+    states and at most 24 bytes per amplitude besides, the probabilities
+    it compares (or the flush's copy of its register, up to a state).  The
+    circuits and the hybrid's gate tables are left out: they grow with the
+    terms, not with 2**n, and 100 terms of weight 14 hold about 1.4 MiB at
+    the peak, a third of one 18-qubit state.
+    """
+    per_amplitude = AMPLITUDE_BYTES * (len(config.backends) + 1)
+    if config.verify and set(config.backends) == set(BACKENDS):
+        per_amplitude = max(per_amplitude, 2 * AMPLITUDE_BYTES + 24)
+    return per_amplitude << num_qubits
+
+
+def _check_memory(config: BenchConfig, num_qubits: int) -> None:
+    """Raise BenchConfigError if a run cannot hold the states it needs."""
+    need = memory_need(config, num_qubits)
+    available, limit = memory_limits()
+    if any(cap is not None and need > cap for cap in (available, limit)):
+        raise BenchConfigError(
+            f"{num_qubits} qubits need {_mib(need)}, "
+            f"{need / (AMPLITUDE_BYTES << num_qubits):g} states of "
+            f"{AMPLITUDE_BYTES} B per amplitude, more than MemAvailable "
+            f"({_mib(available, 'unreadable')}) or the cgroup's memory limit "
+            f"({_mib(limit, 'none')})")
+
+
+def _mib(nbytes: int | None, missing: str = "") -> str:
+    return missing if nbytes is None else f"{nbytes / 2**20:.1f} MiB"
+
+
 def run_config(config: BenchConfig) -> list[BenchRecord]:
-    """Execute one benchmark cell and return one record per backend."""
+    """Execute one benchmark cell and return one record per backend.
+
+    Raises BenchConfigError, before any state is allocated, for more
+    qubits than ``max_qubits`` or than the memory left to the run holds.
+    """
     probe = _load_hamiltonian(config)
     if probe.num_qubits > config.max_qubits:
         raise BenchConfigError(
             f"{probe.num_qubits} qubits exceeds the memory ceiling of "
             f"{config.max_qubits} (raise max_qubits to override)")
+    _check_memory(config, probe.num_qubits)
     l_mean, l_std, l_max = probe.locality_stats()
     seed = int(config.source.seed) if isinstance(config.source, RandomSpec) else None
 

@@ -22,13 +22,23 @@ place; on a state that is zero beyond its first 2**d amplitudes it goes
 through one phased scatter of those amplitudes from a copy of them
 instead.  All the others update the amplitudes in place.
 
+Every state-sized buffer -- a state, its copy, the copy that
+``expectation`` makes and the flush's copy of its register -- comes from
+``_aligned_zeros``.  From 2 MiB (17 qubits) up that is an anonymous
+mapping of its own, advised for transparent huge pages, so that a fresh
+state is faulted in 2 MiB at a time rather than 4 KiB, and tracemalloc
+counts it; below, numpy's heap.
+
 Index convention: bit j of the amplitude index is the computational value
 of qubit j (qubit 0 = least significant bit).
 """
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
 import struct
+import weakref
 
 import numpy as np
 
@@ -43,6 +53,8 @@ _NORM_TOLERANCE = 1e-10
 _IMAG_TOLERANCE = 1e-9
 # bytes of a cache line, the alignment of the amplitudes a state allocates
 _LINE_BYTES = 64
+# bytes of the smallest state that gets a mapping of its own: a huge page
+_MAPPED_BYTES = 2 << 20
 # the baseline's X and Y, as arguments (x, z, e0) of ``_kernels.clifford``
 # from the single-bit mask of their qubit, with ca = 0 and cb = 1
 _CLIFFORD_1Q = {
@@ -63,13 +75,54 @@ _EXCHANGE = {
 }
 
 
+# tracemalloc's record of memory that Python's allocators did not allocate
+_TRACK = ctypes.pythonapi.PyTraceMalloc_Track
+_TRACK.argtypes = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)
+_TRACK.restype = ctypes.c_int
+_UNTRACK = ctypes.pythonapi.PyTraceMalloc_Untrack
+_UNTRACK.argtypes = (ctypes.c_uint, ctypes.c_size_t)
+_UNTRACK.restype = ctypes.c_int
+
+
 def _aligned_zeros(dim: int) -> np.ndarray:
-    """dim complex128 zeros starting on a cache line.  numpy aligns a large
-    array to 16 bytes only, and then every other 32-byte vector of the
-    compiled loops straddles two cache lines."""
-    raw = np.zeros(dim + _LINE_BYTES // 16, dtype=np.complex128)
-    skip = (-raw.ctypes.data % _LINE_BYTES) // 16
-    return raw[skip:skip + dim]
+    """dim complex128 zeros starting on a cache line.
+
+    A state of 2 MiB or more (17 qubits and up) gets an anonymous mapping
+    of its own, of exactly 16*dim bytes, advised for transparent huge pages
+    where the kernel has them (else it keeps 4 KiB pages).  Its pages come
+    from the kernel already zero, so nothing is written here, and the first
+    pass over them faults them in 2 MiB at a time instead of 4 KiB.  Recent
+    Linux kernels place a mapping whose size is a whole number of huge
+    pages, as a state's is, on a huge-page boundary, so huge pages back all
+    of it; any mapping starts on a page, so on a cache line.  tracemalloc
+    counts the mapping in numpy's domain, as it counts numpy's own
+    allocations, until the last array on it is freed and the mapping with
+    it.
+
+    A smaller state takes numpy's heap, which hands back memory already
+    resident.  A mapping of less than 2 MiB cannot take a huge page and pays
+    a 4 KiB fault per page of every fresh state, plus its system calls:
+    with a mapping for every size, a hybrid run plus flush of 14 and 16
+    qubits took 1.7x and 2.6x as long, and 8-qubit shots 1.6x.  numpy aligns
+    a large array to 16 bytes only, and then every other 32-byte vector of
+    the compiled loops straddles two cache lines, so it is over-allocated
+    by a line and sliced.
+    """
+    nbytes = 16 * dim
+    if nbytes < _MAPPED_BYTES:
+        raw = np.zeros(dim + _LINE_BYTES // 16, dtype=np.complex128)
+        skip = (-raw.ctypes.data % _LINE_BYTES) // 16
+        return raw[skip:skip + dim]
+    region = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only
+        try:
+            region.madvise(mmap.MADV_HUGEPAGE)
+        except OSError:  # a kernel without transparent huge pages
+            pass
+    amp = np.frombuffer(region, dtype=np.complex128)
+    _TRACK(np.lib.tracemalloc_domain, amp.ctypes.data, nbytes)
+    weakref.finalize(region, _UNTRACK, np.lib.tracemalloc_domain, amp.ctypes.data)
+    return amp
 
 
 def _aligned_copy(amp: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Benchmark harness: records, serialization, sweep, report, CLI."""
 import io
 import json
+import tracemalloc
 
 import pytest
 
-from framesim import BenchConfig, BenchRecord, RandomSpec, _kernels
-from framesim.bench import (BenchConfigError, default_sweep_cells, read_records,
+from framesim import BenchConfig, BenchRecord, RandomSpec, _kernels, bench
+from framesim.bench import (BACKENDS, BenchConfigError, default_sweep_cells, read_records,
                             render_report, report, run_config, sweep,
                             write_records)
 from framesim.cli import main as cli_main
@@ -41,6 +42,109 @@ def test_run_config_deterministic_nontiming_fields():
 def test_run_config_respects_ceiling():
     with pytest.raises(BenchConfigError, match="ceiling"):
         run_config(small_config(source=RandomSpec(8, 2, 5, 0), max_qubits=6))
+
+
+def test_run_config_checks_the_memory_budget_before_allocating(monkeypatch):
+    # verifying both backends holds two states and 24 B per amplitude
+    # besides: 56 B for each of 2**8 amplitudes, 3.5 states
+    need = 56 << 8
+    config = small_config(source=RandomSpec(8, 2, 5, 0))
+    ran = []
+    with monkeypatch.context() as mp:
+        mp.setattr(bench, "run_baseline", lambda *args: ran.append(args))
+        for available, limit in ((need - 1, None), (None, need - 1), (1 << 40, need - 1)):
+            mp.setattr(bench, "memory_limits", lambda: (available, limit))
+            with pytest.raises(BenchConfigError, match="8 qubits need .*, 3.5 states of 16 B"):
+                run_config(config)
+    assert not ran
+    monkeypatch.setattr(bench, "memory_limits", lambda: (need, need))
+    assert len(run_config(config)) == 2
+    # unverified, both backends hold 3 states; one backend holds 2
+    for backends, verify, states in ((BACKENDS, False, 3), (("hybrid",), True, 2)):
+        monkeypatch.setattr(bench, "memory_limits", lambda: (16 * states << 8, None))
+        assert len(run_config(small_config(source=RandomSpec(8, 2, 5, 0), backends=backends,
+                                           verify=verify))) == len(backends)
+        monkeypatch.setattr(bench, "memory_limits", lambda: ((16 * states << 8) - 1, None))
+        with pytest.raises(BenchConfigError, match=f"{states} states"):
+            run_config(small_config(source=RandomSpec(8, 2, 5, 0), backends=backends,
+                                    verify=verify))
+
+
+def traced_peak(fn) -> tuple[int, object]:
+    """The peak bytes traced while fn() runs, and what it returns."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("backends, verify", [(BACKENDS, True), (BACKENDS, False),
+                                             (("hybrid",), True), (("baseline",), True)])
+def test_a_run_holds_the_states_of_its_memory_budget(backends, verify):
+    # at 18 qubits a state is 4 MiB, and the circuits of 20 terms of weight
+    # 4, which the budget leaves out, are tens of KiB, so the traced peak is
+    # the states; it falls half a state short where numpy computes the
+    # cross-check's squared magnitudes in place
+    n = 18
+    config = small_config(source=RandomSpec(n, 4, 20, 3), backends=backends, verify=verify)
+    need = bench.memory_need(config, n)
+    peak, records = traced_peak(lambda: run_config(config))
+    assert len(records) == len(backends)
+    assert need - (8 << n) <= peak <= need + 256 * 1024
+
+
+def test_cli_run_over_the_memory_budget_exits_1_naming_both_numbers(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "memory_limits", lambda: (3 << 20, 5 << 20))
+    assert cli_main(["run", "--random", "16", "2", "4", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "16 qubits need 3.5 MiB, 3.5 states of 16 B per amplitude" in err
+    assert "MemAvailable (3.0 MiB)" in err and "memory limit (5.0 MiB)" in err
+
+
+def fake_proc_and_cgroups(tmp_path, monkeypatch, proc_cgroup, limits):
+    """Point the reader at a fake /proc/self/cgroup and cgroup mount, with
+    ``limits`` mapping a limit file's path under the mount to its text."""
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:  8000000 kB\nMemFree:  100 kB\n"
+                       "MemAvailable:  7000000 kB\nBuffers:  5 kB\n")
+    monkeypatch.setattr(bench, "MEMINFO", str(meminfo))
+    if proc_cgroup is not None:
+        (tmp_path / "cgroup").write_text(proc_cgroup)
+    monkeypatch.setattr(bench, "PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(bench, "CGROUP_ROOT", str(tmp_path / "fs"))
+    for path, text in limits.items():
+        (tmp_path / "fs" / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / path).write_text(text)
+
+
+V1_PROC = "4:memory:/jobs/run\n3:cpu:/\n0::/\n"
+V2_PROC = "0::/user.slice/job.scope\n"
+
+
+@pytest.mark.parametrize("proc_cgroup, limits, limit", [
+    # version 2: the process's cgroup, below the root, and its ancestors
+    (V2_PROC, {"memory.max": "1024\n", "user.slice/job.scope/memory.max": "max\n"}, 1024),
+    (V2_PROC, {"user.slice/memory.max": "5368709120\n",
+               "user.slice/job.scope/memory.max": "6442450944\n"}, 5 << 30),
+    (V2_PROC, {"user.slice/job.scope/memory.max": "max\n"}, None),
+    # version 1: the memory controller's path, "no limit" as 2**63 less a page
+    (V1_PROC, {"memory/jobs/run/memory.limit_in_bytes": "5368709120\n",
+               "memory/memory.limit_in_bytes": "9223372036854771712\n"}, 5 << 30),
+    (V1_PROC, {"memory/jobs/memory.limit_in_bytes": "4096\n"}, 4096),
+    (V1_PROC, {"memory/jobs/run/memory.limit_in_bytes": "9223372036854771712\n"}, None),
+    # no /proc/self/cgroup: the root's limits
+    (None, {"memory.max": "1024\n", "user.slice/memory.max": "1\n"}, 1024),
+    (None, {"memory/memory.limit_in_bytes": "2048\n"}, 2048),
+    (None, {}, None),
+])
+def test_memory_limits_reads_meminfo_and_the_cgroup(tmp_path, monkeypatch, proc_cgroup,
+                                                    limits, limit):
+    fake_proc_and_cgroups(tmp_path, monkeypatch, proc_cgroup, limits)
+    assert bench.memory_limits() == (7000000 * 1024, limit)
+    monkeypatch.setattr(bench, "MEMINFO", str(tmp_path / "missing"))
+    assert bench.memory_limits() == (None, limit)
 
 
 def test_run_config_single_backend():

@@ -23,7 +23,9 @@ PROBE = "import framesim._kernels as k; print(k.kernel_tier())"
 # rotations, one flush against its steps as dense rotations and swaps, on
 # a state of several tiles, both up to a power of exp(i*pi/4) for the
 # whole state, the scatter of that flush's rest from registers of 1 and
-# n - 1 qubits against its passes over the whole state, and the hybrid's
+# n - 1 qubits against its passes over the whole state, a 17-qubit state,
+# which takes a mapping of its own (traced, and zero but for |0>), and a
+# flush on its top five qubits against the dense oracle, and the hybrid's
 # Python gate loop, with a MEASZ and a PREPZ, against the baseline
 ROTATE_PROBE = PROBE + """
 import numpy as np
@@ -86,6 +88,34 @@ for d in (1, n - 1):
     ref.apply_hadamard_free(rest)
     if not np.array_equal(s.amplitudes, ref.amplitudes):
         raise SystemExit(f"numpy tier's scatter of {d} qubits disagrees with its passes")
+import mmap, tracemalloc
+n, top = 17, 12
+tracemalloc.start()
+s = StateVector.zero(n)
+if (tracemalloc.get_traced_memory()[0] < 16 << n
+        or not isinstance(s.amplitudes.base.obj, mmap.mmap)
+        or s.amplitudes[0] != 1 or np.any(s.amplitudes[1:])):
+    raise SystemExit("numpy tier's 17-qubit state is not a traced mapping of |0>")
+tracemalloc.stop()
+frame, small = PauliFrame.origin(n), PauliFrame.origin(5)
+for g in random_clifford_circuit(rng, 5, 60).gates:
+    small.apply_gate(g.tag, g.qubits)
+    frame.apply_gate(g.tag, tuple(top + q for q in g.qubits))
+psi = rng.normal(size=32) + 1j * rng.normal(size=32)
+s.amplitudes[0] = 0
+s.amplitudes[::1 << top] = psi
+ref = psi
+for step in invert_to_rotations(small):
+    if step.kind == "pauli_rotation":
+        ref = rotation_matrix(step.axis, step.angle) @ ref
+    else:
+        ref = gate_unitary("SWAP", step.qubits, 5) @ ref
+hs = HybridState(frame, s)
+hs.flush_to_origin()
+out = hs.phi.amplitudes[::1 << top]
+if (np.max(np.abs(out - up_to_omega(out, ref))) > 1e-12
+        or np.count_nonzero(hs.phi.amplitudes) > 32):
+    raise SystemExit("numpy tier disagrees with the dense oracle on a 17-qubit flush")
 from framesim import Circuit, _kernels, run_baseline, run_hybrid
 if _kernels.run_gates is not None:
     raise SystemExit("numpy tier bound the compiled gate loop")

@@ -1,6 +1,9 @@
 """State vector kernels against dense oracles, plus the flatness property."""
+import errno
 import functools
 import io
+import mmap
+import os
 import struct
 import time
 import tracemalloc
@@ -372,6 +375,96 @@ def test_register_flush_allocates_at_most_the_register_copy():
     assert extra_peak(hs.flush_to_origin) <= 16 * (1 << d) + slack
     assert hs.flush_passes[0]["scatter"] == 1 and hs.flush_passes[0]["register"] == d
     assert hs.flush_passes[0]["affine"] == hs.flush_passes[0]["shears"] == 0
+
+
+@pytest.mark.parametrize("n", [16, 17, 18])
+def test_zero_state_is_a_writable_basis_state_on_a_cache_line(n):
+    # 16 qubits (1 MiB) take numpy's heap, 17 and 18 a mapping of their own
+    s = StateVector.zero(n)
+    amp = s.amplitudes
+    assert amp.shape == (1 << n,) and amp.dtype == np.complex128
+    assert amp[0] == 1 and not np.any(amp[1:])
+    assert amp.flags.writeable and amp.flags.c_contiguous
+    assert amp.ctypes.data % 64 == 0
+    amp[-1] = 0.5j
+    copy = s.copy()
+    assert np.array_equal(copy.amplitudes, amp) and copy.amplitudes.ctypes.data % 64 == 0
+
+
+def test_a_mapped_state_is_traced_as_its_amplitudes():
+    # the mapping counts with tracemalloc as numpy's own allocations do,
+    # so a peak cannot fall by hiding it
+    state = StateVector.zero(18)
+    for make in (lambda: StateVector.zero(18), state.copy):
+        assert 4 << 20 <= extra_peak(make) <= (4 << 20) + 64 * 1024
+
+
+class UnadvisableMapping(mmap.mmap):
+    """A mapping whose advice fails, as on a kernel without huge pages."""
+    advised = 0
+
+    def madvise(self, *args):
+        UnadvisableMapping.advised += 1
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+
+@pytest.mark.parametrize("advice", ["fails", "missing"])
+def test_a_mapped_state_does_not_need_the_huge_page_advice(monkeypatch, advice):
+    # the advice is a hint: it fails with EINVAL on a kernel built without
+    # transparent huge pages, and there is no MADV_HUGEPAGE off Linux
+    monkeypatch.setattr(mmap, "mmap", UnadvisableMapping)
+    monkeypatch.setattr(UnadvisableMapping, "advised", 0)
+    if advice == "missing":
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+    n = 17
+    tracemalloc.start()
+    try:
+        s = StateVector.zero(n)
+        assert tracemalloc.get_traced_memory()[0] >= 16 << n
+    finally:
+        tracemalloc.stop()
+    assert UnadvisableMapping.advised == (advice == "fails")
+    assert isinstance(s.amplitudes.base.obj, UnadvisableMapping)
+    assert s.amplitudes[0] == 1 and not np.any(s.amplitudes[1:])
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def test_a_mapped_state_gives_its_memory_back_when_freed():
+    n = 18
+    tracemalloc.start()
+    try:
+        traced, resident = tracemalloc.get_traced_memory()[0], resident_bytes()
+        for _ in range(50):
+            s = StateVector.zero(n)
+            s.amplitudes[:] = 1  # every page resident
+            del s
+        assert abs(tracemalloc.get_traced_memory()[0] - traced) <= 64 * 1024
+        assert resident_bytes() - resident < 16 << n
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
+                    reason="the numpy kernels use whole-array temporaries")
+def test_mapped_states_keep_the_expectation_and_flush_bounds():
+    # the bounds above at n = 16, on states that take mappings of their own
+    n = 18
+    slack = 64 * 1024
+    rng = np.random.default_rng(21)
+    state = random_state(rng, n)
+    s = state.copy()
+    p = PauliString.from_label("XYZI" * 4 + "YZ")
+    assert 16 * s.dim <= extra_peak(lambda: s.expectation(p)) <= 16 * s.dim + slack
+    frame = PauliFrame.origin(n)
+    for g in random_clifford_circuit(rng, n, 400).gates:
+        frame.apply_gate(g.tag, g.qubits)
+    hs = HybridState(frame, state.copy())
+    assert extra_peak(hs.flush_to_origin) <= slack
+    assert hs.flush_passes[0]["affine"] == 1 and hs.flush_passes[0]["shears"] == 1
 
 
 @pytest.mark.parametrize("tag", ["CX", "CZ", "SWAP"])
