@@ -158,18 +158,16 @@ class HybridState:
         one by one to P_A|phi> times a power of exp(i*pi/4), and a
         gate-by-gate run times some global phase, which is left
         unnormalized.  An invalid frame raises ValueError before any pass.
-        At the origin frame P_A alone is applied, with no split: its form
-        is A's rows with no offset and no phase; with A = I too no pass is
-        made.
+        At the origin frame the split makes no turn and F = I, so either
+        tier's form is P_A alone, A's rows with no offset and no phase;
+        with A = I too no pass is made.
         """
         t0 = time.perf_counter()
         n = self.frame.num_qubits
         passes = dict.fromkeys(("quarter_turns", "affine", "shears", "scatter"), 0)
         passes["active"] = self.active
         turn_s = 0.0
-        if self.frame.is_origin():
-            form = HadamardFree(tuple(self.index_map.tolist()), 0, (0,) * n, (0,) * n)
-        elif _kernels.flush is not None:
+        if _kernels.flush is not None:
             f = self.frame
             passes["quarter_turns"], self.active, fields, turn_s = _kernels.flush(
                 self.phi.amplitudes, f.xs, f.zs, f.ps, self.index_map, self.active)

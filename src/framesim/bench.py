@@ -57,7 +57,8 @@ _NO_LIMIT = 1 << 62
 
 
 class BenchConfigError(ValueError):
-    """Invalid benchmark configuration (bad source, ceiling, backend set)."""
+    """Invalid benchmark configuration (bad source, backend set, or more
+    qubits than the memory left to the run holds)."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,6 @@ class BenchConfig:
     trotter_steps: int = 1
     repetitions: int = 3
     warmups: int = 1
-    max_qubits: int = 26
     verify: bool = True
 
     def __post_init__(self):
@@ -206,13 +206,9 @@ def run_config(config: BenchConfig) -> list[BenchRecord]:
     """Execute one benchmark cell and return one record per backend.
 
     Raises BenchConfigError, before any state is allocated, for more
-    qubits than ``max_qubits`` or than the memory left to the run holds.
+    qubits than the memory left to the run holds (``memory_need``).
     """
     probe = _load_hamiltonian(config)
-    if probe.num_qubits > config.max_qubits:
-        raise BenchConfigError(
-            f"{probe.num_qubits} qubits exceeds the memory ceiling of "
-            f"{config.max_qubits} (raise max_qubits to override)")
     _check_memory(config, probe.num_qubits)
     l_mean, l_std, l_max = probe.locality_stats()
     seed = int(config.source.seed) if isinstance(config.source, RandomSpec) else None

@@ -1,8 +1,9 @@
 """Command line front end: ``framesim run | sweep | report``.
 
 Exit codes: 0 success, 1 configuration error (bad flags, missing or
-malformed input, memory ceiling), 2 runtime error (simulation failure or a
-backend cross-check mismatch).  ``run`` and ``sweep`` name the amplitude
+malformed input, a run over its memory budget), 2 runtime error (simulation
+failure, a state the operating system will not map, or a backend
+cross-check mismatch).  ``run`` and ``sweep`` name the amplitude
 kernel tier on stderr before they start, with the compiled clone in use
 (``avx2`` or ``generic``), so a numpy fallback or a generic build on an
 AVX2 host shows in every run's output.
@@ -36,8 +37,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=1, help="Trotter steps")
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument("--warmups", type=int, default=1)
-    p.add_argument("--max-qubits", type=int, default=26,
-                   help="refuse workloads above this qubit count")
     p.add_argument("--output", default=None, help="write records here (default stdout)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
@@ -90,8 +89,7 @@ def _settings(args) -> dict:
     """The run settings that ``run`` and ``sweep`` share, as ``BenchConfig`` fields."""
     return dict(backends=tuple(args.backends.split(",")),
                 trotter_time=args.time, trotter_steps=args.steps,
-                repetitions=args.repetitions, warmups=args.warmups,
-                max_qubits=args.max_qubits)
+                repetitions=args.repetitions, warmups=args.warmups)
 
 
 def _write(records, args) -> None:

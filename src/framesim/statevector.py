@@ -97,7 +97,8 @@ def _aligned_zeros(dim: int) -> np.ndarray:
     of it; any mapping starts on a page, so on a cache line.  tracemalloc
     counts the mapping in numpy's domain, as it counts numpy's own
     allocations, until the last array on it is freed and the mapping with
-    it.
+    it.  A mapping the operating system refuses, or one too large to ask
+    for, raises MemoryError naming its bytes, as numpy's heap does.
 
     A smaller state takes numpy's heap, which hands back memory already
     resident.  A mapping of less than 2 MiB cannot take a huge page and pays
@@ -113,7 +114,11 @@ def _aligned_zeros(dim: int) -> np.ndarray:
         raw = np.zeros(dim + _LINE_BYTES // 16, dtype=np.complex128)
         skip = (-raw.ctypes.data % _LINE_BYTES) // 16
         return raw[skip:skip + dim]
-    region = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    try:
+        region = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map {nbytes} bytes for a state of {dim} "
+                          f"amplitudes: {exc}") from exc
     if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only
         try:
             region.madvise(mmap.MADV_HUGEPAGE)

@@ -132,19 +132,19 @@ def test_flush_counts_its_state_passes(monkeypatch):
     # for the rest, and a state of one tile (n <= 8) takes no shear, then
     # at most one scatter, none when the rest ran on the whole state; the
     # origin frame with the identity index map, as a flush leaves it, makes
-    # no pass and runs no synthesis; each entry records the active count
-    # the flush began with and the register its rest ran on, at least the
-    # active count.  No flush runs invert_to_rotations, and on the compiled
-    # tier the split runs in C (_kernels.flush), never at the origin.
+    # no pass; each entry records the active count the flush began with and
+    # the register its rest ran on, at least the active count.  No flush
+    # runs invert_to_rotations, and on the compiled tier every flush, at
+    # the origin too, is one C flush (_kernels.flush).
     from framesim import backends, frame
     from oracles import gf2_rank, random_clifford_circuit
     rng = np.random.default_rng(57)
+    compiled = _kernels.flush
     for _ in range(20):
         n = int(rng.integers(1, 13))
         hs, _ = run_hybrid(random_clifford_circuit(rng, n, 10 * n))
         h = gf2_rank(hs.frame.eff_z(i).x_bits for i in range(n))
-        active, origin = hs.active, hs.frame.is_origin()
-        compiled = _kernels.flush
+        active = hs.active
         splits = []
         with monkeypatch.context() as mp:
             for module in (backends, frame):
@@ -153,10 +153,6 @@ def test_flush_counts_its_state_passes(monkeypatch):
             if compiled is not None:
                 mp.setattr(_kernels, "flush", lambda *args: splits.append(1) or compiled(*args))
             hs.flush_to_origin()
-        with monkeypatch.context() as mp:
-            for name in ("invert_to_rotations", "split_clifford"):
-                mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
-            mp.setattr(_kernels, "flush", lambda *args: pytest.fail("synthesis ran"))
             hs.flush_to_origin()
         first, second = hs.flush_passes
         assert second == dict(quarter_turns=0, affine=0, shears=0, scatter=0, active=n,
@@ -164,8 +160,7 @@ def test_flush_counts_its_state_passes(monkeypatch):
         assert first["active"] == active
         assert max(active, 1) <= first["register"] <= n
         assert first["quarter_turns"] == h
-        # the compiled tier splits in C, once per flush away from the origin
-        assert len(splits) == (0 if compiled is None or origin else 1)
+        assert len(splits) == (0 if compiled is None else 2)
         assert first["affine"] <= 1
         assert first["shears"] <= (1 if n > 8 else 0)
         assert first["scatter"] <= (0 if first["register"] == n else 1)

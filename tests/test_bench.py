@@ -1,6 +1,8 @@
 """Benchmark harness: records, serialization, sweep, report, CLI."""
+import errno
 import io
 import json
+import mmap
 import tracemalloc
 
 import pytest
@@ -37,11 +39,6 @@ def test_run_config_deterministic_nontiming_fields():
                  r.backend, r.seed) for r in records]
 
     assert stable(run_config(small_config())) == stable(run_config(small_config()))
-
-
-def test_run_config_respects_ceiling():
-    with pytest.raises(BenchConfigError, match="ceiling"):
-        run_config(small_config(source=RandomSpec(8, 2, 5, 0), max_qubits=6))
 
 
 def test_run_config_checks_the_memory_budget_before_allocating(monkeypatch):
@@ -204,14 +201,15 @@ def test_default_sweep_cells_grid():
     assert small == [(4, 2, 5), (4, 4, 5), (6, 2, 5), (6, 4, 5)]
 
 
-def test_sweep_yields_records_and_survives_failures():
+def test_sweep_yields_records_and_survives_failures(monkeypatch):
+    monkeypatch.setattr(bench, "memory_limits", lambda: (1 << 20, None))
     log = io.StringIO()
-    cells = [(4, 2, 5), (30, 2, 5), (5, 3, 5)]  # middle cell exceeds ceiling
-    records = list(sweep(cells, seed=1, repetitions=1, warmups=0,
-                         max_qubits=8, log=log))
+    cells = [(4, 2, 5), (30, 2, 5), (5, 3, 5)]  # middle cell exceeds the budget
+    records = list(sweep(cells, seed=1, repetitions=1, warmups=0, log=log))
     assert [(r.n_qubits, r.backend) for r in records] == [
         (4, "baseline"), (4, "hybrid"), (5, "baseline"), (5, "hybrid")]
-    assert "n=30" in log.getvalue() and "failed" in log.getvalue()
+    assert "[sweep] cell n=30 k=2 terms=5 failed: 30 qubits need" in log.getvalue()
+    assert "MemAvailable (1.0 MiB)" in log.getvalue()
 
 
 def _fake(name, n, terms, backend, t_compile, t_run, seed=0):
@@ -278,16 +276,33 @@ def test_cli_sweep(tmp_path, capsys):
     assert f"framesim: kernel tier {_kernels.kernel_tier()}" in capsys.readouterr().err
 
 
-def test_cli_sweep_takes_the_shared_run_settings(tmp_path, capsys):
+def test_cli_sweep_takes_the_shared_run_settings(tmp_path, capsys, monkeypatch):
+    # hybrid alone, unverified, holds 2 states, 32 B per amplitude: the
+    # budget fits n = 3 (256 B) but not n = 4, nor n = 3 with both backends
+    monkeypatch.setattr(bench, "memory_limits", lambda: (None, 256))
     out = tmp_path / "sweep.csv"
     code = cli_main(["sweep", "--qubits", "3:4:1", "--localities", "2:2:1",
-                     "--terms", "4", "--backends", "hybrid", "--max-qubits", "3",
+                     "--terms", "4", "--backends", "hybrid",
                      "--repetitions", "1", "--warmups", "0", "--output", str(out)])
     assert code == 0
     records = read_records(io.StringIO(out.read_text()), "csv")
     assert [(r.n_qubits, r.backend) for r in records] == [(3, "hybrid")]
     err = capsys.readouterr().err
-    assert "[sweep] cell n=4" in err and "ceiling of 3" in err
+    assert "[sweep] cell n=4" in err and "4 qubits need 0.0 MiB, 2 states" in err
+
+
+def test_cli_run_a_state_the_os_will_not_map_exits_2(monkeypatch, capsys):
+    # a budget that cannot be read lets the run try; the refused mapping of
+    # its first 17-qubit state ends it as a runtime error, with no traceback
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(bench, "memory_limits", lambda: (None, None))
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    assert cli_main(["run", "--random", "17", "2", "2", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"framesim: runtime error: cannot map {16 << 17} bytes" in err
+    assert "Traceback" not in err
 
 
 def _pair_text(fmt, hybrid_t_run=2.0):
@@ -330,13 +345,17 @@ def test_cli_report_rejects_malformed_records(tmp_path, capsys, case):
     assert err.startswith("framesim: config error: ") and message in err
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli_main(["run", "--file", str(tmp_path / "missing.txt")]) == 1
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5 QQ\n")
     assert cli_main(["run", "--file", str(bad)]) == 1
-    over = cli_main(["run", "--random", "9", "2", "4", "1", "--max-qubits", "8"])
-    assert over == 1
+    capsys.readouterr()
+    with monkeypatch.context() as mp:  # a verified run of both backends: 56 B per amplitude
+        mp.setattr(bench, "memory_limits", lambda: (56 << 8, None))
+        assert cli_main(["run", "--random", "8", "2", "4", "1"]) == 0
+        assert cli_main(["run", "--random", "9", "2", "4", "1"]) == 1
+    assert "framesim: config error: 9 qubits need" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         cli_main(["run"])  # missing source
     assert exc.value.code == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framesim import (Circuit, HybridState, PauliFrame, StateVector, _kernels, backends,
+from framesim import (Circuit, HybridState, PauliFrame, StateVector, _kernels,
                       random_hamiltonian, run_hybrid, trotterize)
 from framesim.circuit import TAGS
 from framesim.frame import HadamardFree, split_clifford
@@ -116,8 +116,8 @@ def test_register_holds_the_state_in_its_active_prefix(case):
     # after the compiled loop phi is exactly 0 beyond 2**active; without
     # MEASZ and PREPZ, active is the GF(2) rank of the x parts of the axes
     # the dense loop applied; and the flushes agree, global phase included.
-    # A frame at the origin is flushed as P_A alone, with no synthesis, in
-    # Python or in C; any other makes h quarter turns on either path.
+    # Every flush is one C flush, which makes h quarter turns, none at the
+    # origin frame; a second flush, at A = I, makes no pass.
     n, gates, seed = case
     circ = build(n, gates)
     hs, _ = run_hybrid(circ, seed)
@@ -127,15 +127,21 @@ def test_register_holds_the_state_in_its_active_prefix(case):
         assert hs.active == gf2_rank(axes)
     active, at_origin = hs.active, hs.frame.is_origin()
     h = gf2_rank(hs.frame.eff_z(i).x_bits for i in range(n))
+    assert h == 0 or not at_origin
+    compiled, flushes = _kernels.flush, []
     with pytest.MonkeyPatch.context() as mp:
-        if at_origin:
-            for name in ("invert_to_rotations", "split_clifford"):
-                mp.setattr(backends, name, lambda *args: pytest.fail("synthesis ran"))
-            mp.setattr(_kernels, "flush", lambda *args: pytest.fail("synthesis ran"))
+        mp.setattr(_kernels, "flush", lambda *args: flushes.append(1) or compiled(*args))
+        hs.flush_to_origin()
+        flushed = hs.phi.amplitudes.copy()
         hs.flush_to_origin()
     ref.flush_to_origin()
-    assert hs.flush_passes[0]["active"] == active
-    assert hs.flush_passes[0]["quarter_turns"] == ref.flush_passes[0]["quarter_turns"] == h
+    assert len(flushes) == 2
+    first, second = hs.flush_passes
+    assert first["active"] == active
+    assert first["quarter_turns"] == ref.flush_passes[0]["quarter_turns"] == h
+    assert second == dict(quarter_turns=0, affine=0, shears=0, scatter=0, active=n,
+                          register=n)
+    assert np.array_equal(hs.phi.amplitudes, flushed)
     assert (hs.active, hs.index_map.tolist()) == (n, [1 << i for i in range(n)])
     assert np.max(np.abs(hs.phi.amplitudes - ref.phi.amplitudes)) < 1e-12
 
@@ -320,7 +326,9 @@ def random_invertible(rng, n) -> np.ndarray:
 def test_compiled_flush_is_the_python_split_flush_bit_for_bit(n, length, seed):
     # for every active count d, a register of random amplitudes below 2**d
     # and a random invertible index map: the same amplitudes, pass record,
-    # index map and frame after the flush as with the split in Python
+    # index map and frame after the flush as with the split in Python; at
+    # the origin frame, those of the form of P_A alone, A's rows with no
+    # offset and no phase
     rng = np.random.default_rng(seed)
     frame = random_frame(rng, n, length)
     h = gf2_rank(frame.eff_z(i).x_bits for i in range(n))
@@ -336,8 +344,13 @@ def test_compiled_flush_is_the_python_split_flush_bit_for_bit(n, length, seed):
             states[1].flush_to_origin()
         compiled, python = states
         assert np.array_equal(compiled.phi.amplitudes, python.phi.amplitudes)
+        if frame.is_origin():
+            alone = StateVector(n, amp)
+            alone.apply_hadamard_free(
+                HadamardFree(tuple(index_map.tolist()), 0, (0,) * n, (0,) * n), max(d, 1))
+            assert np.array_equal(python.phi.amplitudes, alone.amplitudes)
         assert compiled.flush_passes == python.flush_passes
-        assert compiled.flush_passes[0]["quarter_turns"] == (0 if frame.is_origin() else h)
+        assert compiled.flush_passes[0]["quarter_turns"] == h
         assert compiled.frame.is_origin() and python.frame.is_origin()
         assert compiled.index_map.tolist() == python.index_map.tolist()
         assert compiled.timing["flush_turns_s"] <= compiled.timing["flush_s"]

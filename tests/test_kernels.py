@@ -184,8 +184,9 @@ def libasan() -> str | None:
 # 1 and of n - 1 qubits, reaching the last amplitude, against numpy's, and
 # a flush whose rest runs on a register of 7 of 10 qubits and is scattered
 # into place; the split of a 64-qubit frame, whose masks reach bit 63,
-# against split_clifford, and a flush whose 10 quarter turns activate the
-# register from 0 qubits up to all 10
+# against split_clifford, a flush whose 10 quarter turns activate the
+# register from 0 qubits up to all 10, and flushes at the origin frame with
+# an index map A != I, of a register of 6 and of 10 qubits, against P_A
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -261,6 +262,19 @@ if (hs.flush_passes[0]["quarter_turns"], hs.flush_passes[0]["register"]) != (n, 
     raise SystemExit(f"the flush's turns did not activate all {n} qubits: {hs.flush_passes}")
 if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
     raise SystemExit("the flushed register lost its norm")
+from framesim.frame import HadamardFree
+rows = [(3 << q) & ((1 << n) - 1) for q in range(n)]
+for d in (6, n):
+    amp = np.zeros(1 << n, dtype=complex)
+    amp[:1 << d] = rng.normal(size=1 << d) + 1j * rng.normal(size=1 << d)
+    expected = StateVector(n, amp.copy())
+    expected.apply_hadamard_free(HadamardFree(tuple(rows), 0, (0,) * n, (0,) * n), d)
+    hs = HybridState(PauliFrame.origin(n), StateVector(n, amp),
+                     index_map=np.array(rows, dtype=np.uint64), active=d)
+    hs.flush_to_origin()
+    if hs.flush_passes[0]["quarter_turns"] or not np.array_equal(hs.phi.amplitudes,
+                                                                 expected.amplitudes):
+        raise SystemExit(f"the flush at the origin of a register of {d} is not P_A")
 """
 # a write past the end of a 4-amplitude state, which the sanitizer must stop
 OVERRUN_PROBE = """

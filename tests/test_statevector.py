@@ -428,6 +428,20 @@ def test_a_mapped_state_does_not_need_the_huge_page_advice(monkeypatch, advice):
     assert s.amplitudes[0] == 1 and not np.any(s.amplitudes[1:])
 
 
+@pytest.mark.parametrize("refusal", [OSError(errno.ENOMEM, "Cannot allocate memory"),
+                                     OverflowError("too large to convert to C ssize_t")])
+def test_a_state_the_os_will_not_map_raises_memory_error(monkeypatch, refusal):
+    # as np.zeros does below 2 MiB; a patched mapping, since under
+    # overcommit a real oversized one can succeed and then be touched
+    def refuse(*args, **kwargs):
+        raise refusal
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    with pytest.raises(MemoryError, match=f"cannot map {16 << 17} bytes") as info:
+        StateVector.zero(17)
+    assert info.value.__cause__ is refusal
+
+
 def resident_bytes() -> int:
     with open("/proc/self/statm", encoding="ascii") as fh:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
