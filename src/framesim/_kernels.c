@@ -1127,6 +1127,20 @@ static inline double seconds(void)
     return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
 }
 
+/* R_P(t) = cos(t/2)*I - i*sin(t/2)*P on the register, P the frame image a:
+ * map a onto the register by reg_map, activating a qubit if it must, and
+ * make one pass of framesim_clifford over its 2**max(d, 1) amplitudes,
+ * with the arguments of statevector._pauli_update.  Returns the seconds
+ * spent in the pass. */
+static inline double rotate(double *amp, reg *r, pauli a, double t)
+{
+    reg_map(r, &a, 1);
+    const double t0 = seconds(), h = 0.5 * t;
+    framesim_clifford(amp, (int64_t)1 << (r->d > 1 ? r->d : 1), a.x, a.z, cos(h), sin(h),
+                      (int)((3 + a.p - popcount(a.x & a.z)) & 3));
+    return seconds() - t0;
+}
+
 /* Run gates start, start+1, ... of a lowered circuit on the hybrid
  * backend, up to the first MEASZ or PREPZ or to stop, and return the index
  * of the first gate not run, or -1 if the index map is not invertible.
@@ -1136,12 +1150,10 @@ static inline double seconds(void)
  * A Clifford gate rewrites at most two rows of the frame (fx, fz, fp, 2n
  * rows of n <= 64 qubits) as in PauliFrame.apply_gate.  A rotation looks up
  * its axis as PauliFrame.lookup does, eff_x[q] for RX, eff_z[q] for RZ and
- * i*eff_x[q]*eff_z[q] for RY, maps it onto the register (the n row masks
- * a_rows and the active count *active, both updated in place), activating
- * a qubit if it must, and applies R_P(t) = cos(t/2)*I - i*sin(t/2)*P in one
- * pass of framesim_clifford over the register's 2**max(d, 1) amplitudes,
- * with the arguments of statevector._pauli_update.  The seconds spent in
- * those passes are added to *rotation_s.  The codes and qubits are
+ * i*eff_x[q]*eff_z[q] for RY, and applies R_P(t) to the register (the n
+ * row masks a_rows and the active count *active, both updated in place)
+ * in one pass (see rotate).  The seconds spent in those passes are added
+ * to *rotation_s.  The codes and qubits are
  * trusted: Circuit.append checks them. */
 int64_t framesim_run_gates(double *amp, int n, uint64_t *fx, uint64_t *fz, uint8_t *fp,
                            uint64_t *a_rows, int64_t *active, const int32_t *ops,
@@ -1202,11 +1214,7 @@ int64_t framesim_run_gates(double *amp, int n, uint64_t *fx, uint64_t *fz, uint8
         default: /* MEASZ, PREPZ: the caller draws the outcome */
             goto out;
         }
-        reg_map(&r, &axis, 1);
-        const double t0 = seconds(), h = 0.5 * angles[k];
-        framesim_clifford(amp, (int64_t)1 << (r.d > 1 ? r.d : 1), axis.x, axis.z,
-                          cos(h), sin(h), (int)((3 + axis.p - popcount(axis.x & axis.z)) & 3));
-        spent += seconds() - t0;
+        spent += rotate(amp, &r, axis, angles[k]);
     }
 out:
     *active = r.d;
@@ -1346,52 +1354,17 @@ static int split(frame f, int n, pauli *axes, uint64_t *form)
     return h;
 }
 
-/* Copy the 2n rows fx, fz, fp into the scratch frame f; 1 if they are a
- * valid frame (see valid_frame). */
-static int load_frame(frame f, const uint64_t *fx, const uint64_t *fz, const uint8_t *fp,
-                      int n)
-{
-    memcpy(f.x, fx, 2 * (size_t)n * sizeof *f.x);
-    memcpy(f.z, fz, 2 * (size_t)n * sizeof *f.z);
-    memcpy(f.p, fp, 2 * (size_t)n);
-    return valid_frame(f, n);
-}
-
-/* frame.split_clifford on the 2n rows fx, fz, fp of a PauliFrame of n <= 64
- * qubits, which it leaves as they are: axes[2k] and axes[2k + 1] receive
- * the x and z masks of the axis of turn k, each turn being R_Q(pi/2) with
- * Q of phase 0, and form the Hadamard-free rest in 3n + 1 words.  Returns
- * h, or SPLIT_INVALID for an invalid frame (see valid_frame),
- * SPLIT_INCONSISTENT or SPLIT_NO_PHASE. */
-int framesim_split(int n, const uint64_t *fx, const uint64_t *fz, const uint8_t *fp,
-                   uint64_t *axes, uint64_t *form)
-{
-    uint64_t x[128], z[128];
-    uint8_t p[128];
-    const frame f = {x, z, p};
-    if (!load_frame(f, fx, fz, fp, n))
-        return SPLIT_INVALID;
-    pauli q[64];
-    const int h = split(f, n, q, form);
-    for (int k = 0; k < h; k++) {
-        axes[2 * k] = q[k].x;
-        axes[2 * k + 1] = q[k].z;
-    }
-    return h;
-}
-
 /* Fold the frame's Clifford U and the index map P_A into the register, as
- * HybridState.flush_to_origin does on the words: split U (framesim_split),
- * apply each turn R_Q(pi/2) as framesim_run_gates applies a rotation (Q
- * mapped onto the register by reg_map, activating a qubit if it must, and
- * one pass of framesim_clifford over 2**max(d, 1) amplitudes), and write
- * F P_A, F the rest and A as the turns leave it (HadamardFree.after), into
- * form.  a_rows and *active are the register's index map and active count,
- * updated in place; the frame's rows fx, fz, fp are left as they are, and
- * the seconds spent in the turn passes are added to *turn_s.  Returns h,
- * or, before anything is written, SPLIT_INVALID for an invalid frame,
- * SPLIT_SINGULAR if the index map is not invertible, SPLIT_INCONSISTENT or
- * SPLIT_NO_PHASE. */
+ * HybridState.flush_to_origin does on the words: check the frame (see
+ * valid_frame), split U on a copy of its rows (see split), apply each turn
+ * R_Q(pi/2) as framesim_run_gates applies a rotation (see rotate), and
+ * write F P_A, F the rest and A as the turns leave it (HadamardFree.after),
+ * into form.  a_rows and *active are the register's index map and active
+ * count, updated in place; the frame's rows fx, fz, fp (2n rows of n <= 64
+ * qubits) are left as they are, and the seconds spent in the turn passes
+ * are added to *turn_s.  Returns h, or, before anything is written,
+ * SPLIT_INVALID for an invalid frame, SPLIT_SINGULAR if the index map is
+ * not invertible, SPLIT_INCONSISTENT or SPLIT_NO_PHASE. */
 int framesim_flush(double *amp, int n, const uint64_t *fx, const uint64_t *fz,
                    const uint8_t *fp, uint64_t *a_rows, int64_t *active, uint64_t *form,
                    double *turn_s)
@@ -1400,7 +1373,10 @@ int framesim_flush(double *amp, int n, const uint64_t *fx, const uint64_t *fz,
     uint8_t p[128];
     const frame f = {x, z, p};
     reg r;
-    if (!load_frame(f, fx, fz, fp, n))
+    memcpy(x, fx, 2 * (size_t)n * sizeof *x);
+    memcpy(z, fz, 2 * (size_t)n * sizeof *z);
+    memcpy(p, fp, 2 * (size_t)n);
+    if (!valid_frame(f, n))
         return SPLIT_INVALID;
     if (!reg_open(&r, a_rows, n, *active))
         return SPLIT_SINGULAR;
@@ -1409,16 +1385,9 @@ int framesim_flush(double *amp, int n, const uint64_t *fx, const uint64_t *fz,
     if (h < 0)
         return h;
 
-    const double half = 0.5 * 1.57079632679489661923, ca = cos(half), cb = sin(half);
     double spent = 0.0;
-    for (int k = 0; k < h; k++) {
-        pauli a = axes[k];
-        reg_map(&r, &a, 1);
-        const double t0 = seconds();
-        framesim_clifford(amp, (int64_t)1 << (r.d > 1 ? r.d : 1), a.x, a.z, ca, cb,
-                          (int)((3 + a.p - popcount(a.x & a.z)) & 3));
-        spent += seconds() - t0;
-    }
+    for (int k = 0; k < h; k++)
+        spent += rotate(amp, &r, axes[k], 1.57079632679489661923);
 
     /* F P_A: rows R A, diag q(A e_i), cross the off-diagonal part of
      * A^T Gamma A, Gamma having diag's parities on its diagonal */

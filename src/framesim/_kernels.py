@@ -65,13 +65,12 @@ preparation, calling the Clifford loop for each rotation on the hybrid's
 register of 2**d amplitudes.  ``register_map`` maps one operator onto that
 register, activating a qubit when it must, as the loop does for each
 rotation; the hybrid's measurements, preparations and expectations go
-through it (see ``backends.HybridState``).  ``split`` is
-``frame.split_clifford`` in C on the frame's words, with the same turns
-and rest word for word, and ``flush`` the hybrid's flush of a frame that
-is not at the origin in one call: the split, its quarter turns on the
-register, and the rest composed with the index map, which
-``StateVector.apply_hadamard_free`` then applies.  None of the four has a
-numpy counterpart: without the compiled library all are None,
+through it (see ``backends.HybridState``).  ``flush`` is the hybrid's
+flush in one call on the frame's words: the split of
+``frame.split_clifford``, its quarter turns on the register, and the rest
+composed with the index map, which ``StateVector.apply_hadamard_free``
+then applies.  None of the three has a numpy counterpart: without the
+compiled library all are None,
 ``backends.run_hybrid`` runs its Python gate loop over ``PauliFrame``,
 which keeps the register dense, and the flush runs ``split_clifford`` and
 its turns one by one; these are the references of the tests.
@@ -83,11 +82,11 @@ with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
 compiling.  The build names no CPU, so a cached library runs on any
 x86-64.  When the library loads, the six loop names are the C loops,
-``run_gates``, ``register_map``, ``split`` and ``flush`` are set and
+``run_gates``, ``register_map`` and ``flush`` are set and
 ``kernel_tier()`` returns ``compiled-c``.
 When it cannot be built or loaded (no compiler, a build error, a cache
 directory that cannot be written) one ``RuntimeWarning`` names the reason,
-the six names are bound to the numpy functions instead and the other four
+the six names are bound to the numpy functions instead and the other three
 are None.  The choice is
 made once, here, from what the import observes.
 """
@@ -185,8 +184,6 @@ def _load():
     lib.framesim_run_gates.restype = i64
     lib.framesim_register_map.argtypes = [ptr, ctypes.c_int, i64, ptr, ctypes.c_int]
     lib.framesim_register_map.restype = i64
-    lib.framesim_split.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, ptr]
-    lib.framesim_split.restype = ctypes.c_int
     lib.framesim_flush.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr, ctypes.POINTER(i64),
                                    ptr, ctypes.POINTER(f64)]
     lib.framesim_flush.restype = ctypes.c_int
@@ -395,22 +392,16 @@ def _is_array(a, code: str, size: int) -> bool:
     return isinstance(a, array) and a.typecode == code and a.itemsize == size
 
 
-def _check_frame(xs, zs, ps) -> int:
-    """Raise ValueError unless xs, zs and ps are the words of a ``PauliFrame``
-    (``array`` of typecode 'Q', 'Q' and 'B', 2n rows each, 1 <= n <= 64);
-    return n."""
+def _check_hybrid(amp, xs, zs, ps, index_map, active) -> tuple[int, int]:
+    """Validate a hybrid's state, frame words and register for the C loops;
+    return the qubit count n and the state's address.  xs, zs and ps must
+    be the words of a ``PauliFrame``: ``array`` of typecode 'Q', 'Q' and
+    'B', 2n rows each, 1 <= n <= 64."""
     n = len(xs) // 2
     if not (_is_array(xs, "Q", 8) and _is_array(zs, "Q", 8) and _is_array(ps, "B", 1)
             and len(xs) == len(zs) == len(ps) == 2 * n and 1 <= n <= 64):
         raise ValueError("the frame must be arrays of typecode 'Q', 'Q' and 'B', "
                          "of 2n rows each")
-    return n
-
-
-def _check_hybrid(amp, xs, zs, ps, index_map, active) -> tuple[int, int]:
-    """Validate a hybrid's state, frame words and register for the C loops;
-    return the qubit count n and the state's address."""
-    n = _check_frame(xs, zs, ps)
     addr = _address(amp)
     if amp.shape[0] != 1 << n:
         raise ValueError(f"frame on {n} qubits applied to "
@@ -451,8 +442,8 @@ def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start):
     return stop, spent.value, d.value
 
 
-# the errors of framesim_split and framesim_flush, by return code; the last
-# two are those of gf2.solve and split_clifford, which no valid frame raises
+# the errors of framesim_flush, by return code; the last two are those of
+# gf2.solve and split_clifford, which no valid frame raises
 _SPLIT_ERRORS = {-1: (ValueError, "cannot split an invalid frame"),
                  -2: (ValueError, _SINGULAR_MAP),
                  -3: (ValueError, "inconsistent GF(2) system"),
@@ -460,7 +451,7 @@ _SPLIT_ERRORS = {-1: (ValueError, "cannot split an invalid frame"),
 
 
 def _split_result(h: int, form: np.ndarray, n: int):
-    """The form in the 3n + 1 words the C split writes, as the fields
+    """The form in the 3n + 1 words the C flush writes, as the fields
     (rows, offset, diag, cross) of a ``frame.HadamardFree``; raises the
     error of a negative h."""
     if h < 0:
@@ -470,30 +461,13 @@ def _split_result(h: int, form: np.ndarray, n: int):
     return tuple(w[:n]), w[3 * n], tuple(w[2 * n:3 * n]), tuple(w[n:2 * n])
 
 
-def _c_split(xs, zs, ps):
-    """``frame.split_clifford`` on the words xs, zs, ps of a ``PauliFrame``,
-    in C, which leaves them as they are.  Returns the (x, z) masks of the
-    axes of its h quarter turns R_Q(pi/2), Q of phase 0, and the fields
-    (rows, offset, diag, cross) of its ``HadamardFree`` rest, word for word
-    those of ``split_clifford``.  Raises its ValueError for an invalid
-    frame."""
-    n = _check_frame(xs, zs, ps)
-    axes = np.empty(2 * n, dtype=np.uint64)
-    form = np.empty(3 * n + 1, dtype=np.uint64)
-    h = _lib.framesim_split(n, xs.buffer_info()[0], zs.buffer_info()[0], ps.buffer_info()[0],
-                            axes.ctypes.data, form.ctypes.data)
-    rest = _split_result(h, form, n)
-    pairs = axes[:2 * h].tolist()
-    return list(zip(pairs[::2], pairs[1::2])), rest
-
-
 def _c_flush(amp, xs, zs, ps, index_map, active):
     """The hybrid's flush of the frame words xs, zs, ps into the register, in
-    one C call: the split of ``split`` and its h quarter turns, each mapped
-    onto the register (activating a qubit if it must, see ``register_map``)
-    and run in one pass of the Clifford loop over 2**max(d, 1) amplitudes,
-    then the rest F composed with the index map P_A as
-    ``HadamardFree.after`` composes them.  index_map and the amplitudes are
+    one C call: the split of ``frame.split_clifford`` and its h quarter
+    turns, each mapped onto the register (activating a qubit if it must,
+    see ``register_map``) and run in one pass of the Clifford loop over
+    2**max(d, 1) amplitudes, then the rest F composed with the index map
+    P_A as ``HadamardFree.after`` composes them.  index_map and the amplitudes are
     updated in place, the frame words are not.
 
     Returns h, the active count d after the turns, the fields (rows,
@@ -664,8 +638,8 @@ if _lib is not None:
     clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
     affine, shear, scatter = _c_affine, _c_shear, _c_scatter
     run_gates, register_map = _c_run_gates, _c_register_map
-    split, flush = _c_split, _c_flush
+    flush = _c_flush
 else:
     clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
     affine, shear, scatter = numpy_affine, numpy_shear, numpy_scatter
-    run_gates = register_map = split = flush = None
+    run_gates = register_map = flush = None

@@ -1,7 +1,8 @@
 """Command line front end: ``framesim run | sweep | report``.
 
 Exit codes: 0 success, 1 configuration error (bad flags, missing or
-malformed input, a run over its memory budget), 2 runtime error (simulation
+malformed input, a file or output path that cannot be opened, a run over
+its memory budget), 2 runtime error (simulation
 failure, a state the operating system will not map, or a backend
 cross-check mismatch).  ``run`` and ``sweep`` name the amplitude
 kernel tier on stderr before they start, with the compiled clone in use
@@ -135,8 +136,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_report(args)
-    except (BenchConfigError, HamiltonianParseError, FileNotFoundError,
-            ValueError) as exc:
+    except (BenchConfigError, HamiltonianParseError, OSError, ValueError) as exc:
         print(f"framesim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, MemoryError) as exc:

@@ -488,8 +488,9 @@ def split_clifford(frame: PauliFrame) -> tuple[list[RotationStep], HadamardFree]
     without a Hadamard part: U = F * T_h ... T_1.
 
     This is the flush's split on the numpy tier, and the reference of the
-    compiled one (``_kernels.split`` and ``_kernels.flush``), which returns
-    the same turns and rest word for word.
+    compiled one inside ``_kernels.flush``, which makes the same turns and
+    returns this rest composed with the index map (``HadamardFree.after``)
+    word for word.
 
     The frame fixes U only up to a global phase; this is the phase the
     split gives it: the turns T = R_Q(pi/2) carry their own, and F has no

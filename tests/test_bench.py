@@ -347,6 +347,13 @@ def test_cli_report_rejects_malformed_records(tmp_path, capsys, case):
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli_main(["run", "--file", str(tmp_path / "missing.txt")]) == 1
+    # paths that open() refuses, here a directory: a config error, not a traceback
+    capsys.readouterr()
+    for argv in (["run", "--file", str(tmp_path)],
+                 ["run", "--random", "4", "2", "2", "1", "--output", str(tmp_path)],
+                 ["report", str(tmp_path)]):
+        assert cli_main(argv) == 1, argv
+        assert "\nframesim: config error:" in "\n" + capsys.readouterr().err, argv
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5 QQ\n")
     assert cli_main(["run", "--file", str(bad)]) == 1

@@ -275,8 +275,6 @@ def test_gate_loop_rejects_frame_words_of_another_type_or_length():
                                active=0, ops=ops, angles=angles, start=0)
         with pytest.raises(ValueError):
             _kernels.flush(amp, **{**good, name: words}, index_map=index_map, active=0)
-        with pytest.raises(ValueError):
-            _kernels.split(**{**good, name: words})
         assert frame == PauliFrame.origin(2)
         assert amp[0] == 1.0 and not amp[1:].any()
         assert index_map.tolist() == [1, 2]
@@ -290,25 +288,6 @@ def random_frame(rng, n, length) -> PauliFrame:
     for g in random_clifford_circuit(rng, n, length).gates:
         frame.apply_gate(g.tag, g.qubits)
     return frame
-
-
-@compiled_only
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 64), length=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
-@example(n=64, length=640, seed=1)
-@example(n=64, length=0, seed=2)  # the origin frame
-@example(n=1, length=3, seed=3)
-def test_compiled_split_is_split_clifford_word_for_word(n, length, seed):
-    # the same turn axes, in order, and the same rest, and the frame words
-    # as they were
-    frame = random_frame(np.random.default_rng(seed), n, length)
-    words = frame.copy()
-    turns, rest = split_clifford(frame)
-    axes, fields = _kernels.split(frame.xs, frame.zs, frame.ps)
-    assert axes == [(t.axis.x_bits, t.axis.z_bits) for t in turns]
-    assert all(t.axis.phase_exp == 0 and t.quarter_turns == 1 for t in turns)
-    assert HadamardFree(*fields) == rest
-    assert frame == words
 
 
 def random_invertible(rng, n) -> np.ndarray:
@@ -328,10 +307,16 @@ def test_compiled_flush_is_the_python_split_flush_bit_for_bit(n, length, seed):
     # and a random invertible index map: the same amplitudes, pass record,
     # index map and frame after the flush as with the split in Python; at
     # the origin frame, those of the form of P_A alone, A's rows with no
-    # offset and no phase
+    # offset and no phase.  The C flush returns as many turns as
+    # split_clifford makes and its rest composed with the index map the
+    # turns leave, word for word, and leaves the frame words as they were
     rng = np.random.default_rng(seed)
     frame = random_frame(rng, n, length)
+    words = frame.copy()
+    turns, rest = split_clifford(frame)
+    assert all(t.axis.phase_exp == 0 and t.quarter_turns == 1 for t in turns)
     h = gf2_rank(frame.eff_z(i).x_bits for i in range(n))
+    assert len(turns) == h
     for d in range(n + 1):
         amp = np.zeros(1 << n, dtype=complex)
         amp[:1 << d] = rng.normal(size=1 << d) + 1j * rng.normal(size=1 << d)
@@ -339,6 +324,12 @@ def test_compiled_flush_is_the_python_split_flush_bit_for_bit(n, length, seed):
         states = [HybridState(frame.copy(), StateVector(n, amp), index_map=index_map.copy(),
                               active=d) for _ in range(2)]
         states[0].flush_to_origin()
+        a_rows = index_map.copy()
+        got, active, fields, _ = _kernels.flush(amp.copy(), frame.xs, frame.zs, frame.ps,
+                                                a_rows, d)
+        assert got == h and max(active, 1) == states[0].flush_passes[0]["register"]
+        assert fields == tuple(rest.after(a_rows.tolist()))
+        assert frame == words
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "flush", None)
             states[1].flush_to_origin()
@@ -365,5 +356,11 @@ def test_compiled_split_errors_are_those_of_split_clifford():
         _kernels._split_result(-4, form, 1)
     with pytest.raises(ValueError, match="inconsistent"):
         _kernels._split_result(-3, form, 1)
+    # an invalid frame (eff_z and eff_x both Z) raises split_clifford's
+    # ValueError before the flush writes anything
+    amp = np.array([0.6, 0.8j])
+    index_map = np.array([1], dtype=np.uint64)
     with pytest.raises(ValueError, match="invalid frame"):
-        _kernels.split(array("Q", [0, 0]), array("Q", [1, 1]), array("B", [0, 0]))
+        _kernels.flush(amp, array("Q", [0, 0]), array("Q", [1, 1]), array("B", [0, 0]),
+                       index_map, 1)
+    assert amp.tolist() == [0.6, 0.8j] and index_map.tolist() == [1]

@@ -4,6 +4,7 @@ Each test imports framesim in a fresh interpreter with its own cache
 directory and PATH, so the build step runs as it would on first import.
 """
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -164,6 +165,20 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_every_exported_c_function_has_its_signature_declared():
+    # ctypes passes an argument it has no type for as a C int, which cuts a
+    # pointer or a 64-bit mask to 32 bits, and reads an undeclared result
+    # as one; so every non-static framesim_* function of the source gets
+    # argtypes and restype in _kernels._load, which declares no other
+    source = (SRC / "framesim" / "_kernels.c").read_text()
+    defined = set(re.findall(r"^(?!static\b)\w[\w ]*\b(framesim_\w+)\(", source, re.M))
+    loader = (SRC / "framesim" / "_kernels.py").read_text()
+    assert {"framesim_clifford", "framesim_run_gates", "framesim_flush"} <= defined
+    for attr in ("argtypes", "restype"):
+        declared = set(re.findall(rf"\blib\.(framesim_\w+)\.{attr} = ", loader))
+        assert declared == defined, attr
+
+
 def libasan() -> str | None:
     """Path of gcc's AddressSanitizer runtime, or None without gcc or it."""
     if shutil.which("gcc") is None:
@@ -183,10 +198,11 @@ def libasan() -> str | None:
 # 1, 2 and 4 tiles with a lower shear; the phased scatter of a register of
 # 1 and of n - 1 qubits, reaching the last amplitude, against numpy's, and
 # a flush whose rest runs on a register of 7 of 10 qubits and is scattered
-# into place; the split of a 64-qubit frame, whose masks reach bit 63,
-# against split_clifford, a flush whose 10 quarter turns activate the
-# register from 0 qubits up to all 10, and flushes at the origin frame with
-# an index map A != I, of a register of 6 and of 10 qubits, against P_A
+# into place; the turn count and form of the flush of a 10-qubit frame,
+# whose masks reach bit 9, against split_clifford's after the index map, a
+# flush whose 10 quarter turns activate the register from 0 qubits up to
+# all 10, and flushes at the origin frame with an index map A != I, of a
+# register of 6 and of 10 qubits, against P_A
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -243,15 +259,18 @@ if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
     raise SystemExit("the scattered state lost its norm")
 from framesim import HybridState, PauliFrame, StateVector
 from framesim.frame import split_clifford
-frame = PauliFrame.origin(64)
-for q in range(64):
+frame = PauliFrame.origin(n)
+for q in range(n):
     frame.apply_gate("H", (q,))
-    frame.apply_gate("CX", (q, (q + 1) % 64))
-    frame.apply_gate("S", ((7 * q) % 64,))
+    frame.apply_gate("CX", (q, (q + 1) % n))
+    frame.apply_gate("S", ((7 * q) % n,))
 turns, rest = split_clifford(frame)
-axes, fields = _kernels.split(frame.xs, frame.zs, frame.ps)
-if axes != [(t.axis.x_bits, t.axis.z_bits) for t in turns] or fields != tuple(rest):
-    raise SystemExit("the split of a 64-qubit frame disagrees with split_clifford")
+amp = np.zeros(1 << n, dtype=complex)
+amp[0] = 1.0
+index_map = np.array([(3 << q) & ((1 << n) - 1) for q in range(n)], dtype=np.uint64)
+h, _, fields, _ = _kernels.flush(amp, frame.xs, frame.zs, frame.ps, index_map, 0)
+if h != len(turns) or fields != tuple(rest.after(index_map.tolist())):
+    raise SystemExit(f"the flush's form of a {n}-qubit frame disagrees with split_clifford")
 frame = PauliFrame.origin(n)
 for q in range(n):
     frame.apply_gate("H", (q,))
