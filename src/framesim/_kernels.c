@@ -1264,31 +1264,26 @@ static unsigned form_phase(const uint64_t *diag, const uint64_t *cross, uint64_t
 }
 
 /* z with parity(z & a[i]) = c[i] for i < n, as gf2.solve picks it: the
- * equations go into an echelon basis in order, each reduced vector
- * carrying the XOR of the right-hand sides it was reduced from, and the
+ * equations go into an echelon basis in order (add_vector), and bit k of
+ * rhs is the right-hand side of added equation k, so a basis vector's is
+ * the parity of rhs & its sum, as gf2.solve carries it in a tag.  The
  * pivots are then taken in ascending order, each setting its bit of z if
  * its equation is not yet met; free coordinates are 0.  Returns 0 if the
  * system has no solution. */
 static int solve(const uint64_t *a, const unsigned *c, int n, uint64_t *z)
 {
     echelon e = {.dim = 0};
+    uint64_t rhs = 0, s, r = 0;
     for (int i = 0; i < n; i++) {
-        uint64_t s;
-        const uint64_t v = reduce(&e, a[i], &s);
-        s = (s ^ c[i]) & 1;
-        if (!v) {
-            if (s)
-                return 0;
-            continue;
-        }
-        e.vec[top_bit(v)] = v;
-        e.sum[top_bit(v)] = s;
-        e.top |= (uint64_t)1 << top_bit(v);
+        if (reduce(&e, a[i], &s)) {
+            rhs |= (uint64_t)c[i] << e.dim;
+            add_vector(&e, a[i]);
+        } else if ((unsigned)__builtin_parityll(s & rhs) != c[i])
+            return 0;
     }
-    uint64_t r = 0;
     for (uint64_t t = e.top; t; t &= t - 1) {
         const int p = __builtin_ctzll(t);
-        if ((unsigned)__builtin_parityll(r & e.vec[p]) != e.sum[p])
+        if (__builtin_parityll(r & e.vec[p]) != __builtin_parityll(e.sum[p] & rhs))
             r |= (uint64_t)1 << p;
     }
     *z = r;

@@ -125,6 +125,25 @@ class HybridState:
         m = max(self.active, 1)
         return self.phi.prefix(m), PauliString(m, x, z, phase)
 
+    def _measure_z(self, tag: str, q: int, rng, measurements: list[int]) -> None:
+        """MEASZ or PREPZ (``tag``) on qubit q, the one step both gate loops
+        take: measure Z_q's image on the register and record a MEASZ outcome
+        in ``measurements`` (+1 as bit 0).  A -1 PREPZ outcome is repaired by
+        X_q's image, which anticommutes with Z_q's and so flips it.  That
+        image is mapped only then, after the measurement: mapping it may
+        activate a qubit, which only the repair needs.  The seconds go to
+        ``timing["measure_s"]`` or ``timing["prep_s"]``."""
+        t0 = time.perf_counter()
+        state, stab = self._register(self.frame.eff_z(q))
+        outcome = state.measure(stab, rng)
+        if tag == "MEASZ":
+            measurements.append(0 if outcome == 1 else 1)
+        elif outcome == -1:
+            state, destab = self._register(self.frame.eff_x(q))
+            state.apply_pauli(destab)
+        key = "measure_s" if tag == "MEASZ" else "prep_s"
+        self.timing[key] += time.perf_counter() - t0
+
     def expectation(self, p: PauliString) -> float:
         """<P> on the tracked state, via <phi| P_A^dag lookup(P) P_A |phi>:
         exactly 0 when that operator's X part leaves the register."""
@@ -249,65 +268,46 @@ def run_hybrid(circuit: Circuit, rng=None) -> tuple[HybridState, RunReport]:
     n = circuit.num_qubits
     gate_loop = _python_gates if _kernels.run_gates is None else _compiled_gates
     hs = HybridState(PauliFrame.origin(n), StateVector.zero(n),
+                     timing=dict(measure_s=0.0, prep_s=0.0),
                      active=0 if gate_loop is _compiled_gates else n)
     report = RunReport("hybrid", n, seed=seed)
     _fill_counts(report, circuit)
     t0 = time.perf_counter()
-    rotation_s, measure_s, prep_s = gate_loop(hs, circuit, rng, report.measurements)
+    rotation_s = gate_loop(hs, circuit, rng, report.measurements)
     report.t_run_s = time.perf_counter() - t0
-    hs.timing.update(clifford_s=report.t_run_s - rotation_s - measure_s - prep_s,
-                     rotation_s=rotation_s, measure_s=measure_s, prep_s=prep_s)
+    t = hs.timing
+    t.update(clifford_s=report.t_run_s - rotation_s - t["measure_s"] - t["prep_s"],
+             rotation_s=rotation_s)
     return hs, report
 
 
-_MEASZ = TAGS.index("MEASZ")
-
-
-def _compiled_gates(hs: HybridState, circuit: Circuit, rng,
-                    measurements: list[int]) -> tuple[float, float, float]:
+def _compiled_gates(hs: HybridState, circuit: Circuit, rng, measurements: list[int]) -> float:
     """The hybrid's gate loop on ``_kernels.run_gates``: the circuit's lowered
     stream runs in C on the frame's own words and the register, up to each
-    MEASZ or PREPZ, which Python performs on the register with the frame's
-    rows.  Returns the seconds spent in rotations, measurements and
-    preparations."""
+    MEASZ or PREPZ, which ``HybridState._measure_z`` performs.  Returns the
+    seconds spent in rotations."""
     frame = hs.frame
     ops, angles = circuit.lowered()
     amplitudes = hs.phi.amplitudes
-    rotation_s = measure_s = prep_s = 0.0
-    clock = time.perf_counter
+    rotation_s = 0.0
     i = 0
     while True:
         i, spent, hs.active = _kernels.run_gates(amplitudes, frame.xs, frame.zs, frame.ps,
                                                  hs.index_map, hs.active, ops, angles, i)
         rotation_s += spent
         if i == len(angles):
-            break
-        t1 = clock()
-        q = ops[3 * i + 1]
-        state, stab = hs._register(frame.eff_z(q))
-        outcome = state.measure(stab, rng)
-        if ops[3 * i] == _MEASZ:
-            measurements.append(0 if outcome == 1 else 1)
-            measure_s += clock() - t1
-        else:
-            # PREPZ: a -1 outcome is repaired by the anticommuting destab,
-            # as StateVector.prepare does
-            if outcome == -1:
-                state, destab = hs._register(frame.eff_x(q))
-                state.apply_pauli(destab)
-            prep_s += clock() - t1
+            return rotation_s
+        hs._measure_z(TAGS[ops[3 * i]], ops[3 * i + 1], rng, measurements)
         i += 1
-    return rotation_s, measure_s, prep_s
 
 
-def _python_gates(hs: HybridState, circuit: Circuit, rng,
-                  measurements: list[int]) -> tuple[float, float, float]:
+def _python_gates(hs: HybridState, circuit: Circuit, rng, measurements: list[int]) -> float:
     """The hybrid's gate loop in Python, one ``PauliFrame`` update or lookup
-    per gate.  Returns the seconds spent in rotations, measurements and
-    preparations."""
+    per gate, and ``HybridState._measure_z`` for each MEASZ or PREPZ.
+    Returns the seconds spent in rotations."""
     n = circuit.num_qubits
     frame, phi = hs.frame, hs.phi
-    rotation_s = measure_s = prep_s = 0.0
+    rotation_s = 0.0
     clock = time.perf_counter
     for g in circuit:
         tag = g.tag
@@ -318,18 +318,8 @@ def _python_gates(hs: HybridState, circuit: Circuit, rng,
             axis = frame.lookup(PauliString.single(n, g.qubits[0], ROTATION_AXIS[tag]))
             phi.apply_pauli_rotation(axis, g.angle)
             rotation_s += clock() - t1
-        elif tag == "MEASZ":
-            t1 = clock()
-            outcome = phi.measure(frame.lookup(
-                PauliString.single(n, g.qubits[0], "Z")), rng)
-            measurements.append(0 if outcome == 1 else 1)
-            measure_s += clock() - t1
-        elif tag == "PREPZ":
-            t1 = clock()
-            phi.prepare(frame.lookup(PauliString.single(n, g.qubits[0], "Z")),
-                        frame.lookup(PauliString.single(n, g.qubits[0], "X")),
-                        rng)
-            prep_s += clock() - t1
+        elif tag in ("MEASZ", "PREPZ"):
+            hs._measure_z(tag, g.qubits[0], rng, measurements)
         else:
             raise ValueError(f"unsupported gate tag {tag!r}")
-    return rotation_s, measure_s, prep_s
+    return rotation_s

@@ -40,7 +40,7 @@ _COLUMNS = (("name", str), ("n_qubits", int), ("n_terms", int),
             ("L_mean", float), ("L_std", float), ("L_max", int),
             ("backend", str), ("t_compile_s", float), ("t_run_s", float),
             ("rescaled_runtime", float), ("speedup_vs_baseline", _optional(float)),
-            ("seed", _optional(int)))
+            ("seed", _optional(int)), ("t_flush_s", float))
 CSV_FIELDS = tuple(column for column, _ in _COLUMNS)
 
 VERIFY_TOLERANCE = 1e-10
@@ -105,6 +105,7 @@ class BenchRecord:
     rescaled_runtime: float
     speedup_vs_baseline: float | None
     seed: int | None
+    t_flush_s: float = 0.0
 
 
 def _load_hamiltonian(config: BenchConfig) -> Hamiltonian:
@@ -172,12 +173,13 @@ def memory_need(config: BenchConfig, num_qubits: int) -> int:
 
     A backend's repetition holds the state of the repetition before while
     it fills its own, beside the last state of each backend run before it:
-    one state more than the backends.  The cross-check holds the two last
-    states and at most 24 bytes per amplitude besides, the probabilities
-    it compares (or the flush's copy of its register, up to a state).  The
-    circuits and the hybrid's gate tables are left out: they grow with the
-    terms, not with 2**n, and 100 terms of weight 14 hold about 1.4 MiB at
-    the peak, a third of one 18-qubit state.
+    one state more than the backends; a hybrid repetition's flush, once the
+    state before it is freed, holds a copy of its register, up to a state,
+    in that state's place.  The cross-check holds the two last states and
+    at most 24 bytes per amplitude besides, the probabilities it compares.
+    The circuits and the hybrid's gate tables are left out: they grow with
+    the terms, not with 2**n, and 100 terms of weight 14 hold about 1.4 MiB
+    at the peak, a third of one 18-qubit state.
     """
     per_amplitude = AMPLITUDE_BYTES * (len(config.backends) + 1)
     if config.verify and set(config.backends) == set(BACKENDS):
@@ -205,6 +207,11 @@ def _mib(nbytes: int | None, missing: str = "") -> str:
 def run_config(config: BenchConfig) -> list[BenchRecord]:
     """Execute one benchmark cell and return one record per backend.
 
+    Each hybrid repetition ends in ``flush_to_origin``, timed on its own:
+    the hybrid record's ``t_flush_s`` is the median flush of the timed
+    repetitions, the time from its ``t_run_s`` to the amplitudes that the
+    baseline's ``t_run_s`` ends on (0.0 on baseline records).
+
     Raises BenchConfigError, before any state is allocated, for more
     qubits than the memory left to the run holds (``memory_need``).
     """
@@ -214,22 +221,29 @@ def run_config(config: BenchConfig) -> list[BenchRecord]:
     seed = int(config.source.seed) if isinstance(config.source, RandomSpec) else None
 
     runners = {"baseline": run_baseline, "hybrid": run_hybrid}
-    timings: dict[str, tuple[float, float]] = {}
+    timings: dict[str, tuple[float, float, float]] = {}
     final_state: dict[str, object] = {}
     for backend in config.backends:
         compile_times: list[float] = []
         run_times: list[float] = []
+        flush_times: list[float] = []
         for rep in range(config.warmups + config.repetitions):
             t0 = time.perf_counter()
             ham = _load_hamiltonian(config)
             circuit = trotterize(ham, config.trotter_time, config.trotter_steps)
             t_compile = time.perf_counter() - t0
             state, report = runners[backend](circuit, rng=seed)
+            t_flush = 0.0
+            if backend == "hybrid":
+                t0 = time.perf_counter()
+                state.flush_to_origin()
+                t_flush = time.perf_counter() - t0
             if rep >= config.warmups:
                 compile_times.append(t_compile)
                 run_times.append(report.t_run_s)
+                flush_times.append(t_flush)
         timings[backend] = (statistics.median(compile_times),
-                            statistics.median(run_times))
+                            statistics.median(run_times), statistics.median(flush_times))
         final_state[backend] = state
 
     if config.verify and set(config.backends) == set(BACKENDS):
@@ -238,7 +252,7 @@ def run_config(config: BenchConfig) -> list[BenchRecord]:
     records = []
     dim = 1 << probe.num_qubits
     for backend in config.backends:
-        t_compile, t_run = timings[backend]
+        t_compile, t_run, t_flush = timings[backend]
         speedup = None
         if "baseline" in timings:
             speedup = timings["baseline"][1] / t_run
@@ -247,13 +261,13 @@ def run_config(config: BenchConfig) -> list[BenchRecord]:
             l_mean=l_mean, l_std=l_std, l_max=l_max, backend=backend,
             t_compile_s=t_compile, t_run_s=t_run,
             rescaled_runtime=t_run / (len(probe) * dim),
-            speedup_vs_baseline=speedup, seed=seed))
+            speedup_vs_baseline=speedup, seed=seed, t_flush_s=t_flush))
     return records
 
 
 def _verify_states(baseline_state, hybrid_state) -> None:
-    """Cross-check the two backends on the cell that was just timed."""
-    hybrid_state.flush_to_origin()
+    """Cross-check the two backends on the cell that was just timed, the
+    hybrid state as its repetition's flush left it."""
     diff = np.max(np.abs(baseline_state.probabilities()
                          - hybrid_state.phi.probabilities()))
     if diff > VERIFY_TOLERANCE:
@@ -307,6 +321,7 @@ def _record_to_row(r: BenchRecord) -> dict[str, str]:
 
 
 def _row_to_record(row: dict[str, object], where: str) -> BenchRecord:
+    row = {"t_flush_s": 0.0, **row}  # files written before the column read back
     missing = [column for column in CSV_FIELDS if row.get(column) is None]
     if missing:
         raise BenchConfigError(f"{where}: missing column(s) {', '.join(missing)}")
@@ -361,12 +376,16 @@ def read_records(stream, fmt: str = "csv") -> list[BenchRecord]:
 
 @dataclass
 class ReportRow:
+    """``speedup`` is t_run(baseline) / t_run(hybrid), and
+    ``speedup_to_amplitudes`` t_run(baseline) / (t_run + t_flush)(hybrid)."""
+
     name: str
     n_qubits: int
     n_terms: int
     seed: int | None
     speedup: float
     compile_ratio: float
+    speedup_to_amplitudes: float
 
 
 @dataclass
@@ -391,18 +410,21 @@ def report(records) -> ReportSummary:
             if not (r.t_compile_s > 0 and r.t_run_s > 0):
                 raise ValueError(f"config {name!r}: the {r.backend} record has a "
                                  "non-positive t_compile_s or t_run_s")
-        rows.append(ReportRow(name, n, n_terms, seed,
-                              speedup=base.t_run_s / hyb.t_run_s,
-                              compile_ratio=hyb.t_compile_s / base.t_compile_s))
+        rows.append(ReportRow(
+            name, n, n_terms, seed, speedup=base.t_run_s / hyb.t_run_s,
+            compile_ratio=hyb.t_compile_s / base.t_compile_s,
+            speedup_to_amplitudes=base.t_run_s / (hyb.t_run_s + hyb.t_flush_s)))
     groups: dict[tuple[int, int], dict[str, float]] = {}
     for key in sorted({(r.n_qubits, r.n_terms) for r in rows}):
         members = [r for r in rows if (r.n_qubits, r.n_terms) == key]
         speedups = [r.speedup for r in members]
+        to_amplitudes = [r.speedup_to_amplitudes for r in members]
         ratios = [r.compile_ratio for r in members]
         groups[key] = {
             "count": len(members),
             "speedup_mean": float(np.mean(speedups)),
             "speedup_std": float(np.std(speedups)),
+            "speedup_to_amplitudes_mean": float(np.mean(to_amplitudes)),
             "compile_ratio_mean": float(np.mean(ratios)),
             "compile_ratio_std": float(np.std(ratios)),
         }
@@ -411,14 +433,16 @@ def report(records) -> ReportSummary:
 
 def render_report(summary: ReportSummary) -> str:
     out = io.StringIO()
-    out.write(f"{'name':24s} {'n':>3s} {'terms':>6s} {'speedup':>9s} {'compile':>9s}\n")
+    out.write(f"{'name':24s} {'n':>3s} {'terms':>6s} {'speedup':>9s} {'to amps':>9s} "
+              f"{'compile':>9s}\n")
     for r in summary.rows:
         out.write(f"{r.name[:24]:24s} {r.n_qubits:3d} {r.n_terms:6d} "
-                  f"{r.speedup:9.3f} {r.compile_ratio:9.3f}\n")
+                  f"{r.speedup:9.3f} {r.speedup_to_amplitudes:9.3f} {r.compile_ratio:9.3f}\n")
     out.write("\nper (n_qubits, n_terms):\n")
     for (n, t), stats in summary.groups.items():
         out.write(f"  n={n:2d} terms={t:5d}: speedup {stats['speedup_mean']:.2f} "
-                  f"+- {stats['speedup_std']:.2f}, compile ratio "
+                  f"+- {stats['speedup_std']:.2f} ({stats['speedup_to_amplitudes_mean']:.2f} "
+                  f"with the flush), compile ratio "
                   f"{stats['compile_ratio_mean']:.2f} +- {stats['compile_ratio_std']:.2f} "
                   f"({stats['count']} configs)\n")
     return out.getvalue()

@@ -12,6 +12,7 @@ AVX2 host shows in every run's output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import _kernels, bench
@@ -93,12 +94,27 @@ def _settings(args) -> dict:
                 repetitions=args.repetitions, warmups=args.warmups)
 
 
-def _write(records, args) -> None:
-    """Write the records to ``--output``, or to stdout without one."""
+def _write(make_records, args) -> None:
+    """Write the records that ``make_records()`` returns to ``--output``, or
+    to stdout without one.
+
+    The file is opened, for appending, before ``make_records`` is called, so
+    a path that cannot be opened fails before any backend runs.  It is
+    emptied only once the call returns: if the call fails, a file that was
+    there is left as it was, and one that was not is removed."""
     if args.output is None:
-        bench.write_records(records, sys.stdout, args.format)
+        bench.write_records(make_records(), sys.stdout, args.format)
         return
-    with open(args.output, "w", encoding="utf-8", newline="") as stream:
+    existed = os.path.lexists(args.output)
+    with open(args.output, "a", encoding="utf-8", newline="") as stream:
+        try:
+            records = make_records()
+        except BaseException:
+            if not existed:
+                os.remove(args.output)
+            raise
+        if stream.seekable():
+            stream.truncate(0)
         bench.write_records(records, stream, args.format)
 
 
@@ -106,7 +122,7 @@ def _cmd_run(args) -> int:
     source = RandomSpec(*args.random) if args.random is not None else args.file
     config = BenchConfig(source, verify=not args.no_verify, **_settings(args))
     _report_tier()
-    _write(bench.run_config(config), args)
+    _write(lambda: bench.run_config(config), args)
     return EXIT_OK
 
 
@@ -116,7 +132,7 @@ def _cmd_sweep(args) -> int:
         localities=_parse_range(args.localities) if args.localities else None,
         terms=tuple(int(v) for v in args.terms.split(",")))
     _report_tier()
-    _write(bench.sweep(cells, seed=args.seed, **_settings(args)), args)
+    _write(lambda: bench.sweep(cells, seed=args.seed, **_settings(args)), args)
     return EXIT_OK
 
 

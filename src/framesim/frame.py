@@ -41,25 +41,10 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import gf2
-from .pauli import PauliString, _mul, _swap_bits
+from .pauli import PauliString, _anti, _mul, _swap_bits
 
 _QUARTER = math.pi / 2  # R_Q(pi/2) = exp(-i pi/4 Q), a symplectic transvection
-
-
-def _anti(a, b) -> int:
-    return ((a[0] & b[1]).bit_count() + (a[1] & b[0]).bit_count()) & 1
-
-
-def _bit_matrix(words: array, n: int) -> np.ndarray:
-    """The 0/1 matrix whose row i holds bits 0..n-1 of words[i], in floats:
-    numpy multiplies float matrices much faster than integer ones, and
-    exactly while the sums stay below 2**24."""
-    raw = np.frombuffer(words, np.uint64).astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(raw, bitorder="little").reshape(len(words), 64)
-    return bits[:, :n].astype(np.float32)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,19 +144,15 @@ class PauliFrame:
         """Check the symplectic pairing and sign conventions of every row:
         each phase exponent is 0 or 2 and each mask below 2**n, and of the 2n rows,
         eff_z[i] anticommutes with eff_x[i] alone, and eff_x[i] with eff_z[i]
-        alone.
-
-        With the rows' x and z bits as 0/1 matrices X and Z, the symplectic
-        products of all pairs of rows are Z X^T + (Z X^T)^T mod 2: one
-        matrix product in place of 3n**2 pairwise parities (``_anti``).
+        alone.  Checks every pair of rows with ``_anti``, as the compiled
+        flush's ``valid_frame`` does.
         """
         n = self.num_qubits
         if any(p & ~2 for p in self.ps) or any((x | z) >> n for x, z in zip(self.xs, self.zs)):
             return False
-        half = _bit_matrix(self.zs, n) @ _bit_matrix(self.xs, n).T
-        products = (half + half.T).astype(np.uint8) & 1
-        pairs = np.eye(2 * n, k=n, dtype=np.uint8) | np.eye(2 * n, k=-n, dtype=np.uint8)
-        return np.array_equal(products, pairs)
+        rows = list(zip(self.xs, self.zs))
+        return all(_anti(rows[i], rows[j]) == (i - j == n)
+                   for i in range(1, 2 * n) for j in range(i))
 
     # ------------------------------------------------------------------
     # backward gate updates
@@ -262,11 +243,11 @@ class PauliFrame:
         Entries commuting with the axis are untouched; anticommuting ones
         become -i*Q*E (+pi/2), +i*Q*E (-pi/2) or -E (pi).
         """
-        q = qx, qz, _ = axis.x_bits, axis.z_bits, axis.phase_exp
+        q = axis.x_bits, axis.z_bits, axis.phase_exp
         shift = -_quarter_turns(angle) & 3
         ps = self.ps
         for i, (ex, ez) in enumerate(zip(self.xs, self.zs)):
-            if ((ex & qz) ^ (ez & qx)).bit_count() & 1:  # _anti(row i, q), inlined
+            if _anti((ex, ez), q):
                 if shift == 2:
                     ps[i] ^= 2
                 else:

@@ -164,8 +164,7 @@ class PauliString:
     def anticommutes(self, other: "PauliString") -> int:
         """1 if the two operators anticommute, 0 if they commute."""
         self._check_size(other)
-        return ((self.x_bits & other.z_bits).bit_count()
-                + (self.z_bits & other.x_bits).bit_count()) & 1
+        return _anti((self.x_bits, self.z_bits), (other.x_bits, other.z_bits))
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         """Exact group product, tracking the i**e phase per qubit (see ``_mul``)."""
@@ -252,6 +251,12 @@ def _mul(a, b):
     phase = (ap + bp + (ax & az).bit_count() + (bx & bz).bit_count()
              - (x & z).bit_count() + 2 * (az & bx).bit_count()) & 3
     return (x, z, phase)
+
+
+def _anti(a, b) -> int:
+    """1 if the (x_bits, z_bits, ...) tuples a and b anticommute, else 0:
+    the parity of their symplectic product."""
+    return ((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1
 
 
 def _swap_bits(value: int, a: int, b: int) -> int:

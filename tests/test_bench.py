@@ -1,4 +1,5 @@
 """Benchmark harness: records, serialization, sweep, report, CLI."""
+import dataclasses
 import errno
 import io
 import json
@@ -7,10 +8,10 @@ import tracemalloc
 
 import pytest
 
-from framesim import BenchConfig, BenchRecord, RandomSpec, _kernels, bench
-from framesim.bench import (BACKENDS, BenchConfigError, default_sweep_cells, read_records,
-                            render_report, report, run_config, sweep,
-                            write_records)
+from framesim import BenchConfig, BenchRecord, HybridState, RandomSpec, _kernels, bench
+from framesim.bench import (BACKENDS, CSV_FIELDS, BenchConfigError, _record_to_row,
+                            default_sweep_cells, read_records, render_report, report,
+                            run_config, sweep, write_records)
 from framesim.cli import main as cli_main
 
 
@@ -173,7 +174,7 @@ def test_csv_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0] == ("name,n_qubits,n_terms,L_mean,L_std,L_max,"
                                     "backend,t_compile_s,t_run_s,rescaled_runtime,"
-                                    "speedup_vs_baseline,seed")
+                                    "speedup_vs_baseline,seed,t_flush_s")
     back = read_records(io.StringIO(text), "csv")
     assert back == records
 
@@ -190,6 +191,45 @@ def test_jsonl_round_trip():
     # files written with string-valued numbers still read back
     legacy = {k: (None if v is None else str(v)) for k, v in row.items()}
     assert read_records(io.StringIO(json.dumps(legacy) + "\n"), "jsonl") == records[:1]
+
+
+@pytest.mark.skipif(_kernels.run_gates is None, reason="compiled kernels not loaded")
+def test_hybrid_records_time_the_flush(monkeypatch):
+    # each hybrid repetition flushes a register under an index map that is
+    # not the identity; baseline records carry no flush
+    maps = []
+    flush = HybridState.flush_to_origin
+
+    def recorded(hs):
+        maps.append(hs.index_map.tolist())
+        flush(hs)
+
+    monkeypatch.setattr(HybridState, "flush_to_origin", recorded)
+    baseline, hybrid = run_config(small_config())
+    assert len(maps) == 3 and all(m != [1, 2, 4, 8] for m in maps)
+    assert baseline.t_flush_s == 0.0 and hybrid.t_flush_s > 0
+
+
+OLD_HEADER = ("name,n_qubits,n_terms,L_mean,L_std,L_max,backend,t_compile_s,t_run_s,"
+              "rescaled_runtime,speedup_vs_baseline,seed")
+
+
+def test_records_without_t_flush_s_read_back_and_report(tmp_path, capsys):
+    # files written before the t_flush_s column read back with 0.0 there
+    old = [_fake("a", 4, 10, "baseline", 1.0, 2.0), _fake("a", 4, 10, "hybrid", 1.0, 0.5)]
+    rows = [",".join(_record_to_row(r)[k] for k in CSV_FIELDS[:12]) for r in old]
+    path = tmp_path / "old.csv"
+    path.write_text("\n".join([OLD_HEADER, *rows]) + "\n")
+    assert read_records(io.StringIO(path.read_text()), "csv") == old
+    buf = io.StringIO()
+    write_records(old, buf, "jsonl")
+    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+    text = "".join(json.dumps({k: v for k, v in row.items() if k != "t_flush_s"}) + "\n"
+                   for row in lines)
+    assert read_records(io.StringIO(text), "jsonl") == old
+    assert cli_main(["report", str(path)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[3:5] == ["4.000", "4.000"]
 
 
 def test_default_sweep_cells_grid():
@@ -234,6 +274,18 @@ def test_report_speedups():
     assert "speedup" in text and "n= 4" in text
 
 
+def test_report_derives_the_speedup_to_amplitudes():
+    records = [_fake("a", 4, 10, "baseline", 1.0, 3.0),
+               dataclasses.replace(_fake("a", 4, 10, "hybrid", 1.0, 1.0), t_flush_s=0.5)]
+    summary = report(records)
+    assert summary.rows[0].speedup == pytest.approx(3.0)
+    assert summary.rows[0].speedup_to_amplitudes == pytest.approx(2.0)
+    assert summary.groups[(4, 10)]["speedup_to_amplitudes_mean"] == pytest.approx(2.0)
+    text = render_report(summary)
+    assert text.splitlines()[1].split()[3:5] == ["3.000", "2.000"]
+    assert "speedup 3.00 +- 0.00 (2.00 with the flush)" in text
+
+
 def test_report_rejects_unpaired_records():
     with pytest.raises(ValueError, match="pair"):
         report([_fake("a", 4, 10, "baseline", 1.0, 2.0)])
@@ -252,6 +304,23 @@ def test_cli_run_produces_csv(tmp_path, capsys):
     report_code = cli_main(["report", str(out)])
     assert report_code == 0
     assert "speedup" in capsys.readouterr().out
+
+
+def test_cli_run_that_fails_leaves_the_output_as_it_was(tmp_path, monkeypatch, capsys):
+    def fail(config):
+        raise RuntimeError("simulation failed")
+
+    monkeypatch.setattr(bench, "run_config", fail)
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text("earlier records\n")
+    for out in (kept, absent):
+        assert cli_main(["run", "--random", "3", "2", "4", "1", "--output", str(out)]) == 2
+    assert "framesim: runtime error: simulation failed" in capsys.readouterr().err
+    assert kept.read_text() == "earlier records\n" and not absent.exists()
+    monkeypatch.undo()
+    assert cli_main(["run", "--random", "3", "2", "4", "1", "--repetitions", "1",
+                     "--output", str(kept)]) == 0
+    assert len(read_records(io.StringIO(kept.read_text()), "csv")) == 2
 
 
 def test_cli_run_stdout_jsonl(capsys):
@@ -315,8 +384,8 @@ def _pair_text(fmt, hybrid_t_run=2.0):
 MALFORMED_RECORDS = {
     # the seed column cut from the header and from every row
     "csv_missing_column": (
-        "csv", "".join(line.rsplit(",", 1)[0] + "\n"
-                       for line in _pair_text("csv").splitlines()),
+        "csv", "".join(",".join(v for k, v in zip(CSV_FIELDS, line.split(",")) if k != "seed")
+                       + "\n" for line in _pair_text("csv").splitlines()),
         "line 2: missing column(s) seed"),
     "jsonl_line_not_an_object": (
         "jsonl", _pair_text("jsonl") + "[1, 2]\n",
@@ -354,6 +423,10 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                  ["report", str(tmp_path)]):
         assert cli_main(argv) == 1, argv
         assert "\nframesim: config error:" in "\n" + capsys.readouterr().err, argv
+    with monkeypatch.context() as mp:  # the output is opened before any backend runs
+        mp.setattr(bench, "run_config", lambda config: pytest.fail("ran before --output opened"))
+        assert cli_main(["run", "--random", "4", "2", "2", "1", "--output", str(tmp_path)]) == 1
+    assert "\nframesim: config error:" in "\n" + capsys.readouterr().err
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5 QQ\n")
     assert cli_main(["run", "--file", str(bad)]) == 1

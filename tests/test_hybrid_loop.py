@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framesim import (Circuit, HybridState, PauliFrame, StateVector, _kernels,
+from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels,
                       random_hamiltonian, run_hybrid, trotterize)
 from framesim.circuit import TAGS
 from framesim.frame import HadamardFree, split_clifford
@@ -70,6 +70,18 @@ def test_compiled_gate_loop_matches_the_python_loop(case):
     assert (ref.active, ref.index_map.tolist()) == (n, [1 << i for i in range(n)])
     dense = index_mapped(hs.phi.amplitudes, hs.index_map)
     assert np.max(np.abs(dense - ref.phi.amplitudes)) < 1e-12
+
+
+@compiled_only
+def test_prepare_activates_a_qubit_only_to_repair():
+    # PREPZ on |0> draws +1 and needs no repair, so the register stays
+    # empty; after an X it draws -1, and X_q's image activates one qubit
+    for gates, active in (([("PREPZ", (1,), None)], 0),
+                          ([("X", (1,), None), ("PREPZ", (1,), None)], 1)):
+        hs, _ = run_hybrid(build(3, gates), 0)
+        assert hs.active == active
+        hs.flush_to_origin()
+        assert abs(hs.phi.amplitudes[0]) == pytest.approx(1)
 
 
 @st.composite
@@ -295,6 +307,50 @@ def random_invertible(rng, n) -> np.ndarray:
         rows = [int(r) for r in rng.integers(0, 1 << n, size=n)]
         if gf2_rank(rows) == n:
             return np.array(rows, dtype=np.uint64)
+
+
+def basis_map(rows, n) -> list[int]:
+    """A k for every k < 2**n, A the GF(2) matrix with row masks ``rows``."""
+    return [sum(((r & k).bit_count() & 1) << i for i, r in enumerate(rows))
+            for k in range(1 << n)]
+
+
+@compiled_only
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_register_map_conjugates_by_the_index_map(n, seed, data):
+    # for a random invertible A, active count d and Hermitian P: the result
+    # acts on every |k>, k < 2**d', as P_A'^dag P P_A', A' being the map
+    # after the call; d' = d + 1 exactly when A^-1 x has a bit at or above
+    # d, and then A' agrees with A on every k < 2**d; without activation
+    # that case returns None and leaves A as it was
+    rng = np.random.default_rng(seed)
+    d = data.draw(st.integers(0, n))
+    a = random_invertible(rng, n)
+    x, z = (int(v) for v in rng.integers(0, 1 << n, size=2))
+    p = PauliString(n, x, z, int(rng.choice([0, 2])))
+    before = basis_map(a.tolist(), n)
+    grows = before.index(x) >> d != 0  # A^-1 x has a bit at or above d
+    kept = a.copy()
+    plain = _kernels.register_map(kept, d, x, z, p.phase_exp, False)
+    assert kept.tolist() == a.tolist()
+    moved = a.copy()
+    got = _kernels.register_map(moved, d, x, z, p.phase_exp, True)
+    assert (plain is None) == grows and plain in (None, got)
+    x2, z2, phase, d2 = got
+    assert d2 == d + grows and max(x2, z2) < 1 << d2
+    after = basis_map(moved.tolist(), n)
+    assert after[:1 << d] == before[:1 << d] and (grows or after == before)
+    inverse = {m: k for k, m in enumerate(after)}
+    mapped = PauliString(n, x2, z2, phase)
+    for k in range(1 << d2):
+        image = after[k]
+        assert mapped.flip_target(k) == inverse[p.flip_target(image)]
+        assert mapped.phase_exp_at(k) == p.phase_exp_at(image)
+    singular = a.copy()
+    singular[0] = 0
+    with pytest.raises(ValueError, match="not an invertible matrix"):
+        _kernels.register_map(singular, d, x, z, p.phase_exp, True)
 
 
 @compiled_only
