@@ -66,7 +66,10 @@
  * lowest such bit j clear the others and SWAP(j, d) moves j to bit d.
  * These gates act on qubits that are |0> in phi, so they change only A,
  * and d grows by one.  Each rotation then makes one pass over 2**max(d, 1)
- * amplitudes instead of 2**n (see reg_map).
+ * amplitudes instead of 2**n (see reg_map).  Once those amplitudes outgrow
+ * the L2 cache, the loop applies each run of rotations on one register
+ * size in one walk that takes each group of tiles through the whole run
+ * while the group sits in that cache (see rotate).
  *
  * The flush at the end folds the frame and the index map back into the
  * register in one call.  It checks the frame, then splits its Clifford U
@@ -83,6 +86,7 @@
 #include <stdint.h>
 #include <string.h>
 #include <time.h>
+#include <unistd.h>
 
 #define TILE_BITS 8
 #define TILE (1 << TILE_BITS)
@@ -186,19 +190,35 @@ turn_blocks(v4d *restrict t, v4d *restrict u, const v4d *pt, const v4d *pu,
     }
 }
 
-/* The traversal of framesim_clifford for one element order `how` and
- * flip = x & 1, which the caller passes as constants so that each
- * combination gets a loop of its own, as each clone passes its `wide`.
- * Amplitude k sits in vector k >> 1, and its partner k ^ x in vector
- * (k >> 1) ^ (x >> 1), at the other position of it if x is odd.
- * pat[o][v] is the pattern of vector v of a tile whose sign O(t) (see
- * framesim_clifford) is (-1)**o. */
+/* The tiles a walk visits, by index j < count: tile j, or, with a span
+ * table, tile rep ^ span[j], the tiles of one coset of the span of a run's
+ * tile masks (see run_walk).  A walk over the whole state passes no table,
+ * and the compiler drops the lookup. */
+typedef struct {
+    const uint64_t *span;
+    uint64_t rep;
+    int64_t count;
+} tile_set;
+
+static inline __attribute__((always_inline)) uint64_t tile_at(tile_set s, int64_t j)
+{
+    return s.span ? s.rep ^ s.span[j] : (uint64_t)j;
+}
+
+/* The traversal of framesim_clifford over the tiles of ts for one element
+ * order `how` and flip = x & 1, which the caller passes as constants so
+ * that each combination gets a loop of its own, as each clone passes its
+ * `wide`.  Amplitude k sits in vector k >> 1, and its partner k ^ x in
+ * vector (k >> 1) ^ (x >> 1), at the other position of it if x is odd.
+ * Tile t pairs with tile t ^ (x >> b): tile_at(j) with tile_at(j ^ xj), xj
+ * being the index of x >> b in ts.  pat[o][v] is the pattern of vector v
+ * of a tile whose sign O(t) (see framesim_clifford) is (-1)**o. */
 static inline __attribute__((always_inline)) void
-turn_walk(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z,
+turn_walk(v4d *amp, tile_set ts, int b, uint64_t x, uint64_t xj, uint64_t z,
           v4d (*pat)[TILE / 2], double ca, int flip, int how, int wide)
 {
     const int64_t len = (int64_t)1 << (b - 1); /* vectors per tile */
-    const int64_t n_tiles = n_amp >> b;
+    const int64_t count = ts.count;
     const uint64_t xv = (x & (((uint64_t)1 << b) - 1)) >> 1;
     const uint64_t xt = x >> b, zt = z >> b;
 #define O(t) __builtin_parityll((uint64_t)(t) & zt)
@@ -206,12 +226,13 @@ turn_walk(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z,
     if (x < 2) {
         /* x = 0 pairs each amplitude with itself, x = 1 with the other
          * one of its vector */
-        for (int64_t t = 0; t < n_tiles; t++) {
+        for (int64_t j = 0; j < count; j++) {
+            const uint64_t t = tile_at(ts, j);
             v4d *restrict r = amp + t * len;
             const v4d *pt = pat[O(t)];
-            for (int64_t j = 0; j < len; j++) {
-                const v4d a = r[j];
-                UPDATE(r + j, a, a, pt + j, ca, flip, how, wide);
+            for (int64_t i = 0; i < len; i++) {
+                const v4d a = r[i];
+                UPDATE(r + i, a, a, pt + i, ca, flip, how, wide);
             }
         }
         return;
@@ -220,12 +241,13 @@ turn_walk(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z,
     if (xt == 0) {
         /* partners share a tile.  With q the highest bit of xv, the blocks
          * of 2**q vectors with bit q clear pair with the blocks right
-         * above them through j -> j ^ mx. */
+         * above them through i -> i ^ mx. */
         const int q = 63 - __builtin_clzll(xv);
         const int64_t half = (int64_t)1 << q, mx = (int64_t)(xv ^ (uint64_t)half);
-        for (int64_t t = 0; t < n_tiles; t++) {
+        for (int64_t j = 0; j < count; j++) {
+            const uint64_t t = tile_at(ts, j);
             v4d *tile = amp + t * len;
-            const v4d *next = t + 1 < n_tiles ? tile + len : tile;
+            const v4d *next = j + 1 < count ? amp + tile_at(ts, j + 1) * len : tile;
             const v4d *pt = pat[O(t)];
             if (half >= LINE2) {
                 for (int64_t blk = 0; blk < len; blk += 2 * half)
@@ -235,56 +257,54 @@ turn_walk(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z,
                 continue;
             }
             /* x is 2 or 3: vector 2i pairs with vector 2i + 1 */
-            for (int64_t j = 0; j < len; j += 2) {
-                prefetch(next + j);
-                turn_pair(tile + j, tile + j + 1, pt + j, pt + j + 1, ca, flip, how,
+            for (int64_t i = 0; i < len; i += 2) {
+                prefetch(next + i);
+                turn_pair(tile + i, tile + i + 1, pt + i, pt + i + 1, ca, flip, how,
                           wide);
             }
         }
         return;
     }
 
-    /* partner tiles differ: pair each tile t with bit tp clear with t ^ xt */
-    const int64_t tp = (int64_t)(xt & -xt);
-    for (int64_t t = 0; t < n_tiles; t++) {
-        if (t & tp)
+    /* partner tiles differ: pair each index j with bit jp clear with j ^ xj */
+    const int64_t jp = (int64_t)(xj & -xj);
+    for (int64_t j = 0; j < count; j++) {
+        if (j & jp)
             continue;
-        const int64_t t2 = t ^ (int64_t)xt;
-        int64_t next = (t + 1) & tp ? t + 1 + tp : t + 1;
-        if (next >= n_tiles)
-            next = t;
+        int64_t next = (j + 1) & jp ? j + 1 + jp : j + 1;
+        if (next >= count)
+            next = j;
+        const uint64_t t = tile_at(ts, j), t2 = t ^ xt, tn = tile_at(ts, next);
         turn_blocks(amp + t * len, amp + t2 * len, pat[O(t)], pat[O(t2)],
-                    amp + next * len, amp + (next ^ (int64_t)xt) * len, len,
+                    amp + tn * len, amp + (tn ^ xt) * len, len,
                     (int64_t)xv, ca, flip, how, wide);
     }
 #undef O
 }
 
-/* turn_walk for the flip of x */
+/* turn_walk for the element order of e0 and the flip of x */
 static inline __attribute__((always_inline)) void
-turn_walk_x(v4d *amp, int64_t n_amp, int b, uint64_t x, uint64_t z,
-            v4d (*pat)[TILE / 2], double ca, int how, int wide)
+walk(v4d *amp, tile_set ts, int b, uint64_t x, uint64_t xj, uint64_t z,
+     v4d (*pat)[TILE / 2], double ca, int e0, int wide)
 {
-    if (x & 1)
-        turn_walk(amp, n_amp, b, x, z, pat, ca, 1, how, wide);
+    const int how = e0 & 1 ? SWAP : KEEP;
+    if (x & 1) {
+        if (how == SWAP)
+            turn_walk(amp, ts, b, x, xj, z, pat, ca, 1, SWAP, wide);
+        else
+            turn_walk(amp, ts, b, x, xj, z, pat, ca, 1, KEEP, wide);
+    } else if (how == SWAP)
+        turn_walk(amp, ts, b, x, xj, z, pat, ca, 0, SWAP, wide);
     else
-        turn_walk(amp, n_amp, b, x, z, pat, ca, 0, how, wide);
+        turn_walk(amp, ts, b, x, xj, z, pat, ca, 0, KEEP, wide);
 }
 
-/* The body of framesim_clifford, compiled once per clone; wide is set in
- * the clone with 32-byte registers */
+/* The order is the same everywhere, and pat[0] holds cb * TURN[e0] *
+ * (-1)**parity(k & z) for the amplitudes k of a tile of lv vectors, built
+ * by doubling; pat[1] = -pat[0] serves the tiles of odd sign. */
 static inline __attribute__((always_inline)) void
-clifford(double *amp_, int64_t n_amp, uint64_t x, uint64_t z, double ca,
-         double cb, int e0, int wide)
+patterns(v4d (*pat)[TILE / 2], int64_t lv, uint64_t z, double cb, int e0)
 {
-    v4d *amp = (v4d *)amp_;
-    const int b = tile_bits(n_amp);
-    const int64_t lv = (int64_t)1 << (b - 1);
-
-    /* the order is the same everywhere, and pat[0] holds cb * TURN[e0] *
-     * (-1)**parity(k & z) for the amplitudes k of a tile, built by
-     * doubling; pat[1] = -pat[0] serves the tiles of odd sign */
-    v4d pat[2][TILE / 2];
     const v2d c = TURN[e0 & 3] * cb, c1 = z & 1 ? -c : c;
     pat[0][0] = (v4d){c[0], c[1], c1[0], c1[1]};
     for (int64_t h = 1; h < lv; h <<= 1) {
@@ -294,10 +314,18 @@ clifford(double *amp_, int64_t n_amp, uint64_t x, uint64_t z, double ca,
     }
     for (int64_t j = 0; j < lv; j++)
         pat[1][j] = -pat[0][j];
-    if (e0 & 1)
-        turn_walk_x(amp, n_amp, b, x, z, pat, ca, SWAP, wide);
-    else
-        turn_walk_x(amp, n_amp, b, x, z, pat, ca, KEEP, wide);
+}
+
+/* The body of framesim_clifford, compiled once per clone; wide is set in
+ * the clone with 32-byte registers */
+static inline __attribute__((always_inline)) void
+clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
+         double cb, int e0, int wide)
+{
+    const int b = tile_bits(n_amp);
+    v4d pat[2][TILE / 2];
+    patterns(pat, (int64_t)1 << (b - 1), z, cb, e0);
+    walk((v4d *)amp, (tile_set){NULL, 0, n_amp >> b}, b, x, x >> b, z, pat, ca, e0, wide);
 }
 
 /* The body of framesim_apply_h, compiled once per clone */
@@ -1127,18 +1155,163 @@ static inline double seconds(void)
     return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
 }
 
+/* Blocked runs.  A register of more bytes than the L2 cache holds leaves it
+ * on every pass, so each rotation would cross the next cache level once.
+ * Above that size the rotations are kept in a pending run, and the run is
+ * applied in one walk over the cosets of the span S of its tile masks
+ * x >> TILE_BITS: every rotation of the run pairs tile t with a tile of
+ * t ^ S, so each coset, of 2**dim S tiles, goes through every rotation of
+ * the run in order while it sits in the L2 cache (Haner & Steiger, SC17).
+ * Each pair of amplitudes sees the same operations in the same order as
+ * with one pass per rotation, so the amplitudes are bit for bit the same.
+ * A run is applied before a rotation on another register size, before the
+ * gate loop returns (at a MEASZ or PREPZ or the end) and at the end of the
+ * flush's turns, and before S would grow past half the L2 cache; it holds
+ * at most MAX_RUN rotations. */
+#define MAX_RUN 16
+#define MAX_SPAN_BITS 10
+
+static int64_t l2_bytes;     /* the L2 cache's size, 0 if the system does not say */
+static int span_bits;        /* the largest dim S: 2**span_bits tiles fill half of it */
+
+__attribute__((constructor)) static void read_cache_size(void)
+{
+    const long size = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    l2_bytes = size > 0 ? size : 0;
+    const int64_t tile_bytes = TILE * (int64_t)sizeof(v2d);
+    while (span_bits < MAX_SPAN_BITS && tile_bytes << (span_bits + 1) <= l2_bytes / 2)
+        span_bits++;
+}
+
+/* The L2 cache size that blocking reads (see above), in bytes; 0 if the
+ * system did not report one, and then no run is blocked. */
+int64_t framesim_l2_bytes(void)
+{
+    return l2_bytes;
+}
+
+/* The arguments of one framesim_clifford call */
+typedef struct {
+    uint64_t x, z;
+    double ca, cb;
+    int e0;
+} turn_args;
+
+/* A pending run of m rotations on a register of n_amp amplitudes, with an
+ * echelon basis of their tile masks; added[k] is mask k of that basis in
+ * the order the masks were added */
+typedef struct {
+    int m;
+    int64_t n_amp;
+    echelon tiles;
+    uint64_t added[MAX_SPAN_BITS];
+    turn_args op[MAX_RUN];
+} run;
+
+/* The walk of a run of several rotations, compiled once per clone (see
+ * apply_pending).  span[j] is the XOR
+ * of added[k] over the bits k of j, so the index of tile mask x >> b in a
+ * coset is its sum in the basis (see reduce).  The coset of a tile has one
+ * member with none of the basis's top bits set, its rep. */
+static inline __attribute__((always_inline)) void
+run_walk(double *amp, const run *p, int wide)
+{
+    const int b = TILE_BITS, dim = p->tiles.dim;
+    v4d pat[MAX_RUN][2][TILE / 2];
+    uint64_t span[1 << MAX_SPAN_BITS], xj[MAX_RUN];
+    span[0] = 0;
+    for (int k = 0; k < dim; k++)
+        for (int j = 0; j < 1 << k; j++)
+            span[(1 << k) + j] = span[j] ^ p->added[k];
+    for (int i = 0; i < p->m; i++) {
+        patterns(pat[i], TILE / 2, p->op[i].z, p->op[i].cb, p->op[i].e0);
+        reduce(&p->tiles, p->op[i].x >> b, xj + i);
+    }
+    const uint64_t pivots = p->tiles.top, n_tiles = (uint64_t)p->n_amp >> b;
+    for (uint64_t rep = 0; rep < n_tiles; rep = ((rep | pivots) + 1) & ~pivots) {
+        const tile_set ts = {span, rep, (int64_t)1 << dim};
+        for (int i = 0; i < p->m; i++) {
+            const turn_args *o = p->op + i;
+            walk((v4d *)amp, ts, b, o->x, xj[i], o->z, pat[i], o->ca, o->e0, wide);
+        }
+    }
+}
+
+static void run_generic(double *amp, const run *p)
+{
+    run_walk(amp, p, 0);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2,fma"))) static void run_avx2(double *amp, const run *p)
+{
+    run_walk(amp, p, 1);
+}
+#endif
+
+/* The rotations of one gate loop or flush, applied to amp: the pending run,
+ * the seconds spent in passes and the counts of passes, of the amplitudes
+ * they cover and of blocked runs, added to count[0..2]. */
+typedef struct {
+    double *amp;
+    int64_t *count;
+    double spent;
+    run pending;
+} passes;
+
+/* Apply the pending run, if any: a run of one in one pass of
+ * framesim_clifford, a longer one in one run_walk. */
+static void apply_pending(passes *s)
+{
+    run *p = &s->pending;
+    if (!p->m)
+        return;
+    const double t0 = seconds();
+    if (p->m == 1) {
+        const turn_args *o = p->op;
+        framesim_clifford(s->amp, p->n_amp, o->x, o->z, o->ca, o->cb, o->e0);
+    } else {
+#if defined(__x86_64__)
+        if (use_avx2)
+            run_avx2(s->amp, p);
+        else
+#endif
+            run_generic(s->amp, p);
+    }
+    s->spent += seconds() - t0;
+    s->count[0]++;
+    s->count[1] += p->n_amp;
+    s->count[2] += p->m > 1;
+    p->m = 0;
+}
+
 /* R_P(t) = cos(t/2)*I - i*sin(t/2)*P on the register, P the frame image a:
  * map a onto the register by reg_map, activating a qubit if it must, and
- * make one pass of framesim_clifford over its 2**max(d, 1) amplitudes,
- * with the arguments of statevector._pauli_update.  Returns the seconds
- * spent in the pass. */
-static inline double rotate(double *amp, reg *r, pauli a, double t)
+ * apply framesim_clifford over its 2**max(d, 1) amplitudes, with the
+ * arguments of statevector._pauli_update: at once, or, on a register
+ * larger than the L2 cache, as part of a pending run (see above). */
+static void rotate(passes *s, reg *r, pauli a, double t)
 {
     reg_map(r, &a, 1);
-    const double t0 = seconds(), h = 0.5 * t;
-    framesim_clifford(amp, (int64_t)1 << (r->d > 1 ? r->d : 1), a.x, a.z, cos(h), sin(h),
-                      (int)((3 + a.p - popcount(a.x & a.z)) & 3));
-    return seconds() - t0;
+    const int64_t n_amp = (int64_t)1 << (r->d > 1 ? r->d : 1);
+    const double h = 0.5 * t;
+    const turn_args o = {a.x, a.z, cos(h), sin(h), (int)((3 + a.p - popcount(a.x & a.z)) & 3)};
+    const uint64_t xt = o.x >> TILE_BITS;
+    run *p = &s->pending;
+    uint64_t sum;
+    if (p->m && (p->n_amp != n_amp || p->m == MAX_RUN
+                 || (reduce(&p->tiles, xt, &sum) && p->tiles.dim >= span_bits)))
+        apply_pending(s);
+    if (!p->m) {
+        p->n_amp = n_amp;
+        p->tiles.top = 0;
+        p->tiles.dim = 0;
+    }
+    if (add_vector(&p->tiles, xt))
+        p->added[p->tiles.dim - 1] = xt;
+    p->op[p->m++] = o;
+    if (!l2_bytes || n_amp * (int64_t)sizeof(v2d) <= l2_bytes)
+        apply_pending(s); /* the register fits the L2 cache: one pass now */
 }
 
 /* Run gates start, start+1, ... of a lowered circuit on the hybrid
@@ -1151,20 +1324,21 @@ static inline double rotate(double *amp, reg *r, pauli a, double t)
  * rows of n <= 64 qubits) as in PauliFrame.apply_gate.  A rotation looks up
  * its axis as PauliFrame.lookup does, eff_x[q] for RX, eff_z[q] for RZ and
  * i*eff_x[q]*eff_z[q] for RY, and applies R_P(t) to the register (the n
- * row masks a_rows and the active count *active, both updated in place)
- * in one pass (see rotate).  The seconds spent in those passes are added
- * to *rotation_s.  The codes and qubits are
- * trusted: Circuit.append checks them. */
+ * row masks a_rows and the active count *active, both updated in place;
+ * see rotate).  The seconds spent in those passes are added to
+ * *rotation_s, and the counts of passes, of the amplitudes they cover and
+ * of blocked runs to count[0..2].  The codes and qubits are trusted:
+ * Circuit.append checks them. */
 int64_t framesim_run_gates(double *amp, int n, uint64_t *fx, uint64_t *fz, uint8_t *fp,
                            uint64_t *a_rows, int64_t *active, const int32_t *ops,
                            const double *angles, int64_t start, int64_t stop,
-                           double *rotation_s)
+                           double *rotation_s, int64_t *count)
 {
     const frame f = {fx, fz, fp};
     reg r;
     if (!reg_open(&r, a_rows, n, *active))
         return -1;
-    double spent = 0.0;
+    passes s = {.amp = amp, .count = count};
     int64_t k = start;
     for (; k < stop; k++) {
         const int32_t *g = ops + 3 * k;
@@ -1214,11 +1388,12 @@ int64_t framesim_run_gates(double *amp, int n, uint64_t *fx, uint64_t *fz, uint8
         default: /* MEASZ, PREPZ: the caller draws the outcome */
             goto out;
         }
-        spent += rotate(amp, &r, axis, angles[k]);
+        rotate(&s, &r, axis, angles[k]);
     }
 out:
+    apply_pending(&s);
     *active = r.d;
-    *rotation_s += spent;
+    *rotation_s += s.spent;
     return k;
 }
 
@@ -1357,12 +1532,13 @@ static int split(frame f, int n, pauli *axes, uint64_t *form)
  * into form.  a_rows and *active are the register's index map and active
  * count, updated in place; the frame's rows fx, fz, fp (2n rows of n <= 64
  * qubits) are left as they are, and the seconds spent in the turn passes
- * are added to *turn_s.  Returns h, or, before anything is written,
+ * are added to *turn_s and their counts to count[0..2], as the gate loop
+ * adds them.  Returns h, or, before anything is written,
  * SPLIT_INVALID for an invalid frame, SPLIT_SINGULAR if the index map is
  * not invertible, SPLIT_INCONSISTENT or SPLIT_NO_PHASE. */
 int framesim_flush(double *amp, int n, const uint64_t *fx, const uint64_t *fz,
                    const uint8_t *fp, uint64_t *a_rows, int64_t *active, uint64_t *form,
-                   double *turn_s)
+                   double *turn_s, int64_t *count)
 {
     uint64_t x[128], z[128], rest[3 * 64 + 1];
     uint8_t p[128];
@@ -1380,9 +1556,10 @@ int framesim_flush(double *amp, int n, const uint64_t *fx, const uint64_t *fz,
     if (h < 0)
         return h;
 
-    double spent = 0.0;
+    passes s = {.amp = amp, .count = count};
     for (int k = 0; k < h; k++)
-        spent += rotate(amp, &r, axes[k], 1.57079632679489661923);
+        rotate(&s, &r, axes[k], 1.57079632679489661923);
+    apply_pending(&s);
 
     /* F P_A: rows R A, diag q(A e_i), cross the off-diagonal part of
      * A^T Gamma A, Gamma having diag's parities on its diagonal */
@@ -1400,6 +1577,6 @@ int framesim_flush(double *amp, int n, const uint64_t *fx, const uint64_t *fz,
     }
     form[3 * n] = rest[3 * n];
     *active = r.d;
-    *turn_s += spent;
+    *turn_s += s.spent;
     return h;
 }

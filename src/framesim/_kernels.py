@@ -62,7 +62,13 @@ loops against.  The C loops take a contiguous complex128 state aligned to
 lowered gate stream (``Circuit.lowered``) on the amplitudes and, in place,
 on the words of a ``PauliFrame``, up to the next measurement or
 preparation, calling the Clifford loop for each rotation on the hybrid's
-register of 2**d amplitudes.  ``register_map`` maps one operator onto that
+register of 2**d amplitudes.  Once those outgrow the L2 cache
+(``l2_bytes``), it applies each run of rotations in one walk that takes
+each group of tiles through the whole run while the group sits in the
+cache, with the amplitudes of one pass per rotation, bit for bit; at
+n = 18 on a 2-core Xeon with 2 MiB of L2, runs of 3 to 7 rotations cost
+0.31-0.34 ns per amplitude and rotation against 0.47-0.49 one by one.
+``register_map`` maps one operator onto that
 register, activating a qubit when it must, as the loop does for each
 rotation; the hybrid's measurements, preparations and expectations go
 through it (see ``backends.HybridState``).  ``flush`` is the hybrid's
@@ -180,12 +186,12 @@ def _load():
     lib.framesim_pair_exchange.restype = None
     lib.framesim_run_gates.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr,
                                        ctypes.POINTER(i64), ptr, ptr, i64, i64,
-                                       ctypes.POINTER(f64)]
+                                       ctypes.POINTER(f64), ptr]
     lib.framesim_run_gates.restype = i64
     lib.framesim_register_map.argtypes = [ptr, ctypes.c_int, i64, ptr, ctypes.c_int]
     lib.framesim_register_map.restype = i64
     lib.framesim_flush.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr, ctypes.POINTER(i64),
-                                   ptr, ctypes.POINTER(f64)]
+                                   ptr, ctypes.POINTER(f64), ptr]
     lib.framesim_flush.restype = ctypes.c_int
     lib.framesim_affine.argtypes = [ptr, i64, ptr, u64, ptr, ptr, ptr]
     lib.framesim_affine.restype = ctypes.c_int
@@ -195,6 +201,8 @@ def _load():
     lib.framesim_scatter.restype = ctypes.c_int
     lib.framesim_use_avx2.argtypes = [ctypes.c_int]
     lib.framesim_use_avx2.restype = ctypes.c_int
+    lib.framesim_l2_bytes.argtypes = []
+    lib.framesim_l2_bytes.restype = i64
     return lib
 
 
@@ -225,6 +233,14 @@ def simd_clone() -> str | None:
     """Name of the compiled clone the Clifford and Hadamard loops run:
     ``avx2`` or ``generic``; None on the numpy tier."""
     return None if _lib is None else _CLONES[_lib.framesim_use_avx2(-1)]
+
+
+def l2_bytes() -> int | None:
+    """The L2 cache size, in bytes, above which the compiled gate loop and
+    flush block their runs of rotations (see ``run_gates``): what the
+    system reported when the library loaded, 0 if it reported none, and
+    then no run is blocked.  None on the numpy tier."""
+    return None if _lib is None else _lib.framesim_l2_bytes()
 
 
 def _use_clone(name: str) -> str:
@@ -392,6 +408,26 @@ def _is_array(a, code: str, size: int) -> bool:
     return isinstance(a, array) and a.typecode == code and a.itemsize == size
 
 
+_NO_COUNTS = array("q", bytes(24))
+
+
+def pass_counts() -> array:
+    """Zeroed counts for ``run_gates`` and ``flush`` to add to: the passes
+    over the register, the amplitudes those passes cover and the blocked
+    runs, as an ``array`` of typecode 'q'."""
+    return _NO_COUNTS[:]
+
+
+def _check_counts(counts) -> array:
+    """counts, or new zeroed counts for None; ValueError unless it is what
+    ``pass_counts`` returns.  The caller keeps it alive over the C call."""
+    if counts is None:
+        return pass_counts()
+    if not (_is_array(counts, "q", 8) and len(counts) == 3):
+        raise ValueError("pass counts must be an array of 3 items of typecode 'q'")
+    return counts
+
+
 def _check_hybrid(amp, xs, zs, ps, index_map, active) -> tuple[int, int]:
     """Validate a hybrid's state, frame words and register for the C loops;
     return the qubit count n and the state's address.  xs, zs and ps must
@@ -411,7 +447,7 @@ def _check_hybrid(amp, xs, zs, ps, index_map, active) -> tuple[int, int]:
     return n, addr
 
 
-def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start):
+def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start, counts=None):
     """Run a lowered gate stream from gate ``start`` on the hybrid backend, in
     one call of the C gate loop; return the index of the first gate not run
     (the next MEASZ or PREPZ, or the gate count), the seconds spent in
@@ -423,9 +459,20 @@ def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start):
     active is the register's active count d.  ops and angles are the arrays
     of ``Circuit.lowered``, on the same n qubits as amp; the gate codes and
     qubits are not checked again.  Each rotation runs on the first
-    2**max(d, 1) amplitudes.
+    2**max(d, 1) amplitudes.  While those hold more bytes than the L2 cache
+    (``l2_bytes``), the loop blocks each run of rotations on one register
+    size: it applies the run in one walk that takes each group of tiles
+    through every rotation of the run while the group sits in the L2 cache,
+    with the amplitudes of one pass per rotation, bit for bit.  The run
+    ends before a rotation on another register size, at the call's return
+    and where its group would outgrow half the cache.
+
+    ``counts`` (see ``pass_counts``) receives the passes over the register
+    (a blocked run counts once), the amplitudes those passes cover and the
+    blocked runs, added to what it holds.
     """
     n, addr = _check_hybrid(amp, xs, zs, ps, index_map, active)
+    counts = _check_counts(counts)
     count = len(angles)
     if not (_is_array(ops, "i", 4) and _is_array(angles, "d", 8)
             and len(ops) == 3 * count and 0 <= start <= count):
@@ -436,7 +483,7 @@ def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start):
                                    ps.buffer_info()[0],
                                    index_map.ctypes.data, ctypes.byref(d),
                                    ops.buffer_info()[0], angles.buffer_info()[0], start,
-                                   count, ctypes.byref(spent))
+                                   count, ctypes.byref(spent), counts.buffer_info()[0])
     if stop < 0:
         raise ValueError(_SINGULAR_MAP)
     return stop, spent.value, d.value
@@ -461,14 +508,16 @@ def _split_result(h: int, form: np.ndarray, n: int):
     return tuple(w[:n]), w[3 * n], tuple(w[2 * n:3 * n]), tuple(w[n:2 * n])
 
 
-def _c_flush(amp, xs, zs, ps, index_map, active):
+def _c_flush(amp, xs, zs, ps, index_map, active, counts=None):
     """The hybrid's flush of the frame words xs, zs, ps into the register, in
     one C call: the split of ``frame.split_clifford`` and its h quarter
     turns, each mapped onto the register (activating a qubit if it must,
     see ``register_map``) and run in one pass of the Clifford loop over
-    2**max(d, 1) amplitudes, then the rest F composed with the index map
-    P_A as ``HadamardFree.after`` composes them.  index_map and the amplitudes are
-    updated in place, the frame words are not.
+    2**max(d, 1) amplitudes, or blocked in runs as ``run_gates`` blocks
+    them, then the rest F composed with the index map P_A as
+    ``HadamardFree.after`` composes them.  index_map and the amplitudes are
+    updated in place, the frame words are not; ``counts`` receives the
+    turns' passes as in ``run_gates``.
 
     Returns h, the active count d after the turns, the fields (rows,
     offset, diag, cross) of F P_A and the seconds spent in the turn passes.
@@ -476,12 +525,13 @@ def _c_flush(amp, xs, zs, ps, index_map, active):
     as ``split_clifford`` and ``register_map`` do.
     """
     n, addr = _check_hybrid(amp, xs, zs, ps, index_map, active)
+    counts = _check_counts(counts)
     form = np.empty(3 * n + 1, dtype=np.uint64)
     spent = ctypes.c_double(0.0)
     d = ctypes.c_int64(active)
     h = _lib.framesim_flush(addr, n, xs.buffer_info()[0], zs.buffer_info()[0],
                             ps.buffer_info()[0], index_map.ctypes.data, ctypes.byref(d),
-                            form.ctypes.data, ctypes.byref(spent))
+                            form.ctypes.data, ctypes.byref(spent), counts.buffer_info()[0])
     return h, d.value, _split_result(h, form, n), spent.value
 
 

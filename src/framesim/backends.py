@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numbers
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,15 @@ class HybridState:
     seconds of their quarter-turn passes alone: timed inside the C flush,
     as the gate loop times ``rotation_s``, or around each turn on the
     numpy tier.
+
+    ``passes`` counts the passes over the register that the rotations of
+    the gate loop (``rotation_*``) and the quarter turns of the flushes
+    (``turn_*``) made: ``*_passes``, one per pass, ``*_pass_equivalents``,
+    the sum of 2**max(d, 1) / 2**n over those passes, and
+    ``*_blocked_runs``, the runs of rotations that the compiled loops
+    applied in one blocked pass (see ``_kernels.run_gates``), each counted
+    once in the other two.  Without blocking, a pass is one rotation or
+    turn.  The loops add to the counts in place, and ``passes`` reads them.
     """
 
     frame: PauliFrame
@@ -100,6 +110,10 @@ class HybridState:
     flush_passes: list[dict[str, int]] = field(default_factory=list)
     index_map: np.ndarray | None = None
     active: int | None = None
+    # the rotations' and the turns' passes, amplitudes and blocked runs
+    _rotation_counts: array = field(default_factory=_kernels.pass_counts, init=False,
+                                    repr=False)
+    _turn_counts: array = field(default_factory=_kernels.pass_counts, init=False, repr=False)
 
     def __post_init__(self):
         n = self.frame.num_qubits
@@ -143,6 +157,16 @@ class HybridState:
             state.apply_pauli(destab)
         key = "measure_s" if tag == "MEASZ" else "prep_s"
         self.timing[key] += time.perf_counter() - t0
+
+    @property
+    def passes(self) -> dict[str, float]:
+        size = 1 << self.frame.num_qubits
+        out = {}
+        for kind, (passes, amplitudes, blocked) in (("rotation", self._rotation_counts),
+                                                    ("turn", self._turn_counts)):
+            out.update({f"{kind}_passes": passes, f"{kind}_pass_equivalents": amplitudes / size,
+                        f"{kind}_blocked_runs": blocked})
+        return out
 
     def expectation(self, p: PauliString) -> float:
         """<P> on the tracked state, via <phi| P_A^dag lookup(P) P_A |phi>:
@@ -189,7 +213,8 @@ class HybridState:
         if _kernels.flush is not None:
             f = self.frame
             passes["quarter_turns"], self.active, fields, turn_s = _kernels.flush(
-                self.phi.amplitudes, f.xs, f.zs, f.ps, self.index_map, self.active)
+                self.phi.amplitudes, f.xs, f.zs, f.ps, self.index_map, self.active,
+                self._turn_counts)
             form = HadamardFree(*fields)
         else:
             turns, rest = split_clifford(self.frame)
@@ -198,6 +223,7 @@ class HybridState:
                 t1 = time.perf_counter()
                 state.apply_pauli_rotation(axis, turn.angle)
                 turn_s += time.perf_counter() - t1
+                _add_pass(self._turn_counts, 1, 1 << state.num_qubits)
             passes["quarter_turns"] = len(turns)
             form = rest.after(self.index_map.tolist())  # A as the turns left it
         self.frame = PauliFrame.origin(n)
@@ -208,6 +234,13 @@ class HybridState:
         self.flush_passes.append(passes)
         self.timing["flush_turns_s"] = self.timing.get("flush_turns_s", 0.0) + turn_s
         self.timing["flush_s"] = self.timing.get("flush_s", 0.0) + time.perf_counter() - t0
+
+
+def _add_pass(counts: array, passes: int, amplitudes: int) -> None:
+    """Count unblocked passes over ``amplitudes`` amplitudes in all, as the
+    compiled loops count them (see ``_kernels.pass_counts``)."""
+    counts[0] += passes
+    counts[1] += amplitudes
 
 
 def _identity_map(n: int) -> np.ndarray:
@@ -293,7 +326,8 @@ def _compiled_gates(hs: HybridState, circuit: Circuit, rng, measurements: list[i
     i = 0
     while True:
         i, spent, hs.active = _kernels.run_gates(amplitudes, frame.xs, frame.zs, frame.ps,
-                                                 hs.index_map, hs.active, ops, angles, i)
+                                                 hs.index_map, hs.active, ops, angles, i,
+                                                 hs._rotation_counts)
         rotation_s += spent
         if i == len(angles):
             return rotation_s
@@ -308,6 +342,7 @@ def _python_gates(hs: HybridState, circuit: Circuit, rng, measurements: list[int
     n = circuit.num_qubits
     frame, phi = hs.frame, hs.phi
     rotation_s = 0.0
+    rotations = 0
     clock = time.perf_counter
     for g in circuit:
         tag = g.tag
@@ -318,8 +353,10 @@ def _python_gates(hs: HybridState, circuit: Circuit, rng, measurements: list[int
             axis = frame.lookup(PauliString.single(n, g.qubits[0], ROTATION_AXIS[tag]))
             phi.apply_pauli_rotation(axis, g.angle)
             rotation_s += clock() - t1
+            rotations += 1
         elif tag in ("MEASZ", "PREPZ"):
             hs._measure_z(tag, g.qubits[0], rng, measurements)
         else:
             raise ValueError(f"unsupported gate tag {tag!r}")
+    _add_pass(hs._rotation_counts, rotations, rotations << n)
     return rotation_s

@@ -6,8 +6,10 @@ its memory budget), 2 runtime error (simulation
 failure, a state the operating system will not map, or a backend
 cross-check mismatch).  ``run`` and ``sweep`` name the amplitude
 kernel tier on stderr before they start, with the compiled clone in use
-(``avx2`` or ``generic``), so a numpy fallback or a generic build on an
-AVX2 host shows in every run's output.
+(``avx2`` or ``generic``) and the L2 cache size above which the hybrid
+blocks its runs of rotations, or that they run unblocked because the
+system reported no size, so a numpy fallback, a generic build on an AVX2
+host or an unblocked loop shows in every run's output.
 """
 from __future__ import annotations
 
@@ -82,9 +84,13 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 def _report_tier() -> None:
     # on stderr, so that records written to stdout stay machine-readable
+    line = f"framesim: kernel tier {_kernels.kernel_tier()}"
     clone = _kernels.simd_clone()
-    print(f"framesim: kernel tier {_kernels.kernel_tier()}"
-          + (f" ({clone})" if clone else ""), file=sys.stderr)
+    if clone:
+        l2 = _kernels.l2_bytes()
+        line += (f" ({clone}), rotation runs blocked above the {l2 >> 10} KiB L2 cache" if l2
+                 else f" ({clone}), rotation runs unblocked: L2 cache size unknown")
+    print(line, file=sys.stderr)
 
 
 def _settings(args) -> dict:

@@ -209,3 +209,13 @@ def compiled_clones(fn) -> dict:
     picked = _kernels.simd_clone()
     return {("compiled" if clone == picked else f"compiled-{clone}"): on_clone(clone, fn)
             for clone in sorted(_kernels._CLONES, key=lambda c: c != picked)}
+
+
+def blocked_qubits(limit: int = 22) -> int | None:
+    """The smallest qubit count n whose 2**n amplitudes, 16 bytes each, hold
+    more bytes than the L2 cache that the compiled gate loop read: the
+    register size from which it blocks its runs of rotations.  None on the
+    numpy tier, where the system reported no L2 size, or above ``limit``."""
+    l2 = _kernels.l2_bytes()
+    n = (l2 // 16).bit_length() if l2 else None
+    return n if n is not None and n <= limit else None

@@ -331,7 +331,24 @@ def test_cli_run_stdout_jsonl(capsys):
     lines = [l for l in captured.out.splitlines() if l.strip()]
     assert len(lines) == 1 and '"backend": "hybrid"' in lines[0]
     clone = f" ({_kernels.simd_clone()})" if _kernels.kernel_tier() == "compiled-c" else ""
-    assert f"framesim: kernel tier {_kernels.kernel_tier()}{clone}\n" in captured.err
+    assert f"framesim: kernel tier {_kernels.kernel_tier()}{clone}" in captured.err
+    assert captured.err.count("framesim: kernel tier") == 1
+
+
+@pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c", reason="no compiled loop")
+@pytest.mark.parametrize("l2, ending", [
+    (2 << 20, "rotation runs blocked above the 2048 KiB L2 cache"),
+    (0, "rotation runs unblocked: L2 cache size unknown")])
+def test_cli_tier_line_names_the_cache_size_that_blocking_uses(capsys, monkeypatch, l2,
+                                                               ending):
+    # the line names the L2 size that the library read, here a stand-in,
+    # or says that no run is blocked
+    monkeypatch.setattr(_kernels, "l2_bytes", lambda: l2)
+    code = cli_main(["run", "--random", "3", "2", "4", "1", "--backends", "hybrid",
+                     "--repetitions", "1", "--warmups", "0"])
+    assert code == 0
+    assert (f"framesim: kernel tier compiled-c ({_kernels.simd_clone()}), {ending}\n"
+            in capsys.readouterr().err)
 
 
 def test_cli_sweep(tmp_path, capsys):

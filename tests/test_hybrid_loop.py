@@ -12,13 +12,15 @@ from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector
                       random_hamiltonian, run_hybrid, trotterize)
 from framesim.circuit import TAGS
 from framesim.frame import HadamardFree, split_clifford
-from oracles import gf2_rank, index_mapped, random_clifford_circuit
+from oracles import blocked_qubits, gf2_rank, index_mapped, random_clifford_circuit
 
 ARITY = {tag: 2 if tag in ("CX", "CZ", "SWAP") else 1 for tag in TAGS}
 MAX_QUBITS = 10
 
 compiled_only = pytest.mark.skipif(_kernels.run_gates is None,
                                    reason="compiled kernels not loaded")
+# the register size from which the compiled loop blocks runs of rotations
+BLOCKED_N = blocked_qubits()
 
 
 @st.composite
@@ -156,6 +158,66 @@ def test_register_holds_the_state_in_its_active_prefix(case):
     assert np.array_equal(hs.phi.amplitudes, flushed)
     assert (hs.active, hs.index_map.tolist()) == (n, [1 << i for i in range(n)])
     assert np.max(np.abs(hs.phi.amplitudes - ref.phi.amplitudes)) < 1e-12
+
+
+def clifford_rotation_circuit(rng, n, rotations) -> Circuit:
+    """Random Clifford gates around RX, RY and RZ gates, with a MEASZ and a
+    PREPZ after two thirds of the rotations."""
+    circ = Circuit(n)
+    for r in range(rotations):
+        circ.extend(random_clifford_circuit(rng, n, 6))
+        circ.append(("RX", "RY", "RZ")[r % 3], int(rng.integers(n)),
+                    angle=float(rng.uniform(-3, 3)))
+        if r == 2 * rotations // 3:
+            circ.append("MEASZ", int(rng.integers(n)))
+            circ.append("PREPZ", int(rng.integers(n)))
+    return circ
+
+
+def compiled_and_python_runs(circ: Circuit, seed):
+    hs, report = run_hybrid(circ, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "run_gates", None)
+        ref, ref_report = run_hybrid(circ, seed)
+    assert report.measurements == ref_report.measurements
+    assert hs.frame == ref.frame
+    assert np.max(np.abs(index_mapped(hs.phi.amplitudes, hs.index_map)
+                         - ref.phi.amplitudes)) < 1e-12
+    return hs, ref
+
+
+@pytest.mark.skipif(BLOCKED_N is None, reason="the compiled loop blocks no register here")
+@pytest.mark.parametrize("kind", ["trotter", "clifford_rotation"])
+def test_blocked_runs_on_a_register_above_the_l2_cache(kind):
+    # once the register holds more bytes than the L2 cache, the compiled
+    # loop blocks runs of rotations, and its records, frame and amplitudes
+    # are still those of the Python loop, one pass per rotation
+    n = BLOCKED_N
+    rng = np.random.default_rng(90)
+    circ = (trotterize(random_hamiltonian(n, n, n + 10, seed=90)) if kind == "trotter"
+            else clifford_rotation_circuit(rng, n, 2 * n + 6))
+    hs, ref = compiled_and_python_runs(circ, 7)
+    assert hs.active == n
+    assert hs.passes["rotation_blocked_runs"] > 0
+    assert hs.passes["rotation_passes"] < ref.passes["rotation_passes"] == circ.rotation_count()
+
+
+@compiled_only
+def test_a_register_within_the_l2_cache_makes_one_pass_per_rotation():
+    # below the blocked size no run is blocked: one pass per rotation, over
+    # 2**max(d, 1) amplitudes, d the rank of the x parts so far; the
+    # Python loop's passes are over the whole state
+    n = (BLOCKED_N or 18) - 1
+    circ = trotterize(random_hamiltonian(n, n, n + 6, seed=91))
+    hs, ref = compiled_and_python_runs(circ, 7)
+    _, axes = python_loop_axes(circ, 7)
+    rotations = len(axes)
+    sizes = [1 << max(gf2_rank(axes[:i + 1]), 1) for i in range(rotations)]
+    assert hs.passes == dict(rotation_passes=rotations, rotation_blocked_runs=0,
+                             rotation_pass_equivalents=sum(sizes) / (1 << n),
+                             turn_passes=0, turn_pass_equivalents=0, turn_blocked_runs=0)
+    assert ref.passes["rotation_passes"] == ref.passes["rotation_pass_equivalents"] == rotations
+    assert ref.passes["rotation_blocked_runs"] == 0
 
 
 def lowered_from_gates(circ: Circuit):
@@ -397,10 +459,37 @@ def test_compiled_flush_is_the_python_split_flush_bit_for_bit(n, length, seed):
                 HadamardFree(tuple(index_map.tolist()), 0, (0,) * n, (0,) * n), max(d, 1))
             assert np.array_equal(python.phi.amplitudes, alone.amplitudes)
         assert compiled.flush_passes == python.flush_passes
+        assert compiled.passes == python.passes  # no register here outgrows the L2 cache
         assert compiled.flush_passes[0]["quarter_turns"] == h
         assert compiled.frame.is_origin() and python.frame.is_origin()
         assert compiled.index_map.tolist() == python.index_map.tolist()
         assert compiled.timing["flush_turns_s"] <= compiled.timing["flush_s"]
+
+
+@pytest.mark.skipif(BLOCKED_N is None, reason="the compiled loop blocks no register here")
+def test_flush_blocks_its_turns_on_a_register_above_the_l2_cache():
+    # the C flush's quarter turns on a register of more bytes than the L2
+    # cache run in blocked runs, with the amplitudes of the Python split's
+    # turns, one pass each, bit for bit
+    n = BLOCKED_N
+    rng = np.random.default_rng(92)
+    frame = PauliFrame.origin(n)
+    for q in range(n):
+        frame.apply_gate("H", (q,))
+    for g in random_clifford_circuit(rng, n, 4 * n).gates:
+        frame.apply_gate(g.tag, g.qubits)
+    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    states = [HybridState(frame.copy(), StateVector(n, amp.copy())) for _ in range(2)]
+    states[0].flush_to_origin()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "flush", None)
+        states[1].flush_to_origin()
+    compiled, python = states
+    assert np.array_equal(compiled.phi.amplitudes, python.phi.amplitudes)
+    turns = compiled.flush_passes[0]["quarter_turns"]
+    assert python.passes["turn_passes"] == python.passes["turn_pass_equivalents"] == turns
+    assert compiled.passes["turn_blocked_runs"] > 0
+    assert compiled.passes["turn_passes"] == compiled.passes["turn_pass_equivalents"] < turns
 
 
 @compiled_only

@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector, _kernels,
-                      gf2,
-                      random_hamiltonian, run_hybrid, trotterize)
+                      compile_pauli_rotation, gf2, random_hamiltonian, run_hybrid, trotterize)
+from framesim.backends import _compiled_gates, _python_gates
 from framesim.frame import HadamardFree, RotationStep, invert_to_rotations, split_clifford
 from framesim.statevector import tile_factors
-from oracles import (circuit_unitary, compiled_clones, gf2_rank, index_mapped, pauli_matrix,
-                     random_clifford_circuit, random_mixed_circuit, rotation_matrix,
-                     up_to_omega)
+from oracles import (blocked_qubits, circuit_unitary, compiled_clones, gf2_rank,
+                     index_mapped, on_clone, pauli_matrix, random_clifford_circuit,
+                     random_mixed_circuit, rotation_matrix, up_to_omega)
 
 # the Clifford loop of the numpy reference always, and the compiled C loop
 # wherever it loaded, on each of its clones that this CPU runs
@@ -794,3 +794,93 @@ def test_compiled_loops_reject_a_misaligned_state():
         with pytest.raises(ValueError, match="aligned to 16 bytes"):
             call()
         assert not amp.any(), name
+
+
+# the register size from which the compiled gate loop blocks runs of
+# rotations (see _kernels.run_gates), and the steps of a run: a rotation
+# whose x part is 0, 1, inside a tile, across tiles, the tile mask of an
+# earlier step, the sum of two earlier ones, or one that activates a qubit;
+# or a MEASZ or PREPZ
+BLOCKED_N = blocked_qubits()
+RUN_STEPS = ("zero", "one", "tile", "partner", "repeat", "dependent", "activate", "MEASZ",
+             "PREPZ")
+
+
+def run_circuit(rng, n, d, steps) -> Circuit:
+    """One rotation by a random angle per step, about a random Pauli whose x
+    part has the step's kind, at the origin frame on a register of d
+    qubits, or a MEASZ or PREPZ of a random qubit below d.  An ``activate``
+    step reaches qubit n - 1, which is above the register when n > d; with
+    A = I that leaves A as it is.  No axis is the identity."""
+    circ = Circuit(n)
+    tiles = []  # the tile masks x >> 8 of the steps so far
+    for step in steps:
+        if step in ("MEASZ", "PREPZ"):
+            circ.append(step, int(rng.integers(d)))
+            continue
+        low = int(rng.integers(TILE))
+        if step == "zero":
+            x = 0
+        elif step == "one":
+            x = 1
+        elif step == "tile":
+            x = int(rng.integers(2, TILE))
+        elif step == "repeat" and tiles:
+            x = tiles[rng.integers(len(tiles))] << 8 | low
+        elif step == "dependent" and len(tiles) > 1:
+            i, j = rng.choice(len(tiles), size=2, replace=False)
+            x = (tiles[i] ^ tiles[j]) << 8 | low
+        elif step == "activate":
+            x = 1 << (n - 1) | int(rng.integers(1 << d))
+        else:
+            x = int(rng.integers(TILE, 1 << d))
+        if x >> 8:
+            tiles.append(x >> 8)
+        z = int(rng.integers(1 << n)) | (x == 0)
+        circ.extend(compile_pauli_rotation(PauliString(n, x, z), float(rng.uniform(-7, 7))))
+    return circ
+
+
+@pytest.mark.skipif(BLOCKED_N is None, reason="the compiled loop blocks no register here")
+@settings(max_examples=40, deadline=None)
+@given(grow=st.booleans(), steps=st.lists(st.sampled_from(RUN_STEPS), min_size=1, max_size=12),
+       clone=st.sampled_from(_kernels._CLONES or ("generic",)),
+       seed=st.integers(0, 2**32 - 1))
+@example(grow=False, steps=["partner", "repeat", "tile", "partner", "dependent", "zero", "one",
+                            "partner", "repeat"], clone="generic", seed=1)
+@example(grow=True, steps=["partner", "tile", "partner", "activate", "partner", "repeat",
+                           "MEASZ", "partner", "zero", "PREPZ", "one", "dependent"],
+         clone=_kernels.simd_clone() or "generic", seed=2)
+def test_blocked_runs_match_one_pass_per_rotation(grow, steps, clone, seed):
+    # a register of more bytes than the L2 cache, dense or with one qubit
+    # left to activate (grow): the compiled loop, on either clone, blocks
+    # the runs of rotations between the cuts (a MEASZ or PREPZ, an
+    # activation, the end) and gives the Python loop's records, frame and
+    # amplitudes.  A pass is one rotation or one blocked run of several,
+    # so the loop makes fewer passes than rotations exactly when it blocked
+    # a run, and every pass covers the register of d or n qubits
+    n = BLOCKED_N + grow
+    rng = np.random.default_rng(seed)
+    circ = run_circuit(rng, n, BLOCKED_N, steps)
+    amp = np.zeros(1 << n, dtype=complex)
+    amp[:1 << BLOCKED_N] = random_amplitudes(seed, BLOCKED_N)
+    amp /= np.linalg.norm(amp)
+    states, records = [], []
+    for loop, active in ((_compiled_gates, BLOCKED_N), (_python_gates, n)):
+        hs = HybridState(PauliFrame.origin(n), StateVector(n, amp.copy()), active=active,
+                         timing=dict(measure_s=0.0, prep_s=0.0))
+        records.append([])
+        on_clone(clone, loop)(hs, circ, np.random.default_rng(seed), records[-1])
+        states.append(hs)
+    compiled, python = states
+    assert records[0] == records[1]
+    assert compiled.frame == python.frame
+    assert np.max(np.abs(index_mapped(compiled.phi.amplitudes, compiled.index_map)
+                         - python.phi.amplitudes)) < 1e-12
+    rotations = python.passes["rotation_passes"]
+    c = compiled.passes
+    assert rotations == sum(s not in ("MEASZ", "PREPZ") for s in steps)
+    assert (c["rotation_passes"] < rotations) == (c["rotation_blocked_runs"] > 0)
+    assert c["rotation_blocked_runs"] <= c["rotation_passes"] <= rotations
+    assert (c["rotation_passes"] / (1 << grow) <= c["rotation_pass_equivalents"]
+            <= c["rotation_passes"])

@@ -294,6 +294,26 @@ for d in (6, n):
     if hs.flush_passes[0]["quarter_turns"] or not np.array_equal(hs.phi.amplitudes,
                                                                  expected.amplitudes):
         raise SystemExit(f"the flush at the origin of a register of {d} is not P_A")
+# a register above the L2 cache, where the gate loop and the flush's turns
+# walk blocked runs of rotations on both clones
+from framesim import random_hamiltonian, trotterize
+l2 = _kernels.l2_bytes()
+n = (l2 // 16).bit_length()
+if l2 and n <= 22:
+    circ = trotterize(random_hamiltonian(n, n, n + 8, seed=3))
+    frame = PauliFrame.origin(n)
+    for q in range(n):
+        frame.apply_gate("H", (q,))
+        frame.apply_gate("CZ", (q, (q + 5) % n))
+    for clone in _kernels._CLONES:
+        _kernels._use_clone(clone)
+        hs, _ = run_hybrid(circ, 1)
+        flushed = HybridState(frame.copy(), StateVector(n, hs.phi.amplitudes.copy()))
+        flushed.flush_to_origin()
+        if not (hs.passes["rotation_blocked_runs"] and flushed.passes["turn_blocked_runs"]):
+            raise SystemExit(f"no run was blocked on {n} qubits: {hs.passes}, {flushed.passes}")
+        if abs(np.linalg.norm(flushed.phi.amplitudes) - 1.0) > 1e-12:
+            raise SystemExit("the blocked runs lost the norm")
 """
 # a write past the end of a 4-amplitude state, which the sanitizer must stop
 OVERRUN_PROBE = """
@@ -400,3 +420,15 @@ def test_an_avx2_host_runs_the_avx2_clone(tmp_path):
         assert clone == "avx2"
     else:
         assert clone == "generic"
+
+
+@pytest.mark.skipif(shutil.which("getconf") is None, reason="no getconf on PATH")
+def test_the_l2_size_is_what_the_system_reports():
+    # the library reads the L2 size that blocks its runs of rotations from
+    # the system, as getconf does, and reads 0 where the system gives none
+    from framesim import _kernels
+    if _kernels.kernel_tier() != "compiled-c":
+        pytest.skip("the compiled kernels did not load")
+    done = subprocess.run(["getconf", "LEVEL2_CACHE_SIZE"], capture_output=True, text=True)
+    reported = done.stdout.strip() if done.returncode == 0 else ""
+    assert _kernels.l2_bytes() == max(int(reported or 0), 0)
