@@ -24,17 +24,22 @@
  *
  * The two gate kernels after it serve fixed gates: the Hadamard gate on
  * one qubit, and a masked pair exchange that swaps pairs of amplitudes
- * (CX and SWAP) or multiplies a masked
- * subset by a power of i (Z, S, SDG and CZ).  Both walk contiguous runs of
- * amplitudes in address order, a cache line at a time where the runs are
- * shorter, and allocate nothing.
+ * (CX and SWAP) or multiplies a masked subset by a power of i (Z, S, SDG
+ * and CZ).  Like the Clifford loop, each walks a set of tiles (tile_set):
+ * the whole state, or one coset of a blocked run (see below).  A pair
+ * either lies in one tile, or a tile pairs with the tile its partner
+ * mask reaches; inside a tile the loops take contiguous runs of
+ * amplitudes, a cache line at a time where the runs are shorter, and
+ * allocate nothing.
  *
  * The Clifford loop and the Hadamard loop are each compiled twice from one
  * body: a generic clone for any CPU, and on x86-64 a clone for AVX2 with
  * FMA, which holds a 32-byte vector in one register.  The library picks one
  * when it loads, from what the CPU reports, so one build runs on any
  * x86-64 and the build flags name no CPU.  The pair exchange only moves
- * amplitudes and gains nothing from a wider clone.
+ * amplitudes and gains nothing from a wider clone, so its pass over a
+ * whole state has one build; inside a blocked run each clone has its own
+ * copy, as a call from AVX2 code into generic code ran three times slower.
  *
  * Two passes then apply the part of a flush without a Hadamard part, which
  * maps each index k to A k ^ b, A an invertible GF(2) matrix, with a
@@ -54,8 +59,9 @@
  * those amplitudes matter, and one phased scatter from a copy of them
  * writes each to its place instead (see framesim_scatter).
  *
- * The gate loop at the end runs a circuit's lowered gate stream on the
- * hybrid backend: Clifford gates update a bit-packed Pauli frame, and each
+ * The gate loops at the end run a circuit's lowered gate stream.  The
+ * baseline's makes the pass of each gate over the whole state.  The
+ * hybrid's updates a bit-packed Pauli frame for each Clifford gate, and each
  * rotation looks up its axis in the frame and calls the Clifford loop on
  * the hybrid's register.  The hybrid tracks U P_A |phi>, U the frame's
  * Clifford and P_A |k> = |A k> an index map, A an invertible GF(2)
@@ -66,10 +72,10 @@
  * lowest such bit j clear the others and SWAP(j, d) moves j to bit d.
  * These gates act on qubits that are |0> in phi, so they change only A,
  * and d grows by one.  Each rotation then makes one pass over 2**max(d, 1)
- * amplitudes instead of 2**n (see reg_map).  Once those amplitudes outgrow
- * the L2 cache, the loop applies each run of rotations on one register
- * size in one walk that takes each group of tiles through the whole run
- * while the group sits in that cache (see rotate).
+ * amplitudes instead of 2**n (see reg_map).  Once the amplitudes of a
+ * pass outgrow the L2 cache, both loops apply each run of passes on one
+ * register size in one walk that takes each group of tiles through the
+ * whole run while the group sits in that cache (see push).
  *
  * The flush at the end folds the frame and the index map back into the
  * register in one call.  It checks the frame, then splits its Clifford U
@@ -205,6 +211,12 @@ static inline __attribute__((always_inline)) uint64_t tile_at(tile_set s, int64_
     return s.span ? s.rep ^ s.span[j] : (uint64_t)j;
 }
 
+/* The tiles of a whole state of n_amp amplitudes, in tiles of 2**b */
+static inline tile_set whole(int64_t n_amp, int b)
+{
+    return (tile_set){NULL, 0, n_amp >> b};
+}
+
 /* The traversal of framesim_clifford over the tiles of ts for one element
  * order `how` and flip = x & 1, which the caller passes as constants so
  * that each combination gets a loop of its own, as each clone passes its
@@ -325,35 +337,76 @@ clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
     const int b = tile_bits(n_amp);
     v4d pat[2][TILE / 2];
     patterns(pat, (int64_t)1 << (b - 1), z, cb, e0);
-    walk((v4d *)amp, (tile_set){NULL, 0, n_amp >> b}, b, x, x >> b, z, pat, ca, e0, wide);
+    walk((v4d *)amp, whole(n_amp, b), b, x, x >> b, z, pat, ca, e0, wide);
+}
+
+/* The Hadamard gate on qubit q over the tiles of ts, tiles of 2**b
+ * amplitudes: amp[k0], amp[k1] <- r (a0 + a1), r (a0 - a1), r = 1/sqrt(2),
+ * for each pair k0, k1 = k0 | 2**q with bit q of k0 clear.  H is real, so
+ * it scales the real and imaginary parts alike and the loops run over
+ * doubles.  Below b the pairs lie in a tile, in two runs of 2**q amplitudes
+ * per block of 2**(q+1); for q = 0 and 1, where each cache line holds two
+ * whole pairs, the loop takes a line per iteration instead.  From b up,
+ * tile t pairs with tile t ^ xt, xt = 2**(q-b): tile_at(j) with
+ * tile_at(j ^ xj), xj being the index of xt in ts.  Which of the two has
+ * the bit clear depends on the span, not on j, so the loop tests it.  A
+ * software prefetch of the next pair, as turn_walk makes, kept GCC from
+ * vectorizing the loop and made it slower, in and out of a blocked run. */
+static inline __attribute__((always_inline)) void
+h_walk(double *amp, tile_set ts, int b, int q, uint64_t xj)
+{
+    const double r = 0.70710678118654752440; /* 1/sqrt(2) */
+    const int64_t len = (int64_t)2 << b;     /* doubles per tile */
+    const int64_t count = ts.count;
+    if (q < b) {
+        const int64_t half = (int64_t)2 << q; /* doubles per run */
+        for (int64_t j = 0; j < count; j++) {
+            double *tile = amp + tile_at(ts, j) * len;
+            if (q < 2 && len >= 2 * LINE) {
+                const int64_t h = (int64_t)1 << q, j1 = h == 1 ? 2 : 1;
+                for (v2d *l = (v2d *)tile; l < (v2d *)(tile + len); l += LINE) {
+                    const v2d a0 = l[0], a1 = l[h], b0 = l[j1], b1 = l[j1 + h];
+                    l[0] = r * (a0 + a1);
+                    l[h] = r * (a0 - a1);
+                    l[j1] = r * (b0 + b1);
+                    l[j1 + h] = r * (b0 - b1);
+                }
+                continue;
+            }
+            for (int64_t blk = 0; blk < len; blk += 2 * half) {
+                double *restrict lo = tile + blk;
+                double *restrict hi = lo + half;
+                for (int64_t i = 0; i < half; i++) {
+                    const double a0 = lo[i], a1 = hi[i];
+                    lo[i] = r * (a0 + a1);
+                    hi[i] = r * (a0 - a1);
+                }
+            }
+        }
+        return;
+    }
+    const uint64_t xt = (uint64_t)1 << (q - b);
+    const int64_t jp = (int64_t)(xj & -xj);
+    for (int64_t j = 0; j < count; j++) {
+        if (j & jp)
+            continue;
+        const uint64_t t = tile_at(ts, j) & ~xt;
+        double *restrict lo = amp + t * len;
+        double *restrict hi = amp + (t | xt) * len;
+        for (int64_t i = 0; i < len; i++) {
+            const double a0 = lo[i], a1 = hi[i];
+            lo[i] = r * (a0 + a1);
+            hi[i] = r * (a0 - a1);
+        }
+    }
 }
 
 /* The body of framesim_apply_h, compiled once per clone */
 static inline __attribute__((always_inline)) void
 apply_h(double *amp, int64_t n_amp, int q)
 {
-    const double r = 0.70710678118654752440; /* 1/sqrt(2) */
-    if (q < 2 && n_amp >= LINE) {
-        const int64_t h = (int64_t)1 << q, j1 = h == 1 ? 2 : 1;
-        for (v2d *l = (v2d *)amp; l < (v2d *)amp + n_amp; l += LINE) {
-            const v2d a0 = l[0], a1 = l[h], b0 = l[j1], b1 = l[j1 + h];
-            l[0] = r * (a0 + a1);
-            l[h] = r * (a0 - a1);
-            l[j1] = r * (b0 + b1);
-            l[j1 + h] = r * (b0 - b1);
-        }
-        return;
-    }
-    const int64_t half = (int64_t)2 << q; /* doubles per run */
-    for (int64_t blk = 0; blk < 2 * n_amp; blk += 2 * half) {
-        double *restrict lo = amp + blk;
-        double *restrict hi = lo + half;
-        for (int64_t j = 0; j < half; j++) {
-            const double a0 = lo[j], a1 = hi[j];
-            lo[j] = r * (a0 + a1);
-            hi[j] = r * (a0 - a1);
-        }
-    }
+    const int b = tile_bits(n_amp);
+    h_walk(amp, whole(n_amp, b), b, q, ((uint64_t)1 << q) >> b);
 }
 
 /* The two clones of the Clifford and Hadamard loops (see the head of this
@@ -435,10 +488,7 @@ void framesim_clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
 /* amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)
  *
  * for every pair k0, k1 = k0 | 2**q with bit q of k0 clear: the Hadamard
- * gate on qubit q.  The pairs form two runs of 2**q amplitudes per block of
- * 2**(q+1).  H is real, so it scales the real and imaginary parts alike and
- * the loop runs over doubles; for q = 0 and 1, where each cache line holds
- * two whole pairs, it takes a line per iteration instead. */
+ * gate on qubit q, in one h_walk over the tiles of the whole state. */
 void framesim_apply_h(double *amp, int64_t n_amp, int q)
 {
 #if defined(__x86_64__)
@@ -468,52 +518,89 @@ static inline void exchange(v2d *a, v2d *b, uint64_t x, int e)
     *b = t;
 }
 
-/* For every k with (k & mask) == val, swap amp[k] with amp[k ^ x]; when x
- * is 0, multiply amp[k] by i**e instead (e in 0..3).  val and x must be submasks of mask, so
- * that a partner k ^ x (x nonzero) never matches val itself and each pair
- * is visited once, and mask must be below n_amp, a power of two.
+/* The masked pair exchange on one pair of tiles of len amplitudes, a and
+ * b, the same tile when x has no tile bits: for each position l of a with
+ * (l & ml) == vl, a[l] <-> b[l ^ xl], or a[l] <- i**e * a[l] when x is 0.
+ * ml, vl and xl are the parts of mask, val and x below the tile.
  *
- * The matching indices form runs of len contiguous amplitudes, len being
- * the lowest set bit of mask (the whole state when mask is 0), and x moves
- * a run as a whole.  The run starts with the bits of `fixed` clear are
- * counted in order by adding one with those bits forced set.  Runs of one
- * or two amplitudes (bit 0 or 1 of mask set) are walked a cache line at a
- * time instead, taking the one or two matching positions of each line. */
-void framesim_pair_exchange(double *amp_, int64_t n_amp, uint64_t mask,
-                            uint64_t val, uint64_t x, int e)
+ * The matching positions form runs of `run` contiguous amplitudes, run
+ * being the lowest set bit of ml (the whole tile when ml is 0), and xl
+ * moves a run as a whole.  The run starts with the bits of `fixed` clear
+ * are counted in order by adding one with those bits forced set.  Runs of
+ * one or two amplitudes (bit 0 or 1 of ml set) are walked a cache line at
+ * a time instead, taking the one or two matching positions of each line. */
+static inline void exchange_tiles(v2d *a, v2d *b, int64_t len, uint64_t ml, uint64_t vl,
+                                  uint64_t xl, uint64_t x, int e)
 {
-    v2d *amp = (v2d *)amp_;
-    const uint64_t len = mask ? mask & -mask : (uint64_t)n_amp;
-    if (len < LINE && n_amp >= LINE) {
+    const uint64_t run = ml ? ml & -ml : (uint64_t)len;
+    if (run < LINE && len >= LINE) {
         /* the second matching position of a line is the first plus the
-         * low bit that mask leaves free, if it leaves one */
-        const uint64_t lo = LINE - 1, fixed = mask | lo, f = lo & ~mask;
-        for (uint64_t s = 0; s < (uint64_t)n_amp; s = ((s | fixed) + 1) & ~fixed) {
-            v2d *a = amp + (s | val);
-            v2d *b = amp + ((s | val) ^ x);
-            exchange(a, b, x, e);
+         * low bit that ml leaves free, if it leaves one */
+        const uint64_t lo = LINE - 1, fixed = ml | lo, f = lo & ~ml;
+        for (uint64_t s = 0; s < (uint64_t)len; s = ((s | fixed) + 1) & ~fixed) {
+            v2d *p = a + (s | vl);
+            v2d *q = b + ((s | vl) ^ xl);
+            exchange(p, q, x, e);
             if (f)
-                exchange(a + f, b + f, x, e);
+                exchange(p + f, q + f, x, e);
         }
         return;
     }
-    const uint64_t fixed = mask | (len - 1);
-    for (uint64_t s = 0; s < (uint64_t)n_amp; s = ((s | fixed) + 1) & ~fixed) {
-        v2d *restrict a = amp + (s | val);
+    const uint64_t fixed = ml | (run - 1);
+    for (uint64_t s = 0; s < (uint64_t)len; s = ((s | fixed) + 1) & ~fixed) {
+        v2d *restrict p = a + (s | vl);
         if (x == 0) {
-            for (uint64_t j = 0; j < len; j++)
-                a[j] = turn(a[j], e);
+            for (uint64_t j = 0; j < run; j++)
+                p[j] = turn(p[j], e);
             continue;
         }
-        v2d *restrict b = amp + ((s | val) ^ x);
-        for (uint64_t j = 0; j < len; j++) {
-            const v2d t = a[j];
-            a[j] = b[j];
-            b[j] = t;
+        v2d *restrict q = b + ((s | vl) ^ xl);
+        for (uint64_t j = 0; j < run; j++) {
+            const v2d t = p[j];
+            p[j] = q[j];
+            q[j] = t;
         }
     }
 }
 
+/* The masked pair exchange of framesim_pair_exchange over the tiles of ts,
+ * tiles of 2**b amplitudes.  Tile t holds matching indices when its bits
+ * under mask >> b equal val >> b, and pairs with tile t ^ (x >> b):
+ * tile_at(j) with tile_at(j ^ xj), xj being the index of x >> b in ts.
+ * Since x is a submask of mask, at most one tile of a pair matches, and
+ * which one depends on the span, not on j, so the loop tests both. */
+static inline __attribute__((always_inline)) void
+exchange_walk(v2d *amp, tile_set ts, int b, uint64_t mask, uint64_t val, uint64_t x,
+              uint64_t xj, int e)
+{
+    const int64_t len = (int64_t)1 << b;
+    const uint64_t lo = (uint64_t)len - 1, mt = mask >> b, vt = val >> b, xt = x >> b;
+    const int64_t jp = (int64_t)(xj & -xj); /* 0 when x has no tile bits */
+    for (int64_t j = 0; j < ts.count; j++) {
+        if (j & jp)
+            continue;
+        uint64_t t = tile_at(ts, j);
+        if ((t & mt) != vt) {
+            t ^= xt;
+            if ((t & mt) != vt)
+                continue;
+        }
+        exchange_tiles(amp + t * len, amp + (t ^ xt) * len, len, mask & lo, val & lo,
+                       x & lo, x, e);
+    }
+}
+
+/* For every k with (k & mask) == val, swap amp[k] with amp[k ^ x]; when x
+ * is 0, multiply amp[k] by i**e instead (e in 0..3).  val and x must be
+ * submasks of mask, so that a partner k ^ x (x nonzero) never matches val
+ * itself and each pair is visited once, and mask must be below n_amp, a
+ * power of two.  One exchange_walk over the tiles of the whole state. */
+void framesim_pair_exchange(double *amp, int64_t n_amp, uint64_t mask, uint64_t val,
+                            uint64_t x, int e)
+{
+    const int b = tile_bits(n_amp);
+    exchange_walk((v2d *)amp, whole(n_amp, b), b, mask, val, x, x >> b, e);
+}
 
 /* The two passes of the flush's Hadamard-free remainder.  An index k
  * splits into its tile t = k >> b and its position l = k & (2**b - 1) in
@@ -1155,19 +1242,23 @@ static inline double seconds(void)
     return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
 }
 
-/* Blocked runs.  A register of more bytes than the L2 cache holds leaves it
- * on every pass, so each rotation would cross the next cache level once.
- * Above that size the rotations are kept in a pending run, and the run is
- * applied in one walk over the cosets of the span S of its tile masks
- * x >> TILE_BITS: every rotation of the run pairs tile t with a tile of
- * t ^ S, so each coset, of 2**dim S tiles, goes through every rotation of
- * the run in order while it sits in the L2 cache (Haner & Steiger, SC17).
+/* Blocked runs.  A state or register of more bytes than the L2 cache
+ * holds leaves it on every pass, so each pass would cross the next cache
+ * level once.  Above that size the gate loops keep their passes in a
+ * pending run, and the run is applied in one walk over the cosets of the
+ * span S of its partner tile masks x >> TILE_BITS: every pass of the run
+ * pairs tile t with a tile of t ^ S, or touches tile t alone, so each
+ * coset, of 2**dim S tiles, goes through every pass of the run in order
+ * while it sits in the L2 cache (Haner & Steiger, SC17).  A pass is a
+ * Clifford-loop update, the Hadamard gate on one qubit or a masked pair
+ * exchange; only the partner mask x goes into S (2**q for the Hadamard
+ * gate, 0 for a phase), as control and phase bits only select tiles.
  * Each pair of amplitudes sees the same operations in the same order as
- * with one pass per rotation, so the amplitudes are bit for bit the same.
- * A run is applied before a rotation on another register size, before the
- * gate loop returns (at a MEASZ or PREPZ or the end) and at the end of the
- * flush's turns, and before S would grow past half the L2 cache; it holds
- * at most MAX_RUN rotations. */
+ * with one pass each, so the amplitudes are bit for bit the same.  A run
+ * is applied before a pass on another register size, before the gate loop
+ * returns (at a MEASZ or PREPZ or the end) and at the end of the flush's
+ * turns, and before S would grow past half the L2 cache; it holds at most
+ * MAX_RUN passes. */
 #define MAX_RUN 16
 #define MAX_SPAN_BITS 10
 
@@ -1190,14 +1281,28 @@ int64_t framesim_l2_bytes(void)
     return l2_bytes;
 }
 
-/* The arguments of one framesim_clifford call */
-typedef struct {
-    uint64_t x, z;
-    double ca, cb;
-    int e0;
-} turn_args;
+/* One pass of a run: the arguments of one framesim_clifford call (OP_TURN: x,
+ * z, ca, cb and e), of one framesim_apply_h call (OP_H: x = 2**q) or of
+ * one framesim_pair_exchange call (OP_EXCHANGE: mask, val, x and e). */
+enum { OP_TURN, OP_H, OP_EXCHANGE };
 
-/* A pending run of m rotations on a register of n_amp amplitudes, with an
+typedef struct {
+    int kind, e;
+    uint64_t x, z, mask, val;
+    double ca, cb;
+} pass_op;
+
+static inline pass_op turn_op(uint64_t x, uint64_t z, double ca, double cb, int e)
+{
+    return (pass_op){.kind = OP_TURN, .e = e, .x = x, .z = z, .ca = ca, .cb = cb};
+}
+
+static inline pass_op exchange_op(uint64_t mask, uint64_t val, uint64_t x, int e)
+{
+    return (pass_op){.kind = OP_EXCHANGE, .e = e, .x = x, .mask = mask, .val = val};
+}
+
+/* A pending run of m passes on a register of n_amp amplitudes, with an
  * echelon basis of their tile masks; added[k] is mask k of that basis in
  * the order the masks were added */
 typedef struct {
@@ -1205,14 +1310,14 @@ typedef struct {
     int64_t n_amp;
     echelon tiles;
     uint64_t added[MAX_SPAN_BITS];
-    turn_args op[MAX_RUN];
+    pass_op op[MAX_RUN];
 } run;
 
-/* The walk of a run of several rotations, compiled once per clone (see
- * apply_pending).  span[j] is the XOR
- * of added[k] over the bits k of j, so the index of tile mask x >> b in a
- * coset is its sum in the basis (see reduce).  The coset of a tile has one
- * member with none of the basis's top bits set, its rep. */
+/* The walk of a run of several passes, compiled once per clone (see
+ * apply_pending).  span[j] is the XOR of added[k] over the bits k of j, so
+ * the index of tile mask x >> b in a coset is its sum in the basis (see
+ * reduce).  The coset of a tile has one member with none of the basis's
+ * top bits set, its rep. */
 static inline __attribute__((always_inline)) void
 run_walk(double *amp, const run *p, int wide)
 {
@@ -1224,15 +1329,22 @@ run_walk(double *amp, const run *p, int wide)
         for (int j = 0; j < 1 << k; j++)
             span[(1 << k) + j] = span[j] ^ p->added[k];
     for (int i = 0; i < p->m; i++) {
-        patterns(pat[i], TILE / 2, p->op[i].z, p->op[i].cb, p->op[i].e0);
-        reduce(&p->tiles, p->op[i].x >> b, xj + i);
+        const pass_op *o = p->op + i;
+        if (o->kind == OP_TURN)
+            patterns(pat[i], TILE / 2, o->z, o->cb, o->e);
+        reduce(&p->tiles, o->x >> b, xj + i);
     }
     const uint64_t pivots = p->tiles.top, n_tiles = (uint64_t)p->n_amp >> b;
     for (uint64_t rep = 0; rep < n_tiles; rep = ((rep | pivots) + 1) & ~pivots) {
         const tile_set ts = {span, rep, (int64_t)1 << dim};
         for (int i = 0; i < p->m; i++) {
-            const turn_args *o = p->op + i;
-            walk((v4d *)amp, ts, b, o->x, xj[i], o->z, pat[i], o->ca, o->e0, wide);
+            const pass_op *o = p->op + i;
+            if (o->kind == OP_TURN)
+                walk((v4d *)amp, ts, b, o->x, xj[i], o->z, pat[i], o->ca, o->e, wide);
+            else if (o->kind == OP_H)
+                h_walk(amp, ts, b, __builtin_ctzll(o->x), xj[i]);
+            else
+                exchange_walk((v2d *)amp, ts, b, o->mask, o->val, o->x, xj[i], o->e);
         }
     }
 }
@@ -1249,7 +1361,7 @@ __attribute__((target("avx2,fma"))) static void run_avx2(double *amp, const run 
 }
 #endif
 
-/* The rotations of one gate loop or flush, applied to amp: the pending run,
+/* The passes of one gate loop or flush, applied to amp: the pending run,
  * the seconds spent in passes and the counts of passes, of the amplitudes
  * they cover and of blocked runs, added to count[0..2]. */
 typedef struct {
@@ -1259,25 +1371,28 @@ typedef struct {
     run pending;
 } passes;
 
-/* Apply the pending run, if any: a run of one in one pass of
- * framesim_clifford, a longer one in one run_walk. */
+/* Apply the pending run, if any: a run of one in one pass over the whole
+ * register, a longer one in one run_walk. */
 static void apply_pending(passes *s)
 {
     run *p = &s->pending;
     if (!p->m)
         return;
     const double t0 = seconds();
-    if (p->m == 1) {
-        const turn_args *o = p->op;
-        framesim_clifford(s->amp, p->n_amp, o->x, o->z, o->ca, o->cb, o->e0);
-    } else {
+    const pass_op *o = p->op;
+    if (p->m > 1) {
 #if defined(__x86_64__)
         if (use_avx2)
             run_avx2(s->amp, p);
         else
 #endif
             run_generic(s->amp, p);
-    }
+    } else if (o->kind == OP_TURN)
+        framesim_clifford(s->amp, p->n_amp, o->x, o->z, o->ca, o->cb, o->e);
+    else if (o->kind == OP_H)
+        framesim_apply_h(s->amp, p->n_amp, __builtin_ctzll(o->x));
+    else
+        framesim_pair_exchange(s->amp, p->n_amp, o->mask, o->val, o->x, o->e);
     s->spent += seconds() - t0;
     s->count[0]++;
     s->count[1] += p->n_amp;
@@ -1285,17 +1400,11 @@ static void apply_pending(passes *s)
     p->m = 0;
 }
 
-/* R_P(t) = cos(t/2)*I - i*sin(t/2)*P on the register, P the frame image a:
- * map a onto the register by reg_map, activating a qubit if it must, and
- * apply framesim_clifford over its 2**max(d, 1) amplitudes, with the
- * arguments of statevector._pauli_update: at once, or, on a register
- * larger than the L2 cache, as part of a pending run (see above). */
-static void rotate(passes *s, reg *r, pauli a, double t)
+/* Apply the pass o to the first n_amp amplitudes: at once, or, on more
+ * amplitudes than the L2 cache holds, as part of the pending run (see
+ * above), which is applied first if o cannot join it. */
+static void push(passes *s, pass_op o, int64_t n_amp)
 {
-    reg_map(r, &a, 1);
-    const int64_t n_amp = (int64_t)1 << (r->d > 1 ? r->d : 1);
-    const double h = 0.5 * t;
-    const turn_args o = {a.x, a.z, cos(h), sin(h), (int)((3 + a.p - popcount(a.x & a.z)) & 3)};
     const uint64_t xt = o.x >> TILE_BITS;
     run *p = &s->pending;
     uint64_t sum;
@@ -1312,6 +1421,18 @@ static void rotate(passes *s, reg *r, pauli a, double t)
     p->op[p->m++] = o;
     if (!l2_bytes || n_amp * (int64_t)sizeof(v2d) <= l2_bytes)
         apply_pending(s); /* the register fits the L2 cache: one pass now */
+}
+
+/* R_P(t) = cos(t/2)*I - i*sin(t/2)*P on the register, P the frame image a:
+ * map a onto the register by reg_map, activating a qubit if it must, and
+ * push the framesim_clifford pass over its 2**max(d, 1) amplitudes with
+ * the arguments of statevector._pauli_update. */
+static void rotate(passes *s, reg *r, pauli a, double t)
+{
+    reg_map(r, &a, 1);
+    const double h = 0.5 * t;
+    push(s, turn_op(a.x, a.z, cos(h), sin(h), (int)((3 + a.p - popcount(a.x & a.z)) & 3)),
+         (int64_t)1 << (r->d > 1 ? r->d : 1));
 }
 
 /* Run gates start, start+1, ... of a lowered circuit on the hybrid
@@ -1394,6 +1515,75 @@ out:
     apply_pending(&s);
     *active = r.d;
     *rotation_s += s.spent;
+    return k;
+}
+
+/* Run gates start, start+1, ... of a lowered circuit on the baseline, up to
+ * the first MEASZ or PREPZ or to stop, and return the index of the first
+ * gate not run.  ops and angles are as in framesim_run_gates, on the n
+ * qubits of the 2**n amplitudes amp.  Each gate is the pass over amp that
+ * StateVector.apply_gate makes of it, with the same arguments: X, Y, RX,
+ * RY and RZ a framesim_clifford pass, H a framesim_apply_h pass, and Z,
+ * S, SDG, CX, CZ and SWAP a framesim_pair_exchange pass.  On more
+ * amplitudes than the L2 cache holds, the passes are blocked in runs (see
+ * push), with the amplitudes of one pass per gate, bit for bit.  The
+ * counts of passes, of the amplitudes they cover and of blocked runs are
+ * added to count[0..2], as framesim_run_gates adds them. */
+int64_t framesim_baseline_gates(double *amp, int n, const int32_t *ops, const double *angles,
+                                int64_t start, int64_t stop, int64_t *count)
+{
+    const int64_t n_amp = (int64_t)1 << n;
+    passes s = {.amp = amp, .count = count};
+    int64_t k = start;
+    for (; k < stop; k++) {
+        const int32_t *g = ops + 3 * k;
+        const uint64_t a = (uint64_t)1 << g[1], b = (uint64_t)1 << g[2];
+        const double h = 0.5 * angles[k];
+        pass_op o;
+        switch (g[0]) {
+        case G_H:
+            o = (pass_op){.kind = OP_H, .x = a};
+            break;
+        case G_S:
+            o = exchange_op(a, a, 0, 1);
+            break;
+        case G_SDG:
+            o = exchange_op(a, a, 0, 3);
+            break;
+        case G_X:
+            o = turn_op(a, 0, 0.0, 1.0, 0);
+            break;
+        case G_Y:
+            o = turn_op(a, a, 0.0, 1.0, 3);
+            break;
+        case G_Z:
+            o = exchange_op(a, a, 0, 2);
+            break;
+        case G_CX:
+            o = exchange_op(a | b, a, b, 0);
+            break;
+        case G_CZ:
+            o = exchange_op(a | b, a | b, 0, 2);
+            break;
+        case G_SWAP:
+            o = exchange_op(a | b, b, a | b, 0);
+            break;
+        case G_RX:
+            o = turn_op(a, 0, cos(h), sin(h), 3);
+            break;
+        case G_RY:
+            o = turn_op(a, a, cos(h), sin(h), 2);
+            break;
+        case G_RZ:
+            o = turn_op(0, a, cos(h), sin(h), 3);
+            break;
+        default: /* MEASZ, PREPZ: the caller draws the outcome */
+            goto out;
+        }
+        push(&s, o, n_amp);
+    }
+out:
+    apply_pending(&s);
     return k;
 }
 

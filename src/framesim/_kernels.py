@@ -1,5 +1,5 @@
-"""The in-place amplitude kernels of ``StateVector``, the hybrid backend's
-compiled gate loop, and the choice of their tier.
+"""The in-place amplitude kernels of ``StateVector``, the compiled gate
+loops of both backends, and the choice of their tier.
 
 Six amplitude loops carry every state update:
 
@@ -34,10 +34,14 @@ The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
 (one read and one write each) and allocate nothing; the affine pass takes
 from its wrapper a bitmap of one bit per tile, 1/32768 of the state, and
 the scatter reads the copy of the register that its caller makes.  The
-Clifford loop walks the state in cache-sized tiles, so that its cost
-depends neither on the number of qubits nor on how many qubits the
-operator touches; the gate loops walk contiguous runs in address order, a
-cache line at a time where the runs are shorter.  The Clifford loop holds two amplitudes per 32-byte
+Clifford, Hadamard and pair-exchange loops walk the state in cache-sized
+tiles of 2**min(n, TILE_BITS) amplitudes, pairing a tile with the one its
+partner mask reaches, so that the cost of the Clifford loop depends
+neither on the number of qubits nor on how many qubits the operator
+touches; inside a tile the Hadamard and pair-exchange loops take
+contiguous runs, a cache line at a time where the runs are shorter.  Each
+walks one set of tiles: the whole state for a single pass, or one coset
+of a blocked run (see ``run_gates``).  The Clifford loop holds two amplitudes per 32-byte
 vector and applies a power of i as an element swap and a sign pattern,
 with no complex multiply.  It and the Hadamard loop are compiled twice
 from one body, a generic clone and one for AVX2 with FMA, and the library
@@ -58,28 +62,33 @@ times slower per amplitude; they are the reference the tests compare the C
 loops against.  The C loops take a contiguous complex128 state aligned to
 16 bytes, and their wrappers raise ValueError for any other.
 
-``run_gates`` is the hybrid backend's gate loop in C: it runs a circuit's
-lowered gate stream (``Circuit.lowered``) on the amplitudes and, in place,
-on the words of a ``PauliFrame``, up to the next measurement or
-preparation, calling the Clifford loop for each rotation on the hybrid's
-register of 2**d amplitudes.  Once those outgrow the L2 cache
-(``l2_bytes``), it applies each run of rotations in one walk that takes
-each group of tiles through the whole run while the group sits in the
-cache, with the amplitudes of one pass per rotation, bit for bit; at
-n = 18 on a 2-core Xeon with 2 MiB of L2, runs of 3 to 7 rotations cost
-0.31-0.34 ns per amplitude and rotation against 0.47-0.49 one by one.
-``register_map`` maps one operator onto that
-register, activating a qubit when it must, as the loop does for each
+The two gate loops in C run a circuit's lowered gate stream
+(``Circuit.lowered``) up to the next measurement or preparation.
+``baseline_gates`` is the baseline's: each gate is the pass that
+``StateVector.apply_gate`` makes of it, over the whole state.
+``run_gates`` is the hybrid backend's: it updates the words of a
+``PauliFrame`` in place and calls the Clifford loop for each rotation on
+the hybrid's register of 2**d amplitudes.  Once the amplitudes of a pass
+outgrow the L2 cache (``l2_bytes``), both apply each run of passes in one
+walk that takes each group of tiles through the whole run while the group
+sits in the cache, with the amplitudes of one pass per gate, bit for bit;
+at n = 18 on a 2-core Xeon with 2 MiB of L2, runs of 3 to 7 rotations
+cost 0.31-0.34 ns per amplitude and rotation against 0.47-0.49 one by
+one, and the baseline runs one of the benchmark's 18-qubit Trotter
+circuits (about 1800 gates, in runs of up to 16) in 0.11 s against 0.18 s
+one pass per gate.  ``register_map`` maps one operator onto the hybrid's
+register, activating a qubit when it must, as its loop does for each
 rotation; the hybrid's measurements, preparations and expectations go
 through it (see ``backends.HybridState``).  ``flush`` is the hybrid's
 flush in one call on the frame's words: the split of
 ``frame.split_clifford``, its quarter turns on the register, and the rest
 composed with the index map, which ``StateVector.apply_hadamard_free``
-then applies.  None of the three has a numpy counterpart: without the
-compiled library all are None,
-``backends.run_hybrid`` runs its Python gate loop over ``PauliFrame``,
-which keeps the register dense, and the flush runs ``split_clifford`` and
-its turns one by one; these are the references of the tests.
+then applies.  None of the four has a numpy counterpart: without the
+compiled library all are None, ``backends.run_baseline`` runs its Python
+gate loop over ``StateVector.apply_gate``, ``backends.run_hybrid`` its
+Python gate loop over ``PauliFrame``, which keeps the register dense, and
+the flush runs ``split_clifford`` and its turns one by one; these are the
+references of the tests.
 
 On first import the C source is compiled with the system C compiler (``gcc``,
 else ``cc``) into ``$XDG_CACHE_HOME/framesim`` (default ``~/.cache/framesim``),
@@ -88,11 +97,11 @@ with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
 compiling.  The build names no CPU, so a cached library runs on any
 x86-64.  When the library loads, the six loop names are the C loops,
-``run_gates``, ``register_map`` and ``flush`` are set and
-``kernel_tier()`` returns ``compiled-c``.
+``baseline_gates``, ``run_gates``, ``register_map`` and ``flush`` are set
+and ``kernel_tier()`` returns ``compiled-c``.
 When it cannot be built or loaded (no compiler, a build error, a cache
 directory that cannot be written) one ``RuntimeWarning`` names the reason,
-the six names are bound to the numpy functions instead and the other three
+the six names are bound to the numpy functions instead and the other four
 are None.  The choice is
 made once, here, from what the import observes.
 """
@@ -188,6 +197,8 @@ def _load():
                                        ctypes.POINTER(i64), ptr, ptr, i64, i64,
                                        ctypes.POINTER(f64), ptr]
     lib.framesim_run_gates.restype = i64
+    lib.framesim_baseline_gates.argtypes = [ptr, ctypes.c_int, ptr, ptr, i64, i64, ptr]
+    lib.framesim_baseline_gates.restype = i64
     lib.framesim_register_map.argtypes = [ptr, ctypes.c_int, i64, ptr, ctypes.c_int]
     lib.framesim_register_map.restype = i64
     lib.framesim_flush.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr, ctypes.POINTER(i64),
@@ -236,8 +247,8 @@ def simd_clone() -> str | None:
 
 
 def l2_bytes() -> int | None:
-    """The L2 cache size, in bytes, above which the compiled gate loop and
-    flush block their runs of rotations (see ``run_gates``): what the
+    """The L2 cache size, in bytes, above which the compiled gate loops and
+    the flush block their runs of passes (see ``run_gates``): what the
     system reported when the library loaded, 0 if it reported none, and
     then no run is blocked.  None on the numpy tier."""
     return None if _lib is None else _lib.framesim_l2_bytes()
@@ -447,6 +458,16 @@ def _check_hybrid(amp, xs, zs, ps, index_map, active) -> tuple[int, int]:
     return n, addr
 
 
+def _check_lowered(ops, angles, start) -> int:
+    """The gate count of the lowered arrays ops and angles; ValueError unless
+    they are those of ``Circuit.lowered`` and 0 <= start <= that count."""
+    count = len(angles)
+    if not (_is_array(ops, "i", 4) and _is_array(angles, "d", 8)
+            and len(ops) == 3 * count and 0 <= start <= count):
+        raise ValueError("lowered gate arrays do not match, or start is out of range")
+    return count
+
+
 def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start, counts=None):
     """Run a lowered gate stream from gate ``start`` on the hybrid backend, in
     one call of the C gate loop; return the index of the first gate not run
@@ -473,10 +494,7 @@ def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start, counts=
     """
     n, addr = _check_hybrid(amp, xs, zs, ps, index_map, active)
     counts = _check_counts(counts)
-    count = len(angles)
-    if not (_is_array(ops, "i", 4) and _is_array(angles, "d", 8)
-            and len(ops) == 3 * count and 0 <= start <= count):
-        raise ValueError("lowered gate arrays do not match, or start is out of range")
+    count = _check_lowered(ops, angles, start)
     spent = ctypes.c_double(0.0)
     d = ctypes.c_int64(active)
     stop = _lib.framesim_run_gates(addr, n, xs.buffer_info()[0], zs.buffer_info()[0],
@@ -487,6 +505,29 @@ def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start, counts=
     if stop < 0:
         raise ValueError(_SINGULAR_MAP)
     return stop, spent.value, d.value
+
+
+def _c_baseline_gates(amp, ops, angles, start, counts=None):
+    """Run a lowered gate stream from gate ``start`` on the baseline, in one
+    call of the C gate loop, and return the index of the first gate not
+    run: the next MEASZ or PREPZ, or the gate count.
+
+    ops and angles are the arrays of ``Circuit.lowered``, on the qubits of
+    amp; the gate codes and qubits are not checked again.  Each gate is
+    the pass of ``StateVector.apply_gate``: the Clifford loop for X, Y, RX,
+    RY and RZ, the Hadamard loop for H and the pair exchange for Z, S, SDG,
+    CX, CZ and SWAP.  While the state holds more bytes than the L2 cache
+    (``l2_bytes``), the loop blocks these passes in runs as ``run_gates``
+    blocks rotations, with the amplitudes of one pass per gate, bit for
+    bit.  ``counts`` (see ``pass_counts``) receives the passes, the
+    amplitudes they cover and the blocked runs, as in ``run_gates``.
+    """
+    addr = _address(amp)
+    counts = _check_counts(counts)
+    count = _check_lowered(ops, angles, start)
+    return _lib.framesim_baseline_gates(addr, amp.shape[0].bit_length() - 1,
+                                        ops.buffer_info()[0], angles.buffer_info()[0],
+                                        start, count, counts.buffer_info()[0])
 
 
 # the errors of framesim_flush, by return code; the last two are those of
@@ -684,12 +725,20 @@ def numpy_scatter(amp, src, cols, offset, diag, cross):
     amp[dest] = moved
 
 
+# bytes per amplitude of the whole-array temporaries that one kernel call
+# of the tier in use holds at its peak: none in the C loops; on the numpy
+# tier numpy_clifford's, the largest (index, sign and gathered, scaled and
+# summed amplitude arrays), as tracemalloc reads it at 18 qubits, where
+# numpy_affine holds 48, numpy_apply_h 32, numpy_shear 24 and
+# numpy_pair_exchange 17 (see bench.memory_need)
+TEMPORARY_BYTES = 0 if _lib is not None else 72
+
 if _lib is not None:
     clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
     affine, shear, scatter = _c_affine, _c_shear, _c_scatter
-    run_gates, register_map = _c_run_gates, _c_register_map
+    run_gates, baseline_gates, register_map = _c_run_gates, _c_baseline_gates, _c_register_map
     flush = _c_flush
 else:
     clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
     affine, shear, scatter = numpy_affine, numpy_shear, numpy_scatter
-    run_gates = register_map = flush = None
+    run_gates = baseline_gates = register_map = flush = None

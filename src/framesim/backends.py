@@ -46,6 +46,14 @@ class RunReport:
     circuit.  kernel_tier names the amplitude-kernel tier the run executed on
     (``compiled-c``, or ``numpy`` when the compiled kernels did not load);
     the tier is fixed at import, so it is read from ``_kernels``, not stored.
+
+    ``passes`` counts the baseline's passes over the state for its gates,
+    as ``HybridState.passes`` counts the hybrid's: ``gate_passes``, one per
+    pass, ``gate_pass_equivalents``, 1 per pass over the whole state, and
+    ``gate_blocked_runs``, the runs of gates that the compiled loop applied
+    in one blocked pass (see ``_kernels.baseline_gates``), each counted
+    once in the other two.  Without blocking, a pass is one gate.  Empty on
+    hybrid reports, whose ``HybridState`` holds the counts.
     """
 
     backend: str
@@ -56,6 +64,7 @@ class RunReport:
     t_run_s: float = 0.0
     seed: int | None = None
     measurements: list[int] = field(default_factory=list)
+    passes: dict[str, float] = field(default_factory=dict)
 
     @property
     def kernel_tier(self) -> str:
@@ -80,7 +89,9 @@ class HybridState:
 
     ``run_hybrid`` starts its compiled gate loop at A = I and d = 0 (phi =
     |0...0>); a state built any other way starts at A = I and d = n, which
-    is the plain U|phi>.
+    is the plain U|phi>.  The numpy tier has no register map, so there the
+    state stays at A = I and d = n, and the constructor raises ValueError
+    for any other ``index_map`` or ``active``.
 
     ``flush_passes`` gets one entry per ``flush_to_origin`` call: the state
     passes it made, by kind (``quarter_turns``, one per qubit of the
@@ -121,14 +132,18 @@ class HybridState:
             self.index_map = _identity_map(n)
         if self.active is None:
             self.active = n
+        if _kernels.register_map is None and (
+                self.active != n or not np.array_equal(self.index_map, _identity_map(n))):
+            raise ValueError("the numpy tier runs the register dense: the index map must "
+                             "be the identity and every qubit active")
 
     def _register(self, p: PauliString, activate: bool = True
                   ) -> tuple[StateVector, PauliString] | None:
         """The register, as the state of phi's first 2**max(d, 1) amplitudes,
         and P_A^dag P P_A on it for the frame image P.  If its X part leaves
         the register, one more qubit is activated first, or, when
-        ``activate`` is false, None is returned.  The numpy tier runs only
-        the dense Python gate loop, so there A = I and d = n throughout."""
+        ``activate`` is false, None is returned.  On the numpy tier A = I
+        and d = n throughout (see the class docstring)."""
         if _kernels.register_map is None:
             return self.phi, p
         mapped = _kernels.register_map(self.index_map, self.active, p.x_bits, p.z_bits,
@@ -160,13 +175,9 @@ class HybridState:
 
     @property
     def passes(self) -> dict[str, float]:
-        size = 1 << self.frame.num_qubits
-        out = {}
-        for kind, (passes, amplitudes, blocked) in (("rotation", self._rotation_counts),
-                                                    ("turn", self._turn_counts)):
-            out.update({f"{kind}_passes": passes, f"{kind}_pass_equivalents": amplitudes / size,
-                        f"{kind}_blocked_runs": blocked})
-        return out
+        n = self.frame.num_qubits
+        return {**_pass_dict("rotation", self._rotation_counts, n),
+                **_pass_dict("turn", self._turn_counts, n)}
 
     def expectation(self, p: PauliString) -> float:
         """<P> on the tracked state, via <phi| P_A^dag lookup(P) P_A |phi>:
@@ -243,6 +254,15 @@ def _add_pass(counts: array, passes: int, amplitudes: int) -> None:
     counts[1] += amplitudes
 
 
+def _pass_dict(kind: str, counts: array, n: int) -> dict[str, float]:
+    """The counts of ``_kernels.pass_counts`` as ``<kind>_passes``,
+    ``<kind>_pass_equivalents`` (the amplitudes over 2**n) and
+    ``<kind>_blocked_runs``."""
+    passes, amplitudes, blocked = counts
+    return {f"{kind}_passes": passes, f"{kind}_pass_equivalents": amplitudes / (1 << n),
+            f"{kind}_blocked_runs": blocked}
+
+
 def _identity_map(n: int) -> np.ndarray:
     """The row masks of the n x n identity, as the register holds them."""
     return np.array([1 << i for i in range(n)], dtype=np.uint64)
@@ -261,26 +281,72 @@ def _seeded(rng) -> tuple[int | None, np.random.Generator]:
 
 
 def run_baseline(circuit: Circuit, rng=None) -> tuple[StateVector, RunReport]:
-    """Gate-by-gate fullstate execution of the circuit."""
+    """Gate-by-gate fullstate execution of the circuit: each gate is one
+    pass of ``StateVector.apply_gate`` over the 2**n amplitudes, and each
+    MEASZ or PREPZ a ``StateVector.measure`` or ``prepare``.
+
+    The gate loop is the compiled one, ``_kernels.baseline_gates``, when
+    ``_kernels`` loaded its C library, else the Python one, which the tests
+    use as its reference.  Above the L2 cache size the compiled loop blocks
+    its passes in runs, with the amplitudes of one pass per gate; both
+    loops draw the same outcomes from ``rng`` and leave the same
+    amplitudes, bit for bit.  ``RunReport.passes`` receives their counts.
+    """
     seed, rng = _seeded(rng)
     n = circuit.num_qubits
     state = StateVector.zero(n)
     report = RunReport("baseline", n, seed=seed)
     _fill_counts(report, circuit)
+    gate_loop = _python_baseline if _kernels.baseline_gates is None else _compiled_baseline
+    counts = _kernels.pass_counts()
     t0 = time.perf_counter()
+    gate_loop(state, circuit, rng, report.measurements, counts)
+    report.t_run_s = time.perf_counter() - t0
+    report.passes = _pass_dict("gate", counts, n)
+    return state, report
+
+
+def _baseline_measure_z(state: StateVector, tag: str, q: int, rng,
+                        measurements: list[int]) -> None:
+    """MEASZ or PREPZ (``tag``) on qubit q of the baseline's state, the one
+    step both its gate loops take; a MEASZ outcome goes to ``measurements``
+    (+1 as bit 0)."""
+    z = PauliString.single(state.num_qubits, q, "Z")
+    if tag == "MEASZ":
+        measurements.append(0 if state.measure(z, rng) == 1 else 1)
+    else:
+        state.prepare(z, PauliString.single(state.num_qubits, q, "X"), rng)
+
+
+def _compiled_baseline(state: StateVector, circuit: Circuit, rng, measurements: list[int],
+                       counts: array) -> None:
+    """The baseline's gate loop on ``_kernels.baseline_gates``: the lowered
+    stream runs in C up to each MEASZ or PREPZ, which
+    ``_baseline_measure_z`` performs."""
+    ops, angles = circuit.lowered()
+    i = 0
+    while True:
+        i = _kernels.baseline_gates(state.amplitudes, ops, angles, i, counts)
+        if i == len(angles):
+            return
+        _baseline_measure_z(state, TAGS[ops[3 * i]], ops[3 * i + 1], rng, measurements)
+        i += 1
+
+
+def _python_baseline(state: StateVector, circuit: Circuit, rng, measurements: list[int],
+                     counts: array) -> None:
+    """The baseline's gate loop in Python, one ``StateVector.apply_gate``
+    per gate, and ``_baseline_measure_z`` for each MEASZ or PREPZ."""
+    gates = 0
     for g in circuit:
         if g.tag in CLIFFORD_TAGS or g.tag in ROTATION_TAGS:
             state.apply_gate(g.tag, g.qubits, g.angle)
-        elif g.tag == "MEASZ":
-            outcome = state.measure(PauliString.single(n, g.qubits[0], "Z"), rng)
-            report.measurements.append(0 if outcome == 1 else 1)
-        elif g.tag == "PREPZ":
-            state.prepare(PauliString.single(n, g.qubits[0], "Z"),
-                          PauliString.single(n, g.qubits[0], "X"), rng)
+            gates += 1
+        elif g.tag in ("MEASZ", "PREPZ"):
+            _baseline_measure_z(state, g.tag, g.qubits[0], rng, measurements)
         else:
             raise ValueError(f"unsupported gate tag {g.tag!r}")
-    report.t_run_s = time.perf_counter() - t0
-    return state, report
+    _add_pass(counts, gates, gates << state.num_qubits)
 
 
 def run_hybrid(circuit: Circuit, rng=None) -> tuple[HybridState, RunReport]:

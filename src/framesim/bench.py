@@ -23,6 +23,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from . import _kernels
 from .backends import run_baseline, run_hybrid
 from .circuit import trotterize
 from .hamiltonian import Hamiltonian, parse_hamiltonian, random_hamiltonian
@@ -179,9 +180,11 @@ def memory_need(config: BenchConfig, num_qubits: int) -> int:
     at most 24 bytes per amplitude besides, the probabilities it compares.
     The circuits and the hybrid's gate tables are left out: they grow with
     the terms, not with 2**n, and 100 terms of weight 14 hold about 1.4 MiB
-    at the peak, a third of one 18-qubit state.
+    at the peak, a third of one 18-qubit state.  On the numpy tier every
+    kernel call of a run holds whole-array temporaries besides the states,
+    up to ``_kernels.TEMPORARY_BYTES`` per amplitude.
     """
-    per_amplitude = AMPLITUDE_BYTES * (len(config.backends) + 1)
+    per_amplitude = AMPLITUDE_BYTES * (len(config.backends) + 1) + _kernels.TEMPORARY_BYTES
     if config.verify and set(config.backends) == set(BACKENDS):
         per_amplitude = max(per_amplitude, 2 * AMPLITUDE_BYTES + 24)
     return per_amplitude << num_qubits

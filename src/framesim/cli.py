@@ -6,10 +6,11 @@ its memory budget), 2 runtime error (simulation
 failure, a state the operating system will not map, or a backend
 cross-check mismatch).  ``run`` and ``sweep`` name the amplitude
 kernel tier on stderr before they start, with the compiled clone in use
-(``avx2`` or ``generic``) and the L2 cache size above which the hybrid
-blocks its runs of rotations, or that they run unblocked because the
-system reported no size, so a numpy fallback, a generic build on an AVX2
-host or an unblocked loop shows in every run's output.
+(``avx2`` or ``generic``) and the L2 cache size above which both gate
+loops, the baseline's and the hybrid's, block their passes in runs, or
+that they run unblocked because the system reported no size, so a numpy
+fallback, a generic build on an AVX2 host or an unblocked loop shows in
+every run's output.
 """
 from __future__ import annotations
 
@@ -88,8 +89,8 @@ def _report_tier() -> None:
     clone = _kernels.simd_clone()
     if clone:
         l2 = _kernels.l2_bytes()
-        line += (f" ({clone}), rotation runs blocked above the {l2 >> 10} KiB L2 cache" if l2
-                 else f" ({clone}), rotation runs unblocked: L2 cache size unknown")
+        line += (f" ({clone}), both gate loops block above the {l2 >> 10} KiB L2 cache" if l2
+                 else f" ({clone}), both gate loops unblocked: L2 cache size unknown")
     print(line, file=sys.stderr)
 
 

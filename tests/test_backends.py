@@ -181,23 +181,43 @@ def invalid_frames():
             "commuting pair": commuting}
 
 
+def test_the_numpy_tier_refuses_a_register_it_cannot_map(monkeypatch):
+    # without the compiled register map the hybrid's operations run on the
+    # dense state, so a state built with A != I or d < n would flush wrong
+    # amplitudes; the constructor refuses both, and takes A = I, d = n
+    monkeypatch.setattr(_kernels, "register_map", None)
+    monkeypatch.setattr(_kernels, "flush", None)
+    frame = PauliFrame.origin(2)
+    for kwargs in (dict(index_map=np.array([3, 2], dtype=np.uint64)), dict(active=1),
+                   dict(index_map=np.array([1, 2], dtype=np.uint64), active=0)):
+        with pytest.raises(ValueError, match="numpy tier"):
+            HybridState(frame, StateVector.zero(2), **kwargs)
+    hs = HybridState(frame, StateVector.zero(2), index_map=np.array([1, 2], dtype=np.uint64),
+                     active=2)
+    hs.flush_to_origin()
+    assert np.array_equal(hs.phi.amplitudes, StateVector.zero(2).amplitudes)
+
+
 def test_flush_rejects_an_invalid_frame_before_any_pass(monkeypatch):
     # the flush raises with the amplitudes, the register and its pass
     # record as they were, on the C flush and on the split in Python
     paths = ["python"] + (["compiled"] if _kernels.flush is not None else [])
+    # a register of one qubit under A != I where the compiled register map
+    # runs it; the numpy tier holds every state dense (A = I, d = n)
+    rows, active = ([3, 2], 1) if _kernels.register_map is not None else ([1, 2], 2)
     for path in paths:
         for broken, frame in invalid_frames().items():
             assert not frame.validate(), broken
             amp = np.array([0.6, 0.8j, 0, 0])
-            hs = HybridState(frame, StateVector(2, amp), active=1,
-                             index_map=np.array([3, 2], dtype=np.uint64))
+            hs = HybridState(frame, StateVector(2, amp), active=active,
+                             index_map=np.array(rows, dtype=np.uint64))
             with monkeypatch.context() as mp:
                 if path == "python":
                     mp.setattr(_kernels, "flush", None)
                 with pytest.raises(ValueError, match="invalid frame"):
                     hs.flush_to_origin()
             assert np.array_equal(hs.phi.amplitudes, amp), (path, broken)
-            assert (hs.index_map.tolist(), hs.active) == ([3, 2], 1), (path, broken)
+            assert (hs.index_map.tolist(), hs.active) == (rows, active), (path, broken)
             assert hs.frame is frame and hs.flush_passes == [], (path, broken)
 
 

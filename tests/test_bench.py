@@ -15,6 +15,14 @@ from framesim.bench import (BACKENDS, CSV_FIELDS, BenchConfigError, _record_to_r
 from framesim.cli import main as cli_main
 
 
+# bytes per amplitude that a run holds besides its states: the numpy
+# tier's kernel temporaries, none on the compiled tier
+TEMPORARY = _kernels.TEMPORARY_BYTES
+# a verified run of both backends: two states and the cross-check's 24 B
+# per amplitude, or three states and the temporaries, whichever is more
+BOTH_VERIFIED = max(48 + TEMPORARY, 56)
+
+
 def small_config(**kw):
     defaults = dict(source=RandomSpec(4, 2, 10, 7), repetitions=2, warmups=1)
     defaults.update(kw)
@@ -44,26 +52,28 @@ def test_run_config_deterministic_nontiming_fields():
 
 def test_run_config_checks_the_memory_budget_before_allocating(monkeypatch):
     # verifying both backends holds two states and 24 B per amplitude
-    # besides: 56 B for each of 2**8 amplitudes, 3.5 states
-    need = 56 << 8
+    # besides: 56 B for each of 2**8 amplitudes, 3.5 states (compiled tier)
+    need = BOTH_VERIFIED << 8
     config = small_config(source=RandomSpec(8, 2, 5, 0))
     ran = []
     with monkeypatch.context() as mp:
         mp.setattr(bench, "run_baseline", lambda *args: ran.append(args))
         for available, limit in ((need - 1, None), (None, need - 1), (1 << 40, need - 1)):
             mp.setattr(bench, "memory_limits", lambda: (available, limit))
-            with pytest.raises(BenchConfigError, match="8 qubits need .*, 3.5 states of 16 B"):
+            with pytest.raises(BenchConfigError,
+                               match=f"8 qubits need .*, {BOTH_VERIFIED / 16:g} states of 16 B"):
                 run_config(config)
     assert not ran
     monkeypatch.setattr(bench, "memory_limits", lambda: (need, need))
     assert len(run_config(config)) == 2
     # unverified, both backends hold 3 states; one backend holds 2
     for backends, verify, states in ((BACKENDS, False, 3), (("hybrid",), True, 2)):
-        monkeypatch.setattr(bench, "memory_limits", lambda: (16 * states << 8, None))
+        held = 16 * states + TEMPORARY
+        monkeypatch.setattr(bench, "memory_limits", lambda: (held << 8, None))
         assert len(run_config(small_config(source=RandomSpec(8, 2, 5, 0), backends=backends,
                                            verify=verify))) == len(backends)
-        monkeypatch.setattr(bench, "memory_limits", lambda: ((16 * states << 8) - 1, None))
-        with pytest.raises(BenchConfigError, match=f"{states} states"):
+        monkeypatch.setattr(bench, "memory_limits", lambda: ((held << 8) - 1, None))
+        with pytest.raises(BenchConfigError, match=f"{held / 16:g} states"):
             run_config(small_config(source=RandomSpec(8, 2, 5, 0), backends=backends,
                                     verify=verify))
 
@@ -97,7 +107,8 @@ def test_cli_run_over_the_memory_budget_exits_1_naming_both_numbers(monkeypatch,
     monkeypatch.setattr(bench, "memory_limits", lambda: (3 << 20, 5 << 20))
     assert cli_main(["run", "--random", "16", "2", "4", "1"]) == 1
     err = capsys.readouterr().err
-    assert "16 qubits need 3.5 MiB, 3.5 states of 16 B per amplitude" in err
+    states = BOTH_VERIFIED / 16
+    assert f"16 qubits need {states:.1f} MiB, {states:g} states of 16 B per amplitude" in err
     assert "MemAvailable (3.0 MiB)" in err and "memory limit (5.0 MiB)" in err
 
 
@@ -337,8 +348,8 @@ def test_cli_run_stdout_jsonl(capsys):
 
 @pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c", reason="no compiled loop")
 @pytest.mark.parametrize("l2, ending", [
-    (2 << 20, "rotation runs blocked above the 2048 KiB L2 cache"),
-    (0, "rotation runs unblocked: L2 cache size unknown")])
+    (2 << 20, "both gate loops block above the 2048 KiB L2 cache"),
+    (0, "both gate loops unblocked: L2 cache size unknown")])
 def test_cli_tier_line_names_the_cache_size_that_blocking_uses(capsys, monkeypatch, l2,
                                                                ending):
     # the line names the L2 size that the library read, here a stand-in,
@@ -364,8 +375,10 @@ def test_cli_sweep(tmp_path, capsys):
 
 def test_cli_sweep_takes_the_shared_run_settings(tmp_path, capsys, monkeypatch):
     # hybrid alone, unverified, holds 2 states, 32 B per amplitude: the
-    # budget fits n = 3 (256 B) but not n = 4, nor n = 3 with both backends
-    monkeypatch.setattr(bench, "memory_limits", lambda: (None, 256))
+    # budget fits n = 3 (256 B on the compiled tier) but not n = 4, nor
+    # n = 3 with both backends
+    held = 32 + TEMPORARY
+    monkeypatch.setattr(bench, "memory_limits", lambda: (None, held << 3))
     out = tmp_path / "sweep.csv"
     code = cli_main(["sweep", "--qubits", "3:4:1", "--localities", "2:2:1",
                      "--terms", "4", "--backends", "hybrid",
@@ -374,7 +387,7 @@ def test_cli_sweep_takes_the_shared_run_settings(tmp_path, capsys, monkeypatch):
     records = read_records(io.StringIO(out.read_text()), "csv")
     assert [(r.n_qubits, r.backend) for r in records] == [(3, "hybrid")]
     err = capsys.readouterr().err
-    assert "[sweep] cell n=4" in err and "4 qubits need 0.0 MiB, 2 states" in err
+    assert "[sweep] cell n=4" in err and f"4 qubits need 0.0 MiB, {held / 16:g} states" in err
 
 
 def test_cli_run_a_state_the_os_will_not_map_exits_2(monkeypatch, capsys):
@@ -448,8 +461,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad.write_text("0.5 QQ\n")
     assert cli_main(["run", "--file", str(bad)]) == 1
     capsys.readouterr()
-    with monkeypatch.context() as mp:  # a verified run of both backends: 56 B per amplitude
-        mp.setattr(bench, "memory_limits", lambda: (56 << 8, None))
+    with monkeypatch.context() as mp:  # a verified run of both backends
+        mp.setattr(bench, "memory_limits", lambda: (BOTH_VERIFIED << 8, None))
         assert cli_main(["run", "--random", "8", "2", "4", "1"]) == 0
         assert cli_main(["run", "--random", "9", "2", "4", "1"]) == 1
     assert "framesim: config error: 9 qubits need" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framesim import StateVector
@@ -108,6 +108,44 @@ def test_pair_exchange_keeps_its_documented_semantics(case):
         out = amp.copy()
         pair_exchange(out, mask, val, x, e)
         assert np.array_equal(out, ref), name
+
+
+@st.composite
+def walk_cases(draw):
+    """(n, q, mask, val, x, e, seed), the masks drawn bit by bit, so that
+    the bits 8 and 9 from which the walks pair tiles are set as often as
+    the others."""
+    n = draw(st.integers(1, MAX_QUBITS))
+
+    def mask(within):
+        bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return sum(1 << i for i, bit in enumerate(bits) if bit) & within
+
+    m = mask((1 << n) - 1)
+    return (n, draw(st.integers(0, n - 1)), m, mask(m), mask(m), draw(st.integers(0, 3)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_cases())
+@example((10, 9, 0x300, 0x100, 0x300, 0, 1))  # SWAP(8, 9): the partner tile matches
+@example((9, 8, 0x1ff, 0x105, 0, 3, 2))
+def test_tile_walks_are_the_numpy_loops_bit_for_bit(case):
+    # the compiled Hadamard loop and pair exchange walk the state tile by
+    # tile, in tiles of 2**min(n, 8) amplitudes: one tile smaller than the
+    # 256 of the rotation loops below 8 qubits, several above, paired across
+    # tiles from qubit 8 up; either way the amplitudes are numpy's
+    n, q, mask, val, x, e, seed = case
+    amp = random_amplitudes(seed, n)
+    ref_h, ref_x = amp.copy(), amp.copy()
+    _kernels.numpy_apply_h(ref_h, q)
+    _kernels.numpy_pair_exchange(ref_x, mask, val, x, e)
+    for name, (apply_h, pair_exchange) in TIERS.items():
+        out_h, out_x = amp.copy(), amp.copy()
+        apply_h(out_h, q)
+        pair_exchange(out_x, mask, val, x, e)
+        assert np.array_equal(out_h, ref_h), (name, n, q)
+        assert np.array_equal(out_x, ref_x), (name, n, mask, val, x, e)
 
 
 @pytest.mark.parametrize("name", list(TIERS))

@@ -32,6 +32,10 @@ if _kernels.kernel_tier() == "compiled-c":
 
 MAX_QUBITS = 10
 TILE = 256  # amplitudes per tile of the compiled loops
+# a HybridState with an index map A != I needs the compiled register map:
+# the numpy tier refuses one (see backends.HybridState)
+compiled_only = pytest.mark.skipif(_kernels.register_map is None,
+                                   reason="compiled kernels not loaded")
 SQ2 = 0.7071067811865476
 COEFFICIENTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, SQ2, -SQ2]),
                          st.floats(-2.0, 2.0, allow_nan=False))
@@ -155,6 +159,7 @@ def test_flush_matches_the_per_step_rotation_path(n, length, seed):
     assert np.max(np.abs(out - up_to_omega(out, ref.amplitudes))) < 1e-12
 
 
+@compiled_only
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), length=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
 def test_flush_is_the_dense_split_after_the_index_map(n, length, seed):
@@ -180,6 +185,7 @@ def test_flush_is_the_dense_split_after_the_index_map(n, length, seed):
     assert np.max(np.abs(hs.phi.amplitudes - split @ index_mapped(amp, a))) < 1e-12
 
 
+@compiled_only
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, MAX_QUBITS), seed=st.integers(0, 2**32 - 1))
 def test_origin_flush_applies_the_index_map_in_the_form_of_its_product(n, seed):

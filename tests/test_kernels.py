@@ -202,7 +202,9 @@ def libasan() -> str | None:
 # whose masks reach bit 9, against split_clifford's after the index map, a
 # flush whose 10 quarter turns activate the register from 0 qubits up to
 # all 10, and flushes at the origin frame with an index map A != I, of a
-# register of 6 and of 10 qubits, against P_A
+# register of 6 and of 10 qubits, against P_A; and above the L2 cache the
+# hybrid's blocked runs of rotations and turns, and the baseline's of every
+# gate kind against its Python loop, on each clone
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -314,6 +316,30 @@ if l2 and n <= 22:
             raise SystemExit(f"no run was blocked on {n} qubits: {hs.passes}, {flushed.passes}")
         if abs(np.linalg.norm(flushed.phi.amplitudes) - 1.0) > 1e-12:
             raise SystemExit("the blocked runs lost the norm")
+    # the baseline's blocked runs of every gate kind, against its Python loop
+    from framesim import run_baseline
+    base = Circuit(n)
+    for q in range(n):
+        base.append("H", q)
+        base.append("RY", q, angle=0.2 + q)
+    base.append("MEASZ", 0)
+    for tag, *qubits in (("SWAP", 10, 9), ("H", 9), ("CX", 12, 8), ("CZ", 9, n - 1),
+                         ("S", 13), ("SDG", 2), ("Z", 11), ("X", 14), ("Y", 1), ("PREPZ", 3),
+                         ("CX", 0, n - 1), ("SWAP", 1, 15)):
+        base.append(tag, *qubits)
+    base.extend(circ)
+    for clone in _kernels._CLONES:
+        _kernels._use_clone(clone)
+        state, report = run_baseline(base, 1)
+        compiled = _kernels.baseline_gates
+        _kernels.baseline_gates = None
+        ref, ref_report = run_baseline(base, 1)
+        _kernels.baseline_gates = compiled
+        if not report.passes["gate_blocked_runs"]:
+            raise SystemExit(f"the baseline blocked no run on {n} qubits: {report.passes}")
+        if (report.measurements != ref_report.measurements
+                or not np.array_equal(state.amplitudes, ref.amplitudes)):
+            raise SystemExit("the baseline's blocked runs differ from its Python loop")
 """
 # a write past the end of a 4-amplitude state, which the sanitizer must stop
 OVERRUN_PROBE = """
