@@ -41,23 +41,24 @@
  * whole state has one build; inside a blocked run each clone has its own
  * copy, as a call from AVX2 code into generic code ran three times slower.
  *
- * Two passes then apply the part of a flush without a Hadamard part, which
+ * One call then applies the part of a flush without a Hadamard part, which
  * maps each index k to A k ^ b, A an invertible GF(2) matrix, with a
- * quadratic phase (see framesim_affine).  The affine pass takes a matrix
- * that moves whole tiles: it relabels the tiles by following the cycles of
- * the tile map, with one tile of scratch, and permutes and phases each tile
- * inside the L1 cache; without a phase, as for the index map of a flush at
- * the origin frame, it only moves the amplitudes.  The shear pass adds to
- * the tile index a linear function of the position in the tile, in place,
- * moving whole cache lines: the tiles fall into groups of up to 4 that the
- * two lowest position bits reach, and the block of one line of each tile
- * of a group swaps with that of another group, permuted in registers.  It
- * then adds to each position a linear function of the tile index, group by
- * group, while the group is in the L1 cache.  The flush splits A into one affine
- * pass followed by one shear pass.  When the state is zero beyond its
- * first 2**d amplitudes, only the first d columns of A and the phase on
- * those amplitudes matter, and one phased scatter from a copy of them
- * writes each to its place instead (see framesim_scatter).
+ * quadratic phase (see framesim_permute).  It factors A = L U G for the
+ * tiles: G moves whole tiles, U adds to the tile index a linear function
+ * of the position in the tile, and L adds to the position a linear
+ * function of the tile index.  The affine pass applies G with the offset
+ * and the phase: it relabels the tiles by following the cycles of the tile
+ * map, with one tile of scratch, and permutes and phases each tile inside
+ * the L1 cache; without a phase, as for the index map of a flush at the
+ * origin frame, it only moves the amplitudes.  The shear pass applies U
+ * and L in place, moving whole cache lines: the tiles fall into groups of
+ * up to 4 that the two lowest position bits reach, and the block of one
+ * line of each tile of a group swaps with that of another group, permuted
+ * in registers; L then permutes the positions of each group's tiles while
+ * the group is in the L1 cache.  When the state is zero beyond its first
+ * 2**d amplitudes, only the first d columns of A and the phase on those
+ * amplitudes matter, and one phased scatter from a copy of them writes
+ * each to its place instead (see framesim_scatter).
  *
  * The gate loops at the end run a circuit's lowered gate stream.  The
  * baseline's makes the pass of each gate over the whole state.  The
@@ -84,7 +85,7 @@
  * rows, a parity and a product of words per row (Aaronson & Gottesman,
  * PRA 70, 052328).  It applies each turn to the register as the gate loop
  * applies a rotation, and composes F with P_A; the caller applies F P_A in
- * the scatter or the affine and shear passes above.
+ * the scatter or the permutation above.
  *
  * Built by _kernels.py with the system C compiler and loaded with ctypes.
  */
@@ -602,7 +603,7 @@ void framesim_pair_exchange(double *amp, int64_t n_amp, uint64_t mask, uint64_t 
     exchange_walk((v2d *)amp, whole(n_amp, b), b, mask, val, x, x >> b, e);
 }
 
-/* The two passes of the flush's Hadamard-free remainder.  An index k
+/* The permutation of the flush's Hadamard-free remainder.  An index k
  * splits into its tile t = k >> b and its position l = k & (2**b - 1) in
  * the tile, b being tile_bits. */
 
@@ -619,6 +620,16 @@ static inline uint64_t xor_cols(const uint64_t *cols, uint64_t u)
     for (; u; u &= u - 1)
         r ^= cols[__builtin_ctzll(u)];
     return r;
+}
+
+/* t <- the transpose of the n x n GF(2) matrix m: the columns of the
+ * matrix whose row masks m holds, or the other way round. */
+static void transpose(const uint64_t *m, int n, uint64_t *t)
+{
+    memset(t, 0, (size_t)n * sizeof *t);
+    for (int i = 0; i < n; i++)
+        for (uint64_t v = m[i]; v; v &= v - 1)
+            t[__builtin_ctzll(v)] |= (uint64_t)1 << i;
 }
 
 /* A basis of a span of GF(2) vectors in echelon form: for each set bit p of
@@ -681,7 +692,7 @@ __attribute__((constructor)) static void fill_parity(void)
         PARITY2[v] = (uint8_t)(PARITY2[v >> 1] ^ (2 * (v & 1)));
 }
 
-/* The per-tile-bit parts of an affine pass (see framesim_affine): for tile
+/* The per-tile-bit parts of an affine pass (see affine_pass): for tile
  * bit j, the image tile fwd and its inverse inv, the in-tile offset off it
  * adds, the in-tile mask xc of its phase pairs, its tile mask quad of
  * them, and its phase lin. */
@@ -734,10 +745,10 @@ static void map_tile(v2d *restrict dst, const v2d *restrict src, const v2d *next
     }
 }
 
-enum { AFFINE_OK, AFFINE_SINGULAR, AFFINE_ASYMMETRIC };
+enum { MAP_OK, MAP_SINGULAR, MAP_ASYMMETRIC };
 
 /* 1 unless the n masks cross are symmetric with a clear diagonal, as the
- * quadratic phase of the affine pass and the scatter needs them */
+ * quadratic phase of the permutation and the scatter needs them */
 static int asymmetric(const uint64_t *cross, int n)
 {
     for (int i = 0; i < n; i++) {
@@ -750,16 +761,13 @@ static int asymmetric(const uint64_t *cross, int n)
     return 0;
 }
 
-/* amp[G k ^ offset] <- i**q(k) * amp[k] for every index k
- *
- * with q(k) = sum over the set bits i of k of diag[i] + popcount(cross[i] &
- * k), mod 4.  G is the GF(2) matrix whose column i, the image of bit i, is
- * cols[i]; it must be invertible and map positions to positions (cols[i]
- * below 2**b for i < b), so that it moves whole tiles: tile t goes to tile
- * G_tt t ^ (offset >> b), with its positions permuted by the low part of G
- * and shifted by an offset that depends on t.  cross must be symmetric with
- * a clear diagonal.  n_amp is a power of two 2**n, the masks are below it,
- * and seen is a zeroed scratch of one bit per tile.
+/* The affine pass of framesim_permute: amp[G k ^ offset] <- i**q(k) *
+ * amp[k] for every index k, q as there.  G is the GF(2) matrix whose
+ * column i, the image of bit i, is cols[i]; its columns below b map
+ * positions to positions, invertibly, so that it moves whole tiles: tile t
+ * goes to tile G_tt t ^ (offset >> b), with its positions permuted by the
+ * low part of G and shifted by an offset that depends on t.  seen is a
+ * zeroed scratch of one bit per tile.
  *
  * The tiles are relabeled by following the cycles of the tile map
  * backwards: the first tile of a cycle is copied aside, then each tile of
@@ -768,41 +776,29 @@ static int asymmetric(const uint64_t *cross, int n)
  * written once, permuted inside the L1 cache, and the loop prefetches the
  * tile it reads next.  When every diag and cross entry is 0, q is 0 and the
  * tiles are only moved, with no lookup of a power of i and no multiply, as
- * the index map of a flush at the origin frame is.  Returns AFFINE_SINGULAR
- * or AFFINE_ASYMMETRIC, leaving amp as it was, if G or cross is not as
- * required, else AFFINE_OK. */
-int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t offset,
-                    const uint8_t *diag, const uint64_t *cross, uint8_t *seen)
+ * the index map of a flush at the origin frame is.  Returns MAP_SINGULAR,
+ * leaving amp as it was, if G_tt is singular, else MAP_OK. */
+static int affine_pass(v2d *amp, int64_t n_amp, const uint64_t *cols, uint64_t offset,
+                       const uint8_t *diag, const uint64_t *cross, uint8_t *seen)
 {
-    v2d *amp = (v2d *)amp_;
     const int n = top_bit((uint64_t)n_amp), b = tile_bits(n_amp), nb = n - b;
     const int64_t len = (int64_t)1 << b;
     const uint64_t lo = (uint64_t)len - 1, n_tiles = (uint64_t)n_amp >> b;
 
-    if (asymmetric(cross, n))
-        return AFFINE_ASYMMETRIC;
     int phased = 0;
     for (int i = 0; i < n; i++)
         phased |= (diag[i] & 3) || cross[i];
     /* the permutation and phase of the positions, built by doubling */
     uint8_t perm[TILE], ql[TILE];
-    uint64_t hit[TILE / 64] = {0};
     perm[0] = (uint8_t)(offset & lo);
     ql[0] = 0;
     for (int i = 0; i < b; i++) {
-        if (cols[i] & ~lo)
-            return AFFINE_SINGULAR;
         const int64_t h = (int64_t)1 << i;
         for (int64_t l = 0; l < h; l++) {
             perm[h + l] = (uint8_t)(perm[l] ^ cols[i]);
             ql[h + l] = (uint8_t)((ql[l] + diag[i]
                                    + 2 * __builtin_parityll(cross[i] & (uint64_t)l)) & 3);
         }
-    }
-    for (int64_t l = 0; l < len; l++) {
-        if (hit[perm[l] >> 6] >> (perm[l] & 63) & 1)
-            return AFFINE_SINGULAR;
-        hit[perm[l] >> 6] |= (uint64_t)1 << (perm[l] & 63);
     }
     tile_parts tp;
     for (int j = 0; j < nb; j++) {
@@ -813,7 +809,7 @@ int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t 
         tp.lin[j] = diag[b + j] & 3u;
     }
     if (!invert_cols(tp.fwd, nb, tp.inv))
-        return AFFINE_SINGULAR;
+        return MAP_SINGULAR;
 
     const uint64_t t0 = offset >> b;
     v2d first[TILE];
@@ -833,10 +829,10 @@ int framesim_affine(double *amp_, int64_t n_amp, const uint64_t *cols, uint64_t 
             cur = u;
         }
     }
-    return AFFINE_OK;
+    return MAP_OK;
 }
 
-/* The line blocks of the shear pass (see framesim_shear): a block is the
+/* The line blocks of the shear pass (see shear_pass): a block is the
  * cache line at position `at` of each of the nw tiles t[x] of a group.
  * Every amplitude at tile x, position at + j of the block of the tiles t
  * goes to tile x ^ y[j] ^ s, position at + j, of the block of the tiles u,
@@ -864,7 +860,7 @@ swap_blocks(v2d *const *t, v2d *const *u, int64_t at, const unsigned *y, unsigne
 #define LINES (TILE / LINE) /* cache lines per tile */
 
 /* The tables of a shear pass on tiles of TILE amplitudes (see
- * framesim_shear).  V, the span of the columns B e_i, has a basis whose
+ * shear_pass).  V, the span of the columns B e_i, has a basis whose
  * first dw vectors span W = span(B e0, B e1), the tile offsets within a
  * line; the groups are the cosets of W.  Tile rep ^ qspan[i] ^ wspan[x]
  * is tile x of group i of the coset rep ^ V, rep having none of the bits
@@ -913,7 +909,7 @@ static void lower_shear(v2d *a, uint64_t o)
     }
 }
 
-/* The walk of framesim_shear for groups of nw tiles, which the caller
+/* The walk of shear_pass for groups of nw tiles, which the caller
  * passes as a constant.  Line l of group i pairs with line l of group
  * i ^ g[l], and the pair is moved once, at the lower of the two groups:
  * at group i when the top bit of g[l] is clear in i.  The partners come
@@ -953,14 +949,13 @@ shear_walk(v2d *amp, uint64_t n_tiles, const uint64_t *down, const shear_plan *p
         }
 }
 
-/* amp[(t ^ B l, l ^ M (t ^ B l))] <- amp[(t, l)] for every index k = (t, l)
- *
- * with B l the XOR of up[i] >> b over the set bits i of the position l,
- * and M t the XOR of down[j] over the set bits j of the tile index t: the
- * upper shear t ^= B l followed by the lower shear l ^= M t.  The b masks
- * up (b = tile_bits) must have no bit below b and lie below n_amp, a power
- * of two, and the n - b masks down must lie below 2**b; returns 1, leaving
- * amp as it was, if one does not, else 0.
+/* The shear pass of framesim_permute, on a state of more than one tile
+ * (b = TILE_BITS): amp[(t ^ B l, l ^ M (t ^ B l))] <- amp[(t, l)] for
+ * every index k = (t, l), with B l the XOR of up[i] >> b over the set bits
+ * i of the position l, and M t the XOR of down[j] over the set bits j of
+ * the tile index t: the upper shear t ^= B l followed by the lower shear
+ * l ^= M t.  The b masks up have no bit below b, and the n - b masks down
+ * lie below 2**b.
  *
  * The upper shear moves whole cache lines between tiles.  Position
  * LINE l + j, the amplitude j of line l, adds B j, in W = span(B e0, B e1),
@@ -977,19 +972,10 @@ shear_walk(v2d *amp, uint64_t n_tiles, const uint64_t *down, const shear_plan *p
  * permutes the positions of its tiles, a line or a pair of lines at a
  * time, while the lines the group has just moved are still in the L1
  * cache. */
-int framesim_shear(double *amp_, int64_t n_amp, const uint64_t *up, const uint64_t *down)
+static void shear_pass(v2d *amp, int64_t n_amp, const uint64_t *up, const uint64_t *down)
 {
-    v2d *amp = (v2d *)amp_;
-    const int b = tile_bits(n_amp), nb = top_bit((uint64_t)n_amp) - b;
-    const uint64_t lo = ((uint64_t)1 << b) - 1, n_tiles = (uint64_t)n_amp >> b;
-    for (int j = 0; j < nb; j++)
-        if (down[j] & ~lo)
-            return 1;
-    for (int i = 0; i < b; i++)
-        if (up[i] & lo)
-            return 1;
-    if (!nb)
-        return 0; /* one tile, which neither shear moves */
+    const int b = TILE_BITS;
+    const uint64_t n_tiles = (uint64_t)n_amp >> b;
 
     /* a basis of V from the columns of B, in their order: the first dw
      * vectors added span W, and each column has its coordinates coord[i]
@@ -1037,15 +1023,102 @@ int framesim_shear(double *amp_, int64_t n_amp, const uint64_t *up, const uint64
         shear_walk(amp, n_tiles, down, &p, 2);
     else
         shear_walk(amp, n_tiles, down, &p, 1);
-    return 0;
+}
+
+/* Split the GF(2) matrix A whose n row masks a holds as A = L U G for
+ * tiles of 2**b amplitudes, leaving the rows of G in a, the b columns of
+ * U - I in up and the n - b columns of L - I in down, both zeroed by the
+ * caller; 0 if A is singular, else 1.
+ *
+ * G maps tiles onto tiles: the tile of G k depends on the tile t of k
+ * only.  U is the upper shear t ^= B l, and L the lower shear l ^= M t.
+ * rank B is the rank of the block of A from position bits to tile bits,
+ * the least it can be, and U = I when that block is 0.  This is a
+ * parabolic Bruhat decomposition of A:
+ *
+ * 1. Choose M so that L A has an invertible position block: row by row, a
+ *    position row of A whose low part depends on the rows already kept
+ *    gets the first tile row added whose low part does not.  One exists,
+ *    because the columns of A below b are independent.
+ * 2. B expresses the low part of each tile row of L A in the low parts of
+ *    its position rows, numbered as they were kept; G = U L A then has
+ *    tile rows without low bits. */
+static int tile_factors(uint64_t *a, int n, int b, uint64_t *up, uint64_t *down)
+{
+    const uint64_t lo = ((uint64_t)1 << b) - 1;
+    echelon kept = {.dim = 0};
+    uint64_t sum;
+    for (int i = 0; i < b; i++) {
+        if (!reduce(&kept, a[i] & lo, &sum)) {
+            int j = b;
+            while (j < n && !reduce(&kept, a[j] & lo, &sum))
+                j++;
+            if (j == n)
+                return 0;
+            a[i] ^= a[j];
+            down[j - b] |= (uint64_t)1 << i;
+        }
+        add_vector(&kept, a[i] & lo);
+    }
+    for (int j = b; j < n; j++) {
+        reduce(&kept, a[j] & lo, &sum);
+        for (; sum; sum &= sum - 1) {
+            const int i = __builtin_ctzll(sum);
+            a[j] ^= a[i];
+            up[i] |= (uint64_t)1 << j;
+        }
+    }
+    return 1;
+}
+
+/* amp[A k ^ offset] <- i**q(k) * amp[k] for every index k
+ *
+ * with q(k) = sum over the set bits i of k of diag[i] + popcount(cross[i] &
+ * k), mod 4: the part of a flush without a Hadamard part.  A is the GF(2)
+ * matrix whose column i, the image of bit i, is cols[i], and cross must be
+ * symmetric with a clear diagonal.  n_amp is a power of two 2**n and the
+ * masks are below it.  seen is a zeroed scratch of one bit per tile;
+ * called with seen NULL, the function touches nothing and returns the
+ * bytes that scratch takes.
+ *
+ * tile_factors splits A into L U G, and A k ^ offset = L U (G k ^ U L
+ * offset), the shears being their own inverses.  So one affine pass
+ * applies G with the offset U L offset and the phase, and one shear pass U
+ * and L, unless both are I.  Returns the passes made, 1 or 2, or, before
+ * amp is touched, -MAP_SINGULAR if A is singular or -MAP_ASYMMETRIC. */
+int64_t framesim_permute(double *amp, int64_t n_amp, const uint64_t *cols, uint64_t offset,
+                         const uint8_t *diag, const uint64_t *cross, uint8_t *seen)
+{
+    const int n = top_bit((uint64_t)n_amp), b = tile_bits(n_amp);
+    const uint64_t lo = ((uint64_t)1 << b) - 1;
+    if (!seen)
+        return (((uint64_t)n_amp >> b) + 7) >> 3;
+    if (asymmetric(cross, n))
+        return -MAP_ASYMMETRIC;
+    uint64_t g[64], gcols[64], up[TILE_BITS] = {0}, down[64] = {0};
+    transpose(cols, n, g);
+    if (!tile_factors(g, n, b, up, down))
+        return -MAP_SINGULAR;
+    transpose(g, n, gcols);
+    offset ^= xor_cols(down, offset >> b);
+    offset ^= xor_cols(up, offset & lo);
+    if (affine_pass((v2d *)amp, n_amp, gcols, offset, diag, cross, seen))
+        return -MAP_SINGULAR;
+    uint64_t sheared = 0;
+    for (int i = 0; i < n; i++)
+        sheared |= i < b ? up[i] : down[i - b];
+    if (!sheared)
+        return 1;
+    shear_pass((v2d *)amp, n_amp, up, down);
+    return 2;
 }
 
 /* amp[C k ^ off] <- i**q(k) * src[k] for k < 2**d, the other amplitudes
  * below 2**d set to 0, C k being the XOR of cols[i] over the set bits i of
- * k and q as in framesim_affine.  The caller passes src, 2**d amplitudes
- * apart from amp, d below the qubit count, cols and off below 2**n and
- * cross below 2**d.  Returns AFFINE_SINGULAR for dependent columns or
- * AFFINE_ASYMMETRIC, before amp is touched, else AFFINE_OK.
+ * k and q as in framesim_permute.  The caller passes src, 2**d amplitudes
+ * apart from amp, d at most the qubit count, cols and off below 2**n and
+ * cross below 2**d.  Returns MAP_SINGULAR for dependent columns or
+ * MAP_ASYMMETRIC, before amp is touched, else MAP_OK.
  *
  * k walks upward: k + 1 = k ^ m_c, m_c = 2**(c+1) - 1, c the count of
  * trailing ones of k, so the destination steps by C m_c, and the phase by
@@ -1060,9 +1133,9 @@ int framesim_scatter(double *amp_, const double *src_, int d, const uint64_t *co
     echelon e = {.dim = 0};
     for (int i = 0; i < d; i++)
         if (!add_vector(&e, cols[i]))
-            return AFFINE_SINGULAR;
+            return MAP_SINGULAR;
     if (asymmetric(cross, d))
-        return AFFINE_ASYMMETRIC;
+        return MAP_ASYMMETRIC;
     /* C m_c, Gamma m_c and q(m_c), with m_c = m_(c-1) ^ e_c: q(m_c) =
      * q(m_(c-1)) + diag[c] + 2 parity(e_c & Gamma m_(c-1)) */
     uint64_t cm[64], gm[64], csum = 0, gsum = 0;
@@ -1086,7 +1159,7 @@ int framesim_scatter(double *amp_, const double *src_, int d, const uint64_t *co
         ph = (ph + qm[c] + 2u * (unsigned)__builtin_parityll(k & gm[c])) & 3;
         at ^= cm[c];
     }
-    return AFFINE_OK;
+    return MAP_OK;
 }
 
 /* The gate codes of a lowered circuit, in the order of circuit.TAGS. */
@@ -1171,13 +1244,11 @@ typedef struct {
  * the rows are not those of an invertible n x n matrix, else 1. */
 static int reg_open(reg *r, uint64_t *rows, int n, int64_t d)
 {
-    uint64_t cols[64] = {0};
-    for (int i = 0; i < n; i++) {
+    uint64_t cols[64];
+    for (int i = 0; i < n; i++)
         if (n < 64 && rows[i] >> n)
             return 0;
-        for (uint64_t v = rows[i]; v; v &= v - 1)
-            cols[__builtin_ctzll(v)] |= (uint64_t)1 << i;
-    }
+    transpose(rows, n, cols);
     r->rows = rows;
     r->n = n;
     r->d = d;
@@ -1754,12 +1825,10 @@ int framesim_flush(double *amp, int n, const uint64_t *fx, const uint64_t *fz,
     /* F P_A: rows R A, diag q(A e_i), cross the off-diagonal part of
      * A^T Gamma A, Gamma having diag's parities on its diagonal */
     const uint64_t *rows = rest, *cross = rest + n, *diag = rest + 2 * n;
-    uint64_t cols[64] = {0}, ga[64];
-    for (int i = 0; i < n; i++) {
-        for (uint64_t v = r.rows[i]; v; v &= v - 1)
-            cols[__builtin_ctzll(v)] |= (uint64_t)1 << i;
+    uint64_t cols[64], ga[64];
+    transpose(r.rows, n, cols);
+    for (int i = 0; i < n; i++)
         ga[i] = xor_cols(r.rows, cross[i] | (diag[i] & 1) << i); /* Gamma A */
-    }
     for (int i = 0; i < n; i++) {
         form[i] = xor_cols(r.rows, rows[i]);
         form[n + i] = xor_cols(ga, cols[i]) & ~((uint64_t)1 << i);

@@ -1,7 +1,7 @@
 """The in-place amplitude kernels of ``StateVector``, the compiled gate
 loops of both backends, and the choice of their tier.
 
-Six amplitude loops carry every state update:
+Five amplitude operations carry every state update:
 
 - ``clifford`` computes ``a[k] <- ca*a[k] + cb * i**e0 * (-1)**parity(k & z)
   * a[k ^ x]`` with real ca and cb: every update of the form
@@ -14,52 +14,53 @@ Six amplitude loops carry every state update:
   under ``mask`` equal ``val``, or multiplies ``a[k]`` by ``i**e`` when x is
   0: the baseline's CX and SWAP, and the baseline's Z, S, SDG and CZ, which
   touch only the amplitudes whose qubits are set.
-- ``affine`` computes ``a[G k ^ offset] <- i**q(k) * a[k]`` for an
-  invertible GF(2) matrix G that maps tiles of ``2**tile_bits`` amplitudes
-  onto tiles and a quadratic form q, and ``shear`` moves ``a[k]`` to the
-  index that two shears make of k = (t, l): one adds a linear function of
-  the position l in the tile to the tile index t, the next a linear
-  function of the new tile index to l.  One affine pass and one shear
-  apply the part of a flush without a Hadamard part to a whole state
-  (``StateVector.apply_hadamard_free``).  Without a phase, as for the
-  index map alone, the affine pass only moves amplitudes; the shear moves
-  whole cache lines between the tiles.
 - ``scatter`` computes ``a[C k ^ offset] <- i**q(k) * src[k]`` for the 2**d
-  amplitudes of ``src``, C an injective GF(2) map from d bits, and sets
-  every other amplitude below 2**d to 0: on a state that is zero beyond
-  2**d, whose first 2**d amplitudes ``src`` copies, it applies the part of
-  a flush without a Hadamard part in one pass over those amplitudes.
+  amplitudes of ``src``, C an injective GF(2) map from d bits and q a
+  quadratic form, and sets every other amplitude below 2**d to 0: on a
+  state that is zero beyond 2**d, whose first 2**d amplitudes ``src``
+  copies, it applies the part of a flush without a Hadamard part in one
+  pass over those amplitudes.
+- ``permute`` computes ``a[A k ^ offset] <- i**q(k) * a[k]`` for every k, A
+  an invertible GF(2) matrix: that part of a flush on a whole state
+  (``StateVector.apply_hadamard_free``).  In C it factors A for its tiles
+  into a matrix that moves whole tiles and two shears, and makes an affine
+  pass for the first, with the offset and the phase, and one shear pass
+  for the shears unless A needs none.  Without a phase, as for the index
+  map alone, the affine pass only moves amplitudes; the shear moves whole
+  cache lines between the tiles.  On the numpy tier it is the scatter of a
+  copy of the whole state, so both operations share one reference.
 
 The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
-(one read and one write each) and allocate nothing; the affine pass takes
-from its wrapper a bitmap of one bit per tile, 1/32768 of the state, and
-the scatter reads the copy of the register that its caller makes.  The
-Clifford, Hadamard and pair-exchange loops walk the state in cache-sized
-tiles of 2**min(n, TILE_BITS) amplitudes, pairing a tile with the one its
+(one read and one write each), the permutation two at most, and allocate
+nothing; the permutation takes from its wrapper a bitmap of one bit per
+tile, whose size it reports, and the scatter reads the copy of the
+register that its caller makes.  The Clifford, Hadamard and pair-exchange
+loops walk the state in cache-sized tiles, pairing a tile with the one its
 partner mask reaches, so that the cost of the Clifford loop depends
 neither on the number of qubits nor on how many qubits the operator
 touches; inside a tile the Hadamard and pair-exchange loops take
 contiguous runs, a cache line at a time where the runs are shorter.  Each
 walks one set of tiles: the whole state for a single pass, or one coset
-of a blocked run (see ``run_gates``).  The Clifford loop holds two amplitudes per 32-byte
-vector and applies a power of i as an element swap and a sign pattern,
-with no complex multiply.  It and the Hadamard loop are compiled twice
-from one body, a generic clone and one for AVX2 with FMA, and the library
-picks one when it loads, from what the CPU reports; ``simd_clone`` names
-it.  On a 2-core Xeon with AVX2, on a state that starts on a cache line
-(as ``StateVector`` allocates it), a rotation runs at 0.54-0.71 ns per
-amplitude at n = 16, 0.77-0.82 at n = 18 and 0.75-0.83 at n = 20 on the
-AVX2 clone, against 0.38-0.49, 0.70-0.78 and 0.75-0.78 for an in-place
-negation of the same amplitudes; the generic clone runs at 0.85-1.13,
-0.85-1.00 and 0.88-1.04.  On the index map of the flushes of the
-benchmark's 18-qubit Trotter circuits (seed 1, the first six), a
-phase-free affine pass runs at 0.86-1.22 ns per amplitude and the shear at
-1.10-1.80, against 0.62-0.70 for the negation (3.1-4.5 times it
-together), where a lookup and a multiply per amplitude and a shear pair by
-pair ran at 2.6-4.0 and 2.7-3.5.  The ``numpy_*`` functions compute the same
-things by filtering index arrays, with whole-array temporaries, several
-times slower per amplitude; they are the reference the tests compare the C
-loops against.  The C loops take a contiguous complex128 state aligned to
+of a blocked run (see ``run_gates``).  The Clifford loop holds two
+amplitudes per 32-byte vector and applies a power of i as an element swap
+and a sign pattern, with no complex multiply.  It and the Hadamard loop
+are compiled twice from one body, a generic clone and one for AVX2 with
+FMA, and the library picks one when it loads, from what the CPU reports;
+``simd_clone`` names it.  On a 2-core Xeon with AVX2, on a state that
+starts on a cache line (as ``StateVector`` allocates it), a rotation runs
+at 0.54-0.71 ns per amplitude at n = 16, 0.77-0.82 at n = 18 and
+0.75-0.83 at n = 20 on the AVX2 clone, against 0.38-0.49, 0.70-0.78 and
+0.75-0.78 for an in-place negation of the same amplitudes; the generic
+clone runs at 0.85-1.13, 0.85-1.00 and 0.88-1.04.  On the index map of
+the flushes of the benchmark's 18-qubit Trotter circuits (seed 1, the
+first six), the permutation's phase-free affine pass runs at 0.86-1.22 ns
+per amplitude and its shear at 1.10-1.80, against 0.62-0.70 for the
+negation (3.1-4.5 times it together), where a lookup and a multiply per
+amplitude and a shear pair by pair ran at 2.6-4.0 and 2.7-3.5.  The
+``numpy_*`` functions compute the same things by filtering index arrays,
+with whole-array temporaries, several times slower per amplitude; they
+are the reference the tests compare the C loops against.  The C loops
+take a contiguous complex128 state aligned to
 16 bytes, and their wrappers raise ValueError for any other.
 
 The two gate loops in C run a circuit's lowered gate stream
@@ -96,12 +97,12 @@ under a name keyed by a hash of the source and the compiler flags, linked
 with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
 compiling.  The build names no CPU, so a cached library runs on any
-x86-64.  When the library loads, the six loop names are the C loops,
+x86-64.  When the library loads, the five operation names are the C loops,
 ``baseline_gates``, ``run_gates``, ``register_map`` and ``flush`` are set
 and ``kernel_tier()`` returns ``compiled-c``.
 When it cannot be built or loaded (no compiler, a build error, a cache
 directory that cannot be written) one ``RuntimeWarning`` names the reason,
-the six names are bound to the numpy functions instead and the other four
+the five names are bound to the numpy functions instead and the other four
 are None.  The choice is
 made once, here, from what the import observes.
 """
@@ -115,12 +116,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gf2
+
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-fPIC", "-shared")
 _LIBS = ("-lm",)  # after the source, so that the linker keeps it
 _SQ2 = 0.7071067811865476  # 1/sqrt(2), as in the C loop
 _I_POW = np.array([1, 1j, -1, -1j])
-TILE_BITS = 8  # a tile of the C loops holds 2**TILE_BITS amplitudes
 
 
 class _Unavailable(Exception):
@@ -204,10 +206,8 @@ def _load():
     lib.framesim_flush.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr, ctypes.POINTER(i64),
                                    ptr, ctypes.POINTER(f64), ptr]
     lib.framesim_flush.restype = ctypes.c_int
-    lib.framesim_affine.argtypes = [ptr, i64, ptr, u64, ptr, ptr, ptr]
-    lib.framesim_affine.restype = ctypes.c_int
-    lib.framesim_shear.argtypes = [ptr, i64, ptr, ptr]
-    lib.framesim_shear.restype = ctypes.c_int
+    lib.framesim_permute.argtypes = [ptr, i64, ptr, u64, ptr, ptr, ptr]
+    lib.framesim_permute.restype = i64
     lib.framesim_scatter.argtypes = [ptr, ptr, ctypes.c_int, ptr, u64, ptr, ptr]
     lib.framesim_scatter.restype = ctypes.c_int
     lib.framesim_use_avx2.argtypes = [ctypes.c_int]
@@ -318,21 +318,8 @@ def _c_pair_exchange(amp, mask, val, x, e):
     _lib.framesim_pair_exchange(addr, amp.shape[0], mask, val, x, e & 3)
 
 
-def tile_bits(num_qubits: int) -> int:
-    """b, for the tiles of 2**b amplitudes that the affine and shear passes
-    of a num_qubits-qubit state work in: TILE_BITS, or the whole state."""
-    return min(num_qubits, TILE_BITS)
-
-
-_AFFINE_ERRORS = {1: "the map is singular, or moves positions across tiles",
-                  2: "the phase's cross masks are not symmetric with a clear diagonal"}
-
-
-def _check_affine(amp, cols, diag, cross) -> int:
-    n = amp.shape[0].bit_length() - 1
-    if not len(cols) == len(diag) == len(cross) == n:
-        raise ValueError(f"need one column, diag and cross entry per qubit ({n})")
-    return n
+_MAP_ERRORS = {1: "the map is singular",
+               2: "the phase's cross masks are not symmetric with a clear diagonal"}
 
 
 def _check_cross(cross) -> None:
@@ -340,49 +327,42 @@ def _check_cross(cross) -> None:
     n = len(cross)
     if any(cross[i] >> j & 1 != (i != j and cross[j] >> i & 1)
            for i in range(n) for j in range(i + 1)):
-        raise ValueError(_AFFINE_ERRORS[2])
+        raise ValueError(_MAP_ERRORS[2])
 
 
-def _c_affine(amp, cols, offset, diag, cross):
-    """``numpy_affine`` in one tiled pass of the C loop."""
-    addr = _address(amp, offset, *cols, *cross)
-    _check_affine(amp, cols, diag, cross)
-    seen = np.zeros(((amp.shape[0] >> tile_bits(len(cols))) + 7) >> 3, dtype=np.uint8)
-    cols, cross = np.array(cols, dtype=np.uint64), np.array(cross, dtype=np.uint64)
-    err = _lib.framesim_affine(addr, amp.shape[0], cols.ctypes.data, offset,
-                               bytes(d & 3 for d in diag), cross.ctypes.data,
-                               seen.ctypes.data)
-    if err:
-        raise ValueError(_AFFINE_ERRORS[err])
-
-
-def _c_shear(amp, up, down):
-    """``numpy_shear`` in one pass of the C loop, coset by coset."""
-    addr = _address(amp, *up)
-    _check_shear(amp, up, down)
-    up, down = np.array(up, dtype=np.uint64), np.array(down, dtype=np.uint64)
-    _lib.framesim_shear(addr, amp.shape[0], up.ctypes.data, down.ctypes.data)
-
-
-def _check_shear(amp, up, down) -> int:
+def _check_permute(amp, cols, diag, cross) -> None:
     n = amp.shape[0].bit_length() - 1
-    b = tile_bits(n)
-    if len(up) != b or any(c & ((1 << b) - 1) for c in up):
-        raise ValueError(f"need {b} upper shear columns above the {b} position bits")
-    if len(down) != n - b or any(c >> b for c in down):
-        raise ValueError(f"need {n - b} lower shear columns below bit {b}")
-    return b
+    if not len(cols) == len(diag) == len(cross) == n:
+        raise ValueError(f"need one column, diag and cross entry per qubit ({n})")
+
+
+def _c_permute(amp, cols, offset, diag, cross) -> int:
+    """``numpy_permute`` in one call of the C library, which splits A for
+    its tiles into an affine pass and a shear pass, unless A needs no
+    shear.  A first call without scratch reports the bytes of the zeroed
+    bitmap, one bit per tile, that the affine pass marks its cycles in.
+    Returns the passes made."""
+    addr = _address(amp, offset, *cols, *cross)
+    _check_permute(amp, cols, diag, cross)
+    cols, cross = np.array(cols, dtype=np.uint64), np.array(cross, dtype=np.uint64)
+    args = (addr, amp.shape[0], cols.ctypes.data, offset, bytes(d & 3 for d in diag),
+            cross.ctypes.data)
+    seen = np.zeros(_lib.framesim_permute(*args, None), dtype=np.uint8)
+    made = _lib.framesim_permute(*args, seen.ctypes.data)
+    if made < 0:
+        raise ValueError(_MAP_ERRORS[-made])
+    return made
 
 
 def _check_scatter(amp, src, cols, offset, diag, cross) -> None:
     """Raise ValueError unless src is 2**d amplitudes apart from amp and
-    fewer, d = len(cols), with a diag and a cross entry per column and
+    no more, d = len(cols), with a diag and a cross entry per column and
     every mask in range."""
     d = len(cols)
     if not (isinstance(src, np.ndarray) and src.ndim == 1 and src.shape[0] == 1 << d
-            < amp.shape[0]) or np.may_share_memory(src, amp):
+            <= amp.shape[0]) or np.may_share_memory(src, amp):
         raise ValueError(f"the register must be 2**{d} amplitudes apart from the "
-                         f"state's {amp.shape[0]}, and fewer")
+                         f"state's {amp.shape[0]}, and no more")
     if not len(diag) == len(cross) == d:
         raise ValueError(f"need one diag and cross entry per column ({d})")
     if not (0 <= min([offset, *cols, *cross]) and max([offset, *cols]) < amp.shape[0]
@@ -398,7 +378,7 @@ def _c_scatter(amp, src, cols, offset, diag, cross):
     err = _lib.framesim_scatter(addr, src_addr, len(cols), cols.ctypes.data, offset,
                                 bytes(x & 3 for x in diag), cross.ctypes.data)
     if err:
-        raise ValueError(_AFFINE_ERRORS[err])
+        raise ValueError(_MAP_ERRORS[err])
 
 
 def _check_register(index_map, active) -> int:
@@ -648,7 +628,7 @@ def numpy_pair_exchange(amp, mask, val, x, e):
 
 def _images(cols, offset, diag, cross):
     """C k ^ offset and q(k) mod 4 for every k < 2**len(cols), C having the
-    columns cols and q being as in ``numpy_affine``."""
+    columns cols and q being as in ``numpy_scatter``."""
     k = np.arange(1 << len(cols), dtype=np.int64)
     dest = np.full(k.size, offset, dtype=np.int64)
     q = np.zeros(k.size, dtype=np.int64)
@@ -659,86 +639,55 @@ def _images(cols, offset, diag, cross):
     return dest, q & 3
 
 
-def numpy_affine(amp, cols, offset, diag, cross):
-    """amp[G k ^ offset] <- i**q(k) * amp[k] for every index k.
-
-    G is the GF(2) matrix with columns ``cols`` (column i is the image of
-    bit i), and q(k) = sum over the set bits i of k of diag[i] +
-    popcount(cross[i] & k), mod 4.  G must be invertible and map each tile
-    of 2**b amplitudes (b = ``tile_bits``) onto a tile: cols[i] < 2**b for
-    i < b.  cross must be symmetric with a clear diagonal, so that q is the
-    quadratic form of a Clifford without a Hadamard part.  Raises
-    ValueError otherwise.
-    """
-    n = _check_affine(amp, cols, diag, cross)
-    if not 0 <= max([offset, *cols, *cross]) < amp.shape[0]:
-        raise ValueError("bit mask out of range for the amplitude array")
-    _check_cross(cross)
-    b = tile_bits(n)
-    dest, q = _images(cols, offset, diag, cross)
-    if (any(cols[i] >> b for i in range(b))
-            or np.any(np.bincount(dest, minlength=amp.shape[0]) != 1)):
-        raise ValueError(_AFFINE_ERRORS[1])
-    out = np.empty_like(amp)
-    out[dest] = _I_POW[q] * amp
-    amp[:] = out
-
-
-def numpy_shear(amp, up, down):
-    """The upper shear t ^= B l, then the lower shear l ^= M t, of every
-    index k = (t, l), t being its tile and l its position in the tile
-    (b = ``tile_bits``): amp[(t ^ B l, l ^ M (t ^ B l))] <- amp[(t, l)].
-
-    B l is the XOR of up[i] over the set bits i of l, the b masks up having
-    no bit below b; M t is the XOR of down[j] over the set bits j of t, the
-    n - b masks down being below 2**b.
-    """
-    b = _check_shear(amp, up, down)
-    if not 0 <= max(up, default=0) < amp.shape[0]:
-        raise ValueError("bit mask out of range for the amplitude array")
-    k = np.arange(amp.shape[0], dtype=np.int64)
-    for i, col in enumerate(up):
-        k ^= (k >> i & 1) * col
-    for j, col in enumerate(down):
-        k ^= (k >> (b + j) & 1) * col
-    out = np.empty_like(amp)
-    out[k] = amp
-    amp[:] = out
-
-
 def numpy_scatter(amp, src, cols, offset, diag, cross):
     """amp[C k ^ offset] <- i**q(k) * src[k] for every k < 2**d, d = len(cols),
     and the other amplitudes below 2**d set to 0.
 
-    C k is the XOR of cols[i] over the set bits i of k, and q is as in
-    ``numpy_affine``.  src holds 2**d amplitudes, fewer than amp and apart
-    from it; the columns must be independent and the cross masks below
-    2**d.  Raises ValueError otherwise.
+    C k is the XOR of cols[i] over the set bits i of k (column i is the
+    image of bit i), and q(k) = sum over the set bits i of k of diag[i] +
+    popcount(cross[i] & k), mod 4.  src holds 2**d amplitudes, no more than
+    amp and apart from it; the columns must be independent, and the cross
+    masks below 2**d, symmetric and with a clear diagonal, so that q is the
+    quadratic form of a Clifford without a Hadamard part.  Raises
+    ValueError otherwise.
     """
     _check_scatter(amp, src, cols, offset, diag, cross)
     _check_cross(cross)
+    basis = gf2.Echelon()
+    if not all(basis.add(c)[0] for c in cols):
+        raise ValueError(_MAP_ERRORS[1])
     dest, q = _images(cols, offset, diag, cross)
-    if np.unique(dest).size != dest.size:
-        raise ValueError(_AFFINE_ERRORS[1])
-    moved = _I_POW[q] * src
+    moved = _I_POW[q]
+    moved *= src
     amp[:dest.size] = 0
     amp[dest] = moved
+
+
+def numpy_permute(amp, cols, offset, diag, cross) -> int:
+    """amp[A k ^ offset] <- i**q(k) * amp[k] for every index k, A having the
+    columns cols and q being as in ``numpy_scatter``: that scatter of a
+    copy of the whole state.  A must be invertible and cross as there;
+    raises ValueError otherwise.  Returns the passes made, 1."""
+    _check_permute(amp, cols, diag, cross)
+    numpy_scatter(amp, amp.copy(), cols, offset, diag, cross)
+    return 1
 
 
 # bytes per amplitude of the whole-array temporaries that one kernel call
 # of the tier in use holds at its peak: none in the C loops; on the numpy
 # tier numpy_clifford's, the largest (index, sign and gathered, scaled and
 # summed amplitude arrays), as tracemalloc reads it at 18 qubits, where
-# numpy_affine holds 48, numpy_apply_h 32, numpy_shear 24 and
-# numpy_pair_exchange 17 (see bench.memory_need)
+# numpy_permute holds 57 (a copy of the state, index, phase and moved
+# amplitude arrays), numpy_apply_h 32 and numpy_pair_exchange 17 (see
+# bench.memory_need)
 TEMPORARY_BYTES = 0 if _lib is not None else 72
 
 if _lib is not None:
     clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
-    affine, shear, scatter = _c_affine, _c_shear, _c_scatter
+    permute, scatter = _c_permute, _c_scatter
     run_gates, baseline_gates, register_map = _c_run_gates, _c_baseline_gates, _c_register_map
     flush = _c_flush
 else:
     clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
-    affine, shear, scatter = numpy_affine, numpy_shear, numpy_scatter
+    permute, scatter = numpy_permute, numpy_scatter
     run_gates = baseline_gates = register_map = flush = None

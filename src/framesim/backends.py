@@ -91,12 +91,16 @@ class HybridState:
     |0...0>); a state built any other way starts at A = I and d = n, which
     is the plain U|phi>.  The numpy tier has no register map, so there the
     state stays at A = I and d = n, and the constructor raises ValueError
-    for any other ``index_map`` or ``active``.
+    for any other ``index_map`` or ``active``.  On either tier it raises
+    ValueError for a phi or an ``index_map`` on another number of qubits
+    than the frame.
 
     ``flush_passes`` gets one entry per ``flush_to_origin`` call: the state
     passes it made, by kind (``quarter_turns``, one per qubit of the
-    Hadamard layer of the Clifford it flushed, ``affine``, ``shears`` and
-    ``scatter``, the phased scatter of a register into the whole state),
+    Hadamard layer of the Clifford it flushed, ``affine`` and ``shears``,
+    the passes of the permutation of the whole state (one gather on the
+    numpy tier, counted as affine), and ``scatter``, the phased scatter of
+    a register into the whole state),
     ``active``, d when the flush began, and ``register``, max(d, 1) after
     its quarter turns: the qubits its rest ran on, n for the passes.
     ``timing["flush_s"]`` adds up the seconds of the flushes, their split
@@ -128,8 +132,12 @@ class HybridState:
 
     def __post_init__(self):
         n = self.frame.num_qubits
+        if self.phi.num_qubits != n:
+            raise ValueError(f"a {self.phi.num_qubits}-qubit state under a {n}-qubit frame")
         if self.index_map is None:
             self.index_map = _identity_map(n)
+        if len(self.index_map) != n:
+            raise ValueError(f"index map of {len(self.index_map)} rows for a {n}-qubit frame")
         if self.active is None:
             self.active = n
         if _kernels.register_map is None and (
@@ -197,11 +205,12 @@ class HybridState:
         any rotation does, in one pass of the Clifford loop over 2**d
         amplitudes, and F P_A (``HadamardFree.after``) in one scatter that
         writes each amplitude of the register, d as the turns leave it,
-        phased, to its place; with d = n it runs in an affine pass and a
-        shear pass over the whole state instead
-        (``StateVector.apply_hadamard_free``).  On the compiled tier one
-        call, ``_kernels.flush``, checks the frame, splits it, runs the
-        turns and composes F P_A, on the frame's words; on the numpy tier
+        phased, to its place; with d = n it runs in one permutation of the
+        whole state instead, an affine pass and a shear pass on the
+        compiled tier (``StateVector.apply_hadamard_free``).  On the
+        compiled tier one call, ``_kernels.flush``, checks the frame,
+        splits it, runs the turns and composes F P_A, on the frame's
+        words; on the numpy tier
         ``split_clifford``, ``StateVector.apply_pauli_rotation`` and
         ``HadamardFree.after`` do, with the same turns, amplitudes and
         form, bit for bit.

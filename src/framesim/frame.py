@@ -442,10 +442,6 @@ class HadamardFree(NamedTuple):
                              diag=tuple(self.phase(c) for c in cols),
                              cross=tuple(q & ~(1 << i) for i, q in enumerate(quad)))
 
-    def image(self, k: int) -> int:
-        """A k ^ offset, the basis state that |k> is mapped to."""
-        return gf2.apply(self.rows, k) ^ self.offset
-
     def phase(self, k: int) -> int:
         """q(k) mod 4."""
         q = 0

@@ -11,15 +11,6 @@ def parity(v: int) -> int:
     return v.bit_count() & 1
 
 
-def apply(rows, k: int) -> int:
-    """M k for the matrix with row masks ``rows``."""
-    out = 0
-    for i, r in enumerate(rows):
-        if (r & k).bit_count() & 1:
-            out |= 1 << i
-    return out
-
-
 def product(rows, other) -> list[int]:
     """The row masks of M N, for M and N with row masks ``rows`` and ``other``:
     row i is the XOR of the rows of N that row i of M selects."""

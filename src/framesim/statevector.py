@@ -17,10 +17,10 @@ H goes through its Hadamard loop, and CX, SWAP and ``swap_qubits``, as
 well as Z, S, SDG and CZ, which change only the amplitudes whose qubits
 are set, through its masked pair exchange.  A whole Clifford without a
 Hadamard part (``apply_hadamard_free``, the rest of a flush) goes through
-its affine and shear passes, which move whole tiles of amplitudes in
-place; on a state that is zero beyond its first 2**d amplitudes it goes
-through one phased scatter of those amplitudes from a copy of them
-instead.  All the others update the amplitudes in place.
+its permutation, which moves whole tiles of amplitudes in place; on a
+state that is zero beyond its first 2**d amplitudes it goes through one
+phased scatter of those amplitudes from a copy of them instead.  All the
+others update the amplitudes in place.
 
 Every state-sized buffer -- a state, its copy, the copy that
 ``expectation`` makes and the flush's copy of its register -- comes from
@@ -137,65 +137,6 @@ def _aligned_copy(amp: np.ndarray) -> np.ndarray:
     return out
 
 
-def tile_factors(rows, b: int) -> tuple[list[int], list[int], list[int]]:
-    """Split the invertible GF(2) matrix A (row masks ``rows``) as A = L U G
-    for tiles of 2**b amplitudes.  Returns the rows of G, the b columns of
-    U - I and the n - b columns of L - I, as ``_kernels.shear`` takes them.
-
-    An index k splits into its tile bits t (bits b and up) and position
-    bits l (below b).  G maps tiles onto tiles: the tile of G k depends on
-    t only.  U is the upper shear t ^= B l, and L the lower shear l ^= M t.
-    rank B is the rank of the block of A from position bits to tile bits,
-    the least it can be, and U = I when that block is 0.  This is a
-    parabolic Bruhat decomposition of A:
-
-    1. Choose M so that L A has an invertible position block: row by row, a
-       position row of A whose low part depends on the rows already kept
-       gets a tile row added whose low part does not.  One exists, because
-       the columns of A below b are independent.
-    2. B expresses the low part of each tile row of L A in the low parts of
-       its position rows; G = U L A then has tile rows without low bits.
-    """
-    n = len(rows)
-    lo = (1 << b) - 1
-    a = list(rows)
-    down = [0] * (n - b)
-    kept = gf2.Echelon()
-    for i in range(b):
-        if not kept.reduce(a[i] & lo)[0]:
-            j = next((j for j in range(b, n) if kept.reduce(a[j] & lo)[0]), None)
-            if j is None:
-                raise ValueError("matrix is singular")
-            a[i] ^= a[j]
-            down[j - b] |= 1 << i
-        kept.add(a[i] & lo)
-    low = gf2.Echelon()
-    for i in range(b):
-        if low.add(a[i] & lo, 1 << i)[0] == 0:
-            raise ValueError("matrix is singular")
-    up = [0] * b
-    for j in range(b, n):
-        bits = low.reduce(a[j] & lo)[1]
-        while bits:
-            lowbit = bits & -bits
-            i = lowbit.bit_length() - 1
-            a[j] ^= a[i]
-            up[i] |= 1 << j
-            bits ^= lowbit
-    return a, up, down
-
-
-def _shear(up, down, b: int, k: int) -> int:
-    """The index L U k, for the columns of ``tile_factors``."""
-    for i, col in enumerate(up):
-        if k >> i & 1:
-            k ^= col
-    for j, col in enumerate(down):
-        if k >> (b + j) & 1:
-            k ^= col
-    return k
-
-
 def _pauli_update(amp: np.ndarray, p: PauliString, ca: float, cb: float, e: int) -> None:
     """amp <- ca*amp + cb * i**e * P*amp in place, in one pass of the Clifford loop.
 
@@ -285,26 +226,27 @@ class StateVector:
         """Apply the Clifford without a Hadamard part that ``form`` describes,
         |k> -> i**q(k) |A k ^ b>, in place.
 
-        ``tile_factors`` splits A into L U G for the tiles of the kernels,
-        so this is at most two passes: ``_kernels.affine`` for G with the
-        offset and the phase, and ``_kernels.shear`` for the shears U and L
-        unless both are I.  The identity makes no pass.
+        On the whole state this is one call of ``_kernels.permute``, which
+        splits A for the tiles of the compiled loops into at most two passes
+        (see ``_kernels``).  The identity makes no pass.
 
         A ``register`` d below the qubit count says that the state is zero
         beyond its first 2**d amplitudes, which the caller guarantees.
         There only the first d columns of A and of the phase matter, and
         one scatter, ``_kernels.scatter``, writes each of those amplitudes,
         phased, to its place from a copy of them, unless the form is the
-        identity on them.  The amplitudes are those of the two passes, bit
+        identity on them.  The amplitudes are those of the permutation, bit
         for bit.  Returns the number of affine passes, shear passes and
-        scatters.
+        scatters: a permutation counts its first pass as affine and a
+        second as a shear.
         """
         n = self.num_qubits
         if len(form.rows) != n:
             raise ValueError(f"{len(form.rows)}-qubit Clifford applied to {n}-qubit state")
+        cols = gf2.columns(form.rows, n)
         if register is not None and register < n:
             low = (1 << register) - 1
-            cols = gf2.columns(form.rows, n)[:register]
+            cols = cols[:register]
             diag, cross = form.diag[:register], [c & low for c in form.cross[:register]]
             if (form.offset == 0 and cols == [1 << i for i in range(register)]
                     and not any(d & 3 for d in diag) and not any(cross)):
@@ -314,15 +256,8 @@ class StateVector:
             return 0, 0, 1
         if form.is_identity():
             return 0, 0, 0
-        b = _kernels.tile_bits(n)
-        g, up, down = tile_factors(form.rows, b)
-        # A k ^ c = L U (G k ^ U L c): the shears are their own inverses
-        offset = _shear(up, [], b, _shear([], down, b, form.offset))
-        _kernels.affine(self.amplitudes, gf2.columns(g, n), offset, form.diag, form.cross)
-        if not any(up) and not any(down):
-            return 1, 0, 0
-        _kernels.shear(self.amplitudes, up, down)
-        return 1, 1, 0
+        made = _kernels.permute(self.amplitudes, cols, form.offset, form.diag, form.cross)
+        return 1, made - 1, 0
 
     # ------------------------------------------------------------------
     # observables, measurement, preparation

@@ -181,6 +181,21 @@ def invalid_frames():
             "commuting pair": commuting}
 
 
+def test_hybrid_state_refuses_a_state_or_index_map_on_other_qubits():
+    # a 5-qubit phi under a 3-qubit frame once read an expectation of 0.0
+    # from the first 8 amplitudes of e_16; both mismatches now raise, on
+    # either tier
+    frame = PauliFrame.origin(3)
+    amp = np.zeros(32)
+    amp[16] = 1.0
+    with pytest.raises(ValueError, match="5-qubit state under a 3-qubit frame"):
+        HybridState(frame, StateVector(5, amp))
+    with pytest.raises(ValueError, match="2 rows for a 3-qubit frame"):
+        HybridState(frame, StateVector.zero(3), index_map=np.array([1, 2], dtype=np.uint64))
+    hs = HybridState(frame, StateVector(3, amp[16:24]))
+    assert hs.expectation(PauliString.from_label("ZII")) == 1.0
+
+
 def test_the_numpy_tier_refuses_a_register_it_cannot_map(monkeypatch):
     # without the compiled register map the hybrid's operations run on the
     # dense state, so a state built with A != I or d < n would flush wrong

@@ -329,12 +329,15 @@ def test_split_clifford_is_the_reference_product_up_to_a_power_of_omega(n, lengt
     turns, rest = split_clifford(f)
     assert len(turns) == gf2_rank(f.eff_z(i).x_bits for i in range(n))
     assert all(t.kind == "pauli_rotation" and t.quarter_turns == 1 for t in turns)
-    assert sorted(rest.image(k) for k in range(1 << n)) == list(range(1 << n))
+    # the basis state A k ^ offset that |k> goes to, bit by bit of A's rows
+    image = [sum(((r & k).bit_count() & 1) << i for i, r in enumerate(rest.rows)) ^ rest.offset
+             for k in range(1 << n)]
+    assert sorted(image) == list(range(1 << n))
     assert all(rest.cross[i] >> j & 1 == rest.cross[j] >> i & 1
                for i in range(n) for j in range(n))
     remainder = np.zeros((1 << n, 1 << n), dtype=complex)
     for k in range(1 << n):
-        remainder[rest.image(k), k] = 1j ** rest.phase(k)
+        remainder[image[k], k] = 1j ** rest.phase(k)
     ours = remainder @ steps_unitary(turns, n)
     assert np.max(np.abs(ours - up_to_omega(ours, steps_unitary(steps, n)))) < 1e-12
     assert f == frame_of(random_clifford_circuit(np.random.default_rng(seed), n, length))

@@ -1,9 +1,9 @@
 """The loops of ``_kernels`` over random arguments: the compiled C loops
 against the numpy references against dense matrices built from
-``oracles`` or index maps computed here, the factorization that feeds the
-affine and shear passes, the flush against its dense split, and the flush
-and its remainder pass against the per-step rotation path up to a power of
-exp(i*pi/4)."""
+``oracles`` or index maps computed here, the permutation of a whole state
+on the matrices whose factors take every shape of its passes, the flush
+against its dense split, and the flush and its remainder pass against the
+per-step rotation path up to a power of exp(i*pi/4)."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +13,6 @@ from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector
                       compile_pauli_rotation, gf2, random_hamiltonian, run_hybrid, trotterize)
 from framesim.backends import _compiled_gates, _python_gates
 from framesim.frame import HadamardFree, RotationStep, invert_to_rotations, split_clifford
-from framesim.statevector import tile_factors
 from oracles import (blocked_qubits, circuit_unitary, compiled_clones, gf2_rank,
                      index_mapped, on_clone, pauli_matrix, random_clifford_circuit,
                      random_mixed_circuit, rotation_matrix, up_to_omega)
@@ -21,13 +20,13 @@ from oracles import (blocked_qubits, circuit_unitary, compiled_clones, gf2_rank,
 # the Clifford loop of the numpy reference always, and the compiled C loop
 # wherever it loaded, on each of its clones that this CPU runs
 TIERS = {"numpy": _kernels.numpy_clifford, **compiled_clones(_kernels.clifford)}
-# the affine and shear passes of the numpy reference always, and of the C
-# loops wherever they loaded; they are not cloned per SIMD width
-PASSES = {"numpy": (_kernels.numpy_affine, _kernels.numpy_shear)}
+# the permutation of a whole state of the numpy reference always, and of
+# the C library wherever it loaded; it is not cloned per SIMD width
+PERMUTES = {"numpy": _kernels.numpy_permute}
 # the phased scatter of a register into the whole state, likewise
 SCATTERS = {"numpy": _kernels.numpy_scatter}
 if _kernels.kernel_tier() == "compiled-c":
-    PASSES["compiled"] = (_kernels.affine, _kernels.shear)
+    PERMUTES["compiled"] = _kernels.permute
     SCATTERS["compiled"] = _kernels.scatter
 
 MAX_QUBITS = 10
@@ -248,10 +247,9 @@ def test_folded_run_matches_its_turns_one_by_one(case):
         ref.apply_pauli_rotation(step.axis, step.angle)
     turns, rest = split_clifford(frame_of_steps(n, run))
     assert turns == []
-    for name, (affine, shear) in PASSES.items():
+    for name, permute in PERMUTES.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "affine", affine)
-            mp.setattr(_kernels, "shear", shear)
+            mp.setattr(_kernels, "permute", permute)
             out = StateVector(n, amp)
             out.apply_hadamard_free(rest)
         assert np.max(np.abs(out.amplitudes - up_to_omega(out.amplitudes, ref.amplitudes))
@@ -272,20 +270,15 @@ def mat_vec(rows, k) -> int:
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_tile_factors_reproduce_a_random_invertible_matrix_for_every_tile_split(n, seed):
+def test_permute_applies_a_random_invertible_matrix(n, seed):
+    # amplitude k holds k, so the state that a phase-free permutation leaves
+    # reads back the preimage of each index: its factors must compose to A
     rows = random_invertible(np.random.default_rng(seed), n)
-    for b in range(n + 1):
-        g, up, down = tile_factors(rows, b)
-        lo = (1 << b) - 1
-        for k in (1 << i for i in range(n)):  # all maps here are linear
-            assert shears_oracle_index(up, down, b, mat_vec(g, k)) == mat_vec(rows, k), (b, k)
-        # G moves whole tiles: the tile bits of G k come from those of k
-        assert all(r & lo == 0 for r in g[b:]) and gf2_rank(g) == n
-        # the upper shear adds tile bits, the lower one position bits
-        assert len(up) == b and all(c & lo == 0 for c in up)
-        assert len(down) == n - b and all(c >> b == 0 for c in down)
-        # rank B is the rank of the block of A from position to tile bits
-        assert gf2_rank(up) == gf2_rank(r & lo for r in rows[b:])
+    cols = gf2.columns(rows, n)
+    for name, permute in PERMUTES.items():
+        amp = np.arange(1 << n, dtype=complex)
+        permute(amp, cols, 0, [0] * n, [0] * n)
+        assert all(mat_vec(rows, int(amp[k].real)) == k for k in range(1 << n)), name
 
 
 def hadamard_free_matrix(form: HadamardFree) -> np.ndarray:
@@ -342,29 +335,33 @@ def shears_oracle_index(up, down, b, k) -> int:
     return k
 
 
-def random_affine(rng, n, phased=True):
-    """Arguments (cols, offset, diag, cross) of an affine pass on n qubits:
-    a random invertible map of tiles onto tiles, a random offset and, if
-    phased, a random quadratic phase."""
-    b = _kernels.tile_bits(n)
+def random_permute_args(rng, n, phased=True):
+    """Arguments (cols, offset, diag, cross) of a permutation on n qubits: a
+    random invertible matrix, a random offset and, if phased, a random
+    quadratic phase."""
+    form = random_form(rng, n)
+    if not phased:
+        form = form._replace(diag=(0,) * n, cross=(0,) * n)
+    return gf2.columns(form.rows, n), form.offset, list(form.diag), list(form.cross)
+
+
+def sheared_args(rng, n):
+    """Arguments of a phase-free permutation on n qubits by A = L U G: a
+    random G that moves whole tiles of 256 amplitudes, then random upper
+    and lower shears, as the compiled permutation splits A."""
+    b = min(n, 8)
     low, high = random_invertible(rng, b), random_invertible(rng, n - b)
-    rows = low + [(r << b) for r in high]
+    g = low + [(r << b) for r in high]
     for i in range(b):  # positions may take any tile bits
-        rows[i] |= int(rng.integers(0, 1 << n)) & ~((1 << b) - 1)
-    cols = [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(n)]
-    diag, cross = [0] * n, [0] * n
-    if phased:
-        diag = [int(d) for d in rng.integers(0, 4, n)]
-        for i in range(n):
-            for j in range(i):
-                if rng.random() < 0.5:
-                    cross[i] |= 1 << j
-                    cross[j] |= 1 << i
-    return cols, int(rng.integers(0, 1 << n)), diag, cross
+        g[i] |= int(rng.integers(0, 1 << n)) & ~((1 << b) - 1)
+    up = [int(rng.integers(0, 1 << (n - b))) << b for _ in range(b)]
+    down = [int(rng.integers(0, 1 << b)) for _ in range(n - b)]
+    cols = [shears_oracle_index(up, down, b, c) for c in gf2.columns(g, n)]
+    return cols, int(rng.integers(0, 1 << n)), [0] * n, [0] * n
 
 
-def affine_oracle(amp, cols, offset, diag, cross):
-    """The affine pass index by index: out[G k ^ offset] = i**q(k) * amp[k]."""
+def permute_oracle(amp, cols, offset, diag, cross):
+    """The permutation index by index: out[A k ^ offset] = i**q(k) * amp[k]."""
     n = len(cols)
     out = np.empty_like(amp)
     for k in range(1 << n):
@@ -377,30 +374,14 @@ def affine_oracle(amp, cols, offset, diag, cross):
     return out
 
 
-def shear_oracle(amp, up, down):
-    """The shear pass index by index: out[L U k] = amp[k]."""
-    b = len(up)
-    out = np.empty_like(amp)
-    for k in range(amp.size):
-        out[shears_oracle_index(up, down, b, k)] = amp[k]
-    return out
-
-
-def random_shear(rng, n):
-    """Columns (up, down) of random upper and lower shears on n qubits."""
-    b = _kernels.tile_bits(n)
-    return ([int(rng.integers(0, 1 << (n - b))) << b for _ in range(b)],
-            [int(rng.integers(0, 1 << b)) for _ in range(n - b)])
-
-
-def check_passes(n, seed, run, oracle):
-    # the passes only move amplitudes and multiply them by powers of i, so
-    # every tier must give the oracle's amplitudes exactly
+def check_permutes(n, seed, args):
+    # the permutation only moves amplitudes and multiplies them by powers
+    # of i, so every tier must give the oracle's amplitudes exactly
     amp = random_amplitudes(seed, n)
-    ref = oracle(amp)
-    for name, passes in PASSES.items():
+    ref = permute_oracle(amp, *args)
+    for name, permute in PERMUTES.items():
         out = amp.copy()
-        run(passes, out)
+        permute(out, *args)
         assert np.array_equal(out, ref), name
 
 
@@ -408,39 +389,24 @@ def check_passes(n, seed, run, oracle):
 @given(n=st.integers(1, MAX_QUBITS), seed=st.integers(0, 2**32 - 1),
        phased=st.booleans())
 def test_affine_pass_matches_reference_and_oracle(n, seed, phased):
-    args = random_affine(np.random.default_rng(seed), n, phased)
-    check_passes(n, seed, lambda passes, out: passes[0](out, *args),
-                 lambda amp: affine_oracle(amp, *args))
+    check_permutes(n, seed, random_permute_args(np.random.default_rng(seed), n, phased))
 
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, MAX_QUBITS), seed=st.integers(0, 2**32 - 1))
 def test_shear_pass_matches_reference_and_oracle(n, seed):
-    up, down = random_shear(np.random.default_rng(seed), n)
-    check_passes(n, seed, lambda passes, out: passes[1](out, up, down),
-                 lambda amp: shear_oracle(amp, up, down))
+    check_permutes(n, seed, sheared_args(np.random.default_rng(seed), n))
 
 
 @pytest.mark.parametrize("n", [12, 13, 14])
 def test_affine_and_shear_passes_move_tiles_on_larger_states(n):
-    # 16 to 64 tiles, with shears of rank 2 and up that pair tiles across
-    # cosets of several tiles
+    # 16 to 64 tiles: a random matrix, and matrices A = U whose B has rank 2
+    # and n - 8, which pair tiles across cosets of several tiles
     rng = np.random.default_rng(n)
-    args = random_affine(rng, n)
-    check_passes(n, n, lambda passes, out: passes[0](out, *args),
-                 lambda amp: affine_oracle(amp, *args))
+    check_permutes(n, n, random_permute_args(rng, n))
     for r in (2, n - 8):
-        basis = random_invertible(rng, n - 8)[:r]
-        cols = [v << 8 for v in basis]
-        while len(cols) < 8:  # sums of basis vectors
-            cols.append(0)
-            for v in basis:
-                if rng.random() < 0.5:
-                    cols[-1] ^= v << 8
-        assert gf2_rank(cols) == r
-        down = random_shear(rng, n)[1]
-        check_passes(n, r, lambda passes, out: passes[1](out, cols, down),
-                     lambda amp: shear_oracle(amp, cols, down))
+        up = shear_columns(rng, n, r, "free")
+        check_permutes(n, r, (shear_matrix(n, up, [0] * (n - 8)), 0, [0] * n, [0] * n))
 
 
 def shear_columns(rng, n, rank, shape) -> list[int]:
@@ -467,6 +433,27 @@ def shear_columns(rng, n, rank, shape) -> list[int]:
     return cols
 
 
+def shear_matrix(n, up, down) -> list[int]:
+    """The columns of A = L U, for the columns up of U - I and down of
+    L - I on n qubits (see ``shears_oracle_index``)."""
+    return [shears_oracle_index(up, down, 8, 1 << c) for c in range(n)]
+
+
+def lower_shear(n, up) -> list[int]:
+    """Columns down of a lower shear that the compiled permutation of A =
+    L U recovers with B exactly: one position bit i0, B's highest, added
+    to the position by the first tile bit j0 of B's column i0.  Then A's
+    position block is singular, and the split adds that tile bit to the
+    position row i0 and nothing else.  None if B = 0: A's position block
+    is then invertible, and no lower shear remains."""
+    i0 = max((i for i in range(8) if up[i]), default=None)
+    if i0 is None:
+        return None
+    down = [0] * (n - 8)
+    down[(up[i0] & -up[i0]).bit_length() - 9] = 1 << i0
+    return down
+
+
 def shear_cases():
     """(n, rank, shape, with_down) for every rank B can have at n = 9..14
     and each shape of W that rank allows, with and without a lower shear;
@@ -481,103 +468,122 @@ def shear_cases():
     return cases + [(18, 8, "free", True), (18, 7, "equal", True)]
 
 
-@pytest.mark.skipif("compiled" not in PASSES, reason="the compiled passes did not load")
+@pytest.mark.skipif("compiled" not in PERMUTES, reason="the compiled library did not load")
 @pytest.mark.parametrize("n, rank, shape, with_down", shear_cases())
 def test_shear_pass_moves_every_rank_and_line_group_exactly(n, rank, shape, with_down):
-    # the C pass on a view into a guarded array, one amplitude or one
-    # cache line into it, against numpy_shear on the same amplitudes
+    # the C permutation of A = U, or A = L U with a lower shear, on a view
+    # into a guarded array, one amplitude or one cache line into it,
+    # against numpy_permute on the same amplitudes.  The split recovers B,
+    # and with it the shape of its line groups: rank B is the rank of A's
+    # block from position bits to tile bits
     rng = np.random.default_rng([n, rank, len(shape), with_down])
     up = shear_columns(rng, n, rank, shape)
-    down = random_shear(rng, n)[1] if with_down else [0] * (n - 8)
+    down = (with_down and lower_shear(n, up)) or [0] * (n - 8)
+    cols = shear_matrix(n, up, down)
+    assert gf2_rank(r & 0xff for r in gf2.columns(cols, n)[8:]) == rank
     amp = random_amplitudes(rank, n)
     ref = amp.copy()
-    _kernels.numpy_shear(ref, up, down)
+    _kernels.numpy_permute(ref, cols, 0, [0] * n, [0] * n)
     skip = 1 + 3 * (n % 2)
     guarded = np.full(amp.size + 2 * skip, 7.0 - 7.0j)
     state = guarded[skip:-skip]
     state[:] = amp
-    _kernels.shear(state, up, down)
+    assert _kernels.permute(state, cols, 0, [0] * n, [0] * n) == (2 if rank else 1)
     assert np.all(guarded[:skip] == 7.0 - 7.0j) and np.all(guarded[-skip:] == 7.0 - 7.0j)
     assert np.array_equal(state, ref)
 
 
-@pytest.mark.skipif("compiled" not in PASSES, reason="the compiled passes did not load")
+@pytest.mark.parametrize("name", list(PERMUTES))
+def test_lower_shear_from_a_singular_position_block(name):
+    # bit 0 swapped with bit 8, and with bit 11: A's position block is
+    # singular, so the compiled split takes a lower shear, an exchange
+    # inside each cache line of half the tiles
+    n = 12
+    for top in (8, 11):
+        cols = [1 << c for c in range(n)]
+        cols[0], cols[top] = cols[top], cols[0]
+        amp = random_amplitudes(top, n)
+        out = amp.copy()
+        made = PERMUTES[name](out, cols, 5, [0] * n, [0] * n)
+        assert made == (2 if name == "compiled" else 1)
+        assert np.array_equal(out, permute_oracle(amp, cols, 5, [0] * n, [0] * n))
+
+
+@pytest.mark.skipif("compiled" not in PERMUTES, reason="the compiled library did not load")
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 12])
 def test_phase_free_affine_pass_only_moves_amplitudes(n):
-    # without a phase the C pass takes its moving loop: zeros, and diag
-    # entries of 4, which are 0 mod 4, must give numpy_affine's amplitudes
+    # without a phase the C affine pass takes its moving loop: zeros, and
+    # diag entries of 4, which are 0 mod 4, must give numpy_permute's
+    # amplitudes
     rng = np.random.default_rng(n)
-    cols, offset, _, _ = random_affine(rng, n, phased=False)
+    cols, offset, _, _ = random_permute_args(rng, n, phased=False)
     amp = random_amplitudes(n, n)
     for diag, cross in (((0,) * n, (0,) * n), ([4] * n, [0] * n)):
         ref, out = amp.copy(), amp.copy()
-        _kernels.numpy_affine(ref, cols, offset, diag, cross)
-        _kernels.affine(out, cols, offset, diag, cross)
+        _kernels.numpy_permute(ref, cols, offset, diag, cross)
+        _kernels.permute(out, cols, offset, diag, cross)
         assert np.array_equal(out, ref)
-        assert np.array_equal(ref, affine_oracle(amp, cols, offset, [0] * n, [0] * n))
+        assert np.array_equal(ref, permute_oracle(amp, cols, offset, [0] * n, [0] * n))
 
 
-@pytest.mark.skipif("compiled" not in PASSES, reason="the compiled passes did not load")
+@pytest.mark.skipif("compiled" not in PERMUTES, reason="the compiled library did not load")
 def test_trotter_flush_equals_the_numpy_passes_bit_for_bit():
     # the paper's case at full size, 25 weight-18 terms on 18 qubits: the
     # flush applies P_A alone, a phase-free affine pass and a shear whose B
-    # has rank 8, and must give the numpy passes' amplitudes exactly
+    # has rank 8, the rank of A's block from position bits to tile bits,
+    # and must give numpy_permute's amplitudes exactly
     n = 18
     hs, _ = run_hybrid(trotterize(random_hamiltonian(n, n, 25, [1, 0])), 1)
     form = HadamardFree.identity(n).after(hs.index_map.tolist())
-    assert gf2_rank(tile_factors(form.rows, 8)[1]) == 8
+    assert gf2_rank(r & 0xff for r in form.rows[8:]) == 8
     state = hs.phi.copy()
     hs.flush_to_origin()
     assert hs.flush_passes[0]["affine"] == hs.flush_passes[0]["shears"] == 1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "affine", _kernels.numpy_affine)
-        mp.setattr(_kernels, "shear", _kernels.numpy_shear)
-        state.apply_hadamard_free(form)
+        mp.setattr(_kernels, "permute", _kernels.numpy_permute)
+        assert state.apply_hadamard_free(form) == (1, 0, 0)
     assert np.array_equal(hs.phi.amplitudes, state.amplitudes)
 
 
-@pytest.mark.parametrize("name", list(PASSES))
+@pytest.mark.parametrize("name", list(PERMUTES))
 def test_affine_and_shear_passes_write_only_their_state(name):
     # the state as a view into a larger array: the elements on either side
     # must keep their values
-    affine, shear = PASSES[name]
+    permute = PERMUTES[name]
     rng = np.random.default_rng(31)
     for n in (1, 3, 8, 9, 11):
-        args, cols = random_affine(rng, n), random_shear(rng, n)
         amp = random_amplitudes(n, n)
-        for run, oracle in ((lambda s: affine(s, *args), affine_oracle(amp, *args)),
-                            (lambda s: shear(s, *cols), shear_oracle(amp, *cols))):
+        for args in (random_permute_args(rng, n), sheared_args(rng, n)):
             guarded = np.full(amp.size + 8, 7.0 - 7.0j)
             state = guarded[4:-4]
             state[:] = amp
-            run(state)
+            permute(state, *args)
             assert np.all(guarded[:4] == 7.0 - 7.0j) and np.all(guarded[-4:] == 7.0 - 7.0j)
-            assert np.array_equal(state, oracle)
+            assert np.array_equal(state, permute_oracle(amp, *args))
 
 
-@pytest.mark.parametrize("name", list(PASSES))
+@pytest.mark.parametrize("name", list(PERMUTES))
 def test_affine_and_shear_passes_reject_maps_they_cannot_apply(name):
     # and leave the state as it was
-    affine, shear = PASSES[name]
+    permute = PERMUTES[name]
     n = 10
     amp = random_amplitudes(3, n)
     unit = [1 << i for i in range(n)]
     zeros = [0] * n
-    bad = {"singular": (unit[:9] + [1 << 8], zeros, "singular"),
-           "a position moved to another tile": ([1 << 8] + unit[1:8] + [1, 1 << 9], zeros,
-                                                 "singular"),
-           "asymmetric cross": (unit, [2] + zeros[1:], "symmetric")}
-    for case, (cols, cross, match) in bad.items():
+    bad = {"singular": (unit[:9] + [1 << 8], zeros, zeros, "singular"),
+           "singular in the tile bits only": (unit[:8] + [1 << 9, 1 << 9], zeros, zeros,
+                                              "singular"),
+           "a zero column": ([0] + unit[1:], zeros, zeros, "singular"),
+           "asymmetric cross": (unit, zeros, [2] + zeros[1:], "symmetric"),
+           "a set diagonal bit": (unit, zeros, [1] + zeros[1:], "symmetric"),
+           "too few columns": (unit[:9], zeros[:9], zeros[:9], "per qubit"),
+           "too few diag entries": (unit, zeros[:9], zeros, "per qubit"),
+           "a column beyond the state": (unit[:9] + [1 << n], zeros, zeros, "out of range")}
+    for case, (cols, diag, cross, match) in bad.items():
         state = amp.copy()
         with pytest.raises(ValueError, match=match):
-            affine(state, cols, 0, zeros, cross)
+            permute(state, cols, 0, diag, cross)
         assert np.array_equal(state, amp), case
-    state = amp.copy()
-    for up, down in (([1 << 9] + [0] * 6 + [1], [0, 0]), ([1 << 9] * 7, [0, 0]),
-                     ([1 << 9] * 8, [0, 1 << 8]), ([1 << 9] * 8, [0])):
-        with pytest.raises(ValueError, match="shear columns"):
-            shear(state, up, down)
-    assert np.array_equal(state, amp)
 
 
 def register_state(seed, n, d):
@@ -623,16 +629,15 @@ def test_scatter_matches_reference_and_oracle(n, data, seed):
 @given(n=st.integers(2, MAX_QUBITS), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_register_rest_equals_the_numpy_passes_bit_for_bit(n, data, seed):
     # apply_hadamard_free on a register of d < n qubits makes no affine or
-    # shear pass, and gives the amplitudes of numpy_affine and numpy_shear
-    # over the whole state exactly
+    # shear pass, and gives the amplitudes of numpy_permute over the whole
+    # state exactly
     d = data.draw(st.integers(1, n - 1), label="d")
     form = random_form(np.random.default_rng(seed), n)
     amp = register_state(seed, n, d)
     out = StateVector(n, amp)
     assert out.apply_hadamard_free(form, d)[:2] == (0, 0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "affine", _kernels.numpy_affine)
-        mp.setattr(_kernels, "shear", _kernels.numpy_shear)
+        mp.setattr(_kernels, "permute", _kernels.numpy_permute)
         ref = StateVector(n, amp)
         ref.apply_hadamard_free(form)
     assert np.array_equal(out.amplitudes, ref.amplitudes)
@@ -702,9 +707,9 @@ def test_scatter_rejects_what_it_cannot_apply(name):
                                                 "out of range"),
            "a register of the wrong size": (random_amplitudes(7, 3), [1, 2], 0, zeros, zeros,
                                             r"2\*\*2 amplitudes"),
-           "a register as large as the state": (random_amplitudes(8, n),
-                                                [1 << i for i in range(n)], 0, [0] * n,
-                                                [0] * n, "amplitudes"),
+           "a register larger than the state": (random_amplitudes(8, n + 1),
+                                                [1 << i for i in range(n)] + [1], 0,
+                                                [0] * (n + 1), [0] * (n + 1), "amplitudes"),
            "too few diag entries": (src, [1, 2], 0, [0], zeros, "diag"),
            "a register inside the state": (None, [1, 2], 0, zeros, zeros, "apart")}
     for case, (reg, cols, offset, diag, cross, match) in bad.items():
@@ -719,8 +724,8 @@ def test_scatter_rejects_what_it_cannot_apply(name):
        seed=st.integers(0, 2**32 - 1))
 def test_register_flush_equals_the_whole_state_passes_bit_for_bit(n, length, seed):
     # the flush of a hybrid run, whose rest runs on a register of fewer
-    # than n qubits where it can, against the same rest applied by the
-    # numpy affine and shear passes to the whole state that the turns left
+    # than n qubits where it can, against the same rest applied by
+    # numpy_permute to the whole state that the turns left
     rng = np.random.default_rng(seed)
     hs, _ = run_hybrid(random_mixed_circuit(rng, n, length, p_measure=0.03, p_prep=0.02),
                        seed)
@@ -736,8 +741,7 @@ def test_register_flush_equals_the_whole_state_passes_bit_for_bit(n, length, see
         hs.flush_to_origin()
     before, form = calls[0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "affine", _kernels.numpy_affine)
-        mp.setattr(_kernels, "shear", _kernels.numpy_shear)
+        mp.setattr(_kernels, "permute", _kernels.numpy_permute)
         whole(before, form)
     assert np.array_equal(hs.phi.amplitudes, before.amplitudes)
 
@@ -789,9 +793,8 @@ def test_compiled_loops_reject_a_misaligned_state():
                                                      np.array([1 << i for i in range(10)],
                                                               dtype=np.uint64), 10,
                                                      ops, angles, 0),
-             "affine": lambda: _kernels.affine(amp, [1 << i for i in range(10)], 0,
-                                               [0] * 10, [0] * 10),
-             "shear": lambda: _kernels.shear(amp, [1 << 9] * 8, [0, 1]),
+             "permute": lambda: _kernels.permute(amp, [1 << i for i in range(10)][::-1], 0,
+                                                 [0] * 10, [0] * 10),
              "scatter": lambda: _kernels.scatter(amp, np.zeros(2, dtype=complex), [1 << 9], 0,
                                                  [0], [0]),
              "scatter from a misaligned register": lambda: _kernels.scatter(

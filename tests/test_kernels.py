@@ -22,12 +22,13 @@ PROBE = "import framesim._kernels as k; print(k.kernel_tier())"
 # run of single-qubit turns without a Hadamard part (phases, bit flips and
 # an odd eighth root) in the flush's remainder pass against its dense
 # rotations, one flush against its steps as dense rotations and swaps, on
-# a state of several tiles, both up to a power of exp(i*pi/4) for the
-# whole state, the scatter of that flush's rest from registers of 1 and
-# n - 1 qubits against its passes over the whole state, a 17-qubit state,
-# which takes a mapping of its own (traced, and zero but for |0>), and a
-# flush on its top five qubits against the dense oracle, and the hybrid's
-# Python gate loop, with a MEASZ and a PREPZ, against the baseline
+# a state of several tiles, whose rest is one gather of the whole state,
+# both up to a power of exp(i*pi/4) for the whole state, the scatter of
+# that flush's rest from registers of 1 and n - 1 qubits against that
+# gather, a 17-qubit state, which takes a mapping of its own (traced, and
+# zero but for |0>), and a flush on its top five qubits against the dense
+# oracle, and the hybrid's Python gate loop, with a MEASZ and a PREPZ,
+# against the baseline
 ROTATE_PROBE = PROBE + """
 import numpy as np
 from framesim import HybridState, PauliFrame, PauliString, StateVector
@@ -77,7 +78,7 @@ for step in invert_to_rotations(frame):
 hs = HybridState(frame, StateVector(n, amp))
 hs.flush_to_origin()
 if (np.max(np.abs(hs.phi.amplitudes - up_to_omega(hs.phi.amplitudes, ref))) > 1e-12
-        or not hs.flush_passes[0]["shears"]):
+        or (hs.flush_passes[0]["affine"], hs.flush_passes[0]["shears"]) != (1, 0)):
     raise SystemExit("numpy tier disagrees with the dense oracle on the flush")
 turns, rest = split_clifford(frame)
 for d in (1, n - 1):
@@ -88,7 +89,7 @@ for d in (1, n - 1):
         raise SystemExit(f"numpy tier made no scatter of a register of {d}")
     ref.apply_hadamard_free(rest)
     if not np.array_equal(s.amplitudes, ref.amplitudes):
-        raise SystemExit(f"numpy tier's scatter of {d} qubits disagrees with its passes")
+        raise SystemExit(f"numpy tier's scatter of {d} qubits disagrees with its gather")
 import mmap, tracemalloc
 n, top = 17, 12
 tracemalloc.start()
@@ -194,8 +195,10 @@ def libasan() -> str | None:
 # loop on states of exactly 2 to 2**10 amplitudes on each clone, a
 # circuit at n = 10 that activates the register one qubit at a time
 # (prefixes of 2 to 2**10 amplitudes) around a MEASZ and a PREPZ, and
-# its flush, with the affine and shear passes; the shear pass on groups of
-# 1, 2 and 4 tiles with a lower shear; the phased scatter of a register of
+# its flush, with the permutation's affine and shear passes; the
+# permutation of matrices A = L U whose shear pass moves groups of 1, 2
+# and 4 tiles with a lower shear, and of one whose position block is
+# singular, against numpy's; the phased scatter of a register of
 # 1 and of n - 1 qubits, reaching the last amplitude, against numpy's, and
 # a flush whose rest runs on a register of 7 of 10 qubits and is scattered
 # into place; the turn count and form of the flush of a 10-qubit frame,
@@ -233,9 +236,28 @@ if hs.active != n:
 hs.flush_to_origin()
 if abs(np.linalg.norm(hs.phi.amplitudes) - 1.0) > 1e-12:
     raise SystemExit("the flushed state lost its norm")
-for up in ([0] * 8, [0, 1 << 8] + [1 << 9] * 6, [1 << 8, 1 << 9, 1 << 10] + [0] * 5):
+# B's columns up, W = span(B e0, B e1) of dimension 0, 1 and 2, and the
+# lower shear that the split recovers with them (see lower_shear in
+# test_kernel_properties); then bit 0 swapped with bit 10
+unit = [1 << c for c in range(11)]
+for up, down in (([0, 0, 1 << 9] + [0] * 4 + [1 << 8], [1 << 7, 0, 0]),
+                 ([0, 1 << 8] + [1 << 9] * 6, [0, 1 << 7, 0]),
+                 ([1 << 8, 1 << 9, 1 << 10] + [0] * 4 + [1 << 10], [0, 0, 1 << 7]),
+                 (None, None)):
+    cols = unit[10:] + unit[1:10] + unit[:1]
+    if up is not None:
+        cols = []
+        for k in unit:
+            for i in range(8):
+                k ^= up[i] if k >> i & 1 else 0
+            for j in range(3):
+                k ^= down[j] if k >> (8 + j) & 1 else 0
+            cols.append(k)
     amp = rng.normal(size=1 << 11) + 1j * rng.normal(size=1 << 11)
-    _kernels.shear(amp, up, [3, 1 << 6, 0])
+    ref = amp.copy()
+    _kernels.numpy_permute(ref, cols, 3, [0] * 11, [0] * 11)
+    if _kernels.permute(amp, cols, 3, [0] * 11, [0] * 11) != 2 or not np.array_equal(amp, ref):
+        raise SystemExit(f"the permutation of {cols} disagrees with numpy's")
 for cols, offset, diag, cross in (([(1 << n) - 1], 0, [1], [0]),
                                   ([1 << (i + 1) for i in range(n - 1)], 1, [3] * (n - 1),
                                    [2, 1] + [0] * (n - 3))):

@@ -13,3 +13,31 @@ def test_no_module_uses_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert len(MODULES) > 5 and not found, found
+
+
+def test_each_kernel_is_bound_on_both_tiers_with_one_numpy_reference():
+    # the closing `if _lib is not None: ... else: ...` of _kernels binds the
+    # same names on both tiers: each amplitude kernel to _c_<name> and to
+    # numpy_<name>, the compiled-only loops to _c_<name> and to None; and
+    # every numpy_* function of the module is one of those references
+    tree = ast.parse((Path(framesim.__file__).parent / "_kernels.py").read_text(encoding="utf-8"))
+    choice = [node for node in tree.body if isinstance(node, ast.If)][-1]
+    tiers = []
+    for body in (choice.body, choice.orelse):
+        bound = {}
+        for stmt in body:
+            for target in stmt.targets:
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                values = (stmt.value.elts if isinstance(stmt.value, ast.Tuple)
+                          else [stmt.value] * len(names))
+                for name, value in zip(names, values, strict=True):
+                    bound[name.id] = value.id if isinstance(value, ast.Name) else value.value
+        tiers.append(bound)
+    compiled, numpy_tier = tiers
+    kernels = {name for name, value in numpy_tier.items() if value is not None}
+    assert {"clifford", "scatter", "permute"} <= kernels and set(compiled) == set(numpy_tier)
+    assert all(compiled[name] == f"_c_{name}" for name in compiled)
+    assert all(numpy_tier[name] == f"numpy_{name}" for name in kernels)
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("numpy_")}
+    assert defined == {f"numpy_{name}" for name in kernels}
