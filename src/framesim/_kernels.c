@@ -22,17 +22,18 @@
  * odd x the other position; an exchange of the two halves of a vector
  * covers the second case.
  *
- * The two gate kernels after it serve fixed gates: the Hadamard gate on
- * one qubit, and a masked pair exchange that swaps pairs of amplitudes
- * (CX and SWAP) or multiplies a masked subset by a power of i (Z, S, SDG
- * and CZ).  Like the Clifford loop, each walks a set of tiles (tile_set):
- * the whole state, or one coset of a blocked run (see below).  A pair
- * either lies in one tile, or a tile pairs with the tile its partner
- * mask reaches; inside a tile the loops take contiguous runs of
- * amplitudes, a cache line at a time where the runs are shorter, and
- * allocate nothing.
+ * The three gate kernels after it serve the baseline's gates: the
+ * Hadamard gate on one qubit, any complex 2x2 matrix on one qubit (a run
+ * of one-qubit gates fused into one), and a masked pair exchange that
+ * swaps pairs of amplitudes (CX and SWAP) or multiplies a masked subset by
+ * a power of i (Z, S, SDG and CZ).  Like the Clifford loop, each walks a
+ * set of tiles (tile_set): the whole state, or one coset of a blocked run
+ * (see below).  A pair either lies in one tile, or a tile pairs with the
+ * tile its partner mask reaches; inside a tile the loops take contiguous
+ * runs of amplitudes, a cache line at a time where the runs are shorter,
+ * and allocate nothing.
  *
- * The Clifford loop and the Hadamard loop are each compiled twice from one
+ * The Clifford, Hadamard and 2x2 loops are each compiled twice from one
  * body: a generic clone for any CPU, and on x86-64 a clone for AVX2 with
  * FMA, which holds a 32-byte vector in one register.  The library picks one
  * when it loads, from what the CPU reports, so one build runs on any
@@ -61,10 +62,12 @@
  * each to its place instead (see framesim_scatter).
  *
  * The gate loops at the end run a circuit's lowered gate stream.  The
- * baseline's makes the pass of each gate over the whole state.  The
- * hybrid's updates a bit-packed Pauli frame for each Clifford gate, and each
- * rotation looks up its axis in the frame and calls the Clifford loop on
- * the hybrid's register.  The hybrid tracks U P_A |phi>, U the frame's
+ * baseline's makes the pass of each gate over the whole state, except that
+ * it holds each qubit's one-qubit gates back and makes one pass at most of
+ * each run of them, the 2x2 loop on their product where several are left
+ * after cancelling inverse pairs.  The hybrid's updates a bit-packed Pauli
+ * frame for each Clifford gate, and each rotation looks up its axis in the
+ * frame and calls the Clifford loop on the hybrid's register.  The hybrid tracks U P_A |phi>, U the frame's
  * Clifford and P_A |k> = |A k> an index map, A an invertible GF(2)
  * matrix, and phi is zero beyond its first 2**d amplitudes: the register
  * of d active qubits.  A frame image P acts on phi as P_A^dag P P_A, whose
@@ -410,8 +413,117 @@ apply_h(double *amp, int64_t n_amp, int q)
     h_walk(amp, whole(n_amp, b), b, q, ((uint64_t)1 << q) >> b);
 }
 
-/* The two clones of the Clifford and Hadamard loops (see the head of this
- * file) */
+/* *d <- k[0] * u + k[1] * swap(u) + k[2] * part(w) + k[3] * swap(part(w))
+ * for vectors u and w of two amplitudes, swap exchanging the re and im of
+ * each amplitude and part(w) being w with its two amplitudes exchanged if
+ * flip is set.  With k[0], k[1] the vectors (re c, re c) and (-im c, im c)
+ * of a complex c for each amplitude, the first two terms are c times u, and
+ * the last two are a second complex product.  As in UPDATE, the generic
+ * clone computes each 16-byte half on its own. */
+#define MIX(d, u, w, k, flip, wide)                                           \
+    do {                                                                      \
+        if (wide) {                                                           \
+            const v4d w_ = (flip) ? (v4d){(w)[2], (w)[3], (w)[0], (w)[1]}     \
+                                  : (w),                                      \
+                      su_ = {(u)[1], (u)[0], (u)[3], (u)[2]},                 \
+                      sw_ = {w_[1], w_[0], w_[3], w_[2]};                     \
+            *(d) = (k)[0] * (u) + (k)[1] * su_ + (k)[2] * w_ + (k)[3] * sw_;  \
+        } else {                                                              \
+            v2d *d_ = (v2d *)(d);                                             \
+            const v2d *k_ = (const v2d *)(k);                                 \
+            for (int h_ = 0; h_ < 2; h_++) {                                  \
+                const int g_ = 2 * (h_ ^ (flip));                             \
+                const v2d u_ = {(u)[2 * h_], (u)[2 * h_ + 1]},                \
+                          w_ = {(w)[g_], (w)[g_ + 1]};                        \
+                d_[h_] = k_[h_] * u_ + k_[2 + h_] * (v2d){u_[1], u_[0]}       \
+                         + k_[4 + h_] * w_ + k_[6 + h_] * (v2d){w_[1], w_[0]};\
+            }                                                                 \
+        }                                                                     \
+    } while (0)
+
+/* MIX on (lo[i], hi[i]) for i < len: lo <- klo (lo, hi), hi <- khi (hi, lo) */
+static inline __attribute__((always_inline)) void
+mix_blocks(v4d *restrict lo, v4d *restrict hi, int64_t len, const v4d *klo, const v4d *khi,
+           int wide)
+{
+    for (int64_t i = 0; i < len; i++) {
+        const v4d a = lo[i], c = hi[i];
+        MIX(lo + i, a, c, klo, 0, wide);
+        MIX(hi + i, c, a, khi, 0, wide);
+    }
+}
+
+/* k <- the vectors of MIX for the 2x2 loop of the complex matrix m on
+ * qubit q, m given as 8 doubles, row by row, (re, im) per entry: for q = 0,
+ * where a pair of amplitudes fills one vector, the 4 that multiply the
+ * vector by (m00, m11) and its exchanged halves by (m01, m10); else the 4
+ * of the lower amplitude of a pair, m00 and m01, then the 4 of the upper
+ * one, m11 and m10. */
+static inline __attribute__((always_inline)) void
+u2_coefs(v4d *k, int q, const double *m)
+{
+    static const int at[2][8] = {{0, 6, 2, 4}, {0, 0, 2, 2, 6, 6, 4, 4}};
+    for (int i = 0; i < (q ? 4 : 2); i++) {
+        const double *c0 = m + at[q > 0][2 * i], *c1 = m + at[q > 0][2 * i + 1];
+        k[2 * i] = (v4d){c0[0], c0[0], c1[0], c1[0]};
+        k[2 * i + 1] = (v4d){-c0[1], c0[1], -c1[1], c1[1]};
+    }
+}
+
+/* The 2x2 loop on qubit q over the tiles of ts, tiles of 2**b amplitudes:
+ * amp[k0], amp[k1] <- m00 a0 + m01 a1, m10 a0 + m11 a1 for each pair k0,
+ * k1 = k0 | 2**q with bit q of k0 clear, k holding the vectors u2_coefs
+ * makes of m.  It walks the tiles as h_walk does, on the Clifford loop's
+ * vectors of two amplitudes: for q = 0 a pair fills one vector, below b
+ * the pairs lie in a tile, in two runs of 2**(q-1) vectors per block of
+ * 2**q, and from b up tile t pairs with tile t ^ 2**(q-b), tile_at(j) with
+ * tile_at(j ^ xj). */
+static inline __attribute__((always_inline)) void
+u2_walk(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, int wide)
+{
+    const int64_t len = (int64_t)1 << (b - 1); /* vectors per tile */
+    const int64_t count = ts.count;
+    if (q == 0) {
+        for (int64_t j = 0; j < count; j++) {
+            v4d *r = amp + tile_at(ts, j) * len;
+            for (int64_t i = 0; i < len; i++) {
+                const v4d a = r[i];
+                MIX(r + i, a, a, k, 1, wide);
+            }
+        }
+        return;
+    }
+    if (q < b) {
+        const int64_t half = (int64_t)1 << (q - 1); /* vectors per run */
+        for (int64_t j = 0; j < count; j++) {
+            v4d *tile = amp + tile_at(ts, j) * len;
+            for (int64_t blk = 0; blk < len; blk += 2 * half)
+                mix_blocks(tile + blk, tile + blk + half, half, k, k + 4, wide);
+        }
+        return;
+    }
+    const uint64_t xt = (uint64_t)1 << (q - b);
+    const int64_t jp = (int64_t)(xj & -xj);
+    for (int64_t j = 0; j < count; j++) {
+        if (j & jp)
+            continue;
+        const uint64_t t = tile_at(ts, j) & ~xt;
+        mix_blocks(amp + t * len, amp + (t | xt) * len, len, k, k + 4, wide);
+    }
+}
+
+/* The body of framesim_apply_u2, compiled once per clone */
+static inline __attribute__((always_inline)) void
+apply_u2(double *amp, int64_t n_amp, int q, const double *m, int wide)
+{
+    const int b = tile_bits(n_amp);
+    v4d k[8];
+    u2_coefs(k, q, m);
+    u2_walk((v4d *)amp, whole(n_amp, b), b, q, ((uint64_t)1 << q) >> b, k, wide);
+}
+
+/* The two clones of the Clifford, Hadamard and 2x2 loops (see the head of
+ * this file) */
 static void clifford_generic(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
                              double ca, double cb, int e0)
 {
@@ -421,6 +533,11 @@ static void clifford_generic(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
 static void apply_h_generic(double *amp, int64_t n_amp, int q)
 {
     apply_h(amp, n_amp, q);
+}
+
+static void apply_u2_generic(double *amp, int64_t n_amp, int q, const double *m)
+{
+    apply_u2(amp, n_amp, q, m, 0);
 }
 
 static int use_avx2; /* the clone in use: 1 for AVX2, 0 for generic */
@@ -437,6 +554,12 @@ __attribute__((target("avx2,fma"))) static void
 apply_h_avx2(double *amp, int64_t n_amp, int q)
 {
     apply_h(amp, n_amp, q);
+}
+
+__attribute__((target("avx2,fma"))) static void
+apply_u2_avx2(double *amp, int64_t n_amp, int q, const double *m)
+{
+    apply_u2(amp, n_amp, q, m, 1);
 }
 #endif
 
@@ -499,6 +622,23 @@ void framesim_apply_h(double *amp, int64_t n_amp, int q)
     }
 #endif
     apply_h_generic(amp, n_amp, q);
+}
+
+/* amp[k0], amp[k1] <- m00 a0 + m01 a1, m10 a0 + m11 a1
+ *
+ * for every pair k0, k1 = k0 | 2**q with bit q of k0 clear: the one-qubit
+ * gate of the complex 2x2 matrix m on qubit q, m given as 8 doubles, row
+ * by row, (re, im) per entry, in one u2_walk over the tiles of the whole
+ * state. */
+void framesim_apply_u2(double *amp, int64_t n_amp, int q, const double *m)
+{
+#if defined(__x86_64__)
+    if (use_avx2) {
+        apply_u2_avx2(amp, n_amp, q, m);
+        return;
+    }
+#endif
+    apply_u2_generic(amp, n_amp, q, m);
 }
 
 /* i**e * v */
@@ -1321,9 +1461,10 @@ static inline double seconds(void)
  * pairs tile t with a tile of t ^ S, or touches tile t alone, so each
  * coset, of 2**dim S tiles, goes through every pass of the run in order
  * while it sits in the L2 cache (Haner & Steiger, SC17).  A pass is a
- * Clifford-loop update, the Hadamard gate on one qubit or a masked pair
- * exchange; only the partner mask x goes into S (2**q for the Hadamard
- * gate, 0 for a phase), as control and phase bits only select tiles.
+ * Clifford-loop update, the Hadamard gate or a 2x2 matrix on one qubit, or
+ * a masked pair exchange; only the partner mask x goes into S (2**q for a
+ * gate on qubit q, 0 for a phase), as control and phase bits only select
+ * tiles.
  * Each pair of amplitudes sees the same operations in the same order as
  * with one pass each, so the amplitudes are bit for bit the same.  A run
  * is applied before a pass on another register size, before the gate loop
@@ -1353,14 +1494,15 @@ int64_t framesim_l2_bytes(void)
 }
 
 /* One pass of a run: the arguments of one framesim_clifford call (OP_TURN: x,
- * z, ca, cb and e), of one framesim_apply_h call (OP_H: x = 2**q) or of
- * one framesim_pair_exchange call (OP_EXCHANGE: mask, val, x and e). */
-enum { OP_TURN, OP_H, OP_EXCHANGE };
+ * z, ca, cb and e), of one framesim_apply_h call (OP_H: x = 2**q), of one
+ * framesim_pair_exchange call (OP_EXCHANGE: mask, val, x and e) or of one
+ * framesim_apply_u2 call (OP_U2: x = 2**q and the matrix u). */
+enum { OP_TURN, OP_H, OP_EXCHANGE, OP_U2 };
 
 typedef struct {
     int kind, e;
     uint64_t x, z, mask, val;
-    double ca, cb;
+    double ca, cb, u[8];
 } pass_op;
 
 static inline pass_op turn_op(uint64_t x, uint64_t z, double ca, double cb, int e)
@@ -1393,7 +1535,7 @@ static inline __attribute__((always_inline)) void
 run_walk(double *amp, const run *p, int wide)
 {
     const int b = TILE_BITS, dim = p->tiles.dim;
-    v4d pat[MAX_RUN][2][TILE / 2];
+    v4d pat[MAX_RUN][2][TILE / 2], k[MAX_RUN][8];
     uint64_t span[1 << MAX_SPAN_BITS], xj[MAX_RUN];
     span[0] = 0;
     for (int k = 0; k < dim; k++)
@@ -1403,6 +1545,8 @@ run_walk(double *amp, const run *p, int wide)
         const pass_op *o = p->op + i;
         if (o->kind == OP_TURN)
             patterns(pat[i], TILE / 2, o->z, o->cb, o->e);
+        else if (o->kind == OP_U2)
+            u2_coefs(k[i], __builtin_ctzll(o->x), o->u);
         reduce(&p->tiles, o->x >> b, xj + i);
     }
     const uint64_t pivots = p->tiles.top, n_tiles = (uint64_t)p->n_amp >> b;
@@ -1414,6 +1558,8 @@ run_walk(double *amp, const run *p, int wide)
                 walk((v4d *)amp, ts, b, o->x, xj[i], o->z, pat[i], o->ca, o->e, wide);
             else if (o->kind == OP_H)
                 h_walk(amp, ts, b, __builtin_ctzll(o->x), xj[i]);
+            else if (o->kind == OP_U2)
+                u2_walk((v4d *)amp, ts, b, __builtin_ctzll(o->x), xj[i], k[i], wide);
             else
                 exchange_walk((v2d *)amp, ts, b, o->mask, o->val, o->x, xj[i], o->e);
         }
@@ -1434,7 +1580,8 @@ __attribute__((target("avx2,fma"))) static void run_avx2(double *amp, const run 
 
 /* The passes of one gate loop or flush, applied to amp: the pending run,
  * the seconds spent in passes and the counts of passes, of the amplitudes
- * they cover and of blocked runs, added to count[0..2]. */
+ * they cover and of blocked runs, added to count[0..2] (the baseline's loop
+ * adds its fused gates to count[3]). */
 typedef struct {
     double *amp;
     int64_t *count;
@@ -1462,6 +1609,8 @@ static void apply_pending(passes *s)
         framesim_clifford(s->amp, p->n_amp, o->x, o->z, o->ca, o->cb, o->e);
     else if (o->kind == OP_H)
         framesim_apply_h(s->amp, p->n_amp, __builtin_ctzll(o->x));
+    else if (o->kind == OP_U2)
+        framesim_apply_u2(s->amp, p->n_amp, __builtin_ctzll(o->x), o->u);
     else
         framesim_pair_exchange(s->amp, p->n_amp, o->mask, o->val, o->x, o->e);
     s->spent += seconds() - t0;
@@ -1589,72 +1738,217 @@ out:
     return k;
 }
 
+/* The baseline's pass for gate `code` on the qubits of the masks a and b
+ * (b is unused by one-qubit gates): the pass StateVector.apply_gate makes
+ * of it, with the same arguments.  X, Y, RX, RY and RZ are a
+ * framesim_clifford pass, H a framesim_apply_h pass, and Z, S, SDG, CX, CZ
+ * and SWAP a framesim_pair_exchange pass. */
+static pass_op gate_pass(int code, uint64_t a, uint64_t b, double angle)
+{
+    const double h = 0.5 * angle;
+    switch (code) {
+    case G_H:
+        return (pass_op){.kind = OP_H, .x = a};
+    case G_S:
+        return exchange_op(a, a, 0, 1);
+    case G_SDG:
+        return exchange_op(a, a, 0, 3);
+    case G_X:
+        return turn_op(a, 0, 0.0, 1.0, 0);
+    case G_Y:
+        return turn_op(a, a, 0.0, 1.0, 3);
+    case G_Z:
+        return exchange_op(a, a, 0, 2);
+    case G_CX:
+        return exchange_op(a | b, a, b, 0);
+    case G_CZ:
+        return exchange_op(a | b, a | b, 0, 2);
+    case G_SWAP:
+        return exchange_op(a | b, b, a | b, 0);
+    case G_RX:
+        return turn_op(a, 0, cos(h), sin(h), 3);
+    case G_RY:
+        return turn_op(a, a, cos(h), sin(h), 2);
+    default: /* G_RZ */
+        return turn_op(0, a, cos(h), sin(h), 3);
+    }
+}
+
+/* m <- the matrix of the one-qubit gate `code`, 8 doubles as u2_walk takes
+ * them, with the cosines and sines of the Clifford-loop passes of RX, RY
+ * and RZ */
+static void gate_matrix(int code, double angle, double *m)
+{
+    const double r = 0.70710678118654752440, c = cos(0.5 * angle), s = sin(0.5 * angle);
+    const double fixed[6][8] = {
+        [G_H] = {r, 0, r, 0, r, 0, -r, 0},   [G_S] = {1, 0, 0, 0, 0, 0, 0, 1},
+        [G_SDG] = {1, 0, 0, 0, 0, 0, 0, -1}, [G_X] = {0, 0, 1, 0, 1, 0, 0, 0},
+        [G_Y] = {0, 0, 0, -1, 0, 1, 0, 0},   [G_Z] = {1, 0, 0, 0, 0, 0, -1, 0}};
+    const double rx[8] = {c, 0, 0, -s, 0, -s, c, 0}, ry[8] = {c, 0, -s, 0, s, 0, c, 0},
+                 rz[8] = {c, -s, 0, 0, 0, 0, c, s};
+    memcpy(m, code == G_RX ? rx : code == G_RY ? ry : code == G_RZ ? rz : fixed[code],
+           sizeof rx);
+}
+
+/* m <- g m for complex 2x2 matrices of 8 doubles */
+static void left_multiply(const double *g, double *m)
+{
+    double p[8];
+    for (int i = 0; i < 2; i++)
+        for (int j = 0; j < 2; j++) {
+            const double *a = g + 4 * i, *b0 = m + 2 * j, *b1 = m + 4 + 2 * j;
+            p[4 * i + 2 * j] = a[0] * b0[0] - a[1] * b0[1] + a[2] * b1[0] - a[3] * b1[1];
+            p[4 * i + 2 * j + 1] = a[0] * b0[1] + a[1] * b0[0] + a[2] * b1[1] + a[3] * b1[0];
+        }
+    memcpy(m, p, sizeof p);
+}
+
+/* The one-qubit gates of one qubit that the baseline's loop holds back:
+ * the codes and angles of the `left` gates that remain after adjacent
+ * inverse pairs cancelled, in stream order, the count of gates taken in,
+ * and the stream index of the first. */
+#define MAX_FUSE 8
+
+typedef struct {
+    int left, taken;
+    int64_t since;
+    int32_t code[MAX_FUSE];
+    double angle[MAX_FUSE];
+} held;
+
+/* The baseline's loop: its passes, the gates it holds per qubit, the
+ * qubits holding gates (open), and those holding one gate whose pass
+ * rounds, H, RX, RY or RZ (lone). */
+typedef struct {
+    passes s;
+    int64_t n_amp;
+    uint64_t open, lone;
+    held q[64];
+} baseline;
+
+/* 1 if gate b undoes gate a: H H, S SDG, SDG S, X X, Y Y or Z Z */
+static int undoes(int32_t a, int32_t b)
+{
+    return a <= G_Z && b == (a == G_S ? G_SDG : a == G_SDG ? G_S : a);
+}
+
+/* Apply the gates qubit q holds and release it: none if all cancelled,
+ * the pass of the gate left if one is, else one framesim_apply_u2 pass of
+ * their product.  The gates that make no pass of their own are added to
+ * count[3]: all of them, or all but one. */
+static void settle(baseline *bl, int q)
+{
+    const held *h = bl->q + q;
+    const uint64_t bit = (uint64_t)1 << q;
+    bl->open &= ~bit;
+    bl->lone &= ~bit;
+    bl->s.count[3] += h->taken - (h->left > 0);
+    if (h->left == 1)
+        push(&bl->s, gate_pass(h->code[0], bit, 0, h->angle[0]), bl->n_amp);
+    else if (h->left > 1) {
+        pass_op o = {.kind = OP_U2, .x = bit};
+        gate_matrix(h->code[0], h->angle[0], o.u);
+        for (int i = 1; i < h->left; i++) {
+            double g[8];
+            gate_matrix(h->code[i], h->angle[i], g);
+            left_multiply(g, o.u);
+        }
+        push(&bl->s, o, bl->n_amp);
+    }
+}
+
+/* Settle qubit q if it holds gates.  A lone gate first waits for every
+ * lone gate taken in before it, in the order they came: so when no gate
+ * fuses, the passes that round come in stream order, and the others, which
+ * only move and negate amplitudes, commute with them bit for bit. */
+static void release(baseline *bl, int q)
+{
+    if (!(bl->open >> q & 1))
+        return;
+    if (bl->lone >> q & 1)
+        for (;;) {
+            int first = q;
+            for (uint64_t m = bl->lone; m; m &= m - 1) {
+                const int p = __builtin_ctzll(m);
+                if (bl->q[p].since < bl->q[first].since)
+                    first = p;
+            }
+            if (first == q)
+                break;
+            settle(bl, first);
+        }
+    settle(bl, q);
+}
+
+/* Take the one-qubit gate `code` at stream index k into what qubit q
+ * holds: it cancels the last gate held if it undoes it, else joins them,
+ * once the MAX_FUSE gates held are settled if they are full. */
+static void take(baseline *bl, int q, int32_t code, double angle, int64_t k)
+{
+    held *h = bl->q + q;
+    const uint64_t bit = (uint64_t)1 << q;
+    if ((bl->open & bit) && h->left == MAX_FUSE)
+        release(bl, q);
+    if (!(bl->open & bit)) {
+        h->left = h->taken = 0;
+        h->since = k;
+        bl->open |= bit;
+    }
+    h->taken++;
+    if (h->left && undoes(h->code[h->left - 1], code))
+        h->left--;
+    else {
+        h->code[h->left] = code;
+        h->angle[h->left++] = angle;
+    }
+    const int32_t c = h->code[0];
+    if (h->left == 1 && (c == G_H || c == G_RX || c == G_RY || c == G_RZ))
+        bl->lone |= bit;
+    else
+        bl->lone &= ~bit;
+}
+
 /* Run gates start, start+1, ... of a lowered circuit on the baseline, up to
  * the first MEASZ or PREPZ or to stop, and return the index of the first
  * gate not run.  ops and angles are as in framesim_run_gates, on the n
- * qubits of the 2**n amplitudes amp.  Each gate is the pass over amp that
- * StateVector.apply_gate makes of it, with the same arguments: X, Y, RX,
- * RY and RZ a framesim_clifford pass, H a framesim_apply_h pass, and Z,
- * S, SDG, CX, CZ and SWAP a framesim_pair_exchange pass.  On more
- * amplitudes than the L2 cache holds, the passes are blocked in runs (see
- * push), with the amplitudes of one pass per gate, bit for bit.  The
- * counts of passes, of the amplitudes they cover and of blocked runs are
- * added to count[0..2], as framesim_run_gates adds them. */
+ * qubits of the 2**n amplitudes amp.
+ *
+ * Each two-qubit gate is its gate_pass over amp.  The one-qubit gates of a
+ * qubit are held back (see take) until a two-qubit gate on that qubit
+ * comes, or the call returns, and then make one pass at most (see settle):
+ * a run of one-qubit gates on one qubit is one 2x2 matrix, the first step
+ * of the gate fusion of Doi & Horii (IEEE QCE 2020).  Gates that cancel
+ * are found on their codes, never by comparing numbers.  A gate left alone
+ * makes its gate_pass, so that when no gate fuses the amplitudes are those
+ * of one pass per gate, bit for bit; a fused run rounds once where its
+ * gates rounded one by one.  On more amplitudes than the L2 cache holds,
+ * the passes are blocked in runs (see push).  The counts of passes, of the
+ * amplitudes they cover and of blocked runs are added to count[0..2], as
+ * framesim_run_gates adds them, and the one-qubit gates that made no pass
+ * of their own to count[3]. */
 int64_t framesim_baseline_gates(double *amp, int n, const int32_t *ops, const double *angles,
                                 int64_t start, int64_t stop, int64_t *count)
 {
-    const int64_t n_amp = (int64_t)1 << n;
-    passes s = {.amp = amp, .count = count};
+    baseline bl; /* bl.q[i] is set when qubit i opens */
+    bl.s = (passes){.amp = amp, .count = count};
+    bl.n_amp = (int64_t)1 << n;
+    bl.open = bl.lone = 0;
     int64_t k = start;
     for (; k < stop; k++) {
         const int32_t *g = ops + 3 * k;
-        const uint64_t a = (uint64_t)1 << g[1], b = (uint64_t)1 << g[2];
-        const double h = 0.5 * angles[k];
-        pass_op o;
-        switch (g[0]) {
-        case G_H:
-            o = (pass_op){.kind = OP_H, .x = a};
-            break;
-        case G_S:
-            o = exchange_op(a, a, 0, 1);
-            break;
-        case G_SDG:
-            o = exchange_op(a, a, 0, 3);
-            break;
-        case G_X:
-            o = turn_op(a, 0, 0.0, 1.0, 0);
-            break;
-        case G_Y:
-            o = turn_op(a, a, 0.0, 1.0, 3);
-            break;
-        case G_Z:
-            o = exchange_op(a, a, 0, 2);
-            break;
-        case G_CX:
-            o = exchange_op(a | b, a, b, 0);
-            break;
-        case G_CZ:
-            o = exchange_op(a | b, a | b, 0, 2);
-            break;
-        case G_SWAP:
-            o = exchange_op(a | b, b, a | b, 0);
-            break;
-        case G_RX:
-            o = turn_op(a, 0, cos(h), sin(h), 3);
-            break;
-        case G_RY:
-            o = turn_op(a, a, cos(h), sin(h), 2);
-            break;
-        case G_RZ:
-            o = turn_op(0, a, cos(h), sin(h), 3);
-            break;
-        default: /* MEASZ, PREPZ: the caller draws the outcome */
-            goto out;
-        }
-        push(&s, o, n_amp);
+        if (g[0] == G_MEASZ || g[0] == G_PREPZ)
+            break; /* the caller draws the outcome */
+        if (g[0] == G_CX || g[0] == G_CZ || g[0] == G_SWAP) {
+            release(&bl, g[1]);
+            release(&bl, g[2]);
+            push(&bl.s, gate_pass(g[0], (uint64_t)1 << g[1], (uint64_t)1 << g[2], 0.0),
+                 bl.n_amp);
+        } else
+            take(&bl, g[1], g[0], angles[k], k);
     }
-out:
-    apply_pending(&s);
+    while (bl.open)
+        release(&bl, __builtin_ctzll(bl.open));
+    apply_pending(&bl.s);
     return k;
 }
 

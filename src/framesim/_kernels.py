@@ -1,7 +1,7 @@
 """The in-place amplitude kernels of ``StateVector``, the compiled gate
 loops of both backends, and the choice of their tier.
 
-Five amplitude operations carry every state update:
+Six amplitude operations carry every state update:
 
 - ``clifford`` computes ``a[k] <- ca*a[k] + cb * i**e0 * (-1)**parity(k & z)
   * a[k ^ x]`` with real ca and cb: every update of the form
@@ -10,6 +10,8 @@ Five amplitude operations carry every state update:
   and the prepare repair), the measurement collapse, the flush's quarter
   turns, and the baseline's X, Y, RX, RY and RZ.
 - ``apply_h`` applies the Hadamard gate to one qubit: the baseline's H.
+- ``apply_u2`` applies any complex 2x2 matrix to one qubit: a run of the
+  baseline's one-qubit gates on one qubit, fused into their product.
 - ``pair_exchange`` swaps ``a[k]`` with ``a[k ^ x]`` for every k whose bits
   under ``mask`` equal ``val``, or multiplies ``a[k]`` by ``i**e`` when x is
   0: the baseline's CX and SWAP, and the baseline's Z, S, SDG and CZ, which
@@ -34,18 +36,19 @@ The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
 (one read and one write each), the permutation two at most, and allocate
 nothing; the permutation takes from its wrapper a bitmap of one bit per
 tile, whose size it reports, and the scatter reads the copy of the
-register that its caller makes.  The Clifford, Hadamard and pair-exchange
-loops walk the state in cache-sized tiles, pairing a tile with the one its
-partner mask reaches, so that the cost of the Clifford loop depends
-neither on the number of qubits nor on how many qubits the operator
-touches; inside a tile the Hadamard and pair-exchange loops take
-contiguous runs, a cache line at a time where the runs are shorter.  Each
-walks one set of tiles: the whole state for a single pass, or one coset
-of a blocked run (see ``run_gates``).  The Clifford loop holds two
-amplitudes per 32-byte vector and applies a power of i as an element swap
-and a sign pattern, with no complex multiply.  It and the Hadamard loop
-are compiled twice from one body, a generic clone and one for AVX2 with
-FMA, and the library picks one when it loads, from what the CPU reports;
+register that its caller makes.  The Clifford, Hadamard, 2x2 and
+pair-exchange loops walk the state in cache-sized tiles, pairing a tile
+with the one its partner mask reaches, so that the cost of the Clifford
+loop depends neither on the number of qubits nor on how many qubits the
+operator touches; inside a tile the other three take contiguous runs, a cache
+line at a time where the runs are shorter.  Each walks one set of tiles:
+the whole state for a single pass, or one coset of a blocked run (see
+``run_gates``).  The Clifford loop holds two amplitudes per 32-byte
+vector and applies a power of i as an element swap and a sign pattern,
+with no complex multiply; the 2x2 loop holds them the same way and makes
+two complex products per amplitude.  These two and the Hadamard loop are
+compiled twice from one body, a generic clone and one for AVX2 with FMA,
+and the library picks one when it loads, from what the CPU reports;
 ``simd_clone`` names it.  On a 2-core Xeon with AVX2, on a state that
 starts on a cache line (as ``StateVector`` allocates it), a rotation runs
 at 0.54-0.71 ns per amplitude at n = 16, 0.77-0.82 at n = 18 and
@@ -65,19 +68,23 @@ take a contiguous complex128 state aligned to
 
 The two gate loops in C run a circuit's lowered gate stream
 (``Circuit.lowered``) up to the next measurement or preparation.
-``baseline_gates`` is the baseline's: each gate is the pass that
-``StateVector.apply_gate`` makes of it, over the whole state.
+``baseline_gates`` is the baseline's: each two-qubit gate is the pass
+that ``StateVector.apply_gate`` makes of it, over the whole state, and
+each run of one-qubit gates on one qubit makes one pass at most: none
+where its gates cancel in inverse pairs, the gate's own where one is
+left, else one ``apply_u2`` pass of their product; the benchmark's
+18-qubit Trotter circuits (seed 1) make 1173-1188 passes for their
+1727-1845 gates, and run in 0.155 s against 0.211 s one pass per gate on
+a 2-core Xeon.
 ``run_gates`` is the hybrid backend's: it updates the words of a
 ``PauliFrame`` in place and calls the Clifford loop for each rotation on
 the hybrid's register of 2**d amplitudes.  Once the amplitudes of a pass
 outgrow the L2 cache (``l2_bytes``), both apply each run of passes in one
 walk that takes each group of tiles through the whole run while the group
-sits in the cache, with the amplitudes of one pass per gate, bit for bit;
-at n = 18 on a 2-core Xeon with 2 MiB of L2, runs of 3 to 7 rotations
+sits in the cache, with the amplitudes of one pass each, bit for bit; at
+n = 18 on a 2-core Xeon with 2 MiB of L2, runs of 3 to 7 rotations
 cost 0.31-0.34 ns per amplitude and rotation against 0.47-0.49 one by
-one, and the baseline runs one of the benchmark's 18-qubit Trotter
-circuits (about 1800 gates, in runs of up to 16) in 0.11 s against 0.18 s
-one pass per gate.  ``register_map`` maps one operator onto the hybrid's
+one.  ``register_map`` maps one operator onto the hybrid's
 register, activating a qubit when it must, as its loop does for each
 rotation; the hybrid's measurements, preparations and expectations go
 through it (see ``backends.HybridState``).  ``flush`` is the hybrid's
@@ -97,12 +104,12 @@ under a name keyed by a hash of the source and the compiler flags, linked
 with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
 compiling.  The build names no CPU, so a cached library runs on any
-x86-64.  When the library loads, the five operation names are the C loops,
+x86-64.  When the library loads, the six operation names are the C loops,
 ``baseline_gates``, ``run_gates``, ``register_map`` and ``flush`` are set
 and ``kernel_tier()`` returns ``compiled-c``.
 When it cannot be built or loaded (no compiler, a build error, a cache
 directory that cannot be written) one ``RuntimeWarning`` names the reason,
-the five names are bound to the numpy functions instead and the other four
+the six names are bound to the numpy functions instead and the other four
 are None.  The choice is
 made once, here, from what the import observes.
 """
@@ -193,6 +200,8 @@ def _load():
     lib.framesim_clifford.restype = None
     lib.framesim_apply_h.argtypes = [ptr, i64, ctypes.c_int]
     lib.framesim_apply_h.restype = None
+    lib.framesim_apply_u2.argtypes = [ptr, i64, ctypes.c_int, ptr]
+    lib.framesim_apply_u2.restype = None
     lib.framesim_pair_exchange.argtypes = [ptr, i64, u64, u64, u64, ctypes.c_int]
     lib.framesim_pair_exchange.restype = None
     lib.framesim_run_gates.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr,
@@ -234,14 +243,14 @@ def kernel_tier() -> str:
     return "numpy" if _lib is None else "compiled-c"
 
 
-# the clones of the Clifford and Hadamard loops that this CPU runs, indexed
-# by the value framesim_use_avx2 returns
+# the clones of the Clifford, Hadamard and 2x2 loops that this CPU runs,
+# indexed by the value framesim_use_avx2 returns
 _CLONES = (() if _lib is None else
            ("generic", "avx2") if _lib.framesim_use_avx2(-1) else ("generic",))
 
 
 def simd_clone() -> str | None:
-    """Name of the compiled clone the Clifford and Hadamard loops run:
+    """Name of the compiled clone the Clifford, Hadamard and 2x2 loops run:
     ``avx2`` or ``generic``; None on the numpy tier."""
     return None if _lib is None else _CLONES[_lib.framesim_use_avx2(-1)]
 
@@ -255,9 +264,10 @@ def l2_bytes() -> int | None:
 
 
 def _use_clone(name: str) -> str:
-    """Run the Clifford and Hadamard loops on clone ``name``, one of those
-    this CPU runs, and return the name of the clone used before.  For the
-    tests, which check every clone; a run keeps the clone picked at load."""
+    """Run the Clifford, Hadamard and 2x2 loops on clone ``name``, one of
+    those this CPU runs, and return the name of the clone used before.  For
+    the tests, which check every clone; a run keeps the clone picked at
+    load."""
     if name not in _CLONES:
         raise ValueError(f"clone {name!r} does not run here (runs: {_CLONES})")
     before = simd_clone()
@@ -309,6 +319,21 @@ def _c_apply_h(amp, q):
     """``numpy_apply_h`` in one pass of the C loop."""
     addr = _address(amp, 1 << q)
     _lib.framesim_apply_h(addr, amp.shape[0], q)
+
+
+def _u2_matrix(m) -> np.ndarray:
+    """m as a contiguous 2x2 complex128 array; ValueError for another shape."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    if m.shape != (2, 2):
+        raise ValueError(f"a one-qubit gate needs a 2x2 matrix, got shape {m.shape}")
+    return m
+
+
+def _c_apply_u2(amp, q, m):
+    """``numpy_apply_u2`` in one pass of the C loop."""
+    addr = _address(amp, 1 << q)
+    m = _u2_matrix(m)
+    _lib.framesim_apply_u2(addr, amp.shape[0], q, m.ctypes.data)
 
 
 def _c_pair_exchange(amp, mask, val, x, e):
@@ -399,13 +424,14 @@ def _is_array(a, code: str, size: int) -> bool:
     return isinstance(a, array) and a.typecode == code and a.itemsize == size
 
 
-_NO_COUNTS = array("q", bytes(24))
+_NO_COUNTS = array("q", bytes(32))
 
 
 def pass_counts() -> array:
-    """Zeroed counts for ``run_gates`` and ``flush`` to add to: the passes
-    over the register, the amplitudes those passes cover and the blocked
-    runs, as an ``array`` of typecode 'q'."""
+    """Zeroed counts for ``run_gates``, ``baseline_gates`` and ``flush`` to
+    add to: the passes over the register, the amplitudes those passes cover,
+    the blocked runs and, from ``baseline_gates`` alone, the one-qubit gates
+    that made no pass of their own, as an ``array`` of typecode 'q'."""
     return _NO_COUNTS[:]
 
 
@@ -414,8 +440,8 @@ def _check_counts(counts) -> array:
     ``pass_counts`` returns.  The caller keeps it alive over the C call."""
     if counts is None:
         return pass_counts()
-    if not (_is_array(counts, "q", 8) and len(counts) == 3):
-        raise ValueError("pass counts must be an array of 3 items of typecode 'q'")
+    if not (_is_array(counts, "q", 8) and len(counts) == 4):
+        raise ValueError("pass counts must be an array of 4 items of typecode 'q'")
     return counts
 
 
@@ -493,14 +519,25 @@ def _c_baseline_gates(amp, ops, angles, start, counts=None):
     run: the next MEASZ or PREPZ, or the gate count.
 
     ops and angles are the arrays of ``Circuit.lowered``, on the qubits of
-    amp; the gate codes and qubits are not checked again.  Each gate is
-    the pass of ``StateVector.apply_gate``: the Clifford loop for X, Y, RX,
-    RY and RZ, the Hadamard loop for H and the pair exchange for Z, S, SDG,
-    CX, CZ and SWAP.  While the state holds more bytes than the L2 cache
-    (``l2_bytes``), the loop blocks these passes in runs as ``run_gates``
-    blocks rotations, with the amplitudes of one pass per gate, bit for
-    bit.  ``counts`` (see ``pass_counts``) receives the passes, the
-    amplitudes they cover and the blocked runs, as in ``run_gates``.
+    amp; the gate codes and qubits are not checked again.  A gate's pass
+    is the one ``StateVector.apply_gate`` makes: the Clifford loop for X,
+    Y, RX, RY and RZ, the Hadamard loop for H and the pair exchange for Z,
+    S, SDG, CX, CZ and SWAP.  Each two-qubit gate makes its pass.  The
+    one-qubit gates of a qubit are held until a two-qubit gate on it, or
+    the call's return, and then make one pass at most: none where they
+    cancel in adjacent inverse pairs (H H, S SDG, SDG S, X X, Y Y, Z Z,
+    found on the gate codes), the pass of the gate left where one is, and
+    else one ``apply_u2`` pass of their product.  A lone H, RX, RY or RZ is
+    applied after those taken in before it, so that with nothing fused the
+    amplitudes are those of one pass per gate in stream order, bit for
+    bit; a fused run rounds once where its gates rounded one by one.  While
+    the state holds more bytes than the L2 cache (``l2_bytes``), the loop
+    blocks these passes in runs as ``run_gates`` blocks rotations, with the
+    amplitudes of one pass each, bit for bit.  ``counts`` (see
+    ``pass_counts``) receives the passes, the amplitudes they cover and the
+    blocked runs, as in ``run_gates``, and the one-qubit gates that made no
+    pass of their own (all those of a run that cancelled, all but one of
+    the others).
     """
     addr = _address(amp)
     counts = _check_counts(counts)
@@ -611,6 +648,20 @@ def numpy_apply_h(amp, q):
     amp[k1] = (a0 - a1) * _SQ2
 
 
+def numpy_apply_u2(amp, q, m):
+    """The one-qubit gate of the complex 2x2 matrix m on qubit q: for each
+    pair k0, k1 = k0 | 2**q with bit q of k0 clear, amp[k0], amp[k1] <-
+    m[0, 0] a0 + m[0, 1] a1, m[1, 0] a0 + m[1, 1] a1."""
+    if not 0 <= q < amp.shape[0].bit_length() - 1:
+        raise ValueError(f"qubit {q} out of range for the amplitude array")
+    m = _u2_matrix(m)
+    k0 = np.arange(amp.shape[0], dtype=np.int64)
+    k0 = k0[k0 & (1 << q) == 0]
+    a0, a1 = amp[k0], amp[k0 | (1 << q)]
+    amp[k0] = m[0, 0] * a0 + m[0, 1] * a1
+    amp[k0 | (1 << q)] = m[1, 0] * a0 + m[1, 1] * a1
+
+
 def numpy_pair_exchange(amp, mask, val, x, e):
     """Swap amp[k] with amp[k ^ x] for every k with k & mask == val; when x
     is 0, multiply amp[k] by i**e instead.  val and x must be submasks of
@@ -683,11 +734,13 @@ def numpy_permute(amp, cols, offset, diag, cross) -> int:
 TEMPORARY_BYTES = 0 if _lib is not None else 72
 
 if _lib is not None:
-    clifford, apply_h, pair_exchange = _c_clifford, _c_apply_h, _c_pair_exchange
+    clifford, apply_h, apply_u2, pair_exchange = (_c_clifford, _c_apply_h, _c_apply_u2,
+                                                  _c_pair_exchange)
     permute, scatter = _c_permute, _c_scatter
     run_gates, baseline_gates, register_map = _c_run_gates, _c_baseline_gates, _c_register_map
     flush = _c_flush
 else:
-    clifford, apply_h, pair_exchange = numpy_clifford, numpy_apply_h, numpy_pair_exchange
+    clifford, apply_h, apply_u2, pair_exchange = (numpy_clifford, numpy_apply_h,
+                                                  numpy_apply_u2, numpy_pair_exchange)
     permute, scatter = numpy_permute, numpy_scatter
     run_gates = baseline_gates = register_map = flush = None

@@ -1,7 +1,8 @@
 """The two executable backends over the shared gate IR.
 
 ``run_baseline`` is the conventional fullstate simulator: every gate in the
-stream hits the 2**n amplitudes.  ``run_hybrid`` keeps a Pauli frame next to
+stream hits the 2**n amplitudes, a run of one-qubit gates on one qubit as
+one pass of their product.  ``run_hybrid`` keeps a Pauli frame next to
 the state vector: Clifford gates only update the frame, and the remaining
 gates (rotations, measurements, preparations) act on the state through the
 frame lookup as native multi-qubit Pauli operations.  The tracked physical
@@ -49,11 +50,14 @@ class RunReport:
 
     ``passes`` counts the baseline's passes over the state for its gates,
     as ``HybridState.passes`` counts the hybrid's: ``gate_passes``, one per
-    pass, ``gate_pass_equivalents``, 1 per pass over the whole state, and
-    ``gate_blocked_runs``, the runs of gates that the compiled loop applied
-    in one blocked pass (see ``_kernels.baseline_gates``), each counted
-    once in the other two.  Without blocking, a pass is one gate.  Empty on
-    hybrid reports, whose ``HybridState`` holds the counts.
+    pass, ``gate_pass_equivalents``, 1 per pass over the whole state,
+    ``gate_blocked_runs``, the runs of passes that the compiled loop
+    applied in one blocked pass (see ``_kernels.baseline_gates``), each
+    counted once in the other two, and ``gate_fused``, the one-qubit gates
+    that made no pass of their own, cancelled or folded into the 2x2 pass
+    of their run (0 from the Python loop).  Without blocking,
+    ``gate_passes + gate_fused`` is the gate count.  Empty on hybrid
+    reports, whose ``HybridState`` holds the counts.
     """
 
     backend: str
@@ -267,7 +271,7 @@ def _pass_dict(kind: str, counts: array, n: int) -> dict[str, float]:
     """The counts of ``_kernels.pass_counts`` as ``<kind>_passes``,
     ``<kind>_pass_equivalents`` (the amplitudes over 2**n) and
     ``<kind>_blocked_runs``."""
-    passes, amplitudes, blocked = counts
+    passes, amplitudes, blocked, _ = counts
     return {f"{kind}_passes": passes, f"{kind}_pass_equivalents": amplitudes / (1 << n),
             f"{kind}_blocked_runs": blocked}
 
@@ -290,16 +294,18 @@ def _seeded(rng) -> tuple[int | None, np.random.Generator]:
 
 
 def run_baseline(circuit: Circuit, rng=None) -> tuple[StateVector, RunReport]:
-    """Gate-by-gate fullstate execution of the circuit: each gate is one
-    pass of ``StateVector.apply_gate`` over the 2**n amplitudes, and each
-    MEASZ or PREPZ a ``StateVector.measure`` or ``prepare``.
+    """Fullstate execution of the circuit: each gate is a pass of
+    ``StateVector.apply_gate`` over the 2**n amplitudes, and each MEASZ or
+    PREPZ a ``StateVector.measure`` or ``prepare``.
 
     The gate loop is the compiled one, ``_kernels.baseline_gates``, when
-    ``_kernels`` loaded its C library, else the Python one, which the tests
-    use as its reference.  Above the L2 cache size the compiled loop blocks
-    its passes in runs, with the amplitudes of one pass per gate; both
-    loops draw the same outcomes from ``rng`` and leave the same
-    amplitudes, bit for bit.  ``RunReport.passes`` receives their counts.
+    ``_kernels`` loaded its C library, else the Python one, gate by gate,
+    which the tests use as its reference.  The compiled loop makes one
+    pass at most of each run of one-qubit gates on one qubit, and above
+    the L2 cache size it blocks its passes in runs, with the amplitudes of
+    one pass each.  Both loops draw the same outcomes from ``rng`` and
+    leave the same amplitudes: bit for bit where no gate fused, else
+    within rounding.  ``RunReport.passes`` receives their counts.
     """
     seed, rng = _seeded(rng)
     n = circuit.num_qubits
@@ -311,7 +317,7 @@ def run_baseline(circuit: Circuit, rng=None) -> tuple[StateVector, RunReport]:
     t0 = time.perf_counter()
     gate_loop(state, circuit, rng, report.measurements, counts)
     report.t_run_s = time.perf_counter() - t0
-    report.passes = _pass_dict("gate", counts, n)
+    report.passes = {**_pass_dict("gate", counts, n), "gate_fused": counts[3]}
     return state, report
 
 

@@ -41,8 +41,12 @@ _COLUMNS = (("name", str), ("n_qubits", int), ("n_terms", int),
             ("L_mean", float), ("L_std", float), ("L_max", int),
             ("backend", str), ("t_compile_s", float), ("t_run_s", float),
             ("rescaled_runtime", float), ("speedup_vs_baseline", _optional(float)),
-            ("seed", _optional(int)), ("t_flush_s", float))
+            ("seed", _optional(int)), ("t_flush_s", float), ("kernel_tier", str),
+            ("simd_clone", _optional(str)))
 CSV_FIELDS = tuple(column for column, _ in _COLUMNS)
+# the values that the columns added after the first twelve take in files
+# written before them: no flush time, an unknown tier and no clone
+_LATER_COLUMNS = {"t_flush_s": 0.0, "kernel_tier": "", "simd_clone": ""}
 
 VERIFY_TOLERANCE = 1e-10
 # bytes of one complex128 amplitude
@@ -107,6 +111,8 @@ class BenchRecord:
     speedup_vs_baseline: float | None
     seed: int | None
     t_flush_s: float = 0.0
+    kernel_tier: str = ""
+    simd_clone: str | None = None
 
 
 def _load_hamiltonian(config: BenchConfig) -> Hamiltonian:
@@ -213,7 +219,10 @@ def run_config(config: BenchConfig) -> list[BenchRecord]:
     Each hybrid repetition ends in ``flush_to_origin``, timed on its own:
     the hybrid record's ``t_flush_s`` is the median flush of the timed
     repetitions, the time from its ``t_run_s`` to the amplitudes that the
-    baseline's ``t_run_s`` ends on (0.0 on baseline records).
+    baseline's ``t_run_s`` ends on (0.0 on baseline records).  Every record
+    names the kernel tier and the compiled clone that ran it
+    (``_kernels.kernel_tier()`` and ``simd_clone()``, None on the numpy
+    tier).
 
     Raises BenchConfigError, before any state is allocated, for more
     qubits than the memory left to the run holds (``memory_need``).
@@ -264,7 +273,8 @@ def run_config(config: BenchConfig) -> list[BenchRecord]:
             l_mean=l_mean, l_std=l_std, l_max=l_max, backend=backend,
             t_compile_s=t_compile, t_run_s=t_run,
             rescaled_runtime=t_run / (len(probe) * dim),
-            speedup_vs_baseline=speedup, seed=seed, t_flush_s=t_flush))
+            speedup_vs_baseline=speedup, seed=seed, t_flush_s=t_flush,
+            kernel_tier=_kernels.kernel_tier(), simd_clone=_kernels.simd_clone()))
     return records
 
 
@@ -324,7 +334,7 @@ def _record_to_row(r: BenchRecord) -> dict[str, str]:
 
 
 def _row_to_record(row: dict[str, object], where: str) -> BenchRecord:
-    row = {"t_flush_s": 0.0, **row}  # files written before the column read back
+    row = {**_LATER_COLUMNS, **row}  # files written before those columns read back
     missing = [column for column in CSV_FIELDS if row.get(column) is None]
     if missing:
         raise BenchConfigError(f"{where}: missing column(s) {', '.join(missing)}")

@@ -185,7 +185,7 @@ def test_csv_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0] == ("name,n_qubits,n_terms,L_mean,L_std,L_max,"
                                     "backend,t_compile_s,t_run_s,rescaled_runtime,"
-                                    "speedup_vs_baseline,seed,t_flush_s")
+                                    "speedup_vs_baseline,seed,t_flush_s,kernel_tier,simd_clone")
     back = read_records(io.StringIO(text), "csv")
     assert back == records
 
@@ -202,6 +202,28 @@ def test_jsonl_round_trip():
     # files written with string-valued numbers still read back
     legacy = {k: (None if v is None else str(v)) for k, v in row.items()}
     assert read_records(io.StringIO(json.dumps(legacy) + "\n"), "jsonl") == records[:1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_records_name_the_tier_and_the_clone_on_both_backends(fmt):
+    # the two trailing columns hold what ran the cell, on the baseline's
+    # record and the hybrid's, and read back; a file written before them
+    # reads back with an unknown tier and no clone
+    records = run_config(small_config())
+    assert [(r.backend, r.kernel_tier, r.simd_clone) for r in records] == [
+        (backend, _kernels.kernel_tier(), _kernels.simd_clone()) for backend in BACKENDS]
+    buf = io.StringIO()
+    write_records(records, buf, fmt)
+    assert read_records(io.StringIO(buf.getvalue()), fmt) == records
+    lines = buf.getvalue().splitlines()
+    if fmt == "csv":
+        old = "".join(",".join(line.split(",")[:-2]) + "\n" for line in lines)
+    else:
+        old = "".join(json.dumps({k: v for k, v in json.loads(line).items()
+                                  if k not in ("kernel_tier", "simd_clone")}) + "\n"
+                      for line in lines)
+    assert read_records(io.StringIO(old), fmt) == [
+        dataclasses.replace(r, kernel_tier="", simd_clone=None) for r in records]
 
 
 @pytest.mark.skipif(_kernels.run_gates is None, reason="compiled kernels not loaded")

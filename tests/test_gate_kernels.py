@@ -1,5 +1,6 @@
-"""The baseline's H, CX, CZ, SWAP, Z, S and SDG loops and ``swap_qubits``,
-on each kernel tier, against each other and against the dense oracles."""
+"""The baseline's H, CX, CZ, SWAP, Z, S and SDG loops, its 2x2 loop and
+``swap_qubits``, on each kernel tier, against each other and against the
+dense oracles."""
 import functools
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framesim import StateVector
+from framesim import Circuit, StateVector
 from framesim import _kernels
-from oracles import compiled_clones, gate_unitary
+from oracles import GATE_1Q, blocked_qubits, compiled_clones, embed_1q, gate_unitary
 
 # (apply_h, pair_exchange) of each implementation: the numpy reference
 # always, and the compiled C loops wherever their library loaded, the
@@ -160,3 +161,93 @@ def test_gate_kernels_reject_bad_arguments(name):
         pair_exchange(amp, 0b1000, 0, 0, 2)
     with pytest.raises(ValueError):
         apply_h(amp, 3)
+
+
+# apply_u2 of each implementation, as TIERS
+U2_TIERS = {"numpy": _kernels.numpy_apply_u2, **compiled_clones(_kernels.apply_u2)}
+
+
+def random_matrix(seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+
+def check_u2(n, q, seed):
+    amp, m = random_amplitudes(seed, n), random_matrix(seed + 1)
+    ref = embed_1q(m, q, n) @ amp
+    for name, apply_u2 in U2_TIERS.items():
+        out = amp.copy()
+        apply_u2(out, q, m)
+        assert np.max(np.abs(out - ref)) < 1e-12, (name, n, q)
+
+
+# q = 0, where a pair fills one 32-byte vector, q = 1, inside a tile, its
+# top qubit, and across tiles, on states of one tile and of several
+@pytest.mark.parametrize("n, q", [(10, 0), (10, 1), (10, 2), (10, 5), (10, 7), (10, 8),
+                                  (10, 9), (1, 0), (2, 1), (8, 7)])
+def test_u2_loop_matches_the_dense_oracle_on_every_tier(n, q):
+    check_u2(n, q, seed=n + q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, MAX_QUBITS), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_u2_loop_matches_the_dense_oracle_for_any_qubit(n, data, seed):
+    check_u2(n, data.draw(st.integers(0, n - 1)), seed)
+
+
+@pytest.mark.parametrize("name", list(U2_TIERS))
+def test_u2_loop_rejects_bad_arguments(name):
+    amp = StateVector.zero(3).amplitudes
+    with pytest.raises(ValueError):
+        U2_TIERS[name](amp, 3, np.eye(2))
+    with pytest.raises(ValueError, match="2x2"):
+        U2_TIERS[name](amp, 0, np.eye(3))
+
+
+BLOCKED_N = blocked_qubits()
+# gate pairs whose product the compiled loop and numpy compute exactly,
+# from the same 1/sqrt(2) as the Hadamard loop
+FUSED_PAIRS = (("H", "S"), ("SDG", "H"), ("X", "H"), ("H", "Y"), ("S", "X"), ("Z", "H"),
+               ("Y", "S"), ("H", "Z"))
+GATES = {**GATE_1Q, "H": _kernels._SQ2 * np.array([[1, 1], [1, -1]], dtype=complex)}
+
+
+@pytest.mark.skipif(BLOCKED_N is None, reason="the compiled loop blocks no state here")
+def test_u2_passes_in_blocked_runs_are_the_whole_state_passes_bit_for_bit():
+    # above the L2 size the baseline's loop fuses each pair below into one
+    # 2x2 pass and walks those passes in blocked runs: q = 0, q = 1, inside
+    # a tile and across tiles, up to the top qubit.  Each coset walk gives
+    # the amplitudes of one whole-state 2x2 pass per qubit in qubit order,
+    # the order the loop releases them in.  The SWAP(10, 9) that opens the
+    # run puts the mixed tile mask 0b110 first into the span, so that in
+    # some cosets the walk reaches the upper tile of qubit 9's pairs first
+    n = BLOCKED_N
+    qubits = (0, 1, 5, 7, 8, 9, 12, n - 1)
+    swap = (1 << 10 | 1 << 9, 1 << 9, 1 << 10 | 1 << 9, 0)  # pair_exchange's SWAP
+    circ = Circuit(n)
+    circ.append("SWAP", 10, 9)
+    for q, pair in zip(qubits, FUSED_PAIRS):
+        for tag in pair:
+            circ.append(tag, q)
+    ops, angles = circ.lowered()
+
+    def passes_of(apply_u2, pair_exchange):
+        ref = random_amplitudes(3, n)
+        pair_exchange(ref, *swap)
+        for q, (first, second) in zip(qubits, FUSED_PAIRS):
+            apply_u2(ref, q, GATES[second] @ GATES[first])
+        return ref
+
+    def both():
+        amp = random_amplitudes(3, n)
+        counts = _kernels.pass_counts()
+        _kernels.baseline_gates(amp, ops, angles, 0, counts)
+        return amp, passes_of(_kernels.apply_u2, _kernels.pair_exchange), counts
+
+    for name, run in compiled_clones(both).items():
+        amp, ref, counts = run()
+        passes, _, blocked, fused = counts
+        assert (passes, blocked, fused) == (1, 1, len(qubits)), name
+        assert np.array_equal(amp, ref), name
+    numpy_ref = passes_of(_kernels.numpy_apply_u2, _kernels.numpy_pair_exchange)
+    assert np.max(np.abs(amp - numpy_ref)) < 1e-12

@@ -192,7 +192,8 @@ def libasan() -> str | None:
 
 
 # the compiled loops at every size the hybrid's register takes: the Clifford
-# loop on states of exactly 2 to 2**10 amplitudes on each clone, a
+# loop, and the 2x2 loop on every qubit, on states of exactly 2 to 2**10
+# amplitudes on each clone, a
 # circuit at n = 10 that activates the register one qubit at a time
 # (prefixes of 2 to 2**10 amplitudes) around a MEASZ and a PREPZ, and
 # its flush, with the permutation's affine and shear passes; the
@@ -207,7 +208,8 @@ def libasan() -> str | None:
 # all 10, and flushes at the origin frame with an index map A != I, of a
 # register of 6 and of 10 qubits, against P_A; and above the L2 cache the
 # hybrid's blocked runs of rotations and turns, and the baseline's of every
-# gate kind against its Python loop, on each clone
+# gate kind, fused 2x2 passes included, against its Python loop, on each
+# clone
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -222,6 +224,8 @@ for clone in _kernels._CLONES:
             raise SystemExit("numpy returned a state below 16-byte alignment")
         for x in {0, 1, (1 << m) - 1, 1 << (m - 1)}:
             _kernels.clifford(amp, x, int(rng.integers(1 << m)), 0.6, 0.8, 3)
+        for q in range(m):
+            _kernels.apply_u2(amp, q, np.array([[0.6, 0.8j], [0.8j, 0.6]]))
 n = 10
 circ = Circuit(n)
 for q in range(n):
@@ -357,10 +361,12 @@ if l2 and n <= 22:
         _kernels.baseline_gates = None
         ref, ref_report = run_baseline(base, 1)
         _kernels.baseline_gates = compiled
-        if not report.passes["gate_blocked_runs"]:
-            raise SystemExit(f"the baseline blocked no run on {n} qubits: {report.passes}")
+        # the H, RY pairs of the first layer fuse into 2x2 passes
+        if not (report.passes["gate_blocked_runs"] and report.passes["gate_fused"]):
+            raise SystemExit(f"the baseline blocked or fused nothing on {n} qubits: "
+                             f"{report.passes}")
         if (report.measurements != ref_report.measurements
-                or not np.array_equal(state.amplitudes, ref.amplitudes)):
+                or np.max(np.abs(state.amplitudes - ref.amplitudes)) > 1e-12):
             raise SystemExit("the baseline's blocked runs differ from its Python loop")
 """
 # a write past the end of a 4-amplitude state, which the sanitizer must stop
