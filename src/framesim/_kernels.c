@@ -22,18 +22,21 @@
  * odd x the other position; an exchange of the two halves of a vector
  * covers the second case.
  *
- * The three gate kernels after it serve the baseline's gates: the
- * Hadamard gate on one qubit, any complex 2x2 matrix on one qubit (a run
- * of one-qubit gates fused into one), and a masked pair exchange that
- * swaps pairs of amplitudes (CX and SWAP) or multiplies a masked subset by
- * a power of i (Z, S, SDG and CZ).  Like the Clifford loop, each walks a
- * set of tiles (tile_set): the whole state, or one coset of a blocked run
- * (see below).  A pair either lies in one tile, or a tile pairs with the
- * tile its partner mask reaches; inside a tile the loops take contiguous
- * runs of amplitudes, a cache line at a time where the runs are shorter,
- * and allocate nothing.
+ * The two gate kernels after it serve the baseline's gates: any complex
+ * 2x2 matrix on one qubit (H, or a run of one-qubit gates fused into one),
+ * and a masked pair exchange that swaps pairs of amplitudes (CX and SWAP)
+ * or multiplies a masked subset by a power of i (Z, S, SDG and CZ).  Like
+ * the Clifford loop, each walks a set of tiles (tile_set): the whole
+ * state, or one coset of a blocked run (see below).  A pair either lies in
+ * one tile, or a tile pairs with the tile its partner mask reaches; inside
+ * a tile the loops take contiguous runs of amplitudes, a cache line at a
+ * time where the runs are shorter, and allocate nothing.  Both loops that
+ * mix a pair, the Clifford and the 2x2 loop, load a cache line of both
+ * partners before they store any of it: partners in two tiles sit a
+ * multiple of 4 KiB apart, and a load that follows a store to the same
+ * address modulo 4 KiB waits for that store.
  *
- * The Clifford, Hadamard and 2x2 loops are each compiled twice from one
+ * The Clifford and 2x2 loops are each compiled twice from one
  * body: a generic clone for any CPU, and on x86-64 a clone for AVX2 with
  * FMA, which holds a 32-byte vector in one register.  The library picks one
  * when it loads, from what the CPU reports, so one build runs on any
@@ -344,75 +347,6 @@ clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
     walk((v4d *)amp, whole(n_amp, b), b, x, x >> b, z, pat, ca, e0, wide);
 }
 
-/* The Hadamard gate on qubit q over the tiles of ts, tiles of 2**b
- * amplitudes: amp[k0], amp[k1] <- r (a0 + a1), r (a0 - a1), r = 1/sqrt(2),
- * for each pair k0, k1 = k0 | 2**q with bit q of k0 clear.  H is real, so
- * it scales the real and imaginary parts alike and the loops run over
- * doubles.  Below b the pairs lie in a tile, in two runs of 2**q amplitudes
- * per block of 2**(q+1); for q = 0 and 1, where each cache line holds two
- * whole pairs, the loop takes a line per iteration instead.  From b up,
- * tile t pairs with tile t ^ xt, xt = 2**(q-b): tile_at(j) with
- * tile_at(j ^ xj), xj being the index of xt in ts.  Which of the two has
- * the bit clear depends on the span, not on j, so the loop tests it.  A
- * software prefetch of the next pair, as turn_walk makes, kept GCC from
- * vectorizing the loop and made it slower, in and out of a blocked run. */
-static inline __attribute__((always_inline)) void
-h_walk(double *amp, tile_set ts, int b, int q, uint64_t xj)
-{
-    const double r = 0.70710678118654752440; /* 1/sqrt(2) */
-    const int64_t len = (int64_t)2 << b;     /* doubles per tile */
-    const int64_t count = ts.count;
-    if (q < b) {
-        const int64_t half = (int64_t)2 << q; /* doubles per run */
-        for (int64_t j = 0; j < count; j++) {
-            double *tile = amp + tile_at(ts, j) * len;
-            if (q < 2 && len >= 2 * LINE) {
-                const int64_t h = (int64_t)1 << q, j1 = h == 1 ? 2 : 1;
-                for (v2d *l = (v2d *)tile; l < (v2d *)(tile + len); l += LINE) {
-                    const v2d a0 = l[0], a1 = l[h], b0 = l[j1], b1 = l[j1 + h];
-                    l[0] = r * (a0 + a1);
-                    l[h] = r * (a0 - a1);
-                    l[j1] = r * (b0 + b1);
-                    l[j1 + h] = r * (b0 - b1);
-                }
-                continue;
-            }
-            for (int64_t blk = 0; blk < len; blk += 2 * half) {
-                double *restrict lo = tile + blk;
-                double *restrict hi = lo + half;
-                for (int64_t i = 0; i < half; i++) {
-                    const double a0 = lo[i], a1 = hi[i];
-                    lo[i] = r * (a0 + a1);
-                    hi[i] = r * (a0 - a1);
-                }
-            }
-        }
-        return;
-    }
-    const uint64_t xt = (uint64_t)1 << (q - b);
-    const int64_t jp = (int64_t)(xj & -xj);
-    for (int64_t j = 0; j < count; j++) {
-        if (j & jp)
-            continue;
-        const uint64_t t = tile_at(ts, j) & ~xt;
-        double *restrict lo = amp + t * len;
-        double *restrict hi = amp + (t | xt) * len;
-        for (int64_t i = 0; i < len; i++) {
-            const double a0 = lo[i], a1 = hi[i];
-            lo[i] = r * (a0 + a1);
-            hi[i] = r * (a0 - a1);
-        }
-    }
-}
-
-/* The body of framesim_apply_h, compiled once per clone */
-static inline __attribute__((always_inline)) void
-apply_h(double *amp, int64_t n_amp, int q)
-{
-    const int b = tile_bits(n_amp);
-    h_walk(amp, whole(n_amp, b), b, q, ((uint64_t)1 << q) >> b);
-}
-
 /* *d <- k[0] * u + k[1] * swap(u) + k[2] * part(w) + k[3] * swap(part(w))
  * for vectors u and w of two amplitudes, swap exchanging the re and im of
  * each amplitude and part(w) being w with its two amplitudes exchanged if
@@ -441,15 +375,32 @@ apply_h(double *amp, int64_t n_amp, int q)
         }                                                                     \
     } while (0)
 
-/* MIX on (lo[i], hi[i]) for i < len: lo <- klo (lo, hi), hi <- khi (hi, lo) */
+/* MIX on (lo[i], hi[i]) for i < len: lo <- klo (lo, hi), hi <- khi (hi, lo).
+ * As in turn_blocks, the vectors of 64 bytes of both blocks are all loaded
+ * before any is stored (see the head of this file); a block shorter than
+ * that takes one vector at a time. */
 static inline __attribute__((always_inline)) void
 mix_blocks(v4d *restrict lo, v4d *restrict hi, int64_t len, const v4d *klo, const v4d *khi,
            int wide)
 {
-    for (int64_t i = 0; i < len; i++) {
-        const v4d a = lo[i], c = hi[i];
-        MIX(lo + i, a, c, klo, 0, wide);
-        MIX(hi + i, c, a, khi, 0, wide);
+    if (len < LINE2) {
+        for (int64_t i = 0; i < len; i++) {
+            const v4d a = lo[i], c = hi[i];
+            MIX(lo + i, a, c, klo, 0, wide);
+            MIX(hi + i, c, a, khi, 0, wide);
+        }
+        return;
+    }
+    for (int64_t j = 0; j < len; j += LINE2) {
+        v4d a[LINE2], c[LINE2];
+        for (int64_t i = 0; i < LINE2; i++) {
+            a[i] = lo[j + i];
+            c[i] = hi[j + i];
+        }
+        for (int64_t i = 0; i < LINE2; i++) {
+            MIX(lo + j + i, a[i], c[i], klo, 0, wide);
+            MIX(hi + j + i, c[i], a[i], khi, 0, wide);
+        }
     }
 }
 
@@ -473,11 +424,12 @@ u2_coefs(v4d *k, int q, const double *m)
 /* The 2x2 loop on qubit q over the tiles of ts, tiles of 2**b amplitudes:
  * amp[k0], amp[k1] <- m00 a0 + m01 a1, m10 a0 + m11 a1 for each pair k0,
  * k1 = k0 | 2**q with bit q of k0 clear, k holding the vectors u2_coefs
- * makes of m.  It walks the tiles as h_walk does, on the Clifford loop's
- * vectors of two amplitudes: for q = 0 a pair fills one vector, below b
- * the pairs lie in a tile, in two runs of 2**(q-1) vectors per block of
- * 2**q, and from b up tile t pairs with tile t ^ 2**(q-b), tile_at(j) with
- * tile_at(j ^ xj). */
+ * makes of m.  It walks the tiles on the Clifford loop's vectors of two
+ * amplitudes: for q = 0 a pair fills one vector, below b the pairs lie in
+ * a tile, in two runs of 2**(q-1) vectors per block of 2**q, and from b up
+ * tile t pairs with tile t ^ xt, xt = 2**(q-b): tile_at(j) with
+ * tile_at(j ^ xj), xj being the index of xt in ts.  Which of the two has
+ * the bit clear depends on the span, not on j, so the loop tests it. */
 static inline __attribute__((always_inline)) void
 u2_walk(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, int wide)
 {
@@ -522,17 +474,12 @@ apply_u2(double *amp, int64_t n_amp, int q, const double *m, int wide)
     u2_walk((v4d *)amp, whole(n_amp, b), b, q, ((uint64_t)1 << q) >> b, k, wide);
 }
 
-/* The two clones of the Clifford, Hadamard and 2x2 loops (see the head of
- * this file) */
+/* The two clones of the Clifford and 2x2 loops (see the head of this
+ * file) */
 static void clifford_generic(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
                              double ca, double cb, int e0)
 {
     clifford(amp, n_amp, x, z, ca, cb, e0, 0);
-}
-
-static void apply_h_generic(double *amp, int64_t n_amp, int q)
-{
-    apply_h(amp, n_amp, q);
 }
 
 static void apply_u2_generic(double *amp, int64_t n_amp, int q, const double *m)
@@ -548,12 +495,6 @@ clifford_avx2(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
               double cb, int e0)
 {
     clifford(amp, n_amp, x, z, ca, cb, e0, 1);
-}
-
-__attribute__((target("avx2,fma"))) static void
-apply_h_avx2(double *amp, int64_t n_amp, int q)
-{
-    apply_h(amp, n_amp, q);
 }
 
 __attribute__((target("avx2,fma"))) static void
@@ -607,21 +548,6 @@ void framesim_clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
     }
 #endif
     clifford_generic(amp, n_amp, x, z, ca, cb, e0);
-}
-
-/* amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)
- *
- * for every pair k0, k1 = k0 | 2**q with bit q of k0 clear: the Hadamard
- * gate on qubit q, in one h_walk over the tiles of the whole state. */
-void framesim_apply_h(double *amp, int64_t n_amp, int q)
-{
-#if defined(__x86_64__)
-    if (use_avx2) {
-        apply_h_avx2(amp, n_amp, q);
-        return;
-    }
-#endif
-    apply_h_generic(amp, n_amp, q);
 }
 
 /* amp[k0], amp[k1] <- m00 a0 + m01 a1, m10 a0 + m11 a1
@@ -1461,10 +1387,9 @@ static inline double seconds(void)
  * pairs tile t with a tile of t ^ S, or touches tile t alone, so each
  * coset, of 2**dim S tiles, goes through every pass of the run in order
  * while it sits in the L2 cache (Haner & Steiger, SC17).  A pass is a
- * Clifford-loop update, the Hadamard gate or a 2x2 matrix on one qubit, or
- * a masked pair exchange; only the partner mask x goes into S (2**q for a
- * gate on qubit q, 0 for a phase), as control and phase bits only select
- * tiles.
+ * Clifford-loop update, a 2x2 matrix on one qubit, or a masked pair
+ * exchange; only the partner mask x goes into S (2**q for a gate on qubit
+ * q, 0 for a phase), as control and phase bits only select tiles.
  * Each pair of amplitudes sees the same operations in the same order as
  * with one pass each, so the amplitudes are bit for bit the same.  A run
  * is applied before a pass on another register size, before the gate loop
@@ -1494,10 +1419,10 @@ int64_t framesim_l2_bytes(void)
 }
 
 /* One pass of a run: the arguments of one framesim_clifford call (OP_TURN: x,
- * z, ca, cb and e), of one framesim_apply_h call (OP_H: x = 2**q), of one
- * framesim_pair_exchange call (OP_EXCHANGE: mask, val, x and e) or of one
- * framesim_apply_u2 call (OP_U2: x = 2**q and the matrix u). */
-enum { OP_TURN, OP_H, OP_EXCHANGE, OP_U2 };
+ * z, ca, cb and e), of one framesim_pair_exchange call (OP_EXCHANGE: mask,
+ * val, x and e) or of one framesim_apply_u2 call (OP_U2: x = 2**q and the
+ * matrix u). */
+enum { OP_TURN, OP_EXCHANGE, OP_U2 };
 
 typedef struct {
     int kind, e;
@@ -1556,8 +1481,6 @@ run_walk(double *amp, const run *p, int wide)
             const pass_op *o = p->op + i;
             if (o->kind == OP_TURN)
                 walk((v4d *)amp, ts, b, o->x, xj[i], o->z, pat[i], o->ca, o->e, wide);
-            else if (o->kind == OP_H)
-                h_walk(amp, ts, b, __builtin_ctzll(o->x), xj[i]);
             else if (o->kind == OP_U2)
                 u2_walk((v4d *)amp, ts, b, __builtin_ctzll(o->x), xj[i], k[i], wide);
             else
@@ -1607,8 +1530,6 @@ static void apply_pending(passes *s)
             run_generic(s->amp, p);
     } else if (o->kind == OP_TURN)
         framesim_clifford(s->amp, p->n_amp, o->x, o->z, o->ca, o->cb, o->e);
-    else if (o->kind == OP_H)
-        framesim_apply_h(s->amp, p->n_amp, __builtin_ctzll(o->x));
     else if (o->kind == OP_U2)
         framesim_apply_u2(s->amp, p->n_amp, __builtin_ctzll(o->x), o->u);
     else
@@ -1738,17 +1659,42 @@ out:
     return k;
 }
 
+/* m <- the matrix of the one-qubit gate `code`, 8 doubles as u2_walk takes
+ * them, with the cosines and sines of the Clifford-loop passes of RX, RY
+ * and RZ */
+static void gate_matrix(int code, double angle, double *m)
+{
+    const double r = 0.70710678118654752440, c = cos(0.5 * angle), s = sin(0.5 * angle);
+    const double fixed[6][8] = {
+        [G_H] = {r, 0, r, 0, r, 0, -r, 0},   [G_S] = {1, 0, 0, 0, 0, 0, 0, 1},
+        [G_SDG] = {1, 0, 0, 0, 0, 0, 0, -1}, [G_X] = {0, 0, 1, 0, 1, 0, 0, 0},
+        [G_Y] = {0, 0, 0, -1, 0, 1, 0, 0},   [G_Z] = {1, 0, 0, 0, 0, 0, -1, 0}};
+    const double rx[8] = {c, 0, 0, -s, 0, -s, c, 0}, ry[8] = {c, 0, -s, 0, s, 0, c, 0},
+                 rz[8] = {c, -s, 0, 0, 0, 0, c, s};
+    memcpy(m, code == G_RX ? rx : code == G_RY ? ry : code == G_RZ ? rz : fixed[code],
+           sizeof rx);
+}
+
+/* The framesim_apply_u2 pass of the one-qubit gate `code` on the qubit of
+ * mask a */
+static pass_op u2_op(int code, uint64_t a, double angle)
+{
+    pass_op o = {.kind = OP_U2, .x = a};
+    gate_matrix(code, angle, o.u);
+    return o;
+}
+
 /* The baseline's pass for gate `code` on the qubits of the masks a and b
  * (b is unused by one-qubit gates): the pass StateVector.apply_gate makes
  * of it, with the same arguments.  X, Y, RX, RY and RZ are a
- * framesim_clifford pass, H a framesim_apply_h pass, and Z, S, SDG, CX, CZ
- * and SWAP a framesim_pair_exchange pass. */
+ * framesim_clifford pass, H a framesim_apply_u2 pass of its matrix, and Z,
+ * S, SDG, CX, CZ and SWAP a framesim_pair_exchange pass. */
 static pass_op gate_pass(int code, uint64_t a, uint64_t b, double angle)
 {
     const double h = 0.5 * angle;
     switch (code) {
     case G_H:
-        return (pass_op){.kind = OP_H, .x = a};
+        return u2_op(G_H, a, 0.0);
     case G_S:
         return exchange_op(a, a, 0, 1);
     case G_SDG:
@@ -1772,22 +1718,6 @@ static pass_op gate_pass(int code, uint64_t a, uint64_t b, double angle)
     default: /* G_RZ */
         return turn_op(0, a, cos(h), sin(h), 3);
     }
-}
-
-/* m <- the matrix of the one-qubit gate `code`, 8 doubles as u2_walk takes
- * them, with the cosines and sines of the Clifford-loop passes of RX, RY
- * and RZ */
-static void gate_matrix(int code, double angle, double *m)
-{
-    const double r = 0.70710678118654752440, c = cos(0.5 * angle), s = sin(0.5 * angle);
-    const double fixed[6][8] = {
-        [G_H] = {r, 0, r, 0, r, 0, -r, 0},   [G_S] = {1, 0, 0, 0, 0, 0, 0, 1},
-        [G_SDG] = {1, 0, 0, 0, 0, 0, 0, -1}, [G_X] = {0, 0, 1, 0, 1, 0, 0, 0},
-        [G_Y] = {0, 0, 0, -1, 0, 1, 0, 0},   [G_Z] = {1, 0, 0, 0, 0, 0, -1, 0}};
-    const double rx[8] = {c, 0, 0, -s, 0, -s, c, 0}, ry[8] = {c, 0, -s, 0, s, 0, c, 0},
-                 rz[8] = {c, -s, 0, 0, 0, 0, c, s};
-    memcpy(m, code == G_RX ? rx : code == G_RY ? ry : code == G_RZ ? rz : fixed[code],
-           sizeof rx);
 }
 
 /* m <- g m for complex 2x2 matrices of 8 doubles */
@@ -1846,8 +1776,7 @@ static void settle(baseline *bl, int q)
     if (h->left == 1)
         push(&bl->s, gate_pass(h->code[0], bit, 0, h->angle[0]), bl->n_amp);
     else if (h->left > 1) {
-        pass_op o = {.kind = OP_U2, .x = bit};
-        gate_matrix(h->code[0], h->angle[0], o.u);
+        pass_op o = u2_op(h->code[0], bit, h->angle[0]);
         for (int i = 1; i < h->left; i++) {
             double g[8];
             gate_matrix(h->code[i], h->angle[i], g);

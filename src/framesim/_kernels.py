@@ -1,7 +1,7 @@
 """The in-place amplitude kernels of ``StateVector``, the compiled gate
 loops of both backends, and the choice of their tier.
 
-Six amplitude operations carry every state update:
+Five amplitude operations carry every state update:
 
 - ``clifford`` computes ``a[k] <- ca*a[k] + cb * i**e0 * (-1)**parity(k & z)
   * a[k ^ x]`` with real ca and cb: every update of the form
@@ -9,9 +9,9 @@ Six amplitude operations carry every state update:
   is rotations by any angle, Pauli application (and with it the expectation
   and the prepare repair), the measurement collapse, the flush's quarter
   turns, and the baseline's X, Y, RX, RY and RZ.
-- ``apply_h`` applies the Hadamard gate to one qubit: the baseline's H.
-- ``apply_u2`` applies any complex 2x2 matrix to one qubit: a run of the
-  baseline's one-qubit gates on one qubit, fused into their product.
+- ``apply_u2`` applies any complex 2x2 matrix to one qubit: the baseline's
+  H, and a run of its one-qubit gates on one qubit, fused into their
+  product.
 - ``pair_exchange`` swaps ``a[k]`` with ``a[k ^ x]`` for every k whose bits
   under ``mask`` equal ``val``, or multiplies ``a[k]`` by ``i**e`` when x is
   0: the baseline's CX and SWAP, and the baseline's Z, S, SDG and CZ, which
@@ -36,20 +36,23 @@ The C loops in ``_kernels.c`` make one pass over the amplitudes they touch
 (one read and one write each), the permutation two at most, and allocate
 nothing; the permutation takes from its wrapper a bitmap of one bit per
 tile, whose size it reports, and the scatter reads the copy of the
-register that its caller makes.  The Clifford, Hadamard, 2x2 and
-pair-exchange loops walk the state in cache-sized tiles, pairing a tile
-with the one its partner mask reaches, so that the cost of the Clifford
-loop depends neither on the number of qubits nor on how many qubits the
-operator touches; inside a tile the other three take contiguous runs, a cache
-line at a time where the runs are shorter.  Each walks one set of tiles:
+register that its caller makes.  The Clifford, 2x2 and pair-exchange
+loops walk the state in cache-sized tiles, pairing a tile with the one its
+partner mask reaches, so that the cost of the Clifford loop depends
+neither on the number of qubits nor on how many qubits the operator
+touches; inside a tile the other two take contiguous runs, a cache line
+at a time where the runs are shorter.  Each walks one set of tiles:
 the whole state for a single pass, or one coset of a blocked run (see
 ``run_gates``).  The Clifford loop holds two amplitudes per 32-byte
 vector and applies a power of i as an element swap and a sign pattern,
 with no complex multiply; the 2x2 loop holds them the same way and makes
-two complex products per amplitude.  These two and the Hadamard loop are
-compiled twice from one body, a generic clone and one for AVX2 with FMA,
-and the library picks one when it loads, from what the CPU reports;
-``simd_clone`` names it.  On a 2-core Xeon with AVX2, on a state that
+two complex products per amplitude.  Both load a cache line of both
+partners before they store any of it, since partners in two tiles sit a
+multiple of 4 KiB apart, and a load that follows a store to the same
+address modulo 4 KiB waits for that store.  These two are compiled twice
+from one body, a generic clone and one for AVX2 with FMA, and the library
+picks one when it loads, from what the CPU reports; ``simd_clone`` names
+it.  On a 2-core Xeon with AVX2, on a state that
 starts on a cache line (as ``StateVector`` allocates it), a rotation runs
 at 0.54-0.71 ns per amplitude at n = 16, 0.77-0.82 at n = 18 and
 0.75-0.83 at n = 20 on the AVX2 clone, against 0.38-0.49, 0.70-0.78 and
@@ -104,12 +107,12 @@ under a name keyed by a hash of the source and the compiler flags, linked
 with the C math library for the gate loop's cosines and sines, and then
 loaded with ``ctypes``; later imports load the cached library without
 compiling.  The build names no CPU, so a cached library runs on any
-x86-64.  When the library loads, the six operation names are the C loops,
+x86-64.  When the library loads, the five operation names are the C loops,
 ``baseline_gates``, ``run_gates``, ``register_map`` and ``flush`` are set
 and ``kernel_tier()`` returns ``compiled-c``.
 When it cannot be built or loaded (no compiler, a build error, a cache
 directory that cannot be written) one ``RuntimeWarning`` names the reason,
-the six names are bound to the numpy functions instead and the other four
+the five names are bound to the numpy functions instead and the other four
 are None.  The choice is
 made once, here, from what the import observes.
 """
@@ -128,7 +131,7 @@ from . import gf2
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-fPIC", "-shared")
 _LIBS = ("-lm",)  # after the source, so that the linker keeps it
-_SQ2 = 0.7071067811865476  # 1/sqrt(2), as in the C loop
+_SQ2 = 0.7071067811865476  # 1/sqrt(2), as in the C gate loop's matrix of H
 _I_POW = np.array([1, 1j, -1, -1j])
 
 
@@ -198,8 +201,6 @@ def _load():
     ptr, i64, u64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
     lib.framesim_clifford.argtypes = [ptr, i64, u64, u64, f64, f64, ctypes.c_int]
     lib.framesim_clifford.restype = None
-    lib.framesim_apply_h.argtypes = [ptr, i64, ctypes.c_int]
-    lib.framesim_apply_h.restype = None
     lib.framesim_apply_u2.argtypes = [ptr, i64, ctypes.c_int, ptr]
     lib.framesim_apply_u2.restype = None
     lib.framesim_pair_exchange.argtypes = [ptr, i64, u64, u64, u64, ctypes.c_int]
@@ -243,15 +244,15 @@ def kernel_tier() -> str:
     return "numpy" if _lib is None else "compiled-c"
 
 
-# the clones of the Clifford, Hadamard and 2x2 loops that this CPU runs,
+# the clones of the Clifford and 2x2 loops that this CPU runs,
 # indexed by the value framesim_use_avx2 returns
 _CLONES = (() if _lib is None else
            ("generic", "avx2") if _lib.framesim_use_avx2(-1) else ("generic",))
 
 
 def simd_clone() -> str | None:
-    """Name of the compiled clone the Clifford, Hadamard and 2x2 loops run:
-    ``avx2`` or ``generic``; None on the numpy tier."""
+    """Name of the compiled clone the Clifford and 2x2 loops run: ``avx2``
+    or ``generic``; None on the numpy tier."""
     return None if _lib is None else _CLONES[_lib.framesim_use_avx2(-1)]
 
 
@@ -264,10 +265,9 @@ def l2_bytes() -> int | None:
 
 
 def _use_clone(name: str) -> str:
-    """Run the Clifford, Hadamard and 2x2 loops on clone ``name``, one of
-    those this CPU runs, and return the name of the clone used before.  For
-    the tests, which check every clone; a run keeps the clone picked at
-    load."""
+    """Run the Clifford and 2x2 loops on clone ``name``, one of those this
+    CPU runs, and return the name of the clone used before.  For the tests,
+    which check every clone; a run keeps the clone picked at load."""
     if name not in _CLONES:
         raise ValueError(f"clone {name!r} does not run here (runs: {_CLONES})")
     before = simd_clone()
@@ -313,12 +313,6 @@ def _c_clifford(amp, x, z, ca, cb, e0):
     """``numpy_clifford`` in one tiled pass of the C loop."""
     addr = _address(amp, x, z)
     _lib.framesim_clifford(addr, amp.shape[0], x, z, ca, cb, e0 & 3)
-
-
-def _c_apply_h(amp, q):
-    """``numpy_apply_h`` in one pass of the C loop."""
-    addr = _address(amp, 1 << q)
-    _lib.framesim_apply_h(addr, amp.shape[0], q)
 
 
 def _u2_matrix(m) -> np.ndarray:
@@ -521,10 +515,10 @@ def _c_baseline_gates(amp, ops, angles, start, counts=None):
     ops and angles are the arrays of ``Circuit.lowered``, on the qubits of
     amp; the gate codes and qubits are not checked again.  A gate's pass
     is the one ``StateVector.apply_gate`` makes: the Clifford loop for X,
-    Y, RX, RY and RZ, the Hadamard loop for H and the pair exchange for Z,
-    S, SDG, CX, CZ and SWAP.  Each two-qubit gate makes its pass.  The
-    one-qubit gates of a qubit are held until a two-qubit gate on it, or
-    the call's return, and then make one pass at most: none where they
+    Y, RX, RY and RZ, the 2x2 loop on its matrix for H and the pair
+    exchange for Z, S, SDG, CX, CZ and SWAP.  Each two-qubit gate makes its
+    pass.  The one-qubit gates of a qubit are held until a two-qubit gate on
+    it, or the call's return, and then make one pass at most: none where they
     cancel in adjacent inverse pairs (H H, S SDG, SDG S, X X, Y Y, Z Z,
     found on the gate codes), the pass of the gate left where one is, and
     else one ``apply_u2`` pass of their product.  A lone H, RX, RY or RZ is
@@ -634,20 +628,6 @@ def numpy_clifford(amp, x, z, ca, cb, e0):
     amp[:] = ca * amp + cb * _I_POW[e0 & 3] * sg * amp[k ^ np.int64(x)]
 
 
-def numpy_apply_h(amp, q):
-    """The Hadamard gate on qubit q: for each pair k0, k1 = k0 | 2**q with
-    bit q of k0 clear, amp[k0], amp[k1] <- (a0 + a1)/sqrt(2), (a0 - a1)/sqrt(2)."""
-    if not 0 <= q < amp.shape[0].bit_length() - 1:
-        raise ValueError(f"qubit {q} out of range for the amplitude array")
-    k0 = np.arange(amp.shape[0], dtype=np.int64)
-    k0 = k0[k0 & (1 << q) == 0]
-    k1 = k0 | (1 << q)
-    a0 = amp[k0]
-    a1 = amp[k1]
-    amp[k0] = (a0 + a1) * _SQ2
-    amp[k1] = (a0 - a1) * _SQ2
-
-
 def numpy_apply_u2(amp, q, m):
     """The one-qubit gate of the complex 2x2 matrix m on qubit q: for each
     pair k0, k1 = k0 | 2**q with bit q of k0 clear, amp[k0], amp[k1] <-
@@ -729,18 +709,16 @@ def numpy_permute(amp, cols, offset, diag, cross) -> int:
 # tier numpy_clifford's, the largest (index, sign and gathered, scaled and
 # summed amplitude arrays), as tracemalloc reads it at 18 qubits, where
 # numpy_permute holds 57 (a copy of the state, index, phase and moved
-# amplitude arrays), numpy_apply_h 32 and numpy_pair_exchange 17 (see
+# amplitude arrays), numpy_apply_u2 36 and numpy_pair_exchange 17 (see
 # bench.memory_need)
 TEMPORARY_BYTES = 0 if _lib is not None else 72
 
 if _lib is not None:
-    clifford, apply_h, apply_u2, pair_exchange = (_c_clifford, _c_apply_h, _c_apply_u2,
-                                                  _c_pair_exchange)
+    clifford, apply_u2, pair_exchange = _c_clifford, _c_apply_u2, _c_pair_exchange
     permute, scatter = _c_permute, _c_scatter
     run_gates, baseline_gates, register_map = _c_run_gates, _c_baseline_gates, _c_register_map
     flush = _c_flush
 else:
-    clifford, apply_h, apply_u2, pair_exchange = (numpy_clifford, numpy_apply_h,
-                                                  numpy_apply_u2, numpy_pair_exchange)
+    clifford, apply_u2, pair_exchange = numpy_clifford, numpy_apply_u2, numpy_pair_exchange
     permute, scatter = numpy_permute, numpy_scatter
     run_gates = baseline_gates = register_map = flush = None

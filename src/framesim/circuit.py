@@ -14,6 +14,7 @@ loop reads that form without touching a Python object per gate.
 """
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -78,10 +79,15 @@ class Circuit:
         return self._ops, self._angles
 
     def append(self, tag: str, *qubits: int, angle: float | None = None) -> None:
+        """Append one gate.  Each qubit must be an integer (a numpy one is
+        stored as ``int``).  Every check runs, and the lowered row is built,
+        before anything is written, so a refused gate leaves the circuit as
+        it was."""
         if tag not in _ARITY:
             raise ValueError(f"unknown gate tag {tag!r}")
         if len(qubits) != _ARITY[tag]:
             raise ValueError(f"{tag} takes {_ARITY[tag]} qubit(s), got {len(qubits)}")
+        qubits = tuple(operator.index(q) for q in qubits)
         for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range for {self.num_qubits} qubits")
@@ -92,11 +98,13 @@ class Circuit:
                 raise ValueError(f"{tag} requires a finite angle")
         elif angle is not None:
             raise ValueError(f"{tag} does not take an angle")
+        ops = array("i", (_CODE[tag], qubits[0], qubits[-1] if len(qubits) > 1 else 0))
+        angles = array("d", (0.0 if angle is None else angle,))
         self._cliffords += tag in CLIFFORD_TAGS
         self._rotations += tag in ROTATION_TAGS
-        self._gates.append(Gate(tag, tuple(qubits), angle))
-        self._ops.extend((_CODE[tag], qubits[0], qubits[-1] if len(qubits) > 1 else 0))
-        self._angles.append(0.0 if angle is None else angle)
+        self._gates.append(Gate(tag, qubits, angle))
+        self._ops.extend(ops)
+        self._angles.extend(angles)
 
     def extend(self, other: "Circuit") -> None:
         if other.num_qubits != self.num_qubits:

@@ -15,6 +15,7 @@ every run's output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -102,26 +103,31 @@ def _settings(args) -> dict:
 
 
 def _write(make_records, args) -> None:
-    """Write the records that ``make_records()`` returns to ``--output``, or
-    to stdout without one.
+    """Write the records that ``make_records()`` returns, a list or a
+    generator, to ``--output``, or to stdout without one.
 
     The file is opened, for appending, before ``make_records`` is called, so
     a path that cannot be opened fails before any backend runs.  It is
-    emptied only once the call returns: if the call fails, a file that was
-    there is left as it was, and one that was not is removed."""
+    emptied only once the first record is in, or the records end without
+    one: if the call or the first record fails, a file that was there is
+    left as it was, and one that was not is removed.  The records after the
+    first are written as they come."""
     if args.output is None:
         bench.write_records(make_records(), sys.stdout, args.format)
         return
     existed = os.path.lexists(args.output)
     with open(args.output, "a", encoding="utf-8", newline="") as stream:
         try:
-            records = make_records()
+            records = iter(make_records())
+            first = next(records, None)
         except BaseException:
             if not existed:
                 os.remove(args.output)
             raise
         if stream.seekable():
             stream.truncate(0)
+        if first is not None:
+            records = itertools.chain((first,), records)
         bench.write_records(records, stream, args.format)
 
 

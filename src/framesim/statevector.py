@@ -13,9 +13,10 @@ flush's quarter turns among them), Pauli application (and with it the
 expectation and the prepare repair), the measurement collapse, and the
 baseline's X, Y, RX, RY and RZ -- goes through the Clifford loop of
 ``_kernels``, which applies each power of i without a complex multiply.
-H goes through its Hadamard loop, and CX, SWAP and ``swap_qubits``, as
-well as Z, S, SDG and CZ, which change only the amplitudes whose qubits
-are set, through its masked pair exchange.  A whole Clifford without a
+H goes through its 2x2 loop, on the matrix of H that the baseline's
+compiled loop uses, and CX, SWAP and ``swap_qubits``, as well as Z, S, SDG
+and CZ, which change only the amplitudes whose qubits are set, through its
+masked pair exchange.  A whole Clifford without a
 Hadamard part (``apply_hadamard_free``, the rest of a flush) goes through
 its permutation, which moves whole tiles of amplitudes in place; on a
 state that is zero beyond its first 2**d amplitudes it goes through one
@@ -61,6 +62,9 @@ _CLIFFORD_1Q = {
     "X": lambda b: (b, 0, 0),
     "Y": lambda b: (b, b, 3),
 }
+# the matrix of H for ``_kernels.apply_u2``, from the 1/sqrt(2) of the
+# compiled gate loop's, so that both loops give the same amplitudes
+_H = _kernels._SQ2 * np.array([[1, 1], [1, -1]], dtype=np.complex128)
 # the gates that swap or phase a masked subset of the amplitudes, as
 # arguments (mask, val, x, e) of ``_kernels.pair_exchange`` from the
 # single-bit masks of their qubits: Z, S, SDG and CZ multiply the
@@ -320,7 +324,7 @@ class StateVector:
             self.apply_pauli_rotation(
                 PauliString.single(self.num_qubits, qubits[0], ROTATION_AXIS[tag]), angle)
         elif tag == "H":
-            _kernels.apply_h(self.amplitudes, qubits[0])
+            _kernels.apply_u2(self.amplitudes, qubits[0], _H)
         elif tag in _EXCHANGE:
             if len(set(qubits)) != len(qubits):
                 raise ValueError(f"{tag} needs distinct qubits, got {qubits}")

@@ -356,6 +356,25 @@ def test_cli_run_that_fails_leaves_the_output_as_it_was(tmp_path, monkeypatch, c
     assert len(read_records(io.StringIO(kept.read_text()), "csv")) == 2
 
 
+
+@pytest.mark.parametrize("command", [["run", "--random", "3", "2", "4", "1"],
+                                     ["sweep", "--qubits", "3:4:1", "--localities", "2:2:1",
+                                      "--terms", "4"]])
+def test_cli_interrupted_in_its_first_cell_leaves_the_output_as_it_was(tmp_path, monkeypatch,
+                                                                       command):
+    # a sweep yields its records cell by cell: the file is emptied only once
+    # the first record is in, as for a run
+    def interrupt(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bench, "run_config", interrupt)
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_bytes(b"earlier records\r\n")
+    for out in (kept, absent):
+        with pytest.raises(KeyboardInterrupt):
+            cli_main([*command, "--output", str(out)])
+    assert kept.read_bytes() == b"earlier records\r\n" and not absent.exists()
+
 def test_cli_run_stdout_jsonl(capsys):
     code = cli_main(["run", "--random", "3", "2", "4", "1", "--backends", "hybrid",
                      "--repetitions", "1", "--warmups", "0", "--format", "jsonl"])

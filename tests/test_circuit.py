@@ -26,6 +26,26 @@ def test_append_validation():
         c.append("H", 0, angle=0.5)
 
 
+
+@pytest.mark.parametrize("tag, qubits, angle", [
+    ("H", (1.0,), None), ("RX", (np.float64(2.0),), 0.5), ("CX", (0, np.float64(2.0)), None),
+    ("RZ", (0,), 1j)])
+def test_a_refused_append_leaves_the_circuit_as_it_was(tag, qubits, angle):
+    # a qubit that is no integer, or an angle that is no real number, is
+    # refused before the gate record, the lowered arrays or a tally change
+    c = Circuit(3)
+    c.append("CX", 0, 1)
+    c.append("RY", 2, angle=0.25)
+    before = (len(c), c.gates, tuple(map(list, c.lowered())), c.clifford_count(),
+              c.rotation_count())
+    with pytest.raises(TypeError):
+        c.append(tag, *qubits, angle=angle)
+    assert (len(c), c.gates, tuple(map(list, c.lowered())), c.clifford_count(),
+            c.rotation_count()) == before
+    c.append("CZ", np.int64(2), np.int32(0))  # numpy integers are stored as int
+    assert c.gates[-1].qubits == (2, 0) and all(type(q) is int for q in c.gates[-1].qubits)
+    assert list(c.lowered()[0][-3:]) == [7, 2, 0] and len(c.lowered()[1]) == len(c) == 3
+
 def test_counts():
     c = Circuit(3)
     assert (c.clifford_count(), c.rotation_count()) == (0, 0)

@@ -786,13 +786,14 @@ def test_compiled_loops_reject_a_misaligned_state():
     circ.append("RX", 3, angle=0.5)
     ops, angles = circ.lowered()
     frame = PauliFrame.origin(10)
+    index_map = np.array([1 << i for i in range(10)], dtype=np.uint64)
     calls = {"clifford": lambda: _kernels.clifford(amp, 1, 0, 0.0, 1.0, 0),
-             "apply_h": lambda: _kernels.apply_h(amp, 0),
+             "apply_u2": lambda: _kernels.apply_u2(amp, 0, np.eye(2)),
              "pair_exchange": lambda: _kernels.pair_exchange(amp, 3, 1, 2, 0),
              "run_gates": lambda: _kernels.run_gates(amp, frame.xs, frame.zs, frame.ps,
-                                                     np.array([1 << i for i in range(10)],
-                                                              dtype=np.uint64), 10,
-                                                     ops, angles, 0),
+                                                     index_map, 10, ops, angles, 0),
+             "baseline_gates": lambda: _kernels.baseline_gates(amp, ops, angles, 0),
+             "flush": lambda: _kernels.flush(amp, frame.xs, frame.zs, frame.ps, index_map, 10),
              "permute": lambda: _kernels.permute(amp, [1 << i for i in range(10)][::-1], 0,
                                                  [0] * 10, [0] * 10),
              "scatter": lambda: _kernels.scatter(amp, np.zeros(2, dtype=complex), [1 << 9], 0,

@@ -1,5 +1,6 @@
 """Rules that the package's source keeps."""
 import ast
+import re
 from pathlib import Path
 
 import framesim
@@ -41,3 +42,21 @@ def test_each_kernel_is_bound_on_both_tiers_with_one_numpy_reference():
     defined = {node.name for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name.startswith("numpy_")}
     assert defined == {f"numpy_{name}" for name in kernels}
+
+
+def test_each_c_export_is_declared_once_in_the_loader():
+    # the non-static framesim_* functions that _kernels.c defines are exactly
+    # those whose argtypes _kernels._load declares, so that neither side
+    # keeps an export the other has retired
+    package = Path(framesim.__file__).parent
+    source = (package / "_kernels.c").read_text(encoding="utf-8")
+    defined = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(framesim_\w+)\s*\(", source,
+                         re.MULTILINE)
+    tree = ast.parse((package / "_kernels.py").read_text(encoding="utf-8"))
+    load = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_load")
+    declared = [target.value.attr for node in ast.walk(load) if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Attribute) and target.attr == "argtypes"
+                and isinstance(target.value, ast.Attribute)]
+    assert len(defined) > 5 and sorted(defined) == sorted(set(declared)) == sorted(declared)
