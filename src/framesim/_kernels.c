@@ -24,8 +24,9 @@
  *
  * The two gate kernels after it serve the baseline's gates: any complex
  * 2x2 matrix on one qubit (H, or a run of one-qubit gates fused into one),
- * and a masked pair exchange that swaps pairs of amplitudes (CX and SWAP)
- * or multiplies a masked subset by a power of i (Z, S, SDG and CZ).  Like
+ * which can take a CX or CZ on that qubit into the same pass, and a masked
+ * pair exchange that swaps pairs of amplitudes (CX and SWAP) or multiplies
+ * a masked subset by a power of i (Z, S, SDG and CZ).  Like
  * the Clifford loop, each walks a set of tiles (tile_set): the whole
  * state, or one coset of a blocked run (see below).  A pair either lies in
  * one tile, or a tile pairs with the tile its partner mask reaches; inside
@@ -68,11 +69,13 @@
  * baseline's makes the pass of each gate over the whole state, except that
  * it holds each qubit's one-qubit gates back and makes one pass at most of
  * each run of them, the 2x2 loop on their product where several are left
- * after cancelling inverse pairs.  The hybrid's updates a bit-packed Pauli
- * frame for each Clifford gate, and each rotation looks up its axis in the
- * frame and calls the Clifford loop on the hybrid's register.  The hybrid tracks U P_A |phi>, U the frame's
- * Clifford and P_A |k> = |A k> an index map, A an invertible GF(2)
- * matrix, and phi is zero beyond its first 2**d amplitudes: the register
+ * after cancelling inverse pairs, and that a CX or CZ that comes right
+ * after such a pass on its target joins it.  The hybrid's updates a
+ * bit-packed Pauli frame for each Clifford gate, and each rotation looks up
+ * its axis in the frame and calls the Clifford loop on the hybrid's
+ * register.  The hybrid tracks U P_A |phi>, U the frame's Clifford and
+ * P_A |k> = |A k> an index map, A an invertible GF(2) matrix, and phi is
+ * zero beyond its first 2**d amplitudes: the register
  * of d active qubits.  A frame image P acts on phi as P_A^dag P P_A, whose
  * Z letters at or above d act as +1 and are dropped.  If its X part has
  * bits at or above d, one qubit is activated first: CX gates from the
@@ -347,21 +350,37 @@ clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
     walk((v4d *)amp, whole(n_amp, b), b, x, x >> b, z, pat, ca, e0, wide);
 }
 
+/* v as it is, in a register: the compiler cannot fuse the product that
+ * computed it into an add */
+#if defined(__x86_64__)
+#define ROUNDED(v) __asm__("" : "+x"(v))
+#else
+#define ROUNDED(v) ((void)0)
+#endif
+
 /* *d <- k[0] * u + k[1] * swap(u) + k[2] * part(w) + k[3] * swap(part(w))
  * for vectors u and w of two amplitudes, swap exchanging the re and im of
  * each amplitude and part(w) being w with its two amplitudes exchanged if
  * flip is set.  With k[0], k[1] the vectors (re c, re c) and (-im c, im c)
  * of a complex c for each amplitude, the first two terms are c times u, and
  * the last two are a second complex product.  As in UPDATE, the generic
- * clone computes each 16-byte half on its own. */
-#define MIX(d, u, w, k, flip, wide)                                           \
+ * clone computes each 16-byte half on its own.  In the AVX2 clone the
+ * compiler fuses products into the adds, and ROUNDED leaves it one way to
+ * do so: one product rounded on its own, k[0] * u (own = 0) or k[1] *
+ * swap(u) (own = 1), and the other three added to it in turn in FMAs.  The
+ * caller names that product, as the compiler's own choice changed with
+ * the code around the loop, and the rounding with it. */
+#define MIX(d, u, w, k, flip, own, wide)                                      \
     do {                                                                      \
         if (wide) {                                                           \
             const v4d w_ = (flip) ? (v4d){(w)[2], (w)[3], (w)[0], (w)[1]}     \
                                   : (w),                                      \
                       su_ = {(u)[1], (u)[0], (u)[3], (u)[2]},                 \
                       sw_ = {w_[1], w_[0], w_[3], w_[2]};                     \
-            *(d) = (k)[0] * (u) + (k)[1] * su_ + (k)[2] * w_ + (k)[3] * sw_;  \
+            v4d p_ = (own) ? (k)[1] * su_ : (k)[0] * (u);                     \
+            ROUNDED(p_);                                                      \
+            *(d) = ((own) ? (k)[0] * (u) : (k)[1] * su_) + p_ + (k)[2] * w_   \
+                   + (k)[3] * sw_;                                            \
         } else {                                                              \
             v2d *d_ = (v2d *)(d);                                             \
             const v2d *k_ = (const v2d *)(k);                                 \
@@ -375,19 +394,75 @@ clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
         }                                                                     \
     } while (0)
 
-/* MIX on (lo[i], hi[i]) for i < len: lo <- klo (lo, hi), hi <- khi (hi, lo).
- * As in turn_blocks, the vectors of 64 bytes of both blocks are all loaded
- * before any is stored (see the head of this file); a block shorter than
- * that takes one vector at a time. */
+/* Where the 2x2 loop finds the control of a CX or CZ set (see u2_walk):
+ * nowhere (PLAIN), per vector (VECTORS: a control on bit 1 or up, the bit
+ * c >> 1 of the vector's index) or in lane 1 of every vector (LANES: a
+ * control on bit 0). */
+enum { PLAIN, VECTORS, LANES };
+
+/* What a CX (e = 0) or CZ (e = 2) does to a pair of amplitudes *a, *b
+ * where its control is set: the CX exchanges them, the CZ negates *b */
+static inline __attribute__((always_inline)) void pair_gate(v2d *a, v2d *b, int e)
+{
+    const v2d t = *a;
+    *a = e ? t : *b;
+    *b = e ? -*b : t;
+}
+
+/* lo[i], hi[i] <- y0 and y1, the outputs of MIX for the pair of vectors i
+ * of a block on the AVX2 clone: as they are where the control is clear,
+ * and as pair_gate leaves them where it is set (set, for VECTORS) or in
+ * lane 1 (LANES).  The generic clone stores y0 and y1 and applies
+ * pair_gate half by half, as it would otherwise hold each 32-byte value in
+ * a stack slot (see MIX). */
+#define STORE2(lo, hi, i, y0, y1, set, e, how)                                \
+    do {                                                                      \
+        const v4d nl_ = {(y1)[0], (y1)[1], -(y1)[2], -(y1)[3]};              \
+        if ((how) == LANES && !(e)) {                                         \
+            (lo)[i] = (v4d){(y0)[0], (y0)[1], (y1)[2], (y1)[3]};              \
+            (hi)[i] = (v4d){(y1)[0], (y1)[1], (y0)[2], (y0)[3]};              \
+        } else if ((set) && !(e)) {                                           \
+            (lo)[i] = (y1);                                                   \
+            (hi)[i] = (y0);                                                   \
+        } else {                                                              \
+            (lo)[i] = (y0);                                                   \
+            (hi)[i] = (how) == LANES ? nl_ : (set) ? -(y1) : (y1);            \
+        }                                                                     \
+    } while (0)
+
+/* MIX on (lo[i], hi[i]) for i < len: lo <- klo (lo, hi), hi <- khi (hi, lo),
+ * with a control found as `how` says, on the bit cv of the index of vector
+ * v + i (VECTORS), and the gate e: where the control is set, a CX (e = 0)
+ * stores each output where the other one goes, and a CZ (e = 2) negates
+ * hi.  As in turn_blocks, the vectors of 64 bytes of both blocks are all
+ * loaded before any is stored (see the head of this file); a block shorter
+ * than that takes one vector at a time.  In MIX the short loop rounds
+ * k[0] * u, the line loop k[1] * swap(u): the roundings these loops had
+ * when the compiler chose them, so that a pass gives the amplitudes it
+ * always gave. */
 static inline __attribute__((always_inline)) void
 mix_blocks(v4d *restrict lo, v4d *restrict hi, int64_t len, const v4d *klo, const v4d *khi,
-           int wide)
+           uint64_t v, uint64_t cv, int e, int how, int wide)
 {
+#define MIX2(i, a, c, own)                                                    \
+    do {                                                                      \
+        const int set_ = how == VECTORS && ((v + (i)) & cv);                  \
+        if (wide && how != PLAIN) {                                           \
+            v4d y0_, y1_;                                                     \
+            MIX(&y0_, a, c, klo, 0, own, wide);                               \
+            MIX(&y1_, c, a, khi, 0, own, wide);                               \
+            STORE2(lo, hi, i, y0_, y1_, set_, e, how);                        \
+        } else {                                                              \
+            MIX(lo + (i), a, c, klo, 0, own, wide);                           \
+            MIX(hi + (i), c, a, khi, 0, own, wide);                           \
+            for (int g_ = how == LANES; g_ < 2 && (set_ || how == LANES); g_++) \
+                pair_gate((v2d *)&lo[i] + g_, (v2d *)&hi[i] + g_, e);         \
+        }                                                                     \
+    } while (0)
     if (len < LINE2) {
         for (int64_t i = 0; i < len; i++) {
             const v4d a = lo[i], c = hi[i];
-            MIX(lo + i, a, c, klo, 0, wide);
-            MIX(hi + i, c, a, khi, 0, wide);
+            MIX2(i, a, c, 0);
         }
         return;
     }
@@ -397,11 +472,10 @@ mix_blocks(v4d *restrict lo, v4d *restrict hi, int64_t len, const v4d *klo, cons
             a[i] = lo[j + i];
             c[i] = hi[j + i];
         }
-        for (int64_t i = 0; i < LINE2; i++) {
-            MIX(lo + j + i, a[i], c[i], klo, 0, wide);
-            MIX(hi + j + i, c[i], a[i], khi, 0, wide);
-        }
+        for (int64_t i = 0; i < LINE2; i++)
+            MIX2(j + i, a[i], c[i], 1);
     }
+#undef MIX2
 }
 
 /* k <- the vectors of MIX for the 2x2 loop of the complex matrix m on
@@ -421,26 +495,23 @@ u2_coefs(v4d *k, int q, const double *m)
     }
 }
 
-/* The 2x2 loop on qubit q over the tiles of ts, tiles of 2**b amplitudes:
- * amp[k0], amp[k1] <- m00 a0 + m01 a1, m10 a0 + m11 a1 for each pair k0,
- * k1 = k0 | 2**q with bit q of k0 clear, k holding the vectors u2_coefs
- * makes of m.  It walks the tiles on the Clifford loop's vectors of two
- * amplitudes: for q = 0 a pair fills one vector, below b the pairs lie in
- * a tile, in two runs of 2**(q-1) vectors per block of 2**q, and from b up
- * tile t pairs with tile t ^ xt, xt = 2**(q-b): tile_at(j) with
- * tile_at(j ^ xj), xj being the index of xt in ts.  Which of the two has
- * the bit clear depends on the span, not on j, so the loop tests it. */
+/* u2_walk with the control found as `how` says (see mix_blocks) */
 static inline __attribute__((always_inline)) void
-u2_walk(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, int wide)
+u2_tiles(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, uint64_t cv, int e,
+         int how, int wide)
 {
     const int64_t len = (int64_t)1 << (b - 1); /* vectors per tile */
     const int64_t count = ts.count;
     if (q == 0) {
         for (int64_t j = 0; j < count; j++) {
-            v4d *r = amp + tile_at(ts, j) * len;
+            const uint64_t t = tile_at(ts, j);
+            v4d *r = amp + t * len;
             for (int64_t i = 0; i < len; i++) {
                 const v4d a = r[i];
-                MIX(r + i, a, a, k, 1, wide);
+                MIX(r + i, a, a, k, 1, 1, wide);
+                /* the pair fills the vector: its two halves */
+                if (how == VECTORS && ((t * len + i) & cv))
+                    pair_gate((v2d *)(r + i), (v2d *)(r + i) + 1, e);
             }
         }
         return;
@@ -448,9 +519,11 @@ u2_walk(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, int wide
     if (q < b) {
         const int64_t half = (int64_t)1 << (q - 1); /* vectors per run */
         for (int64_t j = 0; j < count; j++) {
-            v4d *tile = amp + tile_at(ts, j) * len;
+            const uint64_t t = tile_at(ts, j);
+            v4d *tile = amp + t * len;
             for (int64_t blk = 0; blk < len; blk += 2 * half)
-                mix_blocks(tile + blk, tile + blk + half, half, k, k + 4, wide);
+                mix_blocks(tile + blk, tile + blk + half, half, k, k + 4, t * len + blk, cv,
+                           e, how, wide);
         }
         return;
     }
@@ -460,8 +533,73 @@ u2_walk(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, int wide
         if (j & jp)
             continue;
         const uint64_t t = tile_at(ts, j) & ~xt;
-        mix_blocks(amp + t * len, amp + (t | xt) * len, len, k, k + 4, wide);
+        mix_blocks(amp + t * len, amp + (t | xt) * len, len, k, k + 4, t * len, cv, e, how,
+                   wide);
     }
+}
+
+/* The loops of u2_tiles with a control (see u2_walk), compiled once per
+ * clone */
+static inline __attribute__((always_inline)) void
+ctl_walk(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, uint64_t c, int e,
+         int wide)
+{
+    if (c == 1)
+        u2_tiles(amp, ts, b, q, xj, k, 0, e, LANES, wide);
+    else
+        u2_tiles(amp, ts, b, q, xj, k, c >> 1, e, VECTORS, wide);
+}
+
+static __attribute__((noinline)) void ctl_walk_generic(v4d *amp, tile_set ts, int b, int q,
+                                                       uint64_t xj, const v4d *k, uint64_t c,
+                                                       int e)
+{
+    ctl_walk(amp, ts, b, q, xj, k, c, e, 0);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2,fma"), noinline)) static void
+ctl_walk_avx2(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, uint64_t c,
+              int e)
+{
+    ctl_walk(amp, ts, b, q, xj, k, c, e, 1);
+}
+#endif
+
+/* The 2x2 loop on qubit q over the tiles of ts, tiles of 2**b amplitudes:
+ * amp[k0], amp[k1] <- m00 a0 + m01 a1, m10 a0 + m11 a1 for each pair k0,
+ * k1 = k0 | 2**q with bit q of k0 clear, k holding the vectors u2_coefs
+ * makes of m.  It walks the tiles on the Clifford loop's vectors of two
+ * amplitudes: for q = 0 a pair fills one vector, below b the pairs lie in
+ * a tile, in two runs of 2**(q-1) vectors per block of 2**q, and from b up
+ * tile t pairs with tile t ^ xt, xt = 2**(q-b): tile_at(j) with
+ * tile_at(j ^ xj), xj being the index of xt in ts.  Which of the two has
+ * the bit clear depends on the span, not on j, so the loop tests it.
+ *
+ * With a control mask c, a bit other than 2**q (0 for none), a CX (e = 0)
+ * or CZ (e = 2) on control c and target q follows the 2x2 matrix in the
+ * same pass: the matrix is m where the control is clear, and X m or Z m
+ * where it is set.  Each output is the MIX product of m, stored where the
+ * CX moves it or negated as the CZ does, so the amplitudes are those of
+ * the 2x2 pass followed by the gate's pass, bit for bit.  The loop tests
+ * the control per vector, which holds one value of it per tile for a
+ * control above the tile and per block or run of vectors below it, or
+ * else per lane for a control on bit 0.  The loops with a control are
+ * compiled apart, in one function per clone (ctl_walk): inlined with the
+ * others into one function, they made the compiler build the loop of
+ * qubit 1 without a control 25% slower (GCC 12). */
+static inline __attribute__((always_inline)) void
+u2_walk(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, uint64_t c, int e,
+        int wide)
+{
+    if (!c)
+        u2_tiles(amp, ts, b, q, xj, k, 0, 0, PLAIN, wide);
+#if defined(__x86_64__)
+    else if (wide)
+        ctl_walk_avx2(amp, ts, b, q, xj, k, c, e);
+#endif
+    else
+        ctl_walk_generic(amp, ts, b, q, xj, k, c, e);
 }
 
 /* The body of framesim_apply_u2, compiled once per clone */
@@ -471,7 +609,7 @@ apply_u2(double *amp, int64_t n_amp, int q, const double *m, int wide)
     const int b = tile_bits(n_amp);
     v4d k[8];
     u2_coefs(k, q, m);
-    u2_walk((v4d *)amp, whole(n_amp, b), b, q, ((uint64_t)1 << q) >> b, k, wide);
+    u2_walk((v4d *)amp, whole(n_amp, b), b, q, ((uint64_t)1 << q) >> b, k, 0, 0, wide);
 }
 
 /* The two clones of the Clifford and 2x2 loops (see the head of this
@@ -565,6 +703,27 @@ void framesim_apply_u2(double *amp, int64_t n_amp, int q, const double *m)
     }
 #endif
     apply_u2_generic(amp, n_amp, q, m);
+}
+
+/* framesim_apply_u2 with the control mask c and the gate e of u2_walk */
+static void u2_pass(double *amp, int64_t n_amp, int q, const double *m, uint64_t c, int e)
+{
+    if (!c) {
+        framesim_apply_u2(amp, n_amp, q, m);
+        return;
+    }
+    const int b = tile_bits(n_amp);
+    const tile_set ts = whole(n_amp, b);
+    const uint64_t xj = ((uint64_t)1 << q) >> b;
+    v4d k[8];
+    u2_coefs(k, q, m);
+#if defined(__x86_64__)
+    if (use_avx2) {
+        ctl_walk_avx2((v4d *)amp, ts, b, q, xj, k, c, e);
+        return;
+    }
+#endif
+    ctl_walk_generic((v4d *)amp, ts, b, q, xj, k, c, e);
 }
 
 /* i**e * v */
@@ -1387,9 +1546,10 @@ static inline double seconds(void)
  * pairs tile t with a tile of t ^ S, or touches tile t alone, so each
  * coset, of 2**dim S tiles, goes through every pass of the run in order
  * while it sits in the L2 cache (Haner & Steiger, SC17).  A pass is a
- * Clifford-loop update, a 2x2 matrix on one qubit, or a masked pair
- * exchange; only the partner mask x goes into S (2**q for a gate on qubit
- * q, 0 for a phase), as control and phase bits only select tiles.
+ * Clifford-loop update, a 2x2 matrix on one qubit, with or without a
+ * control, or a masked pair exchange; only the partner mask x goes into S
+ * (2**q for a gate on qubit q, 0 for a phase), as control and phase bits
+ * only select tiles.
  * Each pair of amplitudes sees the same operations in the same order as
  * with one pass each, so the amplitudes are bit for bit the same.  A run
  * is applied before a pass on another register size, before the gate loop
@@ -1420,8 +1580,8 @@ int64_t framesim_l2_bytes(void)
 
 /* One pass of a run: the arguments of one framesim_clifford call (OP_TURN: x,
  * z, ca, cb and e), of one framesim_pair_exchange call (OP_EXCHANGE: mask,
- * val, x and e) or of one framesim_apply_u2 call (OP_U2: x = 2**q and the
- * matrix u). */
+ * val, x and e) or of one 2x2 pass (OP_U2: x = 2**q, the matrix u, and the
+ * control mask and gate of u2_walk in mask and e, mask 0 for none). */
 enum { OP_TURN, OP_EXCHANGE, OP_U2 };
 
 typedef struct {
@@ -1482,20 +1642,26 @@ run_walk(double *amp, const run *p, int wide)
             if (o->kind == OP_TURN)
                 walk((v4d *)amp, ts, b, o->x, xj[i], o->z, pat[i], o->ca, o->e, wide);
             else if (o->kind == OP_U2)
-                u2_walk((v4d *)amp, ts, b, __builtin_ctzll(o->x), xj[i], k[i], wide);
+                u2_walk((v4d *)amp, ts, b, __builtin_ctzll(o->x), xj[i], k[i], o->mask, o->e,
+                        wide);
             else
                 exchange_walk((v2d *)amp, ts, b, o->mask, o->val, o->x, xj[i], o->e);
         }
     }
 }
 
-static void run_generic(double *amp, const run *p)
+/* The two clones of run_walk, each starting on a cache line: where the
+ * loops inlined in it fall in the lines then depends on its own code only,
+ * and a blocked phase pass (S) ran 9-10% slower where the function started
+ * 48 bytes into a line instead of 32. */
+__attribute__((aligned(64))) static void run_generic(double *amp, const run *p)
 {
     run_walk(amp, p, 0);
 }
 
 #if defined(__x86_64__)
-__attribute__((target("avx2,fma"))) static void run_avx2(double *amp, const run *p)
+__attribute__((target("avx2,fma"), aligned(64))) static void run_avx2(double *amp,
+                                                                       const run *p)
 {
     run_walk(amp, p, 1);
 }
@@ -1504,7 +1670,7 @@ __attribute__((target("avx2,fma"))) static void run_avx2(double *amp, const run 
 /* The passes of one gate loop or flush, applied to amp: the pending run,
  * the seconds spent in passes and the counts of passes, of the amplitudes
  * they cover and of blocked runs, added to count[0..2] (the baseline's loop
- * adds its fused gates to count[3]). */
+ * adds its fused gates to count[3] and its absorbed gates to count[4]). */
 typedef struct {
     double *amp;
     int64_t *count;
@@ -1531,7 +1697,7 @@ static void apply_pending(passes *s)
     } else if (o->kind == OP_TURN)
         framesim_clifford(s->amp, p->n_amp, o->x, o->z, o->ca, o->cb, o->e);
     else if (o->kind == OP_U2)
-        framesim_apply_u2(s->amp, p->n_amp, __builtin_ctzll(o->x), o->u);
+        u2_pass(s->amp, p->n_amp, __builtin_ctzll(o->x), o->u, o->mask, o->e);
     else
         framesim_pair_exchange(s->amp, p->n_amp, o->mask, o->val, o->x, o->e);
     s->spent += seconds() - t0;
@@ -1765,35 +1931,47 @@ static int undoes(int32_t a, int32_t b)
 /* Apply the gates qubit q holds and release it: none if all cancelled,
  * the pass of the gate left if one is, else one framesim_apply_u2 pass of
  * their product.  The gates that make no pass of their own are added to
- * count[3]: all of them, or all but one. */
-static void settle(baseline *bl, int q)
+ * count[3]: all of them, or all but one.  A CX or CZ `code` with its
+ * control on the qubit of mask c (c is 0 for none), which comes next if
+ * that qubit holds no gates, joins a 2x2 pass, a lone H or a product (see
+ * u2_walk); returns 1 if it joined, and adds it to count[4]. */
+static int settle(baseline *bl, int q, int32_t code, uint64_t c)
 {
     const held *h = bl->q + q;
     const uint64_t bit = (uint64_t)1 << q;
     bl->open &= ~bit;
     bl->lone &= ~bit;
     bl->s.count[3] += h->taken - (h->left > 0);
-    if (h->left == 1)
-        push(&bl->s, gate_pass(h->code[0], bit, 0, h->angle[0]), bl->n_amp);
-    else if (h->left > 1) {
-        pass_op o = u2_op(h->code[0], bit, h->angle[0]);
+    if (!h->left)
+        return 0;
+    pass_op o = gate_pass(h->code[0], bit, 0, h->angle[0]);
+    if (h->left > 1) {
+        o = u2_op(h->code[0], bit, h->angle[0]);
         for (int i = 1; i < h->left; i++) {
             double g[8];
             gate_matrix(h->code[i], h->angle[i], g);
             left_multiply(g, o.u);
         }
-        push(&bl->s, o, bl->n_amp);
     }
+    const int joins = o.kind == OP_U2 && c && !(bl->open & c);
+    if (joins) {
+        o.mask = c;
+        o.e = code == G_CZ ? 2 : 0;
+        bl->s.count[4]++;
+    }
+    push(&bl->s, o, bl->n_amp);
+    return joins;
 }
 
-/* Settle qubit q if it holds gates.  A lone gate first waits for every
- * lone gate taken in before it, in the order they came: so when no gate
- * fuses, the passes that round come in stream order, and the others, which
- * only move and negate amplitudes, commute with them bit for bit. */
-static void release(baseline *bl, int q)
+/* Settle qubit q if it holds gates, with the gate of settle; returns 1 if
+ * that gate joined q's pass.  A lone gate first waits for every lone gate
+ * taken in before it, in the order they came: so when no gate fuses, the
+ * passes that round come in stream order, and the others, which only move
+ * and negate amplitudes, commute with them bit for bit. */
+static int release(baseline *bl, int q, int32_t code, uint64_t c)
 {
     if (!(bl->open >> q & 1))
-        return;
+        return 0;
     if (bl->lone >> q & 1)
         for (;;) {
             int first = q;
@@ -1804,9 +1982,9 @@ static void release(baseline *bl, int q)
             }
             if (first == q)
                 break;
-            settle(bl, first);
+            settle(bl, first, 0, 0);
         }
-    settle(bl, q);
+    return settle(bl, q, code, c);
 }
 
 /* Take the one-qubit gate `code` at stream index k into what qubit q
@@ -1817,7 +1995,7 @@ static void take(baseline *bl, int q, int32_t code, double angle, int64_t k)
     held *h = bl->q + q;
     const uint64_t bit = (uint64_t)1 << q;
     if ((bl->open & bit) && h->left == MAX_FUSE)
-        release(bl, q);
+        release(bl, q, 0, 0);
     if (!(bl->open & bit)) {
         h->left = h->taken = 0;
         h->since = k;
@@ -1850,11 +2028,15 @@ static void take(baseline *bl, int q, int32_t code, double angle, int64_t k)
  * are found on their codes, never by comparing numbers.  A gate left alone
  * makes its gate_pass, so that when no gate fuses the amplitudes are those
  * of one pass per gate, bit for bit; a fused run rounds once where its
- * gates rounded one by one.  On more amplitudes than the L2 cache holds,
- * the passes are blocked in runs (see push).  The counts of passes, of the
- * amplitudes they cover and of blocked runs are added to count[0..2], as
- * framesim_run_gates adds them, and the one-qubit gates that made no pass
- * of their own to count[3]. */
+ * gates rounded one by one.  A CX whose target, or a CZ either of whose
+ * qubits, is settled last and makes a 2x2 pass (a lone H or a product)
+ * makes no pass of its own: that pass applies it, with the amplitudes of
+ * the two passes (see u2_walk).  On more amplitudes than the L2 cache
+ * holds, the passes are blocked in runs (see push).  The counts of passes,
+ * of the amplitudes they cover and of blocked runs are added to
+ * count[0..2], as framesim_run_gates adds them, the one-qubit gates that
+ * made no pass of their own to count[3], and the two-qubit gates that made
+ * none to count[4]. */
 int64_t framesim_baseline_gates(double *amp, int n, const int32_t *ops, const double *angles,
                                 int64_t start, int64_t stop, int64_t *count)
 {
@@ -1868,15 +2050,17 @@ int64_t framesim_baseline_gates(double *amp, int n, const int32_t *ops, const do
         if (g[0] == G_MEASZ || g[0] == G_PREPZ)
             break; /* the caller draws the outcome */
         if (g[0] == G_CX || g[0] == G_CZ || g[0] == G_SWAP) {
-            release(&bl, g[1]);
-            release(&bl, g[2]);
-            push(&bl.s, gate_pass(g[0], (uint64_t)1 << g[1], (uint64_t)1 << g[2], 0.0),
-                 bl.n_amp);
+            /* the qubit settled last may take the gate: a CX's target, or
+             * either qubit of a CZ */
+            const uint64_t a = (uint64_t)1 << g[1], b = (uint64_t)1 << g[2];
+            if (!release(&bl, g[1], g[0], g[0] == G_CZ ? b : 0)
+                && !release(&bl, g[2], g[0], g[0] == G_SWAP ? 0 : a))
+                push(&bl.s, gate_pass(g[0], a, b, 0.0), bl.n_amp);
         } else
             take(&bl, g[1], g[0], angles[k], k);
     }
     while (bl.open)
-        release(&bl, __builtin_ctzll(bl.open));
+        release(&bl, __builtin_ctzll(bl.open), 0, 0);
     apply_pending(&bl.s);
     return k;
 }

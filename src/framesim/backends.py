@@ -53,10 +53,12 @@ class RunReport:
     pass, ``gate_pass_equivalents``, 1 per pass over the whole state,
     ``gate_blocked_runs``, the runs of passes that the compiled loop
     applied in one blocked pass (see ``_kernels.baseline_gates``), each
-    counted once in the other two, and ``gate_fused``, the one-qubit gates
+    counted once in the other two, ``gate_fused``, the one-qubit gates
     that made no pass of their own, cancelled or folded into the 2x2 pass
-    of their run (0 from the Python loop).  Without blocking,
-    ``gate_passes + gate_fused`` is the gate count.  Empty on hybrid
+    of their run, and ``gate_absorbed``, the CX and CZ gates that made no
+    pass of their own, applied by the 2x2 pass of the run before them (both
+    0 from the Python loop).  Without blocking,
+    ``gate_passes + gate_fused + gate_absorbed`` is the gate count.  Empty on hybrid
     reports, whose ``HybridState`` holds the counts.
     """
 
@@ -271,7 +273,7 @@ def _pass_dict(kind: str, counts: array, n: int) -> dict[str, float]:
     """The counts of ``_kernels.pass_counts`` as ``<kind>_passes``,
     ``<kind>_pass_equivalents`` (the amplitudes over 2**n) and
     ``<kind>_blocked_runs``."""
-    passes, amplitudes, blocked, _ = counts
+    passes, amplitudes, blocked = counts[:3]
     return {f"{kind}_passes": passes, f"{kind}_pass_equivalents": amplitudes / (1 << n),
             f"{kind}_blocked_runs": blocked}
 
@@ -317,7 +319,8 @@ def run_baseline(circuit: Circuit, rng=None) -> tuple[StateVector, RunReport]:
     t0 = time.perf_counter()
     gate_loop(state, circuit, rng, report.measurements, counts)
     report.t_run_s = time.perf_counter() - t0
-    report.passes = {**_pass_dict("gate", counts, n), "gate_fused": counts[3]}
+    report.passes = {**_pass_dict("gate", counts, n), "gate_fused": counts[3],
+                     "gate_absorbed": counts[4]}
     return state, report
 
 

@@ -2,7 +2,8 @@
 and in blocked runs, on every compiled clone: the same records, and the
 same amplitudes, bit for bit when no one-qubit gates fused and within
 1e-12 when some did (a fused run rounds once where its gates rounded one
-by one)."""
+by one).  A CX or CZ that a 2x2 pass absorbs keeps the amplitudes bit for
+bit."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,8 +28,9 @@ def both_loops(circ: Circuit, seed):
 
 def assert_same_runs(circ: Circuit, seed) -> list[dict]:
     """On every clone, the compiled loop's records are the Python loop's,
-    and its amplitudes too: bit for bit if no gate fused, else within
-    1e-12.  Returns the compiled loop's pass counts."""
+    and its amplitudes too: bit for bit if no one-qubit gate fused, even
+    if two-qubit gates were absorbed, else within 1e-12.  Returns the
+    compiled loop's pass counts."""
     runs = compiled_clones(both_loops)
     assert runs, "no compiled clone"
     counts = []
@@ -41,7 +43,8 @@ def assert_same_runs(circ: Circuit, seed) -> list[dict]:
             assert np.array_equal(state.amplitudes, ref.amplitudes), name
         gates = circ.clifford_count() + circ.rotation_count()
         assert ref_report.passes == dict(gate_passes=gates, gate_pass_equivalents=gates,
-                                         gate_blocked_runs=0, gate_fused=0), name
+                                         gate_blocked_runs=0, gate_fused=0,
+                                         gate_absorbed=0), name
         counts.append(report.passes)
     return counts
 
@@ -72,10 +75,11 @@ def dense_layer(n: int) -> list[tuple]:
 def test_compiled_baseline_loop_is_the_python_loop(n, length, seed):
     # every gate tag, MEASZ and PREPZ included, on states inside the L2
     # cache: nothing blocked, and each gate makes one pass unless it fused
+    # or was absorbed
     circ = mixed(n, length, seed)
     gates = circ.clifford_count() + circ.rotation_count()
     for counts in assert_same_runs(circ, seed):
-        assert counts["gate_passes"] + counts["gate_fused"] == gates
+        assert counts["gate_passes"] + counts["gate_fused"] + counts["gate_absorbed"] == gates
         assert counts["gate_pass_equivalents"] == counts["gate_passes"]
         assert counts["gate_blocked_runs"] == 0
 
@@ -128,7 +132,7 @@ def test_gates_that_cancel_make_no_pass(gates):
         circ.append(tag, 1)
     state = dense_state(3, 1)
     before = state.amplitudes.copy()
-    assert compiled_pass(state, circ).tolist() == [0, 0, 0, len(circ)]
+    assert compiled_pass(state, circ).tolist() == [0, 0, 0, len(circ), 0]
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -184,3 +188,113 @@ def test_a_long_run_of_one_qubit_gates_fuses_in_pieces():
     for counts in assert_same_runs(circ, 0):
         assert 1 < counts["gate_passes"] - 2 < 40
         assert counts["gate_passes"] + counts["gate_fused"] == 42
+
+
+def gates_on_dense_state(circ: Circuit, seed: int = 4) -> dict:
+    """On every clone: the compiled loop's pass counts on circ, from a dense
+    state, and whether its amplitudes are the Python loop's, bit for bit."""
+    def both():
+        state, ref = dense_state(circ.num_qubits, seed), dense_state(circ.num_qubits, seed)
+        counts = compiled_pass(state, circ)
+        for g in circ:
+            ref.apply_gate(g.tag, g.qubits, g.angle)
+        return counts.tolist(), np.array_equal(state.amplitudes, ref.amplitudes)
+
+    return {name: run() for name, run in compiled_clones(both).items()}
+
+
+# (control, target) of a CX or CZ after a run on the target: the control
+# at bit 0, inside the tile below and above the target, and on a tile bit
+# (8 and up); the target at bit 0, at bit 1 (pairs of single vectors),
+# inside the tile and on a tile bit
+CONTROLS = [(1, 0), (3, 0), (9, 0), (0, 1), (2, 1), (9, 1), (0, 4), (2, 4), (1, 4), (6, 4),
+            (9, 4), (0, 9), (1, 9), (3, 9), (8, 9)]
+
+
+@pytest.mark.skipif(_kernels.baseline_gates is None, reason="compiled kernels not loaded")
+@pytest.mark.parametrize("tag", ["CX", "CZ"])
+@pytest.mark.parametrize("control, target", CONTROLS)
+@pytest.mark.parametrize("blocked", [False, True])
+def test_a_cx_or_cz_joins_the_2x2_pass_on_its_target(tag, control, target, blocked):
+    # the H's 2x2 pass applies the gate too: the matrix is H where the
+    # control is clear and X H or Z H where it is set, with the amplitudes
+    # of the two passes, bit for bit.  Blocked, a SWAP before it and a CZ
+    # after it on two other qubits put the pass inside a blocked run
+    if blocked and BLOCKED_N is None:
+        pytest.skip("the compiled loop blocks no state here")
+    n = BLOCKED_N if blocked else 10
+    a, b = sorted({5, 7, 11, 12} - {control, target})[:2]
+    circ = Circuit(n)
+    gates = [("H", target), (tag, control, target)]
+    if blocked:
+        gates = [("SWAP", a, b)] + gates + [("CZ", a, b)]
+    for g in gates:
+        circ.append(*g)
+    for name, (counts, same) in gates_on_dense_state(circ).items():
+        assert same, name
+        assert counts[0] == 1 and counts[2] == blocked and counts[3:] == [0, 1], name
+
+
+@pytest.mark.skipif(_kernels.baseline_gates is None, reason="compiled kernels not loaded")
+@pytest.mark.parametrize("tag", ["CX", "CZ"])
+@pytest.mark.parametrize("lone", ["RZ", "S", "X"])
+def test_a_lone_gate_that_makes_no_2x2_pass_is_not_absorbed(tag, lone):
+    # a lone RZ, S or X makes its own pass (the Clifford loop or the pair
+    # exchange), and the gate after it makes its own too
+    circ = Circuit(6)
+    circ.append(lone, 4, angle=0.7 if lone == "RZ" else None)
+    circ.append(tag, 1, 4)
+    for name, (counts, same) in gates_on_dense_state(circ).items():
+        assert same, name
+        assert counts[0] == 2 and counts[3:] == [0, 0], name
+
+
+@pytest.mark.skipif(_kernels.baseline_gates is None, reason="compiled kernels not loaded")
+@pytest.mark.parametrize("tag", ["CX", "CZ"])
+@pytest.mark.parametrize("order", ["control first", "target first"])
+def test_a_control_that_holds_a_run_is_settled_first(tag, order):
+    # both qubits hold a lone H: the control's pass comes first, then the
+    # target's absorbs the gate.  Taken in first, the target's H is settled
+    # before the control's (the passes that round keep their order), and a
+    # CX makes its own pass, while a CZ joins the qubit settled last
+    circ = Circuit(5)
+    for q in ((2, 3) if order == "control first" else (3, 2)):
+        circ.append("H", q)
+    circ.append(tag, 2, 3)
+    absorbed = 1 if tag == "CZ" or order == "control first" else 0
+    for name, (counts, same) in gates_on_dense_state(circ).items():
+        assert same, name
+        assert counts[3:] == [0, absorbed] and counts[0] == 3 - absorbed, name
+
+
+@pytest.mark.skipif(_kernels.baseline_gates is None, reason="compiled kernels not loaded")
+@pytest.mark.parametrize("tag", ["CX", "CZ"])
+@pytest.mark.parametrize("control, target", CONTROLS)
+@pytest.mark.parametrize("blocked", [False, True])
+def test_a_fused_run_absorbs_a_gate_bit_for_bit(tag, control, target, blocked):
+    # a complex product, S H RZ, on the target absorbs the gate: the same
+    # amplitudes as the product's pass and the gate's pass made apart, in
+    # two calls, the first of which settles the run when it returns
+    if blocked and BLOCKED_N is None:
+        pytest.skip("the compiled loop blocks no state here")
+    n = BLOCKED_N if blocked else 10
+    a, b = sorted({5, 7, 11, 12} - {control, target})[:2]
+    first, second = Circuit(n), Circuit(n)
+    for g in [("SWAP", a, b)] * blocked + [("S", target), ("H", target), ("RZ", target)]:
+        first.append(*g, angle=0.7 if g[0] == "RZ" else None)
+    second.append(tag, control, target)
+    whole = Circuit(n)
+    whole.extend(first)
+    whole.extend(second)
+
+    def both():
+        state, ref = dense_state(n, 5), dense_state(n, 5)
+        counts = compiled_pass(state, whole)
+        compiled_pass(ref, first)
+        compiled_pass(ref, second)
+        return counts.tolist(), np.array_equal(state.amplitudes, ref.amplitudes)
+
+    for name, run in compiled_clones(both).items():
+        counts, same = run()
+        assert same, name
+        assert counts[3:] == [2, 1] and counts[2] == blocked, name

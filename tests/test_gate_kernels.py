@@ -241,8 +241,8 @@ def test_u2_passes_in_blocked_runs_are_the_whole_state_passes_bit_for_bit():
 
     for name, run in compiled_clones(both).items():
         amp, ref, counts = run()
-        passes, _, blocked, fused = counts
-        assert (passes, blocked, fused) == (1, 1, len(qubits)), name
+        passes, _, blocked, fused, absorbed = counts
+        assert (passes, blocked, fused, absorbed) == (1, 1, len(qubits), 0), name
         assert np.array_equal(amp, ref), name
     numpy_ref = passes_of(_kernels.numpy_apply_u2, _kernels.numpy_pair_exchange)
     assert np.max(np.abs(amp - numpy_ref)) < 1e-12

@@ -779,21 +779,28 @@ def test_clifford_loop_writes_only_its_state(case):
 @pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
                     reason="compiled kernels not loaded")
 def test_compiled_loops_reject_a_misaligned_state():
-    # a complex128 array at 8 mod 16 bytes, which numpy flags as aligned
+    # a complex128 array at 8 mod 16 bytes, which numpy flags as aligned,
+    # holding amplitudes that each call would change: it must raise before
+    # it writes any of them
     amp = np.zeros(2 * 1024 + 1)[1:].view(np.complex128)
     assert amp.ctypes.data % 16 == 8 and amp.flags.aligned
+    amp[:] = np.arange(1, 1025) * (1 - 0.5j)
+    snapshot = amp.tobytes()
     circ = Circuit(10)
     circ.append("RX", 3, angle=0.5)
     ops, angles = circ.lowered()
     frame = PauliFrame.origin(10)
+    turned = PauliFrame.origin(10)
+    turned.apply_gate("H", (3,))
     index_map = np.array([1 << i for i in range(10)], dtype=np.uint64)
     calls = {"clifford": lambda: _kernels.clifford(amp, 1, 0, 0.0, 1.0, 0),
-             "apply_u2": lambda: _kernels.apply_u2(amp, 0, np.eye(2)),
+             "apply_u2": lambda: _kernels.apply_u2(amp, 0, np.array([[0, 1], [1, 0]])),
              "pair_exchange": lambda: _kernels.pair_exchange(amp, 3, 1, 2, 0),
              "run_gates": lambda: _kernels.run_gates(amp, frame.xs, frame.zs, frame.ps,
                                                      index_map, 10, ops, angles, 0),
              "baseline_gates": lambda: _kernels.baseline_gates(amp, ops, angles, 0),
-             "flush": lambda: _kernels.flush(amp, frame.xs, frame.zs, frame.ps, index_map, 10),
+             "flush": lambda: _kernels.flush(amp, turned.xs, turned.zs, turned.ps, index_map,
+                                             10),
              "permute": lambda: _kernels.permute(amp, [1 << i for i in range(10)][::-1], 0,
                                                  [0] * 10, [0] * 10),
              "scatter": lambda: _kernels.scatter(amp, np.zeros(2, dtype=complex), [1 << 9], 0,
@@ -803,7 +810,7 @@ def test_compiled_loops_reject_a_misaligned_state():
     for name, call in calls.items():
         with pytest.raises(ValueError, match="aligned to 16 bytes"):
             call()
-        assert not amp.any(), name
+        assert amp.tobytes() == snapshot, name
 
 
 # the register size from which the compiled gate loop blocks runs of

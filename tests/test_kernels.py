@@ -209,7 +209,9 @@ def libasan() -> str | None:
 # register of 6 and of 10 qubits, against P_A; and above the L2 cache the
 # hybrid's blocked runs of rotations and turns, and the baseline's of every
 # gate kind, fused 2x2 passes included, against its Python loop, on each
-# clone
+# clone; and on each clone a CX and a CZ absorbed into the 2x2 pass of an
+# H, with every control and target of states of 2 to 10 qubits, and in
+# blocked runs with the control at bit 0, in a tile and above it
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -226,6 +228,16 @@ for clone in _kernels._CLONES:
             _kernels.clifford(amp, x, int(rng.integers(1 << m)), 0.6, 0.8, 3)
         for q in range(m):
             _kernels.apply_u2(amp, q, np.array([[0.6, 0.8j], [0.8j, 0.6]]))
+        for t in range(m):
+            for c in range(m):
+                for tag in ("CX", "CZ") if c != t else ():
+                    circ = Circuit(m)
+                    circ.append("H", t)
+                    circ.append(tag, c, t)
+                    counts = _kernels.pass_counts()
+                    _kernels.baseline_gates(amp, *circ.lowered(), 0, counts)
+                    if counts[4] != 1:
+                        raise SystemExit(f"{tag}({c}, {t}) was not absorbed: {counts}")
 n = 10
 circ = Circuit(n)
 for q in range(n):
@@ -368,6 +380,17 @@ if l2 and n <= 22:
         if (report.measurements != ref_report.measurements
                 or np.max(np.abs(state.amplitudes - ref.amplitudes)) > 1e-12):
             raise SystemExit("the baseline's blocked runs differ from its Python loop")
+        # absorbed gates inside blocked runs, between a SWAP and a CZ
+        for c, t in ((0, 5), (1, 0), (3, 6), (6, 3), (9, 2), (0, 12), (4, 12), (n - 1, 8)):
+            for tag in ("CX", "CZ"):
+                a, b = sorted({7, 10, 11} - {c, t})[:2]
+                circ = Circuit(n)
+                for g in (("SWAP", a, b), ("H", t), (tag, c, t), ("CZ", a, b)):
+                    circ.append(*g)
+                counts = _kernels.pass_counts()
+                _kernels.baseline_gates(state.amplitudes, *circ.lowered(), 0, counts)
+                if counts[2] != 1 or counts[4] != 1:
+                    raise SystemExit(f"{tag}({c}, {t}) was not absorbed in a run: {counts}")
 """
 # a write past the end of a 4-amplitude state, which the sanitizer must stop
 OVERRUN_PROBE = """
