@@ -145,18 +145,31 @@ enum { KEEP, SWAP };
 
 #define ORDER(b, s, how) ((how) == KEEP ? (b) : (s))
 
+/* v as it is, in a register: the compiler cannot fuse the product that
+ * computed it into an add */
+#if defined(__x86_64__)
+#define ROUNDED(v) __asm__("" : "+x"(v))
+#else
+#define ROUNDED(v) ((void)0)
+#endif
+
 /* *d <- ca*a + *p * order(part(b)) for vectors a and b, with *p the pattern
  * of position d; part(b) is b with its two amplitudes exchanged if flip is
  * set.  A clone with 32-byte registers (wide) computes it in one piece; the
  * generic clone computes each 16-byte half on its own, as GCC would
- * otherwise assemble every 32-byte value in a stack slot. */
+ * otherwise assemble every 32-byte value in a stack slot.  In the AVX2
+ * clone the product *p * order(part(b)) is rounded on its own and ca*a is
+ * fused into the add (ROUNDED): the rounding the compiler chose when it
+ * was free to, named so that an edit elsewhere cannot change it. */
 #define UPDATE(d, a, b, p, ca, flip, how, wide)                               \
     do {                                                                      \
         if (wide) {                                                           \
             const v4d b_ = (flip) ? (v4d){(b)[2], (b)[3], (b)[0], (b)[1]}     \
                                   : (b),                                      \
                       s_ = {b_[1], b_[0], b_[3], b_[2]};                      \
-            *(d) = (ca) * (a) + *(p) * ORDER(b_, s_, how);                    \
+            v4d p_ = *(p) * ORDER(b_, s_, how);                               \
+            ROUNDED(p_);                                                      \
+            *(d) = (ca) * (a) + p_;                                           \
         } else {                                                              \
             v2d *d_ = (v2d *)(d);                                             \
             const v2d *p_ = (const v2d *)(p);                                 \
@@ -349,14 +362,6 @@ clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
     patterns(pat, (int64_t)1 << (b - 1), z, cb, e0);
     walk((v4d *)amp, whole(n_amp, b), b, x, x >> b, z, pat, ca, e0, wide);
 }
-
-/* v as it is, in a register: the compiler cannot fuse the product that
- * computed it into an add */
-#if defined(__x86_64__)
-#define ROUNDED(v) __asm__("" : "+x"(v))
-#else
-#define ROUNDED(v) ((void)0)
-#endif
 
 /* *d <- k[0] * u + k[1] * swap(u) + k[2] * part(w) + k[3] * swap(part(w))
  * for vectors u and w of two amplitudes, swap exchanging the re and im of
@@ -1554,21 +1559,41 @@ static inline double seconds(void)
  * with one pass each, so the amplitudes are bit for bit the same.  A run
  * is applied before a pass on another register size, before the gate loop
  * returns (at a MEASZ or PREPZ or the end) and at the end of the flush's
- * turns, and before S would grow past half the L2 cache; it holds at most
- * MAX_RUN passes. */
+ * turns; it holds at most MAX_RUN passes.  It is also applied before a
+ * pass whose tile mask would break either of two rules on the coset:
+ * - its 2**dim S tiles fill at most half the L2 cache;
+ * - at most half as many of them as the cache has ways share their sets.
+ *   The L2 sets repeat every L2 / ways bytes, 2**w tiles, and on huge
+ *   pages the index bits below 2 MiB pick the set, so the tiles of a coset
+ *   that agree in their w low bits (set_mask) share their sets: 2**(dim S
+ *   - dim S') tiles each, S' the span of the masks' w low bits.  Masks of
+ *   one bit above those, as one-qubit gates on high qubits give, would
+ *   otherwise stack a coset on a few sets, whose lines then evict each
+ *   other however little of the cache the coset fills (Lam, Rothberg &
+ *   Wolf, ASPLOS 1991).
+ * Where the system reports no ways, only the first rule holds. */
 #define MAX_RUN 16
 #define MAX_SPAN_BITS 10
 
 static int64_t l2_bytes;     /* the L2 cache's size, 0 if the system does not say */
+static int l2_ways;          /* its ways, 0 if the system does not say */
 static int span_bits;        /* the largest dim S: 2**span_bits tiles fill half of it */
+static uint64_t set_mask;    /* the w low bits of a tile index, which pick its sets */
+static int stack_bits;       /* the largest dim S - dim S': 2**stack_bits is half the ways */
 
 __attribute__((constructor)) static void read_cache_size(void)
 {
-    const long size = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    const long size = sysconf(_SC_LEVEL2_CACHE_SIZE), ways = sysconf(_SC_LEVEL2_CACHE_ASSOC);
     l2_bytes = size > 0 ? size : 0;
+    l2_ways = ways > 0 ? (int)ways : 0;
     const int64_t tile_bytes = TILE * (int64_t)sizeof(v2d);
     while (span_bits < MAX_SPAN_BITS && tile_bytes << (span_bits + 1) <= l2_bytes / 2)
         span_bits++;
+    stack_bits = l2_ways ? 0 : MAX_SPAN_BITS;
+    while (l2_ways && 4 << stack_bits <= l2_ways)
+        stack_bits++;
+    for (int64_t way = l2_ways ? l2_bytes / l2_ways : 0; way >= 2 * tile_bytes; way /= 2)
+        set_mask = set_mask << 1 | 1;
 }
 
 /* The L2 cache size that blocking reads (see above), in bytes; 0 if the
@@ -1576,6 +1601,13 @@ __attribute__((constructor)) static void read_cache_size(void)
 int64_t framesim_l2_bytes(void)
 {
     return l2_bytes;
+}
+
+/* The L2 cache's ways that blocking reads (see above); 0 if the system did
+ * not report them, and then only the size bounds a run. */
+int framesim_l2_ways(void)
+{
+    return l2_ways;
 }
 
 /* One pass of a run: the arguments of one framesim_clifford call (OP_TURN: x,
@@ -1601,12 +1633,13 @@ static inline pass_op exchange_op(uint64_t mask, uint64_t val, uint64_t x, int e
 }
 
 /* A pending run of m passes on a register of n_amp amplitudes, with an
- * echelon basis of their tile masks; added[k] is mask k of that basis in
- * the order the masks were added */
+ * echelon basis of their tile masks and one of the masks' low bits, the
+ * sets of a tile (set_mask); added[k] is mask k of the first basis in the
+ * order the masks were added */
 typedef struct {
     int m;
     int64_t n_amp;
-    echelon tiles;
+    echelon tiles, sets;
     uint64_t added[MAX_SPAN_BITS];
     pass_op op[MAX_RUN];
 } run;
@@ -1715,16 +1748,22 @@ static void push(passes *s, pass_op o, int64_t n_amp)
     const uint64_t xt = o.x >> TILE_BITS;
     run *p = &s->pending;
     uint64_t sum;
+    /* a mask new to S adds one to dim S, and to dim S - dim S' too unless
+     * its low bits are new to S' */
     if (p->m && (p->n_amp != n_amp || p->m == MAX_RUN
-                 || (reduce(&p->tiles, xt, &sum) && p->tiles.dim >= span_bits)))
+                 || (reduce(&p->tiles, xt, &sum)
+                     && (p->tiles.dim >= span_bits
+                         || (!reduce(&p->sets, xt & set_mask, &sum)
+                             && p->tiles.dim - p->sets.dim >= stack_bits)))))
         apply_pending(s);
     if (!p->m) {
         p->n_amp = n_amp;
-        p->tiles.top = 0;
-        p->tiles.dim = 0;
+        p->tiles.top = p->sets.top = 0;
+        p->tiles.dim = p->sets.dim = 0;
     }
     if (add_vector(&p->tiles, xt))
         p->added[p->tiles.dim - 1] = xt;
+    add_vector(&p->sets, xt & set_mask);
     p->op[p->m++] = o;
     if (!l2_bytes || n_amp * (int64_t)sizeof(v2d) <= l2_bytes)
         apply_pending(s); /* the register fits the L2 cache: one pass now */

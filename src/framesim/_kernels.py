@@ -80,14 +80,18 @@ left, else one ``apply_u2`` pass of their product.  A CX or CZ right
 after a 2x2 pass on its target (a lone H or a product) makes no pass of
 its own: the 2x2 pass applies the matrix where the gate's control is
 clear and its product with X or Z where it is set.  The benchmark's
-18-qubit Trotter circuits (seed 1) make 1173-1188 passes for their
+18-qubit Trotter circuits (seed 1) make 960-971 passes for their
 1727-1845 gates, 210-224 of their CX absorbed that way.
 ``run_gates`` is the hybrid backend's: it updates the words of a
 ``PauliFrame`` in place and calls the Clifford loop for each rotation on
 the hybrid's register of 2**d amplitudes.  Once the amplitudes of a pass
 outgrow the L2 cache (``l2_bytes``), both apply each run of passes in one
 walk that takes each group of tiles through the whole run while the group
-sits in the cache, with the amplitudes of one pass each, bit for bit; at
+sits in the cache, with the amplitudes of one pass each, bit for bit.  A
+run ends before a group would fill more than half the cache, or put more
+of its tiles on one set of cache lines than half the cache's ways
+(``l2_ways``), as single-bit masks above the bits that pick a tile's
+sets would; at
 n = 18 on a 2-core Xeon with 2 MiB of L2, runs of 3 to 7 rotations
 cost 0.31-0.34 ns per amplitude and rotation against 0.47-0.49 one by
 one.  ``register_map`` maps one operator onto the hybrid's
@@ -227,6 +231,8 @@ def _load():
     lib.framesim_use_avx2.restype = ctypes.c_int
     lib.framesim_l2_bytes.argtypes = []
     lib.framesim_l2_bytes.restype = i64
+    lib.framesim_l2_ways.argtypes = []
+    lib.framesim_l2_ways.restype = ctypes.c_int
     return lib
 
 
@@ -265,6 +271,14 @@ def l2_bytes() -> int | None:
     system reported when the library loaded, 0 if it reported none, and
     then no run is blocked.  None on the numpy tier."""
     return None if _lib is None else _lib.framesim_l2_bytes()
+
+
+def l2_ways() -> int | None:
+    """The L2 cache's ways, which bound how many tiles of one blocked coset
+    may share their cache sets (see ``run_gates``): what the system
+    reported when the library loaded, 0 if it reported none, and then only
+    the size bounds a run.  None on the numpy tier."""
+    return None if _lib is None else _lib.framesim_l2_ways()
 
 
 def _use_clone(name: str) -> str:
@@ -490,7 +504,9 @@ def _c_run_gates(amp, xs, zs, ps, index_map, active, ops, angles, start, counts=
     through every rotation of the run while the group sits in the L2 cache,
     with the amplitudes of one pass per rotation, bit for bit.  The run
     ends before a rotation on another register size, at the call's return
-    and where its group would outgrow half the cache.
+    and where its group would outgrow half the cache, or put more of its
+    tiles on one set of cache lines than half the cache's ways
+    (``l2_ways``).
 
     ``counts`` (see ``pass_counts``) receives the passes over the register
     (a blocked run counts once), the amplitudes those passes cover and the

@@ -7,7 +7,8 @@ failure, a state the operating system will not map, or a backend
 cross-check mismatch).  ``run`` and ``sweep`` name the amplitude
 kernel tier on stderr before they start, with the compiled clone in use
 (``avx2`` or ``generic``) and the L2 cache size above which both gate
-loops, the baseline's and the hybrid's, block their passes in runs, or
+loops, the baseline's and the hybrid's, block their passes in runs, with
+the ways that bound how many tiles of a run share their cache sets, or
 that they run unblocked because the system reported no size, so a numpy
 fallback, a generic build on an AVX2 host or an unblocked loop shows in
 every run's output.
@@ -89,8 +90,9 @@ def _report_tier() -> None:
     line = f"framesim: kernel tier {_kernels.kernel_tier()}"
     clone = _kernels.simd_clone()
     if clone:
-        l2 = _kernels.l2_bytes()
-        line += (f" ({clone}), both gate loops block above the {l2 >> 10} KiB L2 cache" if l2
+        l2, ways = _kernels.l2_bytes(), _kernels.l2_ways()
+        cache = f"{l2 >> 10} KiB, {ways}-way" if ways else f"{l2 >> 10} KiB"
+        line += (f" ({clone}), both gate loops block above the {cache} L2 cache" if l2
                  else f" ({clone}), both gate loops unblocked: L2 cache size unknown")
     print(line, file=sys.stderr)
 

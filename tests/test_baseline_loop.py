@@ -107,6 +107,41 @@ def test_blocked_baseline_runs_match_the_python_loop(kind):
         assert counts["gate_pass_equivalents"] == counts["gate_passes"]
 
 
+@pytest.mark.skipif(BLOCKED_N is None or not _kernels.l2_ways(),
+                    reason="the compiled loop blocks no state here, or knows no L2 ways")
+def test_runs_end_before_their_tiles_fill_half_the_ways_of_one_set():
+    # the w low bits of a tile index pick its L2 sets (2**w tiles fill one
+    # way), so the tiles of a coset whose masks differ only in higher bits
+    # share their sets: a run ends before more than half the ways' count of
+    # them would, and before it spans more than half the L2 (span bits).
+    # Lone H and RX passes on the qubits whose tile bits lie at or above w,
+    # with two below w among them, which count only toward the size
+    n, l2, ways = BLOCKED_N, _kernels.l2_bytes(), _kernels.l2_ways()
+    tile_bytes = 256 * 16
+    w = max((l2 // ways // tile_bytes).bit_length() - 1, 0)
+    stack = max((ways // 2).bit_length() - 1, 0)
+    span = min((l2 // 2 // tile_bytes).bit_length() - 1, 10)
+    high = list(range(8 + w, n))
+    if len(high) <= stack or stack >= span:
+        pytest.skip("no qubits here whose tiles stack past half the ways")
+    qubits = high[:2] + [q for q in (8, 9) if q - 8 < w] + high[2:]
+    circ = Circuit(n)
+    runs = []  # [passes, passes above w] of each run
+    for i, q in enumerate(qubits):
+        if i % 2:
+            circ.append("H", q)
+        else:
+            circ.append("RX", q, angle=0.3 + q)
+        above = q - 8 >= w
+        if not runs or runs[-1][1] + above > stack or runs[-1][0] == span:
+            runs.append([0, 0])
+        runs[-1][0] += 1
+        runs[-1][1] += above
+    for counts in assert_same_runs(circ, 2):
+        assert counts["gate_passes"] == len(runs) > 1
+        assert counts["gate_blocked_runs"] == sum(m > 1 for m, _ in runs)
+
+
 def dense_state(n: int, seed: int) -> StateVector:
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)

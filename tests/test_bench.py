@@ -394,12 +394,26 @@ def test_cli_run_stdout_jsonl(capsys):
 def test_cli_tier_line_names_the_cache_size_that_blocking_uses(capsys, monkeypatch, l2,
                                                                ending):
     # the line names the L2 size that the library read, here a stand-in,
-    # or says that no run is blocked
+    # or says that no run is blocked; with the ways unknown it names no ways
     monkeypatch.setattr(_kernels, "l2_bytes", lambda: l2)
+    monkeypatch.setattr(_kernels, "l2_ways", lambda: 0)
     code = cli_main(["run", "--random", "3", "2", "4", "1", "--backends", "hybrid",
                      "--repetitions", "1", "--warmups", "0"])
     assert code == 0
     assert (f"framesim: kernel tier compiled-c ({_kernels.simd_clone()}), {ending}\n"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c", reason="no compiled loop")
+def test_cli_tier_line_names_the_ways_of_the_cache_that_blocking_uses(capsys, monkeypatch):
+    # with the ways known, the line names them beside the L2 size
+    monkeypatch.setattr(_kernels, "l2_bytes", lambda: 2 << 20)
+    monkeypatch.setattr(_kernels, "l2_ways", lambda: 16)
+    code = cli_main(["run", "--random", "3", "2", "4", "1", "--backends", "hybrid",
+                     "--repetitions", "1", "--warmups", "0"])
+    assert code == 0
+    assert (f"framesim: kernel tier compiled-c ({_kernels.simd_clone()}), "
+            "both gate loops block above the 2048 KiB, 16-way L2 cache\n"
             in capsys.readouterr().err)
 
 

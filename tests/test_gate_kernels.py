@@ -3,6 +3,7 @@ against the dense oracles: the 2x2 loop, which applies H and fused runs
 of one-qubit gates, the pair exchange of CX, CZ, SWAP, Z, S and SDG, and
 ``swap_qubits``."""
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -246,3 +247,60 @@ def test_u2_passes_in_blocked_runs_are_the_whole_state_passes_bit_for_bit():
         assert np.array_equal(amp, ref), name
     numpy_ref = passes_of(_kernels.numpy_apply_u2, _kernels.numpy_pair_exchange)
     assert np.max(np.abs(amp - numpy_ref)) < 1e-12
+
+
+def fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as an FMA instruction rounds it"""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+@pytest.mark.skipif("avx2" not in _kernels._CLONES, reason="no AVX2 clone here")
+@pytest.mark.parametrize("loop", ["clifford", "apply_u2"])
+def test_the_avx2_loops_round_in_their_pinned_fma_order(loop):
+    # the AVX2 clone fuses products into adds in the order the C source
+    # pins (ROUNDED): the Clifford loop rounds p * b alone and fuses ca * a
+    # into the add; the 2x2 loop rounds one product alone, im(m) * swap(u)
+    # except where q = 1 (re(m) * u), and adds the other three to it in
+    # turn, each in one FMA.  Computed exactly here and rounded as each FMA
+    # rounds, on a few amplitudes of each pass: a build that rounds another
+    # product alone, or none, differs on about a third of them
+    n, rng = 10, np.random.default_rng(11)
+    before = _kernels._use_clone("avx2")
+    try:
+        for case in range(4):
+            a = random_amplitudes(20 + case, n)
+            out = a.copy()
+            ks = [int(k) for k in rng.integers(1 << n, size=8)]
+            if loop == "clifford":
+                x = (0, 1, 6, 1 << 9 | 3)[case]
+                z, ca, cb, e0 = int(rng.integers(1 << n)), rng.normal(), rng.normal(), case
+                _kernels.clifford(out, x, z, ca, cb, e0)
+                turn = ((1, 1), (-1, 1), (-1, -1), (1, -1))[e0]
+                for k in ks:
+                    s = -1 if bin(k & z).count("1") % 2 else 1
+                    b = a[k ^ x]
+                    b = (b.real, b.imag) if e0 % 2 == 0 else (b.imag, b.real)
+                    parts = [fma(ca, v, (s * t * cb) * bv)
+                             for v, t, bv in zip((a[k].real, a[k].imag), turn, b)]
+                    assert (out[k].real, out[k].imag) == tuple(parts), (x, e0, k)
+            else:
+                q = (0, 1, 3, 9)[case]
+                m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                _kernels.apply_u2(out, q, m)
+                own = 0 if q == 1 else 1
+                for k in ks:
+                    hi = k >> q & 1
+                    u, w = a[k], a[k ^ 1 << q]
+                    c0, c1 = m[hi, hi], m[hi, 1 - hi]
+                    parts = []
+                    for terms in ([(c0.real, u.real), (-c0.imag, u.imag),
+                                   (c1.real, w.real), (-c1.imag, w.imag)],
+                                  [(c0.real, u.imag), (c0.imag, u.real),
+                                   (c1.real, w.imag), (c1.imag, w.real)]):
+                        r = fma(*terms[1 - own], terms[own][0] * terms[own][1])
+                        for t in terms[2:]:
+                            r = fma(*t, r)
+                        parts.append(r)
+                    assert (out[k].real, out[k].imag) == tuple(parts), (q, k)
+    finally:
+        _kernels._use_clone(before)

@@ -211,7 +211,8 @@ def libasan() -> str | None:
 # gate kind, fused 2x2 passes included, against its Python loop, on each
 # clone; and on each clone a CX and a CZ absorbed into the 2x2 pass of an
 # H, with every control and target of states of 2 to 10 qubits, and in
-# blocked runs with the control at bit 0, in a tile and above it
+# blocked runs with the control at bit 0, in a tile and above it, and
+# blocked runs that end before their tiles fill half the L2's ways
 SANITIZED_PROBE = """
 import numpy as np
 from framesim import Circuit, _kernels, run_hybrid
@@ -391,6 +392,25 @@ if l2 and n <= 22:
                 _kernels.baseline_gates(state.amplitudes, *circ.lowered(), 0, counts)
                 if counts[2] != 1 or counts[4] != 1:
                     raise SystemExit(f"{tag}({c}, {t}) was not absorbed in a run: {counts}")
+    # runs that end before their tiles fill half the ways of one set: lone
+    # passes on every qubit whose tile bits pick no set, two that do among them
+    ways = _kernels.l2_ways()
+    w = max((l2 // ways // 4096).bit_length() - 1, 0) if ways else n
+    high = list(range(8 + w, n))
+    if len(high) > max((ways // 2).bit_length() - 1, 0):
+        split = Circuit(n)
+        for q in high[:2] + [q for q in (8, 9) if q < 8 + w] + high[2:]:
+            split.append("RX", q, angle=0.3 + q)
+        for clone in _kernels._CLONES:
+            _kernels._use_clone(clone)
+            state, report = run_baseline(split, 1)
+            compiled = _kernels.baseline_gates
+            _kernels.baseline_gates = None
+            ref, _ = run_baseline(split, 1)
+            _kernels.baseline_gates = compiled
+            if report.passes["gate_passes"] < 2 or not np.array_equal(state.amplitudes,
+                                                                      ref.amplitudes):
+                raise SystemExit(f"the split runs differ from the Python loop: {report.passes}")
 """
 # a write past the end of a 4-amplitude state, which the sanitizer must stop
 OVERRUN_PROBE = """
@@ -509,3 +529,16 @@ def test_the_l2_size_is_what_the_system_reports():
     done = subprocess.run(["getconf", "LEVEL2_CACHE_SIZE"], capture_output=True, text=True)
     reported = done.stdout.strip() if done.returncode == 0 else ""
     assert _kernels.l2_bytes() == max(int(reported or 0), 0)
+
+
+@pytest.mark.skipif(shutil.which("getconf") is None, reason="no getconf on PATH")
+def test_the_l2_ways_are_what_the_system_reports():
+    # the library reads the L2 ways that bound how many tiles of a blocked
+    # run share their cache sets from the system, as getconf does, and reads
+    # 0 where the system gives none
+    from framesim import _kernels
+    if _kernels.kernel_tier() != "compiled-c":
+        pytest.skip("the compiled kernels did not load")
+    done = subprocess.run(["getconf", "LEVEL2_CACHE_ASSOC"], capture_output=True, text=True)
+    reported = done.stdout.strip() if done.returncode == 0 else ""
+    assert _kernels.l2_ways() == max(int(reported or 0), 0)
