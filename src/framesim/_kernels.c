@@ -37,14 +37,14 @@
  * multiple of 4 KiB apart, and a load that follows a store to the same
  * address modulo 4 KiB waits for that store.
  *
- * The Clifford and 2x2 loops are each compiled twice from one
- * body: a generic clone for any CPU, and on x86-64 a clone for AVX2 with
- * FMA, which holds a 32-byte vector in one register.  The library picks one
+ * All three loops are inlined into two walks, one for a single pass over
+ * the whole state (pass_walk) and one for a blocked run (run_walk), and
+ * each walk is compiled twice: a generic clone for any CPU, and on x86-64
+ * a clone for AVX2 with FMA, which holds a 32-byte vector in one register.  The library picks one
  * when it loads, from what the CPU reports, so one build runs on any
  * x86-64 and the build flags name no CPU.  The pair exchange only moves
- * amplitudes and gains nothing from a wider clone, so its pass over a
- * whole state has one build; inside a blocked run each clone has its own
- * copy, as a call from AVX2 code into generic code ran three times slower.
+ * amplitudes, but each clone has its own copy of it all the same: a call
+ * from AVX2 code into generic code ran three times slower.
  *
  * One call then applies the part of a flush without a Hadamard part, which
  * maps each index k to A k ^ b, A an invertible GF(2) matrix, with a
@@ -351,18 +351,6 @@ patterns(v4d (*pat)[TILE / 2], int64_t lv, uint64_t z, double cb, int e0)
         pat[1][j] = -pat[0][j];
 }
 
-/* The body of framesim_clifford, compiled once per clone; wide is set in
- * the clone with 32-byte registers */
-static inline __attribute__((always_inline)) void
-clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
-         double cb, int e0, int wide)
-{
-    const int b = tile_bits(n_amp);
-    v4d pat[2][TILE / 2];
-    patterns(pat, (int64_t)1 << (b - 1), z, cb, e0);
-    walk((v4d *)amp, whole(n_amp, b), b, x, x >> b, z, pat, ca, e0, wide);
-}
-
 /* *d <- k[0] * u + k[1] * swap(u) + k[2] * part(w) + k[3] * swap(part(w))
  * for vectors u and w of two amplitudes, swap exchanging the re and im of
  * each amplitude and part(w) being w with its two amplitudes exchanged if
@@ -607,45 +595,7 @@ u2_walk(v4d *amp, tile_set ts, int b, int q, uint64_t xj, const v4d *k, uint64_t
         ctl_walk_generic(amp, ts, b, q, xj, k, c, e);
 }
 
-/* The body of framesim_apply_u2, compiled once per clone */
-static inline __attribute__((always_inline)) void
-apply_u2(double *amp, int64_t n_amp, int q, const double *m, int wide)
-{
-    const int b = tile_bits(n_amp);
-    v4d k[8];
-    u2_coefs(k, q, m);
-    u2_walk((v4d *)amp, whole(n_amp, b), b, q, ((uint64_t)1 << q) >> b, k, 0, 0, wide);
-}
-
-/* The two clones of the Clifford and 2x2 loops (see the head of this
- * file) */
-static void clifford_generic(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
-                             double ca, double cb, int e0)
-{
-    clifford(amp, n_amp, x, z, ca, cb, e0, 0);
-}
-
-static void apply_u2_generic(double *amp, int64_t n_amp, int q, const double *m)
-{
-    apply_u2(amp, n_amp, q, m, 0);
-}
-
 static int use_avx2; /* the clone in use: 1 for AVX2, 0 for generic */
-
-#if defined(__x86_64__)
-__attribute__((target("avx2,fma"))) static void
-clifford_avx2(double *amp, int64_t n_amp, uint64_t x, uint64_t z, double ca,
-              double cb, int e0)
-{
-    clifford(amp, n_amp, x, z, ca, cb, e0, 1);
-}
-
-__attribute__((target("avx2,fma"))) static void
-apply_u2_avx2(double *amp, int64_t n_amp, int q, const double *m)
-{
-    apply_u2(amp, n_amp, q, m, 1);
-}
-#endif
 
 __attribute__((constructor)) static void pick_clone(void)
 {
@@ -665,70 +615,6 @@ int framesim_use_avx2(int avx2)
         use_avx2 = use_avx2 && avx2;
     }
     return use_avx2;
-}
-
-/* amp[k] <- ca*amp[k] + cb * i**e0 * (-1)**parity(k & z) * amp[k ^ x]
- *
- * with real ca and cb: ca*I + cb*i**e0*P for every Pauli operator P
- * (rotations by any angle, turns by multiples of pi/2, the measurement
- * collapse and P itself, ca = 0).  x may be 0, the diagonal case; x and z
- * must be below n_amp, a power of two >= 2, and amp must be aligned to 16
- * bytes.
- *
- * The traversal visits each pair {k, k ^ x} once.  The factor cb * i**e0 *
- * (-1)**parity(k & z) splits into a per-position part and a tile sign
- * (-1)**O(t), O(t) = parity(t & z_hi), z_hi being the bits of z above the
- * tile.  The power of i is applied as an element order (see `ORDER`), the
- * same for every amplitude, and a pattern of signs scaled by cb, from a
- * table per tile sign. */
-void framesim_clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
-                       double ca, double cb, int e0)
-{
-#if defined(__x86_64__)
-    if (use_avx2) {
-        clifford_avx2(amp, n_amp, x, z, ca, cb, e0);
-        return;
-    }
-#endif
-    clifford_generic(amp, n_amp, x, z, ca, cb, e0);
-}
-
-/* amp[k0], amp[k1] <- m00 a0 + m01 a1, m10 a0 + m11 a1
- *
- * for every pair k0, k1 = k0 | 2**q with bit q of k0 clear: the one-qubit
- * gate of the complex 2x2 matrix m on qubit q, m given as 8 doubles, row
- * by row, (re, im) per entry, in one u2_walk over the tiles of the whole
- * state. */
-void framesim_apply_u2(double *amp, int64_t n_amp, int q, const double *m)
-{
-#if defined(__x86_64__)
-    if (use_avx2) {
-        apply_u2_avx2(amp, n_amp, q, m);
-        return;
-    }
-#endif
-    apply_u2_generic(amp, n_amp, q, m);
-}
-
-/* framesim_apply_u2 with the control mask c and the gate e of u2_walk */
-static void u2_pass(double *amp, int64_t n_amp, int q, const double *m, uint64_t c, int e)
-{
-    if (!c) {
-        framesim_apply_u2(amp, n_amp, q, m);
-        return;
-    }
-    const int b = tile_bits(n_amp);
-    const tile_set ts = whole(n_amp, b);
-    const uint64_t xj = ((uint64_t)1 << q) >> b;
-    v4d k[8];
-    u2_coefs(k, q, m);
-#if defined(__x86_64__)
-    if (use_avx2) {
-        ctl_walk_avx2((v4d *)amp, ts, b, q, xj, k, c, e);
-        return;
-    }
-#endif
-    ctl_walk_generic((v4d *)amp, ts, b, q, xj, k, c, e);
 }
 
 /* i**e * v */
@@ -819,18 +705,6 @@ exchange_walk(v2d *amp, tile_set ts, int b, uint64_t mask, uint64_t val, uint64_
         exchange_tiles(amp + t * len, amp + (t ^ xt) * len, len, mask & lo, val & lo,
                        x & lo, x, e);
     }
-}
-
-/* For every k with (k & mask) == val, swap amp[k] with amp[k ^ x]; when x
- * is 0, multiply amp[k] by i**e instead (e in 0..3).  val and x must be
- * submasks of mask, so that a partner k ^ x (x nonzero) never matches val
- * itself and each pair is visited once, and mask must be below n_amp, a
- * power of two.  One exchange_walk over the tiles of the whole state. */
-void framesim_pair_exchange(double *amp, int64_t n_amp, uint64_t mask, uint64_t val,
-                            uint64_t x, int e)
-{
-    const int b = tile_bits(n_amp);
-    exchange_walk((v2d *)amp, whole(n_amp, b), b, mask, val, x, x >> b, e);
 }
 
 /* The permutation of the flush's Hadamard-free remainder.  An index k
@@ -1610,10 +1484,11 @@ int framesim_l2_ways(void)
     return l2_ways;
 }
 
-/* One pass of a run: the arguments of one framesim_clifford call (OP_TURN: x,
- * z, ca, cb and e), of one framesim_pair_exchange call (OP_EXCHANGE: mask,
- * val, x and e) or of one 2x2 pass (OP_U2: x = 2**q, the matrix u, and the
- * control mask and gate of u2_walk in mask and e, mask 0 for none). */
+/* One pass, alone (pass_walk) or in a run (run_walk): the arguments of
+ * one framesim_clifford call (OP_TURN: x, z, ca, cb and e), of one
+ * framesim_pair_exchange call (OP_EXCHANGE: mask, val, x and e) or of one
+ * 2x2 pass (OP_U2: x = 2**q, the matrix u, and the control mask and gate
+ * of u2_walk in mask and e, mask 0 for none). */
 enum { OP_TURN, OP_EXCHANGE, OP_U2 };
 
 typedef struct {
@@ -1630,6 +1505,105 @@ static inline pass_op turn_op(uint64_t x, uint64_t z, double ca, double cb, int 
 static inline pass_op exchange_op(uint64_t mask, uint64_t val, uint64_t x, int e)
 {
     return (pass_op){.kind = OP_EXCHANGE, .e = e, .x = x, .mask = mask, .val = val};
+}
+
+/* The pass o over the whole state of n_amp amplitudes, compiled once per
+ * clone; wide is set in the clone with 32-byte registers */
+static inline __attribute__((always_inline)) void
+pass_walk(double *amp, int64_t n_amp, const pass_op *o, int wide)
+{
+    const int b = tile_bits(n_amp);
+    const tile_set ts = whole(n_amp, b);
+    const uint64_t xj = o->x >> b;
+    if (o->kind == OP_TURN) {
+        v4d pat[2][TILE / 2];
+        patterns(pat, (int64_t)1 << (b - 1), o->z, o->cb, o->e);
+        walk((v4d *)amp, ts, b, o->x, xj, o->z, pat, o->ca, o->e, wide);
+    } else if (o->kind == OP_U2) {
+        const int q = __builtin_ctzll(o->x);
+        v4d k[8];
+        u2_coefs(k, q, o->u);
+        u2_walk((v4d *)amp, ts, b, q, xj, k, o->mask, o->e, wide);
+    } else
+        exchange_walk((v2d *)amp, ts, b, o->mask, o->val, o->x, xj, o->e);
+}
+
+/* The two clones of pass_walk and of run_walk (below) each start on a
+ * cache line: where the loops inlined in them fall in the lines then
+ * depends on their own code only.  A blocked phase pass (S) ran 9-10%
+ * slower where run_generic started 48 bytes into a line instead of 32, and
+ * a whole-state 2x2 pass on qubit 1 9-22% slower at 2**12 to 2**16
+ * amplitudes where pass_avx2 started 16 bytes into one. */
+__attribute__((aligned(64))) static void pass_generic(double *amp, int64_t n_amp,
+                                                      const pass_op *o)
+{
+    pass_walk(amp, n_amp, o, 0);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2,fma"), aligned(64))) static void
+pass_avx2(double *amp, int64_t n_amp, const pass_op *o)
+{
+    pass_walk(amp, n_amp, o, 1);
+}
+#endif
+
+/* The pass o over the whole state, on the clone in use */
+static void one_pass(double *amp, int64_t n_amp, const pass_op *o)
+{
+#if defined(__x86_64__)
+    if (use_avx2) {
+        pass_avx2(amp, n_amp, o);
+        return;
+    }
+#endif
+    pass_generic(amp, n_amp, o);
+}
+
+/* amp[k] <- ca*amp[k] + cb * i**e0 * (-1)**parity(k & z) * amp[k ^ x]
+ *
+ * with real ca and cb: ca*I + cb*i**e0*P for every Pauli operator P
+ * (rotations by any angle, turns by multiples of pi/2, the measurement
+ * collapse and P itself, ca = 0).  x may be 0, the diagonal case; x and z
+ * must be below n_amp, a power of two >= 2, and amp must be aligned to 16
+ * bytes.
+ *
+ * The traversal visits each pair {k, k ^ x} once.  The factor cb * i**e0 *
+ * (-1)**parity(k & z) splits into a per-position part and a tile sign
+ * (-1)**O(t), O(t) = parity(t & z_hi), z_hi being the bits of z above the
+ * tile.  The power of i is applied as an element order (see `ORDER`), the
+ * same for every amplitude, and a pattern of signs scaled by cb, from a
+ * table per tile sign. */
+void framesim_clifford(double *amp, int64_t n_amp, uint64_t x, uint64_t z,
+                       double ca, double cb, int e0)
+{
+    const pass_op o = turn_op(x, z, ca, cb, e0);
+    one_pass(amp, n_amp, &o);
+}
+
+/* amp[k0], amp[k1] <- m00 a0 + m01 a1, m10 a0 + m11 a1
+ *
+ * for every pair k0, k1 = k0 | 2**q with bit q of k0 clear: the one-qubit
+ * gate of the complex 2x2 matrix m on qubit q, m given as 8 doubles, row
+ * by row, (re, im) per entry, in one u2_walk over the tiles of the whole
+ * state. */
+void framesim_apply_u2(double *amp, int64_t n_amp, int q, const double *m)
+{
+    pass_op o = {.kind = OP_U2, .x = (uint64_t)1 << q};
+    memcpy(o.u, m, sizeof o.u);
+    one_pass(amp, n_amp, &o);
+}
+
+/* For every k with (k & mask) == val, swap amp[k] with amp[k ^ x]; when x
+ * is 0, multiply amp[k] by i**e instead (e in 0..3).  val and x must be
+ * submasks of mask, so that a partner k ^ x (x nonzero) never matches val
+ * itself and each pair is visited once, and mask must be below n_amp, a
+ * power of two.  One exchange_walk over the tiles of the whole state. */
+void framesim_pair_exchange(double *amp, int64_t n_amp, uint64_t mask, uint64_t val,
+                            uint64_t x, int e)
+{
+    const pass_op o = exchange_op(mask, val, x, e);
+    one_pass(amp, n_amp, &o);
 }
 
 /* A pending run of m passes on a register of n_amp amplitudes, with an
@@ -1683,10 +1657,8 @@ run_walk(double *amp, const run *p, int wide)
     }
 }
 
-/* The two clones of run_walk, each starting on a cache line: where the
- * loops inlined in it fall in the lines then depends on its own code only,
- * and a blocked phase pass (S) ran 9-10% slower where the function started
- * 48 bytes into a line instead of 32. */
+/* The two clones of run_walk, each starting on a cache line (see
+ * pass_generic) */
 __attribute__((aligned(64))) static void run_generic(double *amp, const run *p)
 {
     run_walk(amp, p, 0);
@@ -1711,28 +1683,22 @@ typedef struct {
     run pending;
 } passes;
 
-/* Apply the pending run, if any: a run of one in one pass over the whole
- * register, a longer one in one run_walk. */
+/* Apply the pending run, if any: a run of one in one pass_walk over the
+ * whole register, a longer one in one run_walk. */
 static void apply_pending(passes *s)
 {
     run *p = &s->pending;
     if (!p->m)
         return;
     const double t0 = seconds();
-    const pass_op *o = p->op;
-    if (p->m > 1) {
+    if (p->m == 1)
+        one_pass(s->amp, p->n_amp, p->op);
 #if defined(__x86_64__)
-        if (use_avx2)
-            run_avx2(s->amp, p);
-        else
+    else if (use_avx2)
+        run_avx2(s->amp, p);
 #endif
-            run_generic(s->amp, p);
-    } else if (o->kind == OP_TURN)
-        framesim_clifford(s->amp, p->n_amp, o->x, o->z, o->ca, o->cb, o->e);
-    else if (o->kind == OP_U2)
-        u2_pass(s->amp, p->n_amp, __builtin_ctzll(o->x), o->u, o->mask, o->e);
     else
-        framesim_pair_exchange(s->amp, p->n_amp, o->mask, o->val, o->x, o->e);
+        run_generic(s->amp, p);
     s->spent += seconds() - t0;
     s->count[0]++;
     s->count[1] += p->n_amp;

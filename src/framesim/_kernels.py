@@ -50,10 +50,11 @@ with no complex multiply; the 2x2 loop holds them the same way and makes
 two complex products per amplitude.  Both load a cache line of both
 partners before they store any of it, since partners in two tiles sit a
 multiple of 4 KiB apart, and a load that follows a store to the same
-address modulo 4 KiB waits for that store.  These two are compiled twice
-from one body, a generic clone and one for AVX2 with FMA, and the library
-picks one when it loads, from what the CPU reports; ``simd_clone`` names
-it.  On a 2-core Xeon with AVX2, on a state that
+address modulo 4 KiB waits for that store.  All three loops are inlined
+into two walks, one for a single pass and one for a blocked run, and each
+walk is compiled twice, a generic clone and one for AVX2 with FMA.  The
+library picks one clone when it loads, from what the CPU reports;
+``simd_clone`` names it.  On a 2-core Xeon with AVX2, on a state that
 starts on a cache line (as ``StateVector`` allocates it), a rotation runs
 at 0.54-0.71 ns per amplitude at n = 16, 0.77-0.82 at n = 18 and
 0.75-0.83 at n = 20 on the AVX2 clone, against 0.38-0.49, 0.70-0.78 and
@@ -253,15 +254,15 @@ def kernel_tier() -> str:
     return "numpy" if _lib is None else "compiled-c"
 
 
-# the clones of the Clifford and 2x2 loops that this CPU runs,
-# indexed by the value framesim_use_avx2 returns
+# the clones of the compiled loops that this CPU runs, indexed by the
+# value framesim_use_avx2 returns
 _CLONES = (() if _lib is None else
            ("generic", "avx2") if _lib.framesim_use_avx2(-1) else ("generic",))
 
 
 def simd_clone() -> str | None:
-    """Name of the compiled clone the Clifford and 2x2 loops run: ``avx2``
-    or ``generic``; None on the numpy tier."""
+    """Name of the compiled clone the Clifford, 2x2 and pair-exchange
+    loops run: ``avx2`` or ``generic``; None on the numpy tier."""
     return None if _lib is None else _CLONES[_lib.framesim_use_avx2(-1)]
 
 
@@ -282,8 +283,8 @@ def l2_ways() -> int | None:
 
 
 def _use_clone(name: str) -> str:
-    """Run the Clifford and 2x2 loops on clone ``name``, one of those this
-    CPU runs, and return the name of the clone used before.  For the tests,
+    """Run the compiled loops on clone ``name``, one of those this CPU
+    runs, and return the name of the clone used before.  For the tests,
     which check every clone; a run keeps the clone picked at load."""
     if name not in _CLONES:
         raise ValueError(f"clone {name!r} does not run here (runs: {_CLONES})")

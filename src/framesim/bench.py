@@ -31,18 +31,16 @@ from .hamiltonian import Hamiltonian, parse_hamiltonian, random_hamiltonian
 BACKENDS = ("baseline", "hybrid")
 
 
-def _optional(parse):
-    return lambda text: None if text == "" else parse(text)
-
-
-# the record columns in ``BenchRecord`` field order, each with the parser of
-# its text; the CSV header is part of the interchange contract
+# the record columns in ``BenchRecord`` field order, each with its type;
+# the CSV header is part of the interchange contract
 _COLUMNS = (("name", str), ("n_qubits", int), ("n_terms", int),
             ("L_mean", float), ("L_std", float), ("L_max", int),
             ("backend", str), ("t_compile_s", float), ("t_run_s", float),
-            ("rescaled_runtime", float), ("speedup_vs_baseline", _optional(float)),
-            ("seed", _optional(int)), ("t_flush_s", float), ("kernel_tier", str),
-            ("simd_clone", _optional(str)))
+            ("rescaled_runtime", float), ("speedup_vs_baseline", float),
+            ("seed", int), ("t_flush_s", float), ("kernel_tier", str),
+            ("simd_clone", str))
+# the columns that may hold no value, an empty cell (null in JSONL)
+_OPTIONAL = frozenset({"speedup_vs_baseline", "seed", "simd_clone"})
 CSV_FIELDS = tuple(column for column, _ in _COLUMNS)
 # the values that the columns added after the first twelve take in files
 # written before them: no flush time, an unknown tier and no clone
@@ -333,15 +331,30 @@ def _record_to_row(r: BenchRecord) -> dict[str, str]:
             for key, value in _record_values(r).items()}
 
 
+def _cell(value: object, kind: type, optional: bool):
+    """The value of one cell of type ``kind``: parsed from text, as a CSV
+    file holds every cell and an old JSONL file its numbers, or taken from
+    a JSON number, where an int column accepts only an integer and a float
+    column any number, a bool being neither.  Raises ValueError for
+    anything else."""
+    if value == "" and optional:
+        return None
+    if isinstance(value, str):
+        return kind(value)
+    if kind is int and type(value) is int or kind is float and type(value) in (int, float):
+        return kind(value)
+    raise ValueError(value)
+
+
 def _row_to_record(row: dict[str, object], where: str) -> BenchRecord:
     row = {**_LATER_COLUMNS, **row}  # files written before those columns read back
     missing = [column for column in CSV_FIELDS if row.get(column) is None]
     if missing:
         raise BenchConfigError(f"{where}: missing column(s) {', '.join(missing)}")
     values = []
-    for column, parse in _COLUMNS:
+    for column, kind in _COLUMNS:
         try:
-            values.append(parse(row[column]))
+            values.append(_cell(row[column], kind, column in _OPTIONAL))
         except (TypeError, ValueError):
             raise BenchConfigError(
                 f"{where}: column {column}: cannot read {row[column]!r}") from None

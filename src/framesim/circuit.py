@@ -83,21 +83,13 @@ class Circuit:
         stored as ``int``).  Every check runs, and the lowered row is built,
         before anything is written, so a refused gate leaves the circuit as
         it was."""
-        if tag not in _ARITY:
-            raise ValueError(f"unknown gate tag {tag!r}")
-        if len(qubits) != _ARITY[tag]:
-            raise ValueError(f"{tag} takes {_ARITY[tag]} qubit(s), got {len(qubits)}")
+        check_arity_and_angle(tag, qubits, angle)
         qubits = tuple(operator.index(q) for q in qubits)
         for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range for {self.num_qubits} qubits")
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"{tag} needs distinct qubits, got {qubits}")
-        if tag in ROTATION_TAGS:
-            if angle is None or not _finite(angle):
-                raise ValueError(f"{tag} requires a finite angle")
-        elif angle is not None:
-            raise ValueError(f"{tag} does not take an angle")
         ops = array("i", (_CODE[tag], qubits[0], qubits[-1] if len(qubits) > 1 else 0))
         angles = array("d", (0.0 if angle is None else angle,))
         self._cliffords += tag in CLIFFORD_TAGS
@@ -141,6 +133,22 @@ class Circuit:
     def __repr__(self) -> str:
         return (f"Circuit(num_qubits={self.num_qubits}, gates={len(self._gates)}, "
                 f"cliffords={self.clifford_count()}, rotations={self.rotation_count()})")
+
+
+def check_arity_and_angle(tag: str, qubits: tuple, angle: float | None) -> None:
+    """Raise ValueError unless ``tag`` is a known gate on ``len(qubits)``
+    qubits, its arity, with a finite angle if it is a rotation and none
+    otherwise: the checks of ``Circuit.append`` that do not depend on the
+    circuit's qubit count."""
+    if tag not in _ARITY:
+        raise ValueError(f"unknown gate tag {tag!r}")
+    if len(qubits) != _ARITY[tag]:
+        raise ValueError(f"{tag} takes {_ARITY[tag]} qubit(s), got {len(qubits)}")
+    if tag in ROTATION_TAGS:
+        if angle is None or not _finite(angle):
+            raise ValueError(f"{tag} requires a finite angle")
+    elif angle is not None:
+        raise ValueError(f"{tag} does not take an angle")
 
 
 def _finite(x: float) -> bool:

@@ -489,6 +489,28 @@ MALFORMED_RECORDS = {
 }
 
 
+@pytest.mark.parametrize("column, value", [
+    ("n_qubits", 8.5), ("n_terms", 10.9), ("seed", True), ("L_max", False), ("L_max", "4.5"),
+    ("L_mean", True), ("t_run_s", [2.0]), ("name", 5)])
+def test_jsonl_reads_numbers_strictly(column, value):
+    # an int column accepts only a JSON integer that is not a bool, a float
+    # column refuses a bool: 8.5 used to read as 8, 10.9 as 10 and true as 1
+    row = json.loads(_pair_text("jsonl").splitlines()[0])
+    text = json.dumps({**row, column: value}) + "\n"
+    with pytest.raises(BenchConfigError, match=f"line 1: column {column}: cannot read"):
+        read_records(io.StringIO(text), "jsonl")
+
+
+def test_jsonl_float_columns_accept_integers():
+    # other writers may write 4.0 as the JSON integer 4: a float column
+    # reads it as the float
+    row = json.loads(_pair_text("jsonl").splitlines()[0])
+    record = read_records(io.StringIO(json.dumps({**row, "L_mean": 4, "t_run_s": 2}) + "\n"),
+                         "jsonl")[0]
+    assert record == _fake("a", 4, 10, "baseline", 1.0, 2.0)
+    assert type(record.l_mean) is float and type(record.t_run_s) is float
+
+
 @pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
 def test_cli_report_rejects_malformed_records(tmp_path, capsys, case):
     fmt, text, message = MALFORMED_RECORDS[case]

@@ -15,11 +15,10 @@ from framesim import _kernels
 from oracles import GATE_1Q, blocked_qubits, compiled_clones, embed_1q, gate_unitary
 
 # (apply_u2, pair_exchange) of each implementation: the numpy reference
-# always, and the compiled C loops wherever their library loaded, the 2x2
-# loop on each of its clones that this CPU runs (the pair exchange has one
-# build)
+# always, and the compiled C loops wherever their library loaded, on each
+# of their clones that this CPU runs
 TIERS = {"numpy": (_kernels.numpy_apply_u2, _kernels.numpy_pair_exchange),
-         **{name: (apply_u2, _kernels.pair_exchange)
+         **{name: (apply_u2, compiled_clones(_kernels.pair_exchange)[name])
             for name, apply_u2 in compiled_clones(_kernels.apply_u2).items()}}
 
 ARITY = {"H": 1, "Z": 1, "S": 1, "SDG": 1, "CX": 2, "CZ": 2, "SWAP": 2}

@@ -192,8 +192,9 @@ def libasan() -> str | None:
 
 
 # the compiled loops at every size the hybrid's register takes: the Clifford
-# loop, and the 2x2 loop on every qubit, on states of exactly 2 to 2**10
-# amplitudes on each clone, a
+# loop, the 2x2 loop on every qubit, and the pair exchange in swap mode
+# (x != 0) and in phase mode (x = 0) with masks on bit 0, inside a tile
+# and above it, on states of exactly 2 to 2**10 amplitudes on each clone, a
 # circuit at n = 10 that activates the register one qubit at a time
 # (prefixes of 2 to 2**10 amplitudes) around a MEASZ and a PREPZ, and
 # its flush, with the permutation's affine and shear passes; the
@@ -229,6 +230,13 @@ for clone in _kernels._CLONES:
             _kernels.clifford(amp, x, int(rng.integers(1 << m)), 0.6, 0.8, 3)
         for q in range(m):
             _kernels.apply_u2(amp, q, np.array([[0.6, 0.8j], [0.8j, 0.6]]))
+        bits = sorted({1, 1 << min(m - 1, 5), 1 << (m - 1)})
+        for a in bits:
+            _kernels.pair_exchange(amp, a, a, 0, 1)
+            for b in bits:
+                if b != a:
+                    _kernels.pair_exchange(amp, a | b, a, b, 0)
+                    _kernels.pair_exchange(amp, a | b, a | b, 0, 2)
         for t in range(m):
             for c in range(m):
                 for tag in ("CX", "CZ") if c != t else ():

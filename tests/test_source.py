@@ -60,3 +60,26 @@ def test_each_c_export_is_declared_once_in_the_loader():
                 if isinstance(target, ast.Attribute) and target.attr == "argtypes"
                 and isinstance(target.value, ast.Attribute)]
     assert len(defined) > 5 and sorted(defined) == sorted(set(declared)) == sorted(declared)
+
+
+def test_each_simd_clone_has_its_twin_and_the_walk_clones_start_on_a_cache_line():
+    # a static *_avx2 function of _kernels.c is the AVX2 clone of the
+    # *_generic function with the same name and parameters, and the other
+    # way round; the clones that inline the walks of a pass and of a run
+    # (pass_*, run_*) start on a cache line, as where their loops fall in
+    # the lines changed their speed
+    source = (Path(framesim.__file__).parent / "_kernels.c").read_text(encoding="utf-8")
+    clones = {}
+    for m in re.finditer(r"\b(\w+)_(avx2|generic)\s*\(([^()]*)\)\s*\{", source):
+        head = re.split(r"\*/|[};]|#[^\n]*\n", source[:m.start()])[-1]
+        if "static" in head:
+            clones[m[1], m[2]] = " ".join(m[3].split()), head
+    bases = {base for base, _ in clones}
+    assert {"ctl_walk", "pass", "run"} <= bases
+    for base in sorted(bases):
+        assert (base, "avx2") in clones and (base, "generic") in clones, base
+        (params, avx2), (twin_params, generic) = clones[base, "avx2"], clones[base, "generic"]
+        assert params == twin_params, base
+        assert 'target("avx2,fma")' in avx2 and "target" not in generic, base
+        if base in ("pass", "run"):
+            assert "aligned(64)" in avx2 and "aligned(64)" in generic, base

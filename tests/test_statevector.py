@@ -491,6 +491,22 @@ def test_two_qubit_gates_reject_a_repeated_qubit(tag):
     assert np.array_equal(s.amplitudes, before)
 
 
+@pytest.mark.parametrize("tag, qubits, angle", [
+    ("H", (0, 1), None), ("RZ", (0, 1), 0.3), ("H", (0,), 0.5), ("CX", (0,), None),
+    ("SWAP", (0, 1, 2), None), ("X", (), None)])
+def test_apply_gate_checks_its_qubit_count_and_angle(tag, qubits, angle):
+    # as Circuit.append does: H and RZ on (0, 1) acted on qubit 0 alone, H
+    # ignored an angle, and CX on one qubit, SWAP on three and X on none
+    # raised TypeError or IndexError
+    s = random_state(np.random.default_rng(22), 3)
+    before = s.amplitudes.copy()
+    with pytest.raises(ValueError, match="qubit|angle"):
+        s.apply_gate(tag, qubits, angle)
+    assert np.array_equal(s.amplitudes, before)
+    with pytest.raises(ValueError, match="qubit|angle"):
+        Circuit(3).append(tag, *qubits, angle=angle)
+
+
 @on_each_kernel
 def test_measure_deterministic():
     s = StateVector.zero(1)
