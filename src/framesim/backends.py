@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, TAGS, Circuit
+from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, Circuit
 from .frame import HadamardFree, PauliFrame, split_clifford
 # perfbench/spans.py wraps this name; without it --trace 1 raises AttributeError
 from .frame import invert_to_rotations  # noqa: F401
@@ -340,30 +340,29 @@ def _compiled_baseline(state: StateVector, circuit: Circuit, rng, measurements: 
                        counts: array) -> None:
     """The baseline's gate loop on ``_kernels.baseline_gates``: the lowered
     stream runs in C up to each MEASZ or PREPZ, which
-    ``_baseline_measure_z`` performs."""
+    ``_baseline_measure_z`` performs on its decoded ``circuit[i]``."""
     ops, angles = circuit.lowered()
     i = 0
     while True:
         i = _kernels.baseline_gates(state.amplitudes, ops, angles, i, counts)
-        if i == len(angles):
+        if i == len(circuit):
             return
-        _baseline_measure_z(state, TAGS[ops[3 * i]], ops[3 * i + 1], rng, measurements)
+        g = circuit[i]
+        _baseline_measure_z(state, g.tag, g.qubits[0], rng, measurements)
         i += 1
 
 
 def _python_baseline(state: StateVector, circuit: Circuit, rng, measurements: list[int],
                      counts: array) -> None:
     """The baseline's gate loop in Python, one ``StateVector.apply_gate``
-    per gate, and ``_baseline_measure_z`` for each MEASZ or PREPZ."""
+    per decoded gate, and ``_baseline_measure_z`` for each MEASZ or PREPZ."""
     gates = 0
     for g in circuit:
         if g.tag in CLIFFORD_TAGS or g.tag in ROTATION_TAGS:
             state.apply_gate(g.tag, g.qubits, g.angle)
             gates += 1
-        elif g.tag in ("MEASZ", "PREPZ"):
+        else:  # MEASZ or PREPZ, the circuit's only other tags
             _baseline_measure_z(state, g.tag, g.qubits[0], rng, measurements)
-        else:
-            raise ValueError(f"unsupported gate tag {g.tag!r}")
     _add_pass(counts, gates, gates << state.num_qubits)
 
 
@@ -401,8 +400,8 @@ def run_hybrid(circuit: Circuit, rng=None) -> tuple[HybridState, RunReport]:
 def _compiled_gates(hs: HybridState, circuit: Circuit, rng, measurements: list[int]) -> float:
     """The hybrid's gate loop on ``_kernels.run_gates``: the circuit's lowered
     stream runs in C on the frame's own words and the register, up to each
-    MEASZ or PREPZ, which ``HybridState._measure_z`` performs.  Returns the
-    seconds spent in rotations."""
+    MEASZ or PREPZ, which ``HybridState._measure_z`` performs on its decoded
+    ``circuit[i]``.  Returns the seconds spent in rotations."""
     frame = hs.frame
     ops, angles = circuit.lowered()
     amplitudes = hs.phi.amplitudes
@@ -413,15 +412,16 @@ def _compiled_gates(hs: HybridState, circuit: Circuit, rng, measurements: list[i
                                                  hs.index_map, hs.active, ops, angles, i,
                                                  hs._rotation_counts)
         rotation_s += spent
-        if i == len(angles):
+        if i == len(circuit):
             return rotation_s
-        hs._measure_z(TAGS[ops[3 * i]], ops[3 * i + 1], rng, measurements)
+        g = circuit[i]
+        hs._measure_z(g.tag, g.qubits[0], rng, measurements)
         i += 1
 
 
 def _python_gates(hs: HybridState, circuit: Circuit, rng, measurements: list[int]) -> float:
     """The hybrid's gate loop in Python, one ``PauliFrame`` update or lookup
-    per gate, and ``HybridState._measure_z`` for each MEASZ or PREPZ.
+    per decoded gate, and ``HybridState._measure_z`` for each MEASZ or PREPZ.
     Returns the seconds spent in rotations."""
     n = circuit.num_qubits
     frame, phi = hs.frame, hs.phi
@@ -438,9 +438,7 @@ def _python_gates(hs: HybridState, circuit: Circuit, rng, measurements: list[int
             phi.apply_pauli_rotation(axis, g.angle)
             rotation_s += clock() - t1
             rotations += 1
-        elif tag in ("MEASZ", "PREPZ"):
+        else:  # MEASZ or PREPZ, the circuit's only other tags
             hs._measure_z(tag, g.qubits[0], rng, measurements)
-        else:
-            raise ValueError(f"unsupported gate tag {tag!r}")
     _add_pass(hs._rotation_counts, rotations, rotations << n)
     return rotation_s

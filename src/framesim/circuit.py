@@ -6,14 +6,15 @@ the first list element is applied first.  The Clifford subset is exactly
 R_A(theta) = exp(-i theta A / 2) convention, and PREPZ/MEASZ are the
 computational-basis preparation and measurement.
 
-Besides its ``Gate`` records, a circuit keeps the gate stream in a lowered
-form, built as the gates are appended: per gate a code (its index in
-``TAGS``), two qubits (the second 0 for one-qubit gates) and an angle (0.0
-when it has none), in two flat arrays.  The hybrid backend's compiled gate
-loop reads that form without touching a Python object per gate.
+A circuit stores its gate stream once, in a lowered form built as the gates
+are appended: per gate a code (its index in ``TAGS``), two qubits (the
+second 0 for one-qubit gates) and an angle (0.0 when it has none), in two
+flat arrays that both compiled gate loops read without touching a Python
+object per gate.  Its ``Gate`` records are decoded from those arrays.
 """
 from __future__ import annotations
 
+import math
 import operator
 from array import array
 from dataclasses import dataclass
@@ -47,20 +48,18 @@ class Gate:
 class Circuit:
     """An ordered gate list on a fixed qubit count, plus free-form metadata.
 
-    Gates are added only through ``append`` and ``extend``, which keep the
-    ``Gate`` records, the lowered arrays (see ``lowered``) and the Clifford
-    and rotation tallies in step; ``gates`` is a read-only copy, and
-    iterating over the circuit walks the gates without one.
+    Gates are added only through ``append`` and ``extend``, which write the
+    lowered arrays (see ``lowered``), the only store, and the Clifford and
+    rotation tallies; ``circuit[i]``, iteration and ``gates`` (a tuple)
+    decode ``Gate`` records from the arrays, ``angle`` None on non-rotations.
     """
 
-    __slots__ = ("num_qubits", "_gates", "_ops", "_angles", "_cliffords", "_rotations",
-                 "metadata")
+    __slots__ = ("num_qubits", "_ops", "_angles", "_cliffords", "_rotations", "metadata")
 
     def __init__(self, num_qubits: int, gates=None, metadata=None):
         if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         self.num_qubits = num_qubits
-        self._gates: list[Gate] = []
         self._ops = array("i")  # code, q0, q1 per gate
         self._angles = array("d")
         self._cliffords = self._rotations = 0
@@ -70,7 +69,7 @@ class Circuit:
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        return tuple(self._gates)
+        return tuple(self)
 
     def lowered(self) -> tuple[array, array]:
         """The gate stream as flat arrays: ``ops`` holds the code (index in
@@ -79,40 +78,36 @@ class Circuit:
         return self._ops, self._angles
 
     def append(self, tag: str, *qubits: int, angle: float | None = None) -> None:
-        """Append one gate.  Each qubit must be an integer (a numpy one is
-        stored as ``int``).  Every check runs, and the lowered row is built,
-        before anything is written, so a refused gate leaves the circuit as
-        it was."""
-        check_arity_and_angle(tag, qubits, angle)
-        qubits = tuple(operator.index(q) for q in qubits)
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} out of range for {self.num_qubits} qubits")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"{tag} needs distinct qubits, got {qubits}")
-        ops = array("i", (_CODE[tag], qubits[0], qubits[-1] if len(qubits) > 1 else 0))
-        angles = array("d", (0.0 if angle is None else angle,))
+        """Append one gate, checked by ``check_gate``.  Every check runs, and
+        the lowered row is built, before anything is written, so a refused
+        gate leaves the circuit as it was."""
+        qubits = check_gate(tag, qubits, angle, self.num_qubits)
+        row = array("i", (_CODE[tag], qubits[0], qubits[-1] if len(qubits) > 1 else 0))
+        self._ops.extend(row)
+        self._angles.append(0.0 if angle is None else angle)
         self._cliffords += tag in CLIFFORD_TAGS
         self._rotations += tag in ROTATION_TAGS
-        self._gates.append(Gate(tag, qubits, angle))
-        self._ops.extend(ops)
-        self._angles.extend(angles)
 
     def extend(self, other: "Circuit") -> None:
         if other.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
-        self._gates.extend(other._gates)
         self._ops.extend(other._ops)
         self._angles.extend(other._angles)
         self._cliffords += other._cliffords
         self._rotations += other._rotations
 
     def __len__(self) -> int:
-        return len(self._gates)
+        return len(self._angles)
+
+    def __getitem__(self, i: int) -> Gate:
+        i = range(len(self))[operator.index(i)]
+        return _decode(*self._ops[3 * i:3 * i + 3], self._angles[i])
 
     def __iter__(self):
-        """The gates in order, without the copy that ``gates`` makes."""
-        return iter(self._gates)
+        """The gates in order, without the tuple that ``gates`` builds."""
+        rows = iter(self._ops)
+        for code, q0, q1, angle in zip(rows, rows, rows, self._angles):
+            yield _decode(code, q0, q1, angle)
 
     def clifford_count(self) -> int:
         return self._cliffords
@@ -123,7 +118,7 @@ class Circuit:
     def dump_text(self) -> str:
         """One gate per line: ``TAG q[,q2][,angle]``."""
         lines = []
-        for g in self._gates:
+        for g in self:
             parts = [str(q) for q in g.qubits]
             if g.angle is not None:
                 parts.append(repr(g.angle))
@@ -131,28 +126,39 @@ class Circuit:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"Circuit(num_qubits={self.num_qubits}, gates={len(self._gates)}, "
+        return (f"Circuit(num_qubits={self.num_qubits}, gates={len(self)}, "
                 f"cliffords={self.clifford_count()}, rotations={self.rotation_count()})")
 
 
-def check_arity_and_angle(tag: str, qubits: tuple, angle: float | None) -> None:
-    """Raise ValueError unless ``tag`` is a known gate on ``len(qubits)``
-    qubits, its arity, with a finite angle if it is a rotation and none
-    otherwise: the checks of ``Circuit.append`` that do not depend on the
-    circuit's qubit count."""
+def _decode(code: int, q0: int, q1: int, angle: float) -> Gate:
+    tag = TAGS[code]
+    qubits = (q0, q1) if _ARITY[tag] == 2 else (q0,)
+    return Gate(tag, qubits, angle if tag in ROTATION_TAGS else None)
+
+
+def check_gate(tag: str, qubits: tuple, angle: float | None, num_qubits: int
+               ) -> tuple[int, ...]:
+    """The qubits of gate ``tag`` on ``num_qubits`` qubits, as ``int``s.
+    ValueError unless ``tag`` is a known gate on as many qubits as its arity,
+    each in range and all distinct, with a finite angle if it is a rotation
+    and none otherwise; TypeError for a qubit that is no integer (a numpy
+    one is taken) or an angle that is no real number."""
     if tag not in _ARITY:
         raise ValueError(f"unknown gate tag {tag!r}")
     if len(qubits) != _ARITY[tag]:
         raise ValueError(f"{tag} takes {_ARITY[tag]} qubit(s), got {len(qubits)}")
     if tag in ROTATION_TAGS:
-        if angle is None or not _finite(angle):
+        if angle is None or not math.isfinite(angle):
             raise ValueError(f"{tag} requires a finite angle")
     elif angle is not None:
         raise ValueError(f"{tag} does not take an angle")
-
-
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
+    qubits = tuple(map(operator.index, qubits))
+    for q in qubits:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"{tag} needs distinct qubits, got {qubits}")
+    return qubits
 
 
 def compile_pauli_rotation(term: PauliString, angle: float) -> Circuit:

@@ -44,7 +44,7 @@ import weakref
 import numpy as np
 
 from . import _kernels, gf2
-from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, check_arity_and_angle
+from .circuit import CLIFFORD_TAGS, ROTATION_AXIS, ROTATION_TAGS, check_gate
 from .frame import HadamardFree
 from .pauli import PauliString
 
@@ -309,16 +309,13 @@ class StateVector:
     def apply_gate(self, tag: str, qubits, angle: float | None = None) -> None:
         """Standard 1-/2-qubit unitary on the given qubit(s).
 
-        Rotations follow R_A(theta) = exp(-i theta A / 2).  The qubit count
-        and the angle are checked as ``Circuit.append`` checks them.
+        Rotations follow R_A(theta) = exp(-i theta A / 2).  The qubits and
+        the angle are checked as ``Circuit.append`` checks them, by
+        ``check_gate``.
         """
-        qubits = tuple(qubits)
         if tag not in CLIFFORD_TAGS and tag not in ROTATION_TAGS:
             raise ValueError(f"unknown gate tag {tag!r}")
-        check_arity_and_angle(tag, qubits, angle)
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} out of range")
+        qubits = check_gate(tag, tuple(qubits), angle, self.num_qubits)
         if tag in _CLIFFORD_1Q:
             x, z, e0 = _CLIFFORD_1Q[tag](1 << qubits[0])
             _kernels.clifford(self.amplitudes, x, z, 0.0, 1.0, e0)
@@ -328,8 +325,6 @@ class StateVector:
         elif tag == "H":
             _kernels.apply_u2(self.amplitudes, qubits[0], _H)
         else:
-            if len(set(qubits)) != len(qubits):
-                raise ValueError(f"{tag} needs distinct qubits, got {qubits}")
             _kernels.pair_exchange(self.amplitudes, *_EXCHANGE[tag](*[1 << q for q in qubits]))
 
     def swap_qubits(self, a: int, b: int) -> None:

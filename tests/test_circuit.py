@@ -1,4 +1,7 @@
 """Gate IR validation, staircase compilation, Trotterization."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,11 +71,44 @@ def test_counts_kept_at_append_time_equal_a_recount():
         for part in parts:
             joined.extend(part)
         joined.extend(joined)
+        joined.append("MEASZ", n - 1)
+        joined.append("RY", 0, angle=-0.0)
+        joined.append("PREPZ", 0)
         rebuilt = Circuit(n, gates=joined.gates)
         for c in (*parts, joined, rebuilt):
             assert c.clifford_count() == sum(g.tag in CLIFFORD_TAGS for g in c.gates)
             assert c.rotation_count() == sum(g.tag in ROTATION_TAGS for g in c.gates)
         assert rebuilt.lowered() == joined.lowered()
+        assert rebuilt.gates == joined.gates == tuple(joined[i] for i in range(len(joined)))
+        assert all((g.angle is None) == (g.tag not in ROTATION_TAGS) for g in rebuilt)
+        assert [rebuilt[i].tag for i in (-3, -2, -1)] == ["MEASZ", "RY", "PREPZ"]
+        assert math.copysign(1.0, rebuilt[-2].angle) == -1.0
+
+
+def test_a_circuit_stores_each_gate_once():
+    # the lowered row is the only store: 12 bytes of codes and qubits and
+    # 8 of angle per gate, where a Gate record next to them took about 140.
+    # The first build fills the interpreter's tuple free lists, which the
+    # traced build then reuses instead of counting them against the circuit
+    rng = np.random.default_rng(6)
+    gates = list(zip(rng.choice(["H", "CX", "RZ", "MEASZ"], size=10_000).tolist(),
+                     rng.integers(0, 7, size=10_000).tolist()))
+
+    def build():
+        c = Circuit(8)
+        for tag, q in gates:
+            if tag == "CX":
+                c.append("CX", q, q + 1)
+            else:
+                c.append(tag, q, angle=0.5 if tag == "RZ" else None)
+        return c
+
+    build()
+    tracemalloc.start()
+    c = build()
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert len(c) == 10_000 and held <= 32 * len(c), held
 
 
 def test_dump_text():

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import framesim
+from framesim.circuit import TAGS
 
 MODULES = sorted(Path(framesim.__file__).parent.rglob("*.py"))
 
@@ -83,3 +84,11 @@ def test_each_simd_clone_has_its_twin_and_the_walk_clones_start_on_a_cache_line(
         assert 'target("avx2,fma")' in avx2 and "target" not in generic, base
         if base in ("pass", "run"):
             assert "aligned(64)" in avx2 and "aligned(64)" in generic, base
+
+
+def test_the_c_gate_codes_follow_the_python_tags():
+    # both compiled gate loops read a lowered gate's code as its index in
+    # circuit.TAGS, so the C enum of gate codes must list the tags in order
+    source = (Path(framesim.__file__).parent / "_kernels.c").read_text(encoding="utf-8")
+    (body,) = re.findall(r"\benum\s*\{\s*(G_H\b[^}]*)\}", source)
+    assert [name.strip() for name in body.split(",")] == ["G_" + tag for tag in TAGS]
