@@ -79,12 +79,12 @@ class Circuit:
 
     def append(self, tag: str, *qubits: int, angle: float | None = None) -> None:
         """Append one gate, checked by ``check_gate``.  Every check runs, and
-        the lowered row is built, before anything is written, so a refused
-        gate leaves the circuit as it was."""
+        the angle and the lowered row are converted, before anything is
+        written, so a refused gate leaves the circuit as it was."""
         qubits = check_gate(tag, qubits, angle, self.num_qubits)
-        row = array("i", (_CODE[tag], qubits[0], qubits[-1] if len(qubits) > 1 else 0))
-        self._ops.extend(row)
-        self._angles.append(0.0 if angle is None else angle)
+        angle = 0.0 if angle is None else float(angle)
+        self._ops.extend(array("i", (_CODE[tag], qubits[0], qubits[-1] if len(qubits) > 1 else 0)))
+        self._angles.append(angle)
         self._cliffords += tag in CLIFFORD_TAGS
         self._rotations += tag in ROTATION_TAGS
 
