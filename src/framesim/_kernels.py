@@ -65,9 +65,12 @@ first six), the permutation's phase-free affine pass runs at 0.86-1.22 ns
 per amplitude and its shear at 1.10-1.80, against 0.62-0.70 for the
 negation (3.1-4.5 times it together), where a lookup and a multiply per
 amplitude and a shear pair by pair ran at 2.6-4.0 and 2.7-3.5.  The
-``numpy_*`` functions compute the same things by filtering index arrays,
-with whole-array temporaries, several times slower per amplitude; they
-are the reference the tests compare the C loops against.  The C loops
+``numpy_*`` functions compute the same things on index arrays, several
+times slower per amplitude: the Clifford, 2x2 and pair-exchange updates
+in blocks of 2**14 pairs, whose temporaries fill about an L2 cache
+whatever the state, the permutation and the scatter with whole-array
+temporaries.  They are the reference the tests compare the C loops
+against.  The C loops
 take a contiguous complex128 state aligned to
 16 bytes, and their wrappers raise ValueError for any other.
 
@@ -639,47 +642,81 @@ def _c_register_map(index_map, active, x, z, phase, activate):
     return int(op[0]), int(op[1]), int(op[2]), d
 
 
+# pairs of amplitudes that a numpy Clifford, 2x2 or pair-exchange call
+# updates at once: with their temporaries, about an L2 cache
+_PAIRS_PER_BLOCK = 1 << 14
+
+
+def _blocks(stop):
+    """0, 1, ..., stop - 1 as int64 index arrays of ``_PAIRS_PER_BLOCK``."""
+    for lo in range(0, stop, _PAIRS_PER_BLOCK):
+        yield np.arange(lo, min(lo + _PAIRS_PER_BLOCK, stop), dtype=np.int64)
+
+
+def _bit_clear(j, b):
+    """The j-th index with bit b clear: j with a 0 put in at bit b."""
+    return (j >> b << b + 1) | (j & (1 << b) - 1)
+
+
 def numpy_clifford(amp, x, z, ca, cb, e0):
     """amp[k] <- ca*amp[k] + cb * i**e0 * (-1)**parity(k & z) * amp[k ^ x].
 
     ca and cb are real.  This is ca + cb * i**e0 * P for a Pauli P with x
     bits x and z bits z (up to P's own phase, see
-    ``statevector._pauli_update``).
+    ``statevector._pauli_update``).  Updates each pair k, k ^ x (k without
+    the top bit of x) from its old values, or each amplitude when x is 0,
+    a block at a time.
     """
     if not 0 <= max(x, z) < amp.shape[0]:
         raise ValueError("bit mask out of range for the amplitude array")
-    k = np.arange(amp.shape[0], dtype=np.int64)
-    sg = 1.0 - 2.0 * (np.bitwise_count(k & np.int64(z)) & 1)
-    amp[:] = ca * amp + cb * _I_POW[e0 & 3] * sg * amp[k ^ np.int64(x)]
+    c, z = cb * _I_POW[e0 & 3], np.int64(z)
+
+    def signs(k):
+        return 1.0 - 2.0 * (np.bitwise_count(k & z) & 1)
+
+    if x == 0:
+        for k in _blocks(amp.shape[0]):
+            a = amp[k[0]:k[-1] + 1]
+            a[:] = ca * a + c * signs(k) * a
+        return
+    top = int(x).bit_length() - 1
+    for j in _blocks(amp.shape[0] >> 1):
+        k = _bit_clear(j, top)
+        kx = k ^ np.int64(x)
+        a, b = amp[k], amp[kx]
+        amp[k] = ca * a + c * signs(k) * b
+        amp[kx] = ca * b + c * signs(kx) * a
 
 
 def numpy_apply_u2(amp, q, m):
     """The one-qubit gate of the complex 2x2 matrix m on qubit q: for each
     pair k0, k1 = k0 | 2**q with bit q of k0 clear, amp[k0], amp[k1] <-
-    m[0, 0] a0 + m[0, 1] a1, m[1, 0] a0 + m[1, 1] a1."""
+    m[0, 0] a0 + m[0, 1] a1, m[1, 0] a0 + m[1, 1] a1, a block at a time."""
     if not 0 <= q < amp.shape[0].bit_length() - 1:
         raise ValueError(f"qubit {q} out of range for the amplitude array")
     m = _u2_matrix(m)
-    k0 = np.arange(amp.shape[0], dtype=np.int64)
-    k0 = k0[k0 & (1 << q) == 0]
-    a0, a1 = amp[k0], amp[k0 | (1 << q)]
-    amp[k0] = m[0, 0] * a0 + m[0, 1] * a1
-    amp[k0 | (1 << q)] = m[1, 0] * a0 + m[1, 1] * a1
+    for j in _blocks(amp.shape[0] >> 1):
+        k0 = _bit_clear(j, q)
+        k1 = k0 | (1 << q)
+        a0, a1 = amp[k0], amp[k1]
+        amp[k0] = m[0, 0] * a0 + m[0, 1] * a1
+        amp[k1] = m[1, 0] * a0 + m[1, 1] * a1
 
 
 def numpy_pair_exchange(amp, mask, val, x, e):
     """Swap amp[k] with amp[k ^ x] for every k with k & mask == val; when x
     is 0, multiply amp[k] by i**e instead.  val and x must be submasks of
-    mask, so that each pair is listed once."""
+    mask, so that each pair is listed once.  Takes the k a block at a
+    time."""
     if not 0 <= mask < amp.shape[0]:
         raise ValueError("bit mask out of range for the amplitude array")
     _check_exchange(mask, val, x)
-    k = np.arange(amp.shape[0], dtype=np.int64)
-    k = k[k & mask == val]
-    if x == 0:
-        amp[k] *= _I_POW[e & 3]
-    else:
-        amp[k], amp[k ^ x] = amp[k ^ x], amp[k]
+    for k in _blocks(amp.shape[0]):
+        k = k[k & mask == val]
+        if x == 0:
+            amp[k] *= _I_POW[e & 3]
+        else:
+            amp[k], amp[k ^ x] = amp[k ^ x], amp[k]
 
 
 def _images(cols, offset, diag, cross):
@@ -729,14 +766,17 @@ def numpy_permute(amp, cols, offset, diag, cross) -> int:
     return 1
 
 
-# bytes per amplitude of the whole-array temporaries that one kernel call
-# of the tier in use holds at its peak: none in the C loops; on the numpy
-# tier numpy_clifford's, the largest (index, sign and gathered, scaled and
-# summed amplitude arrays), as tracemalloc reads it at 18 qubits, where
-# numpy_permute holds 57 (a copy of the state, index, phase and moved
-# amplitude arrays), numpy_apply_u2 36 and numpy_pair_exchange 17 (see
-# bench.memory_need)
-TEMPORARY_BYTES = 0 if _lib is not None else 72
+# bytes per amplitude that one kernel call of a benchmark run holds besides
+# the state: none in the C loops.  On the numpy tier the blocks of
+# numpy_clifford, numpy_apply_u2 and numpy_pair_exchange hold at most 1.63
+# MiB whatever the state, as tracemalloc reads it, counted as 8 B per
+# amplitude: 2 MiB at 18 qubits, more above, and at most 1.6 MiB short
+# below, where a state is under 4 MiB.  numpy_permute holds 57 B per
+# amplitude (a copy of the state, index, phase and moved amplitude
+# arrays) and numpy_scatter 41, all but the copy, but they run only in a
+# flush that moves amplitudes, and the flush of a Trotter circuit, whose
+# frame ends at the origin, moves none (see bench.memory_need)
+TEMPORARY_BYTES = 0 if _lib is not None else 8
 
 if _lib is not None:
     clifford, apply_u2, pair_exchange = _c_clifford, _c_apply_u2, _c_pair_exchange

@@ -184,9 +184,11 @@ def memory_need(config: BenchConfig, num_qubits: int) -> int:
     at most 24 bytes per amplitude besides, the probabilities it compares.
     The circuits and the hybrid's gate tables are left out: they grow with
     the terms, not with 2**n, and 100 terms of weight 14 hold about 1.4 MiB
-    at the peak, a third of one 18-qubit state.  On the numpy tier every
-    kernel call of a run holds whole-array temporaries besides the states,
-    up to ``_kernels.TEMPORARY_BYTES`` per amplitude.
+    at the peak, a third of one 18-qubit state.  On the numpy tier a kernel
+    call of a run holds a block of temporaries besides the states, counted
+    as ``_kernels.TEMPORARY_BYTES`` per amplitude (see there); a run's
+    flush moves no amplitude, since a Trotter circuit leaves its frame at
+    the origin.
     """
     per_amplitude = AMPLITUDE_BYTES * (len(config.backends) + 1) + _kernels.TEMPORARY_BYTES
     if config.verify and set(config.backends) == set(BACKENDS):

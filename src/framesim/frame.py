@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import gf2
+from .circuit import CLIFFORD_TAGS, check_gate
 from .pauli import PauliString, _anti, _mul, _swap_bits
 
 _QUARTER = math.pi / 2  # R_Q(pi/2) = exp(-i pi/4 Q), a symplectic transvection
@@ -159,20 +160,16 @@ class PauliFrame:
 
     def apply_gate(self, tag: str, qubits) -> None:
         """Append Clifford gate g: affected rows become the frame expansion
-        of g^dag sigma g, a product of at most two current entries."""
-        row, put = self._row, self._put
+        of g^dag sigma g, a product of at most two current entries.  Raises
+        before any row changes: ValueError for a tag outside
+        ``CLIFFORD_TAGS``, and as ``check_gate`` does for the qubits."""
+        if tag not in CLIFFORD_TAGS:
+            raise ValueError(f"{tag!r} is not a Clifford gate tag")
         n = self.num_qubits
-        if tag == "CX":
-            c, t = qubits
-            if c == t or not (0 <= c < n and 0 <= t < n):
-                raise ValueError(f"{tag} needs two distinct qubits below {n}, got {qubits}")
-            put(t, _mul(row(c), row(t)))
-            put(n + c, _mul(row(n + c), row(n + t)))
-            return
-        if tag in ("H", "S", "SDG", "X", "Y", "Z"):
+        qubits = check_gate(tag, tuple(qubits), None, n)
+        row, put = self._row, self._put
+        if len(qubits) == 1:
             (i,) = qubits
-            if not 0 <= i < n:
-                raise ValueError(f"qubit {i} out of range")
             if tag == "H":
                 z = row(i)
                 put(i, row(n + i))
@@ -188,18 +185,17 @@ class PauliFrame:
                     self.ps[n + i] ^= 2
             return
         c, t = qubits
-        if c == t or not (0 <= c < n and 0 <= t < n):
-            raise ValueError(f"{tag} needs two distinct qubits below {n}, got {qubits}")
-        if tag == "CZ":
+        if tag == "CX":
+            put(t, _mul(row(c), row(t)))
+            put(n + c, _mul(row(n + c), row(n + t)))
+        elif tag == "CZ":
             put(n + c, _mul(row(n + c), row(t)))
             put(n + t, _mul(row(c), row(n + t)))
-        elif tag == "SWAP":
+        else:  # SWAP
             for a, b in ((c, t), (n + c, n + t)):
                 ra = row(a)
                 put(a, row(b))
                 put(b, ra)
-        else:
-            raise ValueError(f"{tag!r} is not a Clifford gate tag")
 
     # ------------------------------------------------------------------
     # lookup

@@ -219,3 +219,11 @@ def blocked_qubits(limit: int = 22) -> int | None:
     l2 = _kernels.l2_bytes()
     n = (l2 // 16).bit_length() if l2 else None
     return n if n is not None and n <= limit else None
+
+
+def clifford_whole_array(amp, x, z, ca, cb, e0) -> None:
+    """``_kernels.numpy_clifford`` as one whole-array expression: the
+    bit-for-bit reference of its per-element arithmetic."""
+    k = np.arange(amp.shape[0], dtype=np.int64)
+    sg = 1.0 - 2.0 * (np.bitwise_count(k & np.int64(z)) & 1)
+    amp[:] = ca * amp + cb * np.array([1, 1j, -1, -1j])[e0 & 3] * sg * amp[k ^ np.int64(x)]

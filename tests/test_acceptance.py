@@ -175,6 +175,11 @@ SIZE_K = 4
 N_TERMS = 100
 
 
+def _tier() -> str:
+    """The kernel tier and SIMD clone that the timed criteria ran on."""
+    return f"kernel tier {_kernels.kernel_tier()}, clone {_kernels.simd_clone()}"
+
+
 def _median_times(cells, runner, warmups, rounds):
     """Round-robin timing: every round visits every cell once."""
     samples = {key: [] for key in cells}
@@ -220,22 +225,22 @@ def test_criterion_5_locality_flatness(locality_sweep):
     hybrid_t = locality_sweep["hybrid"]
     baseline_t = locality_sweep["baseline"]
     ratio = max(hybrid_t.values()) / min(hybrid_t.values())
-    assert ratio <= 1.3, f"hybrid t_run over k: {hybrid_t} (ratio {ratio:.2f})"
+    assert ratio <= 1.3, f"hybrid t_run over k: {hybrid_t} (ratio {ratio:.2f}; {_tier()})"
     ks = list(LOCALITY_KS)
     base = [baseline_t[k] for k in ks]
     assert all(b2 > b1 for b1, b2 in zip(base, base[1:])), \
-        f"baseline not strictly increasing: {baseline_t}"
+        f"baseline not strictly increasing: {baseline_t} ({_tier()})"
     slope, intercept = np.polyfit(ks, base, 1)
     fitted = slope * np.array(ks) + intercept
     ss_res = float(np.sum((np.array(base) - fitted) ** 2))
     ss_tot = float(np.sum((np.array(base) - np.mean(base)) ** 2))
     r2 = 1.0 - ss_res / ss_tot
-    assert r2 >= 0.9, f"baseline linear fit R^2 = {r2:.3f}"
+    assert r2 >= 0.9, f"baseline linear fit R^2 = {r2:.3f} ({_tier()})"
     speedup = baseline_t[18] / hybrid_t[18]
-    assert speedup >= 5.0, f"speedup at k=18 is {speedup:.1f}x"
+    assert speedup >= 5.0, f"speedup at k=18 is {speedup:.1f}x ({_tier()})"
     print(f"\nACCEPTANCE 5 PASS: n={LOCALITY_N}, {N_TERMS} terms: hybrid "
           f"max/min {ratio:.2f} <= 1.3; baseline strictly increasing with "
-          f"R^2 {r2:.3f} >= 0.9; speedup at k=18 {speedup:.1f}x >= 5x")
+          f"R^2 {r2:.3f} >= 0.9; speedup at k=18 {speedup:.1f}x >= 5x ({_tier()})")
 
 
 @pytest.fixture(scope="module")
@@ -249,21 +254,19 @@ def size_sweep():
 def test_criterion_6_rescaled_runtime_flatness(size_sweep):
     rescaled = {n: t / (N_TERMS * 2 ** n) for n, t in size_sweep.items()}
     ratio = max(rescaled.values()) / min(rescaled.values())
-    tier = _kernels.kernel_tier()
-    assert ratio <= 2.0, \
-        f"rescaled runtimes {rescaled} vary by {ratio:.2f}x (kernel tier {tier})"
+    assert ratio <= 2.0, f"rescaled runtimes {rescaled} vary by {ratio:.2f}x ({_tier()})"
     pretty = {n: f"{v:.2e}" for n, v in rescaled.items()}
     print(f"\nACCEPTANCE 6 PASS: hybrid rescaled runtime across n={SIZE_NS}: "
-          f"{pretty}, max/min {ratio:.2f} <= 2 (kernel tier {tier})")
+          f"{pretty}, max/min {ratio:.2f} <= 2 ({_tier()})")
 
 
 def test_criterion_7_compile_time_parity(locality_sweep):
     ratios = locality_sweep["compile_ratios"]
     assert all(0.8 <= r <= 1.2 for r in ratios.values()), \
-        f"compile-time ratios out of band: {ratios}"
+        f"compile-time ratios out of band: {ratios} ({_tier()})"
     pretty = {k: f"{r:.2f}" for k, r in ratios.items()}
     print(f"\nACCEPTANCE 7 PASS: hybrid/baseline compile-time ratios {pretty} "
-          f"within [0.8, 1.2]")
+          f"within [0.8, 1.2] ({_tier()})")
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ against the numpy references against dense matrices built from
 on the matrices whose factors take every shape of its passes, the flush
 against its dense split, and the flush and its remainder pass against the
 per-step rotation path up to a power of exp(i*pi/4)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +15,8 @@ from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector
                       compile_pauli_rotation, gf2, random_hamiltonian, run_hybrid, trotterize)
 from framesim.backends import _compiled_gates, _python_gates
 from framesim.frame import HadamardFree, RotationStep, invert_to_rotations, split_clifford
-from oracles import (blocked_qubits, circuit_unitary, compiled_clones, gf2_rank,
-                     index_mapped, on_clone, pauli_matrix, random_clifford_circuit,
+from oracles import (blocked_qubits, circuit_unitary, clifford_whole_array, compiled_clones,
+                     gf2_rank, index_mapped, on_clone, pauli_matrix, random_clifford_circuit,
                      random_mixed_circuit, rotation_matrix, up_to_omega)
 
 # the Clifford loop of the numpy reference always, and the compiled C loop
@@ -774,6 +776,45 @@ def test_clifford_loop_writes_only_its_state(case):
         clifford(state, x, z, ca, cb, e0)
         assert np.all(guarded[:4] == 7.0 - 7.0j) and np.all(guarded[-4:] == 7.0 - 7.0j), name
         assert np.max(np.abs(state - ref)) < 1e-12, name
+
+
+# (x, z) of a phase alone, a one-bit x at the bottom and at the top of an
+# n-qubit state, and dense masks
+def clifford_masks(n):
+    dense = (1 << n) - 1
+    return ((0, 0), (0, dense & ~5), (1, dense), (1 << n - 1, 3 & dense), (dense, dense & ~6))
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 17])
+def test_numpy_clifford_is_the_whole_array_formula_bit_for_bit(n):
+    # at 16 and 17 qubits the pairs fill two and four blocks
+    amp = random_amplitudes(23, n)
+    for x, z in clifford_masks(n):
+        for ca, cb, e0 in ((SQ2, -SQ2, 0), (0.3, 0.8, 1), (0.0, 1.0, 2), (-1.0, 0.5, 3)):
+            out, ref = amp.copy(), amp.copy()
+            _kernels.numpy_clifford(out, x, z, ca, cb, e0)
+            clifford_whole_array(ref, x, z, ca, cb, e0)
+            assert out.tobytes() == ref.tobytes(), (x, z, ca, cb, e0)
+
+
+def test_numpy_updates_hold_temporaries_that_do_not_grow_with_the_state():
+    # their blocks of 2**14 pairs hold about 100 B per pair whatever the
+    # state, where whole-array forms hold 72 (Clifford), 36 (2x2) and 17
+    # (pair exchange) MiB at 20 qubits
+    n = 20
+    amp = random_amplitudes(24, n)
+    calls = [(_kernels.numpy_clifford, x, z, 0.6, 0.8, 1) for x, z in clifford_masks(n)]
+    calls += [(_kernels.numpy_apply_u2, q, [[SQ2, SQ2], [SQ2, -SQ2]]) for q in (0, n - 1)]
+    calls += [(_kernels.numpy_pair_exchange, 3 << n - 2, 1 << n - 1, 1 << n - 2, 0),
+              (_kernels.numpy_pair_exchange, 1, 1, 0, 1)]
+    for i, (kernel, *args) in enumerate(calls):
+        tracemalloc.start()
+        try:
+            kernel(amp, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20, (i, peak)
 
 
 @pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",

@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framesim import (Circuit, HybridState, PauliFrame, PauliString, StateVector,
-                      run_hybrid)
+from framesim import (CLIFFORD_TAGS, Circuit, HybridState, PauliFrame, PauliString,
+                      StateVector, run_hybrid)
 from framesim import _kernels
 from oracles import (compiled_clones, pauli_matrix, random_clifford_circuit, random_pauli,
                      rotation_matrix)
@@ -286,7 +286,7 @@ def extra_peak(fn) -> int:
 
 
 @pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
-                    reason="the numpy kernels use whole-array temporaries")
+                    reason="the numpy kernels hold temporaries beyond the slack")
 def test_pauli_shaped_updates_allocate_at_most_one_state_copy():
     n = 16
     slack = 64 * 1024
@@ -312,7 +312,7 @@ def test_pauli_shaped_updates_allocate_at_most_one_state_copy():
 
 
 @pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
-                    reason="the numpy kernels use whole-array temporaries")
+                    reason="the numpy kernels hold temporaries beyond the slack")
 def test_clifford_gates_and_flush_allocate_nothing_state_sized():
     n = 16
     slack = 64 * 1024
@@ -357,7 +357,7 @@ def test_clifford_gates_and_flush_allocate_nothing_state_sized():
 
 
 @pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
-                    reason="the numpy kernels use whole-array temporaries")
+                    reason="the numpy kernels hold temporaries beyond the slack")
 def test_register_flush_allocates_at_most_the_register_copy():
     # the rest of a flush on a register of 14 of 16 qubits makes one copy
     # of its 2**14 amplitudes, a quarter of the state, and nothing more
@@ -463,7 +463,7 @@ def test_a_mapped_state_gives_its_memory_back_when_freed():
 
 
 @pytest.mark.skipif(_kernels.kernel_tier() != "compiled-c",
-                    reason="the numpy kernels use whole-array temporaries")
+                    reason="the numpy kernels hold temporaries beyond the slack")
 def test_mapped_states_keep_the_expectation_and_flush_bounds():
     # the bounds above at n = 16, on states that take mappings of their own
     n = 18
@@ -495,19 +495,26 @@ def test_two_qubit_gates_reject_a_repeated_qubit(tag):
     ("H", (0, 1), None), ("RZ", (0, 1), 0.3), ("H", (0,), 0.5), ("CX", (0,), None),
     ("SWAP", (0, 1, 2), None), ("X", (), None), ("H", (1.0,), None), ("CX", (0, 2.0), None)])
 def test_apply_gate_checks_its_qubit_count_and_angle(tag, qubits, angle):
-    # as Circuit.append does: H and RZ on (0, 1) acted on qubit 0 alone, H
-    # ignored an angle, and CX on one qubit, SWAP on three and X on none
-    # raised TypeError or IndexError; a float qubit passed the range check
-    # and failed inside the kernel call
+    # as Circuit.append does, and PauliFrame.apply_gate for a Clifford gate:
+    # H and RZ on (0, 1) acted on qubit 0 alone, H ignored an angle, and CX
+    # on one qubit, SWAP on three and X on none raised TypeError or
+    # IndexError; a float qubit passed the range check and failed inside the
+    # kernel call, or on the frame's row read
     error, match = ((TypeError, "integer") if any(isinstance(q, float) for q in qubits)
                     else (ValueError, "qubit|angle"))
     s = random_state(np.random.default_rng(22), 3)
     before = s.amplitudes.copy()
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=match) as raised:
         s.apply_gate(tag, qubits, angle)
     assert np.array_equal(s.amplitudes, before)
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=match) as appended:
         Circuit(3).append(tag, *qubits, angle=angle)
+    assert str(appended.value) == str(raised.value)
+    if tag in CLIFFORD_TAGS and angle is None:
+        frame = PauliFrame.origin(3)
+        with pytest.raises(error, match=match) as framed:
+            frame.apply_gate(tag, qubits)
+        assert frame.is_origin() and str(framed.value) == str(raised.value)
 
 
 @on_each_kernel
